@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench check trace fleet fleet-shard fleetobs campaign inspect prof snapshot ota
+.PHONY: build test bench bench-json check trace fleet fleet-shard fleetobs campaign inspect prof snapshot ota
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Re-measure the committed BENCH_*.json reports. Plain test runs check
+# the same assertions but never rewrite them (their wall-clock numbers
+# change on every run).
+bench-json:
+	$(GO) test -count=1 -run 'TestBench.*JSON' -update .
 
 # Formatting + vet + full suite under the race detector.
 check:

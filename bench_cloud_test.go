@@ -13,9 +13,7 @@
 package cheriot_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -167,11 +165,5 @@ func TestBenchCloudJSON(t *testing.T) {
 			"Lockstep vs parallel byte-identical summaries under cloud fan-out are asserted by " +
 			"TestFleetFanoutDeterminism in internal/fleet.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_cloud.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_cloud.json: %v", err)
-	}
+	writeBenchJSON(t, "BENCH_cloud.json", report)
 }

@@ -10,9 +10,7 @@
 package cheriot_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -258,13 +256,7 @@ func TestBenchFleetJSON(t *testing.T) {
 			"single-CPU host the parallel mode cannot beat serial and parallel_beats_serial is " +
 			"expected to be false.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_fleet.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_fleet.json: %v", err)
-	}
+	writeBenchJSON(t, "BENCH_fleet.json", report)
 	t.Logf("serial %.2fs vs parallel %.2fs (%d shards): %.2fx, %.1f vs %.1f publishes/sec",
 		serialWall.Seconds(), parallelWall.Seconds(), runtime.NumCPU(), speedup, serialPub, parallelPub)
 }

@@ -15,7 +15,6 @@ package cheriot_test
 
 import (
 	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -149,13 +148,7 @@ func TestBenchFleetObsJSON(t *testing.T) {
 			"traced = sample rate 1 across 8 cloud shards; wall-clock figures are machine-dependent, " +
 			"the per-shard latency table is deterministic.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_fleetobs.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_fleetobs.json: %v", err)
-	}
+	writeBenchJSON(t, "BENCH_fleetobs.json", report)
 	t.Logf("probe overhead %.3fx (base %.3fs), traced %.3fx, %d traced publishes p50 %.3fms p99 %.3fms",
 		overhead, baseWall.Seconds(), tracedWall.Seconds()/baseWall.Seconds(),
 		o.TracedPublishes, o.E2EP50Ms, o.E2EP99Ms)

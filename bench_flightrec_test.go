@@ -18,9 +18,7 @@
 package cheriot_test
 
 import (
-	"encoding/json"
 	"io"
-	"os"
 	"testing"
 	"time"
 
@@ -147,13 +145,7 @@ func TestBenchFlightrecJSON(t *testing.T) {
 			"records to the fixed ring on each hook. Fault-dump ms is the one-time cost of " +
 			"serializing the black box after a crash. Host figures are machine-dependent.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_flightrec.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_flightrec.json: %v", err)
-	}
+	writeBenchJSON(t, "BENCH_flightrec.json", report)
 	t.Logf("fig7: %d simcycles in all modes; host %s off, %s on (%.2fx), dump %s, %d reports",
 		disCycles, disHost, enHost, ratio, dumpHost, reports)
 }

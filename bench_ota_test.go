@@ -17,8 +17,6 @@
 package cheriot_test
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -175,13 +173,7 @@ func TestBenchOTAJSON(t *testing.T) {
 			"availability_per_second is devices publishing per simulated second: the staged dips " +
 			"are the rings rebooting, the poisoned curve shows the canary dip and recovery.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_ota.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_ota.json: %v", err)
-	}
+	writeBenchJSON(t, "BENCH_ota.json", report)
 	t.Logf("healthy: completion %.0fs sim (%.2fs wall); poisoned: rollback after %.0fs sim, %d crashes (%.2fs wall)",
 		completion, healthyWall.Seconds(), timeToRollback, pro.CohortCrashes, poisonedWall.Seconds())
 }

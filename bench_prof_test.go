@@ -16,7 +16,6 @@ package cheriot_test
 
 import (
 	"encoding/json"
-	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -173,13 +172,7 @@ func TestBenchProfJSON(t *testing.T) {
 			"host_phases is the boot/step/pump/merge wall split from a separate -hostprof run; " +
 			"wall-clock figures are machine-dependent, the profile is deterministic.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_prof.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_prof.json: %v", err)
-	}
+	writeBenchJSON(t, "BENCH_prof.json", report)
 	t.Logf("prof overhead %.3fx (base %.3fs), %d frames, %d cycles attributed, top frame %s",
 		overhead, baseWall.Seconds(), len(p.Frames), p.TotalCycles, p.Top(1)[0].Stack)
 }

@@ -114,26 +114,25 @@ func BenchmarkTable2_CodeDataSize(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3_CoreAPILatencies regenerates Table 3: average latencies
-// of the core RTOS APIs, in simulated cycles.
-func BenchmarkTable3_CoreAPILatencies(b *testing.B) {
-	type row struct {
-		name   string
-		paper  float64
-		cycles float64
-	}
-	var rows []row
+// table3Row is one Table 3 API: the paper's cycles and the measured
+// average.
+type table3Row struct {
+	name   string
+	paper  float64
+	cycles float64
+}
+
+// table3Rows measures Table 3's core RTOS API latencies, averaging each
+// over reps runs.
+func table3Rows(tb testing.TB, reps int) []table3Row {
+	var rows []table3Row
 	measured := func(name string, paper float64, total uint64, n int) {
-		rows = append(rows, row{name, paper, float64(total) / float64(n)})
+		rows = append(rows, table3Row{name, paper, float64(total) / float64(n)})
 	}
 
 	img := core.NewImage("table3")
 	token.AddLibTo(img)
 	libs.AddCheckTo(img)
-	reps := b.N
-	if reps < 16 {
-		reps = 16
-	}
 
 	// A victim compartment for the error-handling rows.
 	handlerRan := 0
@@ -187,7 +186,7 @@ func BenchmarkTable3_CoreAPILatencies(b *testing.B) {
 					total += stopwatch(func() {
 						rets := ctx.LibCall(token.LibName, token.FnUnsealFast, api.C(key), api.C(sobj))
 						if api.ErrnoOf(rets) != api.OK {
-							b.Error("unseal failed")
+							tb.Error("unseal failed")
 						}
 					})
 				}
@@ -237,10 +236,10 @@ func BenchmarkTable3_CoreAPILatencies(b *testing.B) {
 				for i := 0; i < reps; i++ {
 					total += stopwatch(func() {
 						if cl.Claim(ctx, obj) != api.OK {
-							b.Error("claim failed")
+							tb.Error("claim failed")
 						}
 						if cl.Free(ctx, obj) != api.OK {
-							b.Error("unclaim failed")
+							tb.Error("unclaim failed")
 						}
 					})
 				}
@@ -278,11 +277,21 @@ func BenchmarkTable3_CoreAPILatencies(b *testing.B) {
 	})
 	img.AddThread(&firmware.Thread{Name: "t", Compartment: "bench", Entry: "main",
 		Priority: 1, StackSize: 16 * 1024, TrustedStackFrames: 16})
-	bootBench(b, img)
+	bootBench(tb, img)
 	if handlerRan == 0 {
-		b.Fatal("handler never ran")
+		tb.Fatal("handler never ran")
 	}
+	return rows
+}
 
+// BenchmarkTable3_CoreAPILatencies regenerates Table 3: average latencies
+// of the core RTOS APIs, in simulated cycles.
+func BenchmarkTable3_CoreAPILatencies(b *testing.B) {
+	reps := b.N
+	if reps < 16 {
+		reps = 16
+	}
+	rows := table3Rows(b, reps)
 	out := "\nTable 3 — core API latencies (simulated cycles, paper in parens):\n"
 	for _, r := range rows {
 		out += fmt.Sprintf("  %-32s %8.1f  (%.1f)\n", r.name, r.cycles, r.paper)

@@ -12,9 +12,7 @@
 package cheriot_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -144,13 +142,7 @@ func TestBenchTelemetryJSON(t *testing.T) {
 			"costs zero simulated cycles; disabled mode pays only a nil check per hook. " +
 			"Host ns/call figures are machine-dependent and indicative only.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_telemetry.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_telemetry.json: %v", err)
-	}
+	writeBenchJSON(t, "BENCH_telemetry.json", report)
 	t.Logf("call path: %.1f simcycles/call, host %.0f ns/call disabled vs %.0f ns/call enabled (%.1f%%)",
 		float64(disCycles)/calls, disNs, enNs, overheadPct)
 }

@@ -30,16 +30,17 @@ func printOnce(key, s string) {
 	}
 }
 
-// bootBench boots an image and runs it to completion, failing b on error.
-func bootBench(b *testing.B, img *firmware.Image) *core.System {
-	b.Helper()
+// bootBench boots an image and runs it to completion, failing tb on
+// error.
+func bootBench(tb testing.TB, img *firmware.Image) *core.System {
+	tb.Helper()
 	s, err := core.Boot(img)
 	if err != nil {
-		b.Fatalf("Boot: %v", err)
+		tb.Fatalf("Boot: %v", err)
 	}
 	if err := s.Run(nil); err != nil {
 		s.Shutdown()
-		b.Fatalf("Run: %v", err)
+		tb.Fatalf("Run: %v", err)
 	}
 	s.Shutdown()
 	return s
@@ -47,54 +48,63 @@ func bootBench(b *testing.B, img *firmware.Image) *core.System {
 
 func nop(ctx api.Context, args []api.Value) []api.Value { return nil }
 
+// fig6aCases are Fig. 6a's call-latency points: callee stack usage and
+// the paper's cycles.
+var fig6aCases = []struct {
+	name     string
+	minStack uint32
+	paper    float64
+}{
+	{"empty_call", 0, 209},
+	{"stack_256B", 256, 452},
+	{"stack_1KiB", 1024, 1284},
+}
+
+// callCycles returns the simulated cycles of n cross-compartment calls
+// into a callee that declares minStack bytes of stack, after one warm-up
+// call as in the paper's methodology.
+func callCycles(tb testing.TB, minStack uint32, n int) uint64 {
+	var cycles uint64
+	img := core.NewImage("fig6a")
+	img.AddCompartment(&firmware.Compartment{
+		Name: "server", CodeSize: 128, DataSize: 0,
+		Exports: []*firmware.Export{{Name: "fn", MinStack: minStack, Entry: nop}},
+	})
+	img.AddCompartment(&firmware.Compartment{
+		Name: "bench", CodeSize: 128, DataSize: 0,
+		Imports: []firmware.Import{{Kind: firmware.ImportCall, Target: "server", Entry: "fn"}},
+		Exports: []*firmware.Export{{Name: "main", MinStack: 128,
+			Entry: func(ctx api.Context, args []api.Value) []api.Value {
+				if _, err := ctx.Call("server", "fn"); err != nil {
+					tb.Errorf("warm-up: %v", err)
+					return nil
+				}
+				start := ctx.Now()
+				for i := 0; i < n; i++ {
+					if _, err := ctx.Call("server", "fn"); err != nil {
+						tb.Errorf("call: %v", err)
+						return nil
+					}
+				}
+				cycles = ctx.Now() - start
+				return nil
+			}}},
+	})
+	img.AddThread(&firmware.Thread{Name: "t", Compartment: "bench", Entry: "main",
+		Priority: 1, StackSize: 4096, TrustedStackFrames: 8})
+	bootBench(tb, img)
+	return cycles
+}
+
 // BenchmarkFig6a_CallLatency measures cross-compartment call round trips
 // at increasing stack usage. Fig. 6a reports 209 cycles for an empty
 // call, 452 with 256 B of stack, and 1284 for the 1 KiB worst case.
 func BenchmarkFig6a_CallLatency(b *testing.B) {
-	cases := []struct {
-		name     string
-		minStack uint32
-		paper    float64
-	}{
-		{"empty_call", 0, 209},
-		{"stack_256B", 256, 452},
-		{"stack_1KiB", 1024, 1284},
-	}
 	printOnce("fig6a-head", "\nFig. 6a — compartment-call latency vs stack usage:\n")
-	for _, tc := range cases {
+	for _, tc := range fig6aCases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			var cycles uint64
-			img := core.NewImage("fig6a")
-			img.AddCompartment(&firmware.Compartment{
-				Name: "server", CodeSize: 128, DataSize: 0,
-				Exports: []*firmware.Export{{Name: "fn", MinStack: tc.minStack, Entry: nop}},
-			})
-			img.AddCompartment(&firmware.Compartment{
-				Name: "bench", CodeSize: 128, DataSize: 0,
-				Imports: []firmware.Import{{Kind: firmware.ImportCall, Target: "server", Entry: "fn"}},
-				Exports: []*firmware.Export{{Name: "main", MinStack: 128,
-					Entry: func(ctx api.Context, args []api.Value) []api.Value {
-						// One warm-up call, as in the paper's methodology.
-						if _, err := ctx.Call("server", "fn"); err != nil {
-							b.Errorf("warm-up: %v", err)
-							return nil
-						}
-						start := ctx.Now()
-						for i := 0; i < b.N; i++ {
-							if _, err := ctx.Call("server", "fn"); err != nil {
-								b.Errorf("call: %v", err)
-								return nil
-							}
-						}
-						cycles = ctx.Now() - start
-						return nil
-					}}},
-			})
-			img.AddThread(&firmware.Thread{Name: "t", Compartment: "bench", Entry: "main",
-				Priority: 1, StackSize: 4096, TrustedStackFrames: 8})
-			bootBench(b, img)
-			per := float64(cycles) / float64(b.N)
+			per := float64(callCycles(b, tc.minStack, b.N)) / float64(b.N)
 			b.ReportMetric(per, "simcycles/call")
 			printOnce("fig6a-"+tc.name,
 				fmt.Sprintf("  %-12s %8.1f cycles (paper: %6.1f)\n", tc.name, per, tc.paper))
@@ -102,9 +112,9 @@ func BenchmarkFig6a_CallLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6a_LibraryCall measures a shared-library call through its
-// sentry, for contrast with full compartment calls.
-func BenchmarkFig6a_LibraryCall(b *testing.B) {
+// libCallCycles returns the simulated cycles of n shared-library calls
+// through their sentry.
+func libCallCycles(tb testing.TB, n int) uint64 {
 	var cycles uint64
 	img := core.NewImage("fig6a-lib")
 	img.AddLibrary(&firmware.Library{
@@ -119,7 +129,7 @@ func BenchmarkFig6a_LibraryCall(b *testing.B) {
 		Exports: []*firmware.Export{{Name: "main", MinStack: 128,
 			Entry: func(ctx api.Context, args []api.Value) []api.Value {
 				start := ctx.Now()
-				for i := 0; i < b.N; i++ {
+				for i := 0; i < n; i++ {
 					ctx.LibCall("mathlib", "id", api.W(7))
 				}
 				cycles = ctx.Now() - start
@@ -128,17 +138,23 @@ func BenchmarkFig6a_LibraryCall(b *testing.B) {
 	})
 	img.AddThread(&firmware.Thread{Name: "t", Compartment: "bench", Entry: "main",
 		Priority: 1, StackSize: 2048, TrustedStackFrames: 4})
-	bootBench(b, img)
-	b.ReportMetric(float64(cycles)/float64(b.N), "simcycles/call")
+	bootBench(tb, img)
+	return cycles
 }
 
-// BenchmarkFig6a_InterruptLatency reproduces the paper's interrupt-latency
-// measurement: a high-priority thread requests a revoker interrupt and
-// waits on its futex; a low-priority thread continuously records the
-// current timestamp; the latency is the gap between the last low-priority
-// timestamp and the high-priority thread running again. Fig. 6a: 1028
-// cycles on average.
-func BenchmarkFig6a_InterruptLatency(b *testing.B) {
+// BenchmarkFig6a_LibraryCall measures a shared-library call through its
+// sentry, for contrast with full compartment calls.
+func BenchmarkFig6a_LibraryCall(b *testing.B) {
+	b.ReportMetric(float64(libCallCycles(b, b.N))/float64(b.N), "simcycles/call")
+}
+
+// irqLatencyCycles reproduces the paper's interrupt-latency measurement
+// over n interrupts and returns the summed latency: a high-priority
+// thread requests a revoker interrupt and waits on its futex; a
+// low-priority thread continuously records the current timestamp; the
+// latency is the gap between the last low-priority timestamp and the
+// high-priority thread running again.
+func irqLatencyCycles(tb testing.TB, n int) uint64 {
 	var total uint64
 	var lowStamp uint64
 	benchDone := false
@@ -157,12 +173,12 @@ func BenchmarkFig6a_InterruptLatency(b *testing.B) {
 					defer func() { benchDone = true }()
 					rets, err := ctx.Call(sched.Name, sched.EntryIRQFutex, api.W(uint32(hw.IRQRevoker)))
 					if err != nil || api.ErrnoOf(rets) != api.OK {
-						b.Error("irq_futex failed")
+						tb.Error("irq_futex failed")
 						return nil
 					}
 					word := rets[1].Cap
 					mmio := ctx.MMIO(firmware.DeviceRevoker)
-					for i := 0; i < b.N; i++ {
+					for i := 0; i < n; i++ {
 						seen := ctx.Load32(word)
 						// 1) ask the revoker for an interrupt,
 						ctx.Store32(mmio.WithAddress(hw.RevokerBase+hw.RevokerGo), 1)
@@ -170,7 +186,7 @@ func BenchmarkFig6a_InterruptLatency(b *testing.B) {
 						rets, err := ctx.Call(sched.Name, sched.EntryFutexWait,
 							api.C(word), api.W(seen), api.W(0))
 						if err != nil || api.ErrnoOf(rets) != api.OK {
-							b.Error("futex_wait failed")
+							tb.Error("futex_wait failed")
 							return nil
 						}
 						// 4) awake: the latency is now minus the low-prio
@@ -194,8 +210,14 @@ func BenchmarkFig6a_InterruptLatency(b *testing.B) {
 		Priority: 9, StackSize: 4096, TrustedStackFrames: 8})
 	img.AddThread(&firmware.Thread{Name: "low", Compartment: "bench", Entry: "low",
 		Priority: 1, StackSize: 2048, TrustedStackFrames: 4})
-	bootBench(b, img)
-	per := float64(total) / float64(b.N)
+	bootBench(tb, img)
+	return total
+}
+
+// BenchmarkFig6a_InterruptLatency measures the interrupt latency of
+// irqLatencyCycles. Fig. 6a: 1028 cycles on average.
+func BenchmarkFig6a_InterruptLatency(b *testing.B) {
+	per := float64(irqLatencyCycles(b, b.N)) / float64(b.N)
 	b.ReportMetric(per, "simcycles/irq")
 	printOnce("fig6a-irq", fmt.Sprintf(
 		"\nFig. 6a — interrupt latency: %.1f cycles (paper: 1028, typical RTOS range 500-1500)\n", per))

@@ -183,7 +183,7 @@ func (p *Plane) KickDevice(deviceIndex int, deviceIP uint32) bool {
 }
 
 // ReapDead runs one deterministic reap scan on every shard at the given
-// cycle count; call it at the fleet horizon once all devices stopped.
+// cycle count; call it at a fleet run barrier, with every device stopped.
 func (p *Plane) ReapDead(now uint64) {
 	for _, sh := range p.Shards {
 		sh.Broker.ReapDead(now)

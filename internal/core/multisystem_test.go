@@ -7,6 +7,7 @@ import (
 
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/switcher"
 )
 
 // TestSystemsRunConcurrently boots several independent Systems and runs
@@ -16,6 +17,11 @@ import (
 // every System sees exactly its own activity. This is the regression
 // test behind the fleet simulator, which runs thousands of Systems on a
 // worker pool.
+//
+// Half the Systems run in slices, as fleet devices do between run
+// barriers: each Run ends on a thread goroutine, which hands the kernel
+// loop back to the caller's goroutine, and the next Run dispatches from
+// there again. A sliced System must end exactly where a whole run does.
 func TestSystemsRunConcurrently(t *testing.T) {
 	const systems = 4
 	const iters = 50
@@ -41,7 +47,9 @@ func TestSystemsRunConcurrently(t *testing.T) {
 				Exports: []*firmware.Export{{
 					Name: "work", MinStack: 128,
 					Entry: func(ctx api.Context, args []api.Value) []api.Value {
-						ctx.Work(uint64(100 * (i + 1)))
+						// Systems 2k and 2k+1 run the same firmware,
+						// whole and sliced.
+						ctx.Work(uint64(100 * (i/2 + 1)))
 						return api.EV(api.OK)
 					},
 				}},
@@ -73,7 +81,17 @@ func TestSystemsRunConcurrently(t *testing.T) {
 			defer s.Shutdown()
 			tel := s.EnableTelemetry(0)
 			base := s.Cycles()
-			if err := s.Run(nil); err != nil {
+			if i%2 == 0 {
+				err = s.Run(nil)
+			} else {
+				// Slices of a few hundred cycles end mid-call, mid-work
+				// and between dispatches.
+				slice := uint64(97 * (i + 1))
+				for err == nil && s.Kernel.Thread("main").State() != switcher.StateExited {
+					err = s.RunFor(slice)
+				}
+			}
+			if err != nil {
 				t.Errorf("system %d: Run: %v", i, err)
 				return
 			}
@@ -110,6 +128,9 @@ func TestSystemsRunConcurrently(t *testing.T) {
 		}
 		if r.compTotal != r.attr {
 			t.Errorf("system %d: compartment sum %d != attributed %d", i, r.compTotal, r.attr)
+		}
+		if i%2 == 1 && r != results[i-1] {
+			t.Errorf("system %d (sliced) = %+v, system %d (whole) = %+v", i, r, i-1, results[i-1])
 		}
 	}
 }

@@ -137,7 +137,8 @@ func (c *Cloud) shardStats() []cloud.ShardCounters {
 	}}
 }
 
-// reapDead runs the final deterministic reap scan at the horizon.
+// reapDead runs the deterministic reap scan of a run barrier (a rollout
+// checkpoint or the horizon).
 func (c *Cloud) reapDead(now uint64) {
 	if c.Plane != nil {
 		c.Plane.ReapDead(now)

@@ -191,6 +191,54 @@ func TestFleetHeterogeneousProfilesDeterministic(t *testing.T) {
 	}
 }
 
+// TestFleetSessionTTLLockstepMatchesParallel pins TTL reaping inside the
+// lockstep ≡ parallel guarantee. The broker reaps only at run barriers,
+// against the barrier cycle; a reap that compared other devices'
+// last-activity stamps with the clock of whichever device happened to be
+// dispatching would depend on how far apart the workers had drifted in
+// simulated time. The 12 s TTL is far above every device's idle gap
+// (publishes every 250 ms once connected), so no live session may go.
+func TestFleetSessionTTLLockstepMatchesParallel(t *testing.T) {
+	cfg := Config{
+		Devices:       64,
+		Duration:      40 * time.Second,
+		PublishRate:   4,
+		ArrivalSpread: 2 * time.Second,
+		Seed:          7,
+		SessionTTL:    12 * time.Second,
+	}
+	lock := cfg
+	lock.Lockstep = true
+	rLock, err := Run(lock)
+	if err != nil {
+		t.Fatalf("lockstep run: %v", err)
+	}
+	if s := rLock.Summary; s.BrokerReaped != 0 || s.ConnectFailures != 0 {
+		t.Errorf("lockstep: %d sessions reaped, %d connect failures; want 0, 0",
+			s.BrokerReaped, s.ConnectFailures)
+	}
+	sl := rLock.Summary
+	neutralizeMode(&sl)
+	want := summaryJSON(t, sl)
+	// How far the workers drift apart depends on host scheduling, so
+	// the parallel side runs several times.
+	par := cfg
+	par.Shards = 4
+	for run := 1; run <= 3; run++ {
+		rPar, err := Run(par)
+		if err != nil {
+			t.Fatalf("parallel run %d: %v", run, err)
+		}
+		sp := rPar.Summary
+		neutralizeMode(&sp)
+		if got := summaryJSON(t, sp); !bytes.Equal(got, want) {
+			t.Fatalf("parallel run %d: %d sessions reaped, %d connect failures, %d publishes; lockstep %d, %d, %d",
+				run, sp.BrokerReaped, sp.ConnectFailures, sp.Publishes,
+				sl.BrokerReaped, sl.ConnectFailures, sl.Publishes)
+		}
+	}
+}
+
 // TestFleetSessionTTLReap is the satellite state-hygiene fix, verified
 // fleet-scale: the ping of death silences every device mid-run, their
 // broker sessions go idle past the TTL, and the end-of-run reap drops

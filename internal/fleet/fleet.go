@@ -8,9 +8,13 @@
 // Two run modes share all of the per-device logic:
 //
 //   - parallel: devices are partitioned across shard goroutines
-//     (device i → shard i%N) and advanced in bounded cycle quanta;
-//   - lockstep: one goroutine round-robins every device in index order,
-//     fully deterministic for a given config+seed.
+//     (device i → shard i%N);
+//   - lockstep: one goroutine runs every device in index order, fully
+//     deterministic for a given config+seed.
+//
+// In both, a shard runs each of its devices straight to the next run
+// barrier (a rollout checkpoint, or the horizon) before it starts the
+// next device: there are no quanta and no round-robin.
 //
 // Because each device publishes to its own topic, devices never inject
 // events into each other's simulations, so per-device results (and the
@@ -56,8 +60,10 @@ type Config struct {
 	// Shards is the worker-pool width; 0 means runtime.NumCPU. Lockstep
 	// forces 1.
 	Shards int
-	// Lockstep selects the deterministic single-goroutine round-robin
-	// mode.
+	// Lockstep selects the deterministic single-goroutine mode: one
+	// worker runs every device, in index order, to each barrier. The
+	// Summary's "lockstep" field carries the name, and every committed
+	// digest covers that field.
 	Lockstep bool
 	// Duration is the simulated horizon per device. The TLS handshake
 	// alone takes ~10 simulated seconds, so runs shorter than that
@@ -116,10 +122,12 @@ type Config struct {
 	// this simulated time: every device homed there is kicked and must
 	// reconnect.
 	FailoverAt time.Duration
-	// SessionTTL arms broker-side idle-session reaping (0 disables).
-	// Choose it comfortably above the fleet's longest legitimate idle
-	// gap (publish interval, reconnect backoff), or dead-session cleanup
-	// can reset live connections nondeterministically.
+	// SessionTTL arms broker-side idle-session reaping (0 disables). The
+	// broker reaps only at run barriers (rollout checkpoints and the
+	// horizon), against the barrier cycle, so the outcome is the same in
+	// every run mode. Choose it above the fleet's longest legitimate idle
+	// gap (publish interval, reconnect backoff), or a checkpoint reap
+	// drops live sessions.
 	SessionTTL time.Duration
 	// Profiles makes the fleet heterogeneous: each device is assigned a
 	// profile by seeded weighted choice. Empty means one implicit profile
@@ -245,11 +253,6 @@ const (
 	FirmwareGo = "fleetapp"
 	FirmwareJS = "jsvm"
 )
-
-// quantumCycles is how far a shard advances one device before moving to
-// the next. Inbox pumping happens at every kernel dispatch regardless, so
-// the quantum affects scheduling fairness, not timing.
-const quantumCycles = 2_000_000
 
 const maxDevices = 60000
 
@@ -714,13 +717,15 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Run phase: round-robin each shard's devices in bounded quanta until
-	// every device reaches the horizon. An armed rollout segments the
-	// run at its checkpoint cycles: all shards join at the barrier, the
-	// controller observes and decides (possibly swapping firmware on
-	// some devices) single-threaded, and the shards resume — the same
-	// device-cycle points in every run mode, which is what keeps
-	// rollout decisions inside the lockstep ≡ parallel guarantee.
+	// Run phase: each shard runs its devices one after another, each
+	// straight to the next barrier — the horizon, or an armed rollout's
+	// next checkpoint. There are no quanta and no round-robin. At a
+	// checkpoint all shards join, the broker reaps idle sessions against
+	// the barrier cycle, the controller observes and decides (possibly
+	// swapping firmware on some devices) single-threaded, and the shards
+	// resume — the same device-cycle points in every run mode, which is
+	// what keeps reaping and rollout decisions inside the lockstep ≡
+	// parallel guarantee.
 	runStart := time.Now()
 	var boundaries []uint64
 	if rollout != nil {
@@ -740,7 +745,8 @@ func Run(cfg Config) (*Result, error) {
 			}(s)
 		}
 		wg.Wait()
-		if rollout != nil && bound < horizon {
+		if bound < horizon {
+			cl.reapDead(bound)
 			if err := rollout.step(devices, bound); err != nil {
 				rolloutErr = err
 				break
@@ -768,8 +774,8 @@ func Run(cfg Config) (*Result, error) {
 	for _, d := range devices {
 		d.Sys.Shutdown()
 	}
-	// Final deterministic reap at the horizon: with every device stopped,
-	// dropping idle-beyond-TTL state is a pure function of the run.
+	// The horizon barrier's reap: with every device stopped, dropping
+	// idle-beyond-TTL state is a pure function of the run.
 	cl.reapDead(horizon)
 
 	mergeStart := time.Now()
@@ -811,34 +817,20 @@ func collectSpans(devices []*Device) []fleetobs.Span {
 	return spans
 }
 
-// runShard advances its devices round-robin, one quantum at a time, in
+// runShard runs each of its devices to bound with one runSlice, in
 // fixed index order (which is what makes single-shard mode lockstep).
-func runShard(devices []*Device, indices []int, horizon uint64) {
-	active := make([]*Device, 0, len(indices))
+// No device observes another's progress, so how far one runs before the
+// next starts is a host-only choice: running each straight to the
+// barrier keeps its SRAM, kernel and thread stacks hot in the host's
+// caches for the whole visit.
+func runShard(devices []*Device, indices []int, bound uint64) {
 	for _, i := range indices {
+		d := devices[i]
 		// A rollout-segmented run re-enters here once per segment; a
 		// device that already failed stays down.
-		if devices[i].Err != nil {
-			continue
+		if d.Err == nil {
+			d.Err = d.runSlice(bound)
 		}
-		active = append(active, devices[i])
-	}
-	for len(active) > 0 {
-		next := active[:0]
-		for _, d := range active {
-			target := d.Sys.Cycles() + quantumCycles
-			if target > horizon {
-				target = horizon
-			}
-			if err := d.runSlice(target); err != nil {
-				d.Err = err
-				continue
-			}
-			if d.Sys.Cycles() < horizon {
-				next = append(next, d)
-			}
-		}
-		active = next
 	}
 }
 

@@ -90,7 +90,7 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.IntVar(&o.Devices, "devices", o.Devices, "fleet size")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "worker-pool width (0: number of CPUs)")
 	fs.IntVar(&o.CloudShards, "shards", o.CloudShards, "cloud broker shard count")
-	fs.BoolVar(&o.Lockstep, "lockstep", o.Lockstep, "deterministic single-goroutine round-robin mode")
+	fs.BoolVar(&o.Lockstep, "lockstep", o.Lockstep, "deterministic single-goroutine mode (devices run in index order)")
 	fs.DurationVar(&o.Duration, "duration", o.Duration, "simulated horizon per device (TLS connect alone takes ~10s)")
 	fs.Float64Var(&o.PublishRate, "publish-rate", o.PublishRate, "publishes per simulated second per device")
 	fs.IntVar(&o.PublishBytes, "publish-bytes", o.PublishBytes, "publish payload size")

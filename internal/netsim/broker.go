@@ -28,11 +28,12 @@ import (
 //     older session from the same IP (the device has abandoned it; real
 //     brokers call this client takeover). Always on, and deterministic
 //     because it is driven by the device's own connect.
-//   - TTL reaping: with SetSessionTTL, sessions idle longer than the TTL
-//     (measured against the dispatching device's clock, so no foreign
-//     clock is read) are dropped, as are retained messages older than
-//     the TTL. Reaping never sends anything to a device, so it cannot
-//     perturb a simulation.
+//   - TTL reaping: with SetSessionTTL, each ReapDead scan drops sessions
+//     idle longer than the TTL, and retained messages older than it.
+//     Scans run only at quiescence (the fleet runs one at every run
+//     barrier, with every device stopped), against the barrier's cycle,
+//     so which sessions go is a pure function of the run. Reaping never
+//     sends anything to a device.
 type Broker struct {
 	host       *ServerHost
 	RootSecret []byte
@@ -57,10 +58,8 @@ type Broker struct {
 	retain   bool
 	retained map[string]retainedMsg
 
-	// sessionTTL > 0 arms idle-session reaping; dispatches drives the
-	// opportunistic reap cadence.
+	// sessionTTL > 0 arms idle-session reaping by ReapDead.
 	sessionTTL uint64
-	dispatches uint64
 
 	// Counters for tests; guarded by host.mu (prefer Counts when the
 	// fleet is still running).
@@ -93,10 +92,6 @@ type Router interface {
 	// reaped, so the router can drop its subscription registrations.
 	SessionClosed(s *BrokerSession)
 }
-
-// reapEvery is how many inbound dispatches pass between opportunistic
-// reap scans when a session TTL is armed.
-const reapEvery = 1024
 
 // BrokerSession is the broker side of one device connection.
 type BrokerSession struct {
@@ -147,23 +142,17 @@ func (b *Broker) Shard() int { return b.shard }
 // topic is stored and replayed to new subscribers of that topic.
 func (b *Broker) SetRetain(on bool) { b.retain = on }
 
-// SetSessionTTL arms idle-session reaping: sessions (and retained
-// messages) idle longer than ttlCycles are dropped. Idle time compares
-// the stale entry's last-activity stamp against the clock of whichever
-// device's dispatch triggers the scan; choose a TTL comfortably above
-// the longest legitimate device idle period plus any inter-device clock
-// skew, or reap only at quiescence via ReapDead.
+// SetSessionTTL arms idle-session reaping: each ReapDead scan drops
+// sessions (and retained messages) idle longer than ttlCycles, comparing
+// their last-activity stamps with the scan's cycle. Call ReapDead only
+// at quiescence, with no device running; a TTL below a device's longest
+// legitimate idle gap reaps its live session.
 func (b *Broker) SetSessionTTL(ttlCycles uint64) { b.sessionTTL = ttlCycles }
 
 // OnData implements TCPApp: handshake first, then MQTT-in-TLS records.
 func (s *BrokerSession) OnData(p *TCPPeer, data []byte) {
 	b := s.broker
 	now := p.world.Now()
-	b.dispatches++
-	if b.sessionTTL > 0 && b.dispatches%reapEvery == 0 {
-		b.reapLocked(now)
-	}
-
 	s.mu.Lock()
 	s.lastSeen = now
 	if s.tls == nil {
@@ -278,9 +267,17 @@ func (b *Broker) dropSession(s *BrokerSession, counter *int) {
 	}
 }
 
-// reapLocked drops sessions and retained messages idle longer than the
-// TTL as of now. Runs under host.mu.
-func (b *Broker) reapLocked(now uint64) {
+// ReapDead runs one reap scan at the given cycle count: sessions and
+// retained messages idle longer than the TTL as of now are dropped. Run
+// it only at a fleet run barrier (a rollout checkpoint or the horizon),
+// with every device stopped, which makes the result a pure function of
+// the run. A no-op unless a session TTL is armed.
+func (b *Broker) ReapDead(now uint64) {
+	if b.sessionTTL == 0 {
+		return
+	}
+	b.host.mu.Lock()
+	defer b.host.mu.Unlock()
 	for _, s := range b.sessions {
 		s.mu.Lock()
 		last := s.lastSeen
@@ -294,18 +291,6 @@ func (b *Broker) reapLocked(now uint64) {
 			delete(b.retained, topic)
 		}
 	}
-}
-
-// ReapDead runs one reap scan at the given cycle count — typically the
-// fleet horizon, once every device has stopped, which makes the result a
-// pure function of the run. A no-op unless a session TTL is armed.
-func (b *Broker) ReapDead(now uint64) {
-	if b.sessionTTL == 0 {
-		return
-	}
-	b.host.mu.Lock()
-	defer b.host.mu.Unlock()
-	b.reapLocked(now)
 }
 
 // KickIP resets the device's current session — the broker side of a

@@ -72,10 +72,11 @@ type SysRef struct{ n *node }
 
 // Profiler reconstructs and accumulates the call-stack profile of one
 // simulated machine. It is driven by the switcher: Push/Pop/PopTo on
-// compartment transitions (thread goroutine), Activate/System on
-// dispatch transitions (kernel goroutine). The two goroutines alternate
-// strictly via the kernel's channel handoff, so no locking is needed —
-// the same single-writer discipline the telemetry accounts rely on.
+// compartment transitions, Activate/System on dispatch transitions (the
+// kernel loop, which runs on the yielding thread's goroutine). Exactly
+// one goroutine holds the core at a time and hands it on over a channel,
+// so no locking is needed — the same single-writer discipline the
+// telemetry accounts rely on.
 type Profiler struct {
 	hz   uint64
 	now  func() uint64

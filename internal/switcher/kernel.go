@@ -55,18 +55,23 @@ type Kernel struct {
 	libs    map[string]*Lib
 	threads []*Thread
 
-	yieldCh     chan yieldMsg
 	lastRun     *Thread
 	needResched bool
-	fatal       error
+
+	// stop is the stop condition of the Run in progress; the kernel loop
+	// samples it on whichever goroutine runs the loop. done carries the
+	// end of the run from the thread goroutine that reached it back to
+	// Run's caller.
+	stop func() bool
+	done chan runEnd
 
 	// killed is set by Shutdown before the kill is delivered over each
 	// thread's resume channel (which orders the write before the thread's
 	// unwind). A killed kernel makes yield and compartmentCall re-raise
-	// the kill instead of advancing the clock or parking on the dead
-	// kernel loop, so deferred cleanup in compartment code unwinds
-	// promptly and silently. threadWG counts live thread goroutines so
-	// Shutdown can join them.
+	// the kill instead of advancing the clock or running the kernel
+	// loop, so deferred cleanup in compartment code unwinds promptly and
+	// silently. threadWG counts live thread goroutines so Shutdown can
+	// join them.
 	killed   bool
 	threadWG sync.WaitGroup
 
@@ -138,7 +143,7 @@ func NewKernel(core *hw.Core) *Kernel {
 		Core:         core,
 		comps:        make(map[string]*Comp),
 		libs:         make(map[string]*Lib),
-		yieldCh:      make(chan yieldMsg),
+		done:         make(chan runEnd),
 		stackZeroing: true,
 	}
 }
@@ -397,9 +402,21 @@ func (k *Kernel) deliverIRQs() {
 	}
 }
 
+// runEnd is how a run ends: err is Run's result, and a non-nil panicked
+// is re-raised on Run's caller.
+type runEnd struct {
+	err      error
+	panicked interface{}
+}
+
 // Run drives the machine until stop returns true, every thread has exited,
-// or the system deadlocks. stop is sampled between dispatches; pass nil to
-// run to completion.
+// the system deadlocks, or a thread or the loop itself panics (the panic
+// is re-raised here). stop is sampled between dispatches; pass nil to run
+// to completion.
+//
+// Run performs the first dispatch itself. From then on the kernel loop
+// runs on the goroutine of whichever thread yields (see Thread.yield),
+// and the end of the run comes back here over one channel.
 func (k *Kernel) Run(stop func() bool) error {
 	if k.sched == nil {
 		return errors.New("switcher: no scheduler installed")
@@ -411,12 +428,28 @@ func (k *Kernel) Run(stop func() bool) error {
 			k.sched.Ready(t)
 		}
 	}
+	k.stop = stop
+	t, err := k.dispatch()
+	if t == nil {
+		return err
+	}
+	t.resume <- resumeRun
+	end := <-k.done
+	if end.panicked != nil {
+		panic(end.panicked)
+	}
+	return end.err
+}
+
+// dispatch is the kernel loop's dispatch half: sample stop, deliver
+// pending interrupts, skip idle time to the next device event, and pick
+// and install the next thread. It returns that thread, or nil and Run's
+// result when the run ends: stop fired, every thread exited, or the
+// system deadlocked.
+func (k *Kernel) dispatch() (*Thread, error) {
 	for {
-		if k.fatal != nil {
-			panic(k.fatal)
-		}
-		if stop != nil && stop() {
-			return nil
+		if k.stop != nil && k.stop() {
+			return nil, nil
 		}
 		k.deliverIRQs()
 		t := k.sched.PickNext()
@@ -444,9 +477,9 @@ func (k *Kernel) Run(stop func() bool) error {
 				continue
 			}
 			if k.liveThreads() == 0 {
-				return nil
+				return nil, nil
 			}
-			return fmt.Errorf("%w: %s", ErrDeadlock, k.blockedList())
+			return nil, fmt.Errorf("%w: %s", ErrDeadlock, k.blockedList())
 		}
 		if t.state == StateExited {
 			continue // stale queue entry
@@ -478,33 +511,62 @@ func (k *Kernel) Run(stop func() bool) error {
 		// The profiler mirrors the account install: the dispatched
 		// thread's top-of-stack frame becomes current.
 		k.prof.Activate(t.ID)
-		t.resume <- resumeRun
-		msg := <-k.yieldCh
-		if k.tel != nil {
-			// Back in the kernel goroutine: time is the switcher's again.
-			k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
-		}
-		k.prof.SystemRef(k.profSw)
-		if k.fatal != nil {
-			panic(k.fatal)
-		}
-		switch msg.kind {
-		case yieldExited:
-			// Nothing to do; the goroutine is gone.
-		case yieldBlocked:
-			// The scheduler recorded what the thread waits on; charge the
-			// decision it just made.
-			k.tickAs(k.telSched, k.profSched, hw.SchedulerDecideCycles)
-		case yieldPreempt, yieldVoluntary:
-			k.ctrPreempts.Inc()
-			// Trap entry is switcher work; entering the scheduler
-			// compartment and picking the next thread is the scheduler's.
-			k.tickAs(k.telSwitcher, k.profSw, hw.TrapEntryCycles)
-			k.tickAs(k.telSched, k.profSched, hw.SchedulerEnterCycles+hw.SchedulerDecideCycles)
-			msg.t.state = StateReady
-			k.sched.Ready(msg.t)
-		}
+		return t, nil
 	}
+}
+
+// yielded is the kernel loop's post-yield half: time is the switcher's
+// again, and the trap or scheduler work t's yield implies is charged.
+func (k *Kernel) yielded(t *Thread, kind yieldKind) {
+	if k.tel != nil {
+		k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
+	}
+	k.prof.SystemRef(k.profSw)
+	switch kind {
+	case yieldExited:
+		// Nothing to do; the thread is gone.
+	case yieldBlocked:
+		// The scheduler recorded what the thread waits on; charge the
+		// decision it just made.
+		k.tickAs(k.telSched, k.profSched, hw.SchedulerDecideCycles)
+	case yieldPreempt, yieldVoluntary:
+		k.ctrPreempts.Inc()
+		// Trap entry is switcher work; entering the scheduler
+		// compartment and picking the next thread is the scheduler's.
+		k.tickAs(k.telSwitcher, k.profSw, hw.TrapEntryCycles)
+		k.tickAs(k.telSched, k.profSched, hw.SchedulerEnterCycles+hw.SchedulerDecideCycles)
+		t.state = StateReady
+		k.sched.Ready(t)
+	}
+}
+
+// switchFrom runs one turn of the kernel loop on t's goroutine after t
+// yielded, then passes the core on. It reports whether t itself was
+// picked again, in which case t carries on with no channel operation;
+// otherwise the picked thread is resumed, or the end of the run goes to
+// Run's caller.
+//
+// A panic in the loop (in stop, or in a device event the loop's ticks
+// fire) also ends the run, so it surfaces on Run's caller instead of
+// unwinding through t's compartment frames, where a trap would be taken
+// for a fault of t's compartment.
+func (k *Kernel) switchFrom(t *Thread, kind yieldKind) (again bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.done <- runEnd{panicked: r}
+		}
+	}()
+	k.yielded(t, kind)
+	next, err := k.dispatch()
+	switch {
+	case next == t:
+		return true
+	case next != nil:
+		next.resume <- resumeRun
+	default:
+		k.done <- runEnd{err: err}
+	}
+	return false
 }
 
 func (k *Kernel) liveThreads() int {
@@ -535,11 +597,13 @@ func (k *Kernel) blockedList() string {
 // blocked. The join matters beyond leak hygiene: a killed thread unwinds
 // through deferred compartment cleanup, and without the wait that unwind
 // would still be touching the clock and telemetry while the caller reads
-// them.
+// them. Once Run has returned, every thread that has not exited is
+// parked — including one a panic in the kernel loop caught mid-yield,
+// still marked running — so each gets the kill.
 func (k *Kernel) Shutdown() {
 	k.killed = true
 	for _, t := range k.threads {
-		if t.state == StateExited || t.state == StateRunning {
+		if t.state == StateExited {
 			continue
 		}
 		t.state = StateExited

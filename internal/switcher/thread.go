@@ -3,9 +3,14 @@
 // compartments (calls and returns over trusted stacks), and first-level
 // trap handling (§3.1.2).
 //
-// Threads are goroutines in strict hand-off with the kernel goroutine:
-// exactly one runs at any moment, every switch point is explicit, and all
-// time is the hw.Core cycle clock, so the whole platform is deterministic.
+// Threads are goroutines in strict hand-off: exactly one runs at any
+// moment, every switch point is explicit, and all time is the hw.Core
+// cycle clock, so the whole platform is deterministic. As in the paper's
+// switcher, which swaps threads in the trap path of the thread giving up
+// the core, there is no separate kernel goroutine: a yielding thread runs
+// the kernel loop on its own goroutine and resumes the next thread
+// directly (or carries on if it is picked again), and only the end of a
+// run goes back to Run's caller.
 //
 // The package holds no process-global mutable state: the only
 // package-level variables are immutable (the ErrDeadlock sentinel and an
@@ -63,11 +68,6 @@ const (
 	yieldBlocked                    // scheduler parked the thread
 	yieldExited                     // entry returned or thread died
 )
-
-type yieldMsg struct {
-	t    *Thread
-	kind yieldKind
-}
 
 type resumeAction int8
 
@@ -192,15 +192,23 @@ func (t *Thread) StackWatermark() uint32 { return t.peakUsed }
 // irqEnabled reports whether the thread currently takes interrupts.
 func (t *Thread) irqEnabled() bool { return t.irqDisable == 0 }
 
-// yield parks the thread and transfers control to the kernel goroutine.
-// It returns when the kernel dispatches the thread again.
+// yield traps the thread into the switcher. The kernel loop runs right
+// here, on the thread's own goroutine: if it picks this thread again,
+// yield returns at once; otherwise the thread parks until it is
+// dispatched again.
 func (t *Thread) yield(kind yieldKind) {
 	if t.kernel.killed {
-		// Deferred cleanup running during a Shutdown kill: nobody is
-		// reading yieldCh anymore, so parking would leak the goroutine.
+		// Deferred cleanup running during a Shutdown kill: the run is
+		// over, so there is no loop to run and nothing to resume.
 		panic(killSentinel{})
 	}
-	t.kernel.yieldCh <- yieldMsg{t: t, kind: kind}
+	if !t.kernel.switchFrom(t, kind) {
+		t.park()
+	}
+}
+
+// park blocks the thread goroutine until the kernel resumes or kills it.
+func (t *Thread) park() {
 	if act := <-t.resume; act == resumeKill {
 		panic(killSentinel{})
 	}
@@ -220,37 +228,36 @@ func (t *Thread) maybePreempt() {
 	}
 }
 
-// start spawns the thread goroutine, parked until first dispatch.
+// start spawns the thread goroutine, parked until first dispatch. When
+// the thread's entry returns, its goroutine runs the kernel loop one last
+// time to pass the core on, then ends.
 func (t *Thread) start(comp string, entry string) {
-	t.kernel.threadWG.Add(1)
+	k := t.kernel
+	k.threadWG.Add(1)
 	go func() {
-		defer t.kernel.threadWG.Done()
+		defer k.threadWG.Done()
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); ok {
-					return
-				}
-				if t.kernel.killed {
-					// The kernel loop is gone; reporting to it would
-					// deadlock Shutdown's join.
-					return
-				}
-				// A non-trap panic is a simulator bug: surface it in the
-				// kernel goroutine where tests can see it.
-				t.kernel.fatal = fmt.Errorf("thread %q panicked: %v", t.Name, r)
-				t.state = StateExited
-				t.kernel.yieldCh <- yieldMsg{t: t, kind: yieldExited}
+			r := recover()
+			if r == nil {
+				return
 			}
+			if _, ok := r.(killSentinel); ok || k.killed {
+				// Killed by Shutdown, or panicking during its kill
+				// unwind: the run is over and nobody reads done.
+				return
+			}
+			// A non-trap panic is a simulator bug: surface it on Run's
+			// caller where tests can see it.
+			t.state = StateExited
+			k.done <- runEnd{panicked: fmt.Errorf("thread %q panicked: %v", t.Name, r)}
 		}()
-		if act := <-t.resume; act == resumeKill {
-			return
-		}
+		t.park()
 		t.state = StateRunning
-		_, err := t.kernel.compartmentCall(t, nil, comp, entry, nil)
+		_, err := k.compartmentCall(t, nil, comp, entry, nil)
 		if f, ok := err.(*Fault); ok {
 			t.exitFault = f.Trap
 		}
 		t.state = StateExited
-		t.kernel.yieldCh <- yieldMsg{t: t, kind: yieldExited}
+		k.switchFrom(t, yieldExited)
 	}()
 }

@@ -21,6 +21,17 @@ echo "ok"
 echo "== go test -race =="
 go test -race ./...
 
+echo "== kernel loop on thread goroutines (race, 10 runs) =="
+# A yielding thread runs the kernel loop on its own goroutine and hands
+# the core straight to the next thread; repeat the switcher, scheduler
+# and multi-System tests to shake out hand-off races.
+go test -race -count=10 ./internal/switcher/ ./internal/sched/ ./internal/core/
+echo "ok"
+
+echo "== session-TTL reaping lockstep = parallel (race) =="
+go test -race -count=1 -run 'TestFleetSessionTTLLockstepMatchesParallel' ./internal/fleet/
+echo "ok"
+
 echo "== fleet smoke run =="
 go run ./cmd/cheriot-fleet -devices 16 -duration 200ms -seed 1 >/dev/null
 echo "ok"
