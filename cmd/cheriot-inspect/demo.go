@@ -18,6 +18,7 @@ import (
 // box. The crash report's provenance chain identifies the allocating
 // compartment and the sweep that invalidated the object.
 func demoDump() (*flightrec.Dump, error) {
+	var rec *flightrec.Recorder // armed after boot, before the run
 	img := core.NewImage("inspect-demo")
 	img.AddCompartment(&firmware.Compartment{
 		Name: "victim", CodeSize: 512, DataSize: 64,
@@ -37,7 +38,6 @@ func demoDump() (*flightrec.Dump, error) {
 					return nil
 				}
 				stale := ctx.LoadCap(ctx.Globals()) // load filter untags it
-				rec := ctx.FlightRecorder()
 				for i := 0; i < 64 && rec.Sweeps() == 0; i++ {
 					_, _ = ctx.Call(sched.Name, sched.EntrySleep, api.W(200_000))
 				}
@@ -53,7 +53,7 @@ func demoDump() (*flightrec.Dump, error) {
 		return nil, fmt.Errorf("demo boot: %w", err)
 	}
 	defer sys.Shutdown()
-	sys.EnableFlightRecorder(512)
+	rec = sys.EnableFlightRecorder(512)
 	if err := sys.Run(nil); err != nil {
 		return nil, fmt.Errorf("demo run: %w", err)
 	}

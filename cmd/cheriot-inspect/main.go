@@ -41,10 +41,10 @@ func main() {
 	out := flag.String("o", "", "with -demo: also write the scenario's dump JSON to this path")
 	timeline := flag.Bool("timeline", false, "print the event timeline")
 	comp := flag.String("comp", "", "timeline filter: only this compartment")
-	op := flag.String("op", "", "timeline filter: only this event op (e.g. call, alloc, trap)")
+	op := flag.String("op", "", "timeline filter: only this event kind (e.g. call, alloc, trap)")
 	last := flag.Int("last", 0, "timeline filter: only the last N matching events")
 	hist := flag.Bool("hist", false, "print the per-compartment event histogram (aggregated over all dumps)")
-	chrome := flag.String("chrome", "", "write a chrome://tracing JSON export of the timeline to this path")
+	chrome := flag.String("chrome", "", "write a chrome://tracing JSON export of the timelines to this path, one process per dump")
 	flag.Parse()
 
 	var dumps []*flightrec.Dump
@@ -121,22 +121,22 @@ func printSummaries(dumps []*flightrec.Dump) {
 	}
 }
 
-// printTimeline renders a dump's events through the op/compartment/last
+// printTimeline renders a dump's events through the kind/compartment/last
 // filters.
 func printTimeline(d *flightrec.Dump, comp, op string, last int) {
-	wantOp := flightrec.OpCount
+	kind := telemetry.KindCount
 	if op != "" {
-		wantOp = flightrec.OpFromString(op)
-		if wantOp == flightrec.OpCount {
-			fatal(fmt.Errorf("unknown op %q", op))
+		kind = telemetry.KindFromString(op)
+		if kind == telemetry.KindCount {
+			fatal(fmt.Errorf("unknown event kind %q", op))
 		}
 	}
-	var events []flightrec.Record
+	var events []telemetry.Event
 	for _, ev := range d.Events {
-		if comp != "" && ev.Comp != comp && ev.From != comp {
+		if comp != "" && ev.To != comp && ev.From != comp {
 			continue
 		}
-		if op != "" && ev.Op != wantOp {
+		if op != "" && ev.Kind != kind {
 			continue
 		}
 		events = append(events, ev)
@@ -148,7 +148,7 @@ func printTimeline(d *flightrec.Dump, comp, op string, last int) {
 		fmt.Printf("--- %s ---\n", d.Device)
 	}
 	for _, ev := range events {
-		fmt.Println(flightrec.FormatRecord(ev))
+		fmt.Println(ev)
 	}
 }
 
@@ -188,67 +188,36 @@ func printHistogram(dumps []*flightrec.Dump) {
 	}
 }
 
-// writeChrome converts the flight-recorder timeline into telemetry
-// events and reuses the telemetry layer's Chrome-trace exporter, so
-// dumps open directly in chrome://tracing / Perfetto.
+// writeChrome exports the dumps' timelines as one Chrome trace, each
+// dump its own process named after its device, so dumps open directly
+// in chrome://tracing / Perfetto.
 func writeChrome(path string, dumps []*flightrec.Dump) error {
-	hz := uint64(hw.DefaultHz)
-	if len(dumps) > 0 && dumps[0].Hz != 0 {
-		hz = dumps[0].Hz
-	}
-	total := 0
-	for _, d := range dumps {
-		total += len(d.Events)
-	}
-	reg := telemetry.NewRegistry(hz)
-	reg.EnableTrace(total + 1)
-	for _, d := range dumps {
-		for _, ev := range d.Events {
-			reg.Emit(toTelemetry(ev))
+	var trace telemetry.ChromeTrace
+	var dropped uint64
+	for i, d := range dumps {
+		pid := i + 1
+		name := d.Device
+		if name == "" {
+			name = fmt.Sprintf("dump %d", pid)
 		}
+		trace.NameProcess(pid, name)
+		hz := d.Hz
+		if hz == 0 {
+			hz = hw.DefaultHz
+		}
+		trace.AddEvents(pid, d.Events, hz)
+		dropped += d.Dropped
+	}
+	if dropped > 0 {
+		trace.OtherData = map[string]any{"dropped_events": dropped}
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return reg.WriteChromeTrace(f)
-}
-
-// toTelemetry maps one flight-recorder record onto the telemetry event
-// vocabulary (unknown ops become instant markers).
-func toTelemetry(ev flightrec.Record) telemetry.Event {
-	out := telemetry.Event{
-		Cycle: ev.Cycle, Thread: ev.Thread,
-		From: ev.From, To: ev.Comp, Entry: ev.Entry, Detail: ev.Detail,
-		Arg: ev.Arg,
+	if err := trace.Write(f); err != nil {
+		f.Close()
+		return err
 	}
-	switch ev.Op {
-	case flightrec.OpCall:
-		out.Kind = telemetry.KindCall
-	case flightrec.OpReturn:
-		out.Kind = telemetry.KindReturn
-	case flightrec.OpUnwind:
-		out.Kind = telemetry.KindUnwind
-	case flightrec.OpTrap:
-		out.Kind = telemetry.KindTrap
-	case flightrec.OpAlloc:
-		out.Kind = telemetry.KindAlloc
-	case flightrec.OpFree:
-		out.Kind = telemetry.KindFree
-	case flightrec.OpSweepStart:
-		out.Kind = telemetry.KindRevokerStart
-	case flightrec.OpSweepEnd:
-		out.Kind = telemetry.KindRevokerDone
-	case flightrec.OpFutexWait:
-		out.Kind = telemetry.KindFutexWait
-	case flightrec.OpFutexWake:
-		out.Kind = telemetry.KindFutexWake
-	default:
-		out.Kind = telemetry.KindMark
-		if out.Detail == "" {
-			out.Detail = ev.Op.String()
-		}
-	}
-	return out
+	return f.Close()
 }

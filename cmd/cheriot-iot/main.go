@@ -13,10 +13,12 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/iotapp"
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 func main() {
@@ -41,18 +43,19 @@ func main() {
 			log.Fatalf("trace-out: %v", err)
 		}
 	}
-	if *metrics || *traceOut != "" {
+	if *metrics || *traceOut != "" || *trace > 0 {
+		// One ring serves both -trace-out and -trace: it holds every layer's
+		// events, so -trace picks the kernel's out of it.
 		capacity := 0
-		if *traceOut != "" {
-			capacity = 1 << 16
+		if *traceOut != "" || *trace > 0 {
+			capacity = max(1<<16, *trace)
 		}
 		app.Sys.EnableTelemetry(capacity)
 	}
 	if *trace > 0 {
-		app.Sys.Kernel.EnableTrace(*trace)
 		defer func() {
 			fmt.Println("\nkernel trace (most recent events):")
-			for _, e := range app.Sys.Kernel.Trace() {
+			for _, e := range lastKernelEvents(app.Sys.Telemetry().Ring().Events(), *trace) {
 				fmt.Println(" ", e)
 			}
 		}()
@@ -114,4 +117,16 @@ func main() {
 	for _, s := range res.Samples {
 		fmt.Printf("%3ds %5.1f%% %s\n", s.Second, s.LoadPct, strings.Repeat("#", int(s.LoadPct/2.5)))
 	}
+}
+
+// lastKernelEvents returns the last n kernel-layer events, oldest first.
+func lastKernelEvents(events []telemetry.Event, n int) []telemetry.Event {
+	var out []telemetry.Event
+	for i := len(events) - 1; i >= 0 && len(out) < n; i-- {
+		if events[i].Kind.Layer() == "kernel" {
+			out = append(out, events[i])
+		}
+	}
+	slices.Reverse(out)
+	return out
 }

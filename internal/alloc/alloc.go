@@ -15,7 +15,6 @@ import (
 
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
-	"github.com/cheriot-go/cheriot/internal/flightrec"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/loader"
 	"github.com/cheriot-go/cheriot/internal/switcher"
@@ -107,28 +106,6 @@ func (a *Alloc) tel() *telemetry.Registry {
 		return nil
 	}
 	return a.k.Telemetry()
-}
-
-// rec returns the kernel's flight recorder (nil when disabled); all its
-// methods are nil-safe.
-func (a *Alloc) rec() *flightrec.Recorder {
-	if a.k == nil {
-		return nil
-	}
-	return a.k.FlightRecorder()
-}
-
-// recAlloc registers an allocation with the flight recorder, creating
-// the heap-region provenance root on first use.
-func (a *Alloc) recAlloc(q *quota, base, size uint32, sealed bool) {
-	rec := a.rec()
-	if !rec.Enabled() {
-		return
-	}
-	if a.heapNode == 0 {
-		a.heapNode = rec.Root(Name, a.heap.Base, a.heap.Top(), "shared heap")
-	}
-	rec.Alloc(a.heapNode, q.owner, q.name, base, size, sealed)
 }
 
 // New returns an unattached allocator.
@@ -329,10 +306,8 @@ func (a *Alloc) quarantineRange(base, size uint32) {
 	a.k.Core.Mem.Revoke(base, size)
 	a.k.Core.Tick(uint64(size/granule) * hw.RevBitCyclesPerGranule)
 	a.quarantine = append(a.quarantine, qEntry{base: base, size: size, epoch: a.k.Core.Revoker.Epoch()})
-	if tel := a.tel(); tel != nil {
-		tel.Gauge(Name, "quarantine_bytes").Add(int64(size))
-		tel.Emit(telemetry.Event{Kind: telemetry.KindQuarantine, To: Name, Arg: uint64(size)})
-	}
+	a.tel().Gauge(Name, "quarantine_bytes").Add(int64(size))
+	a.k.Emit(telemetry.Event{Kind: telemetry.KindQuarantine, To: Name, Arg: uint64(size)})
 	if !a.k.Core.Revoker.Running() {
 		a.k.Core.Revoker.Request()
 	}

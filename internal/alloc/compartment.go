@@ -90,8 +90,19 @@ func (a *Alloc) heapAllocate(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(errno)
 	}
 	a.allocs[base] = &allocation{base: base, size: size, owners: map[uint32]int{recAddr: 1}}
-	a.recAlloc(q, base, size, false)
+	a.emitAlloc(ctx, EntryAllocate, q, base, size)
 	return []api.Value{api.W(uint32(api.OK)), api.C(a.objectCap(base, size))}
+}
+
+// emitAlloc emits the allocation event of entry, creating the flight
+// recorder's heap-region provenance root on first use.
+func (a *Alloc) emitAlloc(ctx api.Context, entry string, q *quota, base, size uint32) {
+	if a.heapNode == 0 {
+		a.heapNode = ctx.Emit(telemetry.Event{Kind: telemetry.KindRoot, To: Name,
+			Detail: "shared heap", Arg: uint64(a.heap.Base), Arg2: uint64(a.heap.Top())})
+	}
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindAlloc, To: q.owner, Entry: entry,
+		Detail: q.name, Parent: a.heapNode, Arg: uint64(size), Arg2: uint64(base)})
 }
 
 // allocate reserves size bytes against q, waiting for revocation passes
@@ -111,8 +122,6 @@ func (a *Alloc) allocate(ctx api.Context, recAddr uint32, q *quota, size uint32)
 			if tel := a.tel(); tel != nil {
 				tel.Counter(Name, "mallocs").Inc()
 				tel.Histogram(Name, "size_bytes", telemetry.DefaultSizeBuckets).Observe(uint64(size))
-				tel.Emit(telemetry.Event{Kind: telemetry.KindAlloc,
-					From: q.owner, To: Name, Arg: uint64(size)})
 			}
 			return base, api.OK
 		}
@@ -177,12 +186,9 @@ func (a *Alloc) release(ctx api.Context, recAddr uint32, q *quota, meta *allocat
 	ctx.Work(hw.FreeFixedCycles)
 	delete(a.allocs, meta.base)
 	a.freeCount++
-	if tel := a.tel(); tel != nil {
-		tel.Counter(Name, "frees").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindFree,
-			From: q.owner, To: Name, Arg: uint64(meta.size)})
-	}
-	a.rec().Free(meta.base, q.owner, a.k.Core.Revoker.Epoch())
+	a.tel().Counter(Name, "frees").Inc()
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindFree, From: q.owner,
+		Arg: uint64(meta.size), Arg2: uint64(meta.base)})
 	if hazardCovers(a.k.HazardSlots(), meta.base, meta.size) {
 		// An ephemeral claim pins the object; the free completes when the
 		// claim lapses (§3.2.5).
@@ -217,7 +223,8 @@ func (a *Alloc) heapClaim(ctx api.Context, args []api.Value) []api.Value {
 	ctx.Work(hw.HeapClaimCycles)
 	meta.owners[recAddr]++
 	q.used += meta.size
-	a.rec().Claim(meta.base, q.owner)
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindClaim, To: q.owner,
+		Arg: uint64(meta.size), Arg2: uint64(meta.base)})
 	return api.EV(api.OK)
 }
 
@@ -259,8 +266,9 @@ func (a *Alloc) heapAllocateSealed(ctx api.Context, args []api.Value) []api.Valu
 	if err != nil {
 		panic(hw.TrapFromCapError(err, base))
 	}
-	a.recAlloc(q, base, size, true)
-	a.rec().Seal(q.owner, sealed, "heap_allocate_sealed")
+	a.emitAlloc(ctx, EntryAllocateSealed, q, base, size)
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindSeal, To: q.owner,
+		Detail: EntryAllocateSealed, Arg: uint64(sealed.Base())})
 	return []api.Value{api.W(uint32(api.OK)), api.C(sealed)}
 }
 

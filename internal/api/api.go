@@ -10,7 +10,6 @@ package api
 
 import (
 	"github.com/cheriot-go/cheriot/internal/cap"
-	"github.com/cheriot-go/cheriot/internal/flightrec"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
@@ -217,13 +216,15 @@ type Context interface {
 	Fault(code hw.TrapCode, detail string)
 
 	// Telemetry returns the run's telemetry registry, or nil when telemetry
-	// is disabled. Compartments use it to bump counters, observe histogram
-	// samples, and emit trace events; every registry handle is nil-safe, so
+	// is disabled. Compartments use it to bump counters and observe
+	// histogram samples; every registry handle is nil-safe, so
 	// instrumented code needs no enabled check.
 	Telemetry() *telemetry.Registry
 
-	// FlightRecorder returns the device's flight recorder, or nil when
-	// recording is disabled. Every recorder method is nil-safe, so
-	// instrumented code needs no enabled check.
-	FlightRecorder() *flightrec.Recorder
+	// Emit hands one event to the kernel, which stamps it with the
+	// current cycle and feeds whichever sinks are attached: the trace
+	// ring and the flight recorder. It returns the provenance node the
+	// recorder assigned to a root, derive or alloc event, or 0; with no
+	// sink attached it does nothing.
+	Emit(ev telemetry.Event) uint32
 }

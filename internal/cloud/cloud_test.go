@@ -490,9 +490,7 @@ func TestLBDNSAnswersHomeShard(t *testing.T) {
 }
 
 // TestOneShardPlaneUsesLegacyPath checks the 1-shard degenerate case: all
-// topics route to shard 0 and nothing is ever counted as forwarded, which
-// is the structural half of the byte-identity equivalence (the fleet-level
-// test covers the full wire equivalence).
+// topics route to shard 0 and nothing is ever counted as forwarded.
 func TestOneShardPlaneUsesLegacyPath(t *testing.T) {
 	p := testPlane(1, 4)
 	c0 := newPlaneClient(t, p, testDeviceIP(0))

@@ -10,6 +10,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/switcher"
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // Rebooter drives micro-reboots of one compartment. It is typically
@@ -58,11 +59,11 @@ func (r *Rebooter) Reboot(ctx api.Context) error {
 	}
 	r.Reboots++
 	r.LastDuration = r.Kernel.Core.Clock.Cycles() - start
+	ev := telemetry.Event{Kind: telemetry.KindReboot, To: r.Compartment, Arg: uint64(r.Reboots)}
 	if t := r.Kernel.ThreadByID(ctx.ThreadID()); t != nil {
-		r.Kernel.FlightRecorder().Reboot(r.Compartment, t.Name, r.Reboots)
-	} else {
-		r.Kernel.FlightRecorder().Reboot(r.Compartment, "", r.Reboots)
+		ev.Thread = t.Name
 	}
+	ctx.Emit(ev)
 	return nil
 }
 

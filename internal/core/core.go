@@ -118,16 +118,15 @@ func BootWith(img *firmware.Image, opts BootOptions) (*System, error) {
 // EnableTelemetry turns on the unified telemetry layer: per-compartment
 // cycle accounting (sums exactly to the cycles elapsed from this call),
 // counters and histograms from the kernel, allocator, scheduler, and
-// netstack, and — when traceCapacity > 0 — an event ring shared with the
-// kernel's trace facility, exportable as a table, JSON snapshot, or Chrome
-// trace_event file. It returns the registry.
+// netstack, and — when traceCapacity > 0 — the trace ring, one of the two
+// sinks of Kernel.Emit (the flight recorder is the other). The ring keeps
+// the kernel, scheduler, allocator, and network events of the kinds the
+// trace holds (telemetry.Kind.Traced); the registry exports as a table,
+// JSON snapshot, or Chrome trace_event file. It returns the registry.
 func (s *System) EnableTelemetry(traceCapacity int) *telemetry.Registry {
 	clock := s.Board.Core.Clock
 	r := telemetry.NewRegistry(clock.Hz())
-	r.SetNow(clock.Cycles)
-	if traceCapacity > 0 {
-		r.EnableTrace(traceCapacity)
-	}
+	r.EnableTrace(traceCapacity)
 	s.Kernel.EnableTelemetry(r)
 	s.armSweepHook()
 	return r
@@ -165,11 +164,12 @@ func (s *System) EnableFlightRecorder(capacity int) *flightrec.Recorder {
 	s.armSweepHook()
 	if rec.Enabled() {
 		s.Board.Core.Mem.SetLoadFilterHook(func(c cap.Capability) {
-			comp := ""
+			ev := telemetry.Event{Kind: telemetry.KindLoadFiltered,
+				Arg: uint64(c.Base()), Arg2: uint64(c.Address())}
 			if t := s.Kernel.Running(); t != nil {
-				comp = t.CurrentCompartment()
+				ev.To = t.CurrentCompartment()
 			}
-			rec.LoadFiltered(comp, c)
+			s.Kernel.Emit(ev)
 		})
 	} else {
 		s.Board.Core.Mem.SetLoadFilterHook(nil)
@@ -187,27 +187,17 @@ func (s *System) FlightDump() flightrec.Dump {
 	return s.Kernel.FlightRecorder().Snapshot(s.Board.Core.Clock.Hz())
 }
 
-// armSweepHook installs one composite revoker sweep observer feeding both
-// the telemetry registry and the flight recorder, whichever are enabled.
+// armSweepHook installs the revoker sweep observer: it counts completed
+// sweeps in the telemetry registry and emits each sweep's start and end.
 // EnableTelemetry and EnableFlightRecorder both call it, in any order.
 func (s *System) armSweepHook() {
-	rev := s.Board.Core.Revoker
-	rev.SetSweepHook(func(start bool, epoch, granules uint64) {
-		if r := s.Kernel.Telemetry(); r != nil {
-			if start {
-				r.Emit(telemetry.Event{Kind: telemetry.KindRevokerStart, Arg: epoch})
-			} else {
-				r.Counter(alloc.Name, "revoker_sweeps").Inc()
-				r.Emit(telemetry.Event{Kind: telemetry.KindRevokerDone, Arg: epoch})
-			}
+	s.Board.Core.Revoker.SetSweepHook(func(start bool, epoch, granules uint64) {
+		if start {
+			s.Kernel.Emit(telemetry.Event{Kind: telemetry.KindSweepStart, Arg: epoch})
+			return
 		}
-		if rec := s.Kernel.FlightRecorder(); rec.Enabled() {
-			if start {
-				rec.SweepStart(epoch)
-			} else {
-				rec.SweepEnd(epoch, granules)
-			}
-		}
+		s.Kernel.Telemetry().Counter(alloc.Name, "revoker_sweeps").Inc()
+		s.Kernel.Emit(telemetry.Event{Kind: telemetry.KindSweepEnd, Arg: epoch, Arg2: granules})
 	})
 }
 

@@ -14,36 +14,6 @@ func neutralizeMode(s *Summary) {
 	s.Lockstep = false
 }
 
-// TestFleetOneShardMatchesLegacyBroker is the satellite equivalence
-// property: a 1-shard control plane must be byte-for-byte indistinguishable
-// (in the deterministic Summary JSON) from the pre-sharding single broker —
-// same DNS answers, same TLS bytes, same fan-out order, same counters.
-func TestFleetOneShardMatchesLegacyBroker(t *testing.T) {
-	cfg := testConfig()
-	cfg.Lockstep = true
-	cfg.CloudShards = 1
-	cfg.SessionTTL = 30 * time.Second
-
-	sharded, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	legacy := cfg
-	legacy.legacyCloud = true
-	old, err := Run(legacy)
-	if err != nil {
-		t.Fatalf("legacy run: %v", err)
-	}
-
-	if sharded.Summary.Publishes == 0 {
-		t.Error("no publishes — horizon too short for the workload?")
-	}
-	j1, j2 := summaryJSON(t, sharded.Summary), summaryJSON(t, old.Summary)
-	if !bytes.Equal(j1, j2) {
-		t.Errorf("1-shard plane diverges from the legacy broker:\n--- plane ---\n%s\n--- legacy ---\n%s", j1, j2)
-	}
-}
-
 // TestFleetFanoutDeterminism is the satellite determinism matrix: with
 // cloud-initiated broadcast fan-out and per-device commands active, a
 // lockstep run and a 4-worker parallel run must produce byte-identical

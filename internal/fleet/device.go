@@ -165,7 +165,7 @@ func deviceIP(i int) uint32 {
 }
 
 // buildDevice assembles and boots one device.
-func buildDevice(cfg *Config, cl *Cloud, schedule []cloud.Event, i int) (*Device, error) {
+func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, i int) (*Device, error) {
 	d := &Device{
 		Index:   i,
 		IP:      deviceIP(i),
@@ -220,12 +220,12 @@ func buildDevice(cfg *Config, cl *Cloud, schedule []cloud.Event, i int) (*Device
 	if cfg.DropRate > 0 || cfg.JitterCycles > 0 {
 		d.World.SetLinkFaults(cfg.DropRate, cfg.JitterCycles, newRNG(cfg.Seed, uint64(i)+1<<32).next())
 	}
-	cl.attach(d.World, d.IP)
-	if victim := cfg.partitionShard(); victim >= 0 && cl.homeShard(i) == victim {
+	attachCloud(d.World, pl, d.IP)
+	if victim := cfg.partitionShard(); victim >= 0 && pl.HomeShard(i) == victim {
 		// Broker partition: devices homed on the victim shard lose their
 		// link to it for the window, both directions, on their own clock.
 		from, until := cfg.partitionWindow()
-		d.World.SetPartition(cl.brokerIPFor(i), from, until)
+		d.World.SetPartition(pl.HomeIP(i), from, until)
 		d.Partitioned = true
 	}
 	if skew := cfg.skewMillisFor(i); skew != 0 {
@@ -248,12 +248,12 @@ func buildDevice(cfg *Config, cl *Cloud, schedule []cloud.Event, i int) (*Device
 		// injection is deterministic in every run mode. The spoofed source
 		// must be the broker the device actually talks to (its home
 		// shard), or the ingress filter discards it.
-		spoof := cl.brokerIPFor(i)
+		spoof := pl.HomeIP(i)
 		sys.Board.Core.At(at, func() {
 			d.World.InjectRaw(d.World.PingOfDeath(spoof))
 		})
 	}
-	d.installCloudSchedule(cl, schedule, 0)
+	d.installCloudSchedule(pl, schedule, 0)
 	return d, nil
 }
 
@@ -263,8 +263,8 @@ func buildDevice(cfg *Config, cl *Cloud, schedule []cloud.Event, i int) (*Device
 // skipped: a firmware swap re-installs the schedule on the replacement
 // incarnation's core, and events the retired incarnation already fired
 // must not fire twice.
-func (d *Device) installCloudSchedule(cl *Cloud, schedule []cloud.Event, after uint64) {
-	if len(schedule) == 0 || cl.Plane == nil {
+func (d *Device) installCloudSchedule(pl *cloud.Plane, schedule []cloud.Event, after uint64) {
+	if len(schedule) == 0 {
 		return
 	}
 	if after > 0 {
@@ -276,8 +276,8 @@ func (d *Device) installCloudSchedule(cl *Cloud, schedule []cloud.Event, after u
 		}
 		schedule = future
 	}
-	homeShard := cl.Plane.HomeShard(d.Index)
-	cloud.InstallOnDevice(d.Sys.Board.Core, cl.Plane, d.Index, d.IP, schedule,
+	homeShard := pl.HomeShard(d.Index)
+	cloud.InstallOnDevice(d.Sys.Board.Core, pl, d.Index, d.IP, schedule,
 		func(ev cloud.Event, ok bool) {
 			if ok && ev.TraceID != 0 {
 				// The hook runs on this device's goroutine at its own

@@ -205,9 +205,6 @@ type Config struct {
 	// it), at a fraction of the per-device cost.
 	NoSnapshot bool
 
-	// legacyCloud selects the pre-sharding single-broker cloud; a
-	// package-internal hook for the 1-shard equivalence test.
-	legacyCloud bool
 	// snapCache is the per-run template cache behind snapshot/fork boot;
 	// set by Run, keyed by firmware shape alias (Profile.Firmware).
 	snapCache *snapshot.Cache
@@ -648,12 +645,12 @@ func Run(cfg Config) (*Result, error) {
 	if (cfg.Devices > 1 || cfg.Rollout != nil) && !cfg.NoSnapshot {
 		cfg.snapCache = snapshot.NewCache()
 	}
-	cl := newCloud(&cfg)
+	pl := newCloud(&cfg)
 	schedule := cfg.cloudSchedule()
 	horizon := cfg.horizonCycles()
 	var rollout *rolloutRuntime
 	if cfg.Rollout != nil {
-		rollout, err = newRolloutRuntime(&cfg, cl, schedule)
+		rollout, err = newRolloutRuntime(&cfg, pl, schedule)
 		if err != nil {
 			return nil, err
 		}
@@ -684,7 +681,7 @@ func Run(cfg Config) (*Result, error) {
 			var coldWall, forkWall time.Duration
 			var colds, forks uint64
 			for _, i := range shardIndices[s] {
-				d, err := buildDevice(&cfg, cl, schedule, i)
+				d, err := buildDevice(&cfg, pl, schedule, i)
 				if err != nil {
 					buildErrs[s] = err
 					return
@@ -746,7 +743,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		wg.Wait()
 		if bound < horizon {
-			cl.reapDead(bound)
+			pl.ReapDead(bound)
 			if err := rollout.step(devices, bound); err != nil {
 				rolloutErr = err
 				break
@@ -776,12 +773,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// The horizon barrier's reap: with every device stopped, dropping
 	// idle-beyond-TTL state is a pure function of the run.
-	cl.reapDead(horizon)
+	pl.ReapDead(horizon)
 
 	mergeStart := time.Now()
 	spans := collectSpans(devices)
 	res := &Result{
-		Summary:  summarize(cfg, cl, devices, sloRules, spans, rollout),
+		Summary:  summarize(cfg, pl, devices, sloRules, spans, rollout),
 		Devices:  devices,
 		BootWall: bootWall,
 		RunWall:  runWall,
@@ -838,7 +835,7 @@ func runShard(devices []*Device, indices []int, bound uint64) {
 // per-shard broker counters, the availability curve, and the merged
 // telemetry snapshot with the fleet-wide cycle-attribution invariant
 // check.
-func summarize(cfg Config, cl *Cloud, devices []*Device,
+func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 	sloRules []fleetobs.Rule, spans []fleetobs.Span, rollout *rolloutRuntime) Summary {
 	s := Summary{
 		Devices:        cfg.Devices,
@@ -973,12 +970,12 @@ func summarize(cfg Config, cl *Cloud, devices []*Device,
 	if s.SimSeconds > 0 {
 		s.PublishesPerSimSecond = float64(s.Publishes) / s.SimSeconds
 	}
-	s.ConnectP50Ms = cyclesToMs(percentile(connectLat, 0.50))
-	s.ConnectP99Ms = cyclesToMs(percentile(connectLat, 0.99))
-	s.PublishP50Ms = cyclesToMs(percentile(publishLat, 0.50))
-	s.PublishP99Ms = cyclesToMs(percentile(publishLat, 0.99))
+	s.ConnectP50Ms = fleetobs.CyclesToMs(fleetobs.Percentile(connectLat, 0.50), hw.DefaultHz)
+	s.ConnectP99Ms = fleetobs.CyclesToMs(fleetobs.Percentile(connectLat, 0.99), hw.DefaultHz)
+	s.PublishP50Ms = fleetobs.CyclesToMs(fleetobs.Percentile(publishLat, 0.50), hw.DefaultHz)
+	s.PublishP99Ms = fleetobs.CyclesToMs(fleetobs.Percentile(publishLat, 0.99), hw.DefaultHz)
 
-	s.BrokerShards = cl.shardStats()
+	s.BrokerShards = pl.ShardStats()
 	// Stable shard order regardless of worker scheduling: the per-shard
 	// table (and everything derived from it, including the synthesized
 	// cloud telemetry) must not depend on how shard stats were gathered.
@@ -1089,26 +1086,4 @@ func counterSum(counters []telemetry.MetricSnapshot, comp, metric string) int64 
 		}
 	}
 	return 0
-}
-
-// percentile returns the q-th percentile (nearest-rank) of the samples.
-func percentile(samples []uint64, q float64) uint64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]uint64, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-func cyclesToMs(cycles uint64) float64 {
-	return float64(cycles) * 1000 / float64(hw.DefaultHz)
 }

@@ -25,7 +25,7 @@ const otaAliasSuffix = "+ota"
 // any device without racing.
 type rolloutRuntime struct {
 	cfg      *Config
-	cl       *Cloud
+	pl       *cloud.Plane
 	schedule []cloud.Event
 	ctrl     *ota.Controller
 	// order is the seeded permutation of device indices; ring k offers
@@ -41,12 +41,9 @@ type rolloutRuntime struct {
 
 // newRolloutRuntime validates the plan against the fleet and derives
 // the deterministic rollout schedule.
-func newRolloutRuntime(cfg *Config, cl *Cloud, schedule []cloud.Event) (*rolloutRuntime, error) {
+func newRolloutRuntime(cfg *Config, pl *cloud.Plane, schedule []cloud.Event) (*rolloutRuntime, error) {
 	if cfg.snapCache == nil {
 		return nil, fmt.Errorf("fleet: the OTA rollout micro-reboots devices into forked snapshot templates; it cannot run with NoSnapshot")
-	}
-	if cl.Plane == nil {
-		return nil, fmt.Errorf("fleet: the OTA rollout needs the sharded cloud control plane")
 	}
 	for _, fw := range firmwareShapes(*cfg) {
 		if fw == FirmwareGo+otaAliasSuffix {
@@ -60,7 +57,7 @@ func newRolloutRuntime(cfg *Config, cl *Cloud, schedule []cloud.Event) (*rollout
 	if err != nil {
 		return nil, err
 	}
-	rt := &rolloutRuntime{cfg: cfg, cl: cl, schedule: schedule, ctrl: ctrl}
+	rt := &rolloutRuntime{cfg: cfg, pl: pl, schedule: schedule, ctrl: ctrl}
 
 	// Canary membership is a seeded Fisher–Yates permutation on its own
 	// rng stream: which devices update first is a property of the seed,
@@ -167,7 +164,7 @@ func (rt *rolloutRuntime) observe(devices []*Device, now uint64) ota.Observation
 // treats its offer channel as best-effort alongside the device poll.
 func (rt *rolloutRuntime) notify(d *Device, kind string) {
 	payload := []byte("ota:" + kind)
-	if rt.cl.Plane.DeliverToDevice(d.Index, d.IP, d.Topic, payload, 0) {
+	if rt.pl.DeliverToDevice(d.Index, d.IP, d.Topic, payload, 0) {
 		rt.offersDelivered++
 	} else {
 		rt.offersMissed++
@@ -180,7 +177,7 @@ func (rt *rolloutRuntime) notify(d *Device, kind string) {
 // cycle (one absolute clock domain per device), and rewire the world,
 // cloud attachment, fault windows, and instruments.
 func (rt *rolloutRuntime) swapDevice(d *Device, toNew bool) error {
-	cfg, cl := rt.cfg, rt.cl
+	cfg, pl := rt.cfg, rt.pl
 	retire := d.Sys.Cycles()
 	d.retireIncarnation()
 
@@ -221,12 +218,12 @@ func (rt *rolloutRuntime) swapDevice(d *Device, toNew bool) error {
 		d.World.SetLinkFaults(cfg.DropRate, cfg.JitterCycles,
 			newRNG(cfg.Seed, uint64(d.Index)+uint64(7+d.incarnation+1)<<32).next())
 	}
-	cl.attach(d.World, d.IP)
+	attachCloud(d.World, pl, d.IP)
 	if d.Partitioned {
 		// The partition window is absolute cycles; re-arming it on the
 		// new World keeps any still-open blackhole in force.
 		from, until := cfg.partitionWindow()
-		d.World.SetPartition(cl.brokerIPFor(d.Index), from, until)
+		d.World.SetPartition(pl.HomeIP(d.Index), from, until)
 	}
 	if d.SkewMillis != 0 {
 		d.World.SetNTPSkew(d.SkewMillis)
@@ -244,12 +241,12 @@ func (rt *rolloutRuntime) swapDevice(d *Device, toNew bool) error {
 		d.Rec = sys.EnableFlightRecorder(cfg.FlightRecorder)
 	}
 	if at := cfg.pingOfDeathCycles(); at > retire {
-		spoof := cl.brokerIPFor(d.Index)
+		spoof := pl.HomeIP(d.Index)
 		sys.Board.Core.At(at, func() {
 			d.World.InjectRaw(d.World.PingOfDeath(spoof))
 		})
 	}
-	d.installCloudSchedule(cl, rt.schedule, retire)
+	d.installCloudSchedule(pl, rt.schedule, retire)
 
 	d.arrival = 0 // the replacement brings the network up immediately
 	d.incarnation++

@@ -1,27 +1,11 @@
 package fleetobs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-)
 
-// chromeEvent is one trace-event JSON object. Complete events (ph "X")
-// carry a duration; flow events (ph "s"/"t"/"f") chain the hops of one
-// trace across process timelines.
-type chromeEvent struct {
-	Name string                 `json:"name"`
-	Cat  string                 `json:"cat,omitempty"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"`
-	Dur  float64                `json:"dur,omitempty"`
-	Pid  int                    `json:"pid"`
-	Tid  int                    `json:"tid"`
-	ID   string                 `json:"id,omitempty"`
-	BP   string                 `json:"bp,omitempty"`
-	Args map[string]interface{} `json:"args,omitempty"`
-}
+	"github.com/cheriot-go/cheriot/internal/telemetry"
+)
 
 // Process/thread layout of the exported trace: the cloud is pid 0 with
 // one thread per shard; each device is pid 1+index with one thread per
@@ -50,9 +34,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, hz uint64) error {
 		return float64(cycles) / float64(hz) * 1e6
 	}
 
-	var events []chromeEvent
-	pids := map[int]string{}
-	threads := map[[2]int]string{}
+	var trace telemetry.ChromeTrace
 	place := func(s Span) (pid, tid int) {
 		switch s.Kind {
 		case SpanIngress, SpanForward:
@@ -71,28 +53,28 @@ func WriteChromeTrace(w io.Writer, spans []Span, hz uint64) error {
 	for _, s := range sorted {
 		pid, tid := place(s)
 		if pid == cloudPid {
-			pids[pid] = "cloud"
-			threads[[2]int{pid, tid}] = fmt.Sprintf("shard %d", tid-1)
+			trace.NameProcess(pid, "cloud")
+			trace.NameThread(pid, tid, fmt.Sprintf("shard %d", tid-1))
 		} else {
-			pids[pid] = fmt.Sprintf("device %d", pid-devPidBase)
+			trace.NameProcess(pid, fmt.Sprintf("device %d", pid-devPidBase))
 			switch tid {
 			case tidDeliver:
-				threads[[2]int{pid, tid}] = "deliver"
+				trace.NameThread(pid, tid, "deliver")
 			case tidRecv:
-				threads[[2]int{pid, tid}] = "recv"
+				trace.NameThread(pid, tid, "recv")
 			default:
-				threads[[2]int{pid, tid}] = "publish"
+				trace.NameThread(pid, tid, "publish")
 			}
 		}
 		dur := us(s.End) - us(s.Start)
 		if dur <= 0 {
 			dur = 0.01
 		}
-		args := map[string]interface{}{"trace": fmt.Sprintf("%016x", s.Trace), "ok": s.OK}
+		args := map[string]any{"trace": fmt.Sprintf("%016x", s.Trace), "ok": s.OK}
 		if s.Kind == SpanForward {
 			args["from_shard"] = s.Peer
 		}
-		events = append(events, chromeEvent{
+		trace.Events = append(trace.Events, telemetry.ChromeEvent{
 			Name: s.Kind.String(), Cat: "fleetobs", Ph: "X",
 			Ts: us(s.Start), Dur: dur, Pid: pid, Tid: tid, Args: args,
 		})
@@ -110,59 +92,19 @@ func WriteChromeTrace(w io.Writer, spans []Span, hz uint64) error {
 			id := fmt.Sprintf("%016x", hops[0].Trace)
 			for k, s := range hops {
 				pid, tid := place(s)
-				ph := "t"
-				if k == 0 {
-					ph = "s"
-				} else if k == len(hops)-1 {
-					ph = "f"
-				}
-				ev := chromeEvent{Name: "flow", Cat: "fleetobs", Ph: ph,
+				ev := telemetry.ChromeEvent{Name: "flow", Cat: "fleetobs", Ph: "t",
 					Ts: us(s.Start), Pid: pid, Tid: tid, ID: id}
-				if ph == "f" {
-					ev.BP = "e"
+				switch k {
+				case 0:
+					ev.Ph = "s"
+				case len(hops) - 1:
+					ev.Ph, ev.BP = "f", "e"
 				}
-				events = append(events, ev)
+				trace.Events = append(trace.Events, ev)
 			}
 		}
 		i = j
 	}
-
-	// Metadata: stable name events for every process and thread.
-	pidList := make([]int, 0, len(pids))
-	for pid := range pids {
-		pidList = append(pidList, pid)
-	}
-	sort.Ints(pidList)
-	var meta []chromeEvent
-	for _, pid := range pidList {
-		meta = append(meta, chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]interface{}{"name": pids[pid]}})
-	}
-	tidList := make([][2]int, 0, len(threads))
-	for k := range threads {
-		tidList = append(tidList, k)
-	}
-	sort.Slice(tidList, func(i, j int) bool {
-		if tidList[i][0] != tidList[j][0] {
-			return tidList[i][0] < tidList[j][0]
-		}
-		return tidList[i][1] < tidList[j][1]
-	})
-	for _, k := range tidList {
-		meta = append(meta, chromeEvent{Name: "thread_name", Ph: "M", Pid: k[0], Tid: k[1],
-			Args: map[string]interface{}{"name": threads[k]}})
-	}
-
-	doc := struct {
-		TraceEvents []chromeEvent          `json:"traceEvents"`
-		OtherData   map[string]interface{} `json:"otherData"`
-	}{
-		TraceEvents: append(meta, events...),
-		OtherData: map[string]interface{}{
-			"spans": len(sorted),
-			"hz":    hz,
-		},
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	trace.OtherData = map[string]any{"spans": len(sorted), "hz": hz}
+	return trace.Write(w)
 }

@@ -10,24 +10,24 @@ import "testing"
 // percentile over no samples is 0, and the nearest-rank index stays in
 // bounds at both extremes of q for tiny sample sets.
 func TestPercentileEmptyAndBounds(t *testing.T) {
-	if got := percentile(nil, 0.99); got != 0 {
-		t.Errorf("percentile(nil) = %d, want 0", got)
+	if got := Percentile(nil, 0.99); got != 0 {
+		t.Errorf("Percentile(nil) = %d, want 0", got)
 	}
-	if got := percentile([]uint64{}, 0.50); got != 0 {
-		t.Errorf("percentile(empty) = %d, want 0", got)
+	if got := Percentile([]uint64{}, 0.50); got != 0 {
+		t.Errorf("Percentile(empty) = %d, want 0", got)
 	}
 	one := []uint64{42}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := percentile(one, q); got != 42 {
-			t.Errorf("percentile([42], %v) = %d, want 42", q, got)
+		if got := Percentile(one, q); got != 42 {
+			t.Errorf("Percentile([42], %v) = %d, want 42", q, got)
 		}
 	}
 }
 
 // cyclesToMs with a zero clock is 0, not +Inf or NaN.
 func TestCyclesToMsZeroHz(t *testing.T) {
-	if got := cyclesToMs(1_000_000, 0); got != 0 {
-		t.Errorf("cyclesToMs(.., 0) = %v, want 0", got)
+	if got := CyclesToMs(1_000_000, 0); got != 0 {
+		t.Errorf("CyclesToMs(.., 0) = %v, want 0", got)
 	}
 }
 

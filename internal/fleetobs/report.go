@@ -216,14 +216,14 @@ func Aggregate(in Input) *Report {
 		ingressSecs[ps] = append(ingressSecs[ps], [2]int{ps, is})
 	}
 
-	r.E2EP50Ms = cyclesToMs(percentile(all, 0.50), in.Hz)
-	r.E2EP99Ms = cyclesToMs(percentile(all, 0.99), in.Hz)
+	r.E2EP50Ms = CyclesToMs(Percentile(all, 0.50), in.Hz)
+	r.E2EP99Ms = CyclesToMs(Percentile(all, 0.99), in.Hz)
 
 	for shard, lats := range perShard {
 		so := shardOf(shard)
 		so.Samples = len(lats)
-		so.E2EP50Ms = cyclesToMs(percentile(lats, 0.50), in.Hz)
-		so.E2EP99Ms = cyclesToMs(percentile(lats, 0.99), in.Hz)
+		so.E2EP50Ms = CyclesToMs(Percentile(lats, 0.50), in.Hz)
+		so.E2EP99Ms = CyclesToMs(Percentile(lats, 0.99), in.Hz)
 	}
 	for _, so := range shardCounts {
 		r.PerShard = append(r.PerShard, *so)
@@ -232,8 +232,8 @@ func Aggregate(in Input) *Report {
 	for name, lats := range perProfile {
 		r.PerProfile = append(r.PerProfile, ProfileObs{
 			Name: name, Samples: len(lats),
-			E2EP50Ms: cyclesToMs(percentile(lats, 0.50), in.Hz),
-			E2EP99Ms: cyclesToMs(percentile(lats, 0.99), in.Hz),
+			E2EP50Ms: CyclesToMs(Percentile(lats, 0.50), in.Hz),
+			E2EP99Ms: CyclesToMs(Percentile(lats, 0.99), in.Hz),
 		})
 	}
 	sort.Slice(r.PerProfile, func(i, j int) bool { return r.PerProfile[i].Name < r.PerProfile[j].Name })
@@ -276,8 +276,8 @@ func buildHealth(in Input, seconds int, secs map[int]*secCount,
 			h.Delivered = sc.delivered
 		}
 		if lats := perSecond[t]; len(lats) > 0 {
-			h.DeliveryP50Ms = cyclesToMs(percentile(lats, 0.50), in.Hz)
-			h.DeliveryP99Ms = cyclesToMs(percentile(lats, 0.99), in.Hz)
+			h.DeliveryP50Ms = CyclesToMs(Percentile(lats, 0.50), in.Hz)
+			h.DeliveryP99Ms = CyclesToMs(Percentile(lats, 0.99), in.Hz)
 		}
 		if t < len(in.DropSeconds) {
 			h.Drops = uint64(in.DropSeconds[t])
@@ -391,8 +391,9 @@ func TelemetrySnapshot(in Input) telemetry.Snapshot {
 	return snap
 }
 
-// percentile is nearest-rank over a copy of the samples.
-func percentile(samples []uint64, q float64) uint64 {
+// Percentile returns the q-th quantile (0 < q <= 1, nearest-rank) of the
+// samples, sorting a copy; 0 for no samples.
+func Percentile(samples []uint64, q float64) uint64 {
 	if len(samples) == 0 {
 		return 0
 	}
@@ -409,7 +410,9 @@ func percentile(samples []uint64, q float64) uint64 {
 	return sorted[idx]
 }
 
-func cyclesToMs(cycles, hz uint64) float64 {
+// CyclesToMs converts simulated cycles at hz to milliseconds (0 for an
+// unknown rate).
+func CyclesToMs(cycles, hz uint64) float64 {
 	if hz == 0 {
 		return 0
 	}

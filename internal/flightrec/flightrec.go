@@ -1,176 +1,60 @@
 // Package flightrec is the per-device black box: a fixed-size,
-// allocation-free ring of typed events recording what the machine was
-// doing — capability derivations with parent→child provenance ids,
-// seal/unseal mediation, cross-compartment calls and returns with
-// interrupt posture, heap alloc/free/claim with the owning allocation
-// capability, revocation sweeps, futex traffic — plus, on every
-// capability fault or forced micro-reboot, a structured post-mortem
-// report that walks provenance backwards ("this dangling capability was
-// derived in compartment X from allocation #N, freed during sweep #M").
+// allocation-free ring of the platform's events recording what the
+// machine was doing — capability derivations with parent→child
+// provenance ids, seal/unseal mediation, cross-compartment calls and
+// returns with interrupt posture, heap alloc/free/claim with the owning
+// allocation capability, revocation sweeps, futex traffic — plus, on
+// every capability fault, a structured post-mortem report that walks
+// provenance backwards ("this dangling capability was derived in
+// compartment X from allocation #N, freed during sweep #M").
 //
-// Design mirrors internal/telemetry: the package is a leaf (it imports
-// only internal/cap), holds no process-global mutable state, and every
-// method is nil-safe, so instrumented kernel code pays exactly one nil
-// check when the recorder is disabled. One Recorder belongs to one
-// simulated device and is driven from that device's single goroutine;
-// independent Recorders (one per fleet device) need no locking.
+// The recorder is one of the kernel's event sinks: it speaks
+// internal/telemetry's Kind and Event, keeps them in a telemetry.Ring,
+// and Record decides in one switch which kinds it keeps and what
+// bookkeeping each implies. The package imports nothing from the module
+// but cap, hw and telemetry, holds no process-global mutable state, and
+// every method is nil-safe, so the kernel pays one nil check when the
+// recorder is disabled. One Recorder belongs to one simulated device and
+// is driven from that device's single goroutine; independent Recorders
+// (one per fleet device) need no locking.
 //
 // The hot path never allocates: the event ring and the provenance node
-// table are preallocated at New, and records reference only strings the
+// table are preallocated at New, and events reference only strings the
 // caller already holds (compartment, thread, and entry names are static
 // firmware strings). Fault reports are assembled lazily, only when a
 // trap actually happens — the cold path may allocate freely.
 package flightrec
 
-import "github.com/cheriot-go/cheriot/internal/cap"
-
-// Op classifies flight-recorder events.
-type Op uint8
-
-// Event operations.
-const (
-	OpNone         Op = iota
-	OpDerive          // capability derivation (Node child of Parent)
-	OpSeal            // a capability was sealed (allocator or token API)
-	OpUnseal          // a sealed capability was presented for unsealing
-	OpCall            // cross-compartment call (From -> Comp.Entry, Arg = posture)
-	OpReturn          // return from Comp.Entry back into From
-	OpUnwind          // fault or forced unwind out of Comp
-	OpTrap            // capability fault in Comp (Detail = cause)
-	OpAlloc           // heap allocation (Comp = owner, Arg = bytes, Node set)
-	OpFree            // final heap free (Comp = owner, Arg = bytes)
-	OpClaim           // heap claim (Comp = claimant, Arg = bytes)
-	OpSweepStart      // revocation sweep begins (Arg = epoch)
-	OpSweepEnd        // revocation sweep completes (Arg = epoch, Arg2 = granules)
-	OpFutexWait       // thread waits on a futex word (Arg = address)
-	OpFutexWake       // futex wake (Arg = address, Arg2 = woken)
-	OpLoadFiltered    // load filter untagged a revoked capability (Arg = base)
-	OpReboot          // forced micro-reboot of Comp (Arg = reboot count)
-
-	// OpCount is the number of ops; the exhaustiveness test iterates up
-	// to it so an added op without a String entry fails CI.
-	OpCount
+import (
+	"github.com/cheriot-go/cheriot/internal/cap"
+	"github.com/cheriot-go/cheriot/internal/hw"
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
-
-// String renders the op for timelines and JSON dumps.
-func (o Op) String() string {
-	switch o {
-	case OpNone:
-		return "none"
-	case OpDerive:
-		return "derive"
-	case OpSeal:
-		return "seal"
-	case OpUnseal:
-		return "unseal"
-	case OpCall:
-		return "call"
-	case OpReturn:
-		return "return"
-	case OpUnwind:
-		return "unwind"
-	case OpTrap:
-		return "trap"
-	case OpAlloc:
-		return "alloc"
-	case OpFree:
-		return "free"
-	case OpClaim:
-		return "claim"
-	case OpSweepStart:
-		return "sweep-start"
-	case OpSweepEnd:
-		return "sweep-end"
-	case OpFutexWait:
-		return "futex-wait"
-	case OpFutexWake:
-		return "futex-wake"
-	case OpLoadFiltered:
-		return "load-filtered"
-	case OpReboot:
-		return "reboot"
-	default:
-		return "?"
-	}
-}
-
-// OpFromString parses the rendering String produces; it returns OpCount
-// for an unknown name (cheriot-inspect uses it for -op filters).
-func OpFromString(s string) Op {
-	for o := OpNone; o < OpCount; o++ {
-		if o.String() == s {
-			return o
-		}
-	}
-	return OpCount
-}
-
-// Record is one flight-recorder event. Field use varies by op; unused
-// fields stay zero. All strings must outlive the recorder (they are
-// static firmware names on the hot path).
-type Record struct {
-	Cycle  uint64 `json:"cycle"`
-	Op     Op     `json:"op"`
-	Thread string `json:"thread,omitempty"`
-	// From is the caller compartment (calls/returns) or the releasing
-	// compartment (frees).
-	From string `json:"from,omitempty"`
-	// Comp is the subject compartment: callee, owner, faulter.
-	Comp   string `json:"comp,omitempty"`
-	Entry  string `json:"entry,omitempty"`
-	Detail string `json:"detail,omitempty"`
-	// Node/Parent are provenance ids for derivation-flavoured ops.
-	Node   uint32 `json:"node,omitempty"`
-	Parent uint32 `json:"parent,omitempty"`
-	Arg    uint64 `json:"arg,omitempty"`
-	Arg2   uint64 `json:"arg2,omitempty"`
-}
-
-// Posture codes carried in OpCall's Arg.
-const (
-	PostureInherit  = 0
-	PostureDisabled = 1
-	PostureEnabled  = 2
-)
-
-// PostureString renders an OpCall posture code.
-func PostureString(p uint64) string {
-	switch p {
-	case PostureDisabled:
-		return "irq-disabled"
-	case PostureEnabled:
-		return "irq-enabled"
-	default:
-		return "irq-inherit"
-	}
-}
 
 // Node is one provenance-graph vertex: a capability (or capability
 // family) with the compartment and event that created it and a link to
 // the capability it was derived from. ID 0 means "no node".
 type Node struct {
-	ID     uint32 `json:"id"`
-	Parent uint32 `json:"parent,omitempty"`
-	Op     Op     `json:"op"`
-	Comp   string `json:"comp,omitempty"`
-	Cycle  uint64 `json:"cycle"`
-	Base   uint32 `json:"base"`
-	Top    uint32 `json:"top"`
-	Note   string `json:"note,omitempty"`
+	ID     uint32         `json:"id"`
+	Parent uint32         `json:"parent,omitempty"`
+	Kind   telemetry.Kind `json:"kind"`
+	Comp   string         `json:"comp,omitempty"`
+	Cycle  uint64         `json:"cycle"`
+	Base   uint32         `json:"base"`
+	Top    uint32         `json:"top"`
+	Note   string         `json:"note,omitempty"`
 }
 
 // AllocRecord is the recorder's view of one heap allocation: who
 // allocated it against which quota, and — once freed — who freed it and
 // which revocation sweep invalidated the last capabilities to it.
 type AllocRecord struct {
-	Node  uint32 `json:"node"`
-	Seq   uint64 `json:"seq"` // allocation #Seq, monotonic per device
-	Base  uint32 `json:"base"`
-	Size  uint32 `json:"size"`
-	Owner string `json:"owner"` // allocating compartment (quota owner)
-	Quota string `json:"quota"`
-	// Sealed marks heap_allocate_sealed objects.
-	Sealed     bool   `json:"sealed,omitempty"`
+	Node       uint32 `json:"node"`
+	Seq        uint64 `json:"seq"` // allocation #Seq, monotonic per device
+	Base       uint32 `json:"base"`
+	Size       uint32 `json:"size"`
+	Owner      string `json:"owner"` // allocating compartment (quota owner)
+	Quota      string `json:"quota"`
 	AllocCycle uint64 `json:"alloc_cycle"`
 	// Free-side fields; zero while the allocation is live.
 	FreeCycle uint64 `json:"free_cycle,omitempty"`
@@ -197,13 +81,7 @@ const (
 // Recorder is the per-device flight recorder. All methods are nil-safe.
 type Recorder struct {
 	device string
-	now    func() uint64
-
-	ring     []Record
-	capacity int
-	next     int
-	full     bool
-	dropped  uint64
+	ring   *telemetry.Ring
 
 	nodes     []Node // index 0 unused; IDs are indices
 	nodesFull uint64 // derivations dropped after the table filled
@@ -214,34 +92,30 @@ type Recorder struct {
 	allocSeq uint64
 
 	sweeps uint64 // completed sweeps observed
+	// epoch is the revoker's epoch as of the last sweep event: every
+	// epoch step is a sweep start or end, so a recorder armed before the
+	// first sweep always knows the epoch a free happens in.
+	epoch uint64
 
 	reports      []Report
 	reportsTotal uint64
 }
 
-// New returns a recorder whose event ring holds capacity records.
+// New returns a recorder whose event ring holds capacity events.
 // capacity <= 0 returns nil (the disabled recorder).
 func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		return nil
 	}
 	return &Recorder{
-		ring:     make([]Record, 0, capacity),
-		capacity: capacity,
-		nodes:    make([]Node, 1, 64), // ID 0 reserved
-		live:     make(map[uint32]*AllocRecord),
+		ring:  telemetry.NewRing(capacity),
+		nodes: make([]Node, 1, 64), // ID 0 reserved
+		live:  make(map[uint32]*AllocRecord),
 	}
 }
 
 // Enabled reports whether the recorder is active (non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
-
-// SetNow installs the cycle clock used to stamp events.
-func (r *Recorder) SetNow(now func() uint64) {
-	if r != nil {
-		r.now = now
-	}
-}
 
 // SetDevice names the device in dumps and reports.
 func (r *Recorder) SetDevice(name string) {
@@ -258,145 +132,98 @@ func (r *Recorder) Device() string {
 	return r.device
 }
 
-func (r *Recorder) stamp() uint64 {
-	if r.now == nil {
+// Record is the recorder's sink for one cycle-stamped event: it does the
+// provenance, allocation and crash-report bookkeeping the event implies
+// and keeps it in the ring if it is a kind the recorder keeps. cause is
+// the trap a KindTrap event reports (nil for every other kind): the
+// event is kept, with a post-mortem report, unless the trap is a forced
+// unwind — the switcher evicting a thread, not a capability fault.
+// Record returns the provenance node it assigned to a root, derive or
+// alloc event, or 0.
+func (r *Recorder) Record(ev telemetry.Event, cause *hw.Trap) uint32 {
+	if r == nil {
 		return 0
 	}
-	return r.now()
+	switch ev.Kind {
+	case telemetry.KindRoot:
+		return r.newNode(ev, uint32(ev.Arg), uint32(ev.Arg2), ev.Detail) // provenance only
+	case telemetry.KindDerive:
+		ev.Node = r.newNode(ev, uint32(ev.Arg), uint32(ev.Arg2), ev.Detail)
+	case telemetry.KindAlloc:
+		base, size := uint32(ev.Arg2), uint32(ev.Arg)
+		ev.Node = r.newNode(ev, base, base+size, ev.Entry)
+		r.allocSeq++
+		r.live[base] = &AllocRecord{Node: ev.Node, Seq: r.allocSeq, Base: base, Size: size,
+			Owner: ev.To, Quota: ev.Detail, AllocCycle: ev.Cycle}
+	case telemetry.KindFree:
+		r.free(&ev)
+	case telemetry.KindClaim:
+		if ar, ok := r.live[uint32(ev.Arg2)]; ok {
+			ev.Node = ar.Node
+		}
+	case telemetry.KindSweepStart:
+		r.epoch = ev.Arg
+	case telemetry.KindSweepEnd:
+		r.epoch = ev.Arg
+		r.sweeps++
+		for i := range r.freed {
+			f := &r.freed[i]
+			if f.SweepEpoch == 0 && f.FreeEpoch < ev.Arg {
+				f.SweepEpoch = ev.Arg
+			}
+		}
+	case telemetry.KindReboot:
+		// The compartment's most recent fault escalated to the reboot.
+		for i := len(r.reports) - 1; i >= 0; i-- {
+			if r.reports[i].Compartment == ev.To {
+				r.reports[i].Reboot = true
+				break
+			}
+		}
+	case telemetry.KindTrap:
+		if cause == nil || cause.Code == hw.TrapForcedUnwind {
+			return 0
+		}
+		r.ring.Record(ev)
+		r.report(ev, cause)
+		return 0
+	case telemetry.KindCall, telemetry.KindReturn, telemetry.KindUnwind,
+		telemetry.KindFutexWait, telemetry.KindFutexWake,
+		telemetry.KindSeal, telemetry.KindUnseal, telemetry.KindLoadFiltered:
+	default:
+		return 0 // switches, sleeps, quarantine, network: the trace's alone
+	}
+	r.ring.Record(ev)
+	return ev.Node
 }
 
-// Emit appends one record, stamping the cycle if unset. Nil-safe; the
-// instrumented layers use the typed helpers below instead.
-func (r *Recorder) Emit(rec Record) {
-	if r == nil {
-		return
-	}
-	if rec.Cycle == 0 {
-		rec.Cycle = r.stamp()
-	}
-	if len(r.ring) < r.capacity {
-		r.ring = append(r.ring, rec)
-		return
-	}
-	r.ring[r.next] = rec
-	r.next = (r.next + 1) % len(r.ring)
-	r.full = true
-	r.dropped++
-}
-
-// newNode appends a provenance node, returning its id (0 once the table
-// is full — derivation events still land in the ring, unlinked).
-func (r *Recorder) newNode(n Node) uint32 {
+// newNode appends a provenance node for ev covering [base, top), returning
+// its id (0 once the table is full — derivation events still land in the
+// ring, unlinked).
+func (r *Recorder) newNode(ev telemetry.Event, base, top uint32, note string) uint32 {
 	if len(r.nodes) >= maxNodes {
 		r.nodesFull++
 		return 0
 	}
-	n.ID = uint32(len(r.nodes))
-	if n.Cycle == 0 {
-		n.Cycle = r.stamp()
-	}
-	r.nodes = append(r.nodes, n)
-	return n.ID
-}
-
-// Root registers a provenance root (heap region, a thread's stack) and
-// returns its node id.
-func (r *Recorder) Root(comp string, base, top uint32, note string) uint32 {
-	if r == nil {
-		return 0
-	}
-	return r.newNode(Node{Op: OpNone, Comp: comp, Base: base, Top: top, Note: note})
-}
-
-// Derive records a capability derivation: child of parent, created in
-// comp. It returns the child's provenance id.
-func (r *Recorder) Derive(parent uint32, comp string, c cap.Capability, note string) uint32 {
-	if r == nil {
-		return 0
-	}
-	id := r.newNode(Node{Parent: parent, Op: OpDerive, Comp: comp,
-		Base: c.Base(), Top: c.Top(), Note: note})
-	r.Emit(Record{Op: OpDerive, Comp: comp, Node: id, Parent: parent,
-		Arg: uint64(c.Base()), Detail: note})
+	id := uint32(len(r.nodes))
+	r.nodes = append(r.nodes, Node{ID: id, Parent: ev.Parent, Kind: ev.Kind, Comp: ev.To,
+		Cycle: ev.Cycle, Base: base, Top: top, Note: note})
 	return id
 }
 
-// Call records a cross-compartment call with the callee's interrupt
-// posture (one of the Posture* codes).
-func (r *Recorder) Call(thread, caller, target, entry string, posture uint64) {
-	r.Emit(Record{Op: OpCall, Thread: thread, From: caller, Comp: target,
-		Entry: entry, Arg: posture})
-}
-
-// Return records a normal return from a cross-compartment call.
-func (r *Recorder) Return(thread, caller, target, entry string) {
-	r.Emit(Record{Op: OpReturn, Thread: thread, From: caller, Comp: target, Entry: entry})
-}
-
-// Unwind records a fault (or forced) unwind out of a compartment.
-func (r *Recorder) Unwind(thread, target string) {
-	r.Emit(Record{Op: OpUnwind, Thread: thread, Comp: target})
-}
-
-// Trap records a trap event in the ring (the structured report is built
-// separately by Fault).
-func (r *Recorder) Trap(thread, comp, code string, addr uint32) {
-	r.Emit(Record{Op: OpTrap, Thread: thread, Comp: comp, Detail: code, Arg: uint64(addr)})
-}
-
-// Seal records a sealing operation.
-func (r *Recorder) Seal(comp string, c cap.Capability, note string) {
-	r.Emit(Record{Op: OpSeal, Comp: comp, Arg: uint64(c.Base()), Detail: note})
-}
-
-// Unseal records an unsealing attempt; ok reports whether the authority
-// matched.
-func (r *Recorder) Unseal(comp, caller string, ok bool) {
-	arg := uint64(0)
-	if ok {
-		arg = 1
-	}
-	r.Emit(Record{Op: OpUnseal, Comp: comp, From: caller, Arg: arg})
-}
-
-// Alloc records a heap allocation owned by quota (owner compartment),
-// creating the allocation's provenance node. heapNode, if non-zero, is
-// the heap-region root the object capability was derived from.
-func (r *Recorder) Alloc(heapNode uint32, owner, quotaName string, base, size uint32, sealed bool) uint32 {
-	if r == nil {
-		return 0
-	}
-	r.allocSeq++
-	note := "heap_allocate"
-	if sealed {
-		note = "heap_allocate_sealed"
-	}
-	id := r.newNode(Node{Parent: heapNode, Op: OpAlloc, Comp: owner,
-		Base: base, Top: base + size, Note: note})
-	ar := &AllocRecord{Node: id, Seq: r.allocSeq, Base: base, Size: size,
-		Owner: owner, Quota: quotaName, Sealed: sealed, AllocCycle: r.stamp()}
-	r.live[base] = ar
-	r.Emit(Record{Op: OpAlloc, Comp: owner, Detail: quotaName,
-		Node: id, Parent: heapNode, Arg: uint64(size), Arg2: uint64(base)})
-	return id
-}
-
-// Free records the final free of the allocation at base. epoch is the
-// revocation epoch at free time; the sweep that completes after it is
-// stamped onto the record by SweepEnd.
-func (r *Recorder) Free(base uint32, by string, epoch uint64) {
-	if r == nil {
-		return
-	}
+// free moves the allocation at the event's base to the freed history and
+// completes the event with the allocation's owner and provenance node.
+func (r *Recorder) free(ev *telemetry.Event) {
+	base := uint32(ev.Arg2)
 	ar, ok := r.live[base]
 	if !ok {
-		r.Emit(Record{Op: OpFree, From: by, Arg2: uint64(base)})
 		return
 	}
 	delete(r.live, base)
-	ar.FreeCycle = r.stamp()
-	ar.FreedBy = by
-	ar.FreeEpoch = epoch
+	ar.FreeCycle = ev.Cycle
+	ar.FreedBy = ev.From
+	ar.FreeEpoch = r.epoch
+	ev.To, ev.Node = ar.Owner, ar.Node
 	// Keep the most recent maxFreed freed allocations for post-mortem
 	// matching.
 	if len(r.freed) < maxFreed {
@@ -405,43 +232,6 @@ func (r *Recorder) Free(base uint32, by string, epoch uint64) {
 		r.freed[r.freedPos] = *ar
 		r.freedPos = (r.freedPos + 1) % maxFreed
 	}
-	r.Emit(Record{Op: OpFree, From: by, Comp: ar.Owner, Node: ar.Node,
-		Arg: uint64(ar.Size), Arg2: uint64(base)})
-}
-
-// Claim records a heap claim by a new owner.
-func (r *Recorder) Claim(base uint32, claimant string) {
-	if r == nil {
-		return
-	}
-	var node uint32
-	var size uint64
-	if ar, ok := r.live[base]; ok {
-		node = ar.Node
-		size = uint64(ar.Size)
-	}
-	r.Emit(Record{Op: OpClaim, Comp: claimant, Node: node, Arg: size, Arg2: uint64(base)})
-}
-
-// SweepStart records the start of a revocation sweep.
-func (r *Recorder) SweepStart(epoch uint64) {
-	r.Emit(Record{Op: OpSweepStart, Arg: epoch})
-}
-
-// SweepEnd records a completed revocation sweep (granules scanned in
-// Arg2) and stamps it onto every freed allocation the sweep invalidated.
-func (r *Recorder) SweepEnd(epoch, granules uint64) {
-	if r == nil {
-		return
-	}
-	r.sweeps++
-	for i := range r.freed {
-		f := &r.freed[i]
-		if f.SweepEpoch == 0 && f.FreeEpoch < epoch {
-			f.SweepEpoch = epoch
-		}
-	}
-	r.Emit(Record{Op: OpSweepEnd, Arg: epoch, Arg2: granules})
 }
 
 // Sweeps returns the number of completed sweeps observed.
@@ -452,68 +242,28 @@ func (r *Recorder) Sweeps() uint64 {
 	return r.sweeps
 }
 
-// FutexWait records a futex wait on a word address.
-func (r *Recorder) FutexWait(thread, caller string, addr uint32) {
-	r.Emit(Record{Op: OpFutexWait, Thread: thread, From: caller, Arg: uint64(addr)})
-}
-
-// FutexWake records a futex wake releasing woken waiters.
-func (r *Recorder) FutexWake(comp string, addr uint32, woken int) {
-	r.Emit(Record{Op: OpFutexWake, Comp: comp, Arg: uint64(addr), Arg2: uint64(woken)})
-}
-
-// LoadFiltered records the load filter untagging a capability whose base
-// granule is revoked — the earliest observable sign of a dangling
-// pointer (§2.1's temporal-safety mechanism firing).
-func (r *Recorder) LoadFiltered(comp string, c cap.Capability) {
-	r.Emit(Record{Op: OpLoadFiltered, Comp: comp, Arg: uint64(c.Base()),
-		Arg2: uint64(c.Address())})
-}
-
-// Reboot records a forced micro-reboot of comp (count = completed
-// reboots including this one) and marks the compartment's most recent
-// fault report as having escalated to a reboot.
-func (r *Recorder) Reboot(comp, thread string, count int) {
-	if r == nil {
-		return
-	}
-	r.Emit(Record{Op: OpReboot, Thread: thread, Comp: comp, Arg: uint64(count)})
-	for i := len(r.reports) - 1; i >= 0; i-- {
-		if r.reports[i].Compartment == comp {
-			r.reports[i].Reboot = true
-			break
-		}
-	}
-}
-
-// Events returns the ring's records in chronological order.
-func (r *Recorder) Events() []Record {
+// Events returns the ring's events in chronological order.
+func (r *Recorder) Events() []telemetry.Event {
 	if r == nil {
 		return nil
 	}
-	if !r.full {
-		return append([]Record(nil), r.ring...)
-	}
-	out := make([]Record, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
+	return r.ring.Events()
 }
 
-// Len returns the number of records currently held.
+// Len returns the number of events currently held.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.ring)
+	return r.ring.Len()
 }
 
-// Dropped returns how many records were overwritten by ring wraparound.
+// Dropped returns how many events were overwritten by ring wraparound.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.dropped
+	return r.ring.Dropped()
 }
 
 // Nodes returns the provenance node table (index 0 is the reserved

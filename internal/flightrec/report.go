@@ -8,6 +8,8 @@ import (
 	"strings"
 
 	"github.com/cheriot-go/cheriot/internal/cap"
+	"github.com/cheriot-go/cheriot/internal/hw"
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // Report is one structured post-mortem: a capability fault snapshot with
@@ -36,36 +38,32 @@ type Report struct {
 	// Summary is the one-line forensic verdict.
 	Summary string `json:"summary"`
 	// Tail holds the most recent ring events at fault time.
-	Tail []Record `json:"tail,omitempty"`
+	Tail []telemetry.Event `json:"tail,omitempty"`
 	// Reboot marks reports whose compartment was force-rebooted after
 	// the fault.
 	Reboot bool `json:"reboot,omitempty"`
 }
 
-// Fault snapshots the recorder state into a Report. c is the offending
-// capability (zero-value if the trap carried none).
-func (r *Recorder) Fault(thread, comp, entry string, pc uint32, code, detail string, c cap.Capability) {
-	if r == nil {
-		return
-	}
-	r.Trap(thread, comp, code, pc)
+// report snapshots the recorder state into a Report for trap event ev,
+// whose cause may carry the offending capability.
+func (r *Recorder) report(ev telemetry.Event, cause *hw.Trap) {
 	r.reportsTotal++
 	rep := Report{
 		Device:      r.device,
 		Seq:         r.reportsTotal,
-		Cycle:       r.stamp(),
-		Thread:      thread,
-		Compartment: comp,
-		Entry:       entry,
-		PC:          pc,
-		Code:        code,
-		Detail:      detail,
+		Cycle:       ev.Cycle,
+		Thread:      ev.Thread,
+		Compartment: ev.To,
+		Entry:       ev.Entry,
+		PC:          uint32(ev.Arg),
+		Code:        ev.Detail,
+		Detail:      cause.Detail,
 	}
-	hasCap := c != (cap.Capability{})
+	hasCap := cause.Cap != (cap.Capability{})
 	if hasCap {
-		f := c.Fields()
+		f := cause.Cap.Fields()
 		rep.Cap = &f
-		rep.Chain, rep.Allocation = r.Provenance(c)
+		rep.Chain, rep.Allocation = r.Provenance(cause.Cap)
 	}
 	rep.Summary = r.summarize(&rep, hasCap)
 	events := r.Events()
@@ -135,15 +133,15 @@ func (r *Recorder) ReportsTotal() uint64 {
 
 // Dump is the serialized recorder state written for cheriot-inspect.
 type Dump struct {
-	Device   string        `json:"device,omitempty"`
-	Hz       uint64        `json:"hz,omitempty"`
-	Capacity int           `json:"capacity"`
-	Dropped  uint64        `json:"dropped_events"`
-	Events   []Record      `json:"events"`
-	Nodes    []Node        `json:"nodes,omitempty"`
-	Live     []AllocRecord `json:"live_allocations,omitempty"`
-	Freed    []AllocRecord `json:"freed_allocations,omitempty"`
-	Reports  []Report      `json:"reports,omitempty"`
+	Device   string            `json:"device,omitempty"`
+	Hz       uint64            `json:"hz,omitempty"`
+	Capacity int               `json:"capacity"`
+	Dropped  uint64            `json:"dropped_events"`
+	Events   []telemetry.Event `json:"events"`
+	Nodes    []Node            `json:"nodes,omitempty"`
+	Live     []AllocRecord     `json:"live_allocations,omitempty"`
+	Freed    []AllocRecord     `json:"freed_allocations,omitempty"`
+	Reports  []Report          `json:"reports,omitempty"`
 }
 
 // Snapshot captures the full recorder state. hz is the simulated clock
@@ -159,8 +157,8 @@ func (r *Recorder) Snapshot(hz uint64) Dump {
 	return Dump{
 		Device:   r.device,
 		Hz:       hz,
-		Capacity: r.capacity,
-		Dropped:  r.dropped,
+		Capacity: r.ring.Cap(),
+		Dropped:  r.ring.Dropped(),
 		Events:   r.Events(),
 		Nodes:    nodes,
 		Live:     r.LiveAllocations(),
@@ -176,21 +174,25 @@ func (d *Dump) WriteJSON(w io.Writer) error {
 	return enc.Encode(d)
 }
 
-// ReadDump parses a dump previously written with WriteJSON.
+// ReadDump parses a dump previously written with WriteJSON. Unknown
+// fields are an error, so a dump in an older event format is refused
+// rather than misread.
 func ReadDump(rd io.Reader) (*Dump, error) {
 	var d Dump
-	if err := json.NewDecoder(rd).Decode(&d); err != nil {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("flightrec: parse dump: %w", err)
 	}
 	return &d, nil
 }
 
-// Histogram counts events per (compartment, op). Compartment "" groups
+// Histogram counts events per (compartment, kind). Compartment "" groups
 // under "(kernel)".
 func (d *Dump) Histogram() map[string]map[string]int {
 	out := make(map[string]map[string]int)
 	for _, ev := range d.Events {
-		comp := ev.Comp
+		comp := ev.To
 		if comp == "" {
 			comp = "(kernel)"
 		}
@@ -199,7 +201,7 @@ func (d *Dump) Histogram() map[string]map[string]int {
 			m = make(map[string]int)
 			out[comp] = m
 		}
-		m[ev.Op.String()]++
+		m[ev.Kind.String()]++
 	}
 	return out
 }
@@ -227,59 +229,6 @@ func (d *Dump) WriteHistogram(w io.Writer) {
 	}
 }
 
-// FormatRecord renders one record for timeline output.
-func FormatRecord(ev Record) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%12d  %-13s", ev.Cycle, ev.Op.String())
-	switch ev.Op {
-	case OpCall:
-		fmt.Fprintf(&b, " %s: %s -> %s.%s [%s]",
-			ev.Thread, ev.From, ev.Comp, ev.Entry, PostureString(ev.Arg))
-	case OpReturn:
-		fmt.Fprintf(&b, " %s: %s.%s -> %s", ev.Thread, ev.Comp, ev.Entry, ev.From)
-	case OpUnwind:
-		fmt.Fprintf(&b, " %s: unwound out of %s", ev.Thread, ev.Comp)
-	case OpTrap:
-		fmt.Fprintf(&b, " %s: %s in %s at 0x%08x", ev.Thread, ev.Detail, ev.Comp, uint32(ev.Arg))
-	case OpAlloc:
-		fmt.Fprintf(&b, " %s: %d bytes at 0x%08x (quota %q, node %d)",
-			ev.Comp, ev.Arg, uint32(ev.Arg2), ev.Detail, ev.Node)
-	case OpFree:
-		fmt.Fprintf(&b, " %s frees %d bytes at 0x%08x (owner %s)",
-			ev.From, ev.Arg, uint32(ev.Arg2), ev.Comp)
-	case OpClaim:
-		fmt.Fprintf(&b, " %s claims 0x%08x (%d bytes)", ev.Comp, uint32(ev.Arg2), ev.Arg)
-	case OpSweepStart:
-		fmt.Fprintf(&b, " epoch %d", ev.Arg)
-	case OpSweepEnd:
-		fmt.Fprintf(&b, " epoch %d (%d granules)", ev.Arg, ev.Arg2)
-	case OpFutexWait:
-		fmt.Fprintf(&b, " %s (%s) on 0x%08x", ev.Thread, ev.From, uint32(ev.Arg))
-	case OpFutexWake:
-		fmt.Fprintf(&b, " %s wakes %d on 0x%08x", ev.Comp, ev.Arg2, uint32(ev.Arg))
-	case OpLoadFiltered:
-		fmt.Fprintf(&b, " %s loaded revoked cap base=0x%08x addr=0x%08x",
-			ev.Comp, uint32(ev.Arg), uint32(ev.Arg2))
-	case OpDerive:
-		fmt.Fprintf(&b, " %s node %d <- %d (%s)", ev.Comp, ev.Node, ev.Parent, ev.Detail)
-	case OpSeal:
-		fmt.Fprintf(&b, " %s seals 0x%08x (%s)", ev.Comp, uint32(ev.Arg), ev.Detail)
-	case OpUnseal:
-		ok := "denied"
-		if ev.Arg == 1 {
-			ok = "ok"
-		}
-		fmt.Fprintf(&b, " %s for %s: %s", ev.Comp, ev.From, ok)
-	case OpReboot:
-		fmt.Fprintf(&b, " %s micro-reboot #%d", ev.Comp, ev.Arg)
-	default:
-		if ev.Comp != "" {
-			fmt.Fprintf(&b, " %s", ev.Comp)
-		}
-	}
-	return b.String()
-}
-
 // WriteReport pretty-prints one post-mortem report.
 func WriteReport(w io.Writer, rep *Report) {
 	fmt.Fprintf(w, "=== crash report #%d", rep.Seq)
@@ -300,7 +249,7 @@ func WriteReport(w io.Writer, rep *Report) {
 		fmt.Fprintf(w, "  provenance (newest first):\n")
 		for _, n := range rep.Chain {
 			fmt.Fprintf(w, "    node %-4d %-8s %-12s [0x%08x,0x%08x) %s\n",
-				n.ID, n.Op.String(), n.Comp, n.Base, n.Top, n.Note)
+				n.ID, n.Kind, n.Comp, n.Base, n.Top, n.Note)
 		}
 	}
 	if a := rep.Allocation; a != nil && !a.Live() {
@@ -314,7 +263,7 @@ func WriteReport(w io.Writer, rep *Report) {
 	if len(rep.Tail) > 0 {
 		fmt.Fprintf(w, "  last %d events:\n", len(rep.Tail))
 		for _, ev := range rep.Tail {
-			fmt.Fprintf(w, "  %s\n", FormatRecord(ev))
+			fmt.Fprintf(w, "  %s\n", ev)
 		}
 	}
 }

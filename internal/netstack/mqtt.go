@@ -195,12 +195,10 @@ func mqttPublish(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(MQTT, "publishes").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindSend,
-			From: ctx.Caller(), To: MQTT, Entry: FnMQTTPublish,
-			Arg: uint64(payloadBuf.Length())})
-	}
+	ctx.Telemetry().Counter(MQTT, "publishes").Inc()
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindSend,
+		From: ctx.Caller(), To: MQTT, Entry: FnMQTTPublish,
+		Arg: uint64(payloadBuf.Length())})
 	// Distributed tracing: a sampled publish carries its trace ID in-band
 	// (8 extra wire bytes, charged through the TLS per-byte cost model —
 	// the honest simulated price of trace context on the wire). Untraced

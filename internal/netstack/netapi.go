@@ -212,11 +212,9 @@ func netSend(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(NetAPI, "sends").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindSend,
-			From: ctx.Caller(), To: NetAPI, Arg: uint64(args[1].Cap.Length())})
-	}
+	ctx.Telemetry().Counter(NetAPI, "sends").Inc()
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindSend,
+		From: ctx.Caller(), To: NetAPI, Arg: uint64(args[1].Cap.Length())})
 	rets, err := ctx.Call(TCPIP, FnSockSend, api.W(id), args[1])
 	if err != nil {
 		return api.EV(api.ErrConnReset)
@@ -238,11 +236,9 @@ func netRecv(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(NetAPI, "recvs").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindRecv,
-			From: ctx.Caller(), To: NetAPI, Arg: uint64(args[1].Cap.Length())})
-	}
+	ctx.Telemetry().Counter(NetAPI, "recvs").Inc()
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindRecv,
+		From: ctx.Caller(), To: NetAPI, Arg: uint64(args[1].Cap.Length())})
 	rets, err := ctx.Call(TCPIP, FnSockRecv, api.W(id), args[1], args[2])
 	if err != nil {
 		return api.EV(api.ErrConnReset)

@@ -183,9 +183,8 @@ func (st *tcpipState) sendSegment(ctx api.Context, s *socket, flags uint8, data 
 	if tel := ctx.Telemetry(); tel != nil {
 		tel.Counter(TCPIP, "tx_segments").Inc()
 		tel.Histogram(TCPIP, "tx_bytes", telemetry.DefaultSizeBuckets).Observe(uint64(len(payload)))
-		tel.Emit(telemetry.Event{Kind: telemetry.KindNetTx,
-			To: TCPIP, Arg: uint64(len(payload))})
 	}
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindNetTx, To: TCPIP, Arg: uint64(len(payload))})
 	return txFrame(ctx, netproto.EncodeHeader(netproto.Header{
 		Dst: s.remoteIP, Src: st.deviceIP, Proto: s.proto,
 	}, payload))
@@ -212,9 +211,8 @@ func ipRx(ctx api.Context, args []api.Value) []api.Value {
 	if tel := ctx.Telemetry(); tel != nil {
 		tel.Counter(TCPIP, "rx_frames").Inc()
 		tel.Histogram(TCPIP, "rx_bytes", telemetry.DefaultSizeBuckets).Observe(uint64(frame.Length()))
-		tel.Emit(telemetry.Event{Kind: telemetry.KindNetRx,
-			To: TCPIP, Arg: uint64(frame.Length())})
 	}
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindNetRx, To: TCPIP, Arg: uint64(frame.Length())})
 	if frame.Length() < netproto.HeaderBytes {
 		return api.EV(api.ErrInvalid)
 	}

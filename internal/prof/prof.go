@@ -12,16 +12,12 @@
 // byte-identical profiles for the same config+seed. Every Profiler
 // method is nil-safe and allocation-free on the nil receiver, so
 // instrumented hot paths pay only a nil check when profiling is off.
+//
+// Cycles outside any compartment go to the telemetry package's
+// pseudo-domain frames (telemetry.DomainSwitcher, DomainSched,
+// DomainIdle), and the Chrome export uses its trace_event encoder;
+// telemetry imports nothing from the module, so prof can depend on it.
 package prof
-
-// Pseudo-domain labels for cycles spent outside any compartment. They
-// deliberately mirror the telemetry package's domain constants (prof is
-// a leaf package and must not import it).
-const (
-	DomainSwitcher = "<switcher>"
-	DomainSched    = "<sched>"
-	DomainIdle     = "<idle>"
-)
 
 // node is one frame in the profile trie. The root is unnamed and holds
 // no cycles; its children are threads and system pseudo-domains.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // fakeClock drives the profiler deterministically in tests.
@@ -24,25 +26,25 @@ func TestSumToClockInvariant(t *testing.T) {
 	clk := &fakeClock{c: 1000}
 	p := newProf(clk)
 	p.RegisterThread(1, "app")
-	p.System(DomainSwitcher)
+	p.System(telemetry.DomainSwitcher)
 	clk.tick(10) // switcher
-	p.Push(1, DomainSwitcher)
+	p.Push(1, telemetry.DomainSwitcher)
 	clk.tick(5) // call overlay
 	p.Pop(1)
 	p.Push(1, "comp.a")
 	clk.tick(100) // in a
-	p.Push(1, DomainSwitcher)
+	p.Push(1, telemetry.DomainSwitcher)
 	clk.tick(7) // nested call overlay
 	p.Pop(1)
 	p.Push(1, "comp.b")
 	clk.tick(50) // in b
 	p.Pop(1)
-	p.Push(1, DomainSwitcher)
+	p.Push(1, telemetry.DomainSwitcher)
 	clk.tick(3) // return zeroing
 	p.Pop(1)
 	clk.tick(25) // back in a
 	p.Pop(1)
-	p.System(DomainIdle)
+	p.System(telemetry.DomainIdle)
 	clk.tick(40) // idle
 
 	pr := p.Snapshot()
@@ -63,12 +65,12 @@ func TestSumToClockInvariant(t *testing.T) {
 		calls[f.Stack] = f.Calls
 	}
 	for stack, want := range map[string]uint64{
-		"app;comp.a":                   125,
-		"app;comp.a;comp.b":            50,
-		"app;comp.a;" + DomainSwitcher: 10, // nested overlay + return zeroing
-		"app;" + DomainSwitcher:        5,
-		DomainSwitcher:                 10,
-		DomainIdle:                     40,
+		"app;comp.a":                             125,
+		"app;comp.a;comp.b":                      50,
+		"app;comp.a;" + telemetry.DomainSwitcher: 10, // nested overlay + return zeroing
+		"app;" + telemetry.DomainSwitcher:        5,
+		telemetry.DomainSwitcher:                 10,
+		telemetry.DomainIdle:                     40,
 	} {
 		if self[stack] != want {
 			t.Errorf("self[%q] = %d, want %d", stack, self[stack], want)
@@ -90,7 +92,7 @@ func TestPopToTruncates(t *testing.T) {
 	clk.tick(10)
 	// Nested call gets as far as the switcher overlay and a callee frame,
 	// then the callee's zeroing faults and the panic escapes.
-	p.Push(1, DomainSwitcher)
+	p.Push(1, telemetry.DomainSwitcher)
 	clk.tick(4)
 	p.Push(1, "comp.b")
 	clk.tick(6)
@@ -109,8 +111,8 @@ func TestPopToTruncates(t *testing.T) {
 	if self["app;comp.a"] != 30 {
 		t.Errorf("comp.a self = %d, want 30", self["app;comp.a"])
 	}
-	if self["app;comp.a;"+DomainSwitcher+";comp.b"] != 6 {
-		t.Errorf("abandoned callee self = %d, want 6", self["app;comp.a;"+DomainSwitcher+";comp.b"])
+	if self["app;comp.a;"+telemetry.DomainSwitcher+";comp.b"] != 6 {
+		t.Errorf("abandoned callee self = %d, want 6", self["app;comp.a;"+telemetry.DomainSwitcher+";comp.b"])
 	}
 	if p.Depth(1) != 1 {
 		t.Errorf("depth = %d, want 1 (thread root)", p.Depth(1))
@@ -132,7 +134,7 @@ func TestNilProfilerZeroAlloc(t *testing.T) {
 		p.Pop(1)
 		p.PopTo(1, 0)
 		p.Activate(1)
-		p.System(DomainSwitcher)
+		p.System(telemetry.DomainSwitcher)
 		p.RegisterThread(1, "t")
 		_ = p.Depth(1)
 		_ = p.Snapshot()

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // Frame is one stack in the profile, folded-stack style: Stack is the
@@ -212,92 +214,52 @@ func max64(a, b uint64) uint64 {
 
 // chromeNode is the reconstructed tree used by the Chrome-trace writer.
 type chromeNode struct {
-	label    string
 	self     uint64
 	children map[string]*chromeNode
-	order    []string
-}
-
-func (n *chromeNode) child(label string) *chromeNode {
-	c := n.children[label]
-	if c == nil {
-		c = &chromeNode{label: label, children: map[string]*chromeNode{}}
-		n.children[label] = c
-		n.order = append(n.order, label)
-	}
-	return c
 }
 
 // WriteChromeTrace exports the profile as a Chrome trace_event file
 // (B/E slice pairs, one synthetic timeline laying the frames out by
-// inclusive weight). Load it in chrome://tracing or Perfetto.
+// inclusive weight, each frame's children before its own cycles). Load
+// it in chrome://tracing or Perfetto.
 func (p *Profile) WriteChromeTrace(w io.Writer) error {
 	root := &chromeNode{children: map[string]*chromeNode{}}
 	for _, f := range p.Frames {
 		n := root
 		for _, label := range strings.Split(f.Stack, ";") {
-			n = n.child(label)
+			c := n.children[label]
+			if c == nil {
+				c = &chromeNode{children: map[string]*chromeNode{}}
+				n.children[label] = c
+			}
+			n = c
 		}
 		n.self += f.Self
 	}
-	hz := p.Hz
-	if hz == 0 {
-		hz = 1
+	hz := max64(p.Hz, 1)
+	var trace telemetry.ChromeTrace
+	slice := func(name, ph string, cycles uint64) {
+		trace.Events = append(trace.Events, telemetry.ChromeEvent{Name: name, Cat: "prof", Ph: ph,
+			Ts: float64(cycles) * 1e6 / float64(hz), Pid: 1, Tid: 1})
 	}
-	usOf := func(cycles uint64) float64 { return float64(cycles) * 1e6 / float64(hz) }
-
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(name string, ph string, ts float64) error {
-		sep := ",\n"
-		if first {
-			sep = ""
-			first = false
+	// walk lays n's children out from start and returns where they end.
+	var walk func(n *chromeNode, start uint64) uint64
+	walk = func(n *chromeNode, start uint64) uint64 {
+		labels := make([]string, 0, len(n.children))
+		for l := range n.children {
+			labels = append(labels, l)
 		}
-		b, err := json.Marshal(name)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s{\"name\":%s,\"ph\":%q,\"ts\":%.3f,\"pid\":1,\"tid\":1,\"cat\":\"prof\"}",
-			sep, b, ph, ts)
-		return err
-	}
-	var inclusive func(n *chromeNode) uint64
-	inclusive = func(n *chromeNode) uint64 {
-		sum := n.self
-		for _, l := range n.order {
-			sum += inclusive(n.children[l])
-		}
-		return sum
-	}
-	var walk func(n *chromeNode, start uint64) error
-	walk = func(n *chromeNode, start uint64) error {
-		cursor := start
-		labels := append([]string(nil), n.order...)
 		sort.Strings(labels)
 		for _, l := range labels {
 			c := n.children[l]
-			incl := inclusive(c)
-			if err := emit(c.label, "B", usOf(cursor)); err != nil {
-				return err
-			}
-			if err := walk(c, cursor); err != nil {
-				return err
-			}
-			if err := emit(c.label, "E", usOf(cursor+incl)); err != nil {
-				return err
-			}
-			cursor += incl
+			slice(l, "B", start)
+			start = walk(c, start) + c.self
+			slice(l, "E", start)
 		}
-		return nil
+		return start
 	}
-	if err := walk(root, 0); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	walk(root, 0)
+	return trace.Write(w)
 }
 
 // Regression is one frame whose cycles grew past the diff threshold.

@@ -76,12 +76,9 @@ func (s *Sched) futexWait(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(api.OK) // the word moved: no sleep, caller re-checks
 	}
 	t := s.k.ThreadByID(ctx.ThreadID())
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(Name, "futex_waits").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindFutexWait,
-			Thread: t.Name, From: ctx.Caller(), Arg: uint64(word.Address())})
-	}
-	ctx.FlightRecorder().FutexWait(t.Name, ctx.Caller(), word.Address())
+	ctx.Telemetry().Counter(Name, "futex_waits").Inc()
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindFutexWait,
+		Thread: t.Name, From: ctx.Caller(), Arg: uint64(word.Address())})
 	w := &waiter{t: t, addrs: []uint32{word.Address()}, wokenBy: noWaker}
 	s.register(w)
 	if timeout > 0 {
@@ -116,10 +113,7 @@ func (s *Sched) futexWake(ctx api.Context, args []api.Value) []api.Value {
 	if args[1].AsWord() == ^uint32(0) {
 		n = -1
 	}
-	woken := s.wake(word.Address(), n)
-	if woken > 0 {
-		ctx.FlightRecorder().FutexWake(ctx.Caller(), word.Address(), woken)
-	}
+	woken := s.wake(word.Address(), n, ctx.Caller())
 	return []api.Value{api.W(uint32(woken))}
 }
 
@@ -185,11 +179,8 @@ func (s *Sched) sleep(ctx api.Context, args []api.Value) []api.Value {
 	}
 	n := uint64(args[0].AsWord())
 	t := s.k.ThreadByID(ctx.ThreadID())
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(Name, "sleeps").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindSleep,
-			Thread: t.Name, From: ctx.Caller(), Arg: n})
-	}
+	ctx.Telemetry().Counter(Name, "sleeps").Inc()
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindSleep, Thread: t.Name, From: ctx.Caller(), Arg: n})
 	w := &waiter{t: t, wokenBy: noWaker}
 	s.register(w)
 	s.k.Core.After(n, func() {

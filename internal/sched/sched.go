@@ -72,15 +72,6 @@ func New() *Sched {
 // SetQuantum overrides the preemption quantum (cycles).
 func (s *Sched) SetQuantum(q uint64) { s.quantum = q }
 
-// tel returns the kernel's telemetry registry (nil when disabled); every
-// handle derived from it is nil-safe.
-func (s *Sched) tel() *telemetry.Registry {
-	if s.k == nil {
-		return nil
-	}
-	return s.k.Telemetry()
-}
-
 // Attach wires the scheduler to the booted kernel and locates its
 // interrupt futex words in its globals region.
 func (s *Sched) Attach(k *switcher.Kernel) {
@@ -154,7 +145,7 @@ func (s *Sched) OnIRQ(line hw.IRQ) {
 		return
 	}
 	_ = s.k.Core.Mem.Store32(w, v+1)
-	s.wake(addr, -1)
+	s.wake(addr, -1, "")
 }
 
 // ForceWake implements switcher.Scheduler (micro-reboot step 2).
@@ -168,8 +159,9 @@ func (s *Sched) ForceWake(t *switcher.Thread) {
 }
 
 // wake wakes up to n waiters on addr (-1 = all), charging the wake cost
-// per thread. It returns the number woken.
-func (s *Sched) wake(addr uint32, n int) int {
+// and emitting one futex-wake event per thread; waker is the waking
+// compartment ("" for an interrupt). It returns the number woken.
+func (s *Sched) wake(addr uint32, n int, waker string) int {
 	q := s.futexes[addr]
 	woken := 0
 	for _, w := range q {
@@ -183,11 +175,9 @@ func (s *Sched) wake(addr uint32, n int) int {
 		s.complete(w)
 		woken++
 		s.k.Core.Tick(hw.FutexWakeCycles)
-		if tel := s.tel(); tel != nil {
-			tel.Counter(Name, "futex_wakes").Inc()
-			tel.Emit(telemetry.Event{Kind: telemetry.KindFutexWake,
-				Thread: w.t.Name, Arg: uint64(addr)})
-		}
+		s.k.Telemetry().Counter(Name, "futex_wakes").Inc()
+		s.k.Emit(telemetry.Event{Kind: telemetry.KindFutexWake,
+			Thread: w.t.Name, From: waker, Arg: uint64(addr)})
 	}
 	return woken
 }

@@ -6,9 +6,8 @@ import (
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
-	"github.com/cheriot-go/cheriot/internal/flightrec"
 	"github.com/cheriot-go/cheriot/internal/hw"
-	"github.com/cheriot-go/cheriot/internal/prof"
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // Fault is the error a compartment call returns when the callee trapped
@@ -81,15 +80,14 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	}
 	// The profiler mirrors the account choreography with a "<switcher>"
 	// overlay frame on the caller's stack for the transition work.
-	k.prof.Push(t.ID, prof.DomainSwitcher)
+	k.prof.Push(t.ID, telemetry.DomainSwitcher)
 	k.Core.Tick(hw.CallBaseCycles)
 	callerName := ""
 	if caller != nil {
 		callerName = caller.Name()
 	}
-	k.record(TraceEvent{Kind: TraceCall, Thread: t.Name,
-		From: callerName, To: target, Entry: entry})
-	k.rec.Call(t.Name, callerName, target, entry, recPosture(exp.Posture))
+	k.Emit(telemetry.Event{Kind: telemetry.KindCall, Thread: t.Name,
+		From: callerName, To: target, Entry: entry, Arg: uint64(exp.Posture)})
 
 	// Ephemeral claims last until the thread's next compartment call
 	// (§3.2.5).
@@ -138,7 +136,7 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 		k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
 	}
 	// Back to the overlay for the return-path zeroing.
-	k.prof.Swap(t.ID, prof.DomainSwitcher)
+	k.prof.Swap(t.ID, telemetry.DomainSwitcher)
 
 	// Return path: scrub callee secrets, pop the trusted-stack frame,
 	// restore the caller's stack pointer and interrupt posture.
@@ -166,27 +164,12 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	k.prof.Pop(t.ID)
 	if fault != nil {
 		k.ctrUnwinds.Inc()
-		k.record(TraceEvent{Kind: TraceUnwind, Thread: t.Name, To: target})
-		k.rec.Unwind(t.Name, target)
+		k.Emit(telemetry.Event{Kind: telemetry.KindUnwind, Thread: t.Name, To: target})
 		return nil, &Fault{Trap: fault, Compartment: target}
 	}
-	k.record(TraceEvent{Kind: TraceReturn, Thread: t.Name,
+	k.Emit(telemetry.Event{Kind: telemetry.KindReturn, Thread: t.Name,
 		From: callerName, To: target, Entry: entry})
-	k.rec.Return(t.Name, callerName, target, entry)
 	return rets, nil
-}
-
-// recPosture maps a firmware interrupt posture to the flight recorder's
-// wire codes.
-func recPosture(p firmware.Posture) uint64 {
-	switch p {
-	case firmware.PostureDisabled:
-		return flightrec.PostureDisabled
-	case firmware.PostureEnabled:
-		return flightrec.PostureEnabled
-	default:
-		return flightrec.PostureInherit
-	}
 }
 
 // runEntry invokes the entry function, converting trap panics into error
@@ -223,15 +206,8 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 		// transition; truncate back to this entry's own frame.
 		k.prof.PopTo(t.ID, profDepth)
 		k.ctrTraps.Inc()
-		k.record(TraceEvent{Kind: TraceTrap, Thread: t.Name,
-			To: callee.Name(), Detail: fault.Code.String()})
-		if fault.Code != hw.TrapForcedUnwind {
-			// Snapshot the black box into a post-mortem report: the
-			// forced-unwind case is the switcher evicting the thread, not a
-			// capability fault, so it gets no report of its own.
-			k.rec.Fault(t.Name, callee.Name(), exp.Name, fault.Addr,
-				fault.Code.String(), fault.Detail, fault.Cap)
-		}
+		k.emit(telemetry.Event{Kind: telemetry.KindTrap, Thread: t.Name, To: callee.Name(),
+			Entry: exp.Name, Detail: fault.Code.String(), Arg: uint64(fault.Addr)}, fault)
 		// A forced unwind (micro-reboot) always tears the thread out; the
 		// handler must not intercept it.
 		if fault.Code == hw.TrapForcedUnwind {

@@ -5,7 +5,6 @@ import (
 
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
-	"github.com/cheriot-go/cheriot/internal/flightrec"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
@@ -57,9 +56,8 @@ func (c *ctx) Compartment() string { return c.comp.Name() }
 // telemetry is disabled.
 func (c *ctx) Telemetry() *telemetry.Registry { return c.k.tel }
 
-// FlightRecorder implements api.Context. The recorder's methods are
-// nil-safe, so compartment code records unconditionally.
-func (c *ctx) FlightRecorder() *flightrec.Recorder { return c.k.rec }
+// Emit implements api.Context.
+func (c *ctx) Emit(ev telemetry.Event) uint32 { return c.k.Emit(ev) }
 
 // Caller implements api.Context, reading the trusted stack.
 func (c *ctx) Caller() string {
@@ -213,12 +211,15 @@ func (c *ctx) StackAlloc(n uint32) cap.Capability {
 	at := c.t.stackCap.WithAddress(base)
 	buf, err := at.SetBounds(n)
 	c.trapIf(err, at)
-	if rec := c.k.rec; rec.Enabled() {
+	if c.k.rec != nil {
+		// Only the recorder keeps provenance: skip building the root's
+		// note without it.
 		if c.t.stackNode == 0 {
-			c.t.stackNode = rec.Root(c.comp.Name(),
-				c.t.stack.Base, c.t.stack.Top(), "stack "+c.t.Name)
+			c.t.stackNode = c.k.Emit(telemetry.Event{Kind: telemetry.KindRoot, To: c.comp.Name(),
+				Detail: "stack " + c.t.Name, Arg: uint64(c.t.stack.Base), Arg2: uint64(c.t.stack.Top())})
 		}
-		rec.Derive(c.t.stackNode, c.comp.Name(), buf, "stack_alloc")
+		c.k.Emit(telemetry.Event{Kind: telemetry.KindDerive, To: c.comp.Name(), Detail: "stack_alloc",
+			Parent: c.t.stackNode, Arg: uint64(buf.Base()), Arg2: uint64(buf.Top())})
 	}
 	return buf
 }

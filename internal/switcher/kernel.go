@@ -86,15 +86,10 @@ type Kernel struct {
 	// used. Isolation is preserved; only redundant zeroing is elided.
 	lazyZeroing bool
 
-	// ring, when enabled, records kernel events (debug utilities). When
-	// telemetry is enabled it is the registry's ring, so kernel events and
-	// allocator/scheduler/netstack events interleave in one timeline.
-	ring *telemetry.Ring
-
 	// tel, when non-nil, is the unified telemetry registry: per-compartment
 	// cycle accounts (swapped into the clock at every domain transition),
-	// kernel counters, and the shared event ring. All handles below are
-	// nil-safe, so the disabled path is a single k.tel == nil check.
+	// kernel counters, and the trace ring Emit feeds. All handles below
+	// are nil-safe, so the disabled path is a single k.tel == nil check.
 	tel         *telemetry.Registry
 	telSwitcher *telemetry.CycleAccount // "<switcher>" pseudo-domain
 	telSched    *telemetry.CycleAccount // "<sched>" pseudo-domain
@@ -106,9 +101,8 @@ type Kernel struct {
 	ctrPreempts *telemetry.Counter
 
 	// rec, when non-nil, is the flight recorder: the always-on black box
-	// capturing calls, traps, allocations, and provenance for post-mortem
-	// forensics. All flightrec methods are nil-safe, so instrumented
-	// paths pay only the nil check when recording is disabled.
+	// Emit feeds with calls, traps, allocations, and provenance for
+	// post-mortem forensics.
 	rec *flightrec.Recorder
 
 	// prof, when non-nil, is the cycle-exact call-stack profiler: the
@@ -270,7 +264,6 @@ func (k *Kernel) EnableTelemetry(r *telemetry.Registry) {
 		}
 		return
 	}
-	r.SetNow(k.Core.Clock.Cycles)
 	r.SetBase(k.Core.Clock.Cycles())
 	k.telSwitcher = r.Account(telemetry.DomainSwitcher)
 	k.telSched = r.Account(telemetry.DomainSched)
@@ -285,11 +278,6 @@ func (k *Kernel) EnableTelemetry(r *telemetry.Registry) {
 	}
 	for _, t := range k.threads {
 		t.acct = r.ThreadAccount(t.Name)
-	}
-	if ring := r.Ring(); ring != nil {
-		k.ring = ring
-	} else if k.ring != nil {
-		r.AttachRing(k.ring)
 	}
 	// Until the first dispatch, time belongs to the switcher.
 	k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
@@ -313,8 +301,8 @@ func (k *Kernel) EnableProfiler(p *prof.Profiler) {
 		k.profSw, k.profSched = prof.SysRef{}, prof.SysRef{}
 		return
 	}
-	k.profSw = p.SysFrame(prof.DomainSwitcher)
-	k.profSched = p.SysFrame(prof.DomainSched)
+	k.profSw = p.SysFrame(telemetry.DomainSwitcher)
+	k.profSched = p.SysFrame(telemetry.DomainSched)
 	for _, t := range k.threads {
 		p.RegisterThread(t.ID, t.Name)
 		for i := range t.frames {
@@ -324,7 +312,7 @@ func (k *Kernel) EnableProfiler(p *prof.Profiler) {
 	}
 	// Until the first dispatch, time belongs to the switcher — the same
 	// convention EnableTelemetry establishes for the cycle accounts.
-	p.System(prof.DomainSwitcher)
+	p.System(telemetry.DomainSwitcher)
 }
 
 // Profiler returns the attached profiler, or nil when disabled.
@@ -343,15 +331,35 @@ func (k *Kernel) profLabel(c *Comp, exp *firmware.Export) string {
 	return s
 }
 
-// EnableFlightRecorder attaches a flight recorder; the kernel stamps its
-// events from the cycle clock. Pass nil to detach.
-func (k *Kernel) EnableFlightRecorder(r *flightrec.Recorder) {
-	k.rec = r
-	r.SetNow(k.Core.Clock.Cycles)
-}
+// EnableFlightRecorder attaches a flight recorder as Emit's second sink.
+// Pass nil to detach.
+func (k *Kernel) EnableFlightRecorder(r *flightrec.Recorder) { k.rec = r }
 
 // FlightRecorder returns the attached recorder, or nil when disabled.
 func (k *Kernel) FlightRecorder() *flightrec.Recorder { return k.rec }
+
+// Emit is the kernel's one event entry point; compartments reach it
+// through api.Context. It stamps ev with the current cycle and hands it
+// to whichever sinks are attached: the telemetry registry's trace ring
+// keeps the kinds it traces (telemetry.Kind.Traced), and the flight
+// recorder decides what it keeps. It returns the provenance node the
+// recorder assigned (see flightrec.Recorder.Record), or 0. With no sink
+// attached it costs two nil checks and never touches simulated time.
+func (k *Kernel) Emit(ev telemetry.Event) uint32 { return k.emit(ev, nil) }
+
+// emit is Emit with the cause of a trap event, which the recorder
+// reports (nil for every other kind).
+func (k *Kernel) emit(ev telemetry.Event, cause *hw.Trap) uint32 {
+	ring := k.tel.Ring()
+	if ring == nil && k.rec == nil {
+		return 0
+	}
+	ev.Cycle = k.Core.Clock.Cycles()
+	if ev.Kind.Traced() {
+		ring.Record(ev)
+	}
+	return k.rec.Record(ev, cause)
+}
 
 // tickAs charges n cycles to the given pseudo-domain — the telemetry
 // account and the matching profiler frame (dom) — instead of whatever
@@ -457,7 +465,7 @@ func (k *Kernel) dispatch() (*Thread, error) {
 			if deadline, ok := k.Core.NextEvent(); ok {
 				before := k.Core.Clock.Cycles()
 				if k.prof != nil {
-					k.prof.System(prof.DomainIdle)
+					k.prof.System(telemetry.DomainIdle)
 				}
 				if k.tel != nil {
 					// Idle time belongs to no thread and to the "<idle>"
@@ -492,7 +500,7 @@ func (k *Kernel) dispatch() (*Thread, error) {
 			k.tickAs(k.telSwitcher, k.profSw, hw.ContextRestoreCycles)
 			k.switchCount++
 			k.ctrSwitches.Inc()
-			k.record(TraceEvent{Kind: TraceSwitch, Thread: t.Name})
+			k.Emit(telemetry.Event{Kind: telemetry.KindSwitch, Thread: t.Name})
 		}
 		t.state = StateRunning
 		t.sliceEnd = k.Core.Clock.Cycles() + k.sched.Quantum()

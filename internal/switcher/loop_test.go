@@ -119,7 +119,7 @@ func recoverRun(s *core.System, stop func() bool) (panicked interface{}, err err
 // parks until it is picked.
 func TestRunSlicedMatchesWhole(t *testing.T) {
 	whole := boot(t, loopImage())
-	whole.Kernel.EnableTrace(4096)
+	whole.EnableTelemetry(4096)
 	run(t, whole)
 	if st := whole.Kernel.Stats(); st.ContextSwitches < 50 || st.IdleCycles == 0 {
 		t.Fatalf("workload too tame to cover the loop: %+v", st)
@@ -128,7 +128,7 @@ func TestRunSlicedMatchesWhole(t *testing.T) {
 	for _, step := range []uint64{1, 7_777, 100_003, 1_000_000} {
 		t.Run(fmt.Sprintf("every%d", step), func(t *testing.T) {
 			s := boot(t, loopImage())
-			s.Kernel.EnableTrace(4096)
+			s.EnableTelemetry(4096)
 			slices := 0
 			for {
 				slices++
@@ -152,7 +152,7 @@ func TestRunSlicedMatchesWhole(t *testing.T) {
 			if got, want := s.Kernel.Stats(), whole.Kernel.Stats(); got != want {
 				t.Errorf("stats = %+v, want %+v", got, want)
 			}
-			if got, want := s.Kernel.Trace(), whole.Kernel.Trace(); !reflect.DeepEqual(got, want) {
+			if got, want := s.Telemetry().Ring().Events(), whole.Telemetry().Ring().Events(); !reflect.DeepEqual(got, want) {
 				t.Errorf("trace ring differs: %d events, want %d", len(got), len(want))
 			}
 		})

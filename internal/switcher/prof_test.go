@@ -10,6 +10,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/prof"
 	"github.com/cheriot-go/cheriot/internal/sched"
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // profFrames indexes a profile by folded stack.
@@ -98,7 +99,7 @@ func TestProfilerCallChain(t *testing.T) {
 	}
 	// The switcher's transition work (call overlay, stack zeroing) folds
 	// under the caller, not into the callee's self time.
-	if fr["t;main.main;svc.work;"+prof.DomainSwitcher].Self == 0 {
+	if fr["t;main.main;svc.work;"+telemetry.DomainSwitcher].Self == 0 {
 		t.Error("no switcher overlay cycles under svc.work (nested call transitions)")
 	}
 	// Snapshot is idempotent at the same clock.

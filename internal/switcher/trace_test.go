@@ -8,7 +8,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
-	"github.com/cheriot-go/cheriot/internal/switcher"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
@@ -42,10 +41,10 @@ func TestKernelTrace(t *testing.T) {
 	img.AddThread(&firmware.Thread{Name: "t", Compartment: "main", Entry: "main",
 		Priority: 1, StackSize: 2048, TrustedStackFrames: 8})
 	s := boot(t, img)
-	s.Kernel.EnableTrace(64)
+	s.EnableTelemetry(64)
 	run(t, s)
 
-	events := s.Kernel.Trace()
+	events := s.Telemetry().Ring().Events()
 	if len(events) == 0 {
 		t.Fatal("no trace recorded")
 	}
@@ -53,17 +52,17 @@ func TestKernelTrace(t *testing.T) {
 	var story []string
 	for _, e := range events {
 		switch e.Kind {
-		case switcher.TraceCall:
+		case telemetry.KindCall:
 			if e.To == "svc" {
 				story = append(story, "call:"+e.Entry)
 			}
-		case switcher.TraceReturn:
+		case telemetry.KindReturn:
 			if e.To == "svc" {
 				story = append(story, "return:"+e.Entry)
 			}
-		case switcher.TraceTrap:
+		case telemetry.KindTrap:
 			story = append(story, "trap:"+e.Detail)
-		case switcher.TraceUnwind:
+		case telemetry.KindUnwind:
 			story = append(story, "unwind:"+e.To)
 		}
 	}
@@ -111,9 +110,9 @@ func TestTraceRingWraps(t *testing.T) {
 	img.AddThread(&firmware.Thread{Name: "t", Compartment: "main", Entry: "main",
 		Priority: 1, StackSize: 1024, TrustedStackFrames: 4})
 	s := boot(t, img)
-	s.Kernel.EnableTrace(16)
+	reg := s.EnableTelemetry(16)
 	run(t, s)
-	events := s.Kernel.Trace()
+	events := reg.Ring().Events()
 	if len(events) != 16 {
 		t.Fatalf("ring holds %d events, want capacity 16", len(events))
 	}
@@ -125,37 +124,41 @@ func TestTraceRingWraps(t *testing.T) {
 	// The wrap is not silent: the ring reports how much history it lost.
 	// 50 calls produce at least 100 call/return events, of which 16 are
 	// held, so at least 84 must be counted as dropped.
-	if dropped := s.Kernel.TraceDropped(); dropped < 84 {
-		t.Fatalf("TraceDropped() = %d, want >= 84", dropped)
+	if dropped := reg.Ring().Dropped(); dropped < 84 {
+		t.Fatalf("Dropped() = %d, want >= 84", dropped)
 	}
 
 	// Re-enabling resets both the events and the drop count.
-	s.Kernel.EnableTrace(16)
-	if got := s.Kernel.Trace(); len(got) != 0 {
+	reg.EnableTrace(16)
+	if got := reg.Ring().Events(); len(got) != 0 {
 		t.Fatalf("re-EnableTrace kept %d stale events", len(got))
 	}
-	if d := s.Kernel.TraceDropped(); d != 0 {
+	if d := reg.Ring().Dropped(); d != 0 {
 		t.Fatalf("re-EnableTrace kept drop count %d", d)
 	}
 }
 
+// TestTraceKindStringsExhaustive: every event kind renders and has a
+// layer, and a call event's posture, which the kernel copies from the
+// export's firmware.Posture, renders as that posture.
 func TestTraceKindStringsExhaustive(t *testing.T) {
-	// Every trace kind — the original five switcher kinds and the telemetry
-	// layer's allocator/scheduler/netstack additions — must render and
-	// classify; "?" is reserved for out-of-range values.
-	for k := switcher.TraceKind(0); k < telemetry.KindCount; k++ {
-		if k.String() == "?" || k.String() == "" {
-			t.Errorf("TraceKind(%d) has no String rendering", k)
+	for k := telemetry.Kind(0); k < telemetry.KindCount; k++ {
+		if k.String() == "?" || k.Layer() == "?" {
+			t.Errorf("Kind(%d) = %q has no rendering or layer", k, k)
 		}
-		if k.Layer() == "?" || k.Layer() == "" {
-			t.Errorf("TraceKind(%d) = %q has no layer", k, k)
-		}
-		ev := switcher.TraceEvent{Cycle: 1, Kind: k, Thread: "t", From: "a", To: "b", Entry: "e"}
-		if s := ev.String(); strings.HasSuffix(s, "?") {
+		ev := telemetry.Event{Cycle: 1, Kind: k, Thread: "t", From: "a", To: "b", Entry: "e"}
+		if s := ev.String(); strings.Contains(s, "?") {
 			t.Errorf("event with kind %q renders as %q", k, s)
 		}
 	}
-	if telemetry.KindCount.String() != "?" {
-		t.Error("out-of-range kind must render as ?")
+	for p, want := range map[firmware.Posture]string{
+		firmware.PostureInherit:  "irq-inherit",
+		firmware.PostureEnabled:  "irq-enabled",
+		firmware.PostureDisabled: "irq-disabled",
+	} {
+		ev := telemetry.Event{Kind: telemetry.KindCall, Arg: uint64(p)}
+		if s := ev.String(); !strings.HasSuffix(s, "["+want+"]") {
+			t.Errorf("call with posture %v renders as %q, want [%s]", p, s, want)
+		}
 	}
 }

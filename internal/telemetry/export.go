@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // AccountSnapshot is one row of the cycle-attribution table.
@@ -208,136 +207,4 @@ func (s Snapshot) WriteTable(w io.Writer) {
 	if s.TraceEvents > 0 || s.TraceDropped > 0 {
 		fmt.Fprintf(w, "\ntrace: %d events held, %d dropped\n", s.TraceEvents, s.TraceDropped)
 	}
-}
-
-// chromeEvent is one record of the Chrome trace_event format. Only the
-// fields chrome://tracing and Perfetto need are emitted.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent  `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	OtherData       map[string]any `json:"otherData,omitempty"`
-}
-
-// WriteChromeTrace exports the event ring in the Chrome trace_event JSON
-// format, loadable in chrome://tracing and Perfetto. Compartment calls and
-// returns become nested duration (B/E) slices per thread; everything else
-// becomes an instant event. Timestamps are microseconds at the registry's
-// clock frequency.
-func (r *Registry) WriteChromeTrace(w io.Writer) error {
-	if r == nil {
-		return fmt.Errorf("telemetry: nil registry")
-	}
-	hz := r.hz
-	if hz == 0 {
-		hz = 1_000_000 // degrade gracefully: 1 cycle == 1 us
-	}
-	toUs := func(cycles uint64) float64 { return float64(cycles) * 1e6 / float64(hz) }
-
-	tids := map[string]int{}
-	tid := func(thread string) int {
-		if thread == "" {
-			thread = "<kernel>"
-		}
-		id, ok := tids[thread]
-		if !ok {
-			id = len(tids) + 1
-			tids[thread] = id
-		}
-		return id
-	}
-
-	events := r.ring.Events()
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{
-		{Name: "process_name", Ph: "M", Pid: 1,
-			Args: map[string]any{"name": "cheriot-sim"}},
-	}}
-	// Open B/E nesting per thread so a truncated ring (events dropped at
-	// the front) still yields balanced slices: unmatched returns are
-	// skipped, unmatched calls are closed at the last event's time.
-	depth := map[int]int{}
-	var last uint64
-	for _, e := range events {
-		if e.Cycle > last {
-			last = e.Cycle
-		}
-		t := tid(e.Thread)
-		switch e.Kind {
-		case KindCall:
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: e.To + "." + e.Entry, Cat: e.Kind.Layer(), Ph: "B",
-				Ts: toUs(e.Cycle), Pid: 1, Tid: t,
-				Args: map[string]any{"from": e.From},
-			})
-			depth[t]++
-		case KindReturn, KindUnwind:
-			if depth[t] == 0 {
-				continue // call fell off the wrapped ring
-			}
-			depth[t]--
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: e.To + "." + e.Entry, Cat: e.Kind.Layer(), Ph: "E",
-				Ts: toUs(e.Cycle), Pid: 1, Tid: t,
-				Args: map[string]any{"unwound": e.Kind == KindUnwind},
-			})
-		default:
-			name := e.Kind.String()
-			if e.Detail != "" {
-				name += " " + e.Detail
-			}
-			args := map[string]any{}
-			if e.To != "" {
-				args["compartment"] = e.To
-			}
-			if e.Arg != 0 {
-				args["arg"] = e.Arg
-			}
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: name, Cat: e.Kind.Layer(), Ph: "i",
-				Ts: toUs(e.Cycle), Pid: 1, Tid: t, Scope: "t", Args: args,
-			})
-		}
-	}
-	// Close slices left open by the ring's bounded capacity (in tid order,
-	// so the output is deterministic).
-	openTids := make([]int, 0, len(depth))
-	for t := range depth {
-		openTids = append(openTids, t)
-	}
-	sort.Ints(openTids)
-	for _, t := range openTids {
-		for d := depth[t]; d > 0; d-- {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "(truncated)", Cat: "kernel", Ph: "E",
-				Ts: toUs(last), Pid: 1, Tid: t,
-			})
-		}
-	}
-	// Name the threads for the trace viewer's left rail (in tid order, so
-	// the output is deterministic).
-	byID := make([]string, len(tids)+1)
-	for name, id := range tids {
-		byID[id] = name
-	}
-	for id := 1; id < len(byID); id++ {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: id,
-			Args: map[string]any{"name": byID[id]},
-		})
-	}
-	if d := r.ring.Dropped(); d > 0 {
-		out.OtherData = map[string]any{"dropped_events": d}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
 }

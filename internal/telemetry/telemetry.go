@@ -1,7 +1,10 @@
 // Package telemetry is the unified observability layer of the simulated
 // platform: typed counters, gauges, and fixed-bucket histograms keyed by
 // (compartment, metric); per-compartment and per-thread cycle accounting;
-// and a bounded event trace generalizing the switcher's kernel ring.
+// the platform's one event vocabulary (Kind, Event) and its bounded ring,
+// which backs both the kernel trace and the flight recorder; and the
+// one Chrome trace_event encoder the trace, profile and span exporters
+// share.
 //
 // Design constraints, in order:
 //
@@ -221,7 +224,6 @@ type Registry struct {
 	ring *Ring
 
 	hz   uint64
-	now  func() uint64
 	base uint64 // clock cycles already spent when accounting was armed
 }
 
@@ -244,14 +246,6 @@ func (r *Registry) Hz() uint64 {
 		return 0
 	}
 	return r.hz
-}
-
-// SetNow installs the cycle source used to timestamp trace events
-// (typically hw.Clock.Cycles).
-func (r *Registry) SetNow(now func() uint64) {
-	if r != nil {
-		r.now = now
-	}
 }
 
 // SetBase records the cycles already on the clock when cycle accounting
@@ -391,7 +385,8 @@ func sortedAccounts(m map[string]*CycleAccount) []*CycleAccount {
 }
 
 // EnableTrace attaches an event ring of the given capacity (replacing any
-// existing one). Capacity <= 0 detaches the ring.
+// existing one, events and drop count included). Capacity <= 0 detaches
+// the ring.
 func (r *Registry) EnableTrace(capacity int) {
 	if r == nil {
 		return
@@ -403,33 +398,13 @@ func (r *Registry) EnableTrace(capacity int) {
 	r.ring = NewRing(capacity)
 }
 
-// AttachRing installs an externally-created ring, sharing it with another
-// owner (the kernel's EnableTrace shim uses it to keep the switcher-level
-// and telemetry-level views one ring).
-func (r *Registry) AttachRing(ring *Ring) {
-	if r != nil {
-		r.ring = ring
-	}
-}
-
-// Ring returns the attached event ring, or nil.
+// Ring returns the attached event ring, or nil. The kernel records the
+// events of the kinds the trace holds into it (see Kind.Traced).
 func (r *Registry) Ring() *Ring {
 	if r == nil {
 		return nil
 	}
 	return r.ring
-}
-
-// Emit records an event in the attached ring, stamping the current cycle
-// if the event does not carry one. No-op without a ring (one nil check).
-func (r *Registry) Emit(ev Event) {
-	if r == nil || r.ring == nil {
-		return
-	}
-	if ev.Cycle == 0 && r.now != nil {
-		ev.Cycle = r.now()
-	}
-	r.ring.Record(ev)
 }
 
 // sortedKeys returns map keys ordered by (compartment, metric) so exports

@@ -15,7 +15,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Histogram("a", "b", DefaultSizeBuckets).Observe(7)
 	r.Account("a").Slot()
 	r.ThreadAccount("t")
-	r.Emit(Event{Kind: KindMark})
+	r.Ring().Record(Event{Kind: KindSwitch})
 	r.EnableTrace(8)
 	if r.AttributedCycles() != 0 || r.Ring() != nil || r.Hz() != 0 {
 		t.Fatal("nil registry must read as empty")
@@ -87,7 +87,7 @@ func TestCycleAccounts(t *testing.T) {
 func TestRingWrapAndDropCount(t *testing.T) {
 	ring := NewRing(4)
 	for i := 0; i < 10; i++ {
-		ring.Record(Event{Cycle: uint64(i + 1), Kind: KindMark})
+		ring.Record(Event{Cycle: uint64(i + 1), Kind: KindSwitch})
 	}
 	evs := ring.Events()
 	if len(evs) != 4 {
@@ -104,10 +104,21 @@ func TestRingWrapAndDropCount(t *testing.T) {
 	}
 }
 
+// TestKindStringsExhaustive keeps the one event vocabulary complete:
+// every kind renders, uniquely, parses back, has a layer, and renders as
+// an event without falling through.
 func TestKindStringsExhaustive(t *testing.T) {
+	seen := make(map[string]Kind)
 	for k := Kind(0); k < KindCount; k++ {
 		if k.String() == "?" || k.String() == "" {
 			t.Errorf("Kind(%d) has no String rendering", k)
+		}
+		if prev, dup := seen[k.String()]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, k)
+		}
+		seen[k.String()] = k
+		if got := KindFromString(k.String()); got != k {
+			t.Errorf("KindFromString(%q) = %d, want %d", k, got, k)
 		}
 		if k.Layer() == "?" || k.Layer() == "" {
 			t.Errorf("Kind(%d) = %q has no Layer", k, k)
@@ -121,6 +132,25 @@ func TestKindStringsExhaustive(t *testing.T) {
 	if KindCount.String() != "?" || KindCount.Layer() != "?" {
 		t.Error("out-of-range kinds must render as ?")
 	}
+	if KindFromString("no-such-kind") != KindCount {
+		t.Error("KindFromString should return KindCount for unknown names")
+	}
+	// Provenance roots keep their historical rendering.
+	if KindRoot.String() != "none" {
+		t.Errorf("KindRoot renders %q, want none", KindRoot)
+	}
+}
+
+// TestPostureString covers the call-posture rendering of call events.
+func TestPostureString(t *testing.T) {
+	for p, want := range map[uint64]string{
+		PostureInherit: "irq-inherit", PostureEnabled: "irq-enabled", PostureDisabled: "irq-disabled",
+	} {
+		ev := Event{Kind: KindCall, Thread: "t", From: "a", To: "b", Entry: "e", Arg: p}
+		if got := ev.String(); !strings.HasSuffix(got, "["+want+"]") {
+			t.Errorf("posture %d renders %q, want [%s]", p, got, want)
+		}
+	}
 }
 
 func TestSnapshotAndJSON(t *testing.T) {
@@ -132,7 +162,7 @@ func TestSnapshotAndJSON(t *testing.T) {
 	*r.Account("app").Slot() += 10
 	*r.ThreadAccount("t0").Slot() += 10
 	r.EnableTrace(8)
-	r.Emit(Event{Cycle: 42, Kind: KindNetRx, To: "tcpip", Arg: 60})
+	r.Ring().Record(Event{Cycle: 42, Kind: KindNetRx, To: "tcpip", Arg: 60})
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -164,11 +194,11 @@ func TestSnapshotAndJSON(t *testing.T) {
 func TestChromeTraceExport(t *testing.T) {
 	r := NewRegistry(33_000_000)
 	r.EnableTrace(64)
-	r.Emit(Event{Cycle: 100, Kind: KindSwitch, Thread: "t0"})
-	r.Emit(Event{Cycle: 200, Kind: KindCall, Thread: "t0", From: "app", To: "alloc", Entry: "heap_allocate"})
-	r.Emit(Event{Cycle: 300, Kind: KindAlloc, Thread: "t0", To: "app", Arg: 64})
-	r.Emit(Event{Cycle: 400, Kind: KindReturn, Thread: "t0", From: "app", To: "alloc", Entry: "heap_allocate"})
-	r.Emit(Event{Cycle: 500, Kind: KindNetTx, Thread: "t0", To: "tcpip", Arg: 128})
+	r.Ring().Record(Event{Cycle: 100, Kind: KindSwitch, Thread: "t0"})
+	r.Ring().Record(Event{Cycle: 200, Kind: KindCall, Thread: "t0", From: "app", To: "alloc", Entry: "heap_allocate"})
+	r.Ring().Record(Event{Cycle: 300, Kind: KindAlloc, Thread: "t0", To: "app", Arg: 64})
+	r.Ring().Record(Event{Cycle: 400, Kind: KindReturn, Thread: "t0", From: "app", To: "alloc", Entry: "heap_allocate"})
+	r.Ring().Record(Event{Cycle: 500, Kind: KindNetTx, Thread: "t0", To: "tcpip", Arg: 128})
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -218,11 +248,11 @@ func TestChromeTraceBalancesTruncatedRing(t *testing.T) {
 	r.EnableTrace(3)
 	// The call event falls off the ring; its return survives. The export
 	// must skip the unmatched E and close any dangling B.
-	r.Emit(Event{Cycle: 1, Kind: KindCall, Thread: "t0", To: "a", Entry: "x"})
-	r.Emit(Event{Cycle: 2, Kind: KindCall, Thread: "t0", To: "b", Entry: "y"})
-	r.Emit(Event{Cycle: 3, Kind: KindReturn, Thread: "t0", To: "b", Entry: "y"})
-	r.Emit(Event{Cycle: 4, Kind: KindReturn, Thread: "t0", To: "a", Entry: "x"})
-	r.Emit(Event{Cycle: 5, Kind: KindCall, Thread: "t0", To: "c", Entry: "z"})
+	r.Ring().Record(Event{Cycle: 1, Kind: KindCall, Thread: "t0", To: "a", Entry: "x"})
+	r.Ring().Record(Event{Cycle: 2, Kind: KindCall, Thread: "t0", To: "b", Entry: "y"})
+	r.Ring().Record(Event{Cycle: 3, Kind: KindReturn, Thread: "t0", To: "b", Entry: "y"})
+	r.Ring().Record(Event{Cycle: 4, Kind: KindReturn, Thread: "t0", To: "a", Entry: "x"})
+	r.Ring().Record(Event{Cycle: 5, Kind: KindCall, Thread: "t0", To: "c", Entry: "z"})
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {

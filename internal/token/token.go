@@ -10,6 +10,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // Name is the token API's compartment name.
@@ -77,17 +78,17 @@ func (t *Token) unseal(ctx api.Context, args []api.Value) []api.Value {
 	// The object must be sealed with the token API's hardware type.
 	obj, err := sobj.Unseal(hwAuthority)
 	if err != nil {
-		ctx.FlightRecorder().Unseal(Name, ctx.Caller(), false)
+		emitUnseal(ctx, false)
 		return api.EV(api.ErrInvalid)
 	}
 	// The header stores the virtual type; it must match the key.
 	header := obj.WithAddress(obj.Base())
 	vt := ctx.Load32(header)
 	if vt != key.Address() {
-		ctx.FlightRecorder().Unseal(Name, ctx.Caller(), false)
+		emitUnseal(ctx, false)
 		return api.EV(api.ErrNotPermitted)
 	}
-	ctx.FlightRecorder().Unseal(Name, ctx.Caller(), true)
+	emitUnseal(ctx, true)
 	payload, err := obj.WithAddress(obj.Base() + 8).SetBounds(obj.Length() - 8)
 	if err != nil {
 		return api.EV(api.ErrInvalid)
@@ -103,8 +104,18 @@ func (t *Token) keyNew(ctx api.Context, args []api.Value) []api.Value {
 	vt := t.nextType
 	t.nextType++
 	key := cap.New(vt, vt+1, vt, cap.PermSeal|cap.PermUnseal)
-	ctx.FlightRecorder().Seal(Name, key, "token_key_new")
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindSeal, To: Name, Detail: "token_key_new", Arg: uint64(key.Base())})
 	return []api.Value{api.W(uint32(api.OK)), api.C(key)}
+}
+
+// emitUnseal records an unsealing attempt by the caller; ok reports
+// whether the key matched.
+func emitUnseal(ctx api.Context, ok bool) {
+	ev := telemetry.Event{Kind: telemetry.KindUnseal, From: ctx.Caller(), To: Name}
+	if ok {
+		ev.Arg = 1
+	}
+	ctx.Emit(ev)
 }
 
 // LibName is the token fast-path shared library. Unsealing is frequent

@@ -24,8 +24,10 @@ go test -race ./...
 echo "== kernel loop on thread goroutines (race, 10 runs) =="
 # A yielding thread runs the kernel loop on its own goroutine and hands
 # the core straight to the next thread; repeat the switcher, scheduler
-# and multi-System tests to shake out hand-off races.
-go test -race -count=10 ./internal/switcher/ ./internal/sched/ ./internal/core/
+# and multi-System tests, and the case-study stream pins that run with
+# both event sinks on, to shake out hand-off races.
+go test -race -count=10 ./internal/switcher/ ./internal/sched/ ./internal/core/ \
+	./internal/iotapp/
 echo "ok"
 
 echo "== session-TTL reaping lockstep = parallel (race) =="
@@ -103,6 +105,8 @@ dumpdir=$(mktemp -d)
 go run ./cmd/cheriot-fleet -devices 4 -duration 16s -lockstep \
 	-flightrec 512 -pod 13s -dump-dir "$dumpdir" >/dev/null 2>&1
 go run ./cmd/cheriot-inspect "$dumpdir"/device-*.json >/dev/null
+go run ./cmd/cheriot-inspect -timeline "$dumpdir"/device-*.json >/dev/null
+go run ./cmd/cheriot-inspect -chrome "$dumpdir/trace.json" "$dumpdir"/device-*.json 2>/dev/null
 rm -rf "$dumpdir"
 echo "ok"
 
