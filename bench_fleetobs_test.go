@@ -6,7 +6,7 @@
 //
 //  1. Disabled-but-armed tracing (ObsSample < 0) is free in simulated
 //     time — the Summary is byte-identical to a run with Obs off — and
-//     cheap in host time (≤1.10x wall clock).
+//     cheap in host time (median per-pair wall-clock ratio ≤1.10x).
 //  2. Full tracing across an 8-shard cloud yields the per-shard
 //     publish→deliver latency table recorded in BENCH_fleetobs.json.
 //
@@ -16,6 +16,7 @@ package cheriot_test
 import (
 	"encoding/json"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -49,6 +50,12 @@ func BenchmarkFleetObsOverhead(b *testing.B) {
 	}
 }
 
+// medianWall returns the median of walls; it sorts walls in place.
+func medianWall(walls []time.Duration) time.Duration {
+	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
+	return walls[len(walls)/2]
+}
+
 // TestBenchFleetObsJSON measures the disabled-tracing overhead and the
 // traced 8-shard latency table, records both in BENCH_fleetobs.json,
 // and enforces the zero-sim-cost and ≤1.10x host-time contracts.
@@ -56,38 +63,47 @@ func TestBenchFleetObsJSON(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock contract is meaningless under the race detector")
 	}
-	const reps = 5
+	const pairs, reps = 31, 5
 
 	probeKnobs := func(c *fleet.Config) { c.Obs, c.ObsSample = true, -1 }
 	tracedKnobs := func(c *fleet.Config) { c.Obs, c.CloudShards = true, 8 }
 
 	// Warm up allocator and page cache so neither mode pays first-run
-	// costs, then interleave base/probe runs: host-load drift hits both
-	// modes equally and the min-of-reps ratio stays honest on small
-	// workloads.
+	// costs. The workload is only 50-90 ms of wall clock, so one run
+	// swings by 10-20% with host load and a single lucky run decides a
+	// min-of-runs ratio. The gate is therefore the median of per-pair
+	// probe/baseline ratios: each pair runs back to back so host drift
+	// hits both halves, the order alternates so neither mode always
+	// runs second, and a GC before every run keeps one run's garbage out
+	// of the next one's time.
 	fleetObsBenchRun(t, nil)
 	fleetObsBenchRun(t, probeKnobs)
 
 	var base, probe *fleet.Result
-	var baseWall, probeWall time.Duration
-	for i := 0; i < reps; i++ {
-		r, w := fleetObsBenchRun(t, nil)
-		if base == nil || w < baseWall {
-			base, baseWall = r, w
+	baseWalls := make([]time.Duration, pairs)
+	probeWalls := make([]time.Duration, pairs)
+	ratios := make([]float64, pairs)
+	for i := 0; i < pairs; i++ {
+		runBase := func() { runtime.GC(); base, baseWalls[i] = fleetObsBenchRun(t, nil) }
+		runProbe := func() { runtime.GC(); probe, probeWalls[i] = fleetObsBenchRun(t, probeKnobs) }
+		if i%2 == 0 {
+			runBase()
+			runProbe()
+		} else {
+			runProbe()
+			runBase()
 		}
-		r, w = fleetObsBenchRun(t, probeKnobs)
-		if probe == nil || w < probeWall {
-			probe, probeWall = r, w
-		}
+		ratios[i] = probeWalls[i].Seconds() / baseWalls[i].Seconds()
 	}
 	var traced *fleet.Result
-	var tracedWall time.Duration
-	for i := 0; i < reps; i++ {
-		r, w := fleetObsBenchRun(t, tracedKnobs)
-		if traced == nil || w < tracedWall {
-			traced, tracedWall = r, w
-		}
+	tracedWalls := make([]time.Duration, reps)
+	for i := range tracedWalls {
+		runtime.GC()
+		traced, tracedWalls[i] = fleetObsBenchRun(t, tracedKnobs)
 	}
+	sort.Float64s(ratios)
+	overhead := ratios[pairs/2]
+	baseWall, probeWall, tracedWall := medianWall(baseWalls), medianWall(probeWalls), medianWall(tracedWalls)
 
 	// Zero simulated cost: the armed-but-silent probe's Summary is the
 	// baseline Summary, bit for bit, once the (empty) obs report is
@@ -100,10 +116,9 @@ func TestBenchFleetObsJSON(t *testing.T) {
 		t.Errorf("armed tracer changed the simulated outcome:\nbase  %s\nprobe %s", baseJSON, probeJSON)
 	}
 
-	overhead := probeWall.Seconds() / baseWall.Seconds()
 	if overhead > 1.10 {
-		t.Errorf("disabled tracing costs %.3fx host time, budget 1.10x (base %.3fs, probe %.3fs)",
-			overhead, baseWall.Seconds(), probeWall.Seconds())
+		t.Errorf("disabled tracing costs %.3fx host time (median of %d pairs), budget 1.10x (base %.3fs, probe %.3fs, pair ratios %.3f)",
+			overhead, pairs, baseWall.Seconds(), probeWall.Seconds(), ratios)
 	}
 
 	o := traced.Summary.Obs
@@ -128,7 +143,8 @@ func TestBenchFleetObsJSON(t *testing.T) {
 		"sim_seconds":           base.Summary.SimSeconds,
 		"publish_rate":          base.Summary.PublishRate,
 		"num_cpu":               runtime.NumCPU(),
-		"runs_per_mode":         reps,
+		"probe_pairs":           pairs,
+		"traced_runs":           reps,
 		"baseline_wall_sec":     baseWall.Seconds(),
 		"probe_wall_sec":        probeWall.Seconds(),
 		"probe_overhead_ratio":  overhead,
@@ -144,7 +160,8 @@ func TestBenchFleetObsJSON(t *testing.T) {
 		"e2e_p99_ms":            o.E2EP99Ms,
 		"per_shard":             perShard,
 		"note": "probe = tracer armed with negative sample rate (zero traces): its Summary must be " +
-			"byte-identical to the baseline (zero simulated cycles) and within 1.10x wall clock. " +
+			"byte-identical to the baseline (zero simulated cycles) and its median per-pair wall-clock ratio " +
+			"to the baseline within 1.10x; walls are medians. " +
 			"traced = sample rate 1 across 8 cloud shards; wall-clock figures are machine-dependent, " +
 			"the per-shard latency table is deterministic.",
 	}
