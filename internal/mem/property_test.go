@@ -8,102 +8,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 )
 
-// refModel is an oracle for the tagged memory: plain byte storage plus a
-// per-granule capability map, with the same tag-clearing rules.
-type refModel struct {
-	data []byte
-	caps map[uint32]cap.Capability
-}
-
-func newRef(size uint32) *refModel {
-	return &refModel{data: make([]byte, size), caps: make(map[uint32]cap.Capability)}
-}
-
-func (r *refModel) storeBytes(addr uint32, b []byte) {
-	copy(r.data[addr:], b)
-	if len(b) == 0 {
-		return
-	}
-	for g := addr / Granule; g <= (addr+uint32(len(b))-1)/Granule; g++ {
-		delete(r.caps, g)
-	}
-}
-
-func (r *refModel) storeCap(addr uint32, c cap.Capability) {
-	r.data[addr] = byte(c.Address())
-	r.data[addr+1] = byte(c.Address() >> 8)
-	r.data[addr+2] = byte(c.Address() >> 16)
-	r.data[addr+3] = byte(c.Address() >> 24)
-	r.data[addr+4], r.data[addr+5], r.data[addr+6], r.data[addr+7] = 0, 0, 0, 0
-	if c.Valid() {
-		r.caps[addr/Granule] = c
-	} else {
-		delete(r.caps, addr/Granule)
-	}
-}
-
-// TestPropMemoryMatchesOracle drives random operation sequences against
-// the real memory and the oracle and checks they agree on every readback.
-func TestPropMemoryMatchesOracle(t *testing.T) {
-	const size = 0x1000
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := New(size)
-		ref := newRef(size)
-		root := cap.Root(0, size)
-		for op := 0; op < 200; op++ {
-			switch rng.Intn(4) {
-			case 0: // data store
-				addr := rng.Uint32() % (size - 16)
-				n := 1 + rng.Intn(16)
-				b := make([]byte, n)
-				rng.Read(b)
-				if err := m.StoreBytes(root.WithAddress(addr), b); err != nil {
-					return false
-				}
-				ref.storeBytes(addr, b)
-			case 1: // capability store (aligned)
-				addr := (rng.Uint32() % (size - 8)) &^ 7
-				c := cap.New(rng.Uint32()%size, size, 0, cap.PermData)
-				c = c.WithAddress(c.Base())
-				if err := m.StoreCap(root.WithAddress(addr), c); err != nil {
-					return false
-				}
-				ref.storeCap(addr, c)
-			case 2: // data read compare
-				addr := rng.Uint32() % (size - 16)
-				n := uint32(1 + rng.Intn(16))
-				got, err := m.LoadBytes(root.WithAddress(addr), n)
-				if err != nil {
-					return false
-				}
-				for i := uint32(0); i < n; i++ {
-					if got[i] != ref.data[addr+i] {
-						return false
-					}
-				}
-			case 3: // capability read compare
-				addr := (rng.Uint32() % (size - 8)) &^ 7
-				got, err := m.LoadCap(root.WithAddress(addr))
-				if err != nil {
-					return false
-				}
-				want, ok := ref.caps[addr/Granule]
-				if ok != got.Valid() {
-					return false
-				}
-				if ok && !got.Equal(want) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPropRevocationMonotone: after revoking a range and sweeping, no
 // capability whose base is in the range remains loadable by non-allocator
 // authorities, regardless of where it was stored.

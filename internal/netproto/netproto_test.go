@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +95,62 @@ func TestTLSHandshakeAndRecords(t *testing.T) {
 	}
 	if _, err := s3.Open(rec2); err != ErrBadMAC {
 		t.Fatalf("replayed record accepted: %v", err)
+	}
+}
+
+// TestSessionKnownAnswer pins the records a fixed session key seals, so
+// that a change to the IV, the MAC key or the record framing fails here
+// even when a twin session would still round-trip it.
+func TestSessionKnownAnswer(t *testing.T) {
+	key := SessionKey([]byte("kat root secret"), []byte("0123456789abcdef"), []byte("fedcba9876543210"))
+	p1 := make([]byte, 32)
+	for i := range p1 {
+		p1[i] = byte(i)
+	}
+	p2 := make([]byte, 512)
+	for i := range p2 {
+		p2[i] = byte(i*7 + 3)
+	}
+	plain := [][]byte{nil, p1, p2}
+	want := []string{
+		"0300000000e3c41763dbe48c49",
+		"0320000000db794ee84796ef20776f17a22f7b63398eda6d1181fa9810fe706f26b719d079bafb27097ba2508a",
+		"030002000048ce01d5420dd36abd7600054b8f38751c6989a20f8d4e27a930c7" +
+			"5228a85418bfbd098219b46c027a95173f4c91b53ac653ce9b096148b49bfaa6" +
+			"99d51fcd84c7ed749ba6bf920fde1e31c91d48e717f46bb26900408ef97acaa4" +
+			"924118c95f78fd702908806e05d3fe7bcb26f8a1ac2e2e375b403b6f4fa9e7fa" +
+			"230c470c895ebf290c31bfd809df93f261fa3d0c7e9ee2a64aeacafbc2309431" +
+			"c45b817bc6c4badd6ea84f1ab29e7d87e16780d2035f3b3873d1e0bbf9b517dc" +
+			"60c7dd00722e5adc8eef82c656e76837d3e95458ef21b9d3e0e85349a441f9b3" +
+			"ee1e083846f012ca34057b36722ade8aabcccca40e0474c368330927ee831680" +
+			"395a9609bdc2f9b9f8cd52ec59372dd95f64f7d21b739f1c67750069732c4ba9" +
+			"0daea57eb5720c35d47db765251874bdb09877223117428d9b4236991b04b938" +
+			"3dafebac9326c44c53f9632f7348e7f3c66f6add032bf33af46985a8d314df99" +
+			"c8301179af6c3b121538449c0e7564c7eee4d1ba6f4d47e5d83ce782041acd6b" +
+			"13f67aca4f29c75588dba58c670a823919698511237d7fdf07a43c4fc2652355" +
+			"dcbcd07e5e2eee00ad44fca91d2dfe98e8a1b1b3d515398582c169d5c8edd5b8" +
+			"c230d57d6c25a479b5116304949d7a5407b289eacc453e98c81ffb3ae3dc37de" +
+			"2e50b99b914adc17a417e078331bfb4e42c85baf3696bd592a18a0d9f876a22a" +
+			"7e703e8dbdef9dbcc6d933e1a0",
+	}
+	tx, rx := NewSession(key), NewSession(key)
+	var records [][]byte
+	for i, p := range plain {
+		rec := tx.Seal(p)
+		if got := hex.EncodeToString(rec); got != want[i] {
+			t.Fatalf("record %d = %s, want %s", i, got, want[i])
+		}
+		records = append(records, rec)
+	}
+	for i, rec := range records {
+		got, err := rx.Open(rec)
+		if err != nil || !bytes.Equal(got, plain[i]) {
+			t.Fatalf("open record %d: %x, %v", i, got, err)
+		}
+	}
+	// Record 1 carries the MAC for counter 1: a fresh session expects 0.
+	if _, err := NewSession(key).Open(records[1]); err != ErrBadMAC {
+		t.Fatalf("record 1 opened out of order: %v", err)
 	}
 }
 
