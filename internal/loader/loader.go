@@ -282,8 +282,8 @@ type compBuild struct {
 	code    cap.Capability
 	globals cap.Capability
 
-	importCalls   map[string]cap.Capability
-	importLibs    map[string]bool
+	importCalls   map[switcher.EntryKey]cap.Capability
+	importLibs    map[switcher.EntryKey]bool
 	mmio          map[string]cap.Capability
 	sealedImports map[string]cap.Capability
 	staticKeys    map[string]cap.Capability
@@ -356,8 +356,8 @@ func buildImports(core *hw.Core, root, sealSwitcher cap.Capability,
 	comps map[string]*compBuild, sealedAllocCaps map[string]cap.Capability,
 	b *compBuild) error {
 
-	b.importCalls = make(map[string]cap.Capability)
-	b.importLibs = make(map[string]bool)
+	b.importCalls = make(map[switcher.EntryKey]cap.Capability)
+	b.importLibs = make(map[switcher.EntryKey]bool)
 	b.mmio = make(map[string]cap.Capability)
 	b.sealedImports = make(map[string]cap.Capability)
 
@@ -386,12 +386,12 @@ func buildImports(core *hw.Core, root, sealSwitcher cap.Capability,
 			if err != nil {
 				return fmt.Errorf("loader: sealing import %s->%s.%s: %w", b.def.Name, im.Target, im.Entry, err)
 			}
-			b.importCalls[importName(im.Target, im.Entry)] = sealed
+			b.importCalls[switcher.EntryKey{Target: im.Target, Entry: im.Entry}] = sealed
 			if err := store(sealed); err != nil {
 				return err
 			}
 		case firmware.ImportLib:
-			b.importLibs[importName(im.Target, im.Entry)] = true
+			b.importLibs[switcher.EntryKey{Target: im.Target, Entry: im.Entry}] = true
 			lib := img.Library(im.Target)
 			code := derive(root, layout.Libs[im.Target], cap.PermCode)
 			sentry, err := code.WithAddress(layout.Libs[im.Target].Base +

@@ -29,8 +29,8 @@ type compSnap struct {
 	layout        firmware.CompLayout
 	code          cap.Capability
 	globals       cap.Capability
-	importCalls   map[string]cap.Capability
-	importLibs    map[string]bool
+	importCalls   map[switcher.EntryKey]cap.Capability
+	importLibs    map[switcher.EntryKey]bool
 	mmio          map[string]cap.Capability
 	sealedImports map[string]cap.Capability
 	shared        map[string]cap.Capability

@@ -1,7 +1,8 @@
 package mem
 
 import (
-	"maps"
+	"bytes"
+	"slices"
 
 	"github.com/cheriot-go/cheriot/internal/cap"
 )
@@ -20,16 +21,35 @@ import (
 // stored capabilities, and the tag and revocation bitmaps. The clone has
 // no MMIO windows and no load-filter hook.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{
+	return &Memory{
 		data:    append([]byte(nil), m.data...),
-		caps:    make(map[uint32]cap.Capability, len(m.caps)),
 		tags:    m.tags.Clone(),
+		caps:    cloneCaps(m.caps),
 		revoked: m.revoked.Clone(),
 	}
-	for g, v := range m.caps {
-		c.caps[g] = v
+}
+
+// cloneCaps copies a capability store's non-empty words into one fresh
+// backing array. Each word's slice is capped at its length, so growing
+// one word reallocates it rather than overwriting its neighbour.
+func cloneCaps(src map[uint32][]cap.Capability) map[uint32][]cap.Capability {
+	n, words := 0, 0
+	for _, cs := range src {
+		if len(cs) > 0 {
+			n += len(cs)
+			words++
+		}
 	}
-	return c
+	dst := make(map[uint32][]cap.Capability, words)
+	flat := make([]cap.Capability, 0, n)
+	for w, cs := range src {
+		if len(cs) > 0 {
+			i := len(flat)
+			flat = append(flat, cs...)
+			dst[w] = flat[i:len(flat):len(flat)]
+		}
+	}
+	return dst
 }
 
 // Equal reports whether two memories hold identical SRAM state: same
@@ -37,20 +57,15 @@ func (m *Memory) Clone() *Memory {
 // MMIO windows and the load-filter hook are not compared (see the
 // package note above).
 func (m *Memory) Equal(o *Memory) bool {
-	if len(m.data) != len(o.data) || len(m.caps) != len(o.caps) {
+	if !bytes.Equal(m.data, o.data) || !m.tags.Equal(o.tags) || !m.revoked.Equal(o.revoked) {
 		return false
 	}
-	for i, b := range m.data {
-		if b != o.data[i] {
+	for w, word := range m.tags {
+		if word != 0 && !slices.Equal(m.caps[uint32(w)], o.caps[uint32(w)]) {
 			return false
 		}
 	}
-	for g, c := range m.caps {
-		if o.caps[g] != c {
-			return false
-		}
-	}
-	return m.tags.Equal(o.tags) && m.revoked.Equal(o.revoked)
+	return true
 }
 
 // snapChunk is one run of non-zero data bytes in a snapshot.
@@ -64,13 +79,13 @@ type snapChunk struct {
 // zeroes the heap and erases itself), so only the non-zero runs are
 // stored and re-materialized — restoring costs a fresh zeroed
 // allocation plus a few sparse copies instead of a full SRAM memcpy.
-// The stored capabilities are kept as a prototype map so each Restore
-// is a bulk maps.Clone rather than entry-by-entry inserts.
+// Each Restore copies the stored capabilities, a few words of them, into
+// one fresh backing array.
 type Snapshot struct {
 	size    uint32
 	chunks  []snapChunk
-	caps    map[uint32]cap.Capability
 	tags    Bitmap
+	caps    map[uint32][]cap.Capability
 	revoked Bitmap
 }
 
@@ -83,8 +98,8 @@ const snapChunkBytes = 256
 func (m *Memory) Snapshot() *Snapshot {
 	s := &Snapshot{
 		size:    uint32(len(m.data)),
-		caps:    make(map[uint32]cap.Capability, len(m.caps)),
 		tags:    m.tags.Clone(),
+		caps:    cloneCaps(m.caps),
 		revoked: m.revoked.Clone(),
 	}
 	// Coalesce adjacent dirty blocks into single chunks.
@@ -119,11 +134,6 @@ func (m *Memory) Snapshot() *Snapshot {
 		}
 	}
 	flush(len(m.data))
-	// The prototype caps map; behavior never depends on map layout (it
-	// is lookup-only in Memory), so a bulk clone per Restore is safe.
-	for g, c := range m.caps {
-		s.caps[g] = c
-	}
 	return s
 }
 
@@ -133,8 +143,8 @@ func (m *Memory) Snapshot() *Snapshot {
 func (s *Snapshot) Restore() *Memory {
 	m := &Memory{
 		data:    make([]byte, s.size),
-		caps:    maps.Clone(s.caps),
 		tags:    s.tags.Clone(),
+		caps:    cloneCaps(s.caps),
 		revoked: s.revoked.Clone(),
 	}
 	for _, ch := range s.chunks {

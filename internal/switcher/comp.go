@@ -18,11 +18,12 @@ type Comp struct {
 	globals cap.Capability
 	code    cap.Capability
 
-	// importCalls holds the sealed export-table capabilities keyed by
-	// "target.entry"; mmio and sealedImports are the other import kinds;
-	// shared holds statically-shared global capabilities.
-	importCalls   map[string]cap.Capability
-	importLibs    map[string]bool
+	// importCalls holds the sealed export-table capabilities of the
+	// compartment entries it may call, and importLibs the library
+	// functions it may call; mmio and sealedImports are the other import
+	// kinds; shared holds statically-shared global capabilities.
+	importCalls   map[EntryKey]cap.Capability
+	importLibs    map[EntryKey]bool
 	mmio          map[string]cap.Capability
 	sealedImports map[string]cap.Capability
 	shared        map[string]cap.Capability
@@ -46,14 +47,19 @@ type Comp struct {
 	acct *telemetry.CycleAccount
 }
 
+// EntryKey names an entry point: a compartment or library, and one of its
+// exports. The import tables are keyed by it, so checking a call builds no
+// string.
+type EntryKey struct{ Target, Entry string }
+
 // CompConfig is everything the loader derived for a compartment.
 type CompConfig struct {
 	Def           *firmware.Compartment
 	Layout        firmware.CompLayout
 	Code          cap.Capability
 	Globals       cap.Capability
-	ImportCalls   map[string]cap.Capability
-	ImportLibs    map[string]bool
+	ImportCalls   map[EntryKey]cap.Capability
+	ImportLibs    map[EntryKey]bool
 	MMIO          map[string]cap.Capability
 	SealedImports map[string]cap.Capability
 	Shared        map[string]cap.Capability
@@ -109,18 +115,16 @@ func (c *Comp) Globals() cap.Capability { return c.globals }
 // Resetting reports whether the compartment is mid micro-reboot.
 func (c *Comp) Resetting() bool { return c.resetting }
 
-func importKey(target, entry string) string { return target + "." + entry }
-
 // importsCall reports whether the compartment's import table authorizes a
 // call to target.entry.
 func (c *Comp) importsCall(target, entry string) bool {
-	_, ok := c.importCalls[importKey(target, entry)]
+	_, ok := c.importCalls[EntryKey{target, entry}]
 	return ok
 }
 
 // importsLib reports whether the compartment imports a library function.
 func (c *Comp) importsLib(lib, fn string) bool {
-	return c.importLibs[importKey(lib, fn)]
+	return c.importLibs[EntryKey{lib, fn}]
 }
 
 // Lib is a shared library at run time. Its functions execute in the
