@@ -98,6 +98,45 @@ func TestRevokerSweepLifecycle(t *testing.T) {
 	}
 }
 
+// TestRevokerHugeStep gives the revoker more than 2^32 granules' worth of
+// cycles in one Step, as one long idle skip can: the sweep must finish
+// once, having visited every granule, rather than wrap its granule count.
+func TestRevokerHugeStep(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		first, huge uint64 // granules' worth of cycles in each Step
+	}{
+		{"after 1000 granules", 1000, 1<<32 - 100},
+		{"fresh sweep", 0, 1<<32 + 10},
+	} {
+		c := NewCore(256<<10, 0)
+		r := c.Revoker
+		var ends []uint64
+		r.SetSweepHook(func(start bool, epoch, granules uint64) {
+			if !start {
+				ends = append(ends, granules)
+			}
+		})
+		r.Request()
+		e := r.Epoch()
+		r.Step(tc.first * RevokerCyclesPerGranule)
+		r.Step(tc.huge * RevokerCyclesPerGranule)
+		if r.Running() || r.Epoch() != e+1 {
+			t.Fatalf("%s: running=%v epoch=%d, want a finished sweep at epoch %d", tc.name, r.Running(), r.Epoch(), e+1)
+		}
+		if len(ends) != 1 || ends[0] != uint64(c.Mem.Granules()) {
+			t.Fatalf("%s: sweeps ended %v, want one visiting %d granules", tc.name, ends, c.Mem.Granules())
+		}
+		if irq, ok := c.PendingIRQ(); !ok || irq != IRQRevoker {
+			t.Fatalf("%s: sweep completion must raise IRQRevoker", tc.name)
+		}
+		c.AckIRQ(IRQRevoker)
+		if _, ok := c.PendingIRQ(); ok {
+			t.Fatalf("%s: an interrupt is still pending after the ack", tc.name)
+		}
+	}
+}
+
 func TestRevokerActuallyInvalidates(t *testing.T) {
 	c := NewCore(0x1000, 0)
 	root := cap.Root(0, 0x1000)

@@ -76,13 +76,18 @@ func (r *Revoker) Step(cycles uint64) {
 		return
 	}
 	r.budget += cycles
-	granules := uint32(r.budget / r.rate)
+	granules := r.budget / r.rate
 	if granules == 0 {
 		return
 	}
-	r.budget -= uint64(granules) * r.rate
+	// One long idle skip can be worth more granules than a uint32 holds;
+	// no step visits more than the sweep has left.
+	if left := uint64(r.mem.Granules() - r.sweepPtr); granules > left {
+		granules = left
+	}
+	r.budget -= granules * r.rate
 	before := r.sweepPtr
-	r.sweepPtr = r.mem.SweepGranules(r.sweepPtr, granules)
+	r.sweepPtr = r.mem.SweepGranules(r.sweepPtr, uint32(granules))
 	r.visited += uint64(r.sweepPtr - before)
 	if r.sweepPtr >= r.mem.Granules() {
 		r.epoch++ // becomes even: idle
