@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/cheriot-go/cheriot/internal/alloc"
@@ -98,6 +99,44 @@ func TestCallWithoutImportTraps(t *testing.T) {
 	th := s.Kernel.Thread("t")
 	if th.ExitFault() == nil || th.ExitFault().Code != hw.TrapPermitViolation {
 		t.Fatalf("thread fault = %v, want permit violation", th.ExitFault())
+	}
+}
+
+// TestDottedNamesRejected: "x.y" exporting "z" and "x" exporting "y.z"
+// name two different entries that both read "x.y.z" in a sealed import,
+// the audit's import list or a profiler label. An image that imports
+// only x.y's z must not reach x's y.z, so Boot refuses dotted names.
+func TestDottedNamesRejected(t *testing.T) {
+	img := NewImage("dotted")
+	nop := func(ctx api.Context, args []api.Value) []api.Value { return nil }
+	img.AddCompartment(&firmware.Compartment{Name: "x.y", CodeSize: 128,
+		Exports: []*firmware.Export{{Name: "z", MinStack: 64, Entry: nop}}})
+	img.AddCompartment(&firmware.Compartment{Name: "x", CodeSize: 128,
+		Exports: []*firmware.Export{{Name: "y.z", MinStack: 64, Entry: nop}}})
+	var callErr error
+	img.AddCompartment(&firmware.Compartment{
+		Name: "app", CodeSize: 128,
+		Imports: []firmware.Import{{Kind: firmware.ImportCall, Target: "x.y", Entry: "z"}},
+		Exports: []*firmware.Export{{Name: "main", MinStack: 256,
+			Entry: func(ctx api.Context, args []api.Value) []api.Value {
+				_, callErr = ctx.Call("x", "y.z")
+				return nil
+			}}},
+	})
+	img.AddThread(&firmware.Thread{Name: "t", Compartment: "app", Entry: "main",
+		Priority: 1, StackSize: 1024, TrustedStackFrames: 4})
+
+	s, err := Boot(img)
+	if err == nil {
+		t.Cleanup(s.Shutdown)
+		runErr := s.Run(nil)
+		t.Fatalf("Boot accepted dotted names; app's call to x/y.z returned %v (run: %v, thread fault: %v)",
+			callErr, runErr, s.Kernel.Thread("t").ExitFault())
+	}
+	for _, name := range []string{`"x.y"`, `"y.z"`} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("Boot error %q does not name %s", err, name)
+		}
 	}
 }
 

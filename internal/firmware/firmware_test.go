@@ -77,6 +77,26 @@ func TestValidateCatches(t *testing.T) {
 		{"globals overflow", func(img *Image) {
 			img.Compartment("alpha").GlobalsInit = make([]byte, 4096)
 		}, "exceeds data size"},
+		{"dotted compartment", func(img *Image) {
+			img.AddCompartment(&Compartment{Name: "gamma.delta", CodeSize: 64})
+		}, `compartment name "gamma.delta" contains '.'`},
+		{"dotted export", func(img *Image) {
+			img.Compartment("beta").Exports[0].Name = "se.rve"
+		}, `export name "se.rve" contains '.'`},
+		{"dotted allocation capability", func(img *Image) {
+			img.Compartment("beta").AllocCaps[0].Name = "beta.quota"
+		}, `allocation capability name "beta.quota" contains '.'`},
+		{"dotted static sealed object", func(img *Image) {
+			b := img.Compartment("beta")
+			b.SealTypes = []string{"kind"}
+			b.StaticSealed = []StaticSealedObject{{Name: "obj.1", SealType: "kind", Size: 8}}
+		}, `static sealed object name "obj.1" contains '.'`},
+		{"dotted library", func(img *Image) {
+			img.Libraries[0].Name = "str.utils"
+		}, `library name "str.utils" contains '.'`},
+		{"dotted library function", func(img *Image) {
+			img.Libraries[0].Funcs[0].Name = "re.verse"
+		}, `library function name "re.verse" contains '.'`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
