@@ -365,7 +365,7 @@ func sharedTopicOwnedBy(shard, devices, shards int) string {
 // property, end to end through real frames: two devices homed on
 // different shards subscribe to the same shared topics; a publish from
 // either device reaches the other exactly once — whether the topic is
-// owned by the publisher's shard (registry forward) or by the remote
+// owned by the publisher's shard or by the remote
 // shard (forward through the owner) — and never echoes to the publisher.
 func TestCrossShardForwardingExactlyOnce(t *testing.T) {
 	p := testPlane(2, 2)
@@ -384,7 +384,7 @@ func TestCrossShardForwardingExactlyOnce(t *testing.T) {
 		c1.subscribe(tp)
 	}
 
-	// Publisher's shard owns the topic: remote subscriber via registry.
+	// Publisher's shard owns the topic: forward to the remote subscriber.
 	c0.publish(tA, []byte("a0"))
 	if got := c1.drain(); got[tA] != 1 {
 		t.Errorf("c1 received %d copies of %q from c0, want exactly 1", got[tA], tA)
@@ -393,7 +393,7 @@ func TestCrossShardForwardingExactlyOnce(t *testing.T) {
 		t.Errorf("publish of %q echoed %d copies back to the publisher", tA, got[tA])
 	}
 
-	// Remote shard owns the topic: forward through the owner's registry.
+	// Remote shard owns the topic: forward through the owner's index.
 	c0.publish(tB, []byte("b0"))
 	if got := c1.drain(); got[tB] != 1 {
 		t.Errorf("c1 received %d copies of %q from c0, want exactly 1", got[tB], tB)
@@ -490,7 +490,8 @@ func TestLBDNSAnswersHomeShard(t *testing.T) {
 }
 
 // TestOneShardPlaneUsesLegacyPath checks the 1-shard degenerate case: all
-// topics route to shard 0 and nothing is ever counted as forwarded.
+// topics route to shard 0, which owns every topic and every session, so
+// nothing is ever counted as forwarded.
 func TestOneShardPlaneUsesLegacyPath(t *testing.T) {
 	p := testPlane(1, 4)
 	c0 := newPlaneClient(t, p, testDeviceIP(0))
@@ -505,7 +506,7 @@ func TestOneShardPlaneUsesLegacyPath(t *testing.T) {
 	}
 	stats := p.ShardStats()
 	if len(stats) != 1 || stats[0].Forwarded != 0 {
-		t.Errorf("one-shard plane forwarded %d deliveries, want 0 (legacy fan-out path)",
+		t.Errorf("one-shard plane forwarded %d deliveries, want 0 (one shard owns every topic)",
 			stats[0].Forwarded)
 	}
 }

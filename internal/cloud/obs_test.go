@@ -97,7 +97,7 @@ func TestTracedCrossShardSpans(t *testing.T) {
 		t.Errorf("ingress span missing or on wrong shard: %+v", in)
 	}
 	// The topic's owner is the remote shard, so the delivery back to
-	// device 1 is a same-shard registry delivery; the delivery to the
+	// device 1 is a same-shard delivery from the owner's index; the delivery to the
 	// publisher is suppressed (exactly-once). With both subscribers homed
 	// apart, the c1 delivery records home shard 1 and device 1.
 	del, okDel := kinds[fleetobs.SpanDeliver]
@@ -128,7 +128,7 @@ func TestTracedCrossShardSpans(t *testing.T) {
 	}
 }
 
-// TestConcurrentForwardingCountersRace hammers the cross-shard registry
+// TestConcurrentForwardingCountersRace hammers the owner shard's index
 // from concurrently publishing devices (run under -race in check.sh):
 // every subscriber still receives every foreign publish exactly once,
 // and the owning shard's forwarded counter lands on the exact total.
@@ -175,7 +175,7 @@ func TestConcurrentForwardingCountersRace(t *testing.T) {
 
 	// Cross-shard forwards: the owner-shard publisher forwards to the two
 	// shard-1 subscribers; the foreign publisher's deliveries to the two
-	// shard-0 subscribers count as forwards through the owner's registry.
+	// shard-0 subscribers count as forwards through the owner's index.
 	stats := p.ShardStats()
 	total := stats[0].Forwarded + stats[1].Forwarded
 	if total != 4*publishes {

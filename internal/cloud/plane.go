@@ -1,15 +1,17 @@
 // Package cloud is the sharded cloud control plane for fleet
 // simulations: N netsim.Broker shards partitioned by topic, fronted by a
 // load balancer that steers each device's connection to the shard owning
-// its topics and forwards cross-shard subscriptions, plus a
-// deterministic scheduler for cloud-initiated events (fan-out publishes,
-// per-device commands, shard failovers).
+// its topics, plus a deterministic scheduler for cloud-initiated events
+// (fan-out publishes, per-device commands, shard failovers).
 //
-// The single-broker cloud serializes every device's MQTT dispatch behind
-// one host mutex and fans every publish out with a linear scan over all
-// sessions, so the shared side stops scaling exactly where the fleet's
-// worker pool starts. Sharding divides both: each shard dispatches and
-// scans only its own sessions, and shards run under independent locks.
+// A single broker serializes every device's MQTT dispatch behind one
+// host mutex, so the shared side stops scaling exactly where the fleet's
+// worker pool starts. Sharding divides it: each shard dispatches only
+// its own sessions, under its own lock. Subscriptions are indexed once,
+// by the shard that owns the topic (the plane installs the owner
+// resolver in every broker), so a publish visits exactly its topic's
+// subscribers, wherever they are homed; a delivery into a session homed
+// on another shard than the publisher's is a cross-shard forward.
 //
 // Determinism. Everything the plane does is either (a) a synchronous
 // consequence of a device-originated frame, or (b) a cloud-initiated
@@ -27,13 +29,13 @@ import (
 // Config describes a control plane.
 type Config struct {
 	// Shards is the broker shard count; 0 and 1 both mean a single shard,
-	// which behaves byte-identically to the pre-sharding broker.
+	// which owns every topic, so nothing is ever forwarded.
 	Shards int
 	// Devices is the fleet size, used for device-range topic partitioning
 	// and per-device home-shard assignment.
 	Devices int
 	// BaseIP is shard 0's address; shard k listens on BaseIP+k. With one
-	// shard this is exactly the legacy broker address.
+	// shard this is the only broker address.
 	BaseIP uint32
 	// RootSecret and Cert are shared by all shards (one logical cloud
 	// identity), so a device's TLS handshake is the same bytes whichever
@@ -65,7 +67,6 @@ type Shard struct {
 	IP     uint32
 	Host   *netsim.ServerHost
 	Broker *netsim.Broker
-	reg    *registry
 }
 
 // Plane is a running control plane.
@@ -85,8 +86,9 @@ type ShardCounters struct {
 	LiveSessions int `json:"live_sessions"`
 	Superseded   int `json:"superseded"`
 	Reaped       int `json:"reaped"`
-	// Forwarded counts cross-shard deliveries routed through this shard's
-	// topic registry (deliveries to sessions homed on another shard).
+	// Forwarded counts cross-shard deliveries made through this shard's
+	// subscription index: device publishes to topics this shard owns,
+	// delivered into sessions homed on a shard other than the publisher's.
 	Forwarded int `json:"forwarded"`
 }
 
@@ -106,11 +108,10 @@ func NewPlane(cfg Config) *Plane {
 		if cfg.SessionTTL > 0 {
 			broker.SetSessionTTL(cfg.SessionTTL)
 		}
-		sh := &Shard{Index: i, IP: cfg.BaseIP + uint32(i), Host: host, Broker: broker,
-			reg: newRegistry()}
 		broker.SetShard(i)
-		broker.SetRouter(&shardRouter{plane: p, home: i})
-		p.Shards = append(p.Shards, sh)
+		broker.SetOwner(p.owner)
+		p.Shards = append(p.Shards, &Shard{Index: i, IP: cfg.BaseIP + uint32(i),
+			Host: host, Broker: broker})
 	}
 	p.dns = p.newLBDNS()
 	p.ntp = netsim.NewSharedNTPServer(cfg.NTPIP, cfg.NTPBaseUnixMillis)
@@ -147,18 +148,18 @@ func (p *Plane) ShardForTopic(topic string) int {
 	return shardForTopic(topic, p.cfg.Devices, len(p.Shards))
 }
 
+// owner is every shard's owner resolver: the broker whose subscription
+// index holds the topic's subscribers.
+func (p *Plane) owner(topic string) *netsim.Broker {
+	return p.Shards[p.ShardForTopic(topic)].Broker
+}
+
 // Publish is the cloud-side injection path used by tests: deliver to
 // every subscriber of the topic, wherever its session is homed, exactly
-// once. Returns the number delivered.
+// once, leaving every shard's counters alone. Returns the number
+// delivered.
 func (p *Plane) Publish(topic string, payload []byte) int {
-	owner := p.Shards[p.ShardForTopic(topic)]
-	n := 0
-	for _, sub := range owner.reg.snapshot(topic) {
-		if sub.sess.Deliver(topic, payload) {
-			n++
-		}
-	}
-	return n
+	return p.owner(topic).DeliverToSubscribers(topic, payload)
 }
 
 // DeliverToDevice pushes one publish into a single device's session on
@@ -200,7 +201,7 @@ func (p *Plane) ShardStats() []ShardCounters {
 			Shard: i, Connects: c, Subscribes: s, Publishes: pub,
 			LiveSessions: sh.Broker.LiveSessions(),
 			Superseded:   superseded, Reaped: reaped,
-			Forwarded: sh.reg.forwardedCount(),
+			Forwarded: sh.Broker.Forwarded(),
 		}
 	}
 	return out

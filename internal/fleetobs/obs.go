@@ -6,7 +6,7 @@
 // at the netstack (seeded-deterministic sampling, per device), carried
 // in-band as an optional trailer on the MQTT wire encoding
 // (netproto.MQTTPacket.TraceID), and observed at every hop: the device
-// publish itself, broker shard ingress, cross-shard registry forwarding,
+// publish itself, broker shard ingress, cross-shard forwarding,
 // subscriber delivery, and the subscriber application's drain. Each hop
 // is a Span stamped in exact simulated cycles.
 //
@@ -41,7 +41,7 @@ type SpanKind uint8
 const (
 	SpanPublish SpanKind = iota // device netstack accepted the publish
 	SpanIngress                 // broker shard decoded the publish
-	SpanForward                 // cross-shard registry forward
+	SpanForward                 // cross-shard forward
 	SpanDeliver                 // pushed into a subscriber session / device
 	SpanRecv                    // subscriber application drained it
 	spanKindCount
@@ -241,7 +241,7 @@ func (t *Tracer) MQTTIngress(trace uint64, shard int, now uint64) {
 }
 
 // MQTTForward implements netsim's observer hook: a traced publish was
-// forwarded across shards through the owning registry.
+// forwarded across shards through the topic owner's index.
 func (t *Tracer) MQTTForward(trace uint64, fromShard, toShard int, now uint64) {
 	if t == nil || trace == 0 {
 		return

@@ -13,12 +13,21 @@ import (
 // Locking. Inbound dispatch (OnData, OnClose) runs under the owning
 // ServerHost's mutex, which guards the session map and all counters.
 // Each session additionally carries its own small mutex protecting the
-// TLS record state and topic set, so a *foreign* broker shard (the
-// sharded cloud control plane in internal/cloud) can deliver a sealed
-// record into a session it does not host without taking this host's
-// dispatch lock — the basis of cross-shard subscription forwarding.
-// Session mutexes are leaves: nothing is acquired under them except the
-// TCP peer's send lock and the target World's inbox lock.
+// TLS record state and topic set, so a broker that does not host a
+// session (another shard of the sharded cloud in internal/cloud) can
+// deliver a sealed record into it without taking this host's dispatch
+// lock.
+//
+// Subscriptions. Each topic's subscribers live in exactly one index, a
+// topic → session-set map in the broker that owns the topic: a
+// standalone broker owns every topic, and a control plane installs an
+// owner resolver with SetOwner. SUBSCRIBE adds the session to its
+// owner's index and every teardown (close, takeover, TTL reap, failover
+// kick) removes it, so a publish visits exactly its topic's
+// subscribers. The index has its own mutex, and the lock order is
+// host.mu → index → session → TCP peer → World inbox: a device publish
+// runs under its home host's mu and iterates the owner's set under the
+// owner's index lock, delivering through each session's lock.
 //
 // State hygiene. A broker shared by thousands of reconnecting devices
 // must not grow without bound: a session whose FIN or RST was lost to
@@ -47,7 +56,17 @@ type Broker struct {
 	// supersession and for the control plane's per-device delivery.
 	byIP map[uint32]*BrokerSession
 
-	router Router
+	// owner resolves the broker whose index holds a topic's subscribers;
+	// nil means this broker owns every topic.
+	owner func(topic string) *Broker
+
+	// subMu guards subs and forwarded: the subscription index of the
+	// topics this broker owns, wherever each subscriber is homed, and the
+	// count of device-publish deliveries it made into sessions homed on a
+	// broker other than the publisher's.
+	subMu     sync.Mutex
+	subs      map[string]map[*BrokerSession]struct{}
+	forwarded int
 
 	// shard is this broker's control-plane shard index (0 standalone),
 	// stamped into observability spans.
@@ -77,30 +96,16 @@ type retainedMsg struct {
 	at      uint64
 }
 
-// Router lets a control plane take over topic routing for a broker
-// shard. All three hooks are invoked under the broker host's dispatch
-// lock; implementations must not call back into this broker's dispatch
-// path, and must not hold their own locks while taking a session lock
-// (snapshot first, deliver after release).
-type Router interface {
-	// Subscribed runs after a session's topic set gains topic.
-	Subscribed(s *BrokerSession, topic string)
-	// RoutePublish routes a device-originated publish. Returning true
-	// suppresses the broker's local linear fan-out.
-	RoutePublish(from *BrokerSession, pkt netproto.MQTTPacket) bool
-	// SessionClosed runs when a session is torn down, superseded, or
-	// reaped, so the router can drop its subscription registrations.
-	SessionClosed(s *BrokerSession)
-}
-
 // BrokerSession is the broker side of one device connection.
 type BrokerSession struct {
 	broker *Broker
 	peer   *TCPPeer
 
-	// mu guards tls, topics, and lastSeen. It is a leaf lock so foreign
-	// shards can Deliver into this session concurrently with (but
-	// serialized against) the home host's dispatch.
+	// mu guards tls, topics, and lastSeen, so a publish on another
+	// broker can deliver into this session concurrently with (but
+	// serialized against) the home host's dispatch. Only the home
+	// dispatch writes topics, holding host.mu as well, so it may read
+	// topics under host.mu alone.
 	mu sync.Mutex
 	// tls is nil until the handshake completes.
 	tls      *netproto.Session
@@ -118,6 +123,7 @@ func NewBroker(ip uint32, rootSecret []byte, cert []byte) (*ServerHost, *Broker)
 		serverRandom: []byte("broker-hello-rnd"),
 		sessions:     make(map[*TCPPeer]*BrokerSession),
 		byIP:         make(map[uint32]*BrokerSession),
+		subs:         make(map[string]map[*BrokerSession]struct{}),
 		retained:     make(map[string]retainedMsg),
 	}
 	host.ListenTCP(netproto.PortMQTT, func(p *TCPPeer) TCPApp {
@@ -128,8 +134,18 @@ func NewBroker(ip uint32, rootSecret []byte, cert []byte) (*ServerHost, *Broker)
 	return host, b
 }
 
-// SetRouter installs a control-plane router. Set it before any traffic.
-func (b *Broker) SetRouter(r Router) { b.router = r }
+// SetOwner installs a control plane's owner resolver: owner(topic) is
+// the broker whose index holds the topic's subscribers. It must be a pure
+// function of the topic. Set it before any traffic.
+func (b *Broker) SetOwner(owner func(topic string) *Broker) { b.owner = owner }
+
+// ownerOf returns the broker that indexes the topic's subscribers.
+func (b *Broker) ownerOf(topic string) *Broker {
+	if b.owner == nil {
+		return b
+	}
+	return b.owner(topic)
+}
 
 // SetShard labels the broker with its control-plane shard index for
 // observability spans. Set it before any traffic.
@@ -192,9 +208,7 @@ func (s *BrokerSession) OnData(p *TCPPeer, data []byte) {
 		s.mu.Lock()
 		s.topics[pkt.Topic] = true
 		s.mu.Unlock()
-		if b.router != nil {
-			b.router.Subscribed(s, pkt.Topic)
-		}
+		b.ownerOf(pkt.Topic).index(pkt.Topic, s)
 		s.reply(netproto.MQTTPacket{Type: netproto.MQTTSubAck, Topic: pkt.Topic})
 		if b.retain {
 			if m, ok := b.retained[pkt.Topic]; ok {
@@ -205,10 +219,10 @@ func (s *BrokerSession) OnData(p *TCPPeer, data []byte) {
 	case netproto.MQTTPingReq:
 		s.reply(netproto.MQTTPacket{Type: netproto.MQTTPingResp})
 	case netproto.MQTTPublish:
-		// Device-originated publish: fan out to other subscribers. The
-		// ingress span is recorded first, through the publisher's own
-		// World (we are running on the publisher's goroutine), so tracing
-		// stays single-writer and deterministic.
+		// Device-originated publish: deliver to the topic's other
+		// subscribers. The ingress span is recorded first, through the
+		// publisher's own World (we are running on the publisher's
+		// goroutine), so tracing stays single-writer and deterministic.
 		b.Publishes++
 		if pkt.TraceID != 0 {
 			if o := p.world.Obs(); o != nil {
@@ -218,10 +232,7 @@ func (s *BrokerSession) OnData(p *TCPPeer, data []byte) {
 		if b.retain {
 			b.retained[pkt.Topic] = retainedMsg{payload: append([]byte(nil), pkt.Payload...), at: now}
 		}
-		if b.router != nil && b.router.RoutePublish(s, pkt) {
-			return
-		}
-		b.fanOut(p.world, pkt, s)
+		b.ownerOf(pkt.Topic).deliver(pkt, s)
 	}
 }
 
@@ -232,9 +243,7 @@ func (s *BrokerSession) OnClose(p *TCPPeer) {
 	if b.byIP[p.RemoteIP] == s {
 		delete(b.byIP, p.RemoteIP)
 	}
-	if b.router != nil {
-		b.router.SessionClosed(s)
-	}
+	b.unindex(s)
 }
 
 // adopt records s as the device's current session and silently drops any
@@ -262,8 +271,36 @@ func (b *Broker) dropSession(s *BrokerSession, counter *int) {
 		delete(b.byIP, s.peer.RemoteIP)
 	}
 	*counter++
-	if b.router != nil {
-		b.router.SessionClosed(s)
+	b.unindex(s)
+}
+
+// index adds s to the subscribers of a topic b owns.
+func (b *Broker) index(topic string, s *BrokerSession) {
+	b.subMu.Lock()
+	defer b.subMu.Unlock()
+	set := b.subs[topic]
+	if set == nil {
+		set = make(map[*BrokerSession]struct{})
+		b.subs[topic] = set
+	}
+	set[s] = struct{}{}
+}
+
+// unindex removes a torn-down session from the index of every topic it
+// subscribed to. Runs under s's home host.mu, which orders it after
+// every write to s.topics; it takes no session lock, so it can take
+// each owner's index lock without inverting the lock order.
+func (b *Broker) unindex(s *BrokerSession) {
+	for topic := range s.topics {
+		owner := b.ownerOf(topic)
+		owner.subMu.Lock()
+		if set := owner.subs[topic]; set != nil {
+			delete(set, s)
+			if len(set) == 0 {
+				delete(owner.subs, topic)
+			}
+		}
+		owner.subMu.Unlock()
 	}
 }
 
@@ -332,16 +369,10 @@ func (s *BrokerSession) reply(pkt netproto.MQTTPacket) {
 	s.peer.Send(s.tls.Seal(netproto.EncodeMQTT(pkt)))
 }
 
-// Deliver pushes one publish into the session if it is connected and
-// subscribed to the topic, returning whether it was sent. Safe from any
-// goroutine: this is the cross-shard forwarding path.
-func (s *BrokerSession) Deliver(topic string, payload []byte) bool {
-	return s.DeliverTraced(topic, payload, 0)
-}
-
-// DeliverTraced is Deliver with a trace ID carried in-band to the
-// subscriber (zero means untraced and encodes to the exact legacy
-// bytes).
+// DeliverTraced pushes one publish into the session if it is connected
+// and subscribed to the topic, returning whether it was sent. A nonzero
+// trace ID rides in-band to the subscriber; zero encodes the untraced
+// bytes. Safe from any goroutine.
 func (s *BrokerSession) DeliverTraced(topic string, payload []byte, trace uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -352,10 +383,6 @@ func (s *BrokerSession) DeliverTraced(topic string, payload []byte, trace uint64
 		Type: netproto.MQTTPublish, Topic: topic, Payload: payload, TraceID: trace})))
 	return true
 }
-
-// World returns the World of the device whose connection backs this
-// session (routers use it to reach the publisher's observer).
-func (s *BrokerSession) World() *World { return s.peer.world }
 
 // RemoteIP is the device address of the session's connection.
 func (s *BrokerSession) RemoteIP() uint32 { return s.peer.RemoteIP }
@@ -374,34 +401,40 @@ func (s *BrokerSession) SubscribedTo(topic string) bool {
 	return s.topics[topic]
 }
 
-// TopicsSnapshot copies the session's topic set (for router cleanup;
-// callers must not hold registry locks while calling it).
-func (s *BrokerSession) TopicsSnapshot() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.topics))
-	for t := range s.topics {
-		out = append(out, t)
+// deliver pushes one publish into every subscriber of a topic b owns,
+// except the publisher from (nil for a cloud-side publish), and returns
+// how many were sent. For a device publish, each delivery into a session
+// homed on a broker other than from's counts as forwarded here, at the
+// owner, and deliver and forward spans go through the publisher's World:
+// this runs on the publisher's goroutine, under its home host.mu. The set
+// is visited in map order, which reaches no output: each delivery lands
+// in a different device's inbox, and fleetobs sorts spans.
+func (b *Broker) deliver(pkt netproto.MQTTPacket, from *BrokerSession) int {
+	var obs Observer
+	var now uint64
+	if from != nil && pkt.TraceID != 0 {
+		obs, now = from.peer.world.Obs(), from.peer.world.Now()
 	}
-	return out
-}
-
-// fanOut runs under host.mu (only reached from BrokerSession.OnData).
-// This linear scan over every session is the single-broker bottleneck
-// the sharded control plane removes: with N shards each scan covers only
-// sessions/N entries. pubWorld is the publisher's World; deliver spans
-// are recorded through it so they land on the publisher's goroutine.
-func (b *Broker) fanOut(pubWorld *World, pkt netproto.MQTTPacket, except *BrokerSession) {
-	for _, sess := range b.sessions {
-		if sess == except {
+	b.subMu.Lock()
+	defer b.subMu.Unlock()
+	n := 0
+	for s := range b.subs[pkt.Topic] {
+		if s == from || !s.DeliverTraced(pkt.Topic, pkt.Payload, pkt.TraceID) {
 			continue
 		}
-		if sess.DeliverTraced(pkt.Topic, pkt.Payload, pkt.TraceID) && pkt.TraceID != 0 {
-			if o := pubWorld.Obs(); o != nil {
-				o.MQTTDeliver(pkt.TraceID, b.shard, sess.RemoteIP(), pubWorld.Now())
+		n++
+		home := s.broker.shard
+		if obs != nil {
+			obs.MQTTDeliver(pkt.TraceID, home, s.RemoteIP(), now)
+		}
+		if from != nil && s.broker != from.broker {
+			b.forwarded++
+			if obs != nil {
+				obs.MQTTForward(pkt.TraceID, from.broker.shard, home, now)
 			}
 		}
 	}
+	return n
 }
 
 // Publish pushes a notification to every live subscriber of the topic —
@@ -413,18 +446,36 @@ func (b *Broker) Publish(topic string, payload []byte) int {
 	if b.retain {
 		b.retained[topic] = retainedMsg{payload: append([]byte(nil), payload...)}
 	}
-	targets := make([]*BrokerSession, 0, len(b.sessions))
-	for _, sess := range b.sessions {
-		targets = append(targets, sess)
-	}
 	b.host.mu.Unlock()
-	n := 0
-	for _, sess := range targets {
-		if sess.Deliver(topic, payload) {
-			n++
-		}
+	return b.DeliverToSubscribers(topic, payload)
+}
+
+// DeliverToSubscribers is Publish without the counters and retained
+// message: it only delivers to the topic's subscribers, through its
+// owner's index, and returns how many were sent.
+func (b *Broker) DeliverToSubscribers(topic string, payload []byte) int {
+	return b.ownerOf(topic).deliver(netproto.MQTTPacket{
+		Type: netproto.MQTTPublish, Topic: topic, Payload: payload}, nil)
+}
+
+// Subscribers lists, in no particular order, the sessions this broker's
+// index holds for a topic; it is empty unless the broker owns the topic.
+func (b *Broker) Subscribers(topic string) []*BrokerSession {
+	b.subMu.Lock()
+	defer b.subMu.Unlock()
+	out := make([]*BrokerSession, 0, len(b.subs[topic]))
+	for s := range b.subs[topic] {
+		out = append(out, s)
 	}
-	return n
+	return out
+}
+
+// Forwarded reports how many deliveries of device publishes this broker,
+// as a topic owner, made into sessions homed on another broker.
+func (b *Broker) Forwarded() int {
+	b.subMu.Lock()
+	defer b.subMu.Unlock()
+	return b.forwarded
 }
 
 // LiveSessions reports connected (post-handshake) sessions.

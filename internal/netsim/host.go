@@ -29,9 +29,10 @@ type TCPAcceptor func(p *TCPPeer) TCPApp
 // cloud). mu serializes the whole inbound dispatch — connection map,
 // peer state, and application callbacks — so TCPApp implementations
 // (e.g. BrokerSession) run single-threaded on their own host.
-// Cloud-originated paths (Broker.Publish) take the same lock only to
-// snapshot, then deliver through per-session locks; a foreign broker
-// shard forwarding into this host's sessions takes no host lock at all.
+// Cloud-originated paths (Broker.Publish) take the same lock only for
+// the broker's counters, then deliver through the topic owner's index
+// and per-session locks; a foreign broker shard forwarding into this
+// host's sessions takes no host lock at all.
 type ServerHost struct {
 	IP uint32
 
@@ -260,7 +261,8 @@ func (p *TCPPeer) teardown() {
 
 // finish removes the peer from the connection map and notifies the app.
 // Deliberately not under p.mu: OnClose implementations take their own
-// locks (session, registry) that must never nest inside the peer lock.
+// locks (subscription index, session) that must never nest inside the
+// peer lock.
 func (p *TCPPeer) finish() {
 	delete(p.host.conn, p.key)
 	if p.app != nil {

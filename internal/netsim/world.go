@@ -83,7 +83,7 @@ type Observer interface {
 	// sent by this world's device.
 	MQTTIngress(trace uint64, shard int, now uint64)
 	// MQTTForward fires when a traced publish from this device is
-	// forwarded across shards through the owning registry.
+	// forwarded across shards through the topic owner's index.
 	MQTTForward(trace uint64, fromShard, toShard int, now uint64)
 	// MQTTDeliver fires when a traced publish from this device is pushed
 	// into a subscriber session.

@@ -18,6 +18,10 @@ echo "== go vet =="
 go vet ./...
 echo "ok"
 
+echo "== docs cite only test functions that exist =="
+sh scripts/check-doc-tests.sh
+echo "ok"
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -32,6 +36,13 @@ echo "== kernel loop on thread goroutines (race, 10 runs) =="
 # both event sinks on, to shake out hand-off races.
 go test -race -count=10 ./internal/switcher/ ./internal/sched/ ./internal/core/ \
 	./internal/iotapp/
+echo "ok"
+
+echo "== broker subscription index (race, 10 runs) =="
+# Every shard's dispatch goroutine takes the topic owner's index lock,
+# and teardowns on one shard edit another shard's index; repeat the
+# broker and control-plane tests to shake out lock-order and index races.
+go test -race -count=10 ./internal/netsim/ ./internal/cloud/
 echo "ok"
 
 echo "== session-TTL reaping lockstep = parallel (race) =="
