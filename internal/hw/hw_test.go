@@ -1,6 +1,9 @@
 package hw
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,6 +38,36 @@ func TestEventQueueOrdering(t *testing.T) {
 	c.Tick(50)
 	if len(order) != 3 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("order = %v", order)
+	}
+
+	// 1,000 seeded deadlines, many of them equal, pushed while earlier
+	// ones fire: the events must fire at their own cycles, in (cycle,
+	// push order) order.
+	type key struct{ cycle, seq uint64 }
+	rng := rand.New(rand.NewSource(1))
+	var pushed, fired []key
+	for seq := uint64(1); seq <= 1000; seq++ {
+		k := key{cycle: c.Clock.Cycles() + uint64(rng.Intn(64))*50, seq: seq}
+		pushed = append(pushed, k)
+		c.At(k.cycle, func() {
+			if now := c.Clock.Cycles(); now != k.cycle {
+				t.Fatalf("event %d fired at cycle %d, want %d", k.seq, now, k.cycle)
+			}
+			fired = append(fired, k)
+		})
+		if rng.Intn(3) == 0 {
+			c.Tick(uint64(rng.Intn(1500)))
+		}
+	}
+	c.Tick(64 * 50)
+	slices.SortFunc(pushed, func(a, b key) int {
+		if a.cycle != b.cycle {
+			return cmp.Compare(a.cycle, b.cycle)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	if !slices.Equal(fired, pushed) {
+		t.Fatalf("fired %d events out of (cycle, seq) order", len(fired))
 	}
 }
 

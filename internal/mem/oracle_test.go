@@ -245,22 +245,12 @@ func (o *oracle) must(err error, what string) {
 // exec decodes and runs one operation on the real memory and the
 // reference, then checks the copy it touched.
 func (o *oracle) exec() {
-	op := o.prog.u8() % 12
+	op := o.prog.u8() % 13
 	i := o.pick()
 	c := o.copies[i]
 	switch op {
 	case 0: // StoreBytes over up to 1 KiB
-		addr, n := o.span()
-		b := make([]byte, n)
-		x := o.prog.u8()*0x9E3779B9 | 1 // xorshift fill, seeded by the program
-		for k := range b {
-			x ^= x << 13
-			x ^= x >> 17
-			x ^= x << 5
-			b[k] = byte(x)
-		}
-		o.must(c.m.StoreBytes(oracleRoot.WithAddress(addr), b), "StoreBytes")
-		c.ref.storeBytes(addr, b)
+		o.storeBytes(c)
 	case 1: // Zero over up to 1 KiB
 		addr, n := o.span()
 		o.must(c.m.Zero(oracleRoot.WithAddress(addr), n), "Zero")
@@ -316,8 +306,37 @@ func (o *oracle) exec() {
 		}
 		s := o.snaps[int(o.prog.u8())%len(o.snaps)]
 		i = o.place(oracleCopy{m: s.s.Restore(), ref: s.ref.clone()})
+	case 12: // Fork: restore one snapshot into two live copies, then write each
+		if len(o.snaps) == 0 {
+			break
+		}
+		s := o.snaps[int(o.prog.u8())%len(o.snaps)]
+		a := o.place(oracleCopy{m: s.s.Restore(), ref: s.ref.clone()})
+		i = o.place(oracleCopy{m: s.s.Restore(), ref: s.ref.clone()})
+		if i == a {
+			i = (a + 1) % len(o.copies)
+			o.copies[i] = oracleCopy{m: s.s.Restore(), ref: s.ref.clone()}
+		}
+		o.storeBytes(o.copies[a])
+		o.storeBytes(o.copies[i])
+		o.check(a)
 	}
 	o.check(i)
+}
+
+// storeBytes decodes a span and a fill seed and stores the fill there.
+func (o *oracle) storeBytes(c oracleCopy) {
+	addr, n := o.span()
+	b := make([]byte, n)
+	x := o.prog.u8()*0x9E3779B9 | 1 // xorshift fill, seeded by the program
+	for k := range b {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		b[k] = byte(x)
+	}
+	o.must(c.m.StoreBytes(oracleRoot.WithAddress(addr), b), "StoreBytes")
+	c.ref.storeBytes(addr, b)
 }
 
 // check compares every observable of copy i with its reference.

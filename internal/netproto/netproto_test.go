@@ -2,6 +2,10 @@ package netproto
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
@@ -111,7 +115,13 @@ func TestSessionKnownAnswer(t *testing.T) {
 	for i := range p2 {
 		p2[i] = byte(i*7 + 3)
 	}
-	plain := [][]byte{nil, p1, p2}
+	// A 4,112-byte record is 257 AES blocks: its CTR counter carries
+	// from the last byte of the counter block into the one before it.
+	p3 := make([]byte, 4112)
+	for i := range p3 {
+		p3[i] = byte(i*13 + i>>8)
+	}
+	plain := [][]byte{nil, p1, p2, p3}
 	want := []string{
 		"0300000000e3c41763dbe48c49",
 		"0320000000db794ee84796ef20776f17a22f7b63398eda6d1181fa9810fe706f26b719d079bafb27097ba2508a",
@@ -133,12 +143,26 @@ func TestSessionKnownAnswer(t *testing.T) {
 			"2e50b99b914adc17a417e078331bfb4e42c85baf3696bd592a18a0d9f876a22a" +
 			"7e703e8dbdef9dbcc6d933e1a0",
 	}
+	// The long record is pinned by its SHA-256 and its last 32 bytes
+	// (the end of the ciphertext and the MAC).
+	const wantLongSum = "4beb3d6b5742cbe085fc51d6985eecff3835a8c0e272ffe76567d69d276303da"
+	const wantLongTail = "85c29c64c4fd5557c71c92234a79c04cb20d899fbbbac251dbaf23e830616f61"
 	tx, rx := NewSession(key), NewSession(key)
 	var records [][]byte
 	for i, p := range plain {
 		rec := tx.Seal(p)
-		if got := hex.EncodeToString(rec); got != want[i] {
-			t.Fatalf("record %d = %s, want %s", i, got, want[i])
+		if i < len(want) {
+			if got := hex.EncodeToString(rec); got != want[i] {
+				t.Fatalf("record %d = %s, want %s", i, got, want[i])
+			}
+		} else {
+			sum := sha256.Sum256(rec)
+			if got := hex.EncodeToString(sum[:]); got != wantLongSum {
+				t.Fatalf("record %d SHA-256 = %s, want %s", i, got, wantLongSum)
+			}
+			if got := hex.EncodeToString(rec[len(rec)-32:]); got != wantLongTail {
+				t.Fatalf("record %d tail = %s, want %s", i, got, wantLongTail)
+			}
 		}
 		records = append(records, rec)
 	}
@@ -151,6 +175,49 @@ func TestSessionKnownAnswer(t *testing.T) {
 	// Record 1 carries the MAC for counter 1: a fresh session expects 0.
 	if _, err := NewSession(key).Open(records[1]); err != ErrBadMAC {
 		t.Fatalf("record 1 opened out of order: %v", err)
+	}
+}
+
+// TestSessionMatchesCTRReference seals and opens a record of every length
+// from 0 to 4,200 bytes and compares each with a record built from
+// crypto/cipher's CTR stream and an HMAC-SHA256 keyed with the second
+// half of the session key, under the same per-record counter nonce.
+func TestSessionMatchesCTRReference(t *testing.T) {
+	key := SessionKey([]byte("ctr root secret"), []byte("0123456789abcdef"), []byte("fedcba9876543210"))
+	block, err := aes.NewCipher(key[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference := func(plain []byte, counter uint32) []byte {
+		n := len(plain)
+		rec := make([]byte, 5+n+recordMACLen)
+		rec[0] = TLSRecord
+		put32(rec[1:], uint32(n))
+		var iv [aes.BlockSize]byte
+		put32(iv[:], counter)
+		cipher.NewCTR(block, iv[:]).XORKeyStream(rec[5:5+n], plain)
+		mac := hmac.New(sha256.New, key[16:32])
+		var c [4]byte
+		put32(c[:], counter)
+		mac.Write(c[:])
+		mac.Write(rec[5 : 5+n])
+		copy(rec[5+n:], mac.Sum(nil))
+		return rec
+	}
+	tx, rx := NewSession(key), NewSession(key)
+	plain := make([]byte, 4200)
+	for i := range plain {
+		plain[i] = byte(i*31 + 7)
+	}
+	for n := 0; n <= len(plain); n++ {
+		rec := tx.Seal(plain[:n])
+		if want := reference(plain[:n], uint32(n)); !bytes.Equal(rec, want) {
+			t.Fatalf("record of %d bytes differs from the CTR reference", n)
+		}
+		got, err := rx.Open(rec)
+		if err != nil || !bytes.Equal(got, plain[:n]) {
+			t.Fatalf("open record of %d bytes: %v", n, err)
+		}
 	}
 }
 
