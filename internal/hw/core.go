@@ -1,10 +1,6 @@
 package hw
 
-import (
-	"container/heap"
-
-	"github.com/cheriot-go/cheriot/internal/mem"
-)
+import "github.com/cheriot-go/cheriot/internal/mem"
 
 // Core bundles the simulated SoC: SRAM, clock, revoker, interrupt
 // controller, and an event queue for device deadlines (timer expiry,
@@ -86,9 +82,7 @@ func (c *Core) IRQPending() bool { return c.irq.anyPending() }
 
 // At schedules fn to run when the clock reaches cycle. Events fire during
 // Tick/SkipTo, in deadline order (FIFO among equal deadlines).
-func (c *Core) At(cycle uint64, fn func()) {
-	heap.Push(&c.events, &event{cycle: cycle, seq: c.events.nextSeq(), fn: fn})
-}
+func (c *Core) At(cycle uint64, fn func()) { c.events.push(cycle, fn) }
 
 // After schedules fn to run n cycles from now.
 func (c *Core) After(n uint64, fn func()) { c.At(c.Clock.Cycles()+n, fn) }
@@ -105,8 +99,7 @@ func (c *Core) NextEvent() (uint64, bool) {
 func (c *Core) fireDue() {
 	now := c.Clock.Cycles()
 	for len(c.events.items) > 0 && c.events.items[0].cycle <= now {
-		ev := heap.Pop(&c.events).(*event)
-		ev.fn()
+		c.events.pop().fn()
 	}
 }
 
@@ -117,27 +110,52 @@ type event struct {
 	fn    func()
 }
 
+// eventQueue is a binary min-heap of events ordered by (cycle, seq). It
+// holds the events by value, so scheduling one allocates nothing beyond
+// the heap's occasional growth.
 type eventQueue struct {
-	items []*event
+	items []event
 	seq   uint64
 }
 
-func (q *eventQueue) nextSeq() uint64 { q.seq++; return q.seq }
-
-func (q *eventQueue) Len() int { return len(q.items) }
-func (q *eventQueue) Less(i, j int) bool {
-	if q.items[i].cycle != q.items[j].cycle {
-		return q.items[i].cycle < q.items[j].cycle
-	}
-	return q.items[i].seq < q.items[j].seq
+func (q *eventQueue) less(i, j int) bool {
+	a, b := &q.items[i], &q.items[j]
+	return a.cycle < b.cycle || a.cycle == b.cycle && a.seq < b.seq
 }
-func (q *eventQueue) Swap(i, j int)      { q.items[i], q.items[j] = q.items[j], q.items[i] }
-func (q *eventQueue) Push(x interface{}) { q.items = append(q.items, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	q.items = old[:n-1]
-	return it
+
+func (q *eventQueue) push(cycle uint64, fn func()) {
+	q.seq++
+	q.items = append(q.items, event{cycle: cycle, seq: q.seq, fn: fn})
+	for i := len(q.items) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q.items[i], q.items[p] = q.items[p], q.items[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() event {
+	it := q.items
+	top, n := it[0], len(it)-1
+	it[0] = it[n]
+	it[n] = event{} // drop the fired closure
+	q.items = it[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && q.less(j+1, j) {
+			j++
+		}
+		if !q.less(j, i) {
+			break
+		}
+		it[i], it[j] = it[j], it[i]
+		i = j
+	}
+	return top
 }

@@ -17,8 +17,8 @@ import (
 // post-boot machine state, and Fork can stamp out further machines by
 // restoring that state and re-binding each compartment to its own image's
 // definitions. Forking skips linking, report building, and all five
-// loader passes; the only per-fork work is a sparse SRAM restore and
-// kernel object construction.
+// loader passes; the only per-fork work is a copy-on-write SRAM restore
+// and kernel object construction.
 
 // compSnap is one compartment's captured boot product: its layout, its
 // code/globals capabilities, and its import-table contents. The maps are
@@ -44,7 +44,8 @@ type libSnap struct {
 
 // Snapshot is the complete post-boot state of a machine, sufficient to
 // Fork identical machines without re-running the loader. It is immutable
-// after capture: Restore deep-copies the memory image, and everything
+// after capture: Restore copies the memory image's chunk table, tags and
+// capabilities and shares its data chunks read-only, and everything
 // else is either a value or a read-only map shared across forks.
 type Snapshot struct {
 	sram    uint32

@@ -22,7 +22,7 @@ type window struct {
 // MMIO capability the loader places in their import table, which is what
 // makes device access auditable (§3.1.1).
 func (m *Memory) MapDevice(base, size uint32, dev Device) {
-	if uint64(base) < uint64(len(m.data)) {
+	if base < m.size {
 		panic(fmt.Sprintf("mem: device window %#x overlaps SRAM", base))
 	}
 	for _, w := range m.windows {

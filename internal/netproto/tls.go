@@ -5,6 +5,7 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"errors"
 	"hash"
 )
@@ -114,9 +115,11 @@ func SessionKey(rootSecret, clientRandom, serverRandom []byte) []byte {
 // connection's BrokerSession.mu, and a device uses its sessions only from
 // its one running thread.
 type Session struct {
-	block cipher.Block      // AES-128 under the first half of the session key
-	mac   hash.Hash         // HMAC-SHA256 under the second half, reset per record
-	sum   [sha256.Size]byte // recordMAC's output
+	block cipher.Block            // AES-128 under the first half of the session key
+	mac   hash.Hash               // HMAC-SHA256 under the second half, reset per record
+	sum   [sha256.Size]byte       // recordMAC's output
+	ctr   [aes.BlockSize]byte     // crypt's counter block
+	ks    [8 * aes.BlockSize]byte // crypt's keystream, eight blocks at a time
 	sendN uint32
 	recvN uint32
 }
@@ -164,11 +167,27 @@ func (s *Session) Open(record []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// crypt applies AES-128-CTR with a per-record nonce, writing dst.
+// crypt applies AES-128-CTR with a per-record nonce, writing dst. The
+// counter block starts as the record counter, little-endian, then zeros,
+// and counts up as one big-endian number, as crypto/cipher's CTR does;
+// the counter and keystream live in the Session so that a record
+// allocates nothing.
 func (s *Session) crypt(dst, src []byte, counter uint32) {
-	var iv [aes.BlockSize]byte
-	put32(iv[:], counter)
-	cipher.NewCTR(s.block, iv[:]).XORKeyStream(dst, src)
+	s.ctr = [aes.BlockSize]byte{}
+	put32(s.ctr[:], counter)
+	for len(src) > 0 {
+		ks := s.ks[:min(len(s.ks), len(src)+aes.BlockSize-1)&^(aes.BlockSize-1)]
+		for b := 0; b < len(ks); b += aes.BlockSize {
+			s.block.Encrypt(ks[b:], s.ctr[:])
+			for i := len(s.ctr) - 1; i >= 0; i-- {
+				if s.ctr[i]++; s.ctr[i] != 0 {
+					break
+				}
+			}
+		}
+		n := subtle.XORBytes(dst, src, ks)
+		dst, src = dst[n:], src[n:]
+	}
 }
 
 // recordMAC returns the record's HMAC; the result is valid until the

@@ -79,7 +79,8 @@ func (s *Sched) futexWait(ctx api.Context, args []api.Value) []api.Value {
 	ctx.Telemetry().Counter(Name, "futex_waits").Inc()
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindFutexWait,
 		Thread: t.Name, From: ctx.Caller(), Arg: uint64(word.Address())})
-	w := &waiter{t: t, addrs: []uint32{word.Address()}, wokenBy: noWaker}
+	w := &waiter{t: t, one: [1]uint32{word.Address()}, wokenBy: noWaker}
+	w.addrs = w.one[:]
 	s.register(w)
 	if timeout > 0 {
 		s.k.Core.After(uint64(timeout), func() {

@@ -49,8 +49,10 @@ type readyEntry struct {
 // multiple futexes (multiwaiter) shares a single waiter across queues.
 type waiter struct {
 	t *switcher.Thread
-	// addrs are the futex words the waiter is registered on.
+	// addrs are the futex words the waiter is registered on; a
+	// single-word wait points it at one.
 	addrs []uint32
+	one   [1]uint32
 	// wokenBy is the address that woke the waiter, or ^0 for none (timeout
 	// or forced wake).
 	wokenBy uint32

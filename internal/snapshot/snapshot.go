@@ -129,8 +129,9 @@ func (k keyScribe) bytes(b []byte) {
 }
 
 // Template is a captured post-boot machine state bound to the shape key
-// of the image it was captured from. It is immutable: every Fork
-// deep-copies the mutable state.
+// of the image it was captured from. It is immutable: every Fork copies
+// the mutable state, except SRAM data chunks, which a fork shares
+// read-only until it first writes them.
 type Template struct {
 	key  string
 	snap *loader.Snapshot

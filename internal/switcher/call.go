@@ -177,6 +177,11 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []api.Value) (rets []api.Value, fault *hw.Trap) {
 	const maxRetries = 1
 	profDepth := k.prof.Depth(t.ID)
+	depth := len(t.frames) - 1
+	for len(t.ctxs) <= depth {
+		t.ctxs = append(t.ctxs, new(ctx))
+	}
+	c := t.ctxs[depth]
 	for attempt := 0; ; attempt++ {
 		fault = nil
 		rets = nil
@@ -190,7 +195,7 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 					panic(r)
 				}
 			}()
-			c := &ctx{k: k, t: t, comp: callee, frameIdx: len(t.frames) - 1}
+			*c = ctx{k: k, t: t, comp: callee, frameIdx: depth}
 			rets = exp.Entry(c, args)
 		}()
 		if fault == nil {

@@ -112,6 +112,10 @@ type Thread struct {
 	trustedStack firmware.Region
 	frames       []frame
 	maxFrames    int
+	// ctxs holds one entry context per trusted-stack depth, reused by
+	// every entry at that depth: a context is valid only inside its
+	// entry, and the entries live at once sit at distinct depths.
+	ctxs []*ctx
 
 	// irqDisable defers preemption while positive (interrupt posture).
 	irqDisable int

@@ -26,7 +26,11 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== fuzz: tagged memory against its oracle (10 s) =="
-go test -run '^$' -fuzz '^FuzzMemoryOracle$' -fuzztime 10s ./internal/mem/
+# Minimization off: by default the fuzzer spends up to 60 s minimizing
+# each new input, so the first one would use the whole 10 s budget and
+# the step would run a few dozen inputs instead of thousands. A failing
+# input is still written to testdata/fuzz/, unminimized.
+go test -run '^$' -fuzz '^FuzzMemoryOracle$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mem/
 echo "ok"
 
 echo "== kernel loop on thread goroutines (race, 10 runs) =="
@@ -97,9 +101,11 @@ echo "== snapshot fork = cold boot (race) =="
 go test -race -count=1 -run 'Snapshot|Fork|Template|Heterogeneous' \
 	./internal/mem/ ./internal/snapshot/ ./internal/fleet/
 # Concurrent forks each copy the per-word capability store out of one
-# shared template snapshot; repeat the mixed-shape cache test to catch a
-# write into the shared store.
+# shared template snapshot and share its SRAM chunks until they write
+# them; repeat the mixed-shape cache test and the concurrent-fork memory
+# test to catch a write into shared storage.
 go test -race -count=10 -run '^TestCacheConcurrentMixedShapes$' ./internal/snapshot/
+go test -race -count=10 -run '^TestSnapshotConcurrentForksWriteApart$' ./internal/mem/
 echo "ok"
 
 echo "== scenario campaign smoke suite (race) =="
