@@ -208,3 +208,100 @@ func TestRolloutRejectsNoSnapshot(t *testing.T) {
 		t.Fatal("rollout over a jsvm profile did not error")
 	}
 }
+
+// swapPinConfig is a rollout of a healthy image that every configured fault
+// crosses: link loss and jitter, a broker partition that opens after
+// the canary swap, clock skew, and a ping of death after both rings
+// have been offered. Its crashes in the updated cohort trigger the
+// rollback at 31 s, so every device lives through three incarnations
+// (boot image, update, rollback).
+func swapPinConfig() Config {
+	return Config{
+		Devices:        8,
+		CloudShards:    2,
+		Lockstep:       true,
+		Duration:       46 * time.Second,
+		ArrivalSpread:  500 * time.Millisecond,
+		PublishRate:    2,
+		Seed:           1,
+		DropRate:       0.002,
+		JitterCycles:   5000,
+		FlightRecorder: 256,
+		PingOfDeathAt:  30 * time.Second,
+		PartitionAt:    16 * time.Second,
+		ClockSkewMax:   500 * time.Millisecond,
+		Rollout: &ota.Plan{
+			StartAt: 13 * time.Second,
+			Rings:   []float64{25, 100},
+			BringUp: 12 * time.Second,
+			Bake:    2 * time.Second,
+		},
+	}
+}
+
+// TestRolloutSwapCarriesFaults pins what a firmware swap keeps: the
+// faults armed at boot still fire in later incarnations, each device's
+// crash report and micro-reboot survive two swaps, the cycle-sum
+// invariant holds across every incarnation, and the whole Summary is
+// byte-identical between lockstep and parallel runs.
+func TestRolloutSwapCarriesFaults(t *testing.T) {
+	cfg := swapPinConfig()
+	lock, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := lock.Summary
+	ro := s.Rollout
+	if ro == nil || ro.Terminal != ota.StateRolledBack || ro.RolledBack != s.Devices {
+		t.Fatalf("rollout status %+v, want every device rolled back", ro)
+	}
+	if want := durationCycles(31 * time.Second); ro.RollbackAtCycle != want {
+		t.Fatalf("rollback at cycle %d, want %d (the checkpoint after the ping of death)",
+			ro.RollbackAtCycle, want)
+	}
+	if s.DeviceErrors != 0 || s.SetupFailures != 0 {
+		t.Fatalf("device errors %d, setup failures %d", s.DeviceErrors, s.SetupFailures)
+	}
+	if s.CrashReports != uint64(s.Devices) || s.CrashDevices != s.Devices {
+		t.Fatalf("crash reports %d on %d devices, want one on each of %d",
+			s.CrashReports, s.CrashDevices, s.Devices)
+	}
+	if s.Reboots != s.Devices {
+		t.Fatalf("micro-reboots %d, want %d", s.Reboots, s.Devices)
+	}
+	for _, d := range lock.Devices {
+		reps := d.crashReports()
+		if len(reps) != 1 || reps[0].Compartment != "tcpip" || !reps[0].Reboot {
+			t.Fatalf("device %d: %d crash reports %+v, want one micro-rebooted tcpip fault",
+				d.Index, len(reps), reps)
+		}
+	}
+	if s.Partition == nil || s.Partition.Devices == 0 || s.SkewedDevices == 0 || s.FramesDropped == 0 {
+		t.Fatalf("faults did not arm: partition %+v, skewed %d, dropped %d",
+			s.Partition, s.SkewedDevices, s.FramesDropped)
+	}
+	if !s.CycleSumExact {
+		t.Fatal("cycle-sum invariant broken across firmware swaps")
+	}
+	// The link counters pin how each incarnation arms its faults: a
+	// ping of death re-fired at a later swap adds frames to devices, and
+	// a link-fault stream drawn differently drops other frames.
+	if s.FramesToDevices != 205 || s.FramesDropped != 18 || s.Publishes != 232 {
+		t.Fatalf("frames to devices %d, dropped %d, publishes %d; want 205, 18, 232",
+			s.FramesToDevices, s.FramesDropped, s.Publishes)
+	}
+
+	par := cfg
+	par.Lockstep = false
+	par.Shards = 2
+	parRes, err := Run(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, ps := lock.Summary, parRes.Summary
+	ls.Shards, ps.Shards = 0, 0
+	ls.Lockstep, ps.Lockstep = false, false
+	if a, b := summaryJSON(t, ls), summaryJSON(t, ps); string(a) != string(b) {
+		t.Fatalf("lockstep and parallel summaries differ:\n%s\n%s", a, b)
+	}
+}
