@@ -54,7 +54,7 @@ func newCloud(cfg *Config) *cloud.Plane {
 		RootSecret:        RootSecret,
 		Cert:              []byte("fleet-ca"),
 		DeviceIndexOf:     deviceIndexOf,
-		SessionTTL:        cfg.sessionTTLCycles(),
+		SessionTTL:        durationCycles(cfg.SessionTTL),
 		DNSName:           BrokerName,
 		DNSIP:             DNSIP,
 		NTPIP:             NTPIP,

@@ -168,3 +168,29 @@ func TestFleetQuotaStorm(t *testing.T) {
 		}
 	}
 }
+
+// The quota storm is a per-device fault, not a per-incarnation one: a
+// device that micro-reboots into other firmware after its storm has run
+// does not storm again. In this rollout the canary ring swaps at 13 s,
+// before the 14 s storm, and the second ring only after it, so each of
+// the 8 devices storms exactly once: 15 allocations of its 16 KiB quota,
+// one refusal and one publish under exhaustion.
+func TestFleetQuotaStormOncePerDevice(t *testing.T) {
+	cfg := swapPinConfig()
+	cfg.DropRate, cfg.JitterCycles = 0, 0
+	cfg.PingOfDeathAt, cfg.PartitionAt, cfg.ClockSkewMax = 0, 0, 0
+	cfg.QuotaStormAt = 14 * time.Second
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	s := r.Summary
+	if s.Rollout == nil || s.Rollout.OnNew != s.Devices {
+		t.Fatalf("rollout status %+v, want every device updated", s.Rollout)
+	}
+	n := uint64(s.Devices)
+	if s.QuotaStormDenied != n || s.QuotaStormAllocs != 15*n || s.QuotaStormPublishes != n {
+		t.Errorf("storm denied/allocs/publishes = %d/%d/%d, want %d/%d/%d",
+			s.QuotaStormDenied, s.QuotaStormAllocs, s.QuotaStormPublishes, n, 15*n, n)
+	}
+}

@@ -3,12 +3,9 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/cheriot-go/cheriot/internal/cloud"
-	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/hw"
-	"github.com/cheriot-go/cheriot/internal/netsim"
 	"github.com/cheriot-go/cheriot/internal/ota"
 )
 
@@ -24,7 +21,6 @@ const otaAliasSuffix = "+ota"
 // at checkpoint barriers (all shard goroutines joined), so it may touch
 // any device without racing.
 type rolloutRuntime struct {
-	cfg      *Config
 	pl       *cloud.Plane
 	schedule []cloud.Event
 	ctrl     *ota.Controller
@@ -57,7 +53,7 @@ func newRolloutRuntime(cfg *Config, pl *cloud.Plane, schedule []cloud.Event) (*r
 	if err != nil {
 		return nil, err
 	}
-	rt := &rolloutRuntime{cfg: cfg, pl: pl, schedule: schedule, ctrl: ctrl}
+	rt := &rolloutRuntime{pl: pl, schedule: schedule, ctrl: ctrl}
 
 	// Canary membership is a seeded Fisher–Yates permutation on its own
 	// rng stream: which devices update first is a property of the seed,
@@ -171,121 +167,18 @@ func (rt *rolloutRuntime) notify(d *Device, kind string) {
 	}
 }
 
-// swapDevice micro-reboots a device into the other firmware image:
-// retire the running incarnation's instruments, fork the replacement
-// from its snapshot template, jump the fresh core to the retirement
-// cycle (one absolute clock domain per device), and rewire the world,
-// cloud attachment, fault windows, and instruments.
+// swapDevice micro-reboots a device into the other firmware image: it
+// closes the running incarnation and brings up the replacement at the
+// retirement cycle, through the same path that booted the device.
 func (rt *rolloutRuntime) swapDevice(d *Device, toNew bool) error {
-	cfg, pl := rt.cfg, rt.pl
 	retire := d.Sys.Cycles()
-	d.retireIncarnation()
-
-	img, stack := d.buildImage(toNew)
-	alias := d.Profile.Firmware
-	if toNew {
-		alias += otaAliasSuffix
-	}
-	t0 := time.Now()
-	sys, forked, err := cfg.snapCache.Boot(alias, img, core.BootOptions{SkipReport: true})
-	d.bootWall += time.Since(t0)
-	if err != nil {
-		return fmt.Errorf("fleet: device %d: swap to %s: %w", d.Index, alias, err)
-	}
-	_ = forked // host-path detail; d.Forked keeps the boot-time value
-
-	// The forked System's clock starts at zero with no pending events,
-	// so SkipTo is a pure jump: the replacement incarnation continues
-	// the device's absolute cycle timeline.
-	sys.Board.Core.SkipTo(retire)
-
-	d.Sys = sys
-	d.Stack = stack
-	stack.Attach(sys.Kernel)
-	if d.updReb != nil {
-		d.updReb.Kernel = sys.Kernel
-	}
-
-	d.World = netsim.NewWorld(sys.Board.Core, sys.Board.Net, d.IP)
-	d.World.SetConcurrent(true)
-	if d.Obs != nil {
-		d.World.SetObserver(d.Obs)
-	}
-	if cfg.DropRate > 0 || cfg.JitterCycles > 0 {
-		// A fresh fault stream per incarnation (streams 8+ are reserved
-		// for them); the retired incarnation's stream position is not
-		// replayable, but a fixed derivation is just as deterministic.
-		d.World.SetLinkFaults(cfg.DropRate, cfg.JitterCycles,
-			newRNG(cfg.Seed, uint64(d.Index)+uint64(7+d.incarnation+1)<<32).next())
-	}
-	attachCloud(d.World, pl, d.IP)
-	if d.Partitioned {
-		// The partition window is absolute cycles; re-arming it on the
-		// new World keeps any still-open blackhole in force.
-		from, until := cfg.partitionWindow()
-		d.World.SetPartition(pl.HomeIP(d.Index), from, until)
-	}
-	if d.SkewMillis != 0 {
-		d.World.SetNTPSkew(d.SkewMillis)
-	}
-
-	// Instruments arm after the jump, so their base is the swap cycle
-	// and the per-incarnation attribution invariant (base + attributed
-	// == clock) keeps holding exactly.
-	d.Tel = sys.EnableTelemetry(cfg.TraceCapacity)
-	if cfg.Prof {
-		d.Prof = sys.EnableProfiler()
-	}
-	d.Rec = nil
-	if cfg.FlightRecorder > 0 {
-		d.Rec = sys.EnableFlightRecorder(cfg.FlightRecorder)
-	}
-	if at := cfg.pingOfDeathCycles(); at > retire {
-		spoof := pl.HomeIP(d.Index)
-		sys.Board.Core.At(at, func() {
-			d.World.InjectRaw(d.World.PingOfDeath(spoof))
-		})
-	}
-	d.installCloudSchedule(pl, rt.schedule, retire)
-
-	d.arrival = 0 // the replacement brings the network up immediately
+	d.closeIncarnation()
 	d.incarnation++
+	d.arrival = 0 // the replacement brings the network up immediately
+	if err := d.bringUp(rt.pl, rt.schedule, retire, toNew); err != nil {
+		return fmt.Errorf("fleet: device %d: swap: %w", d.Index, err)
+	}
 	return nil
-}
-
-// retireIncarnation folds the running incarnation's instruments into
-// the device's lifetime accumulators and shuts its System down. The
-// telemetry/profiler invariants are checked here exactly as summarize
-// checks the final incarnation.
-func (d *Device) retireIncarnation() {
-	snap := d.Tel.Snapshot()
-	if snap.BaseCycles+snap.AttributedCycles != d.Sys.Cycles() {
-		d.retiredBroken = true
-	}
-	d.retiredSnaps = append(d.retiredSnaps, snap)
-	if d.cfg.Prof {
-		pp := d.Prof.Snapshot()
-		if pp == nil || pp.BaseCycles+pp.TotalCycles != d.Sys.Cycles() ||
-			pp.SelfSum() != pp.TotalCycles {
-			d.retiredBroken = true
-		}
-		d.retiredProfs = append(d.retiredProfs, pp)
-	}
-	if d.Rec != nil {
-		d.retiredRecs = append(d.retiredRecs, d.Rec)
-		d.Rec = nil
-	}
-	d.retiredFrom += d.World.FramesFromDevice
-	d.retiredTo += d.World.FramesToDevice
-	d.retiredDrops += d.World.Dropped
-	if d.Stack != nil {
-		d.retiredReboots += d.Stack.TCPIPRebooter.Reboots
-	}
-	if d.updReb != nil {
-		d.retiredReboots += d.updReb.Reboots
-		d.updReb = nil
-	}
-	d.Sys.Shutdown()
 }
 
 // rolloutStatus assembles the Summary's rollout block: the controller's
