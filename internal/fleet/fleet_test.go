@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -152,5 +154,46 @@ func TestDeviceIPDisjointFromCloud(t *testing.T) {
 		if name, clash := cloud[deviceIP(i)]; clash {
 			t.Fatalf("device %d IP collides with %s", i, name)
 		}
+	}
+}
+
+// Run refuses a float setting no device can run before any device
+// boots: NaN or infinite rates would otherwise publish never or without
+// pause, a NaN in the Summary fails JSON encoding after the whole run,
+// and a drop rate of 1 or more silently cuts every link.
+func TestRunRejectsBadFloats(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"publish rate NaN", func(c *Config) { c.PublishRate = nan }, "publish rate"},
+		{"publish rate +Inf", func(c *Config) { c.PublishRate = inf }, "publish rate"},
+		{"publish rate -Inf", func(c *Config) { c.PublishRate = -inf }, "publish rate"},
+		{"profile rate NaN", func(c *Config) { c.Profiles = []Profile{{Name: "a", PublishRate: nan}} }, `profile "a" rate`},
+		{"profile rate +Inf", func(c *Config) { c.Profiles = []Profile{{Name: "a", PublishRate: inf}} }, `profile "a" rate`},
+		{"profile rate -Inf", func(c *Config) { c.Profiles = []Profile{{Name: "a", PublishRate: -inf}} }, `profile "a" rate`},
+		{"drop NaN", func(c *Config) { c.DropRate = nan }, "drop rate"},
+		{"drop +Inf", func(c *Config) { c.DropRate = inf }, "drop rate"},
+		{"drop 1.5", func(c *Config) { c.DropRate = 1.5 }, "drop rate"},
+		{"drop 1", func(c *Config) { c.DropRate = 1 }, "drop rate"},
+		{"drop negative", func(c *Config) { c.DropRate = -0.1 }, "drop rate"},
+		{"obs sample NaN", func(c *Config) { c.Obs, c.ObsSample = true, nan }, "obs sample"},
+		{"obs sample +Inf", func(c *Config) { c.Obs, c.ObsSample = true, inf }, "obs sample"},
+		{"obs sample -Inf", func(c *Config) { c.Obs, c.ObsSample = true, -inf }, "obs sample"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.edit(&cfg)
+			res, err := Run(cfg)
+			if err == nil {
+				t.Fatalf("Run accepted the config; summary publishes %d", res.Summary.Publishes)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run error %q, want it to name %q", err, tc.want)
+			}
+		})
 	}
 }

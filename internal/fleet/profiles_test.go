@@ -60,3 +60,36 @@ func TestParseProfilesErrors(t *testing.T) {
 		})
 	}
 }
+
+// FuzzParseProfiles feeds the -profiles grammar arbitrary specs. The
+// parser must never panic; every profile it accepts has a unique,
+// non-empty, trimmed name and a known firmware; and the accepted
+// profiles pass through Run's validation, defaults and per-device
+// assignment without panicking. The seed corpus is under
+// testdata/fuzz/FuzzParseProfiles.
+func FuzzParseProfiles(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		ps, err := ParseProfiles(spec)
+		if err != nil {
+			return
+		}
+		seen := make(map[string]bool)
+		for _, p := range ps {
+			if p.Name == "" || p.Name != strings.TrimSpace(p.Name) || seen[p.Name] {
+				t.Fatalf("ParseProfiles(%q) accepted name %q (empty, untrimmed or duplicate)", spec, p.Name)
+			}
+			seen[p.Name] = true
+			if p.Firmware != "" && p.Firmware != FirmwareGo && p.Firmware != FirmwareJS {
+				t.Fatalf("ParseProfiles(%q) accepted firmware %q", spec, p.Firmware)
+			}
+		}
+		cfg := Config{Devices: 4, Profiles: ps}
+		if cfg.validate() != nil {
+			return
+		}
+		cfg = cfg.withDefaults()
+		for i := 0; i < cfg.Devices; i++ {
+			cfg.profileFor(i)
+		}
+	})
+}

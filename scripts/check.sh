@@ -33,6 +33,11 @@ echo "== fuzz: tagged memory against its oracle (10 s) =="
 go test -run '^$' -fuzz '^FuzzMemoryOracle$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mem/
 echo "ok"
 
+echo "== fuzz: fleet profile specs (10 s) =="
+# The -profiles grammar, then Run's validation of what it accepts.
+go test -run '^$' -fuzz '^FuzzParseProfiles$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fleet/
+echo "ok"
+
 echo "== kernel loop on thread goroutines (race, 10 runs) =="
 # A yielding thread runs the kernel loop on its own goroutine and hands
 # the core straight to the next thread; repeat the switcher, scheduler
@@ -116,13 +121,19 @@ echo "== scenario campaign smoke suite (race) =="
 go run -race ./cmd/cheriot-campaign run smoke -seeds 2 -par 4 >/dev/null
 echo "ok"
 
-echo "== poisoned OTA rollout auto-rollback (race) =="
-# The rollout-poisoned campaign must PASS *because* the rollback fired:
-# its RolledBack fixture demands terminal state rolled_back, every
-# device back on the old firmware, cohort crashes above the threshold,
-# and the micro-reboots recorded. A rollback that silently never
-# triggers — or leaves devices on the poisoned image — fails the check.
-go run -race ./cmd/cheriot-campaign run rollout-poisoned >/dev/null
+echo "== OTA rollout suite (race) =="
+# The whole rollout suite, 2 seeds. rollout-poisoned must PASS *because*
+# the rollback fired: its RolledBack fixture demands terminal state
+# rolled_back, every device back on the old firmware, cohort crashes
+# above the threshold, and the micro-reboots recorded. A rollback that
+# silently never triggers — or leaves devices on the poisoned image —
+# fails the check. rollout-healthy and rollout-under-partition must
+# complete, the latter through a broker partition.
+go run -race ./cmd/cheriot-campaign run rollout -seeds 2 >/dev/null
+# A firmware swap closes one incarnation and brings up the next through
+# the boot path; repeat the swap pin, whose every fault crosses two
+# swaps, to shake out races between the swap and the shard goroutines.
+go test -race -count=5 -run '^TestRolloutSwapCarriesFaults$' ./internal/fleet/
 echo "ok"
 
 echo "== forensics smoke run =="
