@@ -2,6 +2,7 @@ package switcher_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/cheriot-go/cheriot/internal/api"
@@ -24,7 +25,9 @@ func profFrames(p *prof.Profile) map[string]prof.Frame {
 
 // checkExact asserts the profiler's exactness invariant against the
 // machine clock and, when telemetry is also armed at the same instant,
-// against the registry's attributed cycles.
+// against the registry: the profile total equals the attributed cycles,
+// and every compartment account equals the self-cycles of the frames
+// that fold onto it (see foldDomains).
 func checkExact(t *testing.T, s *core.System, p *prof.Profile) {
 	t.Helper()
 	if p.BaseCycles+p.TotalCycles != s.Cycles() {
@@ -33,10 +36,80 @@ func checkExact(t *testing.T, s *core.System, p *prof.Profile) {
 	if p.SelfSum() != p.TotalCycles {
 		t.Errorf("frame self sum %d != total %d", p.SelfSum(), p.TotalCycles)
 	}
-	if reg := s.Telemetry(); reg != nil {
-		if got := reg.AttributedCycles(); got != p.TotalCycles {
-			t.Errorf("profile total %d != telemetry attributed %d", p.TotalCycles, got)
+	reg := s.Telemetry()
+	if reg == nil {
+		return
+	}
+	if got := reg.AttributedCycles(); got != p.TotalCycles {
+		t.Errorf("profile total %d != telemetry attributed %d", p.TotalCycles, got)
+	}
+	fold := foldDomains(p)
+	accounts := map[string]uint64{}
+	for _, a := range reg.Accounts() {
+		accounts[a.Name()] = a.Cycles()
+	}
+	for dom, cycles := range accounts {
+		if fold[dom] != cycles {
+			t.Errorf("account %s = %d cycles, profile folds %d onto it", dom, cycles, fold[dom])
 		}
+	}
+	for dom, cycles := range fold {
+		if _, ok := accounts[dom]; !ok && cycles != 0 {
+			t.Errorf("profile folds %d cycles onto %s, which has no account", cycles, dom)
+		}
+	}
+}
+
+// foldDomains sums each frame's self-cycles onto the telemetry domain the
+// clock charged while that frame was current: a "comp.entry" leaf's
+// compartment, a "<…>" leaf's pseudo-domain, and the switcher for a bare
+// thread root (a thread that has not entered a compartment yet, or has
+// returned from its top-level call).
+func foldDomains(p *prof.Profile) map[string]uint64 {
+	fold := map[string]uint64{}
+	for _, f := range p.Frames {
+		leaf := f.Stack[strings.LastIndexByte(f.Stack, ';')+1:]
+		dom := telemetry.DomainSwitcher
+		switch {
+		case strings.HasPrefix(leaf, "<"):
+			dom = leaf
+		case strings.Contains(f.Stack, ";"):
+			dom = leaf[:strings.IndexByte(leaf, '.')]
+		}
+		fold[dom] += f.Self
+	}
+	return fold
+}
+
+// TestProfilerLoopFoldsToAccounts: across every kernel-loop path (calls,
+// futex wait and wake, sleeps with idle skips, yields, priority wakes and
+// quantum expiry) the profile armed at the same instant as telemetry
+// folds onto the compartment accounts exactly, and the profiler armed
+// alone still sums to the clock.
+func TestProfilerLoopFoldsToAccounts(t *testing.T) {
+	s := boot(t, loopImage())
+	s.EnableTelemetry(0)
+	p := s.EnableProfiler()
+	run(t, s)
+	if st := s.Kernel.Stats(); st.ContextSwitches < 50 || st.IdleCycles == 0 {
+		t.Fatalf("workload too tame to cover the loop: %+v", st)
+	}
+	pr := p.Snapshot()
+	checkExact(t, s, pr)
+	fold := foldDomains(pr)
+	for _, dom := range []string{"app", "svc", "sched", telemetry.DomainSwitcher,
+		telemetry.DomainSched, telemetry.DomainIdle} {
+		if fold[dom] == 0 {
+			t.Errorf("no cycles folded onto %s", dom)
+		}
+	}
+
+	alone := boot(t, loopImage())
+	pa := alone.EnableProfiler()
+	run(t, alone)
+	checkExact(t, alone, pa.Snapshot())
+	if alone.Cycles() != s.Cycles() {
+		t.Errorf("profiler alone ran to %d cycles, with telemetry %d", alone.Cycles(), s.Cycles())
 	}
 }
 
