@@ -135,10 +135,6 @@ type Thread struct {
 	// disabled); the switcher installs it in the clock at dispatch.
 	acct *telemetry.CycleAccount
 
-	// Scheduling fields owned by the scheduler policy.
-	WakeAt  uint64
-	SchedPD interface{}
-
 	exitFault *hw.Trap
 }
 
