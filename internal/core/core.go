@@ -142,8 +142,7 @@ func (s *System) Telemetry() *telemetry.Registry { return s.Kernel.Telemetry() }
 // the profile total equals the registry's attributed cycles. It returns
 // the profiler.
 func (s *System) EnableProfiler() *prof.Profiler {
-	clock := s.Board.Core.Clock
-	p := prof.New(clock.Hz(), clock.Cycles)
+	p := prof.New(s.Board.Core.Clock)
 	s.Kernel.EnableProfiler(p)
 	return p
 }

@@ -17,18 +17,21 @@ const DefaultHz = 33_000_000
 
 // Clock is the deterministic cycle counter of the simulated core.
 //
-// For the telemetry layer it carries two optional attribution slots: raw
-// cells that every Advance also adds into. The switcher installs the
-// running compartment's (and thread's) cell at each domain transition, so
-// all simulated time is attributed at the single point it is created —
-// per-domain sums match the clock total exactly. With no slots installed
-// (telemetry disabled) the cost is two nil checks per Advance.
+// It is also the machine's only cycle-attribution engine. It carries three
+// optional attribution slots, raw cells that every Advance also adds into:
+// the running compartment's and thread's telemetry accounts and the
+// profiler's current frame. The switcher installs the cells at each domain
+// transition, so all simulated time is attributed at the single point it
+// is created, and every partition sums to the clock exactly. With no slots
+// installed (instruments disabled) the cost is three nil checks per
+// Advance.
 type Clock struct {
 	cycles uint64
 	hz     uint64
 
 	acctComp   *uint64
 	acctThread *uint64
+	acctFrame  *uint64
 }
 
 // NewClock returns a clock at cycle zero ticking at hz.
@@ -55,6 +58,9 @@ func (c *Clock) Advance(n uint64) {
 	if c.acctThread != nil {
 		*c.acctThread += n
 	}
+	if c.acctFrame != nil {
+		*c.acctFrame += n
+	}
 }
 
 // SetCompAccount installs the compartment-attribution cell (nil to detach)
@@ -71,6 +77,14 @@ func (c *Clock) SetCompAccount(cell *uint64) *uint64 {
 func (c *Clock) SetThreadAccount(cell *uint64) *uint64 {
 	prev := c.acctThread
 	c.acctThread = cell
+	return prev
+}
+
+// SetFrameAccount installs the profile-frame cell (nil to detach) and
+// returns the previous one.
+func (c *Clock) SetFrameAccount(cell *uint64) *uint64 {
+	prev := c.acctFrame
+	c.acctFrame = cell
 	return prev
 }
 

@@ -33,16 +33,15 @@ type Profile struct {
 	Frames      []Frame `json:"frames"`
 }
 
-// Snapshot freezes the profiler into a Profile: cycles since the last
-// transition are stamped first, then every node (including zero-cost
-// interior nodes, so the tree is reconstructible) is emitted in sorted
-// order. Nil-safe (returns nil).
+// Snapshot freezes the profiler into a Profile: the total is the clock
+// minus the base, and every node (including zero-cost interior nodes, so
+// the tree is reconstructible) is emitted in sorted order. Nil-safe
+// (returns nil).
 func (p *Profiler) Snapshot() *Profile {
 	if p == nil {
 		return nil
 	}
-	p.stamp()
-	pr := &Profile{Hz: p.hz, BaseCycles: p.base, TotalCycles: p.last - p.base}
+	pr := &Profile{Hz: p.clock.Hz(), BaseCycles: p.base, TotalCycles: p.clock.Cycles() - p.base}
 	var walk func(n *node, prefix string)
 	walk = func(n *node, prefix string) {
 		labels := make([]string, 0, len(n.children))

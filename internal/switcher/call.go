@@ -73,11 +73,7 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	// done above (it never ticks), the base call cost, and stack zeroing on
 	// both paths — is attributed to the "<switcher>" pseudo-domain; the
 	// callee's account is installed only while its entry runs.
-	telOn := k.tel != nil
-	var prevAcct *uint64
-	if telOn {
-		prevAcct = k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
-	}
+	prevAcct := k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
 	// The profiler mirrors the account choreography with a "<switcher>"
 	// overlay frame on the caller's stack for the transition work.
 	k.prof.Push(t.ID, telemetry.DomainSwitcher)
@@ -124,17 +120,13 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	}
 	t.frames = append(t.frames, fr)
 
-	if telOn && callee.acct != nil {
-		k.Core.Clock.SetCompAccount(callee.acct.Slot())
-	}
+	k.Core.Clock.SetCompAccount(callee.acct.Slot())
 	if k.prof != nil {
 		// Swap the overlay for the callee's frame while its entry runs.
 		k.prof.Swap(t.ID, k.profLabel(callee, exp))
 	}
 	rets, fault := k.runEntry(t, callee, exp, args)
-	if telOn {
-		k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
-	}
+	k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
 	// Back to the overlay for the return-path zeroing.
 	k.prof.Swap(t.ID, telemetry.DomainSwitcher)
 
@@ -158,9 +150,7 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 		delete(t.evict, target) // the eviction completed
 	}
 
-	if telOn {
-		k.Core.Clock.SetCompAccount(prevAcct)
-	}
+	k.Core.Clock.SetCompAccount(prevAcct)
 	k.prof.Pop(t.ID)
 	if fault != nil {
 		k.ctrUnwinds.Inc()
@@ -201,12 +191,10 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 		if fault == nil {
 			return rets, nil
 		}
-		if k.tel != nil && callee.acct != nil {
-			// The panic may have unwound past a nested transition that left
-			// the clock pointing elsewhere; fault handling — handler runs
-			// and unwind cost — is charged to the faulting compartment.
-			k.Core.Clock.SetCompAccount(callee.acct.Slot())
-		}
+		// The panic may have unwound past a nested transition that left
+		// the clock pointing elsewhere; fault handling — handler runs and
+		// unwind cost — is charged to the faulting compartment.
+		k.Core.Clock.SetCompAccount(callee.acct.Slot())
 		// Likewise the panic may have abandoned profiler frames mid-
 		// transition; truncate back to this entry's own frame.
 		k.prof.PopTo(t.ID, profDepth)

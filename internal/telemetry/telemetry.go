@@ -20,9 +20,10 @@
 //
 //  3. Exact cycle attribution. All simulated time flows through
 //     hw.Clock.Advance, which charges the currently-installed compartment
-//     account (see hw.Clock.SetCompAccount). The switcher moves that
-//     account at every domain transition, so the per-domain sums equal the
-//     clock's total exactly — no lost or double-charged cycles.
+//     and thread accounts (see hw.Clock.SetCompAccount) beside the
+//     profiler's current frame. The switcher moves them at every domain
+//     transition, so the per-domain sums equal the clock's total exactly —
+//     no lost or double-charged cycles.
 //
 // The package is a leaf: it imports nothing from the rest of the module,
 // so every layer (hw, switcher, alloc, sched, netstack) can use it.
