@@ -330,11 +330,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects float settings no device can run: a drop rate
-// outside [0,1), and a publish rate, profile rate or trace sampling
-// probability that is NaN or infinite. Run calls it before withDefaults,
-// which would otherwise turn a -Inf rate into the default.
+// validate rejects settings no device can run: a drop rate outside
+// [0,1), a publish rate, profile rate or trace sampling probability that
+// is NaN or infinite, and a negative arrival spread, which would start no
+// device's app. Run calls it before withDefaults, which would otherwise
+// turn a -Inf rate into the default.
 func (c Config) validate() error {
+	if c.ArrivalSpread < 0 {
+		return fmt.Errorf("fleet: arrival spread %v is negative", c.ArrivalSpread)
+	}
 	if !(c.DropRate >= 0 && c.DropRate < 1) {
 		return fmt.Errorf("fleet: drop rate %v is outside [0,1)", c.DropRate)
 	}
@@ -377,16 +381,13 @@ func (c Config) profileFor(i int) Profile {
 	return c.Profiles[len(c.Profiles)-1]
 }
 
-func (c Config) horizonCycles() uint64 {
-	// Microsecond granularity avoids uint64 overflow for any sane
-	// duration (33 cycles per µs).
-	return uint64(c.Duration.Microseconds()) * (hw.DefaultHz / 1_000_000)
-}
+func (c Config) horizonCycles() uint64 { return durationCycles(c.Duration) }
 
-func (c Config) arrivalSpreadCycles() uint64 {
-	return uint64(c.ArrivalSpread.Microseconds()) * (hw.DefaultHz / 1_000_000)
-}
+func (c Config) arrivalSpreadCycles() uint64 { return durationCycles(c.ArrivalSpread) }
 
+// durationCycles converts a simulated duration to cycles (0 for d <= 0).
+// Microsecond granularity avoids uint64 overflow for any sane duration
+// (33 cycles per µs).
 func durationCycles(d time.Duration) uint64 {
 	if d <= 0 {
 		return 0

@@ -160,7 +160,8 @@ func TestDeviceIPDisjointFromCloud(t *testing.T) {
 // Run refuses a float setting no device can run before any device
 // boots: NaN or infinite rates would otherwise publish never or without
 // pause, a NaN in the Summary fails JSON encoding after the whole run,
-// and a drop rate of 1 or more silently cuts every link.
+// and a drop rate of 1 or more silently cuts every link. A negative
+// arrival spread, which would start no device's app, is refused too.
 func TestRunRejectsBadFloats(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -182,6 +183,7 @@ func TestRunRejectsBadFloats(t *testing.T) {
 		{"obs sample NaN", func(c *Config) { c.Obs, c.ObsSample = true, nan }, "obs sample"},
 		{"obs sample +Inf", func(c *Config) { c.Obs, c.ObsSample = true, inf }, "obs sample"},
 		{"obs sample -Inf", func(c *Config) { c.Obs, c.ObsSample = true, -inf }, "obs sample"},
+		{"spread negative", func(c *Config) { c.ArrivalSpread = -time.Millisecond }, "arrival spread"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
