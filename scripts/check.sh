@@ -18,6 +18,13 @@ echo "== go vet =="
 go vet ./...
 echo "ok"
 
+echo "== benchmark module: vet and smoke test =="
+# bench/ is its own Go module, so neither go vet nor go test above
+# compiles it: a change to an internal API the benchmark calls would
+# break its build while every other step stays green.
+(cd bench && go vet ./... && go test ./...)
+echo "ok"
+
 echo "== docs cite only test functions that exist =="
 sh scripts/check-doc-tests.sh
 echo "ok"
