@@ -93,8 +93,25 @@ func (e Errno) Error() string {
 	}
 }
 
-// EV wraps an Errno as a single-register return value.
-func EV(e Errno) []Value { return []Value{W(uint32(e))} }
+// errnoRegs holds the return register of every named errno, OK through
+// ErrConnReset, indexed by -errno.
+var errnoRegs = func() (r [1 - ErrConnReset][]Value) {
+	for i := range r {
+		r[i] = []Value{W(uint32(-int32(i)))}
+	}
+	return r
+}()
+
+// EV wraps an Errno as a single-register return value. A named errno's
+// slice (OK through ErrConnReset, length and capacity 1) is shared by
+// every return of it, so return registers are read-only; any other value
+// gets a slice of its own.
+func EV(e Errno) []Value {
+	if e <= OK && e >= ErrConnReset {
+		return errnoRegs[-e]
+	}
+	return []Value{W(uint32(e))}
+}
 
 // ErrnoOf decodes the first return register as an Errno; a missing return
 // value decodes as ErrInvalid.
@@ -108,6 +125,13 @@ func ErrnoOf(rets []Value) Errno {
 // Entry is a compartment entry point or shared-library function body.
 // Argument and return values travel through (simulated) registers. Faults
 // raised while the entry runs are caught by the switcher at this boundary.
+//
+// args are the caller's argument registers, valid until the entry
+// returns: the caller's next call reuses them, so an entry must not keep
+// them, and one that returns them hands its caller registers that call
+// overwrites. The returned slice is the return registers, which are
+// read-only: the caller must not write into them (EV shares one slice per
+// errno across every call).
 type Entry func(ctx Context, args []Value) []Value
 
 // HandlerDecision is returned by a compartment's global error handler.
@@ -135,7 +159,35 @@ type ErrorHandler func(ctx Context, t *hw.Trap) HandlerDecision
 //
 // Memory accessors trap (panic with *hw.Trap, caught at the compartment
 // boundary) on any capability violation, exactly as the hardware would.
-type Context interface {
+//
+// A Context is a handle on the switcher's Frame for that invocation. Its
+// own Call and LibCall copy their arguments into the running thread's
+// argument registers and make the call through them, so, as on the
+// hardware, a call passes its arguments without allocating.
+type Context struct{ Frame }
+
+// Call performs a compartment call to an entry point the compartment
+// imports. It returns the callee's return registers; if the callee
+// faulted and unwound, it returns ErrUnwound (or ErrCompartmentBusy while
+// the target micro-reboots). Calling an entry point that is not in the
+// import table traps.
+func (c Context) Call(compartment, entry string, args ...Value) ([]Value, error) {
+	copy(c.ArgRegs(len(args)), args)
+	return c.CallRegs(compartment, entry, len(args))
+}
+
+// LibCall invokes an imported shared-library function. The library runs
+// in the caller's security domain: no new trusted-stack frame, no stack
+// zeroing, and any fault it raises is attributed to the caller.
+func (c Context) LibCall(library, fn string, args ...Value) []Value {
+	copy(c.ArgRegs(len(args)), args)
+	return c.LibCallRegs(library, fn, len(args))
+}
+
+// Frame is what the switcher implements for one entry invocation: every
+// method of Context except Call and LibCall, which Context builds on the
+// register methods at the end.
+type Frame interface {
 	// Compartment returns the name of the executing compartment.
 	Compartment() string
 	// Caller returns the name of the compartment that performed the
@@ -165,18 +217,6 @@ type Context interface {
 	Now() uint64
 	// Yield voluntarily gives up the core.
 	Yield()
-
-	// Call performs a compartment call to an entry point the compartment
-	// imports. It returns the callee's return registers; if the callee
-	// faulted and unwound, it returns ErrUnwound (or ErrCompartmentBusy
-	// while the target micro-reboots). Calling an entry point that is not
-	// in the import table traps.
-	Call(compartment, entry string, args ...Value) ([]Value, error)
-
-	// LibCall invokes an imported shared-library function. The library
-	// runs in the caller's security domain: no new trusted-stack frame, no
-	// stack zeroing, and any fault it raises is attributed to the caller.
-	LibCall(library, fn string, args ...Value) []Value
 
 	// State returns the compartment's private Go-level state object (built
 	// by its firmware State factory), the simulation stand-in for
@@ -227,4 +267,14 @@ type Context interface {
 	// recorder assigned to a root, derive or alloc event, or 0; with no
 	// sink attached it does nothing.
 	Emit(ev telemetry.Event) uint32
+
+	// ArgRegs pushes n argument registers on the running thread's
+	// argument stack and returns them, with length and capacity n.
+	ArgRegs(n int) []Value
+	// CallRegs is Call with its arguments in the n argument registers on
+	// top of the stack; the return pops them.
+	CallRegs(compartment, entry string, n int) ([]Value, error)
+	// LibCallRegs is LibCall with its arguments in the n argument
+	// registers on top of the stack; the return pops them.
+	LibCallRegs(library, fn string, n int) []Value
 }

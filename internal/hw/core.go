@@ -82,10 +82,17 @@ func (c *Core) IRQPending() bool { return c.irq.anyPending() }
 
 // At schedules fn to run when the clock reaches cycle. Events fire during
 // Tick/SkipTo, in deadline order (FIFO among equal deadlines).
-func (c *Core) At(cycle uint64, fn func()) { c.events.push(cycle, fn) }
+func (c *Core) At(cycle uint64, fn func()) { c.events.push(event{cycle: cycle, fn: fn}) }
 
 // After schedules fn to run n cycles from now.
 func (c *Core) After(n uint64, fn func()) { c.At(c.Clock.Cycles()+n, fn) }
+
+// AfterArg schedules fn(arg) to run n cycles from now, in the same order
+// as At's events. A timer armed again and again with one fn built up
+// front, and a new arg each time, allocates no closure.
+func (c *Core) AfterArg(n uint64, fn func(uint64), arg uint64) {
+	c.events.push(event{cycle: c.Clock.Cycles() + n, fnArg: fn, arg: arg})
+}
 
 // NextEvent returns the deadline of the earliest pending event, and whether
 // one exists.
@@ -99,15 +106,21 @@ func (c *Core) NextEvent() (uint64, bool) {
 func (c *Core) fireDue() {
 	now := c.Clock.Cycles()
 	for len(c.events.items) > 0 && c.events.items[0].cycle <= now {
-		c.events.pop().fn()
+		if ev := c.events.pop(); ev.fnArg != nil {
+			ev.fnArg(ev.arg)
+		} else {
+			ev.fn()
+		}
 	}
 }
 
-// event is a deferred device action.
+// event is a deferred device action: fn(), or fnArg(arg) for AfterArg.
 type event struct {
 	cycle uint64
 	seq   uint64
 	fn    func()
+	fnArg func(uint64)
+	arg   uint64
 }
 
 // eventQueue is a binary min-heap of events ordered by (cycle, seq). It
@@ -123,9 +136,10 @@ func (q *eventQueue) less(i, j int) bool {
 	return a.cycle < b.cycle || a.cycle == b.cycle && a.seq < b.seq
 }
 
-func (q *eventQueue) push(cycle uint64, fn func()) {
+func (q *eventQueue) push(ev event) {
 	q.seq++
-	q.items = append(q.items, event{cycle: cycle, seq: q.seq, fn: fn})
+	ev.seq = q.seq
+	q.items = append(q.items, ev)
 	for i := len(q.items) - 1; i > 0; {
 		p := (i - 1) / 2
 		if !q.less(i, p) {
@@ -141,7 +155,7 @@ func (q *eventQueue) pop() event {
 	it := q.items
 	top, n := it[0], len(it)-1
 	it[0] = it[n]
-	it[n] = event{} // drop the fired closure
+	it[n] = event{} // drop the fired callback
 	q.items = it[:n]
 	for i := 0; ; {
 		j := 2*i + 1

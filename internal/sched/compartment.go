@@ -79,15 +79,11 @@ func (s *Sched) futexWait(ctx api.Context, args []api.Value) []api.Value {
 	ctx.Telemetry().Counter(Name, "futex_waits").Inc()
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindFutexWait,
 		Thread: t.Name, From: ctx.Caller(), Arg: uint64(word.Address())})
-	w := &waiter{t: t, one: [1]uint32{word.Address()}, wokenBy: noWaker}
-	w.addrs = w.one[:]
+	w := s.waiterFor(t)
+	w.addrs = append(w.addrs, word.Address())
 	s.register(w)
 	if timeout > 0 {
-		s.k.Core.After(uint64(timeout), func() {
-			if !w.done {
-				s.complete(w)
-			}
-		})
+		s.arm(w, uint64(timeout))
 	}
 	s.k.Block(t)
 	switch {
@@ -126,36 +122,28 @@ func (s *Sched) multiwait(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(api.ErrInvalid)
 	}
 	timeout := args[0].AsWord()
-	type ev struct {
-		word     cap.Capability
-		expected uint32
-	}
-	var evs []ev
-	for i := 1; i < len(args); i += 2 {
-		if !args[i].IsCap || args[i].Cap.CheckAccess(cap.PermLoad, 4) != nil {
+	// Event i is the pair (word, expected) at evs[2i], evs[2i+1].
+	evs := args[1:]
+	for i := 0; i < len(evs); i += 2 {
+		if !evs[i].IsCap || evs[i].Cap.CheckAccess(cap.PermLoad, 4) != nil {
 			return api.EV(api.ErrInvalid)
 		}
-		evs = append(evs, ev{word: args[i].Cap, expected: args[i+1].AsWord()})
 	}
-	ctx.Work(hw.FutexWaitCycles * uint64(len(evs)))
+	ctx.Work(hw.FutexWaitCycles * uint64(len(evs)/2))
 	// If any word already moved, report it without sleeping.
-	for i, e := range evs {
-		if ctx.Load32(e.word) != e.expected {
-			return []api.Value{api.W(uint32(i))}
+	for i := 0; i < len(evs); i += 2 {
+		if ctx.Load32(evs[i].Cap) != evs[i+1].AsWord() {
+			return []api.Value{api.W(uint32(i / 2))}
 		}
 	}
 	t := s.k.ThreadByID(ctx.ThreadID())
-	w := &waiter{t: t, wokenBy: noWaker}
-	for _, e := range evs {
-		w.addrs = append(w.addrs, e.word.Address())
+	w := s.waiterFor(t)
+	for i := 0; i < len(evs); i += 2 {
+		w.addrs = append(w.addrs, evs[i].Cap.Address())
 	}
 	s.register(w)
 	if timeout > 0 {
-		s.k.Core.After(uint64(timeout), func() {
-			if !w.done {
-				s.complete(w)
-			}
-		})
+		s.arm(w, uint64(timeout))
 	}
 	s.k.Block(t)
 	switch {
@@ -164,9 +152,9 @@ func (s *Sched) multiwait(ctx api.Context, args []api.Value) []api.Value {
 	case w.wokenBy == noWaker:
 		return api.EV(api.ErrTimeout)
 	default:
-		for i, e := range evs {
-			if e.word.Address() == w.wokenBy {
-				return []api.Value{api.W(uint32(i))}
+		for i := 0; i < len(evs); i += 2 {
+			if evs[i].Cap.Address() == w.wokenBy {
+				return []api.Value{api.W(uint32(i / 2))}
 			}
 		}
 		return api.EV(api.ErrInvalid)
@@ -182,13 +170,9 @@ func (s *Sched) sleep(ctx api.Context, args []api.Value) []api.Value {
 	t := s.k.ThreadByID(ctx.ThreadID())
 	ctx.Telemetry().Counter(Name, "sleeps").Inc()
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindSleep, Thread: t.Name, From: ctx.Caller(), Arg: n})
-	w := &waiter{t: t, wokenBy: noWaker}
+	w := s.waiterFor(t)
 	s.register(w)
-	s.k.Core.After(n, func() {
-		if !w.done {
-			s.complete(w)
-		}
-	})
+	s.arm(w, n)
 	s.k.Block(t)
 	if w.forced {
 		return api.EV(api.ErrCompartmentBusy)

@@ -32,7 +32,9 @@ func align8(n uint32) uint32 { return (n + 7) &^ 7 }
 // stack space, zeroes the callee's stack frame on the way in and out,
 // clears the thread's hazard slots, and dispatches traps to the callee's
 // error handler. caller == nil marks a thread's top-level invocation.
-func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, args []api.Value) ([]api.Value, error) {
+// The call's n arguments are the top n slots of t's argument stack; every
+// return pops them.
+func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, n int) ([]api.Value, error) {
 	if k.killed {
 		// Deferred cleanup calling back in during a Shutdown kill: keep
 		// unwinding instead of charging cycles against a dead machine.
@@ -47,7 +49,9 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 		panic(&hw.Trap{Code: hw.TrapTagViolation,
 			Detail: fmt.Sprintf("no compartment %q", target)})
 	}
+	argBase := t.argTop - n
 	if callee.resetting {
+		t.argTop = argBase
 		return nil, api.ErrCompartmentBusy
 	}
 	exp := callee.exports[entry]
@@ -125,7 +129,8 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 		// Swap the overlay for the callee's frame while its entry runs.
 		k.prof.Swap(t.ID, k.profLabel(callee, exp))
 	}
-	rets, fault := k.runEntry(t, callee, exp, args)
+	rets, fault := k.runEntry(t, callee, exp, t.args[argBase:t.argTop:t.argTop])
+	t.argTop = argBase
 	k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
 	// Back to the overlay for the return-path zeroing.
 	k.prof.Swap(t.ID, telemetry.DomainSwitcher)
@@ -172,9 +177,13 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 		t.ctxs = append(t.ctxs, new(ctx))
 	}
 	c := t.ctxs[depth]
+	argTop := t.argTop
 	for attempt := 0; ; attempt++ {
 		fault = nil
 		rets = nil
+		// A retry drops whatever argument registers the failed attempt
+		// left pushed by a call that trapped before returning.
+		t.argTop = argTop
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -186,7 +195,7 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 				}
 			}()
 			*c = ctx{k: k, t: t, comp: callee, frameIdx: depth}
-			rets = exp.Entry(c, args)
+			rets = exp.Entry(api.Context{Frame: c}, args)
 		}()
 		if fault == nil {
 			return rets, nil
@@ -245,7 +254,7 @@ func (k *Kernel) runHandler(t *Thread, callee *Comp, handler api.ErrorHandler, c
 		}
 	}()
 	c := &ctx{k: k, t: t, comp: callee, frameIdx: len(t.frames) - 1, inHandler: true}
-	decision = handler(c, cause)
+	decision = handler(api.Context{Frame: c}, cause)
 	return decision
 }
 
@@ -263,8 +272,9 @@ func (k *Kernel) zeroStack(t *Thread, base, size uint32) {
 
 // libCall invokes a shared-library function in the caller's security
 // domain: no new trusted-stack frame, no zeroing; traps propagate to the
-// calling compartment's handler (§3).
-func (k *Kernel) libCall(c *ctx, lib, fn string, args []api.Value) []api.Value {
+// calling compartment's handler (§3). Its n arguments are the top n slots
+// of the thread's argument stack; the return, or a trap, pops them.
+func (k *Kernel) libCall(c *ctx, lib, fn string, n int) []api.Value {
 	if !c.comp.importsLib(lib, fn) {
 		panic(&hw.Trap{Code: hw.TrapPermitViolation,
 			Detail: fmt.Sprintf("%s does not import %s.%s", c.comp.Name(), lib, fn)})
@@ -282,13 +292,16 @@ func (k *Kernel) libCall(c *ctx, lib, fn string, args []api.Value) []api.Value {
 	// Library sentries carry interrupt-posture semantics (§2.1): a
 	// disabling sentry defers interrupts for the duration of the call and
 	// the matching return sentry restores them.
-	prevDisable := c.t.irqDisable
+	t := c.t
+	prevDisable := t.irqDisable
 	switch f.Posture {
 	case firmware.PostureDisabled:
-		c.t.irqDisable++
+		t.irqDisable++
 	case firmware.PostureEnabled:
-		c.t.irqDisable = 0
+		t.irqDisable = 0
 	}
-	defer func() { c.t.irqDisable = prevDisable }()
-	return f.Entry(c, args)
+	top := t.argTop
+	base := top - n
+	defer func() { t.irqDisable, t.argTop = prevDisable, base }()
+	return f.Entry(api.Context{Frame: c}, t.args[base:top:top])
 }

@@ -9,10 +9,11 @@ import (
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
-// ctx implements api.Context for one compartment-call frame. Every memory
-// operation is capability-checked by the mem layer and charged cycles; any
-// violation panics with *hw.Trap, which the switcher catches at the
-// compartment boundary, exactly like a hardware trap.
+// ctx implements api.Frame for one compartment-call frame; entries get it
+// wrapped in an api.Context. Every memory operation is capability-checked
+// by the mem layer and charged cycles; any violation panics with
+// *hw.Trap, which the switcher catches at the compartment boundary,
+// exactly like a hardware trap.
 type ctx struct {
 	k         *Kernel
 	t         *Thread
@@ -21,7 +22,7 @@ type ctx struct {
 	inHandler bool
 }
 
-var _ api.Context = (*ctx)(nil)
+var _ api.Frame = (*ctx)(nil)
 
 // checkLive faults the thread out of a compartment that is being
 // micro-rebooted; it runs at the top of every context operation
@@ -48,18 +49,18 @@ func (c *ctx) trapIf(err error, cc cap.Capability) {
 	}
 }
 
-// Compartment implements api.Context.
+// Compartment implements api.Frame.
 func (c *ctx) Compartment() string { return c.comp.Name() }
 
-// Telemetry implements api.Context. All registry handles are nil-safe, so
+// Telemetry implements api.Frame. All registry handles are nil-safe, so
 // compartment code instruments unconditionally and pays one nil check when
 // telemetry is disabled.
 func (c *ctx) Telemetry() *telemetry.Registry { return c.k.tel }
 
-// Emit implements api.Context.
+// Emit implements api.Frame.
 func (c *ctx) Emit(ev telemetry.Event) uint32 { return c.k.Emit(ev) }
 
-// Caller implements api.Context, reading the trusted stack.
+// Caller implements api.Frame, reading the trusted stack.
 func (c *ctx) Caller() string {
 	if c.frameIdx == 0 {
 		return ""
@@ -67,10 +68,10 @@ func (c *ctx) Caller() string {
 	return c.t.frames[c.frameIdx-1].comp.Name()
 }
 
-// ThreadID implements api.Context.
+// ThreadID implements api.Frame.
 func (c *ctx) ThreadID() int { return c.t.ID }
 
-// Load32 implements api.Context.
+// Load32 implements api.Frame.
 func (c *ctx) Load32(cc cap.Capability) uint32 {
 	c.checkLive()
 	c.k.Core.Tick(hw.CopyCost(4))
@@ -80,7 +81,7 @@ func (c *ctx) Load32(cc cap.Capability) uint32 {
 	return v
 }
 
-// Store32 implements api.Context.
+// Store32 implements api.Frame.
 func (c *ctx) Store32(cc cap.Capability, v uint32) {
 	c.checkLive()
 	c.k.Core.Tick(hw.CopyCost(4))
@@ -88,7 +89,7 @@ func (c *ctx) Store32(cc cap.Capability, v uint32) {
 	c.t.maybePreempt()
 }
 
-// LoadBytes implements api.Context.
+// LoadBytes implements api.Frame.
 func (c *ctx) LoadBytes(cc cap.Capability, n uint32) []byte {
 	c.checkLive()
 	c.k.Core.Tick(hw.CopyCost(n))
@@ -98,7 +99,7 @@ func (c *ctx) LoadBytes(cc cap.Capability, n uint32) []byte {
 	return b
 }
 
-// StoreBytes implements api.Context.
+// StoreBytes implements api.Frame.
 func (c *ctx) StoreBytes(cc cap.Capability, b []byte) {
 	c.checkLive()
 	c.k.Core.Tick(hw.CopyCost(uint32(len(b))))
@@ -106,7 +107,7 @@ func (c *ctx) StoreBytes(cc cap.Capability, b []byte) {
 	c.t.maybePreempt()
 }
 
-// LoadCap implements api.Context.
+// LoadCap implements api.Frame.
 func (c *ctx) LoadCap(cc cap.Capability) cap.Capability {
 	c.checkLive()
 	// Two bus reads on the 33-bit bus (§5.3).
@@ -117,7 +118,7 @@ func (c *ctx) LoadCap(cc cap.Capability) cap.Capability {
 	return v
 }
 
-// StoreCap implements api.Context.
+// StoreCap implements api.Frame.
 func (c *ctx) StoreCap(at, v cap.Capability) {
 	c.checkLive()
 	c.k.Core.Tick(hw.CopyCost(8))
@@ -125,7 +126,7 @@ func (c *ctx) StoreCap(at, v cap.Capability) {
 	c.t.maybePreempt()
 }
 
-// Zero implements api.Context.
+// Zero implements api.Frame.
 func (c *ctx) Zero(cc cap.Capability, n uint32) {
 	c.checkLive()
 	c.k.Core.Tick(hw.ZeroCost(n))
@@ -133,41 +134,55 @@ func (c *ctx) Zero(cc cap.Capability, n uint32) {
 	c.t.maybePreempt()
 }
 
-// Work implements api.Context.
+// Work implements api.Frame.
 func (c *ctx) Work(n uint64) {
 	c.checkLive()
 	c.k.Core.Tick(n)
 	c.t.maybePreempt()
 }
 
-// Now implements api.Context.
+// Now implements api.Frame.
 func (c *ctx) Now() uint64 { return c.k.Core.Clock.Cycles() }
 
-// Yield implements api.Context.
+// Yield implements api.Frame.
 func (c *ctx) Yield() {
 	c.checkLive()
 	c.t.yield(yieldVoluntary)
 }
 
-// Call implements api.Context.
-func (c *ctx) Call(compartment, entry string, args ...api.Value) ([]api.Value, error) {
-	c.checkLive()
-	return c.k.compartmentCall(c.t, c.comp, compartment, entry, args)
+// ArgRegs implements api.Frame: it pushes n slots on the thread's
+// argument stack. When the stack must grow, the frames below keep their
+// args in the old array, which nothing writes again.
+func (c *ctx) ArgRegs(n int) []api.Value {
+	t := c.t
+	top := t.argTop + n
+	if top > len(t.args) {
+		t.args = make([]api.Value, max(top, 2*len(t.args)))
+	}
+	regs := t.args[t.argTop:top:top]
+	t.argTop = top
+	return regs
 }
 
-// LibCall implements api.Context.
-func (c *ctx) LibCall(library, fn string, args ...api.Value) []api.Value {
+// CallRegs implements api.Frame.
+func (c *ctx) CallRegs(compartment, entry string, n int) ([]api.Value, error) {
 	c.checkLive()
-	return c.k.libCall(c, library, fn, args)
+	return c.k.compartmentCall(c.t, c.comp, compartment, entry, n)
 }
 
-// Globals implements api.Context.
+// LibCallRegs implements api.Frame.
+func (c *ctx) LibCallRegs(library, fn string, n int) []api.Value {
+	c.checkLive()
+	return c.k.libCall(c, library, fn, n)
+}
+
+// Globals implements api.Frame.
 func (c *ctx) Globals() cap.Capability { return c.comp.globals }
 
-// State implements api.Context.
+// State implements api.Frame.
 func (c *ctx) State() interface{} { return c.comp.state }
 
-// MMIO implements api.Context.
+// MMIO implements api.Frame.
 func (c *ctx) MMIO(name string) cap.Capability {
 	if w, ok := c.comp.mmio[name]; ok {
 		return w
@@ -176,7 +191,7 @@ func (c *ctx) MMIO(name string) cap.Capability {
 		Detail: fmt.Sprintf("%s does not import device %q", c.comp.Name(), name)})
 }
 
-// SharedGlobal implements api.Context.
+// SharedGlobal implements api.Frame.
 func (c *ctx) SharedGlobal(name string) cap.Capability {
 	if s, ok := c.comp.shared[name]; ok {
 		return s
@@ -185,7 +200,7 @@ func (c *ctx) SharedGlobal(name string) cap.Capability {
 		Detail: fmt.Sprintf("%s has no grant for shared global %q", c.comp.Name(), name)})
 }
 
-// SealedImport implements api.Context.
+// SealedImport implements api.Frame.
 func (c *ctx) SealedImport(name string) cap.Capability {
 	if s, ok := c.comp.sealedImports[name]; ok {
 		return s
@@ -194,7 +209,7 @@ func (c *ctx) SealedImport(name string) cap.Capability {
 		Detail: fmt.Sprintf("%s does not import sealed object %q", c.comp.Name(), name)})
 }
 
-// StackAlloc implements api.Context.
+// StackAlloc implements api.Frame.
 func (c *ctx) StackAlloc(n uint32) cap.Capability {
 	c.checkLive()
 	fr := &c.t.frames[c.frameIdx]
@@ -224,18 +239,22 @@ func (c *ctx) StackAlloc(n uint32) cap.Capability {
 	return buf
 }
 
-// During implements api.Context: the DURING/HANDLER scoped error handler
+// During implements api.Frame: the DURING/HANDLER scoped error handler
 // built on setjmp/longjmp (§3.2.6). A forced unwind (micro-reboot) is not
 // interceptable and continues to tear the thread out.
 func (c *ctx) During(body func(), handler func(t *hw.Trap)) {
 	c.checkLive()
 	c.k.Core.Tick(hw.ScopedEnterCycles)
+	argTop := c.t.argTop
 	defer func() {
 		if r := recover(); r != nil {
 			tr, ok := r.(*hw.Trap)
 			if !ok || tr.Code == hw.TrapForcedUnwind {
 				panic(r)
 			}
+			// A call that trapped before its return left its argument
+			// registers pushed.
+			c.t.argTop = argTop
 			c.k.Core.Tick(hw.ScopedUnwindCycles)
 			handler(tr)
 		}
@@ -243,12 +262,12 @@ func (c *ctx) During(body func(), handler func(t *hw.Trap)) {
 	body()
 }
 
-// Fault implements api.Context.
+// Fault implements api.Frame.
 func (c *ctx) Fault(code hw.TrapCode, detail string) {
 	panic(&hw.Trap{Code: code, Detail: detail})
 }
 
-// EphemeralClaim implements api.Context: the hazard-pointer-style claim
+// EphemeralClaim implements api.Frame: the hazard-pointer-style claim
 // held in the thread's two switcher-managed slots (§3.2.5).
 func (c *ctx) EphemeralClaim(cc cap.Capability) {
 	c.checkLive()

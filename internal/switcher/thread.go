@@ -25,6 +25,7 @@ package switcher
 import (
 	"fmt"
 
+	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
@@ -116,6 +117,11 @@ type Thread struct {
 	// every entry at that depth: a context is valid only inside its
 	// entry, and the entries live at once sit at distinct depths.
 	ctxs []*ctx
+	// args is the thread's argument-register stack, grown on demand: a
+	// call pushes its arguments at argTop, its callee's args are those
+	// slots, and the return or an unwind pops them.
+	args   []api.Value
+	argTop int
 
 	// irqDisable defers preemption while positive (interrupt posture).
 	irqDisable int
@@ -253,7 +259,7 @@ func (t *Thread) start(comp string, entry string) {
 		}()
 		t.park()
 		t.state = StateRunning
-		_, err := k.compartmentCall(t, nil, comp, entry, nil)
+		_, err := k.compartmentCall(t, nil, comp, entry, 0)
 		if f, ok := err.(*Fault); ok {
 			t.exitFault = f.Trap
 		}
