@@ -48,10 +48,12 @@ echo "ok"
 echo "== kernel loop on thread goroutines (race, 10 runs) =="
 # A yielding thread runs the kernel loop on its own goroutine and hands
 # the core straight to the next thread; repeat the switcher, scheduler
-# and multi-System tests, and the case-study stream pins that run with
-# both event sinks on, to shake out hand-off races.
+# and multi-System tests, the libs' ticket-lock, queue and multiwait
+# tests (which wake several waiters through each thread's one reused
+# waiter), and the case-study stream pins that run with both event
+# sinks on, to shake out hand-off races.
 go test -race -count=10 ./internal/switcher/ ./internal/sched/ ./internal/core/ \
-	./internal/iotapp/
+	./internal/libs/ ./internal/iotapp/
 echo "ok"
 
 echo "== broker subscription index (race, 10 runs) =="
