@@ -455,3 +455,31 @@ func TestAllocatorStatsAndFragmentation(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestMallocFreeAllocatesNothing pins a heap_allocate and heap_free
+// pair at zero host allocations once the allocator is warm: its records
+// come from a slab, a single owner is held inline, the quarantine is a
+// ring, and the two-register return travels in return registers.
+func TestMallocFreeAllocatesNothing(t *testing.T) {
+	var allocs float64
+	runApp(t, 64*1024, nil, func(ctx api.Context) {
+		cl := alloc.Client{}
+		cycle := func() {
+			obj, errno := cl.Malloc(ctx, 64)
+			if errno != api.OK {
+				t.Errorf("malloc: %v", errno)
+				return
+			}
+			if errno := cl.Free(ctx, obj); errno != api.OK {
+				t.Errorf("free: %v", errno)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			cycle()
+		}
+		allocs = testing.AllocsPerRun(200, cycle)
+	})
+	if allocs != 0 {
+		t.Fatalf("heap_allocate + heap_free allocate %.2f objects, want 0", allocs)
+	}
+}

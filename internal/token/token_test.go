@@ -118,3 +118,32 @@ func TestUnsealRejectsNonTokenObjects(t *testing.T) {
 		}
 	})
 }
+
+// TestUnsealAllocatesNothing pins token_unseal at zero host allocations,
+// through the compartment and through the library: the payload comes
+// back in return registers.
+func TestUnsealAllocatesNothing(t *testing.T) {
+	var slow, fast float64
+	run(t, func(ctx api.Context) {
+		key, _ := token.KeyNew(ctx)
+		sobj, errno := (alloc.Client{}).MallocSealed(ctx, key, 32)
+		if errno != api.OK {
+			t.Errorf("malloc_sealed: %v", errno)
+			return
+		}
+		slow = testing.AllocsPerRun(100, func() {
+			if _, errno := token.Unseal(ctx, key, sobj); errno != api.OK {
+				t.Errorf("unseal: %v", errno)
+			}
+		})
+		fast = testing.AllocsPerRun(100, func() {
+			rets := ctx.LibCall(token.LibName, token.FnUnsealFast, api.C(key), api.C(sobj))
+			if errno := api.ErrnoOf(rets); errno != api.OK {
+				t.Errorf("library unseal: %v", errno)
+			}
+		})
+	})
+	if slow != 0 || fast != 0 {
+		t.Fatalf("token_unseal allocates %.1f objects, the library version %.1f, want 0 and 0", slow, fast)
+	}
+}
