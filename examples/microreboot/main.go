@@ -89,7 +89,7 @@ func kvGet(ctx api.Context, args []api.Value) []api.Value {
 	if !ok {
 		return api.EV(api.ErrNotFound)
 	}
-	return []api.Value{api.W(uint32(api.OK)), api.W(v)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.W(v))
 }
 
 // kvCorrupt simulates a wild write in the service.

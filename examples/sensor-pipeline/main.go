@@ -63,7 +63,7 @@ func main() {
 				if !h.Valid() {
 					return api.EV(api.ErrNotFound)
 				}
-				return []api.Value{api.W(uint32(api.OK)), api.C(h)}
+				return ctx.Ret(api.W(uint32(api.OK)), api.C(h))
 			}},
 		},
 	})

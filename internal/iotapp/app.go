@@ -220,7 +220,7 @@ func (a *App) jsMain(ctx api.Context, args []api.Value) []api.Value {
 		return nil
 	}
 	a.appResult = v.Num
-	return []api.Value{api.W(uint32(v.Num))}
+	return ctx.Ret(api.W(uint32(v.Num)))
 }
 
 // hostBindings wires the script's imports to compartment calls.

@@ -63,9 +63,9 @@ func isSealedFn(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(api.ErrInvalid)
 	}
 	if args[0].Cap.Sealed() {
-		return []api.Value{api.W(1)}
+		return ctx.Ret(api.W(1))
 	}
-	return []api.Value{api.W(0)}
+	return ctx.Ret(api.W(0))
 }
 
 // CheckPointer is the in-compartment fast path used by hardened entry

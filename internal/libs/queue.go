@@ -173,7 +173,7 @@ func queueSize(ctx api.Context, args []api.Value) []api.Value {
 	buf := args[0].Cap
 	head := ctx.Load32(qWord(buf, qHead))
 	tail := ctx.Load32(qWord(buf, qTail))
-	return []api.Value{api.W(tail - head)}
+	return ctx.Ret(api.W(tail - head))
 }
 
 // TailFutex returns the futex word receivers block on; asynchronous APIs

@@ -98,7 +98,7 @@ func qCreate(ctx api.Context, args []api.Value) []api.Value {
 		api.C(buf), api.W(capacity), api.W(elemSize))); e != api.OK {
 		return api.EV(e)
 	}
-	return []api.Value{api.W(uint32(api.OK)), api.C(sobj)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.C(sobj))
 }
 
 // qSend(handle, elemCap, timeout) -> errno

@@ -146,5 +146,5 @@ func poolWorker(ctx api.Context, args []api.Value) []api.Value {
 // poolPending() -> (errno, n) reports queued jobs.
 func poolPending(ctx api.Context, args []api.Value) []api.Value {
 	st := ctx.State().(*poolState)
-	return []api.Value{api.W(uint32(api.OK)), api.W(uint32(len(st.queue)))}
+	return ctx.Ret(api.W(uint32(api.OK)), api.W(uint32(len(st.queue))))
 }

@@ -146,18 +146,35 @@ func (m *Memory) untag(w uint32, mask uint64) {
 	m.tags[w] = word &^ drop
 }
 
-// LoadBytes reads n bytes at the authority's cursor into a fresh slice.
+// LoadBytes reads n bytes at the authority's cursor into a fresh slice,
+// allocated once the access checks pass.
 func (m *Memory) LoadBytes(auth cap.Capability, n uint32) ([]byte, error) {
-	if err := auth.CheckAccess(cap.PermLoad, n); err != nil {
+	if err := m.checkLoad(auth, n); err != nil {
 		return nil, err
 	}
-	addr := auth.Address()
-	if !m.inSRAM(addr, n) {
-		return nil, cap.ErrBoundsViolation
-	}
 	out := make([]byte, n)
-	m.read(out, addr)
-	return out, nil
+	return out, m.LoadInto(auth, out)
+}
+
+// LoadInto reads len(dst) bytes at the authority's cursor into dst, the
+// caller's buffer; on an error it leaves dst untouched.
+func (m *Memory) LoadInto(auth cap.Capability, dst []byte) error {
+	if err := m.checkLoad(auth, uint32(len(dst))); err != nil {
+		return err
+	}
+	m.read(dst, auth.Address())
+	return nil
+}
+
+// checkLoad checks a load of n bytes of SRAM at the authority's cursor.
+func (m *Memory) checkLoad(auth cap.Capability, n uint32) error {
+	if err := auth.CheckAccess(cap.PermLoad, n); err != nil {
+		return err
+	}
+	if !m.inSRAM(auth.Address(), n) {
+		return cap.ErrBoundsViolation
+	}
+	return nil
 }
 
 // StoreBytes writes b at the authority's cursor, clearing any tags it

@@ -106,12 +106,15 @@ type MQTTPacket struct {
 }
 
 // EncodeMQTT serialises a control packet.
-func EncodeMQTT(p MQTTPacket) []byte {
+func EncodeMQTT(p MQTTPacket) []byte { return AppendMQTT(nil, p) }
+
+// AppendMQTT appends a serialised control packet to dst.
+func AppendMQTT(dst []byte, p MQTTPacket) []byte {
 	n := 3 + len(p.Topic) + 2 + len(p.Payload)
 	if p.TraceID != 0 {
 		n += 8
 	}
-	b := make([]byte, n)
+	dst, b := grow(dst, n)
 	b[0] = p.Type
 	put16(b[1:], uint16(len(p.Topic)))
 	copy(b[3:], p.Topic)
@@ -123,12 +126,17 @@ func EncodeMQTT(p MQTTPacket) []byte {
 			b[off+i] = byte(p.TraceID >> (56 - 8*i))
 		}
 	}
-	return b
+	return dst
 }
 
 // DecodeMQTT parses a control packet, recovering the trace trailer when
-// present.
-func DecodeMQTT(b []byte) (MQTTPacket, error) {
+// present. The payload aliases b.
+func DecodeMQTT(b []byte) (MQTTPacket, error) { return DecodeMQTTTopic(b, "") }
+
+// DecodeMQTTTopic is DecodeMQTT for a decoder that keeps the last topic it
+// saw: when the packet's topic bytes equal topic, the packet reuses that
+// string instead of allocating a new one.
+func DecodeMQTTTopic(b []byte, topic string) (MQTTPacket, error) {
 	if len(b) < 5 {
 		return MQTTPacket{}, ErrBadPacket
 	}
@@ -140,10 +148,9 @@ func DecodeMQTT(b []byte) (MQTTPacket, error) {
 	if len(b) < 5+tl+pl {
 		return MQTTPacket{}, ErrBadPacket
 	}
-	pkt := MQTTPacket{
-		Type:    b[0],
-		Topic:   string(b[3 : 3+tl]),
-		Payload: b[5+tl : 5+tl+pl],
+	pkt := MQTTPacket{Type: b[0], Topic: topic, Payload: b[5+tl : 5+tl+pl]}
+	if string(b[3:3+tl]) != topic {
+		pkt.Topic = string(b[3 : 3+tl])
 	}
 	if rest := b[5+tl+pl:]; len(rest) >= 8 {
 		for i := 0; i < 8; i++ {

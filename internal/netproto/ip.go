@@ -37,16 +37,33 @@ type Header struct {
 }
 
 // EncodeHeader serialises h followed by the payload.
-func EncodeHeader(h Header, payload []byte) []byte {
-	h.Len = uint16(len(payload))
-	b := make([]byte, HeaderBytes+len(payload))
+func EncodeHeader(h Header, payload []byte) []byte { return AppendHeader(nil, h, payload) }
+
+// AppendHeader appends h followed by the payload to dst, with the
+// header's length field set to the payload's, and returns the extended
+// slice.
+func AppendHeader(dst []byte, h Header, payload []byte) []byte {
+	dst, b := grow(dst, HeaderBytes+len(payload))
 	put32(b[0:], h.Dst)
 	put32(b[4:], h.Src)
 	b[8] = h.Proto
 	b[9] = h.Flags
-	put16(b[10:], h.Len)
+	put16(b[10:], uint16(len(payload)))
 	copy(b[HeaderBytes:], payload)
-	return b
+	return dst
+}
+
+// grow extends dst by n bytes, reallocating only when its capacity is
+// short, and returns the extended slice and its last n bytes.
+func grow(dst []byte, n int) (out, tail []byte) {
+	l := len(dst)
+	if cap(dst)-l < n {
+		out = make([]byte, l+n, max(l+n, 2*cap(dst)))
+		copy(out, dst)
+	} else {
+		out = dst[:l+n]
+	}
+	return out, out[l:]
 }
 
 // DecodeHeader parses a frame into its header and payload. The payload is
@@ -78,11 +95,14 @@ const (
 )
 
 // EncodeICMP builds an ICMP echo payload.
-func EncodeICMP(typ uint8, data []byte) []byte {
-	b := make([]byte, 1+len(data))
+func EncodeICMP(typ uint8, data []byte) []byte { return AppendICMP(nil, typ, data) }
+
+// AppendICMP appends an ICMP echo payload to dst.
+func AppendICMP(dst []byte, typ uint8, data []byte) []byte {
+	dst, b := grow(dst, 1+len(data))
 	b[0] = typ
 	copy(b[1:], data)
-	return b
+	return dst
 }
 
 // UDP is a UDP segment.
@@ -93,12 +113,15 @@ type UDP struct {
 }
 
 // EncodeUDP serialises a UDP segment.
-func EncodeUDP(u UDP) []byte {
-	b := make([]byte, 4+len(u.Data))
+func EncodeUDP(u UDP) []byte { return AppendUDP(nil, u) }
+
+// AppendUDP appends a serialised UDP segment to dst.
+func AppendUDP(dst []byte, u UDP) []byte {
+	dst, b := grow(dst, 4+len(u.Data))
 	put16(b[0:], u.SrcPort)
 	put16(b[2:], u.DstPort)
 	copy(b[4:], u.Data)
-	return b
+	return dst
 }
 
 // DecodeUDP parses a UDP segment.
@@ -119,9 +142,10 @@ const (
 )
 
 // TCP is a simplified TCP segment: ports, sequence number, flags, data.
-// The simulated link is lossless and ordered, so there is no
-// retransmission machinery; sequence numbers still advance and are
-// checked, and RST/FIN teardown works as usual.
+// The simulated link is ordered and has no retransmission machinery;
+// both ends advance and carry sequence numbers but do not check them (a
+// frame the link drops is simply lost), and RST/FIN teardown works as
+// usual.
 type TCP struct {
 	SrcPort uint16
 	DstPort uint16
@@ -131,14 +155,17 @@ type TCP struct {
 }
 
 // EncodeTCP serialises a TCP segment.
-func EncodeTCP(t TCP) []byte {
-	b := make([]byte, 9+len(t.Data))
+func EncodeTCP(t TCP) []byte { return AppendTCP(nil, t) }
+
+// AppendTCP appends a serialised TCP segment to dst.
+func AppendTCP(dst []byte, t TCP) []byte {
+	dst, b := grow(dst, 9+len(t.Data))
 	put16(b[0:], t.SrcPort)
 	put16(b[2:], t.DstPort)
 	put32(b[4:], t.Seq)
 	b[8] = t.Flags
 	copy(b[9:], t.Data)
-	return b
+	return dst
 }
 
 // DecodeTCP parses a TCP segment.

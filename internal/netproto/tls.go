@@ -43,11 +43,14 @@ const (
 )
 
 // EncodeClientHello builds the ClientHello message.
-func EncodeClientHello(clientRandom []byte) []byte {
-	b := make([]byte, 1+RandomBytes)
+func EncodeClientHello(clientRandom []byte) []byte { return AppendClientHello(nil, clientRandom) }
+
+// AppendClientHello appends the ClientHello message to dst.
+func AppendClientHello(dst, clientRandom []byte) []byte {
+	dst, b := grow(dst, 1+RandomBytes)
 	b[0] = TLSClientHello
 	copy(b[1:], clientRandom)
-	return b
+	return dst
 }
 
 // DecodeClientHello parses a ClientHello.
@@ -114,14 +117,24 @@ func SessionKey(rootSecret, clientRandom, serverRandom []byte) []byte {
 // broker seals and opens a connection's records only while holding that
 // connection's BrokerSession.mu, and a device uses its sessions only from
 // its one running thread.
+//
+// SealOwned and OpenOwned work in two buffers the session owns, one per
+// direction, made on first use: a sealed record is valid until the next
+// SealOwned, a plaintext until the next OpenOwned. The broker reads a
+// device's plaintext after releasing the session lock while a cloud
+// publish may seal into the same session, which is why the directions
+// never share a buffer.
 type Session struct {
-	block cipher.Block            // AES-128 under the first half of the session key
-	mac   hash.Hash               // HMAC-SHA256 under the second half, reset per record
-	sum   [sha256.Size]byte       // recordMAC's output
-	ctr   [aes.BlockSize]byte     // crypt's counter block
-	ks    [8 * aes.BlockSize]byte // crypt's keystream, eight blocks at a time
-	sendN uint32
-	recvN uint32
+	block  cipher.Block            // AES-128 under the first half of the session key
+	mac    hash.Hash               // HMAC-SHA256 under the second half, reset per record
+	sum    [sha256.Size]byte       // recordMAC's output
+	seq    [4]byte                 // recordMAC's record counter
+	ctr    [aes.BlockSize]byte     // crypt's counter block
+	ks     [8 * aes.BlockSize]byte // crypt's keystream, eight blocks at a time
+	sendN  uint32
+	recvN  uint32
+	sealed []byte // SealOwned's record
+	opened []byte // OpenOwned's plaintext
 }
 
 // NewSession builds a record codec from a derived session key. It expands
@@ -134,37 +147,63 @@ func NewSession(key []byte) *Session {
 	return &Session{block: block, mac: hmac.New(sha256.New, key[16:32])}
 }
 
-// Seal encrypts and authenticates one record.
-func (s *Session) Seal(plaintext []byte) []byte {
+// Seal encrypts and authenticates one record into a fresh slice.
+func (s *Session) Seal(plaintext []byte) []byte { return s.AppendSeal(nil, plaintext) }
+
+// SealOwned is Seal into the session's seal buffer: the record is valid
+// until the session's next SealOwned.
+func (s *Session) SealOwned(plaintext []byte) []byte {
+	s.sealed = s.AppendSeal(s.sealed[:0], plaintext)
+	return s.sealed
+}
+
+// AppendSeal encrypts and authenticates one record and appends it to dst.
+// plaintext must not overlap the appended bytes.
+func (s *Session) AppendSeal(dst, plaintext []byte) []byte {
 	n := len(plaintext)
-	b := make([]byte, 1+4+n+recordMACLen)
+	dst, b := grow(dst, 1+4+n+recordMACLen)
 	b[0] = TLSRecord
 	put32(b[1:], uint32(n))
 	ct := b[5 : 5+n]
 	s.crypt(ct, plaintext, s.sendN)
 	copy(b[5+n:], s.recordMAC(ct, s.sendN)[:recordMACLen])
 	s.sendN++
-	return b
+	return dst
 }
 
-// Open verifies and decrypts one record.
-func (s *Session) Open(record []byte) ([]byte, error) {
+// Open verifies and decrypts one record into a fresh slice.
+func (s *Session) Open(record []byte) ([]byte, error) { return s.AppendOpen(nil, record) }
+
+// OpenOwned is Open into the session's open buffer: the plaintext is
+// valid until the session's next OpenOwned.
+func (s *Session) OpenOwned(record []byte) ([]byte, error) {
+	pt, err := s.AppendOpen(s.opened[:0], record)
+	if err == nil {
+		s.opened = pt
+	}
+	return pt, err
+}
+
+// AppendOpen verifies and decrypts one record and appends its plaintext
+// to dst; on an error it returns dst unchanged. record must not overlap
+// the appended bytes.
+func (s *Session) AppendOpen(dst, record []byte) ([]byte, error) {
 	if len(record) < 5+recordMACLen || record[0] != TLSRecord {
-		return nil, ErrTruncated
+		return dst, ErrTruncated
 	}
 	n := int(le32(record[1:]))
-	if len(record) < 5+n+recordMACLen {
-		return nil, ErrTruncated
+	if len(record)-5-recordMACLen < n {
+		return dst, ErrTruncated
 	}
 	ct := record[5 : 5+n]
 	mac := record[5+n : 5+n+recordMACLen]
 	if !hmac.Equal(mac, s.recordMAC(ct, s.recvN)[:recordMACLen]) {
-		return nil, ErrBadMAC
+		return dst, ErrBadMAC
 	}
-	pt := make([]byte, n)
+	dst, pt := grow(dst, n)
 	s.crypt(pt, ct, s.recvN)
 	s.recvN++
-	return pt, nil
+	return dst, nil
 }
 
 // crypt applies AES-128-CTR with a per-record nonce, writing dst. The
@@ -194,9 +233,8 @@ func (s *Session) crypt(dst, src []byte, counter uint32) {
 // session's next record.
 func (s *Session) recordMAC(ct []byte, counter uint32) []byte {
 	s.mac.Reset()
-	var c [4]byte
-	put32(c[:], counter)
-	s.mac.Write(c[:])
+	put32(s.seq[:], counter)
+	s.mac.Write(s.seq[:])
 	s.mac.Write(ct)
 	return s.mac.Sum(s.sum[:0])
 }

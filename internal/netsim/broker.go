@@ -101,16 +101,23 @@ type BrokerSession struct {
 	broker *Broker
 	peer   *TCPPeer
 
-	// mu guards tls, topics, and lastSeen, so a publish on another
+	// mu guards tls, topics, lastSeen and enc, so a publish on another
 	// broker can deliver into this session concurrently with (but
 	// serialized against) the home host's dispatch. Only the home
 	// dispatch writes topics, holding host.mu as well, so it may read
 	// topics under host.mu alone.
 	mu sync.Mutex
-	// tls is nil until the handshake completes.
+	// tls is nil until the handshake completes. The home dispatch opens
+	// the device's records into its open buffer and reads the plaintext
+	// after releasing mu; deliveries seal into its seal buffer.
 	tls      *netproto.Session
 	topics   map[string]bool
 	lastSeen uint64
+	// enc is the outbound MQTT packet under encoding.
+	enc []byte
+	// topic is the last topic the home dispatch decoded, which the next
+	// packet on the same topic reuses.
+	topic string
 }
 
 // NewBroker builds a broker host listening on the MQTT-over-TLS port.
@@ -185,18 +192,19 @@ func (s *BrokerSession) OnData(p *TCPPeer, data []byte) {
 		p.Send(hello)
 		return
 	}
-	plain, err := s.tls.Open(data)
+	plain, err := s.tls.OpenOwned(data)
 	if err != nil {
 		s.mu.Unlock()
 		p.Reset()
 		return
 	}
 	s.mu.Unlock()
-	pkt, err := netproto.DecodeMQTT(plain)
+	pkt, err := netproto.DecodeMQTTTopic(plain, s.topic)
 	if err != nil {
 		p.Reset()
 		return
 	}
+	s.topic = pkt.Topic
 
 	switch pkt.Type {
 	case netproto.MQTTConnect:
@@ -366,7 +374,14 @@ func (s *BrokerSession) reply(pkt netproto.MQTTPacket) {
 	if s.tls == nil {
 		return
 	}
-	s.peer.Send(s.tls.Seal(netproto.EncodeMQTT(pkt)))
+	s.send(pkt)
+}
+
+// send seals and sends one packet on the connected session; s.mu is
+// held.
+func (s *BrokerSession) send(pkt netproto.MQTTPacket) {
+	s.enc = netproto.AppendMQTT(s.enc[:0], pkt)
+	s.peer.Send(s.tls.SealOwned(s.enc))
 }
 
 // DeliverTraced pushes one publish into the session if it is connected
@@ -379,8 +394,7 @@ func (s *BrokerSession) DeliverTraced(topic string, payload []byte, trace uint64
 	if s.tls == nil || !s.topics[topic] {
 		return false
 	}
-	s.peer.Send(s.tls.Seal(netproto.EncodeMQTT(netproto.MQTTPacket{
-		Type: netproto.MQTTPublish, Topic: topic, Payload: payload, TraceID: trace})))
+	s.send(netproto.MQTTPacket{Type: netproto.MQTTPublish, Topic: topic, Payload: payload, TraceID: trace})
 	return true
 }
 

@@ -99,5 +99,5 @@ func dnsResolve(ctx api.Context, args []api.Value) []api.Value {
 	if ip == 0 {
 		return api.EV(api.ErrNotFound)
 	}
-	return []api.Value{api.W(uint32(api.OK)), api.W(ip)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.W(ip))
 }

@@ -27,7 +27,16 @@ type mqttState struct {
 	key cap.Capability
 	// obs is the device's tracer; nil disables tracing at zero simulated
 	// cost (every tracer method is a nil-safe no-op).
-	obs *fleetobs.Tracer
+	obs  *fleetobs.Tracer
+	bufs []*mqttBufs
+}
+
+// mqttBufs is one thread's buffers in the MQTT compartment: the topic and
+// payload of a publish, its encoding, and a received record, with the
+// last topic of each direction, which the next packet on it reuses.
+type mqttBufs struct {
+	topic, payload, enc, rx []byte
+	txTopic, rxTopic        string
 }
 
 // addMQTT registers the MQTT compartment.
@@ -88,9 +97,12 @@ func mqttTLS(ctx api.Context, handle cap.Capability) (cap.Capability, api.Errno)
 
 // exchange sends one MQTT packet over TLS and, when wantType is non-zero,
 // waits for a response of that type (skipping ping responses).
+// A packet it returns is valid until the thread's next exchange.
 func exchange(ctx api.Context, tls cap.Capability, pkt netproto.MQTTPacket,
 	wantType uint8, timeout uint32) (netproto.MQTTPacket, api.Errno) {
-	out := stage(ctx, netproto.EncodeMQTT(pkt))
+	b := threadBufs(&ctx.State().(*mqttState).bufs, ctx)
+	b.enc = netproto.AppendMQTT(b.enc[:0], pkt)
+	out := stage(ctx, b.enc)
 	rets, err := ctx.Call(TLS, FnTLSSend, api.C(tls), api.C(out))
 	if err != nil {
 		return netproto.MQTTPacket{}, api.ErrConnReset
@@ -110,7 +122,7 @@ func exchange(ctx api.Context, tls cap.Capability, pkt netproto.MQTTPacket,
 		if e := api.ErrnoOf(rets); e != api.OK {
 			return netproto.MQTTPacket{}, e
 		}
-		got, derr := netproto.DecodeMQTT(ctx.LoadBytes(scratch.WithAddress(scratch.Base()), rets[1].AsWord()))
+		got, derr := b.decode(ctx, scratch, rets[1].AsWord())
 		if derr != nil {
 			return netproto.MQTTPacket{}, api.ErrInvalid
 		}
@@ -119,6 +131,14 @@ func exchange(ctx api.Context, tls cap.Capability, pkt netproto.MQTTPacket,
 		}
 	}
 	return netproto.MQTTPacket{}, api.ErrTimeout
+}
+
+// decode loads an n-byte record from scratch and decodes it; the packet
+// is valid until the thread's next decode.
+func (b *mqttBufs) decode(ctx api.Context, scratch cap.Capability, n uint32) (netproto.MQTTPacket, error) {
+	pkt, err := netproto.DecodeMQTTTopic(loadInto(ctx, &b.rx, scratch.WithAddress(scratch.Base()), n), b.rxTopic)
+	b.rxTopic = pkt.Topic
+	return pkt, err
 }
 
 // mqttConnect(delegatedAllocCap, ip, port, timeout) -> (errno, handle)
@@ -157,7 +177,7 @@ func mqttConnect(ctx api.Context, args []api.Value) []api.Value {
 		return fail(errno)
 	}
 	ctx.StoreCap(payload.WithAddress(payload.Base()+8), tls.Cap)
-	return []api.Value{api.W(uint32(api.OK)), api.C(sobj)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.C(sobj))
 }
 
 // mqttSubscribe(handle, topicBuf, timeout) -> errno
@@ -209,10 +229,14 @@ func mqttPublish(ctx api.Context, args []api.Value) []api.Value {
 	if trace != 0 {
 		t0 = ctx.Now()
 	}
+	b := threadBufs(&ctx.State().(*mqttState).bufs, ctx)
+	if topic := loadInto(ctx, &b.topic, topicBuf.WithAddress(topicBuf.Base()), topicBuf.Length()); string(topic) != b.txTopic {
+		b.txTopic = string(topic)
+	}
 	_, errno = exchange(ctx, tls, netproto.MQTTPacket{
 		Type:    netproto.MQTTPublish,
-		Topic:   string(ctx.LoadBytes(topicBuf.WithAddress(topicBuf.Base()), topicBuf.Length())),
-		Payload: ctx.LoadBytes(payloadBuf.WithAddress(payloadBuf.Base()), payloadBuf.Length()),
+		Topic:   b.txTopic,
+		Payload: loadInto(ctx, &b.payload, payloadBuf.WithAddress(payloadBuf.Base()), payloadBuf.Length()),
 		TraceID: trace,
 	}, 0, 0)
 	if trace != 0 {
@@ -258,6 +282,7 @@ func mqttWait(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(errno)
 	}
 	scratch := ctx.StackAlloc(tlsRecordScratch)
+	b := threadBufs(&ctx.State().(*mqttState).bufs, ctx)
 	for {
 		rets, err := ctx.Call(TLS, FnTLSRecv, api.C(tls), api.C(scratch), args[2])
 		if err != nil {
@@ -266,7 +291,7 @@ func mqttWait(ctx api.Context, args []api.Value) []api.Value {
 		if e := api.ErrnoOf(rets); e != api.OK {
 			return api.EV(e)
 		}
-		pkt, derr := netproto.DecodeMQTT(ctx.LoadBytes(scratch.WithAddress(scratch.Base()), rets[1].AsWord()))
+		pkt, derr := b.decode(ctx, scratch, rets[1].AsWord())
 		if derr != nil {
 			return api.EV(api.ErrInvalid)
 		}
@@ -281,6 +306,6 @@ func mqttWait(ctx api.Context, args []api.Value) []api.Value {
 			n = out.Length()
 		}
 		ctx.StoreBytes(out.WithAddress(out.Base()), pkt.Payload[:n])
-		return []api.Value{api.W(uint32(api.OK)), api.W(n)}
+		return ctx.Ret(api.W(uint32(api.OK)), api.W(n))
 	}
 }

@@ -106,7 +106,7 @@ func wrapSocket(ctx api.Context, callerQuota cap.Capability, id uint32) ([]api.V
 	}
 	ctx.Store32(payload, id)
 	ctx.StoreCap(payload.WithAddress(payload.Base()+8), buffer)
-	return []api.Value{api.W(uint32(api.OK)), api.C(sobj)}, api.OK
+	return ctx.Ret(api.W(uint32(api.OK)), api.C(sobj)), api.OK
 }
 
 // unwrapSocket validates an opaque handle and returns the socket id. An
@@ -167,10 +167,11 @@ func netConnectTCP(ctx api.Context, args []api.Value) []api.Value {
 	if e := api.ErrnoOf(rets); e != api.OK {
 		return api.EV(e)
 	}
-	out, errno := wrapSocket(ctx, args[0].Cap, rets[1].AsWord())
+	id := rets[1] // wrapSocket's calls reuse the return registers
+	out, errno := wrapSocket(ctx, args[0].Cap, id.AsWord())
 	if errno != api.OK {
 		// Roll back the socket we cannot hand out.
-		_, _ = ctx.Call(TCPIP, FnSockClose, rets[1])
+		_, _ = ctx.Call(TCPIP, FnSockClose, id)
 		return api.EV(errno)
 	}
 	return out
@@ -195,9 +196,10 @@ func netConnectUDP(ctx api.Context, args []api.Value) []api.Value {
 	if e := api.ErrnoOf(rets); e != api.OK {
 		return api.EV(e)
 	}
-	out, errno := wrapSocket(ctx, args[0].Cap, rets[1].AsWord())
+	id := rets[1]
+	out, errno := wrapSocket(ctx, args[0].Cap, id.AsWord())
 	if errno != api.OK {
-		_, _ = ctx.Call(TCPIP, FnSockClose, rets[1])
+		_, _ = ctx.Call(TCPIP, FnSockClose, id)
 		return api.EV(errno)
 	}
 	return out

@@ -93,5 +93,5 @@ func sntpNow(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(api.ErrNotFound)
 	}
 	now := st.offsetMillis + ctx.Now()*1000/st.hz
-	return []api.Value{api.W(uint32(api.OK)), api.W(uint32(now)), api.W(uint32(now >> 32))}
+	return ctx.Ret(api.W(uint32(api.OK)), api.W(uint32(now)), api.W(uint32(now>>32)))
 }

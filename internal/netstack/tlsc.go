@@ -57,7 +57,14 @@ type tlsState struct {
 	rootSecret []byte
 	nextConn   uint32
 	conns      map[uint32]*tlsConn
+	bufs       []*tlsBufs
 }
+
+// tlsBufs is one thread's buffers in the TLS compartment: the plaintext
+// it seals and the record it opens. A session seals and opens into its
+// own buffers, which the next record on it overwrites; both are copied
+// into simulated memory before any preemption point.
+type tlsBufs struct{ plain, record []byte }
 
 func tlsSt(ctx api.Context) *tlsState { return ctx.State().(*tlsState) }
 
@@ -203,7 +210,7 @@ func tlsConnect(ctx api.Context, args []api.Value) []api.Value {
 	}
 	ctx.Store32(payload, id)
 	ctx.StoreCap(payload.WithAddress(payload.Base()+8), tcp.Cap)
-	return []api.Value{api.W(uint32(api.OK)), api.C(sobj)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.C(sobj))
 }
 
 // tlsSend(handle, bufCap) -> errno
@@ -220,9 +227,10 @@ func tlsSend(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	plain := ctx.LoadBytes(buf.WithAddress(buf.Base()), n)
+	b := threadBufs(&tlsSt(ctx).bufs, ctx)
+	plain := loadInto(ctx, &b.plain, buf.WithAddress(buf.Base()), n)
 	chargeCrypto(ctx, uint64(n)*tlsPerByteCycles)
-	record := stage(ctx, conn.session.Seal(plain))
+	record := stage(ctx, conn.session.SealOwned(plain))
 	rets, err := ctx.Call(NetAPI, FnNetSend, api.C(tcp), api.C(record))
 	if err != nil {
 		return api.EV(api.ErrConnReset)
@@ -251,9 +259,10 @@ func tlsRecv(ctx api.Context, args []api.Value) []api.Value {
 	if e := api.ErrnoOf(rets); e != api.OK {
 		return api.EV(e)
 	}
-	record := ctx.LoadBytes(scratch.WithAddress(scratch.Base()), rets[1].AsWord())
+	b := threadBufs(&tlsSt(ctx).bufs, ctx)
+	record := loadInto(ctx, &b.record, scratch.WithAddress(scratch.Base()), rets[1].AsWord())
 	chargeCrypto(ctx, uint64(len(record))*tlsPerByteCycles)
-	plain, oerr := conn.session.Open(record)
+	plain, oerr := conn.session.OpenOwned(record)
 	if oerr != nil {
 		// Authentication failure kills the stream, as in real TLS.
 		return api.EV(api.ErrConnReset)
@@ -263,7 +272,7 @@ func tlsRecv(ctx api.Context, args []api.Value) []api.Value {
 		n = out.Length()
 	}
 	ctx.StoreBytes(out.WithAddress(out.Base()), plain[:n])
-	return []api.Value{api.W(uint32(api.OK)), api.W(n)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.W(n))
 }
 
 // tlsClose(delegatedAllocCap, handle) -> errno

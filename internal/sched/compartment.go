@@ -111,7 +111,7 @@ func (s *Sched) futexWake(ctx api.Context, args []api.Value) []api.Value {
 		n = -1
 	}
 	woken := s.wake(word.Address(), n, ctx.Caller())
-	return []api.Value{api.W(uint32(woken))}
+	return ctx.Ret(api.W(uint32(woken)))
 }
 
 // multiwait(timeout, word0, expected0, word1, expected1, ...) blocks until
@@ -133,7 +133,7 @@ func (s *Sched) multiwait(ctx api.Context, args []api.Value) []api.Value {
 	// If any word already moved, report it without sleeping.
 	for i := 0; i < len(evs); i += 2 {
 		if ctx.Load32(evs[i].Cap) != evs[i+1].AsWord() {
-			return []api.Value{api.W(uint32(i / 2))}
+			return ctx.Ret(api.W(uint32(i / 2)))
 		}
 	}
 	t := s.k.ThreadByID(ctx.ThreadID())
@@ -154,7 +154,7 @@ func (s *Sched) multiwait(ctx api.Context, args []api.Value) []api.Value {
 	default:
 		for i := 0; i < len(evs); i += 2 {
 			if evs[i].Cap.Address() == w.wokenBy {
-				return []api.Value{api.W(uint32(i / 2))}
+				return ctx.Ret(api.W(uint32(i / 2)))
 			}
 		}
 		return api.EV(api.ErrInvalid)
@@ -195,12 +195,12 @@ func (s *Sched) irqFutex(ctx api.Context, args []api.Value) []api.Value {
 	if err != nil {
 		return api.EV(api.ErrInvalid)
 	}
-	return []api.Value{api.W(uint32(api.OK)), api.C(ro)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.C(ro))
 }
 
 // timeIdle() returns the cycles the system has spent idle as (lo, hi)
 // words; the CPU-load instrumentation of §5.3.3 queries it every second.
 func (s *Sched) timeIdle(ctx api.Context, args []api.Value) []api.Value {
 	idle := s.k.IdleCycles()
-	return []api.Value{api.W(uint32(idle)), api.W(uint32(idle >> 32))}
+	return ctx.Ret(api.W(uint32(idle)), api.W(uint32(idle>>32)))
 }

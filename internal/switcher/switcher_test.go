@@ -394,10 +394,11 @@ func TestHandlerRetry(t *testing.T) {
 }
 
 // TestCallAllocatesNothing pins the two-compartment call of Fig. 6a at
-// zero host allocations, with and without arguments, and a library call
-// likewise: the switcher reuses the entry context of each trusted-stack
-// depth, the arguments travel in the thread's argument registers, and
-// EV's errno returns are shared.
+// zero host allocations, with and without arguments, with a two-register
+// return, and a library call likewise: the switcher reuses the entry
+// context of each trusted-stack depth, the arguments and multi-register
+// returns travel in the thread's registers, and EV's errno returns are
+// shared.
 func TestCallAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -411,6 +412,13 @@ func TestCallAllocatesNothing(t *testing.T) {
 			rets, err := ctx.Call("server", "errno", api.W(1), api.W(2), api.C(ctx.Globals()))
 			if err == nil && api.ErrnoOf(rets) != api.OK {
 				err = api.ErrnoOf(rets)
+			}
+			return err
+		}},
+		{"two-register-return", func(ctx api.Context) error {
+			rets, err := ctx.Call("server", "pair", api.W(1))
+			if err == nil && (len(rets) != 2 || rets[1] != api.W(2)) {
+				err = fmt.Errorf("pair returned %v", rets)
 			}
 			return err
 		}},
@@ -443,6 +451,9 @@ func TestCallAllocatesNothing(t *testing.T) {
 						}
 						return api.EV(api.OK)
 					}},
+					{Name: "pair", Entry: func(ctx api.Context, args []api.Value) []api.Value {
+						return ctx.Ret(api.W(uint32(api.OK)), api.W(args[0].Word+1))
+					}},
 				},
 			})
 			var allocs float64
@@ -452,6 +463,7 @@ func TestCallAllocatesNothing(t *testing.T) {
 				Imports: []firmware.Import{
 					{Kind: firmware.ImportCall, Target: "server", Entry: "fn"},
 					{Kind: firmware.ImportCall, Target: "server", Entry: "errno"},
+					{Kind: firmware.ImportCall, Target: "server", Entry: "pair"},
 					{Kind: firmware.ImportLib, Target: "lib", Entry: "is7"},
 				},
 				Exports: []*firmware.Export{{Name: "main", MinStack: 128,

@@ -93,7 +93,7 @@ func (t *Token) unseal(ctx api.Context, args []api.Value) []api.Value {
 	if err != nil {
 		return api.EV(api.ErrInvalid)
 	}
-	return []api.Value{api.W(uint32(api.OK)), api.C(payload)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.C(payload))
 }
 
 // keyNew() -> (errno, keyCap) mints a fresh virtual sealing type (§3.2.1).
@@ -105,7 +105,7 @@ func (t *Token) keyNew(ctx api.Context, args []api.Value) []api.Value {
 	t.nextType++
 	key := cap.New(vt, vt+1, vt, cap.PermSeal|cap.PermUnseal)
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindSeal, To: Name, Detail: "token_key_new", Arg: uint64(key.Base())})
-	return []api.Value{api.W(uint32(api.OK)), api.C(key)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.C(key))
 }
 
 // emitUnseal records an unsealing attempt by the caller; ok reports
@@ -166,7 +166,7 @@ func unsealFast(ctx api.Context, args []api.Value) []api.Value {
 	if err != nil {
 		return api.EV(api.ErrInvalid)
 	}
-	return []api.Value{api.W(uint32(api.OK)), api.C(payload)}
+	return ctx.Ret(api.W(uint32(api.OK)), api.C(payload))
 }
 
 // Unseal is the client helper for token_unseal.

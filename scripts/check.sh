@@ -45,6 +45,13 @@ echo "== fuzz: fleet profile specs (10 s) =="
 go test -run '^$' -fuzz '^FuzzParseProfiles$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fleet/
 echo "ok"
 
+echo "== fuzz: wire codecs (10 s) =="
+# Every decoder on one input: no panic, whatever decodes re-encodes to
+# the bytes it consumed through the append encoders, and appending onto
+# a non-empty buffer keeps its prefix.
+go test -run '^$' -fuzz '^FuzzWireCodecs$' -fuzztime 10s -fuzzminimizetime 0 ./internal/netproto/
+echo "ok"
+
 echo "== kernel loop on thread goroutines (race, 10 runs) =="
 # A yielding thread runs the kernel loop on its own goroutine and hands
 # the core straight to the next thread; repeat the switcher, scheduler
@@ -61,6 +68,14 @@ echo "== broker subscription index (race, 10 runs) =="
 # and teardowns on one shard edit another shard's index; repeat the
 # broker and control-plane tests to shake out lock-order and index races.
 go test -race -count=10 ./internal/netsim/ ./internal/cloud/
+echo "ok"
+
+echo "== caller-owned buffers on the publish path (race, 10 runs) =="
+# A session's buffers are touched by the device's goroutine and by the
+# broker's cloud-originated seals, so sealing and opening use separate
+# buffers; the netstack keeps per-thread buffers and the allocator a
+# record slab. Repeat their tests to shake out a buffer shared too far.
+go test -race -count=10 ./internal/netstack/ ./internal/netproto/ ./internal/alloc/ ./internal/token/
 echo "ok"
 
 echo "== session-TTL reaping lockstep = parallel (race) =="
