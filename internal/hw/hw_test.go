@@ -320,7 +320,9 @@ func TestUARTAndLEDs(t *testing.T) {
 
 type loopback struct{ n *NetAdaptor }
 
-func (l loopback) Send(frame []byte) { l.n.Deliver(frame) }
+func (l loopback) TxBuffer(n int) []byte { return make([]byte, n) }
+func (l loopback) Send(frame []byte)     { l.n.Deliver(frame) }
+func (l loopback) Recycle([]byte)        {}
 
 func TestNetAdaptorLoopback(t *testing.T) {
 	c := NewCore(0x1000, 0)
