@@ -1,6 +1,8 @@
 package alloc_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/cheriot-go/cheriot/internal/alloc"
@@ -8,12 +10,24 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 	"github.com/cheriot-go/cheriot/internal/token"
 )
 
 // runApp boots an image with one compartment ("app") whose main entry is
 // fn, runs it to completion, and returns the system.
 func runApp(t *testing.T, quota uint32, extraImports []firmware.Import,
+	fn func(ctx api.Context)) *core.System {
+	t.Helper()
+	s := bootApp(t, quota, extraImports, fn)
+	if err := s.Run(nil); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return s
+}
+
+// bootApp boots runApp's image without running it.
+func bootApp(t *testing.T, quota uint32, extraImports []firmware.Import,
 	fn func(ctx api.Context)) *core.System {
 	t.Helper()
 	img := core.NewImage("alloc-test")
@@ -34,9 +48,6 @@ func runApp(t *testing.T, quota uint32, extraImports []firmware.Import,
 		t.Fatalf("Boot: %v", err)
 	}
 	t.Cleanup(s.Shutdown)
-	if err := s.Run(nil); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	return s
 }
 
@@ -386,6 +397,48 @@ func TestFreeAllReleasesEverything(t *testing.T) {
 			t.Errorf("quota after free_all = %d", left)
 		}
 	})
+}
+
+// TestFreeAllReleasesInBaseOrder: heap_free_all releases its victims in
+// ascending base order, so its frees, their events and the quarantine
+// entries come out the same on every run, whatever order the allocator's
+// record map iterates in.
+func TestFreeAllReleasesInBaseOrder(t *testing.T) {
+	const objects = 8
+	orders := map[string]int{}
+	for run := 0; run < 20; run++ {
+		s := bootApp(t, 16384, nil, func(ctx api.Context) {
+			cl := alloc.Client{}
+			for i := 0; i < objects; i++ {
+				if _, errno := cl.Malloc(ctx, 64); errno != api.OK {
+					t.Fatalf("malloc %d: %v", i, errno)
+				}
+			}
+			if n, errno := cl.FreeAll(ctx); errno != api.OK || n != objects {
+				t.Fatalf("free_all = %d, %v", n, errno)
+			}
+		})
+		tel := s.EnableTelemetry(1024)
+		if err := s.Run(nil); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		var bases []uint64
+		for _, e := range tel.Ring().Events() {
+			if e.Kind == telemetry.KindFree {
+				bases = append(bases, e.Arg2)
+			}
+		}
+		if len(bases) != objects {
+			t.Fatalf("run %d: %d free events, want %d", run, len(bases), objects)
+		}
+		if !slices.IsSorted(bases) {
+			t.Errorf("run %d freed the bases in order %#x, want ascending", run, bases)
+		}
+		orders[fmt.Sprint(bases)]++
+	}
+	if len(orders) != 1 {
+		t.Errorf("20 runs freed in %d orders, want 1", len(orders))
+	}
 }
 
 func TestCanFree(t *testing.T) {

@@ -1,6 +1,9 @@
 package alloc
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
@@ -222,11 +225,11 @@ func (a *Alloc) heapClaim(ctx api.Context, args []api.Value) []api.Value {
 	ctx.Work(hw.HeapClaimCycles)
 	if meta.gen == gen {
 		meta.claim(recAddr)
+		q.used += size
 	}
 	// Otherwise another thread made the object's final free during the
 	// work above, and the record may describe another object by now: the
-	// claim lands on no object, though it still charges the quota.
-	q.used += size
+	// claim lands on no object and charges nothing.
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindClaim, To: q.owner,
 		Arg: uint64(size), Arg2: uint64(base)})
 	return api.EV(api.OK)
@@ -334,6 +337,9 @@ func (a *Alloc) heapFreeAll(ctx api.Context, args []api.Value) []api.Value {
 			victims = append(victims, victim{meta, meta.gen})
 		}
 	}
+	// The map iterates in no fixed order; releasing in base order keeps
+	// the frees, their events and the quarantine the same on every run.
+	slices.SortFunc(victims, func(x, y victim) int { return cmp.Compare(x.meta.base, y.meta.base) })
 	released := 0
 	for _, v := range victims {
 		// A release's work is a preemption point, at which another thread

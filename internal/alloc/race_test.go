@@ -89,7 +89,8 @@ func runRace(t *testing.T, round func(ctx api.Context, inFlight func(op func()) 
 // object's final free and allocates again, so that the freed object's
 // record is reused for the new one. The claim must not land on the new
 // object: the claimant holds no capability to it, and a claim would keep
-// the owner's free of it from completing.
+// the owner's free of it from completing. Nor may it charge the
+// claimant's quota, since no later free would give the charge back.
 func TestClaimRacingFinalFreeClaimsNothing(t *testing.T) {
 	owner := alloc.Client{AllocCap: "owner"}
 	claimer := alloc.Client{AllocCap: "claimer"}
@@ -116,6 +117,9 @@ func TestClaimRacingFinalFreeClaimsNothing(t *testing.T) {
 		}
 		if claimer.CanFree(ctx, y) == api.OK {
 			t.Error("a claim racing its object's final free claimed the object allocated next")
+		}
+		if left, _ := claimer.QuotaRemaining(ctx); left != 16384 {
+			t.Errorf("claimer's quota remaining = %d after a claim that landed on no object, want 16384", left)
 		}
 		slot := ctx.Globals().WithAddress(ctx.Globals().Base())
 		ctx.StoreCap(slot, y)

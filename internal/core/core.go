@@ -210,8 +210,9 @@ func (s *System) RunFor(cycles uint64) error {
 	return s.Kernel.Run(func() bool { return s.Board.Core.Clock.Cycles() >= deadline })
 }
 
-// Shutdown reaps parked thread goroutines. Always call it (defer it) when
-// done with a System whose threads may still be blocked.
+// Shutdown kills and unwinds the suspended thread coroutines. Always call
+// it (defer it) when done with a System whose threads may still be
+// blocked.
 func (s *System) Shutdown() { s.Kernel.Shutdown() }
 
 // Cycles returns the current simulated cycle count.

@@ -19,9 +19,9 @@ import (
 // worker pool.
 //
 // Half the Systems run in slices, as fleet devices do between run
-// barriers: each Run ends on a thread goroutine, which hands the kernel
-// loop back to the caller's goroutine, and the next Run dispatches from
-// there again. A sliced System must end exactly where a whole run does.
+// barriers: each Run ends on a thread coroutine, which hands the core
+// back to the loop in Run, and the next Run dispatches from there again.
+// A sliced System must end exactly where a whole run does.
 func TestSystemsRunConcurrently(t *testing.T) {
 	const systems = 4
 	const iters = 50

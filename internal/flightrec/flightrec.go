@@ -1,12 +1,12 @@
-// Package flightrec is the per-device black box: a fixed-size,
-// allocation-free ring of the platform's events recording what the
-// machine was doing — capability derivations with parent→child
-// provenance ids, seal/unseal mediation, cross-compartment calls and
-// returns with interrupt posture, heap alloc/free/claim with the owning
-// allocation capability, revocation sweeps, futex traffic — plus, on
-// every capability fault, a structured post-mortem report that walks
-// provenance backwards ("this dangling capability was derived in
-// compartment X from allocation #N, freed during sweep #M").
+// Package flightrec is the per-device black box: a fixed-size ring of
+// the platform's events recording what the machine was doing —
+// capability derivations with parent→child provenance ids, seal/unseal
+// mediation, cross-compartment calls and returns with interrupt
+// posture, heap alloc/free/claim with the owning allocation capability,
+// revocation sweeps, futex traffic — plus, on every capability fault, a
+// structured post-mortem report that walks provenance backwards ("this
+// dangling capability was derived in compartment X from allocation #N,
+// freed during sweep #M").
 //
 // The recorder is one of the kernel's event sinks: it speaks
 // internal/telemetry's Kind and Event, keeps them in a telemetry.Ring,
@@ -18,11 +18,15 @@
 // is driven from that device's single goroutine; independent Recorders
 // (one per fleet device) need no locking.
 //
-// The hot path never allocates: the event ring and the provenance node
-// table are preallocated at New, and events reference only strings the
-// caller already holds (compartment, thread, and entry names are static
-// firmware strings). Fault reports are assembled lazily, only when a
-// trap actually happens — the cold path may allocate freely.
+// The event ring is preallocated at New, and events reference only
+// strings the caller already holds (compartment, thread, and entry names
+// are static firmware strings), so recording a call, return, futex or
+// seal event allocates nothing. The rest of the bookkeeping does: the
+// provenance node table starts at capacity 64 and grows by append up to
+// maxNodes entries (after which derivations land in the ring unlinked),
+// every alloc event allocates an *AllocRecord for the live map, and the
+// freed-allocation history grows by append up to maxFreed entries. Fault
+// reports are assembled lazily, only when a trap actually happens.
 package flightrec
 
 import (

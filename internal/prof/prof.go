@@ -70,10 +70,10 @@ type threadState struct {
 // compartment transitions and Activate on dispatch, each of which
 // installs the new current frame's cell in the clock; the kernel installs
 // the pseudo-domain cells (SysFrame) itself, as it does the pseudo-domain
-// accounts. The kernel loop runs on the yielding thread's goroutine, and
-// exactly one goroutine holds the core at a time and hands it on over a
-// channel, so no locking is needed — the same single-writer discipline
-// the telemetry accounts rely on.
+// accounts. The kernel loop runs on the yielding thread's coroutine, and
+// exactly one coroutine holds the core at a time, on the goroutine that
+// called Run, so no locking is needed — the same single-writer
+// discipline the telemetry accounts rely on.
 type Profiler struct {
 	clock *hw.Clock
 	base  uint64

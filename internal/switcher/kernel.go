@@ -3,7 +3,6 @@ package switcher
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
@@ -59,21 +58,19 @@ type Kernel struct {
 	needResched bool
 
 	// stop is the stop condition of the Run in progress; the kernel loop
-	// samples it on whichever goroutine runs the loop. done carries the
-	// end of the run from the thread goroutine that reached it back to
-	// Run's caller.
+	// samples it on whichever thread's coroutine runs the loop. pick is
+	// the thread the loop's latest turn handed the core to, or nil once
+	// the run has ended, with end saying how; Run's loop reads them each
+	// time a coroutine hands the core back.
 	stop func() bool
-	done chan runEnd
+	pick *Thread
+	end  runEnd
 
-	// killed is set by Shutdown before the kill is delivered over each
-	// thread's resume channel (which orders the write before the thread's
-	// unwind). A killed kernel makes yield and compartmentCall re-raise
-	// the kill instead of advancing the clock or running the kernel
-	// loop, so deferred cleanup in compartment code unwinds promptly and
-	// silently. threadWG counts live thread goroutines so Shutdown can
-	// join them.
-	killed   bool
-	threadWG sync.WaitGroup
+	// killed is set by Shutdown before it kills the threads. A killed
+	// kernel makes yield and compartmentCall re-raise the kill instead of
+	// advancing the clock or running the kernel loop, so deferred cleanup
+	// in compartment code unwinds promptly and silently.
+	killed bool
 
 	// stackZeroing can be disabled for ablation studies only: without it,
 	// compartment calls leak stack contents across trust boundaries (the
@@ -139,7 +136,6 @@ func NewKernel(core *hw.Core) *Kernel {
 		Core:         core,
 		comps:        make(map[string]*Comp),
 		libs:         make(map[string]*Lib),
-		done:         make(chan runEnd),
 		stackZeroing: true,
 	}
 }
@@ -218,7 +214,7 @@ func (k *Kernel) AllocatorRoot(compartment string) (cap.Capability, bool) {
 }
 
 // AddThread creates a runtime thread from its definition and layout and
-// spawns its (parked) goroutine.
+// makes its coroutine, which first runs at the thread's first dispatch.
 func (k *Kernel) AddThread(def *firmware.Thread, layout firmware.ThreadLayout) *Thread {
 	t := &Thread{
 		ID:           len(k.threads) + 1,
@@ -226,7 +222,6 @@ func (k *Kernel) AddThread(def *firmware.Thread, layout firmware.ThreadLayout) *
 		Priority:     def.Priority,
 		kernel:       k,
 		def:          def,
-		resume:       make(chan resumeAction),
 		stack:        layout.Stack,
 		sp:           layout.Stack.Top(),
 		trustedStack: layout.TrustedStack,
@@ -398,8 +393,9 @@ type runEnd struct {
 // to completion.
 //
 // Run performs the first dispatch itself. From then on the kernel loop
-// runs on the goroutine of whichever thread yields (see Thread.yield),
-// and the end of the run comes back here over one channel.
+// runs on the coroutine of whichever thread yields (see Thread.yield),
+// and that thread hands the core back here only when the loop picked
+// another thread, which Run resumes, or ended the run.
 func (k *Kernel) Run(stop func() bool) error {
 	if k.sched == nil {
 		return errors.New("switcher: no scheduler installed")
@@ -413,15 +409,14 @@ func (k *Kernel) Run(stop func() bool) error {
 	}
 	k.stop = stop
 	t, err := k.dispatch()
-	if t == nil {
-		return err
+	k.pick, k.end = t, runEnd{err: err}
+	for k.pick != nil {
+		k.pick.resume()
 	}
-	t.resume <- resumeRun
-	end := <-k.done
-	if end.panicked != nil {
-		panic(end.panicked)
+	if k.end.panicked != nil {
+		panic(k.end.panicked)
 	}
-	return end.err
+	return k.end.err
 }
 
 // dispatch is the kernel loop's dispatch half: sample stop, deliver
@@ -509,11 +504,10 @@ func (k *Kernel) yielded(t *Thread, kind yieldKind) {
 	}
 }
 
-// switchFrom runs one turn of the kernel loop on t's goroutine after t
-// yielded, then passes the core on. It reports whether t itself was
-// picked again, in which case t carries on with no channel operation;
-// otherwise the picked thread is resumed, or the end of the run goes to
-// Run's caller.
+// switchFrom runs one turn of the kernel loop on t's coroutine after t
+// yielded and records the pick for Run's loop. It reports whether t
+// itself was picked again, in which case t carries on with no switch;
+// otherwise t must hand the core back to Run.
 //
 // A panic in the loop (in stop, or in a device event the loop's ticks
 // fire) also ends the run, so it surfaces on Run's caller instead of
@@ -522,20 +516,13 @@ func (k *Kernel) yielded(t *Thread, kind yieldKind) {
 func (k *Kernel) switchFrom(t *Thread, kind yieldKind) (again bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			k.done <- runEnd{panicked: r}
+			k.pick, k.end = nil, runEnd{panicked: r}
 		}
 	}()
 	k.yielded(t, kind)
 	next, err := k.dispatch()
-	switch {
-	case next == t:
-		return true
-	case next != nil:
-		next.resume <- resumeRun
-	default:
-		k.done <- runEnd{err: err}
-	}
-	return false
+	k.pick, k.end = next, runEnd{err: err}
+	return next == t
 }
 
 func (k *Kernel) liveThreads() int {
@@ -561,14 +548,13 @@ func (k *Kernel) blockedList() string {
 	return s
 }
 
-// Shutdown kills every parked thread goroutine and waits for the kill
-// unwinds to finish. Call it after Run returns if threads may still be
-// blocked. The join matters beyond leak hygiene: a killed thread unwinds
-// through deferred compartment cleanup, and without the wait that unwind
-// would still be touching the clock and telemetry while the caller reads
-// them. Once Run has returned, every thread that has not exited is
-// parked — including one a panic in the kernel loop caught mid-yield,
-// still marked running — so each gets the kill.
+// Shutdown kills every thread that has not exited. Call it after Run
+// returns if threads may still be blocked. Each kill runs the thread's
+// unwind through deferred compartment cleanup to its end before it
+// returns, so nothing touches the clock or telemetry once Shutdown has
+// returned. Once Run has returned, every thread that has not exited is
+// suspended or has never run — including one a panic in the kernel loop
+// caught mid-yield, still marked running — so each gets the kill.
 func (k *Kernel) Shutdown() {
 	k.killed = true
 	for _, t := range k.threads {
@@ -576,9 +562,8 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		t.state = StateExited
-		t.resume <- resumeKill
+		t.kill()
 	}
-	k.threadWG.Wait()
 }
 
 // Running returns the thread currently (or most recently) dispatched.

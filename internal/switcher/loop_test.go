@@ -16,11 +16,12 @@ import (
 	"github.com/cheriot-go/cheriot/internal/switcher"
 )
 
-// The kernel loop runs on the goroutine of whichever thread yields, and
-// only the end of a run goes back to Run's caller. These tests cover the
-// ways a run ends from a thread goroutine: deadlock, a thread's panic, a
-// panic in the loop itself, a stop that fires mid-run (and Runs sliced
-// by it), and Shutdown after such a stop.
+// The kernel loop runs on the coroutine of whichever thread yields, and
+// that thread hands the core back to Run only when another thread is
+// picked or the run ends. These tests cover the ways a run ends from a
+// thread coroutine: deadlock, a thread's panic, a panic in the loop
+// itself, a stop that fires mid-run (and Runs sliced by it), and
+// Shutdown after such a stop.
 
 // word0 is the first word of the calling compartment's globals, the
 // futex word the tests' threads share.
@@ -84,8 +85,8 @@ func loopImage() *firmware.Image {
 	return img
 }
 
-// shutdownWithin runs Shutdown and fails the test if it does not join
-// every thread goroutine in time.
+// shutdownWithin runs Shutdown and fails the test if it does not return
+// in time, having killed every thread.
 func shutdownWithin(t *testing.T, s *core.System) {
 	t.Helper()
 	joined := make(chan struct{})
@@ -96,7 +97,7 @@ func shutdownWithin(t *testing.T, s *core.System) {
 	select {
 	case <-joined:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Shutdown did not join the thread goroutines")
+		t.Fatal("Shutdown did not return")
 	}
 	for _, th := range s.Kernel.Threads() {
 		if th.State() != switcher.StateExited {
@@ -114,9 +115,9 @@ func recoverRun(s *core.System, stop func() bool) (panicked interface{}, err err
 
 // TestRunSlicedMatchesWhole: a Run stopped and re-entered at several
 // points must be the same machine as one Run to completion — the same
-// clock, kernel Stats, and trace ring. Each re-entry dispatches from the
-// caller's goroutine again, and the thread that ended the previous slice
-// parks until it is picked.
+// clock, kernel Stats, and trace ring. Each re-entry dispatches from
+// Run again, and the thread that ended the previous slice stays
+// suspended until it is picked.
 func TestRunSlicedMatchesWhole(t *testing.T) {
 	whole := boot(t, loopImage())
 	whole.EnableTelemetry(4096)
@@ -201,7 +202,7 @@ func TestShutdownAfterMidRunStop(t *testing.T) {
 
 // TestRunReportsDeadlock: threads that wait forever with no device event
 // pending end the run with ErrDeadlock naming each of them. The run ends
-// on the goroutine of the last thread to block, and Shutdown still joins
+// on the coroutine of the last thread to block, and Shutdown still kills
 // every thread.
 func TestRunReportsDeadlock(t *testing.T) {
 	img := core.NewImage("deadlock")
@@ -235,7 +236,7 @@ func TestRunReportsDeadlock(t *testing.T) {
 }
 
 // TestThreadPanicSurfacesOnCaller: a non-trap panic in compartment code
-// is a simulator bug; Run re-raises it on the caller's goroutine.
+// is a simulator bug; Run re-raises it on its caller.
 func TestThreadPanicSurfacesOnCaller(t *testing.T) {
 	img := loopImage()
 	img.AddCompartment(&firmware.Compartment{
@@ -262,11 +263,11 @@ func TestThreadPanicSurfacesOnCaller(t *testing.T) {
 
 // TestLoopPanicSurfacesOnCaller: a panic raised inside the kernel loop —
 // in stop, or in a device event that the loop's own ticks fire — happens
-// on the goroutine of the thread that yielded. It must surface as Run's
+// on the coroutine of the thread that yielded. It must surface as Run's
 // panic on the caller, unchanged, and must not unwind through that
 // thread's compartment frames: even a trap-typed value is never taken
 // for a fault of the compartment the thread yielded in. Shutdown must
-// still join the thread, whatever state the panic caught it in.
+// still kill the thread, whatever state the panic caught it in.
 func TestLoopPanicSurfacesOnCaller(t *testing.T) {
 	bomb := &hw.Trap{Code: hw.TrapBoundsViolation, Detail: "raised by the kernel loop"}
 	cases := []struct {
@@ -276,7 +277,7 @@ func TestLoopPanicSurfacesOnCaller(t *testing.T) {
 		// post-yield accounting.
 		sleep bool
 		// arm returns the stop function; inLoop reports, at the panic,
-		// that the loop is running on the thread goroutine.
+		// that the loop is running on the thread's coroutine.
 		arm func(s *core.System, inLoop func() bool) func() bool
 	}{
 		{"stop", true, func(s *core.System, inLoop func() bool) func() bool {
@@ -335,8 +336,8 @@ func TestLoopPanicSurfacesOnCaller(t *testing.T) {
 			}
 			tel := s.EnableTelemetry(0)
 			rec := s.EnableFlightRecorder(64)
-			// Past the first dispatch, which Run makes on the caller's
-			// goroutine, the loop runs on the thread's.
+			// Past the first dispatch, which Run makes itself, the loop
+			// runs on the thread's coroutine.
 			stop := tc.arm(s, func() bool { return yields >= 3 })
 
 			panicked, err := recoverRun(s, stop)

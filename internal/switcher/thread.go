@@ -1,16 +1,23 @@
+//go:build go1.23
+
+// The constraint raises this file's language version to go1.23, which
+// iter.Pull needs, while go.mod stays at go 1.22: building the package
+// needs a Go 1.23 or later toolchain.
+
 // Package switcher implements the most privileged runtime component of the
 // RTOS: transitions between threads (context switches), between
 // compartments (calls and returns over trusted stacks), and first-level
 // trap handling (§3.1.2).
 //
-// Threads are goroutines in strict hand-off: exactly one runs at any
-// moment, every switch point is explicit, and all time is the hw.Core
-// cycle clock, so the whole platform is deterministic. As in the paper's
+// Threads are coroutines (iter.Pull): exactly one runs at any moment,
+// every switch point is explicit, and all time is the hw.Core cycle
+// clock, so the whole platform is deterministic. As in the paper's
 // switcher, which swaps threads in the trap path of the thread giving up
-// the core, there is no separate kernel goroutine: a yielding thread runs
-// the kernel loop on its own goroutine and resumes the next thread
-// directly (or carries on if it is picked again), and only the end of a
-// run goes back to Run's caller.
+// the core, a yielding thread runs the kernel loop on its own coroutine
+// and carries on if it is picked again. Only when another thread is
+// picked, or the run ends, does it hand the core back to the loop in
+// Kernel.Run, which resumes the pick directly on the same OS thread,
+// without going through the Go scheduler.
 //
 // The package holds no process-global mutable state: the only
 // package-level variables are immutable (the ErrDeadlock sentinel and an
@@ -24,6 +31,7 @@ package switcher
 
 import (
 	"fmt"
+	"iter"
 
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
@@ -70,14 +78,7 @@ const (
 	yieldExited                     // entry returned or thread died
 )
 
-type resumeAction int8
-
-const (
-	resumeRun resumeAction = iota
-	resumeKill
-)
-
-// killSentinel unwinds a thread goroutine during Kernel.Shutdown.
+// killSentinel unwinds a thread coroutine during Kernel.Shutdown.
 type killSentinel struct{}
 
 // Thread is a statically-created schedulable entity: a stack, a (virtual)
@@ -91,8 +92,14 @@ type Thread struct {
 	kernel *Kernel
 	def    *firmware.Thread
 
-	state  ThreadState
-	resume chan resumeAction
+	state ThreadState
+	// resume runs the thread's coroutine until it hands the core back;
+	// Run's loop is its only caller. suspend, called on the coroutine,
+	// hands the core back and reports false once kill has ended the
+	// coroutine, which unwinds a suspended thread.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
+	kill    func()
 
 	// Stack: grows down from stackTop; sp is the current top of the free
 	// region. stackCap is the full-stack capability (local, PermStack).
@@ -199,23 +206,16 @@ func (t *Thread) StackWatermark() uint32 { return t.peakUsed }
 func (t *Thread) irqEnabled() bool { return t.irqDisable == 0 }
 
 // yield traps the thread into the switcher. The kernel loop runs right
-// here, on the thread's own goroutine: if it picks this thread again,
-// yield returns at once; otherwise the thread parks until it is
-// dispatched again.
+// here, on the thread's own coroutine: if it picks this thread again,
+// yield returns at once; otherwise the thread suspends until Run's loop
+// resumes it.
 func (t *Thread) yield(kind yieldKind) {
 	if t.kernel.killed {
 		// Deferred cleanup running during a Shutdown kill: the run is
 		// over, so there is no loop to run and nothing to resume.
 		panic(killSentinel{})
 	}
-	if !t.kernel.switchFrom(t, kind) {
-		t.park()
-	}
-}
-
-// park blocks the thread goroutine until the kernel resumes or kills it.
-func (t *Thread) park() {
-	if act := <-t.resume; act == resumeKill {
+	if !t.kernel.switchFrom(t, kind) && !t.suspend(struct{}{}) {
 		panic(killSentinel{})
 	}
 }
@@ -234,14 +234,13 @@ func (t *Thread) maybePreempt() {
 	}
 }
 
-// start spawns the thread goroutine, parked until first dispatch. When
-// the thread's entry returns, its goroutine runs the kernel loop one last
-// time to pass the core on, then ends.
+// start makes the thread's coroutine, which first runs at the thread's
+// first dispatch. When the entry returns, the coroutine runs the kernel
+// loop one last time to pass the core on, then ends.
 func (t *Thread) start(comp string, entry string) {
 	k := t.kernel
-	k.threadWG.Add(1)
-	go func() {
-		defer k.threadWG.Done()
+	t.resume, t.kill = iter.Pull(func(suspend func(struct{}) bool) {
+		t.suspend = suspend
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -249,21 +248,19 @@ func (t *Thread) start(comp string, entry string) {
 			}
 			if _, ok := r.(killSentinel); ok || k.killed {
 				// Killed by Shutdown, or panicking during its kill
-				// unwind: the run is over and nobody reads done.
+				// unwind: the run is over.
 				return
 			}
-			// A non-trap panic is a simulator bug: surface it on Run's
-			// caller where tests can see it.
+			// A non-trap panic is a simulator bug: the coroutine
+			// re-raises it on Run's caller, where tests can see it.
 			t.state = StateExited
-			k.done <- runEnd{panicked: fmt.Errorf("thread %q panicked: %v", t.Name, r)}
+			panic(fmt.Errorf("thread %q panicked: %v", t.Name, r))
 		}()
-		t.park()
-		t.state = StateRunning
 		_, err := k.compartmentCall(t, nil, comp, entry, 0)
 		if f, ok := err.(*Fault); ok {
 			t.exitFault = f.Trap
 		}
 		t.state = StateExited
 		k.switchFrom(t, yieldExited)
-	}()
+	})
 }

@@ -52,15 +52,23 @@ echo "== fuzz: wire codecs (10 s) =="
 go test -run '^$' -fuzz '^FuzzWireCodecs$' -fuzztime 10s -fuzzminimizetime 0 ./internal/netproto/
 echo "ok"
 
-echo "== kernel loop on thread goroutines (race, 10 runs) =="
-# A yielding thread runs the kernel loop on its own goroutine and hands
-# the core straight to the next thread; repeat the switcher, scheduler
-# and multi-System tests, the libs' ticket-lock, queue and multiwait
-# tests (which wake several waiters through each thread's one reused
-# waiter), and the case-study stream pins that run with both event
-# sinks on, to shake out hand-off races.
+echo "== kernel loop on thread coroutines (race, 10 runs) =="
+# A yielding thread runs the kernel loop on its own coroutine and hands
+# the core back to Run's loop, which resumes the next thread; repeat the
+# switcher, scheduler and multi-System tests, the libs' ticket-lock,
+# queue and multiwait tests (which wake several waiters through each
+# thread's one reused waiter), and the case-study stream pins that run
+# with both event sinks on, to shake out hand-off races.
 go test -race -count=10 ./internal/switcher/ ./internal/sched/ ./internal/core/ \
 	./internal/libs/ ./internal/iotapp/
+echo "ok"
+
+echo "== dispatch sequence pin (race, 10 runs) =="
+# Every context switch of the case study, a 4-device lockstep fleet and
+# three equal-priority round-robin threads against
+# testdata/dispatch_switches.golden: a change to how the core is handed
+# from thread to thread must not reorder a single one.
+go test -race -count=10 -run '^TestDispatchSequencePinned$' .
 echo "ok"
 
 echo "== broker subscription index (race, 10 runs) =="
