@@ -135,12 +135,14 @@ func (s *System) EnableTelemetry(traceCapacity int) *telemetry.Registry {
 // Telemetry returns the registry installed by EnableTelemetry, or nil.
 func (s *System) Telemetry() *telemetry.Registry { return s.Kernel.Telemetry() }
 
-// EnableProfiler arms the cycle-exact compartment profiler: the switcher
-// reconstructs cross-compartment call stacks and attributes every
-// simulated cycle from this call onward to exactly one stack frame.
-// Enable it at the same instant as telemetry (no intervening ticks) and
-// the profile total equals the registry's attributed cycles. It returns
-// the profiler.
+// EnableProfiler arms the cycle-exact compartment profiler: every
+// trusted-stack frame holds its profile node, so every simulated cycle
+// from this call onward lands on exactly one cross-compartment stack
+// frame. Arm it before the first Run: a frame already on a thread's
+// stack holds no node, and its cycles would land on no frame (the
+// profile's SelfSum would fall short of its TotalCycles). Enable it at
+// the same instant as telemetry (no intervening ticks) and the profile
+// total equals the registry's attributed cycles. It returns the profiler.
 func (s *System) EnableProfiler() *prof.Profiler {
 	p := prof.New(s.Board.Core.Clock)
 	s.Kernel.EnableProfiler(p)

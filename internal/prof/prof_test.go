@@ -14,36 +14,35 @@ import (
 
 // newProf arms a profiler on a real machine clock standing at cycle base;
 // the tests advance the clock between transitions, as the machine would.
-func newProf(base uint64) (*Profiler, *hw.Clock) {
+// The returned install makes a node the current frame, as the switcher
+// does at every transition.
+func newProf(base uint64) (*Profiler, *hw.Clock, func(*Node)) {
 	clk := hw.NewClock(hw.DefaultHz)
 	clk.Advance(base)
-	return New(clk), clk
+	return New(clk), clk, func(n *Node) { clk.SetFrameAccount(n.Cell()) }
 }
 
 // The exactness invariant: every cycle the clock advances between New and
 // Snapshot lands in exactly one frame, whatever the transition sequence.
 func TestSumToClockInvariant(t *testing.T) {
-	p, clk := newProf(1000)
-	p.RegisterThread(1, "app")
-	clk.SetFrameAccount(p.SysFrame(telemetry.DomainSwitcher))
+	p, clk, install := newProf(1000)
+	app := p.Root("app")
+	install(p.Root(telemetry.DomainSwitcher))
 	clk.Advance(10) // switcher
-	p.Push(1, telemetry.DomainSwitcher)
+	install(app.Enter(telemetry.DomainSwitcher))
 	clk.Advance(5) // call overlay
-	p.Pop(1)
-	p.Push(1, "comp.a")
+	a := app.Enter("comp.a")
+	install(a)
 	clk.Advance(100) // in a
-	p.Push(1, telemetry.DomainSwitcher)
+	install(a.Enter(telemetry.DomainSwitcher))
 	clk.Advance(7) // nested call overlay
-	p.Pop(1)
-	p.Push(1, "comp.b")
+	install(a.Enter("comp.b"))
 	clk.Advance(50) // in b
-	p.Pop(1)
-	p.Push(1, telemetry.DomainSwitcher)
+	install(a.Enter(telemetry.DomainSwitcher))
 	clk.Advance(3) // return zeroing
-	p.Pop(1)
+	install(a)
 	clk.Advance(25) // back in a
-	p.Pop(1)
-	clk.SetFrameAccount(p.SysFrame(telemetry.DomainIdle))
+	install(p.Root(telemetry.DomainIdle))
 	clk.Advance(40) // idle
 
 	pr := p.Snapshot()
@@ -75,67 +74,28 @@ func TestSumToClockInvariant(t *testing.T) {
 			t.Errorf("self[%q] = %d, want %d", stack, self[stack], want)
 		}
 	}
-	if calls["app;comp.a;comp.b"] != 1 || calls["app;comp.a"] != 1 {
-		t.Errorf("call counts wrong: %v", calls)
+	// Enter counts every entry; root-level frames count none.
+	for stack, want := range map[string]uint64{
+		"app;comp.a":                             1,
+		"app;comp.a;comp.b":                      1,
+		"app;comp.a;" + telemetry.DomainSwitcher: 2,
+		"app":                                    0,
+		telemetry.DomainIdle:                     0,
+	} {
+		if calls[stack] != want {
+			t.Errorf("calls[%q] = %d, want %d", stack, calls[stack], want)
+		}
 	}
 }
 
-// PopTo repairs a stack after a trap panic escaped mid-transition; the
-// abandoned frame keeps the cycles the clock charged it.
-func TestPopToTruncates(t *testing.T) {
-	p, clk := newProf(0)
-	p.RegisterThread(1, "app")
-	p.Push(1, "comp.a")
-	depth := p.Depth(1) // 2: root + a
-	clk.Advance(10)
-	// Nested call gets as far as the switcher overlay and a callee frame,
-	// then the callee's zeroing faults and the panic escapes.
-	p.Push(1, telemetry.DomainSwitcher)
-	clk.Advance(4)
-	p.Push(1, "comp.b")
-	clk.Advance(6)
-	p.PopTo(1, depth)
-	clk.Advance(20)
-	p.Pop(1)
-
-	pr := p.Snapshot()
-	if pr.SelfSum() != pr.TotalCycles {
-		t.Fatalf("sum %d != total %d after PopTo", pr.SelfSum(), pr.TotalCycles)
-	}
-	self := map[string]uint64{}
-	for _, f := range pr.Frames {
-		self[f.Stack] = f.Self
-	}
-	if self["app;comp.a"] != 30 {
-		t.Errorf("comp.a self = %d, want 30", self["app;comp.a"])
-	}
-	if self["app;comp.a;"+telemetry.DomainSwitcher+";comp.b"] != 6 {
-		t.Errorf("abandoned callee self = %d, want 6", self["app;comp.a;"+telemetry.DomainSwitcher+";comp.b"])
-	}
-	if p.Depth(1) != 1 {
-		t.Errorf("depth = %d, want 1 (thread root)", p.Depth(1))
-	}
-	// PopTo to a depth >= current is a no-op.
-	p.PopTo(1, 99)
-	p.PopTo(1, 0)
-	if p.Depth(1) != 1 {
-		t.Errorf("PopTo moved a short stack: depth %d", p.Depth(1))
-	}
-}
-
-// Every hook is nil-safe and allocation-free on the nil receiver: the
-// zero-cost-when-off contract for the switcher's hot path.
+// Every hook the switcher calls is nil-safe and allocation-free on the
+// nil receiver: the zero-cost-when-off contract for its hot path.
 func TestNilProfilerZeroAlloc(t *testing.T) {
 	var p *Profiler
 	allocs := testing.AllocsPerRun(100, func() {
-		p.Push(1, "x")
-		p.Swap(1, "y")
-		p.Pop(1)
-		p.PopTo(1, 0)
-		p.Activate(1)
-		_ = p.SysFrame(telemetry.DomainSwitcher)
-		p.RegisterThread(1, "t")
-		_ = p.Depth(1)
+		if p.Root("t").Enter("x").Enter("y").Cell() != nil {
+			t.Fatal("nil profiler handed out a cell")
+		}
 		_ = p.Snapshot()
 	})
 	if allocs != 0 {
@@ -147,14 +107,14 @@ func TestNilProfilerZeroAlloc(t *testing.T) {
 // byte-identity root.
 func TestMergeDeterministic(t *testing.T) {
 	mk := func(seed uint64) *Profile {
-		p, clk := newProf(seed)
-		p.RegisterThread(1, "app")
-		p.Push(1, "comp.a")
+		p, clk, install := newProf(seed)
+		app := p.Root("app")
+		a := app.Enter("comp.a")
+		install(a)
 		clk.Advance(10 * (seed + 1))
-		p.Push(1, "comp.b")
+		install(a.Enter("comp.b"))
 		clk.Advance(seed)
-		p.Pop(1)
-		p.Pop(1)
+		install(app)
 		return p.Snapshot()
 	}
 	a, b, c := mk(1), mk(2), mk(3)
@@ -179,14 +139,14 @@ func TestMergeDeterministic(t *testing.T) {
 // The folded export carries every non-zero frame, sorted, and the JSON
 // round-trips.
 func TestExports(t *testing.T) {
-	p, clk := newProf(0)
-	p.RegisterThread(1, "app")
-	p.Push(1, "comp.a")
+	p, clk, install := newProf(0)
+	app := p.Root("app")
+	a := app.Enter("comp.a")
+	install(a)
 	clk.Advance(70)
-	p.Push(1, "comp.b")
+	install(a.Enter("comp.b"))
 	clk.Advance(30)
-	p.Pop(1)
-	p.Pop(1)
+	install(app)
 	pr := p.Snapshot()
 
 	var folded bytes.Buffer

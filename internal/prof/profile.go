@@ -42,8 +42,8 @@ func (p *Profiler) Snapshot() *Profile {
 		return nil
 	}
 	pr := &Profile{Hz: p.clock.Hz(), BaseCycles: p.base, TotalCycles: p.clock.Cycles() - p.base}
-	var walk func(n *node, prefix string)
-	walk = func(n *node, prefix string) {
+	var walk func(n *Node, prefix string)
+	walk = func(n *Node, prefix string) {
 		labels := make([]string, 0, len(n.children))
 		for l := range n.children {
 			labels = append(labels, l)

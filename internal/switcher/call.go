@@ -7,6 +7,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
+	"github.com/cheriot-go/cheriot/internal/prof"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
@@ -75,12 +76,17 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	k.ctrCalls.Inc()
 	// Everything the switcher does on the transition — validation already
 	// done above (it never ticks), the base call cost, and stack zeroing on
-	// both paths — is attributed to the "<switcher>" pseudo-domain; the
-	// callee's account is installed only while its entry runs.
-	prevAcct := k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
-	// The profiler mirrors the account choreography with a "<switcher>"
-	// overlay frame on the caller's stack for the transition work.
-	k.prof.Push(t.ID, telemetry.DomainSwitcher)
+	// both paths — is attributed to the "<switcher>" pseudo-domain, and in
+	// the profile to a "<switcher>" overlay frame under the caller's node;
+	// the callee's account and node are installed only while its entry
+	// runs.
+	clk := k.Core.Clock
+	parent := t.profRoot
+	if len(t.frames) > 0 {
+		parent = t.frames[len(t.frames)-1].node
+	}
+	clk.SetCompAccount(k.telSwitcher.Slot())
+	clk.SetFrameAccount(parent.Enter(telemetry.DomainSwitcher).Cell())
 	k.Core.Tick(hw.CallBaseCycles)
 	callerName := ""
 	if caller != nil {
@@ -114,7 +120,11 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 		t.peakUsed = used
 	}
 
-	fr := frame{comp: callee, exp: exp, base: base, size: frameSize, prevSP: prevSP}
+	var node *prof.Node
+	if parent != nil {
+		node = parent.Enter(k.profLabel(callee, exp))
+	}
+	fr := frame{comp: callee, node: node, base: base, size: frameSize, prevSP: prevSP}
 	prevDisable := t.irqDisable
 	switch exp.Posture {
 	case firmware.PostureDisabled:
@@ -124,16 +134,12 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	}
 	t.frames = append(t.frames, fr)
 
-	k.Core.Clock.SetCompAccount(callee.acct.Slot())
-	if k.prof != nil {
-		// Swap the overlay for the callee's frame while its entry runs.
-		k.prof.Swap(t.ID, k.profLabel(callee, exp))
-	}
+	k.installFrame(t)
 	rets, fault := k.runEntry(t, callee, exp, t.args[argBase:t.argTop:t.argTop])
 	t.argTop = argBase
-	k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
 	// Back to the overlay for the return-path zeroing.
-	k.prof.Swap(t.ID, telemetry.DomainSwitcher)
+	clk.SetCompAccount(k.telSwitcher.Slot())
+	clk.SetFrameAccount(parent.Enter(telemetry.DomainSwitcher).Cell())
 
 	// Return path: scrub callee secrets, pop the trusted-stack frame,
 	// restore the caller's stack pointer and interrupt posture.
@@ -155,8 +161,7 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 		delete(t.evict, target) // the eviction completed
 	}
 
-	k.Core.Clock.SetCompAccount(prevAcct)
-	k.prof.Pop(t.ID)
+	k.installFrame(t)
 	if fault != nil {
 		k.ctrUnwinds.Inc()
 		k.Emit(telemetry.Event{Kind: telemetry.KindUnwind, Thread: t.Name, To: target})
@@ -171,7 +176,6 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 // handling per the compartment's policy (§3.2.6).
 func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []api.Value) (rets []api.Value, fault *hw.Trap) {
 	const maxRetries = 1
-	profDepth := k.prof.Depth(t.ID)
 	depth := len(t.frames) - 1
 	for len(t.ctxs) <= depth {
 		t.ctxs = append(t.ctxs, new(ctx))
@@ -202,11 +206,9 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 		}
 		// The panic may have unwound past a nested transition that left
 		// the clock pointing elsewhere; fault handling — handler runs and
-		// unwind cost — is charged to the faulting compartment.
-		k.Core.Clock.SetCompAccount(callee.acct.Slot())
-		// Likewise the panic may have abandoned profiler frames mid-
-		// transition; truncate back to this entry's own frame.
-		k.prof.PopTo(t.ID, profDepth)
+		// unwind cost — is charged to the faulting frame, on top of the
+		// trusted stack again.
+		k.installFrame(t)
 		k.ctrTraps.Inc()
 		k.emit(telemetry.Event{Kind: telemetry.KindTrap, Thread: t.Name, To: callee.Name(),
 			Entry: exp.Name, Detail: fault.Code.String(), Arg: uint64(fault.Addr)}, fault)

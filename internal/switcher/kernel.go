@@ -103,11 +103,11 @@ type Kernel struct {
 	// post-mortem forensics.
 	rec *flightrec.Recorder
 
-	// prof, when non-nil, is the cycle-exact call-stack profiler: the
-	// switcher's transition path pushes and pops frames on it, each of
-	// which installs the new frame's cell in the clock, so every simulated
-	// cycle lands in exactly one cross-compartment stack. All prof methods
-	// are nil-safe.
+	// prof, when non-nil, is the cycle-exact call-stack profiler. The
+	// trusted stack is its call stack: every frame holds its profile
+	// node, every thread its root node, and each transition installs the
+	// current node's cell in the clock beside the matching account, so
+	// every simulated cycle lands in exactly one cross-compartment stack.
 	prof *prof.Profiler
 	// profSw/profSched/profIdle are the cells of the pre-resolved
 	// "<switcher>"/"<sched>"/"<idle>" pseudo-domain frames, installed in
@@ -230,7 +230,7 @@ func (k *Kernel) AddThread(def *firmware.Thread, layout firmware.ThreadLayout) *
 	t.stackCap = cap.New(layout.Stack.Base, layout.Stack.Top(), layout.Stack.Base, cap.PermStack)
 	t.dirtyFloor = layout.Stack.Top() // boot-zeroed: the whole stack is clean
 	t.acct = k.tel.ThreadAccount(t.Name)
-	k.prof.RegisterThread(t.ID, t.Name)
+	t.profRoot = k.prof.Root(t.Name)
 	k.threads = append(k.threads, t)
 	t.start(def.Compartment, def.Entry)
 	return t
@@ -266,24 +266,22 @@ func (k *Kernel) EnableTelemetry(r *telemetry.Registry) {
 // Telemetry returns the attached registry, or nil when disabled.
 func (k *Kernel) Telemetry() *telemetry.Registry { return k.tel }
 
-// EnableProfiler attaches a call-stack profiler: from this point the
-// switcher reports every compartment entry, return, and unwind, so the
-// profiler attributes every cycle the clock advances to the exact
-// cross-compartment call stack that spent it (with "<switcher>",
+// EnableProfiler attaches a call-stack profiler: from this point every
+// compartment call enters a profile node, which its trusted-stack frame
+// holds, so the profiler attributes every cycle the clock advances to the
+// exact cross-compartment call stack that spent it (with "<switcher>",
 // "<sched>", and "<idle>" pseudo-domains matching the telemetry
-// accounts). Threads created later register automatically; threads
-// already inside compartments have their current stacks mirrored.
+// accounts). It gives every thread its root node; threads created later
+// get theirs from AddThread. Arm it before the first Run: a frame already
+// on a thread's stack holds no node, so its cycles would land on no frame
+// and the profile's self-cycles would fall short of its total.
 func (k *Kernel) EnableProfiler(p *prof.Profiler) {
 	k.prof = p
-	k.profSw = p.SysFrame(telemetry.DomainSwitcher)
-	k.profSched = p.SysFrame(telemetry.DomainSched)
-	k.profIdle = p.SysFrame(telemetry.DomainIdle)
+	k.profSw = p.Root(telemetry.DomainSwitcher).Cell()
+	k.profSched = p.Root(telemetry.DomainSched).Cell()
+	k.profIdle = p.Root(telemetry.DomainIdle).Cell()
 	for _, t := range k.threads {
-		p.RegisterThread(t.ID, t.Name)
-		for i := range t.frames {
-			fr := &t.frames[i]
-			p.Push(t.ID, k.profLabel(fr.comp, fr.exp))
-		}
+		t.profRoot = p.Root(t.Name)
 	}
 	// Until the first dispatch, time belongs to the switcher — the same
 	// convention EnableTelemetry establishes for the cycle accounts.
@@ -334,6 +332,21 @@ func (k *Kernel) emit(ev telemetry.Event, cause *hw.Trap) uint32 {
 		ring.Record(ev)
 	}
 	return k.rec.Record(ev, cause)
+}
+
+// installFrame installs t's current frame in the clock: the compartment
+// account and profile node of the frame on top of its trusted stack, or,
+// for a thread with no frames, the switcher's account and the thread's
+// root node. Dispatch, the return path and the fault path all use it, so
+// the trusted stack alone decides where the thread's cycles go.
+func (k *Kernel) installFrame(t *Thread) {
+	acct, node := k.telSwitcher, t.profRoot
+	if n := len(t.frames); n > 0 {
+		fr := &t.frames[n-1]
+		acct, node = fr.comp.acct, fr.node
+	}
+	k.Core.Clock.SetCompAccount(acct.Slot())
+	k.Core.Clock.SetFrameAccount(node.Cell())
 }
 
 // tickAs charges n cycles of kernel-loop work to a pseudo-domain, its
@@ -467,16 +480,9 @@ func (k *Kernel) dispatch() (*Thread, error) {
 		t.state = StateRunning
 		t.sliceEnd = k.Core.Clock.Cycles() + k.sched.Quantum()
 		k.lastRun = t
-		// While the thread runs, its time belongs to the compartment on
-		// top of its trusted stack (the switcher for a fresh thread that
-		// has not entered one yet; compartmentCall re-points the slot at
-		// every call boundary) and to its top-of-stack profile frame.
-		acct := k.telSwitcher
-		if c := t.currentComp(); c != nil {
-			acct = c.acct
-		}
-		k.Core.Clock.SetCompAccount(acct.Slot())
-		k.prof.Activate(t.ID)
+		// While the thread runs, its time belongs to its current frame;
+		// compartmentCall re-installs it at every call boundary.
+		k.installFrame(t)
 		return t, nil
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
+	"github.com/cheriot-go/cheriot/internal/prof"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
@@ -147,15 +148,21 @@ type Thread struct {
 	// acct is the thread's telemetry cycle account (nil when telemetry is
 	// disabled); the switcher installs it in the clock at dispatch.
 	acct *telemetry.CycleAccount
+	// profRoot is the thread's root frame in the profile (nil when
+	// profiling is off): its node while it has no trusted-stack frames,
+	// and the parent of its top-level call's node.
+	profRoot *prof.Node
 
 	exitFault *hw.Trap
 }
 
 // frame is one trusted-stack frame: the callee's identity plus what the
-// switcher needs to restore the caller.
+// switcher needs to restore the caller. node is the frame's profile node
+// (nil when profiling is off), so the trusted stack is also the profile's
+// call stack.
 type frame struct {
 	comp     *Comp
-	exp      *firmware.Export
+	node     *prof.Node
 	base     uint32 // callee frame base (the new sp)
 	size     uint32 // callee frame size (zeroed on both paths)
 	prevSP   uint32
@@ -176,15 +183,6 @@ func (t *Thread) CurrentCompartment() string {
 		return ""
 	}
 	return t.frames[len(t.frames)-1].comp.Name()
-}
-
-// currentComp returns the compartment on top of the trusted stack, or nil
-// for a thread with no frames.
-func (t *Thread) currentComp() *Comp {
-	if len(t.frames) == 0 {
-		return nil
-	}
-	return t.frames[len(t.frames)-1].comp
 }
 
 // InCompartment reports whether any frame of the thread is inside the
