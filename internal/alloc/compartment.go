@@ -226,12 +226,12 @@ func (a *Alloc) heapClaim(ctx api.Context, args []api.Value) []api.Value {
 	if meta.gen == gen {
 		meta.claim(recAddr)
 		q.used += size
+		ctx.Emit(telemetry.Event{Kind: telemetry.KindClaim, To: q.owner,
+			Arg: uint64(size), Arg2: uint64(base)})
 	}
 	// Otherwise another thread made the object's final free during the
 	// work above, and the record may describe another object by now: the
-	// claim lands on no object and charges nothing.
-	ctx.Emit(telemetry.Event{Kind: telemetry.KindClaim, To: q.owner,
-		Arg: uint64(size), Arg2: uint64(base)})
+	// claim lands on no object, charges nothing and records nothing.
 	return api.EV(api.OK)
 }
 

@@ -8,6 +8,8 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/flightrec"
+	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // raceQuantum is the preemption quantum of runRace's threads.
@@ -20,9 +22,10 @@ const raceQuantum = 10_000
 // until pad cycles of it are left and runs op, so each round preemption
 // falls at a later point of op. The other thread runs race once if it
 // gets the core while op is in flight, and inFlight reports whether it
-// did. runRace fails the test when no round returns true.
+// did. runRace fails the test when no round returns true. It arms a
+// flight recorder, which ticks no cycle, and returns it.
 func runRace(t *testing.T, round func(ctx api.Context, inFlight func(op func()) bool) bool,
-	race func(ctx api.Context)) {
+	race func(ctx api.Context)) *flightrec.Recorder {
 	t.Helper()
 	var inOp, raced, done, seen bool
 	inFlight := func(ctx api.Context, pad uint64) func(op func()) bool {
@@ -76,12 +79,14 @@ func runRace(t *testing.T, round func(ctx api.Context, inFlight func(op func()) 
 	}
 	t.Cleanup(s.Shutdown)
 	s.Sched.SetQuantum(raceQuantum)
+	rec := s.EnableFlightRecorder(1024)
 	if err := s.Run(nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !seen {
 		t.Fatal("no round preempted the operation at the point the test waits for")
 	}
+	return rec
 }
 
 // TestClaimRacingFinalFreeClaimsNothing pins a heap_claim preempted in
@@ -90,14 +95,18 @@ func runRace(t *testing.T, round func(ctx api.Context, inFlight func(op func()) 
 // record is reused for the new one. The claim must not land on the new
 // object: the claimant holds no capability to it, and a claim would keep
 // the owner's free of it from completing. Nor may it charge the
-// claimant's quota, since no later free would give the charge back.
+// claimant's quota, since no later free would give the charge back, or
+// leave a claim event, which the flight recorder would link to the new
+// object.
 func TestClaimRacingFinalFreeClaimsNothing(t *testing.T) {
 	owner := alloc.Client{AllocCap: "owner"}
 	claimer := alloc.Client{AllocCap: "claimer"}
 	var x, y cap.Capability
-	runRace(t, func(ctx api.Context, inFlight func(op func()) bool) bool {
+	var roundStart uint64 // the cycle the last round's claim started at
+	rec := runRace(t, func(ctx api.Context, inFlight func(op func()) bool) bool {
 		x, _ = owner.Malloc(ctx, 64)
 		var e api.Errno
+		roundStart = ctx.Now()
 		raced := inFlight(func() { e = claimer.Claim(ctx, x) })
 		switch {
 		case !raced:
@@ -134,6 +143,17 @@ func TestClaimRacingFinalFreeClaimsNothing(t *testing.T) {
 		owner.Free(ctx, x)
 		y, _ = owner.Malloc(ctx, 64)
 	})
+	// The last round is the one that hit the race.
+	evs := rec.Events()
+	if len(evs) == 0 || evs[0].Cycle > roundStart {
+		t.Fatalf("the recorder no longer holds the racing round (%d events)", len(evs))
+	}
+	for _, ev := range evs {
+		if ev.Kind == telemetry.KindClaim && ev.Cycle >= roundStart {
+			t.Errorf("a claim that landed on no object was recorded: %s claims %d bytes at %#x",
+				ev.To, ev.Arg, ev.Arg2)
+		}
+	}
 }
 
 // TestFreeAllLeavesObjectsAllocatedDuringIt pins a heap_free_all
