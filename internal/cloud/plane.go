@@ -47,8 +47,6 @@ type Config struct {
 	// home shard.
 	DeviceIndexOf func(deviceIP uint32) int
 
-	// Retain enables MQTT retained-message semantics on every shard.
-	Retain bool
 	// SessionTTL, in cycles, arms idle-session reaping on every shard.
 	SessionTTL uint64
 
@@ -104,7 +102,6 @@ func NewPlane(cfg Config) *Plane {
 	p := &Plane{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		host, broker := netsim.NewBroker(cfg.BaseIP+uint32(i), cfg.RootSecret, cfg.Cert)
-		broker.SetRetain(cfg.Retain)
 		if cfg.SessionTTL > 0 {
 			broker.SetSessionTTL(cfg.SessionTTL)
 		}

@@ -38,8 +38,7 @@ import (
 //     brokers call this client takeover). Always on, and deterministic
 //     because it is driven by the device's own connect.
 //   - TTL reaping: with SetSessionTTL, each ReapDead scan drops sessions
-//     idle longer than the TTL, and retained messages older than it.
-//     Scans run only at quiescence (the fleet runs one at every run
+//     idle longer than the TTL. Scans run only at quiescence (the fleet runs one at every run
 //     barrier, with every device stopped), against the barrier's cycle,
 //     so which sessions go is a pure function of the run. Reaping never
 //     sends anything to a device.
@@ -72,11 +71,6 @@ type Broker struct {
 	// stamped into observability spans.
 	shard int
 
-	// retain, when enabled, stores the last message per topic and replays
-	// it to new subscribers (MQTT retained-message semantics).
-	retain   bool
-	retained map[string]retainedMsg
-
 	// sessionTTL > 0 arms idle-session reaping by ReapDead.
 	sessionTTL uint64
 
@@ -87,13 +81,6 @@ type Broker struct {
 	Publishes  int
 	Superseded int
 	Reaped     int
-}
-
-// retainedMsg is one stored message: the payload plus the publisher's
-// device-local time, used only for TTL aging.
-type retainedMsg struct {
-	payload []byte
-	at      uint64
 }
 
 // BrokerSession is the broker side of one device connection.
@@ -131,7 +118,6 @@ func NewBroker(ip uint32, rootSecret []byte, cert []byte) (*ServerHost, *Broker)
 		sessions:     make(map[*TCPPeer]*BrokerSession),
 		byIP:         make(map[uint32]*BrokerSession),
 		subs:         make(map[string]map[*BrokerSession]struct{}),
-		retained:     make(map[string]retainedMsg),
 	}
 	host.ListenTCP(netproto.PortMQTT, func(p *TCPPeer) TCPApp {
 		s := &BrokerSession{broker: b, peer: p, topics: make(map[string]bool)}
@@ -161,12 +147,8 @@ func (b *Broker) SetShard(i int) { b.shard = i }
 // Shard returns the broker's control-plane shard index.
 func (b *Broker) Shard() int { return b.shard }
 
-// SetRetain enables retained-message semantics: the last publish per
-// topic is stored and replayed to new subscribers of that topic.
-func (b *Broker) SetRetain(on bool) { b.retain = on }
-
 // SetSessionTTL arms idle-session reaping: each ReapDead scan drops
-// sessions (and retained messages) idle longer than ttlCycles, comparing
+// sessions idle longer than ttlCycles, comparing
 // their last-activity stamps with the scan's cycle. Call ReapDead only
 // at quiescence, with no device running; a TTL below a device's longest
 // legitimate idle gap reaps its live session.
@@ -218,12 +200,6 @@ func (s *BrokerSession) OnData(p *TCPPeer, data []byte) {
 		s.mu.Unlock()
 		b.ownerOf(pkt.Topic).index(pkt.Topic, s)
 		s.reply(netproto.MQTTPacket{Type: netproto.MQTTSubAck, Topic: pkt.Topic})
-		if b.retain {
-			if m, ok := b.retained[pkt.Topic]; ok {
-				s.reply(netproto.MQTTPacket{Type: netproto.MQTTPublish,
-					Topic: pkt.Topic, Payload: m.payload})
-			}
-		}
 	case netproto.MQTTPingReq:
 		s.reply(netproto.MQTTPacket{Type: netproto.MQTTPingResp})
 	case netproto.MQTTPublish:
@@ -236,9 +212,6 @@ func (s *BrokerSession) OnData(p *TCPPeer, data []byte) {
 			if o := p.world.Obs(); o != nil {
 				o.MQTTIngress(pkt.TraceID, b.shard, now)
 			}
-		}
-		if b.retain {
-			b.retained[pkt.Topic] = retainedMsg{payload: append([]byte(nil), pkt.Payload...), at: now}
 		}
 		b.ownerOf(pkt.Topic).deliver(pkt, s)
 	}
@@ -312,8 +285,8 @@ func (b *Broker) unindex(s *BrokerSession) {
 	}
 }
 
-// ReapDead runs one reap scan at the given cycle count: sessions and
-// retained messages idle longer than the TTL as of now are dropped. Run
+// ReapDead runs one reap scan at the given cycle count: sessions idle
+// longer than the TTL as of now are dropped. Run
 // it only at a fleet run barrier (a rollout checkpoint or the horizon),
 // with every device stopped, which makes the result a pure function of
 // the run. A no-op unless a session TTL is armed.
@@ -329,11 +302,6 @@ func (b *Broker) ReapDead(now uint64) {
 		s.mu.Unlock()
 		if now > last && now-last > b.sessionTTL {
 			b.dropSession(s, &b.Reaped)
-		}
-	}
-	for topic, m := range b.retained {
-		if now > m.at && now-m.at > b.sessionTTL {
-			delete(b.retained, topic)
 		}
 	}
 }
@@ -457,15 +425,11 @@ func (b *Broker) deliver(pkt netproto.MQTTPacket, from *BrokerSession) int {
 func (b *Broker) Publish(topic string, payload []byte) int {
 	b.host.mu.Lock()
 	b.Publishes++
-	if b.retain {
-		b.retained[topic] = retainedMsg{payload: append([]byte(nil), payload...)}
-	}
 	b.host.mu.Unlock()
 	return b.DeliverToSubscribers(topic, payload)
 }
 
-// DeliverToSubscribers is Publish without the counters and retained
-// message: it only delivers to the topic's subscribers, through its
+// DeliverToSubscribers is Publish without the counter: it only delivers to the topic's subscribers, through its
 // owner's index, and returns how many were sent.
 func (b *Broker) DeliverToSubscribers(topic string, payload []byte) int {
 	return b.ownerOf(topic).deliver(netproto.MQTTPacket{
@@ -510,13 +474,6 @@ func (b *Broker) SessionCount() int {
 	b.host.mu.Lock()
 	defer b.host.mu.Unlock()
 	return len(b.sessions)
-}
-
-// RetainedCount reports stored retained messages.
-func (b *Broker) RetainedCount() int {
-	b.host.mu.Lock()
-	defer b.host.mu.Unlock()
-	return len(b.retained)
 }
 
 // Counts returns a consistent snapshot of the broker counters, safe to

@@ -59,64 +59,6 @@ func mqttExch(t *testing.T, c *worldClient, brokerIP uint32, s *netproto.Session
 	return plain
 }
 
-// TestBrokerRetainedMessages checks the opt-in retained-message
-// semantics: the last publish per topic is stored and replayed to a
-// subscriber who arrives after it was published.
-func TestBrokerRetainedMessages(t *testing.T) {
-	brokerIP := netproto.IPv4(10, 0, 8, 1)
-	root := []byte("secret")
-	host, broker := netsim.NewBroker(brokerIP, root, []byte("cert"))
-	broker.SetRetain(true)
-
-	pub := newWorldClient(netproto.IPv4(10, 1, 0, 2), brokerIP, host)
-	pubTLS := mqttHandshake(t, pub, brokerIP, root, 1)
-	mqttExch(t, pub, brokerIP, pubTLS, netproto.MQTTPacket{
-		Type: netproto.MQTTPublish, Topic: "cfg", Payload: []byte("v1")})
-	mqttExch(t, pub, brokerIP, pubTLS, netproto.MQTTPacket{
-		Type: netproto.MQTTPublish, Topic: "cfg", Payload: []byte("v2")})
-	if broker.RetainedCount() != 1 {
-		t.Fatalf("retained count = %d, want 1 (last message per topic)", broker.RetainedCount())
-	}
-
-	// The late subscriber gets the SubAck, then the retained replay.
-	sub := newWorldClient(netproto.IPv4(10, 1, 0, 3), brokerIP, host)
-	subTLS := mqttHandshake(t, sub, brokerIP, root, 2)
-	if mqttExch(t, sub, brokerIP, subTLS, netproto.MQTTPacket{
-		Type: netproto.MQTTSubscribe, Topic: "cfg"}) == nil {
-		t.Fatal("no SUBACK")
-	}
-	sub.step()
-	data := sub.recv()
-	if data == nil {
-		t.Fatal("no retained replay after subscribe")
-	}
-	plain, err := subTLS.Open(data)
-	if err != nil {
-		t.Fatalf("open replay: %v", err)
-	}
-	pkt, err := netproto.DecodeMQTT(plain)
-	if err != nil || pkt.Type != netproto.MQTTPublish || pkt.Topic != "cfg" ||
-		string(pkt.Payload) != "v2" {
-		t.Fatalf("retained replay = %+v (err %v), want PUBLISH cfg v2", pkt, err)
-	}
-}
-
-// TestBrokerRetainOffByDefault: without SetRetain, nothing is stored and
-// late subscribers get no replay — the pre-sharding behavior.
-func TestBrokerRetainOffByDefault(t *testing.T) {
-	brokerIP := netproto.IPv4(10, 0, 8, 1)
-	root := []byte("secret")
-	host, broker := netsim.NewBroker(brokerIP, root, []byte("cert"))
-
-	pub := newWorldClient(netproto.IPv4(10, 1, 0, 2), brokerIP, host)
-	pubTLS := mqttHandshake(t, pub, brokerIP, root, 1)
-	mqttExch(t, pub, brokerIP, pubTLS, netproto.MQTTPacket{
-		Type: netproto.MQTTPublish, Topic: "cfg", Payload: []byte("v1")})
-	if broker.RetainedCount() != 0 {
-		t.Fatalf("retained count = %d, want 0 with retain off", broker.RetainedCount())
-	}
-}
-
 // TestBrokerSupersession checks client takeover: a new MQTT CONNECT from
 // the same device address silently drops the older session (whose FIN was
 // lost), so broker state cannot grow with reconnect churn.
@@ -160,13 +102,12 @@ func TestBrokerSupersession(t *testing.T) {
 }
 
 // TestBrokerSessionTTLReap checks the configurable-TTL reaper: sessions
-// (and retained messages) idle past the TTL are dropped by ReapDead,
-// without sending anything, and fresh state survives.
+// idle past the TTL are dropped by ReapDead, without sending anything, and
+// fresh state survives.
 func TestBrokerSessionTTLReap(t *testing.T) {
 	brokerIP := netproto.IPv4(10, 0, 8, 1)
 	root := []byte("secret")
 	host, broker := netsim.NewBroker(brokerIP, root, []byte("cert"))
-	broker.SetRetain(true)
 	const ttl = 1_000_000
 	broker.SetSessionTTL(ttl)
 
@@ -174,17 +115,15 @@ func TestBrokerSessionTTLReap(t *testing.T) {
 	tls := mqttHandshake(t, c, brokerIP, root, 1)
 	mqttExch(t, c, brokerIP, tls, netproto.MQTTPacket{
 		Type: netproto.MQTTPublish, Topic: "cfg", Payload: []byte("v1")})
-	if broker.LiveSessions() != 1 || broker.RetainedCount() != 1 {
-		t.Fatalf("pre-reap state: %d sessions, %d retained; want 1, 1",
-			broker.LiveSessions(), broker.RetainedCount())
+	if broker.LiveSessions() != 1 {
+		t.Fatalf("pre-reap state: %d sessions, want 1", broker.LiveSessions())
 	}
 	lastSeen := c.core.Clock.Cycles()
 
 	// A scan inside the TTL reaps nothing.
 	broker.ReapDead(lastSeen + ttl/2)
-	if broker.LiveSessions() != 1 || broker.RetainedCount() != 1 {
-		t.Fatalf("reap inside TTL dropped state: %d sessions, %d retained",
-			broker.LiveSessions(), broker.RetainedCount())
+	if broker.LiveSessions() != 1 {
+		t.Fatalf("reap inside TTL dropped state: %d sessions", broker.LiveSessions())
 	}
 
 	// Past the TTL everything idle goes, silently.
@@ -195,9 +134,6 @@ func TestBrokerSessionTTLReap(t *testing.T) {
 	}
 	if broker.SessionCount() != 0 {
 		t.Errorf("session count = %d after TTL reap, want 0", broker.SessionCount())
-	}
-	if broker.RetainedCount() != 0 {
-		t.Errorf("retained count = %d after TTL reap, want 0", broker.RetainedCount())
 	}
 	superseded, reaped := broker.ReapStats()
 	if reaped != 1 || superseded != 0 {
