@@ -9,8 +9,10 @@
 // identical across shard counts; only wall clock changes.
 //
 // TestBenchCloudJSON records the grid plus the acceptance pair (1 vs 8
-// shards at the largest fleet) into BENCH_cloud.json. It asserts no
-// wall-clock ratio. That a publish visits exactly its topic's live
+// shards at the largest fleet) into BENCH_cloud.json; it runs them only
+// under -update (`make bench-json`), and a plain run checks only that
+// the publish count does not depend on the shard count, on 64 devices.
+// It asserts no wall-clock ratio. That a publish visits exactly its topic's live
 // subscribers is checked deterministically instead, by
 // TestBrokerIndexHoldsExactlyLiveSubscribers (internal/netsim) and
 // TestPlaneIndexHoldsExactlyLiveSubscribers (internal/cloud).
@@ -60,11 +62,22 @@ func cloudBenchRun(tb testing.TB, cfg fleet.Config) (*fleet.Result, time.Duratio
 	return res, res.BootWall + res.RunWall
 }
 
-// TestBenchCloudJSON sweeps shards x devices, checks that the publish
-// count does not depend on the shard count, and emits BENCH_cloud.json.
-// Skipped under the race detector: the grid's wall-clock numbers would
-// be meaningless and the large fleets slow.
+// TestBenchCloudJSON checks that the publish count does not depend on the
+// shard count and, under -update, sweeps shards x devices and emits
+// BENCH_cloud.json. The sweep is skipped under the race detector: the
+// grid's wall-clock numbers would be meaningless and the large fleets
+// slow.
 func TestBenchCloudJSON(t *testing.T) {
+	if !*update {
+		// Tier-1 keeps the deterministic half at toy size.
+		res1, _ := cloudBenchRun(t, cloudBenchConfig(64, 1, 25, time.Second))
+		res8, _ := cloudBenchRun(t, cloudBenchConfig(64, 8, 25, time.Second))
+		if res1.Summary.Publishes != res8.Summary.Publishes {
+			t.Errorf("64 devices: %d publishes at 1 shard, %d at 8 (shard-count independent)",
+				res1.Summary.Publishes, res8.Summary.Publishes)
+		}
+		return
+	}
 	if raceEnabled {
 		t.Skip("benchmark grid skipped under -race (wall clock is meaningless)")
 	}

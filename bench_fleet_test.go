@@ -6,7 +6,9 @@
 // (NumCPU shards). The simulated results are identical in both modes —
 // devices are independent — so the comparison isolates the worker pool.
 //
-// TestBenchFleetJSON records both into BENCH_fleet.json.
+// TestBenchFleetJSON records both into BENCH_fleet.json under -update
+// (`make bench-json`); a plain run keeps only the deterministic checks,
+// at 64 devices.
 package cheriot_test
 
 import (
@@ -109,17 +111,32 @@ func perDeviceSec(tb testing.TB, res *fleet.Result, phase string) float64 {
 	return p.WallSec / float64(p.Calls)
 }
 
-// TestBenchFleetJSON measures serial vs parallel fleet throughput plus
-// cold vs snapshot-forked spin-up, and emits BENCH_fleet.json. The
-// simulated outcome must be identical across shard counts; on
-// multi-core hosts the parallel mode must also win on wall-clock
-// publishes/sec; and at 10k devices the snapshot fork must beat the
-// full loader on both whole-boot wall clock and per-device System
-// construction (see spinup_note in the JSON for why the 10x design
+// TestBenchFleetJSON checks that the simulated outcome is identical
+// across shard counts and that a forked spin-up forks every device but
+// the template's. Under -update it also measures serial vs parallel fleet
+// throughput plus cold vs snapshot-forked spin-up, and emits
+// BENCH_fleet.json: on multi-core hosts the parallel mode must also win
+// on wall-clock publishes/sec, and at 10k devices the snapshot fork must
+// beat the full loader on both whole-boot wall clock and per-device
+// System construction (see spinup_note in the JSON for why the 10x design
 // target is out of reach on this workload).
 func TestBenchFleetJSON(t *testing.T) {
 	const devices = 64
 	const reps = 2
+
+	if !*update {
+		// Tier-1 keeps the deterministic half at toy size.
+		serial, _ := fleetBenchRun(t, devices, 1)
+		parallel, _ := fleetBenchRun(t, devices, runtime.NumCPU())
+		if serial.Summary.Publishes != parallel.Summary.Publishes {
+			t.Errorf("simulated publishes differ across shard counts: %d (1 shard) vs %d (%d shards)",
+				serial.Summary.Publishes, parallel.Summary.Publishes, runtime.NumCPU())
+		}
+		if res := spinUp(t, devices, false); res.Snapshot == nil || res.Snapshot.Forks != devices-1 {
+			t.Errorf("forked spin-up at %d devices did not fork the fleet: %+v", devices, res.Snapshot)
+		}
+		return
+	}
 
 	best := func(shards int) (*fleet.Result, time.Duration) {
 		var res *fleet.Result
