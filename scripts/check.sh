@@ -104,6 +104,10 @@ go run -race ./cmd/cheriot-fleet -devices 4 -lockstep -duration 12s -seed 1 \
 	-prof -prof-out "$profdir/prof.json" >/dev/null
 go run ./cmd/cheriot-prof diff -threshold 0.5 -min-cycles 1000000 \
 	scripts/prof-baseline.json "$profdir/prof.json"
+# The diff tolerates growth under its threshold; the profile itself must
+# not move at all, so it is also pinned byte for byte. A change that
+# moves cycles on purpose rewrites the baseline.
+cmp scripts/prof-baseline.json "$profdir/prof.json"
 rm -rf "$profdir"
 echo "ok"
 
