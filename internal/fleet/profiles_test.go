@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ParseProfiles accepts the documented grammar and inherits unset
@@ -67,6 +69,33 @@ func TestParseProfilesErrors(t *testing.T) {
 // profiles pass through Run's validation, defaults and per-device
 // assignment without panicking. The seed corpus is under
 // testdata/fuzz/FuzzParseProfiles.
+// Run fills the profile defaults into its own copy: the caller's
+// Profiles stay as given, so a config run again with a higher top-level
+// rate runs the same fleet as a fresh config with that rate.
+func TestRunLeavesCallerProfiles(t *testing.T) {
+	cfg := Config{Devices: 2, Lockstep: true, Duration: 14 * time.Second, Profiles: []Profile{{Name: "a"}}}
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := []Profile{{Name: "a"}}; !reflect.DeepEqual(cfg.Profiles, want) {
+		t.Errorf("Run rewrote the caller's profiles to %+v, want %+v", cfg.Profiles, want)
+	}
+	cfg.PublishRate = 4
+	rerun, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	fresh := cfg
+	fresh.Profiles = []Profile{{Name: "a"}}
+	want, err := Run(fresh)
+	if err != nil {
+		t.Fatalf("fresh run: %v", err)
+	}
+	if rerun.Summary.Publishes != want.Summary.Publishes {
+		t.Errorf("rerun at rate 4 published %d times, a fresh config %d", rerun.Summary.Publishes, want.Summary.Publishes)
+	}
+}
+
 func FuzzParseProfiles(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		ps, err := ParseProfiles(spec)
