@@ -14,16 +14,16 @@ import (
 func init() {
 	// A guaranteed-failing scenario for the exit-code contract: two
 	// devices, nothing crashes, rule demands a crash.
-	o := fleetcli.Default()
-	o.Seed = 0
-	o.Devices = 2
-	o.Lockstep = true
-	o.Duration = 13 * time.Second
-	o.Spread = 500 * time.Millisecond
+	c := fleetcli.Default()
+	c.Seed = 0
+	c.Devices = 2
+	c.Lockstep = true
+	c.Duration = 13 * time.Second
+	c.ArrivalSpread = 500 * time.Millisecond
 	scenario.Register(scenario.Scenario{
 		Name:    "test-always-fails",
 		Summary: "test-only: impossible SLO",
-		Flags:   o,
+		Fleet:   c,
 		SLO:     "crashes>=1",
 	})
 }

@@ -6,14 +6,13 @@ import (
 	"fmt"
 
 	"github.com/cheriot-go/cheriot/internal/fleet"
-	"github.com/cheriot-go/cheriot/internal/fleetcli"
 	"github.com/cheriot-go/cheriot/internal/ota"
 )
 
 // Fixture is a pre/post state check attached to a scenario. Check runs
 // on the finished fleet and returns nil when the invariant holds. A
-// fixture that also implements Prepare(*fleetcli.Options) error gets
-// to adjust the run options first (e.g. arming the flight recorder it
+// fixture that also implements Prepare(*fleet.Config) error gets to
+// adjust the run's config first (e.g. arming the flight recorder it
 // needs to observe allocations).
 type Fixture interface {
 	Name() string
@@ -69,12 +68,12 @@ type LeakFree struct {
 
 func (LeakFree) Name() string { return "leak-free" }
 
-func (f LeakFree) Prepare(o *fleetcli.Options) error {
+func (f LeakFree) Prepare(c *fleet.Config) error {
 	if f.Owner == "" {
 		return fmt.Errorf("leak-free: empty owner compartment")
 	}
-	if o.FlightRec == 0 {
-		o.FlightRec = 256
+	if c.FlightRecorder == 0 {
+		c.FlightRecorder = 256
 	}
 	return nil
 }
@@ -151,8 +150,8 @@ type ProfileCaptured struct{}
 
 func (ProfileCaptured) Name() string { return "profile-captured" }
 
-func (ProfileCaptured) Prepare(o *fleetcli.Options) error {
-	o.Prof = true
+func (ProfileCaptured) Prepare(c *fleet.Config) error {
+	c.Prof = true
 	return nil
 }
 

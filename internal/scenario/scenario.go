@@ -8,11 +8,12 @@
 // — sequentially or with a worker pool, both producing byte-identical
 // aggregated verdicts — and judges every scenario×seed cell.
 //
-// Scenarios build their fleet.Config through fleetcli.Options, the
-// exact code path behind the cheriot-fleet flags, so "this scenario is
-// the old -pod campaign" is a provable statement: parse the documented
-// flag line, compare configs, compare summaries (see the equivalence
-// tests).
+// A scenario declares its fleet as a fleet.Config, the struct the
+// cheriot-fleet flags set, written as a delta from the flag defaults
+// (fleetcli.Default). So "this scenario is the old -pod campaign" is a
+// provable statement: parse the documented flag line with
+// fleetcli.ParseArgs, compare configs, compare summaries (see the
+// equivalence tests).
 package scenario
 
 import (
@@ -20,20 +21,20 @@ import (
 	"sort"
 
 	"github.com/cheriot-go/cheriot/internal/fleet"
-	"github.com/cheriot-go/cheriot/internal/fleetcli"
 )
 
 // Scenario is one declarative campaign: a fleet shape plus fault
-// schedule (Flags), SLO pass criteria, and state-check fixtures.
+// schedule (Fleet), SLO pass criteria, and state-check fixtures.
 type Scenario struct {
 	// Name is the registry key ("pod-storm", "broker-partition", ...).
 	Name string
 	// Summary is the one-line human description shown by `list`.
 	Summary string
-	// Flags declares the fleet shape and fault schedule in CLI terms —
-	// the same Options struct cheriot-fleet binds its flags to. The
-	// Seed and SLO fields are owned by the harness and must stay zero.
-	Flags fleetcli.Options
+	// Fleet declares the fleet shape and fault schedule: the
+	// fleet.Config cheriot-fleet's flags set, as a delta from
+	// fleetcli.Default. The Seed and SLO fields are owned by the
+	// harness and must stay zero.
+	Fleet fleet.Config
 	// SLO is the pass criteria over the run's health series, in
 	// fleetobs rule syntax ("availability>=0.9@28s;crashes<=0"). It
 	// implies observability, exactly like the -slo flag.
@@ -48,24 +49,26 @@ type Scenario struct {
 	Equivalent string
 }
 
-// Config builds the scenario's fleet configuration for one seed,
-// through the shared fleetcli path, after fixtures had their chance to
-// adjust the options (e.g. LeakFree arming the flight recorder).
+// Config builds the scenario's fleet configuration for one seed: the
+// declared Fleet with the seed and the SLO set, and observability on
+// when there is an SLO, as -slo turns on -obs. Fixtures then get their
+// chance to adjust it (e.g. LeakFree arming the flight recorder).
 func (s Scenario) Config(seed uint64) (fleet.Config, error) {
-	o := s.Flags
-	if o.Seed != 0 || o.SLO != "" {
-		return fleet.Config{}, fmt.Errorf("scenario %s: Flags.Seed/Flags.SLO are harness-owned; use the seed matrix and the SLO field", s.Name)
+	c := s.Fleet
+	if c.Seed != 0 || c.SLO != "" {
+		return fleet.Config{}, fmt.Errorf("scenario %s: Fleet.Seed/Fleet.SLO are harness-owned; use the seed matrix and the SLO field", s.Name)
 	}
-	o.Seed = seed
-	o.SLO = s.SLO
+	c.Seed = seed
+	c.SLO = s.SLO
+	c.Obs = c.Obs || c.SLO != ""
 	for _, f := range s.Fixtures {
-		if p, ok := f.(interface{ Prepare(*fleetcli.Options) error }); ok {
-			if err := p.Prepare(&o); err != nil {
+		if p, ok := f.(interface{ Prepare(*fleet.Config) error }); ok {
+			if err := p.Prepare(&c); err != nil {
 				return fleet.Config{}, fmt.Errorf("scenario %s: fixture %s: %w", s.Name, f.Name(), err)
 			}
 		}
 	}
-	return o.Config()
+	return c, nil
 }
 
 var (
