@@ -10,8 +10,10 @@
 //  2. The captured profile is exact: per-frame self cycles sum to the
 //     attributed total, which equals the merged telemetry clock delta.
 //
-// TestBenchProfJSON writes BENCH_prof.json, including the hotspot
-// table and the host boot/step/pump/merge wall-clock split.
+// TestBenchProfJSON measures and writes BENCH_prof.json, including the
+// hotspot table and the host boot/step/pump/merge wall-clock split,
+// under -update (`make bench-json`); a plain run keeps only the
+// deterministic checks, one run per mode.
 package cheriot_test
 
 import (
@@ -22,6 +24,7 @@ import (
 	"time"
 
 	"github.com/cheriot-go/cheriot/internal/fleet"
+	"github.com/cheriot-go/cheriot/internal/prof"
 )
 
 // fleetProfBenchRun runs the BENCH_fleet workload with the given knobs
@@ -49,16 +52,55 @@ func BenchmarkFleetProfOverhead(b *testing.B) {
 	}
 }
 
-// TestBenchProfJSON measures the profiler's host-time overhead, proves
-// the zero-sim-cost and sum-to-clock contracts, and records the
-// hotspot table plus the host phase split in BENCH_prof.json.
-func TestBenchProfJSON(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock contract is meaningless under the race detector")
+// profExact checks the profiler's deterministic contracts and returns
+// the profile. Zero simulated cost: the profiled Summary is the
+// baseline Summary, bit for bit, once the profile itself is removed;
+// any leak of profiling into simulated time breaks this. Exactness:
+// per-frame self cycles sum to the attributed total, which is the
+// merged telemetry clock delta. simIdentical reports the first check.
+func profExact(t *testing.T, base, profiled *fleet.Result) (p *prof.Profile, simIdentical bool) {
+	t.Helper()
+	profSummary := profiled.Summary
+	p = profSummary.Profile
+	profSummary.Profile = nil
+	baseJSON, _ := json.Marshal(base.Summary)
+	profJSON, _ := json.Marshal(profSummary)
+	simIdentical = string(baseJSON) == string(profJSON)
+	if !simIdentical {
+		t.Errorf("profiler changed the simulated outcome:\nbase %s\nprof %s", baseJSON, profJSON)
 	}
+	if p == nil || len(p.Frames) == 0 {
+		t.Fatal("profiled run produced no profile")
+	}
+	if p.SelfSum() != p.TotalCycles {
+		t.Errorf("profile self sum %d != total %d", p.SelfSum(), p.TotalCycles)
+	}
+	if p.TotalCycles != profiled.Summary.Telemetry.AttributedCycles {
+		t.Errorf("profile total %d != merged telemetry attributed %d",
+			p.TotalCycles, profiled.Summary.Telemetry.AttributedCycles)
+	}
+	return p, simIdentical
+}
+
+// TestBenchProfJSON proves the profiler's zero-sim-cost and
+// sum-to-clock contracts. Under -update it also measures the
+// profiler's host-time overhead against its 1.10x budget and records
+// it with the hotspot table and the host phase split in BENCH_prof.json.
+func TestBenchProfJSON(t *testing.T) {
 	const reps = 9
 
 	profKnobs := func(c *fleet.Config) { c.Prof = true }
+
+	if !*update {
+		// Tier-1 keeps the deterministic half, one run per mode.
+		base, _ := fleetProfBenchRun(t, nil)
+		profiled, _ := fleetProfBenchRun(t, profKnobs)
+		profExact(t, base, profiled)
+		return
+	}
+	if raceEnabled {
+		t.Skip("wall-clock contract is meaningless under the race detector")
+	}
 
 	// Warm up allocator and page cache, then interleave base/profiled
 	// runs so host-load drift hits both modes equally. The workload is
@@ -89,34 +131,11 @@ func TestBenchProfJSON(t *testing.T) {
 	overhead := ratios[0]
 	median := ratios[len(ratios)/2]
 
-	// Zero simulated cost: the profiled Summary is the baseline Summary,
-	// bit for bit, once the profile itself is removed. Any leak of
-	// profiling into simulated time breaks this.
-	profSummary := profiled.Summary
-	p := profSummary.Profile
-	profSummary.Profile = nil
-	baseJSON, _ := json.Marshal(base.Summary)
-	profJSON, _ := json.Marshal(profSummary)
-	if string(baseJSON) != string(profJSON) {
-		t.Errorf("profiler changed the simulated outcome:\nbase %s\nprof %s", baseJSON, profJSON)
-	}
+	p, simIdentical := profExact(t, base, profiled)
 
 	if overhead > 1.10 {
 		t.Errorf("profiling costs %.3fx host time (best of %d pairs), budget 1.10x (pair ratios %v)",
 			overhead, reps, ratios)
-	}
-
-	// Exactness: per-frame self cycles sum to the attributed total,
-	// which is the merged telemetry clock delta.
-	if p == nil || len(p.Frames) == 0 {
-		t.Fatal("profiled run produced no profile")
-	}
-	if p.SelfSum() != p.TotalCycles {
-		t.Errorf("profile self sum %d != total %d", p.SelfSum(), p.TotalCycles)
-	}
-	if p.TotalCycles != profiled.Summary.Telemetry.AttributedCycles {
-		t.Errorf("profile total %d != merged telemetry attributed %d",
-			p.TotalCycles, profiled.Summary.Telemetry.AttributedCycles)
 	}
 
 	// The host phase split comes from a separate instrumented run: the
@@ -157,7 +176,7 @@ func TestBenchProfJSON(t *testing.T) {
 		"profiled_wall_sec":    profWall.Seconds(),
 		"prof_overhead_ratio":  overhead,
 		"prof_overhead_median": median,
-		"prof_sim_identical":   string(baseJSON) == string(profJSON),
+		"prof_sim_identical":   simIdentical,
 		"profile_frames":       len(p.Frames),
 		"profile_total_cycles": p.TotalCycles,
 		"profile_sum_exact":    p.SelfSum() == p.TotalCycles,

@@ -14,7 +14,8 @@ import (
 // update rewrites the committed outputs of the root tests instead of
 // only checking them: the paper-cycles golden file and the BENCH_*.json
 // reports (`go test -run ... -update .`; `make bench-json` for the
-// latter).
+// latter). The BENCH tests take their wall-clock measurements, and
+// apply the gates on them, only under it.
 var update = flag.Bool("update", false, "rewrite testdata/paper_cycles.golden and the BENCH_*.json reports")
 
 // paperGolden pins the paper's simulated cycle numbers.
