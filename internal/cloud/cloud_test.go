@@ -10,6 +10,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/netproto"
 	"github.com/cheriot-go/cheriot/internal/netsim"
+	"github.com/cheriot-go/cheriot/internal/prng"
 )
 
 // --- routing property tests -------------------------------------------------
@@ -45,12 +46,12 @@ func TestHomeShardProperties(t *testing.T) {
 // topics (and anything nested under them) land on the owning device's
 // home shard.
 func TestShardForTopicProperties(t *testing.T) {
-	r := newRNG(42, 7)
+	r := prng.NewSplitMix(42, 7)
 	var topics []string
 	for i := 0; i < 200; i++ {
-		b := make([]byte, 1+r.below(24))
+		b := make([]byte, 1+r.Below(24))
 		for j := range b {
-			b[j] = byte('!' + r.below(94))
+			b[j] = byte('!' + r.Below(94))
 		}
 		topics = append(topics, string(b))
 	}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/cheriot-go/cheriot/internal/fleetobs"
 	"github.com/cheriot-go/cheriot/internal/hw"
+	"github.com/cheriot-go/cheriot/internal/prng"
 )
 
 // BroadcastTopic is the shared topic cloud fan-out events publish to;
@@ -79,7 +80,7 @@ type ScheduleConfig struct {
 // determinism guarantee.
 func BuildSchedule(c ScheduleConfig) []Event {
 	var out []Event
-	r := newRNG(c.Seed, 0xc10ad5eed)
+	r := prng.NewSplitMix(c.Seed, 0xc10ad5eed)
 	if c.PayloadBytes < 8 {
 		c.PayloadBytes = 8
 	}
@@ -102,15 +103,15 @@ func BuildSchedule(c ScheduleConfig) []Event {
 		for t := c.Start + c.Every; t < c.Horizon; t += c.Every {
 			out = append(out, Event{
 				At: t, Kind: EventFanout, Topic: BroadcastTopic,
-				Payload: eventPayload(&r, seq, c.PayloadBytes),
+				Payload: eventPayload(r, seq, c.PayloadBytes),
 				TraceID: trace(),
 			})
 			if c.Commands {
-				dev := int(r.below(uint64(c.Devices)))
+				dev := int(r.Below(uint64(c.Devices)))
 				out = append(out, Event{
 					At: t + c.Every/3, Kind: EventCommand,
 					Topic:   CommandTopic(dev),
-					Payload: eventPayload(&r, seq|1<<63, c.PayloadBytes),
+					Payload: eventPayload(r, seq|1<<63, c.PayloadBytes),
 					Device:  dev,
 					TraceID: trace(),
 				})
@@ -121,7 +122,7 @@ func BuildSchedule(c ScheduleConfig) []Event {
 	if c.FailoverAt > 0 && c.FailoverAt < c.Horizon {
 		out = append(out, Event{
 			At: c.FailoverAt, Kind: EventFailover,
-			Shard: int(r.below(uint64(c.Shards))),
+			Shard: int(r.Below(uint64(c.Shards))),
 		})
 	}
 	return out
@@ -129,13 +130,13 @@ func BuildSchedule(c ScheduleConfig) []Event {
 
 // eventPayload builds a deterministic payload: an 8-byte big-endian
 // sequence stamp followed by seeded filler.
-func eventPayload(r *rng, seq uint64, size int) []byte {
+func eventPayload(r *prng.SplitMix, seq uint64, size int) []byte {
 	p := make([]byte, size)
 	for i := 0; i < 8; i++ {
 		p[i] = byte(seq >> (56 - 8*i))
 	}
 	for i := 8; i < size; i++ {
-		p[i] = byte('a' + r.below(26))
+		p[i] = byte('a' + r.Below(26))
 	}
 	return p
 }
@@ -177,29 +178,4 @@ func InstallOnDevice(core *hw.Core, p *Plane, deviceIndex int, deviceIP uint32,
 			})
 		}
 	}
-}
-
-// rng is the same splitmix64 stream-splitting generator the fleet uses:
-// tiny, fast, and good enough for schedule jitter.
-type rng struct{ state uint64 }
-
-func newRNG(seed, stream uint64) rng {
-	r := rng{state: seed ^ (stream+1)*0x9e3779b97f4a7c15}
-	r.next()
-	return r
-}
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) below(n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	return r.next() % n
 }

@@ -17,6 +17,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/netproto"
 	"github.com/cheriot-go/cheriot/internal/netsim"
 	"github.com/cheriot-go/cheriot/internal/netstack"
+	"github.com/cheriot-go/cheriot/internal/prng"
 	"github.com/cheriot-go/cheriot/internal/prof"
 	"github.com/cheriot-go/cheriot/internal/sched"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
@@ -126,7 +127,7 @@ type Device struct {
 	UpdatedAtCycle uint64
 
 	cfg     *Config
-	rng     *rng
+	rng     *prng.SplitMix
 	arrival uint64 // cycles to wait before starting setup
 
 	// incarnation counts firmware swaps (0 = the boot image); updReb is
@@ -175,10 +176,10 @@ func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, i int) (*
 		Partitioned: pl.HomeShard(i) == cfg.partitionShard(),
 		SkewMillis:  cfg.skewMillisFor(i),
 		cfg:         cfg,
-		rng:         newRNG(cfg.Seed, uint64(i)),
+		rng:         prng.NewSplitMix(cfg.Seed, uint64(i)),
 	}
 	if spread := cfg.arrivalSpreadCycles(); spread > 0 {
-		d.arrival = d.rng.below(spread)
+		d.arrival = d.rng.Below(spread)
 	}
 
 	if cfg.Obs {
@@ -187,7 +188,7 @@ func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, i int) (*
 			Hz:         hw.DefaultHz,
 			SampleRate: cfg.obsSampleRate(),
 			MaxSpans:   cfg.ObsSpanCap,
-			Seed:       newRNG(cfg.Seed, uint64(i)+3<<32).next(),
+			Seed:       prng.NewSplitMix(cfg.Seed, uint64(i)+3<<32).Next(),
 			DeviceOf:   deviceIndexOf,
 		})
 	}
@@ -279,7 +280,7 @@ func (d *Device) armFaults(pl *cloud.Plane, start uint64) {
 			stream = uint64(7 + d.incarnation)
 		}
 		d.World.SetLinkFaults(cfg.DropRate, cfg.JitterCycles,
-			newRNG(cfg.Seed, uint64(d.Index)+stream<<32).next())
+			prng.NewSplitMix(cfg.Seed, uint64(d.Index)+stream<<32).Next())
 	}
 	if d.Partitioned {
 		from, until := cfg.partitionWindow()
@@ -732,7 +733,7 @@ func (a *appDriver) disconnect() {
 // Returns false when the device failed permanently and should park.
 func (a *appDriver) tick() bool {
 	ctx, d, st := a.ctx, a.d, a.st
-	a.sleep(a.interval - a.interval/8 + d.rng.below(a.interval/4+1))
+	a.sleep(a.interval - a.interval/8 + d.rng.Below(a.interval/4+1))
 	if at := d.cfg.quotaStormCycles(); at > 0 && !d.stormDone && ctx.Now() >= at {
 		d.stormDone = true
 		a.quotaStorm()

@@ -7,6 +7,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cloud"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/ota"
+	"github.com/cheriot-go/cheriot/internal/prng"
 )
 
 // otaAliasSuffix distinguishes the updated firmware's snapshot-template
@@ -58,13 +59,13 @@ func newRolloutRuntime(cfg *Config, pl *cloud.Plane, schedule []cloud.Event) (*r
 	// Canary membership is a seeded Fisher–Yates permutation on its own
 	// rng stream: which devices update first is a property of the seed,
 	// never of shard scheduling.
-	r := newRNG(cfg.Seed, 6<<32)
+	r := prng.NewSplitMix(cfg.Seed, 6<<32)
 	rt.order = make([]int, cfg.Devices)
 	for i := range rt.order {
 		rt.order[i] = i
 	}
 	for i := cfg.Devices - 1; i > 0; i-- {
-		j := int(r.below(uint64(i + 1)))
+		j := int(r.Below(uint64(i + 1)))
 		rt.order[i], rt.order[j] = rt.order[j], rt.order[i]
 	}
 

@@ -31,6 +31,8 @@ package fleetobs
 import (
 	"fmt"
 	"sort"
+
+	"github.com/cheriot-go/cheriot/internal/prng"
 )
 
 // SpanKind classifies one hop of a traced message.
@@ -141,7 +143,7 @@ type TracerConfig struct {
 type Tracer struct {
 	cfg       TracerConfig
 	threshold uint64
-	rng       uint64
+	rng       prng.XorShift
 	seq       uint64
 	spans     []Span
 	dropped   uint64
@@ -161,21 +163,11 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.SampleRate > 1 {
 		cfg.SampleRate = 1
 	}
-	t := &Tracer{cfg: cfg, rng: cfg.Seed | 1}
+	t := &Tracer{cfg: cfg, rng: prng.XorShift(cfg.Seed | 1)}
 	if cfg.SampleRate > 0 {
 		t.threshold = uint64(cfg.SampleRate * sampleDenom)
 	}
 	return t
-}
-
-// next is the same xorshift64 step the link fault injector uses.
-func (t *Tracer) next() uint64 {
-	x := t.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	t.rng = x
-	return x
 }
 
 // SamplePublish draws the sampling decision for one publish, returning
@@ -184,7 +176,7 @@ func (t *Tracer) SamplePublish() uint64 {
 	if t == nil || t.threshold == 0 {
 		return 0
 	}
-	if t.next()%sampleDenom >= t.threshold {
+	if t.rng.Next()%sampleDenom >= t.threshold {
 		return 0
 	}
 	id := DeviceTrace(t.cfg.Device, t.seq)

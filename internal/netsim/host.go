@@ -69,13 +69,6 @@ func (s *ServerHost) ListenTCP(port uint16, a TCPAcceptor) {
 	s.tcp[port] = a
 }
 
-// Connections reports live TCP connections (for tests).
-func (s *ServerHost) Connections() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conn)
-}
-
 // connKey names one TCP connection by its remote address and port and
 // its local port.
 type connKey struct {

@@ -53,9 +53,6 @@ func NewSharedNTPServer(ip uint32, baseUnixMillis uint64) *ServerHost {
 	return s
 }
 
-// NewEchoHost builds a host that only answers pings.
-func NewEchoHost(ip uint32) *ServerHost { return NewServerHost(ip) }
-
 // NewGateway builds the local router: a DHCP server leasing the given
 // device address (and answering pings at its own). The DHCP exchange
 // happens before the client has an address, so replies go to broadcast.

@@ -22,6 +22,7 @@ import (
 
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/netproto"
+	"github.com/cheriot-go/cheriot/internal/prng"
 )
 
 // World is the simulated internet attached to the device's network
@@ -177,7 +178,7 @@ func (w *World) SetLinkFaults(dropRate float64, jitterCycles uint64, seed uint64
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	w.faults = &linkFaults{dropRate: dropRate, jitter: jitterCycles, rng: seed}
+	w.faults = &linkFaults{dropRate: dropRate, jitter: jitterCycles, rng: prng.XorShift(seed)}
 }
 
 // SetPartition arms a network partition between the device and peer:
@@ -447,28 +448,19 @@ func (w *World) PingOfDeath(srcIP uint32) []byte {
 type linkFaults struct {
 	dropRate float64
 	jitter   uint64
-	rng      uint64
-}
-
-func (f *linkFaults) next() uint64 {
-	x := f.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	f.rng = x
-	return x
+	rng      prng.XorShift
 }
 
 func (f *linkFaults) drop() bool {
 	if f.dropRate <= 0 {
 		return false
 	}
-	return float64(f.next()%(1<<53))/float64(1<<53) < f.dropRate
+	return float64(f.rng.Next()%(1<<53))/float64(1<<53) < f.dropRate
 }
 
 func (f *linkFaults) delay() uint64 {
 	if f.jitter == 0 {
 		return 0
 	}
-	return f.next() % f.jitter
+	return f.rng.Next() % f.jitter
 }
