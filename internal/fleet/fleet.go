@@ -644,6 +644,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Devices > maxDevices {
 		return nil, fmt.Errorf("fleet: %d devices exceeds the %d address pool", cfg.Devices, maxDevices)
 	}
+	if cfg.FailoverAt > 0 && cfg.CloudShards < 2 {
+		// Judged after the defaults clamp the shard count to the fleet
+		// size: one device cannot keep two shards.
+		return nil, fmt.Errorf("fleet: failover fails one of several broker shards, but the fleet has %d", cfg.CloudShards)
+	}
 	sloRules, err := fleetobs.ParseRules(cfg.SLO)
 	if err != nil {
 		return nil, err

@@ -161,7 +161,9 @@ func TestDeviceIPDisjointFromCloud(t *testing.T) {
 // boots: NaN or infinite rates would otherwise publish never or without
 // pause, a NaN in the Summary fails JSON encoding after the whole run,
 // and a drop rate of 1 or more silently cuts every link. A negative
-// arrival spread, which would start no device's app, is refused too.
+// arrival spread, which would start no device's app, is refused too, and
+// so is a failover with one broker shard after the defaults clamp the
+// shard count, which would kick every device and leave none publishing.
 func TestRunRejectsBadFloats(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -184,6 +186,12 @@ func TestRunRejectsBadFloats(t *testing.T) {
 		{"obs sample +Inf", func(c *Config) { c.Obs, c.ObsSample = true, inf }, "obs sample"},
 		{"obs sample -Inf", func(c *Config) { c.Obs, c.ObsSample = true, -inf }, "obs sample"},
 		{"spread negative", func(c *Config) { c.ArrivalSpread = -time.Millisecond }, "arrival spread"},
+		{"failover one shard", func(c *Config) {
+			c.Devices, c.Duration, c.CloudShards, c.FailoverAt = 4, 40*time.Second, 1, 13*time.Second
+		}, "failover"},
+		{"failover one device", func(c *Config) {
+			c.Devices, c.CloudShards, c.FailoverAt = 1, 2, 13*time.Second
+		}, "failover"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
