@@ -271,11 +271,34 @@ func TestParseRules(t *testing.T) {
 	if got, err := ParseRules(""); err != nil || got != nil {
 		t.Errorf("empty rule list: %v, %v", got, err)
 	}
-	for _, bad := range []string{"p99=5", "latency>=3", "p50<=abc", "availability>=0.9@x"} {
+	// A non-finite value fails or passes every run, and a negative scope
+	// cannot render back: all three are refused.
+	for _, bad := range []string{"p99=5", "latency>=3", "p50<=abc", "availability>=0.9@x",
+		"drops<=NaN", "delivery>=-Inf", "availability>=0.9@-3s"} {
 		if _, err := ParseRules(bad); err == nil {
 			t.Errorf("rule %q parsed", bad)
 		}
 	}
+}
+
+// FuzzParseRules feeds the SLO rule grammar arbitrary lists. The parser
+// must never panic, and every rule it accepts must parse back from its
+// String rendering to the same rule. The seed corpus is under
+// testdata/fuzz/FuzzParseRules.
+func FuzzParseRules(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		rules, err := ParseRules(s)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			back, err := ParseRules(r.String())
+			if err != nil || len(back) != 1 || back[0] != r {
+				t.Fatalf("ParseRules(%q) accepted %+v, which renders %q and parses back to %+v (%v)",
+					s, r, r.String(), back, err)
+			}
+		}
+	})
 }
 
 func TestEvaluate(t *testing.T) {

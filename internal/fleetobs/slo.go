@@ -2,6 +2,7 @@ package fleetobs
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -72,7 +73,7 @@ func parseRule(s string) (Rule, error) {
 		scope := strings.TrimSpace(s[i+1:])
 		scope = strings.TrimSuffix(scope, "s")
 		from, err := strconv.Atoi(scope)
-		if err != nil {
+		if err != nil || from < 0 {
 			return r, fmt.Errorf("fleetobs: bad scope %q in rule", scope)
 		}
 		r.FromSecond = from
@@ -80,7 +81,7 @@ func parseRule(s string) (Rule, error) {
 	}
 	s = strings.TrimSuffix(strings.TrimSpace(s), "ms")
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return r, fmt.Errorf("fleetobs: bad value %q in rule", s)
 	}
 	r.Value = v
