@@ -145,15 +145,6 @@ type Alloc struct {
 	heapNode uint32
 }
 
-// tel returns the kernel's telemetry registry (nil when disabled); every
-// handle derived from it is nil-safe.
-func (a *Alloc) tel() *telemetry.Registry {
-	if a.k == nil {
-		return nil
-	}
-	return a.k.Telemetry()
-}
-
 // New returns an unattached allocator.
 func New() *Alloc {
 	return &Alloc{
@@ -304,10 +295,7 @@ func (a *Alloc) drainQuarantine(max int) {
 		a.k.Core.Tick(uint64(e.size/granule) * hw.RevBitCyclesPerGranule)
 		a.giveFree(e.base, e.size)
 		released++
-		if tel := a.tel(); tel != nil {
-			tel.Gauge(Name, "quarantine_bytes").Add(-int64(e.size))
-			tel.Counter(Name, "quarantine_released").Inc()
-		}
+		a.k.Emit(telemetry.Event{Kind: telemetry.KindRelease, To: Name, Arg: uint64(e.size)})
 	}
 	// Keep the revoker busy while there is anything left to reclaim.
 	if a.quarantine.Len() > 0 && !rev.Running() {
@@ -352,7 +340,6 @@ func (a *Alloc) quarantineRange(base, size uint32) {
 	a.k.Core.Mem.Revoke(base, size)
 	a.k.Core.Tick(uint64(size/granule) * hw.RevBitCyclesPerGranule)
 	a.quarantine.Push(qEntry{base: base, size: size, epoch: a.k.Core.Revoker.Epoch()})
-	a.tel().Gauge(Name, "quarantine_bytes").Add(int64(size))
 	a.k.Emit(telemetry.Event{Kind: telemetry.KindQuarantine, To: Name, Arg: uint64(size)})
 	if !a.k.Core.Revoker.Running() {
 		a.k.Core.Revoker.Request()

@@ -122,10 +122,6 @@ func (a *Alloc) allocate(ctx api.Context, recAddr uint32, q *quota, size uint32)
 		if base, ok := a.takeFree(size); ok {
 			q.used += size
 			a.allocCount++
-			if tel := a.tel(); tel != nil {
-				tel.Counter(Name, "mallocs").Inc()
-				tel.Histogram(Name, "size_bytes", telemetry.DefaultSizeBuckets).Observe(uint64(size))
-			}
 			return base, api.OK
 		}
 		if a.totalFreeable() < size || attempt >= maxWaits {
@@ -133,7 +129,7 @@ func (a *Alloc) allocate(ctx api.Context, recAddr uint32, q *quota, size uint32)
 		}
 		// Block until the revoker makes progress, then drain and retry.
 		a.sweepWaits++
-		a.tel().Counter(Name, "sweep_waits").Inc()
+		ctx.Emit(telemetry.Event{Kind: telemetry.KindSweepWait, To: q.owner, Arg: uint64(size)})
 		rev := a.k.Core.Revoker
 		if !rev.Running() {
 			rev.Request()
@@ -187,7 +183,6 @@ func (a *Alloc) release(ctx api.Context, recAddr uint32, q *quota, meta *allocat
 	base, size := meta.base, meta.size
 	a.freeRecord(meta)
 	a.freeCount++
-	a.tel().Counter(Name, "frees").Inc()
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindFree, From: q.owner,
 		Arg: uint64(size), Arg2: uint64(base)})
 	if hazardCovers(a.k.HazardSlots(), base, size) {

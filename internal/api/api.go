@@ -6,6 +6,11 @@
 // It is the moral equivalent of the cheriot-rtos public headers: both the
 // firmware description (internal/firmware) and the kernel
 // (internal/switcher and the TCB compartments) build against it.
+//
+// Compartment code reports to the platform's instrumentation only by
+// emitting events through its context (Frame.Emit): the telemetry
+// registry counts them and traces some, and the flight recorder keeps
+// its selection, so a fact is reported once.
 package api
 
 import (
@@ -275,17 +280,13 @@ type Frame interface {
 	// Fault raises a synchronous trap explicitly.
 	Fault(code hw.TrapCode, detail string)
 
-	// Telemetry returns the run's telemetry registry, or nil when telemetry
-	// is disabled. Compartments use it to bump counters and observe
-	// histogram samples; every registry handle is nil-safe, so
-	// instrumented code needs no enabled check.
-	Telemetry() *telemetry.Registry
-
 	// Emit hands one event to the kernel, which stamps it with the
-	// current cycle and feeds whichever sinks are attached: the trace
-	// ring and the flight recorder. It returns the provenance node the
-	// recorder assigned to a root, derive or alloc event, or 0; with no
-	// sink attached it does nothing.
+	// current cycle and feeds whichever sinks are attached: the telemetry
+	// registry, which counts it and traces some kinds, and the flight
+	// recorder. It is a compartment's only way to report a fact: every
+	// telemetry counter counts the events of one kind. It returns the
+	// provenance node the recorder assigned to a root, derive or alloc
+	// event, or 0; with no sink attached it does nothing.
 	Emit(ev telemetry.Event) uint32
 
 	// ArgRegs pushes n argument registers on the running thread's

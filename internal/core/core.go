@@ -188,8 +188,8 @@ func (s *System) FlightDump() flightrec.Dump {
 	return s.Kernel.FlightRecorder().Snapshot(s.Board.Core.Clock.Hz())
 }
 
-// armSweepHook installs the revoker sweep observer: it counts completed
-// sweeps in the telemetry registry and emits each sweep's start and end.
+// armSweepHook installs the revoker sweep observer: it emits each
+// sweep's start and end, and the telemetry registry counts the ends.
 // EnableTelemetry and EnableFlightRecorder both call it, in any order.
 func (s *System) armSweepHook() {
 	s.Board.Core.Revoker.SetSweepHook(func(start bool, epoch, granules uint64) {
@@ -197,7 +197,6 @@ func (s *System) armSweepHook() {
 			s.Kernel.Emit(telemetry.Event{Kind: telemetry.KindSweepStart, Arg: epoch})
 			return
 		}
-		s.Kernel.Telemetry().Counter(alloc.Name, "revoker_sweeps").Inc()
 		s.Kernel.Emit(telemetry.Event{Kind: telemetry.KindSweepEnd, Arg: epoch, Arg2: granules})
 	})
 }

@@ -318,9 +318,11 @@ func TestQuotaEnforced(t *testing.T) {
 	}
 }
 
-func TestHeapReuseAfterRevocation(t *testing.T) {
+// reuseImage allocates and frees six objects, each over a third of the
+// heap, so the allocator must wait on revocation sweeps to reuse memory;
+// done reports that the loop completed.
+func reuseImage(t *testing.T, done *bool) *firmware.Image {
 	img := NewImage("reuse")
-	done := false
 	img.AddCompartment(&firmware.Compartment{
 		Name: "app", CodeSize: 256, DataSize: 0,
 		// Quota big enough for one object at a time; heap pressure forces
@@ -344,14 +346,18 @@ func TestHeapReuseAfterRevocation(t *testing.T) {
 						return nil
 					}
 				}
-				done = true
+				*done = true
 				return nil
 			}}},
 	})
 	img.AddThread(&firmware.Thread{Name: "t", Compartment: "app", Entry: "main",
 		Priority: 1, StackSize: 1024, TrustedStackFrames: 6})
+	return img
+}
 
-	s := boot(t, img)
+func TestHeapReuseAfterRevocation(t *testing.T) {
+	done := false
+	s := boot(t, reuseImage(t, &done))
 	if err := s.Run(nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -360,6 +366,50 @@ func TestHeapReuseAfterRevocation(t *testing.T) {
 	}
 	if s.Alloc.Stats().SweepWaits == 0 {
 		t.Fatal("expected the allocator to wait on revocation sweeps")
+	}
+}
+
+// TestTelemetryCountsEvents checks that the registry's counters, which
+// count the events the kernel hands it, agree with the kernel's and the
+// allocator's own tallies, sweep waits and quarantine releases included,
+// and that the quarantine gauge nets out what was quarantined and
+// released.
+func TestTelemetryCountsEvents(t *testing.T) {
+	done := false
+	s := boot(t, reuseImage(t, &done))
+	reg := s.EnableTelemetry(0)
+	if err := s.Run(nil); err != nil || !done {
+		t.Fatalf("Run: %v (loop done: %v)", err, done)
+	}
+	snap := reg.Snapshot()
+	got := make(map[string]int64)
+	for _, c := range snap.Counters {
+		got[c.Compartment+"/"+c.Metric] = c.Value
+	}
+	ks, as := s.Kernel.Stats(), s.Alloc.Stats()
+	for name, want := range map[string]uint64{
+		"<switcher>/compartment_calls": ks.CompartmentCalls,
+		"<switcher>/context_switches":  ks.ContextSwitches,
+		"alloc/mallocs":                as.Allocs,
+		"alloc/frees":                  as.Frees,
+		"alloc/sweep_waits":            as.SweepWaits,
+	} {
+		if got[name] != int64(want) || want == 0 {
+			t.Errorf("%s = %d, want the tally %d (nonzero)", name, got[name], want)
+		}
+	}
+	released := got["alloc/quarantine_released"]
+	if released == 0 || len(snap.Gauges) != 1 {
+		t.Fatalf("%d releases, gauges %+v; want releases and the quarantine gauge", released, snap.Gauges)
+	}
+	// Six 80 KiB frees entered quarantine; every release returned one.
+	if want := (int64(as.Frees) - released) * 80 * 1024; snap.Gauges[0].Value != want {
+		t.Errorf("quarantine_bytes = %d, want %d", snap.Gauges[0].Value, want)
+	}
+	for _, h := range snap.Histograms {
+		if h.Metric == "size_bytes" && (h.Count != as.Allocs || h.Sum != as.Allocs*80*1024) {
+			t.Errorf("size_bytes: %d samples summing %d, want %d of 80 KiB", h.Count, h.Sum, as.Allocs)
+		}
 	}
 }
 

@@ -195,7 +195,7 @@ func (r *Recorder) Record(ev telemetry.Event, cause *hw.Trap) uint32 {
 		telemetry.KindFutexWait, telemetry.KindFutexWake,
 		telemetry.KindSeal, telemetry.KindUnseal, telemetry.KindLoadFiltered:
 	default:
-		return 0 // switches, sleeps, quarantine, network: the trace's alone
+		return 0 // switches, sleeps, quarantine, network: telemetry's alone
 	}
 	r.ring.Record(ev)
 	return ev.Node

@@ -124,13 +124,15 @@ func TestNilRecorder(t *testing.T) {
 
 // TestRecordKeepsItsKinds pins the one switch that decides what the
 // recorder keeps: everything but scheduling, quarantine and network
-// events (the trace's alone) and provenance roots, and a trap only with
-// a cause that is not a forced unwind.
+// events (the trace's alone), the kinds telemetry only counts, and
+// provenance roots, and a trap only with a cause that is not a forced
+// unwind.
 func TestRecordKeepsItsKinds(t *testing.T) {
 	notKept := map[telemetry.Kind]bool{
 		telemetry.KindSwitch: true, telemetry.KindSleep: true, telemetry.KindQuarantine: true,
 		telemetry.KindNetRx: true, telemetry.KindNetTx: true, telemetry.KindSend: true,
-		telemetry.KindRecv: true, telemetry.KindRoot: true,
+		telemetry.KindRecv: true, telemetry.KindRoot: true, telemetry.KindPublish: true,
+		telemetry.KindPreempt: true, telemetry.KindSweepWait: true, telemetry.KindRelease: true,
 	}
 	fault := &hw.Trap{Code: hw.TrapTagViolation}
 	for k := telemetry.Kind(0); k < telemetry.KindCount; k++ {

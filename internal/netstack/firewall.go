@@ -46,8 +46,6 @@ type firewallState struct {
 	// bootstrap opens the firewall for the DHCP window: broadcast egress
 	// and any-source ingress, until the stack has a lease.
 	bootstrap bool
-	// Counters surfaced to tests.
-	rxFrames, txFrames, rxDropped uint64
 }
 
 // fwState fetches the compartment state.
@@ -113,7 +111,6 @@ func fwTx(ctx api.Context, args []api.Value) []api.Value {
 	mmio := ctx.MMIO(firmware.DeviceNet)
 	ctx.Store32(mmio.WithAddress(hw.NetBase+hw.NetTxAddr), frame.Base())
 	ctx.Store32(mmio.WithAddress(hw.NetBase+hw.NetTxLen), n)
-	st.txFrames++
 	return api.EV(api.OK)
 }
 
@@ -165,17 +162,14 @@ func fwDriverLoop(ctx api.Context, args []api.Value) []api.Value {
 			if n == 0 || n > rxStagingBytes {
 				// Pop and drop an impossible frame.
 				ctx.Store32(mmio.WithAddress(hw.NetBase+hw.NetRxAddr), staging.Base())
-				st.rxDropped++
 				continue
 			}
 			ctx.Store32(mmio.WithAddress(hw.NetBase+hw.NetRxAddr), staging.Base())
-			st.rxFrames++
 			// Ingress filtering looks at the fixed source-address offset
 			// only — the firewall does not parse the frame. The DHCP
 			// window admits unknown sources (the server is not known yet).
 			src := ctx.Load32(staging.WithAddress(staging.Base() + 4))
 			if !st.allowed[src] && !st.bootstrap {
-				st.rxDropped++
 				continue
 			}
 			// Hand the exact frame, read-only, to the TCP/IP stack.

@@ -215,8 +215,7 @@ func mqttPublish(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	ctx.Telemetry().Counter(MQTT, "publishes").Inc()
-	ctx.Emit(telemetry.Event{Kind: telemetry.KindSend,
+	ctx.Emit(telemetry.Event{Kind: telemetry.KindPublish,
 		From: ctx.Caller(), To: MQTT, Entry: FnMQTTPublish,
 		Arg: uint64(payloadBuf.Length())})
 	// Distributed tracing: a sampled publish carries its trace ID in-band

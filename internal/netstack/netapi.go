@@ -214,7 +214,6 @@ func netSend(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	ctx.Telemetry().Counter(NetAPI, "sends").Inc()
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindSend,
 		From: ctx.Caller(), To: NetAPI, Arg: uint64(args[1].Cap.Length())})
 	rets, err := ctx.Call(TCPIP, FnSockSend, api.W(id), args[1])
@@ -238,7 +237,6 @@ func netRecv(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	ctx.Telemetry().Counter(NetAPI, "recvs").Inc()
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindRecv,
 		From: ctx.Caller(), To: NetAPI, Arg: uint64(args[1].Cap.Length())})
 	rets, err := ctx.Call(TCPIP, FnSockRecv, api.W(id), args[1], args[2])

@@ -209,10 +209,6 @@ func (st *tcpipState) sendSegment(ctx api.Context, s *socket, flags uint8, data 
 		}
 	}
 	st.txSegments++
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(TCPIP, "tx_segments").Inc()
-		tel.Histogram(TCPIP, "tx_bytes", telemetry.DefaultSizeBuckets).Observe(uint64(len(payload)))
-	}
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindNetTx, To: TCPIP, Arg: uint64(len(payload))})
 	b.seg = payload
 	b.frame = netproto.AppendHeader(b.frame[:0], netproto.Header{
@@ -239,10 +235,6 @@ func ipRx(ctx api.Context, args []api.Value) []api.Value {
 	frame := args[0].Cap
 	st := ipState(ctx)
 	st.rxFrames++
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(TCPIP, "rx_frames").Inc()
-		tel.Histogram(TCPIP, "rx_bytes", telemetry.DefaultSizeBuckets).Observe(uint64(frame.Length()))
-	}
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindNetRx, To: TCPIP, Arg: uint64(frame.Length())})
 	if frame.Length() < netproto.HeaderBytes {
 		return api.EV(api.ErrInvalid)

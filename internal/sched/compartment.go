@@ -76,7 +76,6 @@ func (s *Sched) futexWait(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(api.OK) // the word moved: no sleep, caller re-checks
 	}
 	t := s.k.ThreadByID(ctx.ThreadID())
-	ctx.Telemetry().Counter(Name, "futex_waits").Inc()
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindFutexWait,
 		Thread: t.Name, From: ctx.Caller(), Arg: uint64(word.Address())})
 	w := s.waiterFor(t)
@@ -168,7 +167,6 @@ func (s *Sched) sleep(ctx api.Context, args []api.Value) []api.Value {
 	}
 	n := uint64(args[0].AsWord())
 	t := s.k.ThreadByID(ctx.ThreadID())
-	ctx.Telemetry().Counter(Name, "sleeps").Inc()
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindSleep, Thread: t.Name, From: ctx.Caller(), Arg: n})
 	w := s.waiterFor(t)
 	s.register(w)

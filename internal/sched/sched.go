@@ -188,7 +188,6 @@ func (s *Sched) wake(addr uint32, n int, waker string) int {
 		s.complete(w)
 		woken++
 		s.k.Core.Tick(hw.FutexWakeCycles)
-		s.k.Telemetry().Counter(Name, "futex_wakes").Inc()
 		s.k.Emit(telemetry.Event{Kind: telemetry.KindFutexWake,
 			Thread: w.t.Name, From: waker, Arg: uint64(addr)})
 	}

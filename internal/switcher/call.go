@@ -73,7 +73,6 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	}
 
 	k.compCallCount++
-	k.ctrCalls.Inc()
 	// Everything the switcher does on the transition — validation already
 	// done above (it never ticks), the base call cost, and stack zeroing on
 	// both paths — is attributed to the "<switcher>" pseudo-domain, and in
@@ -163,7 +162,6 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 
 	k.installFrame(t)
 	if fault != nil {
-		k.ctrUnwinds.Inc()
 		k.Emit(telemetry.Event{Kind: telemetry.KindUnwind, Thread: t.Name, To: target})
 		return nil, &Fault{Trap: fault, Compartment: target}
 	}
@@ -209,7 +207,6 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 		// unwind cost — is charged to the faulting frame, on top of the
 		// trusted stack again.
 		k.installFrame(t)
-		k.ctrTraps.Inc()
 		k.emit(telemetry.Event{Kind: telemetry.KindTrap, Thread: t.Name, To: callee.Name(),
 			Entry: exp.Name, Detail: fault.Code.String(), Arg: uint64(fault.Addr)}, fault)
 		// A forced unwind (micro-reboot) always tears the thread out; the

@@ -52,11 +52,6 @@ func (c *ctx) trapIf(err error, cc cap.Capability) {
 // Compartment implements api.Frame.
 func (c *ctx) Compartment() string { return c.comp.Name() }
 
-// Telemetry implements api.Frame. All registry handles are nil-safe, so
-// compartment code instruments unconditionally and pays one nil check when
-// telemetry is disabled.
-func (c *ctx) Telemetry() *telemetry.Registry { return c.k.tel }
-
 // Emit implements api.Frame.
 func (c *ctx) Emit(ev telemetry.Event) uint32 { return c.k.Emit(ev) }
 

@@ -85,18 +85,14 @@ type Kernel struct {
 
 	// tel, when non-nil, is the unified telemetry registry: per-compartment
 	// cycle accounts (swapped into the clock at every domain transition),
-	// kernel counters, and the trace ring Emit feeds. All handles below
-	// are nil-safe: with telemetry off they are nil, and the clock ignores
-	// a nil cell, so the transitions install them unconditionally.
+	// and Emit's first sink, which counts every event and traces some.
+	// All handles below are nil-safe: with telemetry off they are nil, and
+	// the clock ignores a nil cell, so the transitions install them
+	// unconditionally.
 	tel         *telemetry.Registry
 	telSwitcher *telemetry.CycleAccount // "<switcher>" pseudo-domain
 	telSched    *telemetry.CycleAccount // "<sched>" pseudo-domain
 	telIdle     *telemetry.CycleAccount // "<idle>" pseudo-domain
-	ctrCalls    *telemetry.Counter
-	ctrSwitches *telemetry.Counter
-	ctrTraps    *telemetry.Counter
-	ctrUnwinds  *telemetry.Counter
-	ctrPreempts *telemetry.Counter
 
 	// rec, when non-nil, is the flight recorder: the always-on black box
 	// Emit feeds with calls, traps, allocations, and provenance for
@@ -240,19 +236,14 @@ func (k *Kernel) AddThread(def *firmware.Thread, layout firmware.ThreadLayout) *
 // point every cycle the clock advances is attributed to the compartment on
 // top of the running thread's trusted stack (or to the "<switcher>",
 // "<sched>", or "<idle>" pseudo-domains), per-compartment accounts sum
-// exactly to the clock delta since enabling, and kernel counters mirror
-// into the registry.
+// exactly to the clock delta since enabling, and the registry counts
+// every event Emit stamps.
 func (k *Kernel) EnableTelemetry(r *telemetry.Registry) {
 	k.tel = r
 	r.SetBase(k.Core.Clock.Cycles())
 	k.telSwitcher = r.Account(telemetry.DomainSwitcher)
 	k.telSched = r.Account(telemetry.DomainSched)
 	k.telIdle = r.Account(telemetry.DomainIdle)
-	k.ctrCalls = r.Counter(telemetry.DomainSwitcher, "compartment_calls")
-	k.ctrSwitches = r.Counter(telemetry.DomainSwitcher, "context_switches")
-	k.ctrTraps = r.Counter(telemetry.DomainSwitcher, "traps")
-	k.ctrUnwinds = r.Counter(telemetry.DomainSwitcher, "unwinds")
-	k.ctrPreempts = r.Counter(telemetry.DomainSched, "preemptions")
 	for _, c := range k.comps {
 		c.acct = r.Account(c.Name())
 	}
@@ -313,23 +304,23 @@ func (k *Kernel) FlightRecorder() *flightrec.Recorder { return k.rec }
 
 // Emit is the kernel's one event entry point; compartments reach it
 // through api.Context. It stamps ev with the current cycle and hands it
-// to whichever sinks are attached: the telemetry registry's trace ring
-// keeps the kinds it traces (telemetry.Kind.Traced), and the flight
-// recorder decides what it keeps. It returns the provenance node the
-// recorder assigned (see flightrec.Recorder.Record), or 0. With no sink
-// attached it costs two nil checks and never touches simulated time.
+// to whichever sinks are attached: the telemetry registry counts it and
+// traces the kinds it traces (see telemetry.Registry.Record), and the
+// flight recorder decides what it keeps. It returns the provenance node
+// the recorder assigned (see flightrec.Recorder.Record), or 0. With no
+// sink attached it costs two nil checks and never touches simulated time.
 func (k *Kernel) Emit(ev telemetry.Event) uint32 { return k.emit(ev, nil) }
 
 // emit is Emit with the cause of a trap event, which the recorder
 // reports (nil for every other kind).
 func (k *Kernel) emit(ev telemetry.Event, cause *hw.Trap) uint32 {
-	ring := k.tel.Ring()
-	if ring == nil && k.rec == nil {
+	if k.tel == nil && k.rec == nil {
 		return 0
 	}
 	ev.Cycle = k.Core.Clock.Cycles()
-	if ev.Kind.Traced() {
-		ring.Record(ev)
+	k.tel.Record(&ev)
+	if k.rec == nil {
+		return 0 // spares the nil-safe call its copy of the event
 	}
 	return k.rec.Record(ev, cause)
 }
@@ -474,7 +465,6 @@ func (k *Kernel) dispatch() (*Thread, error) {
 			// The restore itself is switcher work.
 			k.tickAs(k.telSwitcher, k.profSw, hw.ContextRestoreCycles)
 			k.switchCount++
-			k.ctrSwitches.Inc()
 			k.Emit(telemetry.Event{Kind: telemetry.KindSwitch, Thread: t.Name})
 		}
 		t.state = StateRunning
@@ -500,7 +490,7 @@ func (k *Kernel) yielded(t *Thread, kind yieldKind) {
 		// decision it just made.
 		k.tickAs(k.telSched, k.profSched, hw.SchedulerDecideCycles)
 	case yieldPreempt, yieldVoluntary:
-		k.ctrPreempts.Inc()
+		k.Emit(telemetry.Event{Kind: telemetry.KindPreempt, Thread: t.Name})
 		// Trap entry is switcher work; entering the scheduler
 		// compartment and picking the next thread is the scheduler's.
 		k.tickAs(k.telSwitcher, k.profSw, hw.TrapEntryCycles)

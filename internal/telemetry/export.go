@@ -100,17 +100,18 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s.Compartments = accountSnapshots(r.Accounts(), s.AttributedCycles)
 	s.Threads = accountSnapshots(r.ThreadAccounts(), s.AttributedCycles)
-	for _, k := range sortedKeys(r.counters) {
-		s.Counters = append(s.Counters, MetricSnapshot{
-			Compartment: k.Compartment, Metric: k.Metric,
-			Value: int64(r.counters[k].Value()),
-		})
+	for k := range kinds {
+		info := &kinds[k]
+		if info.counter != (Key{}) && (info.kernel || r.counts[k] > 0) {
+			s.Counters = append(s.Counters, MetricSnapshot{
+				Compartment: info.counter.Compartment, Metric: info.counter.Metric,
+				Value: int64(r.counts[k]),
+			})
+		}
 	}
-	for _, k := range sortedKeys(r.gauges) {
-		s.Gauges = append(s.Gauges, MetricSnapshot{
-			Compartment: k.Compartment, Metric: k.Metric,
-			Value: r.gauges[k].Value(),
-		})
+	sortMetrics(s.Counters)
+	if r.quarantined {
+		s.Gauges = []MetricSnapshot{{Compartment: "alloc", Metric: "quarantine_bytes", Value: r.quarantine}}
 	}
 	for _, k := range sortedKeys(r.hists) {
 		h := r.hists[k]

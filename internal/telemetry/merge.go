@@ -150,13 +150,18 @@ func mergedMetrics(m map[Key]int64) []MetricSnapshot {
 	for k, v := range m {
 		out = append(out, MetricSnapshot{Compartment: k.Compartment, Metric: k.Metric, Value: v})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Compartment != out[j].Compartment {
-			return out[i].Compartment < out[j].Compartment
-		}
-		return out[i].Metric < out[j].Metric
-	})
+	sortMetrics(out)
 	return out
+}
+
+// sortMetrics orders metrics by (compartment, metric).
+func sortMetrics(ms []MetricSnapshot) {
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].Compartment != ms[j].Compartment {
+			return ms[i].Compartment < ms[j].Compartment
+		}
+		return ms[i].Metric < ms[j].Metric
+	})
 }
 
 func mergedHistograms(m map[Key]*HistogramSnapshot) []HistogramSnapshot {

@@ -1,22 +1,25 @@
 // Package telemetry is the unified observability layer of the simulated
-// platform: typed counters, gauges, and fixed-bucket histograms keyed by
-// (compartment, metric); per-compartment and per-thread cycle accounting;
-// the platform's one event vocabulary (Kind, Event) and its bounded ring,
-// which backs both the kernel trace and the flight recorder; and the
-// one Chrome trace_event encoder the trace, profile and span exporters
-// share.
+// platform: the platform's one event vocabulary (Kind, Event); a registry
+// that counts the events the kernel hands it, keeps the traced ones in a
+// bounded ring and keeps per-compartment and per-thread cycle accounts;
+// fixed-bucket histograms keyed by (compartment, metric); and the one
+// Chrome trace_event encoder the trace, profile and span exporters share.
+//
+// Every counter is a count of events: the kinds table names the counter
+// each kind increments, the size histogram its Arg feeds and the gauge it
+// moves (see Registry.Record), so compartments report a fact once, by
+// emitting its event.
 //
 // Design constraints, in order:
 //
 //  1. Zero cost when disabled. Every instrumented site holds a possibly-nil
-//     handle (a *Counter, *Histogram, *CycleAccount, or the *Registry
-//     itself) and all methods are nil-safe, so the disabled path is a
-//     single pointer comparison. Telemetry never advances simulated time:
-//     enabling it cannot change a benchmark's cycle counts.
+//     handle (a *Histogram, *CycleAccount, or the *Registry itself) and
+//     all methods are nil-safe, so the disabled path is a single pointer
+//     comparison. Telemetry never advances simulated time: enabling it
+//     cannot change a benchmark's cycle counts.
 //
-//  2. O(1) on the hot path. Handle lookup is one map access on a value
-//     key; instrumented subsystems fetch handles once and cache them, so
-//     steady-state updates are a nil check plus an add.
+//  2. O(1) on the hot path. Recording an event indexes the kinds table
+//     and the registry's per-kind counts; no string is looked up.
 //
 //  3. Exact cycle attribution. All simulated time flows through
 //     hw.Clock.Advance, which charges the currently-installed compartment
@@ -29,10 +32,10 @@
 // so every layer (hw, switcher, alloc, sched, netstack) can use it.
 //
 // Concurrency: the package holds no process-global mutable state — the
-// only package-level variables are immutable bucket-bound defaults. All
-// counters, accounts, and trace state hang off a Registry, and each
-// Registry belongs to exactly one System, so independent Systems run on
-// concurrent goroutines without sharing telemetry (the fleet simulator
+// only package-level variables are the immutable kinds table and bucket
+// bounds. All counts, accounts, and trace state hang off a Registry, and
+// each Registry belongs to exactly one System, so independent Systems run
+// on concurrent goroutines without sharing telemetry (the fleet simulator
 // depends on this; internal/core's TestSystemsRunConcurrently enforces
 // it under -race). A single Registry is NOT internally locked: it must
 // only be driven from its System's goroutine. Fleet-level aggregation
@@ -62,58 +65,6 @@ const (
 type Key struct {
 	Compartment string
 	Metric      string
-}
-
-// Counter is a monotonically-increasing event count. All methods are safe
-// on a nil receiver, so disabled-telemetry call sites pay one nil check.
-type Counter struct {
-	v uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 for a nil counter).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a value that can move both ways (quarantine bytes, ready-queue
-// depth). Nil-safe like Counter.
-type Gauge struct {
-	v int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v += delta
-	}
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram is a fixed-bucket histogram: bounds are upper edges in
@@ -215,9 +166,11 @@ func (a *CycleAccount) Slot() *uint64 {
 // disabled state: every method no-ops or returns nil handles, and
 // instrumented code holds exactly one nil check on its hot path.
 type Registry struct {
-	counters map[Key]*Counter
-	gauges   map[Key]*Gauge
-	hists    map[Key]*Histogram
+	counts      [KindCount]uint64     // events recorded, per kind
+	sizes       [KindCount]*Histogram // each sized kind's histogram, once recorded
+	quarantine  int64                 // the alloc/quarantine_bytes gauge
+	quarantined bool                  // whether an event has moved it
+	hists       map[Key]*Histogram
 
 	accounts       map[string]*CycleAccount
 	threadAccounts map[string]*CycleAccount
@@ -232,8 +185,6 @@ type Registry struct {
 // frequency (used by the exporters to convert cycles to time).
 func NewRegistry(hz uint64) *Registry {
 	return &Registry{
-		counters:       make(map[Key]*Counter),
-		gauges:         make(map[Key]*Gauge),
 		hists:          make(map[Key]*Histogram),
 		accounts:       make(map[string]*CycleAccount),
 		threadAccounts: make(map[string]*CycleAccount),
@@ -265,34 +216,31 @@ func (r *Registry) Base() uint64 {
 	return r.base
 }
 
-// Counter returns the counter for (compartment, metric), creating it on
-// first use. Returns nil on a nil registry. O(1).
-func (r *Registry) Counter(compartment, metric string) *Counter {
-	if r == nil {
-		return nil
+// Record counts ev under its kind, as the kinds table says: the kind's
+// counter, size histogram and gauge. It keeps ev in the trace ring when
+// the ring is attached and the kind is traced. The kernel hands it every
+// event it stamps (see switcher.Kernel.Emit). Nil-safe.
+func (r *Registry) Record(ev *Event) {
+	if r == nil || ev.Kind >= KindCount {
+		return
 	}
-	k := Key{compartment, metric}
-	c := r.counters[k]
-	if c == nil {
-		c = &Counter{}
-		r.counters[k] = c
+	info := &kinds[ev.Kind]
+	r.counts[ev.Kind]++
+	if info.sizes.Metric != "" {
+		h := r.sizes[ev.Kind]
+		if h == nil {
+			h = r.Histogram(info.sizes.Compartment, info.sizes.Metric, DefaultSizeBuckets)
+			r.sizes[ev.Kind] = h
+		}
+		h.Observe(ev.Arg)
 	}
-	return c
-}
-
-// Gauge returns the gauge for (compartment, metric), creating it on first
-// use. Returns nil on a nil registry. O(1).
-func (r *Registry) Gauge(compartment, metric string) *Gauge {
-	if r == nil {
-		return nil
+	if info.quarantine != 0 {
+		r.quarantine += info.quarantine * int64(ev.Arg)
+		r.quarantined = true
 	}
-	k := Key{compartment, metric}
-	g := r.gauges[k]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[k] = g
+	if info.traced && r.ring != nil { // the ring takes a copy
+		r.ring.Record(*ev)
 	}
-	return g
 }
 
 // Histogram returns the histogram for (compartment, metric), creating it
@@ -399,8 +347,8 @@ func (r *Registry) EnableTrace(capacity int) {
 	r.ring = NewRing(capacity)
 }
 
-// Ring returns the attached event ring, or nil. The kernel records the
-// events of the kinds the trace holds into it (see Kind.Traced).
+// Ring returns the attached event ring, or nil. Record keeps the events
+// of the traced kinds in it.
 func (r *Registry) Ring() *Ring {
 	if r == nil {
 		return nil

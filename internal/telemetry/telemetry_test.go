@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -10,8 +11,7 @@ import (
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	// Every disabled-path operation must be a no-op, not a panic.
-	r.Counter("a", "b").Inc()
-	r.Gauge("a", "b").Add(-3)
+	r.Record(&Event{Kind: KindAlloc, Arg: 7})
 	r.Histogram("a", "b", DefaultSizeBuckets).Observe(7)
 	r.Account("a").Slot()
 	r.ThreadAccount("t")
@@ -27,23 +27,45 @@ func TestNilRegistryIsSafe(t *testing.T) {
 
 func TestCountersGaugesHistograms(t *testing.T) {
 	r := NewRegistry(33_000_000)
-	c := r.Counter("alloc", "mallocs")
-	if c2 := r.Counter("alloc", "mallocs"); c2 != c {
-		t.Fatal("Counter must return a stable handle per key")
+	// The kernel's counters are listed from the start, the rest once
+	// counted, and the gauge once an event moves it.
+	if snap := r.Snapshot(); len(snap.Counters) != 5 || snap.Gauges != nil || snap.Histograms != nil {
+		t.Fatalf("fresh registry lists counters %+v, gauges %+v, histograms %+v",
+			snap.Counters, snap.Gauges, snap.Histograms)
 	}
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
+	r.Record(&Event{Kind: KindCall})
+	r.Record(&Event{Kind: KindCall})
+	for _, v := range []uint64{8, 16, 17, 100, 1000} {
+		r.Record(&Event{Kind: KindAlloc, To: "app", Arg: v})
 	}
-	g := r.Gauge("alloc", "quarantine_bytes")
-	g.Set(100)
-	g.Add(-40)
-	if g.Value() != 60 {
-		t.Fatalf("gauge = %d, want 60", g.Value())
+	r.Record(&Event{Kind: KindQuarantine, To: "alloc", Arg: 100})
+	r.Record(&Event{Kind: KindRelease, To: "alloc", Arg: 40})
+	r.Record(&Event{Kind: KindDerive}) // counts toward nothing
+	snap := r.Snapshot()
+	want := []MetricSnapshot{
+		{DomainSched, "preemptions", 0},
+		{DomainSwitcher, "compartment_calls", 2},
+		{DomainSwitcher, "context_switches", 0},
+		{DomainSwitcher, "traps", 0},
+		{DomainSwitcher, "unwinds", 0},
+		{"alloc", "mallocs", 5},
+		{"alloc", "quarantine_released", 1},
+	}
+	if !reflect.DeepEqual(snap.Counters, want) {
+		t.Fatalf("counters = %+v, want %+v", snap.Counters, want)
+	}
+	if g := snap.Gauges; len(g) != 1 || g[0] != (MetricSnapshot{"alloc", "quarantine_bytes", 60}) {
+		t.Fatalf("gauges = %+v, want alloc/quarantine_bytes 60", g)
+	}
+	if h := snap.Histograms; len(h) != 1 || h[0].Metric != "size_bytes" || h[0].Count != 5 ||
+		h[0].Sum != 8+16+17+100+1000 || h[0].Min != 8 || h[0].Max != 1000 {
+		t.Fatalf("histograms = %+v, want alloc/size_bytes over the five allocations", h)
 	}
 
-	h := r.Histogram("alloc", "size_bytes", []uint64{16, 64, 256})
+	h := r.Histogram("app", "lat", []uint64{16, 64, 256})
+	if h2 := r.Histogram("app", "lat", nil); h2 != h {
+		t.Fatal("Histogram must return a stable handle per key")
+	}
 	for _, v := range []uint64{8, 16, 17, 100, 1000} {
 		h.Observe(v)
 	}
@@ -52,10 +74,10 @@ func TestCountersGaugesHistograms(t *testing.T) {
 		t.Fatalf("bucket shapes: %d bounds, %d counts", len(bounds), len(counts))
 	}
 	// 8,16 <= 16; 17,100 <= 256 split as 17<=64 and 100<=256; 1000 -> +Inf.
-	want := []uint64{2, 1, 1, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts = %v, want %v", counts, want)
+	wantCounts := []uint64{2, 1, 1, 1}
+	for i := range wantCounts {
+		if counts[i] != wantCounts[i] {
+			t.Fatalf("counts = %v, want %v", counts, wantCounts)
 		}
 	}
 	if h.Count() != 5 || h.Sum() != 8+16+17+100+1000 {
@@ -156,13 +178,14 @@ func TestPostureString(t *testing.T) {
 func TestSnapshotAndJSON(t *testing.T) {
 	r := NewRegistry(33_000_000)
 	r.SetBase(500)
-	r.Counter("net", "rx").Add(3)
-	r.Gauge("alloc", "quarantine_bytes").Set(64)
-	r.Histogram("alloc", "size_bytes", DefaultSizeBuckets).Observe(100)
 	*r.Account("app").Slot() += 10
 	*r.ThreadAccount("t0").Slot() += 10
 	r.EnableTrace(8)
-	r.Ring().Record(Event{Cycle: 42, Kind: KindNetRx, To: "tcpip", Arg: 60})
+	for i := range 3 {
+		r.Record(&Event{Cycle: uint64(42 + i), Kind: KindNetRx, To: "tcpip", Arg: 60})
+	}
+	r.Record(&Event{Cycle: 50, Kind: KindQuarantine, To: "alloc", Arg: 64})
+	r.Record(&Event{Cycle: 51, Kind: KindPreempt, Thread: "t0"}) // counted, not traced
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -175,16 +198,18 @@ func TestSnapshotAndJSON(t *testing.T) {
 	if snap.Hz != 33_000_000 || snap.BaseCycles != 500 || snap.AttributedCycles != 10 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Value != 3 {
+	if c := snap.Counters; len(c) != 6 || c[0].Metric != "preemptions" || c[0].Value != 1 ||
+		c[5] != (MetricSnapshot{"tcpip", "rx_frames", 3}) {
 		t.Fatalf("counters = %+v", snap.Counters)
 	}
-	if snap.TraceEvents != 1 {
-		t.Fatalf("trace events = %d", snap.TraceEvents)
+	if snap.TraceEvents != 4 {
+		t.Fatalf("trace events = %d, want the 4 traced of 5", snap.TraceEvents)
 	}
 
 	var table bytes.Buffer
 	r.WriteTable(&table)
-	for _, want := range []string{"cycle attribution", "app", "net/rx", "histogram alloc/size_bytes"} {
+	for _, want := range []string{"cycle attribution", "app", "tcpip/rx_frames", "alloc/quarantine_bytes",
+		"histogram tcpip/rx_bytes"} {
 		if !strings.Contains(table.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, table.String())
 		}

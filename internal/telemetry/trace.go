@@ -6,73 +6,90 @@ import (
 )
 
 // Kind classifies events: the one event vocabulary of the simulated
-// platform, shared by the kernel trace ring and the flight recorder. The
-// kinds before KindRoot are the trace ring's (see Traced); the flight
-// recorder keeps its own selection (see internal/flightrec).
+// platform. The kernel hands every event to the telemetry registry, which
+// counts it and keeps the traced kinds in its ring (see Registry.Record),
+// and to the flight recorder, which keeps its own selection (see
+// internal/flightrec).
 type Kind uint8
 
-// Event kinds, with the Event fields each one uses.
+// Event kinds, with the Event fields each one uses. Kinds are only ever
+// appended, so the kind numbers in flight-recorder dumps stay put.
 const (
-	KindSwitch     Kind = iota // context switch to Thread
-	KindCall                   // Thread calls From -> To.Entry (Arg = the callee's interrupt posture)
-	KindReturn                 // Thread returns from To.Entry back into From
-	KindTrap                   // trap of Thread in To.Entry (Detail = cause, Arg = faulting address)
-	KindUnwind                 // forced or fault unwind of Thread out of To
-	KindFutexWait              // Thread, called from From, waits on a futex word (Arg = address)
-	KindFutexWake              // From wakes waiter Thread ("" for an interrupt; Arg = address)
-	KindSleep                  // Thread, called from From, sleeps (Arg = cycles)
-	KindAlloc                  // heap allocation owned by To (Entry = allocator entry, Detail = quota, Parent = heap root, Node, Arg = bytes, Arg2 = base)
-	KindFree                   // final heap free by From of To's allocation (Node, Arg = bytes, Arg2 = base)
-	KindQuarantine             // freed range enters To's quarantine (Arg = bytes)
-	KindSweepStart             // revocation sweep begins (Arg = epoch)
-	KindSweepEnd               // revocation sweep completes (Arg = epoch, Arg2 = granules)
-	KindNetRx                  // network stack To accepts a frame (Arg = bytes)
-	KindNetTx                  // network stack To transmits a frame (Arg = bytes)
-	KindSend                   // From sends through To.Entry (socket write, MQTT publish; Arg = bytes)
-	KindRecv                   // To delivers a receive to From (Arg = bytes)
-
-	// The rest only the flight recorder keeps.
-
-	KindRoot         // provenance root of To's region (Detail = note, Arg = base, Arg2 = top); never in a ring
-	KindDerive       // capability derived in To (Detail = note, Parent, Node, Arg = base, Arg2 = top)
-	KindSeal         // To seals a capability (Detail = note, Arg = base)
-	KindUnseal       // From presents a sealed capability to To (Arg = 1 if the authority matched)
-	KindClaim        // heap claim by To (Node, Arg = bytes, Arg2 = base)
-	KindLoadFiltered // load filter untagged a revoked capability in To (Arg = base, Arg2 = address)
-	KindReboot       // forced micro-reboot of To from Thread (Arg = completed reboots)
+	KindSwitch       Kind = iota // context switch to Thread
+	KindCall                     // Thread calls From -> To.Entry (Arg = the callee's interrupt posture)
+	KindReturn                   // Thread returns from To.Entry back into From
+	KindTrap                     // trap of Thread in To.Entry (Detail = cause, Arg = faulting address)
+	KindUnwind                   // forced or fault unwind of Thread out of To
+	KindFutexWait                // Thread, called from From, waits on a futex word (Arg = address)
+	KindFutexWake                // From wakes waiter Thread ("" for an interrupt; Arg = address)
+	KindSleep                    // Thread, called from From, sleeps (Arg = cycles)
+	KindAlloc                    // heap allocation owned by To (Entry = allocator entry, Detail = quota, Parent = heap root, Node, Arg = bytes, Arg2 = base)
+	KindFree                     // final heap free by From of To's allocation (Node, Arg = bytes, Arg2 = base)
+	KindQuarantine               // freed range enters To's quarantine (Arg = bytes)
+	KindSweepStart               // revocation sweep begins (Arg = epoch)
+	KindSweepEnd                 // revocation sweep completes (Arg = epoch, Arg2 = granules)
+	KindNetRx                    // network stack To accepts a frame (Arg = bytes)
+	KindNetTx                    // network stack To transmits a frame (Arg = bytes)
+	KindSend                     // From writes to a socket through To.Entry (Arg = bytes)
+	KindRecv                     // To delivers a receive to From (Arg = bytes)
+	KindRoot                     // provenance root of To's region (Detail = note, Arg = base, Arg2 = top); never in a ring
+	KindDerive                   // capability derived in To (Detail = note, Parent, Node, Arg = base, Arg2 = top)
+	KindSeal                     // To seals a capability (Detail = note, Arg = base)
+	KindUnseal                   // From presents a sealed capability to To (Arg = 1 if the authority matched)
+	KindClaim                    // heap claim by To (Node, Arg = bytes, Arg2 = base)
+	KindLoadFiltered             // load filter untagged a revoked capability in To (Arg = base, Arg2 = address)
+	KindReboot                   // forced micro-reboot of To from Thread (Arg = completed reboots)
+	KindPublish                  // From publishes through To.Entry, the MQTT client (Arg = payload bytes)
+	KindPreempt                  // Thread traps into the scheduler: preempted, or yielding
+	KindSweepWait                // an allocation charged to To waits for a revocation sweep (Arg = bytes)
+	KindRelease                  // a swept range leaves To's quarantine for the free list (Arg = bytes)
 
 	// KindCount is the number of kinds; the exhaustiveness tests iterate
 	// up to it so an added kind without a String/Layer entry fails CI.
 	KindCount
 )
 
-// kinds holds each kind's rendering and layer.
-var kinds = [KindCount]struct{ name, layer string }{
-	KindSwitch:     {"switch", "kernel"},
-	KindCall:       {"call", "kernel"},
-	KindReturn:     {"return", "kernel"},
-	KindTrap:       {"trap", "kernel"},
-	KindUnwind:     {"unwind", "kernel"},
-	KindFutexWait:  {"futex-wait", "sched"},
-	KindFutexWake:  {"futex-wake", "sched"},
-	KindSleep:      {"sleep", "sched"},
-	KindAlloc:      {"alloc", "alloc"},
-	KindFree:       {"free", "alloc"},
-	KindQuarantine: {"quarantine", "alloc"},
-	KindSweepStart: {"sweep-start", "alloc"},
-	KindSweepEnd:   {"sweep-end", "alloc"},
-	KindNetRx:      {"net-rx", "net"},
-	KindNetTx:      {"net-tx", "net"},
-	KindSend:       {"send", "net"},
-	KindRecv:       {"recv", "net"},
+// kindInfo is one row of the kinds table: how the kind renders, the layer
+// that emits it, and what Registry.Record does with an event of it.
+type kindInfo struct {
+	name, layer string
+	traced      bool  // the trace ring keeps the event
+	counter     Key   // the counter the event increments (zero: none)
+	kernel      bool  // counter is the kernel's: listed from the start, not once counted
+	sizes       Key   // the size histogram the event's Arg feeds (zero: none)
+	quarantine  int64 // moves the alloc/quarantine_bytes gauge by quarantine×Arg
+}
+
+var kinds = [KindCount]kindInfo{
+	KindSwitch:     {name: "switch", layer: "kernel", traced: true, counter: Key{DomainSwitcher, "context_switches"}, kernel: true},
+	KindCall:       {name: "call", layer: "kernel", traced: true, counter: Key{DomainSwitcher, "compartment_calls"}, kernel: true},
+	KindReturn:     {name: "return", layer: "kernel", traced: true},
+	KindTrap:       {name: "trap", layer: "kernel", traced: true, counter: Key{DomainSwitcher, "traps"}, kernel: true},
+	KindUnwind:     {name: "unwind", layer: "kernel", traced: true, counter: Key{DomainSwitcher, "unwinds"}, kernel: true},
+	KindFutexWait:  {name: "futex-wait", layer: "sched", traced: true, counter: Key{"sched", "futex_waits"}},
+	KindFutexWake:  {name: "futex-wake", layer: "sched", traced: true, counter: Key{"sched", "futex_wakes"}},
+	KindSleep:      {name: "sleep", layer: "sched", traced: true, counter: Key{"sched", "sleeps"}},
+	KindAlloc:      {name: "alloc", layer: "alloc", traced: true, counter: Key{"alloc", "mallocs"}, sizes: Key{"alloc", "size_bytes"}},
+	KindFree:       {name: "free", layer: "alloc", traced: true, counter: Key{"alloc", "frees"}},
+	KindQuarantine: {name: "quarantine", layer: "alloc", traced: true, quarantine: +1},
+	KindSweepStart: {name: "sweep-start", layer: "alloc", traced: true},
+	KindSweepEnd:   {name: "sweep-end", layer: "alloc", traced: true, counter: Key{"alloc", "revoker_sweeps"}},
+	KindNetRx:      {name: "net-rx", layer: "net", traced: true, counter: Key{"tcpip", "rx_frames"}, sizes: Key{"tcpip", "rx_bytes"}},
+	KindNetTx:      {name: "net-tx", layer: "net", traced: true, counter: Key{"tcpip", "tx_segments"}, sizes: Key{"tcpip", "tx_bytes"}},
+	KindSend:       {name: "send", layer: "net", traced: true, counter: Key{"netapi", "sends"}},
+	KindRecv:       {name: "recv", layer: "net", traced: true, counter: Key{"netapi", "recvs"}},
 	// A provenance root is created by no operation: it renders "none".
-	KindRoot:         {"none", "cap"},
-	KindDerive:       {"derive", "cap"},
-	KindSeal:         {"seal", "cap"},
-	KindUnseal:       {"unseal", "cap"},
-	KindClaim:        {"claim", "alloc"},
-	KindLoadFiltered: {"load-filtered", "cap"},
-	KindReboot:       {"reboot", "kernel"},
+	KindRoot:         {name: "none", layer: "cap"},
+	KindDerive:       {name: "derive", layer: "cap"},
+	KindSeal:         {name: "seal", layer: "cap"},
+	KindUnseal:       {name: "unseal", layer: "cap"},
+	KindClaim:        {name: "claim", layer: "alloc"},
+	KindLoadFiltered: {name: "load-filtered", layer: "cap"},
+	KindReboot:       {name: "reboot", layer: "kernel"},
+	KindPublish:      {name: "publish", layer: "net", traced: true, counter: Key{"mqtt", "publishes"}},
+	KindPreempt:      {name: "preempt", layer: "sched", counter: Key{DomainSched, "preemptions"}, kernel: true},
+	KindSweepWait:    {name: "sweep-wait", layer: "alloc", counter: Key{"alloc", "sweep_waits"}},
+	KindRelease:      {name: "release", layer: "alloc", counter: Key{"alloc", "quarantine_released"}, quarantine: -1},
 }
 
 // String renders the kind for logs, timelines and dumps. Every kind must
@@ -103,9 +120,6 @@ func (k Kind) Layer() string {
 	}
 	return kinds[k].layer
 }
-
-// Traced reports whether the kernel trace ring keeps events of this kind.
-func (k Kind) Traced() bool { return k < KindRoot }
 
 // Interrupt postures carried in a call event's Arg, numbered as
 // firmware.Posture numbers them.
@@ -152,6 +166,8 @@ func (e Event) String() string {
 	switch e.Kind {
 	case KindSwitch:
 		fmt.Fprintf(&b, " -> %s", e.Thread)
+	case KindPreempt:
+		fmt.Fprintf(&b, " %s", e.Thread)
 	case KindCall:
 		fmt.Fprintf(&b, " %s: %s -> %s.%s [%s]", e.Thread, e.From, e.To, e.Entry, postureString(e.Arg))
 	case KindReturn:
@@ -175,9 +191,9 @@ func (e Event) String() string {
 			e.To, e.Arg, uint32(e.Arg2), e.Detail, e.Node)
 	case KindFree:
 		fmt.Fprintf(&b, " %s frees %d bytes at 0x%08x (owner %s)", e.From, e.Arg, uint32(e.Arg2), e.To)
-	case KindQuarantine, KindNetRx, KindNetTx:
+	case KindQuarantine, KindNetRx, KindNetTx, KindSweepWait, KindRelease:
 		fmt.Fprintf(&b, " %s: %d bytes", e.To, e.Arg)
-	case KindSend:
+	case KindSend, KindPublish:
 		fmt.Fprintf(&b, " %s -> %s: %d bytes", e.From, e.To, e.Arg)
 	case KindRecv:
 		fmt.Fprintf(&b, " %s <- %s: %d bytes", e.From, e.To, e.Arg)
