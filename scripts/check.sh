@@ -25,6 +25,13 @@ echo "== benchmark module: vet and smoke test =="
 (cd bench && go vet ./... && go test ./...)
 echo "ok"
 
+echo "== benchmark digests (seed 1, one rep) =="
+# Every workload's simulated result must hash to its digest in
+# bench/expected.json; the benchmark exits non-zero on a mismatch, so any
+# moved simulated byte fails the check. It writes no files.
+go -C bench run . -seed 1 -reps 1 >/dev/null
+echo "ok"
+
 echo "== docs cite only test functions that exist =="
 sh scripts/check-doc-tests.sh
 echo "ok"
@@ -43,6 +50,12 @@ echo "ok"
 echo "== fuzz: fleet profile specs (10 s) =="
 # The -profiles grammar, then Run's validation of what it accepts.
 go test -run '^$' -fuzz '^FuzzParseProfiles$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fleet/
+echo "ok"
+
+echo "== fuzz: SLO rules (10 s) =="
+# The rule grammar: no panic, and every rule it accepts parses back from
+# its rendering.
+go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fleetobs/
 echo "ok"
 
 echo "== fuzz: wire codecs (10 s) =="
