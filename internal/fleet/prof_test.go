@@ -3,7 +3,10 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestFleetProfOffByteIdentical is the zero-cost contract at fleet
@@ -141,5 +144,77 @@ func TestFleetHostProf(t *testing.T) {
 	j1, j2 := summaryJSON(t, rBase.Summary), summaryJSON(t, r.Summary)
 	if !bytes.Equal(j1, j2) {
 		t.Error("host profiling changed the deterministic summary")
+	}
+}
+
+// profilePins are the profiled fleets whose merged Profile JSON
+// TestProfilePinned pins: a healthy rollout, in which every updated
+// device closes two incarnations whose profiles the merge sums, and a
+// mixed Go/JS fleet run on two shards. scripts/check.sh pins a third, a
+// lockstep fleet with one incarnation per device.
+func profilePins() []struct {
+	name string
+	cfg  Config
+} {
+	rollout := rolloutConfig(false, 45*time.Second)
+	rollout.Prof = true
+	mixed := Config{
+		Devices:       4,
+		Shards:        2,
+		Duration:      16 * time.Second,
+		ArrivalSpread: 500 * time.Millisecond,
+		PublishRate:   2,
+		Seed:          1,
+		Prof:          true,
+		Profiles: []Profile{
+			{Name: "sensor", Weight: 3, PublishRate: 3},
+			{Name: "jsdev", Weight: 1, PublishRate: 1, Firmware: FirmwareJS},
+		},
+	}
+	return []struct {
+		name string
+		cfg  Config
+	}{
+		{"rollout", rollout},
+		{"mixed-sharded", mixed},
+	}
+}
+
+// TestProfilePinned pins the bytes of each profilePins fleet's merged
+// Profile against testdata/profile-<name>.golden and names the first
+// frame that differs. Rewrite the files with `go test ./internal/fleet/
+// -run TestProfilePinned -update`.
+func TestProfilePinned(t *testing.T) {
+	for _, pc := range profilePins() {
+		res, err := Run(pc.cfg)
+		if err != nil {
+			t.Fatalf("fleet %s: %v", pc.name, err)
+		}
+		var got bytes.Buffer
+		if err := res.Summary.Profile.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		path := "testdata/profile-" + pc.name + ".golden"
+		if *update {
+			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (create it with -update)", err)
+		}
+		if bytes.Equal(got.Bytes(), want) {
+			continue
+		}
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("fleet %s: line %d is %q, %s pins %q", pc.name, i+1,
+					strings.TrimSpace(gotLines[i]), path, strings.TrimSpace(wantLines[i]))
+			}
+		}
+		t.Fatalf("fleet %s: profile has %d lines, %s pins %d", pc.name, len(gotLines), path, len(wantLines))
 	}
 }

@@ -135,6 +135,16 @@ go test -race -count=1 -run 'FlightRecorder|Forensics|Audit' \
 	./internal/core/ ./internal/fleet/
 echo "ok"
 
+echo "== use-after-free post-mortem pinned byte for byte =="
+# The demo's crash report, provenance chain and event tail are a pure
+# function of the simulation; any moved byte fails the check. A change
+# that moves them on purpose rewrites the golden file.
+demo=$(mktemp)
+go run ./cmd/cheriot-inspect -demo >"$demo"
+cmp scripts/inspect-demo.golden "$demo"
+rm -f "$demo"
+echo "ok"
+
 echo "== traced fleet + SLO gate (race) =="
 obsdir=$(mktemp -d)
 # The SLO gate makes this a real check: any delivery loss, crash, or
