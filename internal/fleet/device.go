@@ -300,11 +300,12 @@ func (d *Device) armFaults(pl *cloud.Plane, start uint64) {
 }
 
 // incarnationRecord is what one ended incarnation leaves for the
-// Summary: its telemetry snapshot and profile, whether both still sum to
-// the clock, its World's link counters and its micro-reboots.
+// Summary: its telemetry snapshot and closed profiler, whose tree the
+// fleet merges at the end, whether both still sum to the clock, its
+// World's link counters and its micro-reboots.
 type incarnationRecord struct {
 	tel                         telemetry.Snapshot
-	prof                        *prof.Profile // nil unless Config.Prof
+	prof                        *prof.Profiler // nil unless Config.Prof
 	exact                       bool
 	framesFrom, framesTo, drops uint64
 	reboots                     int
@@ -325,9 +326,8 @@ func (d *Device) closeIncarnation() {
 	}
 	r.exact = r.tel.BaseCycles+r.tel.AttributedCycles == now
 	if d.cfg.Prof {
-		r.prof = d.Prof.Snapshot()
-		r.exact = r.exact && r.prof != nil && r.prof.BaseCycles+r.prof.TotalCycles == now &&
-			r.prof.SelfSum() == r.prof.TotalCycles
+		r.prof = d.Prof
+		r.exact = r.exact && d.Prof.Close()
 	}
 	if d.updReb != nil {
 		r.reboots += d.updReb.Reboots

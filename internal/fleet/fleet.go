@@ -831,9 +831,17 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // collectSpans merges every device's span buffer into one
-// deterministically sorted list (nil when tracing is off).
+// deterministically sorted list, allocated once at its final size (nil
+// when tracing is off or nothing was traced).
 func collectSpans(devices []*Device) []fleetobs.Span {
-	var spans []fleetobs.Span
+	n := 0
+	for _, d := range devices {
+		n += len(d.Obs.Spans())
+	}
+	if n == 0 {
+		return nil
+	}
+	spans := make([]fleetobs.Span, 0, n)
 	for _, d := range devices {
 		spans = append(spans, d.Obs.Spans()...)
 	}
@@ -880,7 +888,7 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 
 	var connectLat, publishLat []uint64
 	snaps := make([]telemetry.Snapshot, 0, len(devices)+1)
-	var deviceProfiles []*prof.Profile
+	var profilers []*prof.Profiler
 	exact := true
 	seconds := int(s.SimSeconds + 0.5)
 	availability := make([]int, seconds)
@@ -934,7 +942,7 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 			exact = exact && r.exact
 			snaps = append(snaps, r.tel)
 			if cfg.Prof {
-				deviceProfiles = append(deviceProfiles, r.prof)
+				profilers = append(profilers, r.prof)
 			}
 			s.FramesFromDevices += r.framesFrom
 			s.FramesToDevices += r.framesTo
@@ -973,6 +981,8 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 	if s.SimSeconds > 0 {
 		s.PublishesPerSimSecond = float64(s.Publishes) / s.SimSeconds
 	}
+	slices.Sort(connectLat)
+	slices.Sort(publishLat)
 	s.ConnectP50Ms = fleetobs.CyclesToMs(fleetobs.Percentile(connectLat, 0.50), hw.DefaultHz)
 	s.ConnectP99Ms = fleetobs.CyclesToMs(fleetobs.Percentile(connectLat, 0.99), hw.DefaultHz)
 	s.PublishP50Ms = fleetobs.CyclesToMs(fleetobs.Percentile(publishLat, 0.50), hw.DefaultHz)
@@ -1038,7 +1048,7 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 		// The traced latency histograms enter the merged telemetry the
 		// same way the cloud counters do: a synthesized cycle-less
 		// snapshot, leaving the cycle-sum invariant untouched.
-		snaps = append(snaps, fleetobs.TelemetrySnapshot(in))
+		snaps = append(snaps, s.Obs.TelemetrySnapshot())
 	}
 
 	// Per-shard counters enter the merged telemetry as a synthesized
@@ -1052,7 +1062,7 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 		compSum += a.Cycles
 	}
 	if cfg.Prof {
-		s.Profile = prof.Merge(deviceProfiles...)
+		s.Profile = prof.Merge(profilers...)
 		if s.Profile.SelfSum() != s.Profile.TotalCycles {
 			exact = false
 		}

@@ -231,7 +231,7 @@ func TestAggregateEmpty(t *testing.T) {
 }
 
 func TestTelemetrySnapshot(t *testing.T) {
-	snap := TelemetrySnapshot(aggregateInput())
+	snap := Aggregate(aggregateInput()).TelemetrySnapshot()
 	byComp := map[string]uint64{}
 	for _, h := range snap.Histograms {
 		if h.Metric != "publish_deliver_cycles" {

@@ -2,6 +2,7 @@ package fleetobs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/cheriot-go/cheriot/internal/telemetry"
@@ -88,6 +89,10 @@ type Report struct {
 
 	Health []HealthPoint `json:"health,omitempty"`
 	SLO    *Verdict      `json:"slo,omitempty"`
+
+	// hists are the latency histograms TelemetrySnapshot returns, built
+	// by Aggregate in the same pass as the report.
+	hists []telemetry.HistogramSnapshot
 }
 
 // Input feeds Aggregate. Everything in it must already be deterministic
@@ -98,7 +103,9 @@ type Input struct {
 	Seconds    int
 	Shards     int
 	SampleRate float64
-	// Spans is the merged span list; Aggregate sorts it in place.
+	// Spans is the merged span list. Aggregate sorts it in place with
+	// SortSpans, which costs one comparison per span when the caller has
+	// already sorted it, as the fleet has.
 	Spans []Span
 	// SpansDropped sums the tracer buffer overflows.
 	SpansDropped uint64
@@ -114,8 +121,107 @@ type Input struct {
 	ProfileOf func(device int) string
 }
 
-// Aggregate reduces spans and health inputs to the Report. The result is
-// a pure function of the input.
+// pair is one traced publish matched with its first broker ingress:
+// what the report and the latency histograms read of the two spans.
+type pair struct {
+	start  uint64 // the publish span's Start
+	end    uint64 // the ingress span's End, when in
+	device int32  // the publishing device
+	shard  int32  // the ingress shard, when in
+	in     bool   // the publish reached a broker shard
+}
+
+// pairSpans matches each trace's first publish span with its first
+// ingress span, in trace order, skipping traces with no publish span.
+// spans must be sorted by SortSpans, which puts a trace's publish spans
+// first in its run (SpanPublish is 0) and its ingress spans right after
+// them, so one pass finds every pair.
+func pairSpans(spans []Span) []pair {
+	n := 0
+	for i := range spans {
+		if spans[i].Kind == SpanPublish && (i == 0 || spans[i-1].Trace != spans[i].Trace) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	pairs := make([]pair, 0, n)
+	for i := 0; i < len(spans); {
+		run := i + 1
+		for run < len(spans) && spans[run].Trace == spans[i].Trace {
+			run++
+		}
+		if pub := &spans[i]; pub.Kind == SpanPublish {
+			p := pair{start: pub.Start, device: int32(pub.Device)}
+			for _, s := range spans[i+1 : run] {
+				if s.Kind == SpanIngress {
+					p.end, p.shard, p.in = s.End, int32(s.Shard), true
+					break
+				}
+				if s.Kind > SpanIngress {
+					break
+				}
+			}
+			pairs = append(pairs, p)
+		}
+		i = run
+	}
+	return pairs
+}
+
+// latencies is one group's publish→deliver latency samples: a counting
+// pass sizes the group, a second pass fills it, and percentiles sorts it
+// once for both quantiles.
+type latencies struct {
+	n    int
+	lats []uint64
+}
+
+func (l *latencies) add(lat uint64) {
+	if l.lats == nil {
+		l.lats = make([]uint64, 0, l.n)
+	}
+	l.lats = append(l.lats, lat)
+}
+
+// percentiles sorts the samples and returns their p50 and p99 in
+// milliseconds at hz.
+func (l *latencies) percentiles(hz uint64) (p50, p99 float64) {
+	slices.Sort(l.lats)
+	return CyclesToMs(Percentile(l.lats, 0.50), hz), CyclesToMs(Percentile(l.lats, 0.99), hz)
+}
+
+// shardGroup and profileGroup are one shard's and one profile's slices
+// of the report, with the latency histogram TelemetrySnapshot returns.
+type shardGroup struct {
+	ShardObs
+	lat  latencies
+	hist *telemetry.HistogramSnapshot
+}
+
+type profileGroup struct {
+	name string
+	lat  latencies
+	hist *telemetry.HistogramSnapshot
+}
+
+// second is one simulated second's traced publishes, the latencies of
+// those delivered, and the in-flight count's step into it: +1 for each
+// trace published in it and ingressed later or never, -1 for each such
+// trace ingressed in it.
+type second struct {
+	published uint64
+	lat       latencies
+	flight    int64
+}
+
+// Aggregate reduces spans and health inputs to the Report, and the
+// latency histograms its TelemetrySnapshot returns. It pairs the sorted
+// spans in one pass, counts every group's samples over the pairs, then
+// fills each group to its exact size, so what it allocates beside the
+// pairs grows with the shards, profiles and seconds, not with the
+// traces. The result is a pure function of the input.
 func Aggregate(in Input) *Report {
 	SortSpans(in.Spans)
 	r := &Report{
@@ -127,35 +233,19 @@ func Aggregate(in Input) *Report {
 		r.LinkDrops += uint64(n)
 	}
 
-	// Pair each trace's publish span with its first ingress span.
-	type pairing struct {
-		publish Span
-		ingress Span
-		hasIn   bool
-	}
-	pairs := make(map[uint64]*pairing)
-	order := make([]uint64, 0, 64)
-	shardCounts := map[int]*ShardObs{}
-	shardOf := func(i int) *ShardObs {
-		so := shardCounts[i]
-		if so == nil {
-			so = &ShardObs{Shard: i}
-			shardCounts[i] = so
+	shards := map[int]*shardGroup{}
+	shardOf := func(i int) *shardGroup {
+		g := shards[i]
+		if g == nil {
+			g = &shardGroup{ShardObs: ShardObs{Shard: i}}
+			shards[i] = g
 		}
-		return so
+		return g
 	}
 	for _, s := range in.Spans {
 		switch s.Kind {
-		case SpanPublish:
-			if pairs[s.Trace] == nil {
-				pairs[s.Trace] = &pairing{publish: s}
-				order = append(order, s.Trace)
-			}
 		case SpanIngress:
 			shardOf(s.Shard).Ingress++
-			if p := pairs[s.Trace]; p != nil && !p.hasIn {
-				p.ingress, p.hasIn = s, true
-			}
 		case SpanForward:
 			shardOf(s.Shard).Forwards++
 		case SpanDeliver:
@@ -164,106 +254,115 @@ func Aggregate(in Input) *Report {
 			}
 		}
 	}
-
-	seconds := in.Seconds
-	grow := func(n int) {
-		if n+1 > seconds {
-			seconds = n + 1
+	profiles := map[string]*profileGroup{}
+	profileOf := func(device int32) *profileGroup {
+		if in.ProfileOf == nil {
+			return nil
 		}
+		name := in.ProfileOf(int(device))
+		g := profiles[name]
+		if g == nil {
+			g = &profileGroup{name: name}
+			profiles[name] = g
+		}
+		return g
 	}
-	var all []uint64
-	perShard := map[int][]uint64{}
-	perProfile := map[string][]uint64{}
-	perSecond := map[int][]uint64{}
-	secs := map[int]*secCount{}
 	secOf := func(cycle uint64) int {
 		if in.Hz == 0 {
 			return 0
 		}
 		return int(cycle / in.Hz)
 	}
-	// inflight[t] counts traces published in second t and ingressed in a
-	// later second (or never) — summed as a suffix below.
-	ingressSecs := map[int][][2]int{} // publish second -> (ingress second or -1)
-	for _, tr := range order {
-		p := pairs[tr]
-		r.TracedPublishes++
-		ps := secOf(p.publish.Start)
-		grow(ps)
-		sc := secs[ps]
-		if sc == nil {
-			sc = &secCount{}
-			secs[ps] = sc
+	secs := make([]second, max(in.Seconds, len(in.Availability), len(in.DropSeconds), len(in.CrashSeconds)))
+	grow := func(t int) {
+		for len(secs) <= t {
+			secs = append(secs, second{})
 		}
-		sc.published++
-		if !p.hasIn {
-			r.Lost++
-			ingressSecs[ps] = append(ingressSecs[ps], [2]int{ps, -1})
+	}
+
+	var all latencies
+	pairs := pairSpans(in.Spans)
+	for _, p := range pairs {
+		ps := secOf(p.start)
+		grow(ps)
+		secs[ps].published++
+		if !p.in {
+			secs[ps].flight++ // a lost trace stays in flight to the end
 			continue
 		}
-		r.Delivered++
-		sc.delivered++
-		lat := p.ingress.End - p.publish.Start
-		all = append(all, lat)
-		perShard[p.ingress.Shard] = append(perShard[p.ingress.Shard], lat)
-		perSecond[ps] = append(perSecond[ps], lat)
-		if in.ProfileOf != nil {
-			name := in.ProfileOf(p.publish.Device)
-			perProfile[name] = append(perProfile[name], lat)
-		}
-		is := secOf(p.ingress.End)
+		is := secOf(p.end)
 		grow(is)
-		ingressSecs[ps] = append(ingressSecs[ps], [2]int{ps, is})
+		if is > ps {
+			secs[ps].flight++
+			secs[is].flight--
+		}
+		secs[ps].lat.n++
+		all.n++
+		shardOf(int(p.shard)).lat.n++
+		if g := profileOf(p.device); g != nil {
+			g.lat.n++
+		}
+	}
+	r.TracedPublishes = uint64(len(pairs))
+	r.Delivered = uint64(all.n)
+	r.Lost = r.TracedPublishes - r.Delivered
+
+	for _, p := range pairs {
+		if !p.in {
+			continue
+		}
+		lat := p.end - p.start
+		all.add(lat)
+		secs[secOf(p.start)].lat.add(lat)
+		sg := shardOf(int(p.shard))
+		sg.lat.add(lat)
+		if sg.hist == nil {
+			sg.hist = newE2EHistogram(fmt.Sprintf("fleetobs/shard%d", p.shard))
+		}
+		observe(sg.hist, lat)
+		if g := profileOf(p.device); g != nil {
+			g.lat.add(lat)
+			if g.hist == nil {
+				g.hist = newE2EHistogram("fleetobs/profile/" + g.name)
+			}
+			observe(g.hist, lat)
+		}
 	}
 
-	r.E2EP50Ms = CyclesToMs(Percentile(all, 0.50), in.Hz)
-	r.E2EP99Ms = CyclesToMs(Percentile(all, 0.99), in.Hz)
-
-	for shard, lats := range perShard {
-		so := shardOf(shard)
-		so.Samples = len(lats)
-		so.E2EP50Ms = CyclesToMs(Percentile(lats, 0.50), in.Hz)
-		so.E2EP99Ms = CyclesToMs(Percentile(lats, 0.99), in.Hz)
-	}
-	for _, so := range shardCounts {
-		r.PerShard = append(r.PerShard, *so)
+	r.E2EP50Ms, r.E2EP99Ms = all.percentiles(in.Hz)
+	for _, g := range shards {
+		g.Samples = len(g.lat.lats)
+		g.E2EP50Ms, g.E2EP99Ms = g.lat.percentiles(in.Hz)
+		r.PerShard = append(r.PerShard, g.ShardObs)
+		if g.hist != nil {
+			r.hists = append(r.hists, *g.hist)
+		}
 	}
 	sort.Slice(r.PerShard, func(i, j int) bool { return r.PerShard[i].Shard < r.PerShard[j].Shard })
-	for name, lats := range perProfile {
-		r.PerProfile = append(r.PerProfile, ProfileObs{
-			Name: name, Samples: len(lats),
-			E2EP50Ms: CyclesToMs(Percentile(lats, 0.50), in.Hz),
-			E2EP99Ms: CyclesToMs(Percentile(lats, 0.99), in.Hz),
-		})
+	for _, g := range profiles {
+		po := ProfileObs{Name: g.name, Samples: len(g.lat.lats)}
+		po.E2EP50Ms, po.E2EP99Ms = g.lat.percentiles(in.Hz)
+		r.PerProfile = append(r.PerProfile, po)
+		r.hists = append(r.hists, *g.hist)
 	}
 	sort.Slice(r.PerProfile, func(i, j int) bool { return r.PerProfile[i].Name < r.PerProfile[j].Name })
+	sort.Slice(r.hists, func(i, j int) bool { return r.hists[i].Compartment < r.hists[j].Compartment })
 
-	if len(in.Availability) > seconds {
-		seconds = len(in.Availability)
-	}
-	if len(in.DropSeconds) > seconds {
-		seconds = len(in.DropSeconds)
-	}
-	if len(in.CrashSeconds) > seconds {
-		seconds = len(in.CrashSeconds)
-	}
-	r.Health = buildHealth(in, seconds, secs, perSecond, ingressSecs)
+	r.Health = buildHealth(in, secs)
 	return r
 }
 
-// secCount is one second's traced publish/delivery tally.
-type secCount struct{ published, delivered uint64 }
-
-// buildHealth assembles the per-second series.
-func buildHealth(in Input, seconds int, secs map[int]*secCount,
-	perSecond map[int][]uint64, ingressSecs map[int][][2]int) []HealthPoint {
+// buildHealth assembles the per-second series (nil for no seconds).
+func buildHealth(in Input, secs []second) []HealthPoint {
+	seconds := len(secs)
 	if seconds == 0 {
 		return nil
 	}
 	shards := in.Shards
 	health := make([]HealthPoint, seconds)
-	for t := 0; t < seconds; t++ {
-		h := &health[t]
+	var inFlight int64
+	for t := range health {
+		h, sc := &health[t], &secs[t]
 		h.Second = t
 		if t < len(in.Availability) {
 			h.Available = in.Availability[t]
@@ -271,13 +370,14 @@ func buildHealth(in Input, seconds int, secs map[int]*secCount,
 		if in.Devices > 0 {
 			h.Availability = float64(h.Available) / float64(in.Devices)
 		}
-		if sc := secs[t]; sc != nil {
-			h.Published = sc.published
-			h.Delivered = sc.delivered
-		}
-		if lats := perSecond[t]; len(lats) > 0 {
-			h.DeliveryP50Ms = CyclesToMs(Percentile(lats, 0.50), in.Hz)
-			h.DeliveryP99Ms = CyclesToMs(Percentile(lats, 0.99), in.Hz)
+		h.Published = sc.published
+		h.Delivered = uint64(sc.lat.n)
+		// A trace published in second p and ingressed in second i is in
+		// flight in every second of [p, i).
+		inFlight += sc.flight
+		h.InFlight = uint64(inFlight)
+		if sc.lat.n > 0 {
+			h.DeliveryP50Ms, h.DeliveryP99Ms = sc.lat.percentiles(in.Hz)
 		}
 		if t < len(in.DropSeconds) {
 			h.Drops = uint64(in.DropSeconds[t])
@@ -288,19 +388,6 @@ func buildHealth(in Input, seconds int, secs map[int]*secCount,
 		if shards > 0 {
 			h.ShardIngress = make([]uint64, shards)
 			h.ShardForwards = make([]uint64, shards)
-		}
-	}
-	// In-flight: a trace published in second p and ingressed in second i
-	// contributes to every second in [p, i).
-	for _, ends := range ingressSecs {
-		for _, pi := range ends {
-			p, i := pi[0], pi[1]
-			if i < 0 {
-				i = seconds
-			}
-			for t := p; t < i && t < seconds; t++ {
-				health[t].InFlight++
-			}
 		}
 	}
 	// Exact per-second shard splits from the span list.
@@ -324,82 +411,47 @@ func buildHealth(in Input, seconds int, secs map[int]*secCount,
 	return health
 }
 
-// TelemetrySnapshot synthesizes a cycle-less telemetry snapshot from the
-// report: per-shard and per-profile publish→deliver latency histograms
-// over E2EBuckets, merged into the fleet snapshot alongside the device
-// registries so dashboards see the pipeline through the same namespace.
-func TelemetrySnapshot(in Input) telemetry.Snapshot {
-	var snap telemetry.Snapshot
-	SortSpans(in.Spans)
-	type pub struct {
-		start  uint64
-		device int
+// newE2EHistogram returns an empty publish→deliver latency histogram
+// over E2EBuckets for comp.
+func newE2EHistogram(comp string) *telemetry.HistogramSnapshot {
+	return &telemetry.HistogramSnapshot{
+		Compartment: comp, Metric: "publish_deliver_cycles",
+		Bounds: append([]uint64(nil), E2EBuckets...),
+		Counts: make([]uint64, len(E2EBuckets)+1),
+		Min:    ^uint64(0),
 	}
-	pubs := map[uint64]pub{}
-	for _, s := range in.Spans {
-		if s.Kind == SpanPublish {
-			if _, ok := pubs[s.Trace]; !ok {
-				pubs[s.Trace] = pub{start: s.Start, device: s.Device}
-			}
-		}
-	}
-	hists := map[string]*telemetry.HistogramSnapshot{}
-	observe := func(comp string, lat uint64) {
-		h := hists[comp]
-		if h == nil {
-			h = &telemetry.HistogramSnapshot{
-				Compartment: comp, Metric: "publish_deliver_cycles",
-				Bounds: append([]uint64(nil), E2EBuckets...),
-				Counts: make([]uint64, len(E2EBuckets)+1),
-				Min:    ^uint64(0),
-			}
-			hists[comp] = h
-		}
-		h.Count++
-		h.Sum += lat
-		if lat < h.Min {
-			h.Min = lat
-		}
-		if lat > h.Max {
-			h.Max = lat
-		}
-		i := sort.Search(len(h.Bounds), func(k int) bool { return lat <= h.Bounds[k] })
-		h.Counts[i]++
-	}
-	seen := map[uint64]bool{}
-	for _, s := range in.Spans {
-		if s.Kind != SpanIngress || seen[s.Trace] {
-			continue
-		}
-		p, ok := pubs[s.Trace]
-		if !ok {
-			continue
-		}
-		seen[s.Trace] = true
-		lat := s.End - p.start
-		observe(fmt.Sprintf("fleetobs/shard%d", s.Shard), lat)
-		if in.ProfileOf != nil {
-			observe("fleetobs/profile/"+in.ProfileOf(p.device), lat)
-		}
-	}
-	for _, h := range hists {
-		snap.Histograms = append(snap.Histograms, *h)
-	}
-	sort.Slice(snap.Histograms, func(i, j int) bool {
-		return snap.Histograms[i].Compartment < snap.Histograms[j].Compartment
-	})
-	return snap
 }
 
-// Percentile returns the q-th quantile (0 < q <= 1, nearest-rank) of the
-// samples, sorting a copy; 0 for no samples.
-func Percentile(samples []uint64, q float64) uint64 {
-	if len(samples) == 0 {
+// observe adds one latency sample to a histogram snapshot.
+func observe(h *telemetry.HistogramSnapshot, lat uint64) {
+	h.Count++
+	h.Sum += lat
+	if lat < h.Min {
+		h.Min = lat
+	}
+	if lat > h.Max {
+		h.Max = lat
+	}
+	i := sort.Search(len(h.Bounds), func(k int) bool { return lat <= h.Bounds[k] })
+	h.Counts[i]++
+}
+
+// TelemetrySnapshot returns the cycle-less telemetry snapshot Aggregate
+// built beside the report: per-shard and per-profile publish→deliver
+// latency histograms over E2EBuckets, merged into the fleet snapshot
+// alongside the device registries so dashboards see the pipeline through
+// the same namespace.
+func (r *Report) TelemetrySnapshot() telemetry.Snapshot {
+	return telemetry.Snapshot{Histograms: r.hists}
+}
+
+// Percentile returns the q-th quantile (0 < q <= 1, nearest-rank) of
+// samples sorted in ascending order; 0 for no samples. Sort a sample set
+// once and read all its quantiles from it.
+func Percentile(sorted []uint64, q float64) uint64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := make([]uint64, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	idx := int(q*float64(len(sorted))+0.5) - 1
 	if idx < 0 {
 		idx = 0

@@ -21,12 +21,14 @@
 // The event ring is preallocated at New, and events reference only
 // strings the caller already holds (compartment, thread, and entry names
 // are static firmware strings), so recording a call, return, futex or
-// seal event allocates nothing. The rest of the bookkeeping does: the
-// provenance node table starts at capacity 64 and grows by append up to
-// maxNodes entries (after which derivations land in the ring unlinked),
-// every alloc event allocates an *AllocRecord for the live map, and the
-// freed-allocation history grows by append up to maxFreed entries. Fault
-// reports are assembled lazily, only when a trap actually happens.
+// seal event allocates nothing. The side tables allocate only as they
+// grow: the provenance node table (up to maxNodes entries, after which
+// derivations land in the ring unlinked) and the freed-allocation
+// history (up to maxFreed entries, then a ring) grow in fixed chunks of
+// chunkLen entries that are never copied, and the live map holds its
+// AllocRecords by value, so an alloc event allocates only when the live
+// set outgrows the map. Fault reports are assembled lazily, only when a
+// trap actually happens.
 package flightrec
 
 import (
@@ -82,16 +84,43 @@ const (
 	tailEvents = 48
 )
 
+// chunkLen is the number of entries in one chunk of a table: a table of
+// n entries holds ceil(n/chunkLen) chunks. New allocates the node
+// table's first chunk, for the reserved null node.
+const chunkLen = 64
+
+// table is an append-only array grown in fixed-size chunks: an entry
+// never moves once written, and growing never copies one.
+type table[T any] struct {
+	chunks []*[chunkLen]T
+	n      int
+}
+
+// len returns the number of entries.
+func (t *table[T]) len() int { return t.n }
+
+// at returns entry i, which must be below len.
+func (t *table[T]) at(i int) *T { return &t.chunks[i/chunkLen][i%chunkLen] }
+
+// push appends v.
+func (t *table[T]) push(v T) {
+	if t.n == len(t.chunks)*chunkLen {
+		t.chunks = append(t.chunks, new([chunkLen]T))
+	}
+	*t.at(t.n) = v
+	t.n++
+}
+
 // Recorder is the per-device flight recorder. All methods are nil-safe.
 type Recorder struct {
 	device string
 	ring   *telemetry.Ring
 
-	nodes     []Node // index 0 unused; IDs are indices
-	nodesFull uint64 // derivations dropped after the table filled
+	nodes     table[Node] // index 0 unused; IDs are indices
+	nodesFull uint64      // derivations dropped after the table filled
 
-	live     map[uint32]*AllocRecord // by base
-	freed    []AllocRecord           // ring, oldest first once full
+	live     map[uint32]AllocRecord // by base
+	freed    table[AllocRecord]     // ring, oldest first once full
 	freedPos int
 	allocSeq uint64
 
@@ -111,11 +140,12 @@ func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		return nil
 	}
-	return &Recorder{
-		ring:  telemetry.NewRing(capacity),
-		nodes: make([]Node, 1, 64), // ID 0 reserved
-		live:  make(map[uint32]*AllocRecord),
+	r := &Recorder{
+		ring: telemetry.NewRing(capacity),
+		live: make(map[uint32]AllocRecord),
 	}
+	r.nodes.push(Node{}) // ID 0 reserved
+	return r
 }
 
 // Enabled reports whether the recorder is active (non-nil).
@@ -157,7 +187,7 @@ func (r *Recorder) Record(ev telemetry.Event, cause *hw.Trap) uint32 {
 		base, size := uint32(ev.Arg2), uint32(ev.Arg)
 		ev.Node = r.newNode(ev, base, base+size, ev.Entry)
 		r.allocSeq++
-		r.live[base] = &AllocRecord{Node: ev.Node, Seq: r.allocSeq, Base: base, Size: size,
+		r.live[base] = AllocRecord{Node: ev.Node, Seq: r.allocSeq, Base: base, Size: size,
 			Owner: ev.To, Quota: ev.Detail, AllocCycle: ev.Cycle}
 	case telemetry.KindFree:
 		r.free(&ev)
@@ -170,8 +200,8 @@ func (r *Recorder) Record(ev telemetry.Event, cause *hw.Trap) uint32 {
 	case telemetry.KindSweepEnd:
 		r.epoch = ev.Arg
 		r.sweeps++
-		for i := range r.freed {
-			f := &r.freed[i]
+		for i := 0; i < r.freed.len(); i++ {
+			f := r.freed.at(i)
 			if f.SweepEpoch == 0 && f.FreeEpoch < ev.Arg {
 				f.SweepEpoch = ev.Arg
 			}
@@ -205,12 +235,12 @@ func (r *Recorder) Record(ev telemetry.Event, cause *hw.Trap) uint32 {
 // its id (0 once the table is full — derivation events still land in the
 // ring, unlinked).
 func (r *Recorder) newNode(ev telemetry.Event, base, top uint32, note string) uint32 {
-	if len(r.nodes) >= maxNodes {
+	if r.nodes.len() >= maxNodes {
 		r.nodesFull++
 		return 0
 	}
-	id := uint32(len(r.nodes))
-	r.nodes = append(r.nodes, Node{ID: id, Parent: ev.Parent, Kind: ev.Kind, Comp: ev.To,
+	id := uint32(r.nodes.len())
+	r.nodes.push(Node{ID: id, Parent: ev.Parent, Kind: ev.Kind, Comp: ev.To,
 		Cycle: ev.Cycle, Base: base, Top: top, Note: note})
 	return id
 }
@@ -230,12 +260,17 @@ func (r *Recorder) free(ev *telemetry.Event) {
 	ev.To, ev.Node = ar.Owner, ar.Node
 	// Keep the most recent maxFreed freed allocations for post-mortem
 	// matching.
-	if len(r.freed) < maxFreed {
-		r.freed = append(r.freed, *ar)
+	if r.freed.len() < maxFreed {
+		r.freed.push(ar)
 	} else {
-		r.freed[r.freedPos] = *ar
+		*r.freed.at(r.freedPos) = ar
 		r.freedPos = (r.freedPos + 1) % maxFreed
 	}
+}
+
+// freedAt returns the i-th oldest record of the freed history.
+func (r *Recorder) freedAt(i int) *AllocRecord {
+	return r.freed.at((r.freedPos + i) % r.freed.len())
 }
 
 // Sweeps returns the number of completed sweeps observed.
@@ -276,15 +311,19 @@ func (r *Recorder) Nodes() []Node {
 	if r == nil {
 		return nil
 	}
-	return append([]Node(nil), r.nodes...)
+	out := make([]Node, r.nodes.len())
+	for i := range out {
+		out[i] = *r.nodes.at(i)
+	}
+	return out
 }
 
 // NodeByID returns a provenance node, or a zero Node for unknown ids.
 func (r *Recorder) NodeByID(id uint32) Node {
-	if r == nil || id == 0 || int(id) >= len(r.nodes) {
+	if r == nil || id == 0 || int(id) >= r.nodes.len() {
 		return Node{}
 	}
-	return r.nodes[id]
+	return *r.nodes.at(int(id))
 }
 
 // LiveAllocations returns the live-allocation records sorted by base.
@@ -294,7 +333,7 @@ func (r *Recorder) LiveAllocations() []AllocRecord {
 	}
 	out := make([]AllocRecord, 0, len(r.live))
 	for _, a := range r.live {
-		out = append(out, *a)
+		out = append(out, a)
 	}
 	sortAllocs(out)
 	return out
@@ -306,12 +345,13 @@ func (r *Recorder) FreedAllocations() []AllocRecord {
 	if r == nil {
 		return nil
 	}
-	if len(r.freed) < maxFreed {
-		return append([]AllocRecord(nil), r.freed...)
+	if r.freed.len() == 0 {
+		return nil
 	}
-	out := make([]AllocRecord, 0, len(r.freed))
-	out = append(out, r.freed[r.freedPos:]...)
-	out = append(out, r.freed[:r.freedPos]...)
+	out := make([]AllocRecord, r.freed.len())
+	for i := range out {
+		out[i] = *r.freedAt(i)
+	}
 	return out
 }
 
@@ -332,14 +372,11 @@ func sortAllocs(a []AllocRecord) {
 func (r *Recorder) findAllocation(addr uint32) *AllocRecord {
 	for base, a := range r.live {
 		if addr >= base && addr < base+a.Size {
-			out := *a
-			return &out
+			return &a
 		}
 	}
-	freed := r.FreedAllocations()
-	for i := len(freed) - 1; i >= 0; i-- {
-		a := freed[i]
-		if addr >= a.Base && addr < a.Base+a.Size {
+	for i := r.freed.len() - 1; i >= 0; i-- {
+		if a := *r.freedAt(i); addr >= a.Base && addr < a.Base+a.Size {
 			return &a
 		}
 	}
@@ -368,8 +405,8 @@ func (r *Recorder) Provenance(c cap.Capability) ([]Node, *AllocRecord) {
 		start = alloc.Node
 	} else {
 		// Fall back to the most recent node covering the address.
-		for i := len(r.nodes) - 1; i >= 1; i-- {
-			n := r.nodes[i]
+		for i := r.nodes.len() - 1; i >= 1; i-- {
+			n := r.nodes.at(i)
 			if addr >= n.Base && addr < n.Top {
 				start = n.ID
 				break

@@ -30,35 +30,44 @@ import "github.com/cheriot-go/cheriot/internal/hw"
 // same compartment entry reached along two call chains is two nodes. The
 // root is unnamed and holds no cycles; its children are threads and
 // system pseudo-domains.
+//
+// A node's children form a singly linked list kept in move-to-front
+// order: first is the most recently entered child and next links each
+// child to the one entered before it. The switcher's call choreography
+// alternates between the overlay frame and the callee frame under one
+// parent, so nearly every lookup stops at the first or second child.
+// Labels are interned by the caller, making == a cheap compare, so no
+// map is needed and a node is one 48-byte allocation.
 type Node struct {
-	label    string
-	children map[string]*Node
-	// c0/c1 are the two most-recently-used children: the switcher's call
-	// choreography alternates between the overlay frame and the callee
-	// frame under one parent, so this tiny cache absorbs most lookups.
-	// Labels are interned by the caller, making == a cheap compare.
-	c0, c1 *Node
-	self   uint64 // the clock's cell while this node is the current frame
-	calls  uint64 // times this frame was entered
+	label       string
+	first, next *Node
+	self        uint64 // the clock's cell while this node is the current frame
+	calls       uint64 // times this frame was entered
 }
 
+// child returns n's child labeled label, creating it if needed, and
+// moves it to the front of n's children. It stays out of line so that
+// Enter, whose nil check is all the switcher pays with the profiler off,
+// fits the inliner's budget.
+//
+//go:noinline
 func (n *Node) child(label string) *Node {
-	if c := n.c0; c != nil && c.label == label {
+	c := n.first
+	if c != nil && c.label == label {
 		return c
 	}
-	if c := n.c1; c != nil && c.label == label {
-		n.c0, n.c1 = c, n.c0
-		return c
+	prev := c
+	for c != nil {
+		if c = c.next; c != nil && c.label == label {
+			prev.next = c.next
+			break
+		}
+		prev = c
 	}
-	c := n.children[label]
 	if c == nil {
 		c = &Node{label: label}
-		if n.children == nil {
-			n.children = make(map[string]*Node)
-		}
-		n.children[label] = c
 	}
-	n.c0, n.c1 = c, n.c0
+	c.next, n.first = n.first, c
 	return c
 }
 
@@ -85,14 +94,16 @@ func (n *Node) Cell() *uint64 {
 
 // Profiler accumulates the call-stack profile of one simulated machine.
 // The switcher drives it through the nodes Root hands out and the nodes
-// they Enter; the profiler itself only owns the tree and the clock base
-// it measures from. The kernel loop runs on the yielding thread's
-// coroutine, and exactly one coroutine holds the core at a time, on the
-// goroutine that called Run, so no locking is needed — the same
-// single-writer discipline the telemetry accounts rely on.
+// they Enter; the profiler itself only owns the tree and the clock span
+// it measures. The kernel loop runs on the yielding thread's coroutine,
+// and exactly one coroutine holds the core at a time, on the goroutine
+// that called Run, so no locking is needed — the same single-writer
+// discipline the telemetry accounts rely on.
 type Profiler struct {
-	clock *hw.Clock
+	clock *hw.Clock // nil once Close ends the profile
+	hz    uint64
 	base  uint64
+	total uint64 // the cycles from base to Close
 	root  Node
 }
 
@@ -100,7 +111,7 @@ type Profiler struct {
 // whichever frame cell the clock has installed: install one before the
 // clock next advances, or those cycles go to no frame.
 func New(clock *hw.Clock) *Profiler {
-	return &Profiler{clock: clock, base: clock.Cycles()}
+	return &Profiler{clock: clock, hz: clock.Hz(), base: clock.Cycles()}
 }
 
 // Root returns the root-level frame label: a thread's root, under which
@@ -112,4 +123,36 @@ func (p *Profiler) Root(label string) *Node {
 		return nil
 	}
 	return p.root.child(label)
+}
+
+// cycles returns the cycles the profile covers: from the base to the
+// clock's current reading, or to Close.
+func (p *Profiler) cycles() uint64 {
+	if p.clock == nil {
+		return p.total
+	}
+	return p.clock.Cycles() - p.base
+}
+
+// Close ends the profile at the clock's current reading and lets the
+// clock go, so a closed profiler holds only its tree: Snapshot and Merge
+// read the total as of the close. It reports whether the frames' self
+// cycles sum to that total, the exactness invariant, from one walk over
+// the tree. Nil-safe: a nil profiler reports false.
+func (p *Profiler) Close() bool {
+	if p == nil {
+		return false
+	}
+	p.total = p.cycles()
+	p.clock = nil
+	return p.root.selfSum() == p.total
+}
+
+// selfSum returns the self cycles of n and every node below it.
+func (n *Node) selfSum() uint64 {
+	sum := n.self
+	for c := n.first; c != nil; c = c.next {
+		sum += c.selfSum()
+	}
+	return sum
 }

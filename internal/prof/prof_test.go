@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -103,10 +106,10 @@ func TestNilProfilerZeroAlloc(t *testing.T) {
 	}
 }
 
-// Merge sums frames and is order-independent — the lockstep ≡ parallel
-// byte-identity root.
+// Merge sums trees node by node and is order-independent — the
+// lockstep ≡ parallel byte-identity root.
 func TestMergeDeterministic(t *testing.T) {
-	mk := func(seed uint64) *Profile {
+	mk := func(seed uint64) *Profiler {
 		p, clk, install := newProf(seed)
 		app := p.Root("app")
 		a := app.Enter("comp.a")
@@ -115,7 +118,7 @@ func TestMergeDeterministic(t *testing.T) {
 		install(a.Enter("comp.b"))
 		clk.Advance(seed)
 		install(app)
-		return p.Snapshot()
+		return p
 	}
 	a, b, c := mk(1), mk(2), mk(3)
 	m1 := Merge(a, b, c)
@@ -125,13 +128,14 @@ func TestMergeDeterministic(t *testing.T) {
 	if !bytes.Equal(j1, j2) {
 		t.Errorf("merge order changed the profile:\n%s\n%s", j1, j2)
 	}
-	if m1.TotalCycles != a.TotalCycles+b.TotalCycles+c.TotalCycles {
-		t.Errorf("merged total %d != sum of inputs", m1.TotalCycles)
+	total := a.Snapshot().TotalCycles + b.Snapshot().TotalCycles + c.Snapshot().TotalCycles
+	if m1.TotalCycles != total {
+		t.Errorf("merged total %d != sum of inputs %d", m1.TotalCycles, total)
 	}
 	if m1.SelfSum() != m1.TotalCycles {
 		t.Errorf("merged self sum %d != total %d", m1.SelfSum(), m1.TotalCycles)
 	}
-	if got := Merge(nil, a, nil).TotalCycles; got != a.TotalCycles {
+	if got := Merge(nil, a, nil).TotalCycles; got != a.Snapshot().TotalCycles {
 		t.Errorf("nil inputs not skipped: %d", got)
 	}
 }
@@ -258,4 +262,118 @@ func TestHostProfile(t *testing.T) {
 	nilH.Add("x", time.Second, 1)
 	nilH.Finish()
 	_ = nilH.Phase("x")
+}
+
+// randomProfiler drives a profiler the way the switcher does, entering
+// frames under threads and pseudo-domains along random paths over a small
+// label set, so several profilers share most of their nodes. Some
+// profilers are closed, as the fleet closes each retired incarnation.
+func randomProfiler(t *testing.T, rng *rand.Rand) *Profiler {
+	p, clk, install := newProf(uint64(rng.Intn(1000)))
+	roots := []string{"app", "net", telemetry.DomainSwitcher, telemetry.DomainSched, telemetry.DomainIdle}
+	labels := []string{"a.x", "a.y", "b.x", "c.z", telemetry.DomainSwitcher}
+	for i := 0; i < 40; i++ {
+		n := p.Root(roots[rng.Intn(len(roots))])
+		install(n)
+		clk.Advance(uint64(rng.Intn(50)))
+		for d := rng.Intn(5); d > 0; d-- {
+			n = n.Enter(labels[rng.Intn(len(labels))])
+			install(n)
+			clk.Advance(uint64(rng.Intn(100)))
+		}
+	}
+	if rng.Intn(2) == 0 && !p.Close() {
+		t.Fatal("closed profiler is not exact")
+	}
+	return p
+}
+
+// oldSnapshot and oldMerge are the string-keyed reference the tree merge
+// must match: every node rendered to its ';'-joined stack, then frames
+// summed by stack and sorted.
+func oldSnapshot(p *Profiler) *Profile {
+	pr := &Profile{Hz: p.hz, BaseCycles: p.base, TotalCycles: p.cycles()}
+	var walk func(n *Node, prefix string)
+	walk = func(n *Node, prefix string) {
+		for c := n.first; c != nil; c = c.next {
+			stack := c.label
+			if prefix != "" {
+				stack = prefix + ";" + c.label
+			}
+			pr.Frames = append(pr.Frames, Frame{Stack: stack, Self: c.self, Calls: c.calls})
+			walk(c, stack)
+		}
+	}
+	walk(&p.root, "")
+	sort.Slice(pr.Frames, func(i, j int) bool { return pr.Frames[i].Stack < pr.Frames[j].Stack })
+	return pr
+}
+
+func oldMerge(profiles ...*Profile) *Profile {
+	out := &Profile{}
+	byStack := map[string]int{}
+	for _, p := range profiles {
+		if out.Hz == 0 {
+			out.Hz = p.Hz
+		}
+		out.BaseCycles += p.BaseCycles
+		out.TotalCycles += p.TotalCycles
+		for _, f := range p.Frames {
+			i, ok := byStack[f.Stack]
+			if !ok {
+				i = len(out.Frames)
+				byStack[f.Stack] = i
+				out.Frames = append(out.Frames, Frame{Stack: f.Stack})
+			}
+			out.Frames[i].Self += f.Self
+			out.Frames[i].Calls += f.Calls
+		}
+	}
+	sort.Slice(out.Frames, func(i, j int) bool { return out.Frames[i].Stack < out.Frames[j].Stack })
+	return out
+}
+
+// Merging random trees node by node, in any order, renders the same
+// Profile as snapshotting each tree to stack strings and merging those;
+// a single tree's Snapshot matches its string snapshot too.
+func TestMergeMatchesStackMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for round := 0; round < 20; round++ {
+		ps := make([]*Profiler, 1+rng.Intn(8))
+		snaps := make([]*Profile, len(ps))
+		for i := range ps {
+			ps[i] = randomProfiler(t, rng)
+			snaps[i] = oldSnapshot(ps[i])
+			if got := ps[i].Snapshot(); !reflect.DeepEqual(got, snaps[i]) {
+				t.Fatalf("round %d: Snapshot of profiler %d differs from its stack snapshot:\n%+v\n%+v",
+					round, i, got, snaps[i])
+			}
+		}
+		want := oldMerge(snaps...)
+		for perm := 0; perm < 3; perm++ {
+			rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+			if got := Merge(ps...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, order %d: merged trees differ from merged stack snapshots:\n%+v\n%+v",
+					round, perm, got, want)
+			}
+		}
+	}
+}
+
+// Merging allocates for the merged tree and its frames, not per
+// profiler: one profiler and sixty-four of the same shape cost the same
+// number of allocations.
+func TestMergeAllocatesPerFrameNotPerProfiler(t *testing.T) {
+	ps := make([]*Profiler, 64)
+	for i := range ps {
+		ps[i] = randomProfiler(t, rand.New(rand.NewSource(7)))
+	}
+	one := testing.AllocsPerRun(20, func() { Merge(ps[0]) })
+	all := testing.AllocsPerRun(20, func() { Merge(ps...) })
+	if one != all {
+		t.Errorf("merging 1 profiler allocated %.0f times, 64 profilers %.0f times", one, all)
+	}
+	if frames := len(Merge(ps...).Frames); one > float64(2*frames+8) {
+		t.Errorf("merging %d frames allocated %.0f times, want at most two per frame", frames, one)
+	}
 }

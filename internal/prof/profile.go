@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,35 +34,14 @@ type Profile struct {
 	Frames      []Frame `json:"frames"`
 }
 
-// Snapshot freezes the profiler into a Profile: the total is the clock
-// minus the base, and every node (including zero-cost interior nodes, so
-// the tree is reconstructible) is emitted in sorted order. Nil-safe
+// Snapshot freezes the profiler into a Profile: Merge of p alone. The
+// total is the clock minus the base, or the total at Close. Nil-safe
 // (returns nil).
 func (p *Profiler) Snapshot() *Profile {
 	if p == nil {
 		return nil
 	}
-	pr := &Profile{Hz: p.clock.Hz(), BaseCycles: p.base, TotalCycles: p.clock.Cycles() - p.base}
-	var walk func(n *Node, prefix string)
-	walk = func(n *Node, prefix string) {
-		labels := make([]string, 0, len(n.children))
-		for l := range n.children {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
-			c := n.children[l]
-			stack := l
-			if prefix != "" {
-				stack = prefix + ";" + l
-			}
-			pr.Frames = append(pr.Frames, Frame{Stack: stack, Self: c.self, Calls: c.calls})
-			walk(c, stack)
-		}
-	}
-	walk(&p.root, "")
-	sort.Slice(pr.Frames, func(i, j int) bool { return pr.Frames[i].Stack < pr.Frames[j].Stack })
-	return pr
+	return Merge(p)
 }
 
 // SelfSum returns the total of all frames' self cycles; it equals
@@ -74,35 +54,74 @@ func (p *Profile) SelfSum() uint64 {
 	return sum
 }
 
-// Merge sums profiles frame-by-frame (nil entries skipped): the fleet
-// merges its per-device profiles with it. The output frame order is
-// sorted, so merging the same device set in any order — lockstep or any
-// worker partition — yields byte-identical profiles.
-func Merge(profiles ...*Profile) *Profile {
+// Merge sums profilers' trees node by node into one tree (nil entries
+// skipped) and renders it: the base and total cycles are summed, Hz is
+// the first profiler's, and every node, zero-cost interior nodes
+// included so the tree is reconstructible, becomes one Frame whose
+// Stack is the ';'-joined label path. The fleet merges every device
+// incarnation's profiler with it. Frames come out in sorted stack
+// order, so merging the same profilers in any order — lockstep or any
+// worker partition — yields byte-identical profiles, and the stack
+// strings are built once for the merged tree, not once per profiler.
+func Merge(profilers ...*Profiler) *Profile {
 	out := &Profile{}
-	byStack := map[string]int{}
-	for _, p := range profiles {
+	var sum Node
+	for _, p := range profilers {
 		if p == nil {
 			continue
 		}
 		if out.Hz == 0 {
-			out.Hz = p.Hz
+			out.Hz = p.hz
 		}
-		out.BaseCycles += p.BaseCycles
-		out.TotalCycles += p.TotalCycles
-		for _, f := range p.Frames {
-			i, ok := byStack[f.Stack]
-			if !ok {
-				i = len(out.Frames)
-				byStack[f.Stack] = i
-				out.Frames = append(out.Frames, Frame{Stack: f.Stack})
-			}
-			out.Frames[i].Self += f.Self
-			out.Frames[i].Calls += f.Calls
+		out.BaseCycles += p.base
+		out.TotalCycles += p.cycles()
+		sum.add(&p.root)
+	}
+	out.Frames = sum.frames()
+	return out
+}
+
+// add sums src's children into n's, label by label, all the way down.
+func (n *Node) add(src *Node) {
+	for s := src.first; s != nil; s = s.next {
+		c := n.child(s.label)
+		c.self += s.self
+		c.calls += s.calls
+		c.add(s)
+	}
+}
+
+// frames renders every node below n as a Frame, sorted by stack (nil
+// when n has no children).
+func (n *Node) frames() []Frame {
+	count := 0
+	var size func(n *Node)
+	size = func(n *Node) {
+		for c := n.first; c != nil; c = c.next {
+			count++
+			size(c)
 		}
 	}
-	sort.Slice(out.Frames, func(i, j int) bool { return out.Frames[i].Stack < out.Frames[j].Stack })
-	return out
+	size(n)
+	if count == 0 {
+		return nil
+	}
+	frames := make([]Frame, 0, count)
+	var walk func(n *Node, stack []byte)
+	walk = func(n *Node, stack []byte) {
+		for c := n.first; c != nil; c = c.next {
+			s := stack
+			if len(s) > 0 {
+				s = append(s, ';')
+			}
+			s = append(s, c.label...)
+			frames = append(frames, Frame{Stack: string(s), Self: c.self, Calls: c.calls})
+			walk(c, s)
+		}
+	}
+	walk(n, make([]byte, 0, 256))
+	slices.SortFunc(frames, func(a, b Frame) int { return strings.Compare(a.Stack, b.Stack) })
+	return frames
 }
 
 // WriteJSON writes the profile as indented JSON.
