@@ -575,11 +575,12 @@ type Summary struct {
 	Obs *fleetobs.Report `json:"obs,omitempty"`
 
 	// Profile is the fleet-merged cycle profile (nil unless Config.Prof):
-	// per-device folded call stacks with exact cycle attribution, summed
-	// frame-by-frame across devices. Deterministic — lockstep and parallel
-	// runs of the same config+seed produce byte-identical profiles — so
-	// it lives in the Summary, and the per-frame invariant (SelfSum ==
-	// TotalCycles == Σ per-device clock deltas) folds into CycleSumExact.
+	// every device incarnation's call-stack tree with exact cycle
+	// attribution, summed node by node across devices. Deterministic —
+	// lockstep and parallel runs of the same config+seed produce
+	// byte-identical profiles — so it lives in the Summary, and the
+	// per-frame invariant (SelfSum == TotalCycles == Σ per-device clock
+	// deltas) folds into CycleSumExact.
 	Profile *prof.Profile `json:"profile,omitempty"`
 
 	// Telemetry is the fleet-merged snapshot (per-compartment cycle

@@ -63,12 +63,6 @@ func TestParseProfilesErrors(t *testing.T) {
 	}
 }
 
-// FuzzParseProfiles feeds the -profiles grammar arbitrary specs. The
-// parser must never panic; every profile it accepts has a unique,
-// non-empty, trimmed name and a known firmware; and the accepted
-// profiles pass through Run's validation, defaults and per-device
-// assignment without panicking. The seed corpus is under
-// testdata/fuzz/FuzzParseProfiles.
 // Run fills the profile defaults into its own copy: the caller's
 // Profiles stay as given, so a config run again with a higher top-level
 // rate runs the same fleet as a fresh config with that rate.
@@ -96,6 +90,12 @@ func TestRunLeavesCallerProfiles(t *testing.T) {
 	}
 }
 
+// FuzzParseProfiles feeds the -profiles grammar arbitrary specs. The
+// parser must never panic; every profile it accepts has a unique,
+// non-empty, trimmed name and a known firmware; and the accepted
+// profiles pass through Run's validation, defaults and per-device
+// assignment without panicking. The seed corpus is under
+// testdata/fuzz/FuzzParseProfiles.
 func FuzzParseProfiles(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		ps, err := ParseProfiles(spec)
