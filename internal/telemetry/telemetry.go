@@ -166,14 +166,15 @@ func (a *CycleAccount) Slot() *uint64 {
 // disabled state: every method no-ops or returns nil handles, and
 // instrumented code holds exactly one nil check on its hot path.
 type Registry struct {
-	counts [KindCount]uint64 // events recorded, per kind
-	// more has bit k set when Record does more with a kind-k event than
-	// count it: feed a size histogram, move the gauge, or keep it in the
-	// attached ring.
-	more        uint64
+	counts      [KindCount]uint64     // events recorded, per kind
 	sizes       [KindCount]*Histogram // each sized kind's histogram, once recorded
 	quarantine  int64                 // the alloc/quarantine_bytes gauge
 	quarantined bool                  // whether an event has moved it
+	// more has bit k set when Record does more with a kind-k event than
+	// count it: feed a size histogram, move the gauge, or keep it in the
+	// attached ring. It fits in quarantined's padding, so a registry
+	// stays in the 512-byte size class.
+	more uint32
 	hists       map[Key]*Histogram
 
 	accounts       map[string]*CycleAccount

@@ -97,8 +97,8 @@ var kinds = [KindCount]kindInfo{
 // and the kinds the trace ring keeps.
 var sideKinds, tracedKinds = kindSets()
 
-func kindSets() (side, traced uint64) {
-	const _ = uint64(1) << (63 - KindCount) // a kind's bit fits in a uint64
+func kindSets() (side, traced uint32) {
+	const _ = uint32(1) << (31 - KindCount) // a kind's bit fits in a uint32
 	for k, info := range kinds {
 		if info.sizes.Metric != "" || info.quarantine != 0 {
 			side |= 1 << k
