@@ -174,8 +174,8 @@ type Registry struct {
 	// count it: feed a size histogram, move the gauge, or keep it in the
 	// attached ring. It fits in quarantined's padding, so a registry
 	// stays in the 512-byte size class.
-	more uint32
-	hists       map[Key]*Histogram
+	more  uint32
+	hists map[Key]*Histogram
 
 	accounts       map[string]*CycleAccount
 	threadAccounts map[string]*CycleAccount
