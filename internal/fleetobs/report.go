@@ -1,9 +1,9 @@
 package fleetobs
 
 import (
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
@@ -317,7 +317,7 @@ func Aggregate(in Input) *Report {
 		sg := shardOf(int(p.shard))
 		sg.lat.add(lat)
 		if sg.hist == nil {
-			sg.hist = newE2EHistogram(fmt.Sprintf("fleetobs/shard%d", p.shard))
+			sg.hist = newE2EHistogram("fleetobs/shard" + strconv.Itoa(int(p.shard)))
 		}
 		observe(sg.hist, lat)
 		if g := profileOf(p.device); g != nil {
