@@ -318,9 +318,7 @@ func (k *Kernel) emit(ev telemetry.Event, cause *hw.Trap) uint32 {
 		return 0
 	}
 	ev.Cycle = k.Core.Clock.Cycles()
-	if !k.tel.Count(ev.Kind) {
-		k.tel.Record(&ev)
-	}
+	k.tel.Record(&ev)
 	if k.rec == nil {
 		return 0 // spares the nil-safe call its copy of the event
 	}

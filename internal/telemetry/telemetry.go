@@ -170,12 +170,7 @@ type Registry struct {
 	sizes       [KindCount]*Histogram // each sized kind's histogram, once recorded
 	quarantine  int64                 // the alloc/quarantine_bytes gauge
 	quarantined bool                  // whether an event has moved it
-	// more has bit k set when Record does more with a kind-k event than
-	// count it: feed a size histogram, move the gauge, or keep it in the
-	// attached ring. It fits in quarantined's padding, so a registry
-	// stays in the 512-byte size class.
-	more  uint32
-	hists map[Key]*Histogram
+	hists       map[Key]*Histogram
 
 	accounts       map[string]*CycleAccount
 	threadAccounts map[string]*CycleAccount
@@ -190,7 +185,6 @@ type Registry struct {
 // frequency (used by the exporters to convert cycles to time).
 func NewRegistry(hz uint64) *Registry {
 	return &Registry{
-		more:           sideKinds,
 		hists:          make(map[Key]*Histogram),
 		accounts:       make(map[string]*CycleAccount),
 		threadAccounts: make(map[string]*CycleAccount),
@@ -220,23 +214,6 @@ func (r *Registry) Base() uint64 {
 		return 0
 	}
 	return r.base
-}
-
-// Count counts an event of kind k when counting is all Record would do
-// with it, and reports whether it did: when it reports false, hand the
-// event to Record instead. The kernel tries Count first, so a call or
-// return event costs one increment and one test inlined at the call
-// site unless a ring is attached. Nil-safe: a nil registry has nothing
-// to do and reports true.
-func (r *Registry) Count(k Kind) bool {
-	if r == nil {
-		return true
-	}
-	if r.more>>k&1 != 0 || k >= KindCount {
-		return false
-	}
-	r.counts[k]++
-	return true
 }
 
 // Record counts ev under its kind, as the kinds table says: the kind's
@@ -364,10 +341,10 @@ func (r *Registry) EnableTrace(capacity int) {
 		return
 	}
 	if capacity <= 0 {
-		r.ring, r.more = nil, sideKinds
+		r.ring = nil
 		return
 	}
-	r.ring, r.more = NewRing(capacity), sideKinds|tracedKinds
+	r.ring = NewRing(capacity)
 }
 
 // Ring returns the attached event ring, or nil. Record keeps the events

@@ -308,47 +308,3 @@ func TestChromeTraceBalancesTruncatedRing(t *testing.T) {
 		t.Fatal("dropped_events not reported")
 	}
 }
-
-// Count takes an event off Record's hands only when counting is all
-// Record would do with it: every kind fed through Count, then Record on
-// a false report, leaves the same snapshot and ring as Record alone,
-// with and without a ring attached. Count and Record must share the
-// kernel's counts, so the switcher's inlined fast path cannot drift.
-func TestCountLeavesWhatRecordLeaves(t *testing.T) {
-	for _, ring := range []int{0, 64} {
-		viaCount, viaRecord := NewRegistry(1000), NewRegistry(1000)
-		viaCount.EnableTrace(ring)
-		viaRecord.EnableTrace(ring)
-		for i := 0; i < 3; i++ {
-			for k := Kind(0); k <= KindCount; k++ {
-				ev := Event{Cycle: uint64(i), Kind: k, To: "c", Arg: uint64(8 << i)}
-				counted := viaCount.Count(k)
-				if !counted {
-					viaCount.Record(&ev)
-				}
-				viaRecord.Record(&ev)
-				if k == KindCount {
-					if counted {
-						t.Errorf("ring %d: Count counted the out-of-range kind", ring)
-					}
-					continue
-				}
-				info := kinds[k]
-				if onlyCounts := info.sizes.Metric == "" && info.quarantine == 0 &&
-					!(info.traced && ring > 0); counted != onlyCounts {
-					t.Errorf("ring %d: Count(%v) = %v, want %v", ring, k, counted, onlyCounts)
-				}
-			}
-		}
-		if got, want := viaCount.Snapshot(), viaRecord.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Errorf("ring %d: snapshot through Count\n%+v\nthrough Record\n%+v", ring, got, want)
-		}
-		if got, want := viaCount.Ring().Events(), viaRecord.Ring().Events(); !reflect.DeepEqual(got, want) {
-			t.Errorf("ring %d: ring through Count %v, through Record %v", ring, got, want)
-		}
-	}
-	var nilReg *Registry
-	if !nilReg.Count(KindCall) {
-		t.Error("a nil registry must report the event handled")
-	}
-}

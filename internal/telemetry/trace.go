@@ -92,24 +92,6 @@ var kinds = [KindCount]kindInfo{
 	KindRelease:      {name: "release", layer: "alloc", counter: Key{"alloc", "quarantine_released"}, quarantine: -1},
 }
 
-// sideKinds and tracedKinds are bit sets over the kinds table, bit k for
-// Kind k: the kinds whose events feed a size histogram or move the gauge,
-// and the kinds the trace ring keeps.
-var sideKinds, tracedKinds = kindSets()
-
-func kindSets() (side, traced uint32) {
-	const _ = uint32(1) << (31 - KindCount) // a kind's bit fits in a uint32
-	for k, info := range kinds {
-		if info.sizes.Metric != "" || info.quarantine != 0 {
-			side |= 1 << k
-		}
-		if info.traced {
-			traced |= 1 << k
-		}
-	}
-	return side, traced
-}
-
 // String renders the kind for logs, timelines and dumps. Every kind must
 // have a non-"?" rendering; TestKindStringsExhaustive enforces it.
 func (k Kind) String() string {
