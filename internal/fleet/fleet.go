@@ -982,12 +982,8 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 	if s.SimSeconds > 0 {
 		s.PublishesPerSimSecond = float64(s.Publishes) / s.SimSeconds
 	}
-	slices.Sort(connectLat)
-	slices.Sort(publishLat)
-	s.ConnectP50Ms = fleetobs.CyclesToMs(fleetobs.Percentile(connectLat, 0.50), hw.DefaultHz)
-	s.ConnectP99Ms = fleetobs.CyclesToMs(fleetobs.Percentile(connectLat, 0.99), hw.DefaultHz)
-	s.PublishP50Ms = fleetobs.CyclesToMs(fleetobs.Percentile(publishLat, 0.50), hw.DefaultHz)
-	s.PublishP99Ms = fleetobs.CyclesToMs(fleetobs.Percentile(publishLat, 0.99), hw.DefaultHz)
+	s.ConnectP50Ms, s.ConnectP99Ms = fleetobs.Quantiles(connectLat, hw.DefaultHz)
+	s.PublishP50Ms, s.PublishP99Ms = fleetobs.Quantiles(publishLat, hw.DefaultHz)
 
 	s.BrokerShards = pl.ShardStats()
 	// Stable shard order regardless of worker scheduling: the per-shard
@@ -1041,7 +1037,8 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 			}
 			return profOf[i]
 		}
-		s.Obs = fleetobs.Aggregate(in)
+		var latencyHists telemetry.Snapshot
+		s.Obs, latencyHists = fleetobs.Aggregate(in)
 		if len(sloRules) > 0 {
 			v := fleetobs.Evaluate(sloRules, s.Obs)
 			s.Obs.SLO = &v
@@ -1049,7 +1046,7 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 		// The traced latency histograms enter the merged telemetry the
 		// same way the cloud counters do: a synthesized cycle-less
 		// snapshot, leaving the cycle-sum invariant untouched.
-		snaps = append(snaps, s.Obs.TelemetrySnapshot())
+		snaps = append(snaps, latencyHists)
 	}
 
 	// Per-shard counters enter the merged telemetry as a synthesized

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -58,13 +59,28 @@ func TestAggregateAllocationsIndependentOfTraces(t *testing.T) {
 	allocs := func(n int) float64 {
 		in := syntheticInput(n)
 		return testing.AllocsPerRun(10, func() {
-			if r := Aggregate(in); len(r.TelemetrySnapshot().Histograms) != 5 {
+			if _, snap := Aggregate(in); len(snap.Histograms) != 5 {
 				t.Fatalf("%d traces: want 5 histograms (3 shards, 2 profiles)", n)
 			}
 		})
 	}
 	if small, large := allocs(1000), allocs(10000); small != large {
 		t.Errorf("Aggregate allocated %.0f times for 1k traces and %.0f for 10k", small, large)
+	}
+}
+
+// Quantiles takes samples in any order: it sorts them in place, then
+// reads p50 and p99 by nearest rank.
+func TestQuantilesSortsInPlace(t *testing.T) {
+	samples := []uint64{900, 100, 500, 300, 700}
+	if p50, p99 := Quantiles(samples, 1000); p50 != 500 || p99 != 900 {
+		t.Errorf("Quantiles = %v, %v ms, want 500, 900", p50, p99)
+	}
+	if !slices.IsSorted(samples) {
+		t.Errorf("samples left unsorted: %v", samples)
+	}
+	if p50, p99 := Quantiles(nil, 1000); p50 != 0 || p99 != 0 {
+		t.Errorf("Quantiles(nil) = %v, %v, want 0, 0", p50, p99)
 	}
 }
 
@@ -104,13 +120,13 @@ func TestAggregateMatchesReference(t *testing.T) {
 		refIn.Spans = ref
 		wantReport, wantSnap := referenceAggregate(refIn)
 
-		r := Aggregate(in)
+		r, snap := Aggregate(in)
 		got, _ := json.Marshal(r)
 		want, _ := json.Marshal(wantReport)
 		if string(got) != string(want) {
 			t.Fatalf("round %d: report\n%s\nreference\n%s", round, got, want)
 		}
-		got, _ = json.Marshal(r.TelemetrySnapshot())
+		got, _ = json.Marshal(snap)
 		want, _ = json.Marshal(wantSnap)
 		if string(got) != string(want) {
 			t.Fatalf("round %d: histograms\n%s\nreference\n%s", round, got, want)
@@ -162,7 +178,7 @@ func referenceAggregate(in Input) (*Report, telemetry.Snapshot) {
 	pct := func(samples []uint64, q float64) float64 {
 		sorted := append([]uint64(nil), samples...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return CyclesToMs(Percentile(sorted, q), in.Hz)
+		return CyclesToMs(percentile(sorted, q), in.Hz)
 	}
 	secOf := func(c uint64) int {
 		if in.Hz == 0 {

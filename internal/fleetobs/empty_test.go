@@ -10,16 +10,16 @@ import "testing"
 // percentile over no samples is 0, and the nearest-rank index stays in
 // bounds at both extremes of q for tiny sample sets.
 func TestPercentileEmptyAndBounds(t *testing.T) {
-	if got := Percentile(nil, 0.99); got != 0 {
-		t.Errorf("Percentile(nil) = %d, want 0", got)
+	if got := percentile(nil, 0.99); got != 0 {
+		t.Errorf("percentile(nil) = %d, want 0", got)
 	}
-	if got := Percentile([]uint64{}, 0.50); got != 0 {
-		t.Errorf("Percentile(empty) = %d, want 0", got)
+	if got := percentile([]uint64{}, 0.50); got != 0 {
+		t.Errorf("percentile(empty) = %d, want 0", got)
 	}
 	one := []uint64{42}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := Percentile(one, q); got != 42 {
-			t.Errorf("Percentile([42], %v) = %d, want 42", q, got)
+		if got := percentile(one, q); got != 42 {
+			t.Errorf("percentile([42], %v) = %d, want 42", q, got)
 		}
 	}
 }
@@ -34,7 +34,7 @@ func TestCyclesToMsZeroHz(t *testing.T) {
 // The fully zero input — no spans, no seconds, no devices, no clock —
 // reduces to an all-zero report with a nil health series.
 func TestAggregateZeroValueInput(t *testing.T) {
-	r := Aggregate(Input{})
+	r, _ := Aggregate(Input{})
 	if r.TracedPublishes != 0 || r.Delivered != 0 || r.Lost != 0 {
 		t.Errorf("zero input counted traffic: %+v", r)
 	}
@@ -60,7 +60,7 @@ func TestAggregateAllLost(t *testing.T) {
 			{Trace: 2, Kind: SpanPublish, Device: 1, Start: 110, End: 120},
 		},
 	}
-	r := Aggregate(in)
+	r, _ := Aggregate(in)
 	if r.TracedPublishes != 2 || r.Delivered != 0 || r.Lost != 2 {
 		t.Fatalf("pairing: %+v", r)
 	}
@@ -90,7 +90,7 @@ func TestAggregateZeroHz(t *testing.T) {
 			{Trace: 1, Kind: SpanIngress, Device: 0, Shard: 0, Start: 30, End: 40},
 		},
 	}
-	r := Aggregate(in)
+	r, _ := Aggregate(in)
 	if r.TracedPublishes != 1 || r.Delivered != 1 {
 		t.Fatalf("pairing: %+v", r)
 	}
@@ -110,7 +110,8 @@ func TestEvaluateEmptyReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := Evaluate(rules, Aggregate(Input{}))
+	empty, _ := Aggregate(Input{})
+	v := Evaluate(rules, empty)
 	if v.Pass {
 		t.Error("verdict passed with an unreachable availability window")
 	}
@@ -131,7 +132,7 @@ func TestEvaluateEmptyReport(t *testing.T) {
 	}
 
 	// No rules at all: vacuous pass, no rows.
-	if v := Evaluate(nil, Aggregate(Input{})); !v.Pass || len(v.Rules) != 0 {
+	if v := Evaluate(nil, empty); !v.Pass || len(v.Rules) != 0 {
 		t.Errorf("empty rule set: %+v", v)
 	}
 }

@@ -167,7 +167,7 @@ func aggregateInput() Input {
 }
 
 func TestAggregate(t *testing.T) {
-	r := Aggregate(aggregateInput())
+	r, _ := Aggregate(aggregateInput())
 	if r.TracedPublishes != 3 || r.Delivered != 2 || r.Lost != 1 {
 		t.Fatalf("pairing: %+v", r)
 	}
@@ -221,7 +221,7 @@ func TestAggregate(t *testing.T) {
 }
 
 func TestAggregateEmpty(t *testing.T) {
-	r := Aggregate(Input{Hz: 100, Devices: 1, Shards: 1})
+	r, _ := Aggregate(Input{Hz: 100, Devices: 1, Shards: 1})
 	if r.TracedPublishes != 0 || r.Delivered != 0 || len(r.PerShard) != 0 {
 		t.Errorf("empty aggregate: %+v", r)
 	}
@@ -231,7 +231,7 @@ func TestAggregateEmpty(t *testing.T) {
 }
 
 func TestTelemetrySnapshot(t *testing.T) {
-	snap := Aggregate(aggregateInput()).TelemetrySnapshot()
+	_, snap := Aggregate(aggregateInput())
 	byComp := map[string]uint64{}
 	for _, h := range snap.Histograms {
 		if h.Metric != "publish_deliver_cycles" {
@@ -302,7 +302,7 @@ func FuzzParseRules(f *testing.F) {
 }
 
 func TestEvaluate(t *testing.T) {
-	r := Aggregate(aggregateInput())
+	r, _ := Aggregate(aggregateInput())
 	rules, err := ParseRules("delivery>=0.5;lost<=1;drops<=2;crashes<=1;p50<=50ms")
 	if err != nil {
 		t.Fatal(err)

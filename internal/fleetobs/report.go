@@ -89,10 +89,6 @@ type Report struct {
 
 	Health []HealthPoint `json:"health,omitempty"`
 	SLO    *Verdict      `json:"slo,omitempty"`
-
-	// hists are the latency histograms TelemetrySnapshot returns, built
-	// by Aggregate in the same pass as the report.
-	hists []telemetry.HistogramSnapshot
 }
 
 // Input feeds Aggregate. Everything in it must already be deterministic
@@ -171,8 +167,7 @@ func pairSpans(spans []Span) []pair {
 }
 
 // latencies is one group's publish→deliver latency samples: a counting
-// pass sizes the group, a second pass fills it, and percentiles sorts it
-// once for both quantiles.
+// pass sizes the group and a second pass fills it.
 type latencies struct {
 	n    int
 	lats []uint64
@@ -185,15 +180,8 @@ func (l *latencies) add(lat uint64) {
 	l.lats = append(l.lats, lat)
 }
 
-// percentiles sorts the samples and returns their p50 and p99 in
-// milliseconds at hz.
-func (l *latencies) percentiles(hz uint64) (p50, p99 float64) {
-	slices.Sort(l.lats)
-	return CyclesToMs(Percentile(l.lats, 0.50), hz), CyclesToMs(Percentile(l.lats, 0.99), hz)
-}
-
 // shardGroup and profileGroup are one shard's and one profile's slices
-// of the report, with the latency histogram TelemetrySnapshot returns.
+// of the report, with their latency histograms.
 type shardGroup struct {
 	ShardObs
 	lat  latencies
@@ -216,13 +204,16 @@ type second struct {
 	flight    int64
 }
 
-// Aggregate reduces spans and health inputs to the Report, and the
-// latency histograms its TelemetrySnapshot returns. It pairs the sorted
-// spans in one pass, counts every group's samples over the pairs, then
-// fills each group to its exact size, so what it allocates beside the
-// pairs grows with the shards, profiles and seconds, not with the
-// traces. The result is a pure function of the input.
-func Aggregate(in Input) *Report {
+// Aggregate reduces spans and health inputs to the Report and to a
+// cycle-less telemetry snapshot: per-shard and per-profile
+// publish→deliver latency histograms over E2EBuckets, which the fleet
+// merges alongside the device registries so dashboards see the pipeline
+// through the same namespace. It pairs the sorted spans in one pass,
+// counts every group's samples over the pairs, then fills each group to
+// its exact size, so what it allocates beside the pairs grows with the
+// shards, profiles and seconds, not with the traces. Both results are a
+// pure function of the input.
+func Aggregate(in Input) (*Report, telemetry.Snapshot) {
 	SortSpans(in.Spans)
 	r := &Report{
 		SampleRate:   in.SampleRate,
@@ -329,27 +320,28 @@ func Aggregate(in Input) *Report {
 		}
 	}
 
-	r.E2EP50Ms, r.E2EP99Ms = all.percentiles(in.Hz)
+	var hists []telemetry.HistogramSnapshot
+	r.E2EP50Ms, r.E2EP99Ms = Quantiles(all.lats, in.Hz)
 	for _, g := range shards {
 		g.Samples = len(g.lat.lats)
-		g.E2EP50Ms, g.E2EP99Ms = g.lat.percentiles(in.Hz)
+		g.E2EP50Ms, g.E2EP99Ms = Quantiles(g.lat.lats, in.Hz)
 		r.PerShard = append(r.PerShard, g.ShardObs)
 		if g.hist != nil {
-			r.hists = append(r.hists, *g.hist)
+			hists = append(hists, *g.hist)
 		}
 	}
 	sort.Slice(r.PerShard, func(i, j int) bool { return r.PerShard[i].Shard < r.PerShard[j].Shard })
 	for _, g := range profiles {
 		po := ProfileObs{Name: g.name, Samples: len(g.lat.lats)}
-		po.E2EP50Ms, po.E2EP99Ms = g.lat.percentiles(in.Hz)
+		po.E2EP50Ms, po.E2EP99Ms = Quantiles(g.lat.lats, in.Hz)
 		r.PerProfile = append(r.PerProfile, po)
-		r.hists = append(r.hists, *g.hist)
+		hists = append(hists, *g.hist)
 	}
 	sort.Slice(r.PerProfile, func(i, j int) bool { return r.PerProfile[i].Name < r.PerProfile[j].Name })
-	sort.Slice(r.hists, func(i, j int) bool { return r.hists[i].Compartment < r.hists[j].Compartment })
+	sort.Slice(hists, func(i, j int) bool { return hists[i].Compartment < hists[j].Compartment })
 
 	r.Health = buildHealth(in, secs)
-	return r
+	return r, telemetry.Snapshot{Histograms: hists}
 }
 
 // buildHealth assembles the per-second series (nil for no seconds).
@@ -377,7 +369,7 @@ func buildHealth(in Input, secs []second) []HealthPoint {
 		inFlight += sc.flight
 		h.InFlight = uint64(inFlight)
 		if sc.lat.n > 0 {
-			h.DeliveryP50Ms, h.DeliveryP99Ms = sc.lat.percentiles(in.Hz)
+			h.DeliveryP50Ms, h.DeliveryP99Ms = Quantiles(sc.lat.lats, in.Hz)
 		}
 		if t < len(in.DropSeconds) {
 			h.Drops = uint64(in.DropSeconds[t])
@@ -436,19 +428,16 @@ func observe(h *telemetry.HistogramSnapshot, lat uint64) {
 	h.Counts[i]++
 }
 
-// TelemetrySnapshot returns the cycle-less telemetry snapshot Aggregate
-// built beside the report: per-shard and per-profile publish→deliver
-// latency histograms over E2EBuckets, merged into the fleet snapshot
-// alongside the device registries so dashboards see the pipeline through
-// the same namespace.
-func (r *Report) TelemetrySnapshot() telemetry.Snapshot {
-	return telemetry.Snapshot{Histograms: r.hists}
+// Quantiles sorts samples in place and returns their p50 and p99
+// (nearest-rank) in milliseconds at hz; 0 for no samples.
+func Quantiles(samples []uint64, hz uint64) (p50, p99 float64) {
+	slices.Sort(samples)
+	return CyclesToMs(percentile(samples, 0.50), hz), CyclesToMs(percentile(samples, 0.99), hz)
 }
 
-// Percentile returns the q-th quantile (0 < q <= 1, nearest-rank) of
-// samples sorted in ascending order; 0 for no samples. Sort a sample set
-// once and read all its quantiles from it.
-func Percentile(sorted []uint64, q float64) uint64 {
+// percentile returns the q-th quantile (0 < q <= 1, nearest-rank) of
+// samples sorted in ascending order; 0 for no samples.
+func percentile(sorted []uint64, q float64) uint64 {
 	if len(sorted) == 0 {
 		return 0
 	}
