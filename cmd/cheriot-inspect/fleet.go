@@ -5,21 +5,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"github.com/cheriot-go/cheriot/internal/fleet"
 	"github.com/cheriot-go/cheriot/internal/fleetobs"
-	"github.com/cheriot-go/cheriot/internal/hw"
 )
 
 // fleetMain implements `cheriot-inspect fleet`: it reads fleet Summary
-// JSON files (as written by cheriot-fleet -json) and renders the
-// observability report — per-shard and per-profile publish→deliver
-// latency, the per-second health series, and the SLO verdict. With
-// -slo, fresh rules are evaluated against the embedded health report,
-// so a recorded run can be re-judged against new objectives without
-// re-simulating. Exits 3 if any rendered verdict fails, matching
-// cheriot-fleet's SLO gate.
+// JSON files (as written by cheriot-fleet -json) and renders each one
+// with fleet.Summary.WriteText, byte for byte what cheriot-fleet printed
+// for the live run. With -slo, fresh rules are evaluated against the
+// embedded health report and replace the recorded verdict, so a recorded
+// run can be re-judged against new objectives without re-simulating.
+// Exits 3 if any rendered verdict fails, matching cheriot-fleet's SLO
+// gate.
 func fleetMain(args []string) {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	sloRules := fs.String("slo", "", "re-evaluate these SLO rules against the embedded health series (e.g. 'p99<=50ms;availability>=0.9@12s')")
@@ -33,14 +31,9 @@ func fleetMain(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-
-	var rules []fleetobs.Rule
-	if *sloRules != "" {
-		var err error
-		rules, err = fleetobs.ParseRules(*sloRules)
-		if err != nil {
-			fatal(err)
-		}
+	rules, err := fleetobs.ParseRules(*sloRules)
+	if err != nil {
+		fatal(err)
 	}
 
 	failed := false
@@ -53,151 +46,24 @@ func fleetMain(args []string) {
 		if err := json.Unmarshal(data, &s); err != nil {
 			fatal(fmt.Errorf("%s: %w", path, err))
 		}
-		if printFleetObs(path, &s, rules, *healthAll) {
+		if len(rules) > 0 {
+			if s.Obs == nil {
+				fatal(fmt.Errorf("%s: no observability report to re-judge (run cheriot-fleet with -obs)", path))
+			}
+			v := fleetobs.Evaluate(rules, s.Obs)
+			s.Obs.SLO = &v
+		}
+		if fs.NArg() > 1 {
+			fmt.Printf("==> %s <==\n", path)
+		}
+		if err := s.WriteText(os.Stdout, *healthAll); err != nil {
+			fatal(err)
+		}
+		if s.Obs != nil && s.Obs.SLO != nil && !s.Obs.SLO.Pass {
 			failed = true
 		}
 	}
 	if failed {
 		os.Exit(3)
-	}
-}
-
-// printFleetObs renders one summary's observability report and returns
-// whether its verdict (embedded or re-evaluated) failed.
-func printFleetObs(path string, s *fleet.Summary, rules []fleetobs.Rule, healthAll bool) bool {
-	mode := "parallel"
-	if s.Lockstep {
-		mode = "lockstep"
-	}
-	fmt.Printf("%s: %d devices, %d cloud shards, %s, seed %d, %.0f sim-seconds\n",
-		path, s.Devices, s.CloudShards, mode, s.Seed, s.SimSeconds)
-	printRollout(s)
-	o := s.Obs
-	if o == nil {
-		fmt.Println("  no observability report (run cheriot-fleet with -obs)")
-		return false
-	}
-	fmt.Printf("  traced publishes %d (sample rate %.3g): delivered %d, lost %d; %d spans (%d dropped), %d link drops\n",
-		o.TracedPublishes, o.SampleRate, o.Delivered, o.Lost, o.SpanCount, o.SpansDropped, o.LinkDrops)
-	fmt.Printf("  publish→deliver p50 %.3f ms  p99 %.3f ms\n", o.E2EP50Ms, o.E2EP99Ms)
-	for _, sh := range o.PerShard {
-		fmt.Printf("    shard %d: ingress %d, forwards %d, delivers %d; %d samples, p50 %.3f ms, p99 %.3f ms\n",
-			sh.Shard, sh.Ingress, sh.Forwards, sh.Delivers, sh.Samples, sh.E2EP50Ms, sh.E2EP99Ms)
-	}
-	for _, pr := range o.PerProfile {
-		fmt.Printf("    profile %-10s %4d samples, p50 %.3f ms, p99 %.3f ms\n",
-			pr.Name, pr.Samples, pr.E2EP50Ms, pr.E2EP99Ms)
-	}
-
-	printHealth(o.Health, healthAll)
-
-	// A -slo on the command line re-judges the recorded health series;
-	// otherwise render the verdict the run itself was gated on.
-	verdict := o.SLO
-	if len(rules) > 0 {
-		v := fleetobs.Evaluate(rules, o)
-		verdict = &v
-		fmt.Println("  slo (re-evaluated):")
-	} else if verdict != nil {
-		fmt.Println("  slo:")
-	}
-	if verdict == nil {
-		return false
-	}
-	for _, rr := range verdict.Rules {
-		mark := "ok  "
-		if !rr.OK {
-			mark = "FAIL"
-		}
-		fmt.Printf("    %s %-28s actual %.4g\n", mark, rr.Rule, rr.Actual)
-	}
-	if verdict.Pass {
-		fmt.Println("    verdict: PASS")
-	} else {
-		fmt.Println("    verdict: FAIL")
-	}
-	return !verdict.Pass
-}
-
-// printRollout renders the staged-OTA rollout block as a timeline:
-// every ring offer, every bake-gate pass with its verdict, and the
-// terminal completion or auto-rollback, in simulated-clock order.
-func printRollout(s *fleet.Summary) {
-	ro := s.Rollout
-	if ro == nil {
-		return
-	}
-	sec := func(c uint64) float64 { return float64(c) / float64(hw.DefaultHz) }
-	state := ro.Terminal
-	if state == "" {
-		state = ro.State + " at horizon"
-	}
-	fmt.Printf("  rollout %s: %s — %d on new firmware, %d on old; %d updated, %d rolled back; crashes %d (threshold %d); offers %d delivered, %d missed\n",
-		ro.NewFirmware, state, ro.OnNew, ro.OnOld, ro.Updated, ro.RolledBack,
-		ro.CohortCrashes, ro.CrashThreshold, ro.OffersDelivered, ro.OffersMissed)
-	type event struct {
-		at   uint64
-		text string
-	}
-	var evs []event
-	for _, r := range ro.Rings {
-		if r.OfferedAtCycle > 0 {
-			evs = append(evs, event{r.OfferedAtCycle,
-				fmt.Sprintf("ring %d (%g%%) offered — updated cohort now %d devices", r.Ring, r.Percent, r.Devices)})
-		}
-		switch {
-		case r.AdvancedAtCycle > 0:
-			text := fmt.Sprintf("ring %d bake gate passed", r.Ring)
-			if r.Verdict != nil && len(r.Verdict.Rules) > 0 {
-				rr := r.Verdict.Rules[0]
-				text += fmt.Sprintf(" (%s, actual %.3g)", rr.Rule, rr.Actual)
-			}
-			evs = append(evs, event{r.AdvancedAtCycle, text})
-		case r.OfferedAtCycle > 0 && r.Verdict != nil && !r.Verdict.Pass:
-			evs = append(evs, event{r.OfferedAtCycle,
-				fmt.Sprintf("ring %d bake gate holding at last checkpoint", r.Ring)})
-		}
-	}
-	if ro.RollbackAtCycle > 0 {
-		evs = append(evs, event{ro.RollbackAtCycle,
-			fmt.Sprintf("AUTO-ROLLBACK: %d cohort crashes exceeded threshold %d — %d devices micro-rebooted to old firmware",
-				ro.CohortCrashes, ro.CrashThreshold, ro.RolledBack)})
-	}
-	if ro.CompleteAtCycle > 0 {
-		evs = append(evs, event{ro.CompleteAtCycle, "rollout complete: whole fleet on new firmware"})
-	}
-	if len(evs) == 0 {
-		return
-	}
-	// Stable by cycle: a gate pass and the next ring's offer share a
-	// checkpoint, and insertion order (pass before offer) is the causal
-	// order.
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-	fmt.Println("  rollout timeline:")
-	for _, e := range evs {
-		fmt.Printf("    %6.1fs  %s\n", sec(e.at), e.text)
-	}
-}
-
-// printHealth renders the per-second series as a table. Unless asked
-// for everything, long runs elide the middle — the edges are where
-// bring-up and shutdown anomalies live.
-func printHealth(health []fleetobs.HealthPoint, all bool) {
-	if len(health) == 0 {
-		return
-	}
-	fmt.Println("  health (per sim-second):")
-	fmt.Println("    sec  avail  pub  dlvd  inflight  p50ms    p99ms    drops  crashes")
-	const edge = 4
-	for i, h := range health {
-		if !all && len(health) > 2*edge+1 && i == edge {
-			fmt.Printf("    ... (%d seconds elided; -health for all)\n", len(health)-2*edge)
-		}
-		if !all && len(health) > 2*edge+1 && i >= edge && i < len(health)-edge {
-			continue
-		}
-		fmt.Printf("    %3d  %5.2f  %3d  %4d  %8d  %7.3f  %7.3f  %5d  %7d\n",
-			h.Second, h.Availability, h.Published, h.Delivered, h.InFlight,
-			h.DeliveryP50Ms, h.DeliveryP99Ms, h.Drops, h.Crashes)
 	}
 }

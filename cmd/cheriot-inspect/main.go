@@ -14,10 +14,11 @@
 //	cheriot-inspect -demo -o uaf.json         # ... and save its dump
 //
 // The fleet mode reads fleet Summary JSON (cheriot-fleet -json) instead
-// of flight-recorder dumps and renders the observability report:
+// of flight-recorder dumps and renders it exactly as cheriot-fleet
+// printed the live run:
 //
-//	cheriot-inspect fleet summary.json            # obs report + health + SLO verdict
-//	cheriot-inspect fleet -health summary.json    # full per-second health table
+//	cheriot-inspect fleet summary.json            # the run's report, SLO verdict included
+//	cheriot-inspect fleet -health summary.json    # ... with the full per-second health table
 //	cheriot-inspect fleet -slo 'p99<=50ms' s.json # re-judge a recorded run
 package main
 
@@ -25,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"github.com/cheriot-go/cheriot/internal/flightrec"
 	"github.com/cheriot-go/cheriot/internal/hw"
@@ -89,7 +89,7 @@ func main() {
 			printTimeline(d, *comp, *op, *last)
 		}
 	case *hist:
-		printHistogram(dumps)
+		flightrec.WriteHistogram(os.Stdout, dumps...)
 	case *chrome != "":
 		if err := writeChrome(*chrome, dumps); err != nil {
 			fatal(err)
@@ -149,42 +149,6 @@ func printTimeline(d *flightrec.Dump, comp, op string, last int) {
 	}
 	for _, ev := range events {
 		fmt.Println(ev)
-	}
-}
-
-// printHistogram aggregates per-compartment op counts across all dumps —
-// the fleet-wide view of where events concentrate.
-func printHistogram(dumps []*flightrec.Dump) {
-	agg := make(map[string]map[string]int)
-	for _, d := range dumps {
-		for comp, ops := range d.Histogram() {
-			m := agg[comp]
-			if m == nil {
-				m = make(map[string]int)
-				agg[comp] = m
-			}
-			for op, n := range ops {
-				m[op] += n
-			}
-		}
-	}
-	comps := make([]string, 0, len(agg))
-	for c := range agg {
-		comps = append(comps, c)
-	}
-	sort.Strings(comps)
-	for _, c := range comps {
-		total := 0
-		ops := make([]string, 0, len(agg[c]))
-		for op, n := range agg[c] {
-			ops = append(ops, op)
-			total += n
-		}
-		sort.Strings(ops)
-		fmt.Printf("%-14s %6d events\n", c, total)
-		for _, op := range ops {
-			fmt.Printf("  %-14s %6d\n", op, agg[c][op])
-		}
 	}
 }
 

@@ -520,6 +520,20 @@ func (d *Device) crashTotal() uint64 {
 	return n
 }
 
+// CrashDumps returns the flight-recorder dump of each of the device's
+// incarnations that raised a crash report, boot image first. A firmware
+// swap retires an incarnation, not its recorder, so a crash the swap
+// outlived is still here.
+func (d *Device) CrashDumps() []flightrec.Dump {
+	var dumps []flightrec.Dump
+	for _, r := range d.recs {
+		if r.ReportsTotal() > 0 {
+			dumps = append(dumps, r.Snapshot(hw.DefaultHz))
+		}
+	}
+	return dumps
+}
+
 // fleetAppImports is the app compartment's import set: DNS, SNTP, MQTT,
 // the scheduler, and network bring-up — and nothing else, which is what
 // the fleet audit policy pins down. The quota-exhaustion storm adds the

@@ -334,30 +334,64 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects settings no device can run: a drop rate outside
-// [0,1), a publish rate, profile rate or trace sampling probability that
-// is NaN or infinite, and a negative arrival spread, which would start no
-// device's app. Run calls it before withDefaults, which would otherwise
-// turn a -Inf rate into the default.
-func (c Config) validate() error {
+// Check returns every reason no fleet can run c, joined with
+// errors.Join, or nil. It rejects a drop rate outside [0,1); a publish
+// rate, profile rate or trace sampling probability that is NaN or
+// infinite; a negative arrival spread, which would start no device's app;
+// more devices than the address pool; a failover with fewer than two
+// broker shards; SLO rules that do not parse or run without Obs; and a
+// rollout that cannot run: with NoSnapshot, over jsvm profiles, or with a
+// plan ota rejects. Run calls it before anything boots, and before
+// withDefaults, which would turn a -Inf rate into the default.
+func (c Config) Check() error {
+	var errs []error
+	bad := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf("fleet: "+format, args...))
+	}
+	if c.Devices > maxDevices {
+		bad("%d devices exceeds the %d address pool", c.Devices, maxDevices)
+	}
 	if c.ArrivalSpread < 0 {
-		return fmt.Errorf("fleet: arrival spread %v is negative", c.ArrivalSpread)
+		bad("arrival spread %v is negative", c.ArrivalSpread)
 	}
 	if !(c.DropRate >= 0 && c.DropRate < 1) {
-		return fmt.Errorf("fleet: drop rate %v is outside [0,1)", c.DropRate)
+		bad("drop rate %v is outside [0,1)", c.DropRate)
 	}
 	if math.IsNaN(c.PublishRate) || math.IsInf(c.PublishRate, 0) {
-		return fmt.Errorf("fleet: publish rate %v is not finite", c.PublishRate)
+		bad("publish rate %v is not finite", c.PublishRate)
 	}
 	if math.IsNaN(c.ObsSample) || math.IsInf(c.ObsSample, 0) {
-		return fmt.Errorf("fleet: obs sample %v is not finite", c.ObsSample)
+		bad("obs sample %v is not finite", c.ObsSample)
 	}
 	for _, p := range c.Profiles {
 		if math.IsNaN(p.PublishRate) || math.IsInf(p.PublishRate, 0) {
-			return fmt.Errorf("fleet: profile %q rate %v is not finite", p.Name, p.PublishRate)
+			bad("profile %q rate %v is not finite", p.Name, p.PublishRate)
 		}
 	}
-	return nil
+	// Judged as withDefaults clamps the shard count to the fleet size:
+	// one device cannot keep two shards.
+	if shards := min(max(c.CloudShards, 1), max(c.Devices, 1)); c.FailoverAt > 0 && shards < 2 {
+		bad("failover fails one of several broker shards, but the fleet has %d", shards)
+	}
+	if rules, err := fleetobs.ParseRules(c.SLO); err != nil {
+		errs = append(errs, err)
+	} else if len(rules) > 0 && !c.Obs {
+		bad("SLO rules require Obs (tracing feeds the health series)")
+	}
+	if c.Rollout != nil {
+		if c.NoSnapshot {
+			bad("the OTA rollout micro-reboots devices into forked snapshot templates; it cannot run with NoSnapshot")
+		}
+		for _, p := range c.Profiles {
+			if p.Firmware == FirmwareJS {
+				bad("the OTA rollout updates the %s firmware only; profile %q runs %s", FirmwareGo, p.Name, FirmwareJS)
+			}
+		}
+		if _, err := ota.NewController(*c.Rollout, max(c.Devices, 1), hw.DefaultHz); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // profileFor resolves device i's profile by seeded weighted choice (its
@@ -625,10 +659,6 @@ type Result struct {
 	// Spans is the merged, deterministically sorted span list (empty
 	// unless Config.Obs); export it with fleetobs.WriteChromeTrace.
 	Spans []fleetobs.Span
-	// MaxInboxDepth is the deepest World inbox seen at pump time across
-	// the fleet. It depends on host scheduling (worker count, timing),
-	// which is why it lives here and not in the Summary.
-	MaxInboxDepth int
 	// HostProf is the host-side wall-clock phase split — boot, step,
 	// pump, merge — per worker (nil unless Config.HostProf). Like the
 	// wall timings above it is host-dependent, so it stays out of the
@@ -638,24 +668,13 @@ type Result struct {
 
 // Run builds and runs a fleet per cfg.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Devices > maxDevices {
-		return nil, fmt.Errorf("fleet: %d devices exceeds the %d address pool", cfg.Devices, maxDevices)
-	}
-	if cfg.FailoverAt > 0 && cfg.CloudShards < 2 {
-		// Judged after the defaults clamp the shard count to the fleet
-		// size: one device cannot keep two shards.
-		return nil, fmt.Errorf("fleet: failover fails one of several broker shards, but the fleet has %d", cfg.CloudShards)
-	}
 	sloRules, err := fleetobs.ParseRules(cfg.SLO)
 	if err != nil {
 		return nil, err
-	}
-	if len(sloRules) > 0 && !cfg.Obs {
-		return nil, errors.New("fleet: SLO rules require Obs (tracing feeds the health series)")
 	}
 	// Pre-launch audit gate: every device is stamped from one firmware
 	// shape, so one policy check covers the fleet. A violation refuses
@@ -823,11 +842,6 @@ func Run(cfg Config) (*Result, error) {
 	hp.Add("merge", time.Since(mergeStart), 1)
 	hp.Finish()
 	res.HostProf = hp
-	for _, d := range devices {
-		if depth := d.Obs.MaxInboxDepth(); depth > res.MaxInboxDepth {
-			res.MaxInboxDepth = depth
-		}
-	}
 	return res, nil
 }
 

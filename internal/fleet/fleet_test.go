@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/cheriot-go/cheriot/internal/ota"
 )
 
 // testConfig is small enough to run in CI but long enough (the TLS
@@ -205,5 +207,41 @@ func TestRunRejectsBadFloats(t *testing.T) {
 				t.Errorf("Run error %q, want it to name %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsEveryViolationBeforeBoot: Run checks the whole Config
+// before anything boots, and one error names every violation, so a
+// config breaking several rules is fixed in one edit. A rejected rollout
+// costs tens of allocations, not the audit gate's cold boot of every
+// firmware shape.
+func TestRunRejectsEveryViolationBeforeBoot(t *testing.T) {
+	cfg := testConfig()
+	cfg.ArrivalSpread = -time.Millisecond
+	cfg.FailoverAt = 15 * time.Second
+	cfg.SLO = "delivery>=0.9"
+	cfg.NoSnapshot = true
+	cfg.Profiles = []Profile{{Name: "a"}, {Name: "b", Firmware: FirmwareJS}}
+	cfg.Rollout = &ota.Plan{StartAt: 14 * time.Second, Rings: []float64{50, 10}}
+	_, err := Run(cfg)
+	if err == nil {
+		t.Fatal("Run accepted a config breaking every rule")
+	}
+	for _, want := range []string{"arrival spread", "failover", "require Obs",
+		"NoSnapshot", `profile "b" runs jsvm`, "rings must be strictly ascending"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Run error %q does not name %q", err, want)
+		}
+	}
+
+	rejected := rolloutConfig(false, 20*time.Second)
+	rejected.NoSnapshot = true
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Run(rejected); err == nil {
+			t.Fatal("rollout with NoSnapshot accepted")
+		}
+	})
+	if allocs >= 100 {
+		t.Errorf("rejecting a rollout with NoSnapshot took %.0f allocations, want tens", allocs)
 	}
 }

@@ -93,7 +93,7 @@ func TestRunLeavesCallerProfiles(t *testing.T) {
 // FuzzParseProfiles feeds the -profiles grammar arbitrary specs. The
 // parser must never panic; every profile it accepts has a unique,
 // non-empty, trimmed name and a known firmware; and the accepted
-// profiles pass through Run's validation, defaults and per-device
+// profiles pass through Config.Check, defaults and per-device
 // assignment without panicking. The seed corpus is under
 // testdata/fuzz/FuzzParseProfiles.
 func FuzzParseProfiles(f *testing.F) {
@@ -113,7 +113,7 @@ func FuzzParseProfiles(f *testing.F) {
 			}
 		}
 		cfg := Config{Devices: 4, Profiles: ps}
-		if cfg.validate() != nil {
+		if cfg.Check() != nil {
 			return
 		}
 		cfg = cfg.withDefaults()

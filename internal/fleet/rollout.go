@@ -36,20 +36,9 @@ type rolloutRuntime struct {
 	offersMissed    int
 }
 
-// newRolloutRuntime validates the plan against the fleet and derives
-// the deterministic rollout schedule.
+// newRolloutRuntime derives the deterministic rollout schedule of a
+// fleet whose Config passed Check.
 func newRolloutRuntime(cfg *Config, pl *cloud.Plane, schedule []cloud.Event) (*rolloutRuntime, error) {
-	if cfg.snapCache == nil {
-		return nil, fmt.Errorf("fleet: the OTA rollout micro-reboots devices into forked snapshot templates; it cannot run with NoSnapshot")
-	}
-	for _, fw := range firmwareShapes(*cfg) {
-		if fw == FirmwareGo+otaAliasSuffix {
-			continue // the update's own shape, appended by firmwareShapes
-		}
-		if fw != FirmwareGo {
-			return nil, fmt.Errorf("fleet: the OTA rollout updates the %s firmware only; profile firmware %q cannot take it", FirmwareGo, fw)
-		}
-	}
 	ctrl, err := ota.NewController(*cfg.Rollout, cfg.Devices, hw.DefaultHz)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -274,6 +275,14 @@ func TestRolloutSwapCarriesFaults(t *testing.T) {
 		if len(reps) != 1 || reps[0].Compartment != "tcpip" || !reps[0].Reboot {
 			t.Fatalf("device %d: %d crash reports %+v, want one micro-rebooted tcpip fault",
 				d.Index, len(reps), reps)
+		}
+		// The crash is in the incarnation the rollback retired, so the
+		// running recorder holds none; the dump the fleet hands out for
+		// -dump-dir must still carry it.
+		dumps := d.CrashDumps()
+		if d.Rec.ReportsTotal() != 0 || len(dumps) != 1 || !reflect.DeepEqual(dumps[0].Reports, reps) {
+			t.Fatalf("device %d: running recorder holds %d reports, %d dumps handed out; want 0 and one dump holding %+v",
+				d.Index, d.Rec.ReportsTotal(), len(dumps), reps)
 		}
 	}
 	if s.Partition == nil || s.Partition.Devices == 0 || s.SkewedDevices == 0 || s.FramesDropped == 0 {

@@ -7,10 +7,10 @@
 package fleetcli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -39,8 +39,9 @@ func Default() fleet.Config {
 // with cfg's current values as defaults; -profiles and the -rollout
 // flags start empty. Call the returned finish after parsing: it parses
 // the -profiles and -rollout-rings specs into Profiles and the rollout
-// plan, lets -slo imply -obs, and rejects contradictory flags with ONE
-// error naming each, so a long invocation is fixed in one edit, not one
+// plan, lets -slo imply -obs, and joins its own errors (a bad spec, a
+// -rollout-* flag without -rollout) with cfg.Check's into ONE error
+// naming each, so a long invocation is fixed in one edit, not one
 // rejection at a time.
 func Register(fs *flag.FlagSet, cfg *fleet.Config) (finish func() error) {
 	fs.IntVar(&cfg.Devices, "devices", cfg.Devices, "fleet size")
@@ -90,42 +91,26 @@ func Register(fs *flag.FlagSet, cfg *fleet.Config) (finish func() error) {
 	fs.BoolVar(&plan.Poisoned, "rollout-poison", false, "ship a deliberately crashy update image (exercises auto-rollback)")
 
 	return func() error {
+		var errs []error
 		ps, err := fleet.ParseProfiles(profiles)
 		if err != nil {
-			return fmt.Errorf("profiles: %w", err)
+			errs = append(errs, fmt.Errorf("-profiles: %w", err))
 		}
 		cfg.Profiles = ps
 		cfg.Obs = cfg.Obs || cfg.SLO != ""
-		var bad []string
-		if cfg.FailoverAt > 0 && cfg.CloudShards < 2 {
-			bad = append(bad, fmt.Sprintf("-failover fails one of several broker shards, but -shards is %d", cfg.CloudShards))
-		}
 		if plan.StartAt > 0 {
-			if cfg.NoSnapshot {
-				bad = append(bad, "-no-snapshot disables the snapshot templates the -rollout firmware swaps fork from")
-			}
-			for _, p := range ps {
-				if p.Firmware == fleet.FirmwareJS {
-					bad = append(bad, fmt.Sprintf("-rollout updates the %s firmware only, but -profiles deploys %s devices", fleet.FirmwareGo, fleet.FirmwareJS))
-					break
-				}
-			}
 			if plan.Rings, err = parseRings(rings); err != nil {
-				bad = append(bad, "-rollout-rings: "+err.Error())
+				errs = append(errs, fmt.Errorf("-rollout-rings: %w", err))
 			}
 			cfg.Rollout = &plan
 		} else {
 			fs.Visit(func(f *flag.Flag) {
 				if strings.HasPrefix(f.Name, "rollout-") {
-					bad = append(bad, "-"+f.Name+" without -rollout")
+					errs = append(errs, fmt.Errorf("-%s without -rollout", f.Name))
 				}
 			})
 		}
-		if len(bad) > 0 {
-			sort.Strings(bad)
-			return fmt.Errorf("contradictory flags: %s", strings.Join(bad, "; "))
-		}
-		return nil
+		return errors.Join(append(errs, cfg.Check())...)
 	}
 }
 

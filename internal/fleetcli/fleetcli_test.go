@@ -59,8 +59,8 @@ func TestParseArgsErrors(t *testing.T) {
 }
 
 // TestRolloutFlags covers the -rollout flag family: a full plan builds,
-// and every contradictory combination is reported in ONE aggregated
-// error naming each bad flag.
+// and every bad flag, with every violation of the config it builds, is
+// reported in ONE aggregated error naming each.
 func TestRolloutFlags(t *testing.T) {
 	cfg, err := ParseArgs([]string{
 		"-rollout", "14s", "-rollout-rings", "1, 10,50,100",
@@ -83,17 +83,17 @@ func TestRolloutFlags(t *testing.T) {
 		t.Errorf("rings = %v", p.Rings)
 	}
 
-	// Every contradiction in one pass: -no-snapshot against the rollout,
-	// a jsvm profile, -failover on a single shard, and a bad ring.
+	// A bad ring spec and the config's own violations in one error: the
+	// config's are fleet.Config.Check's, which
+	// TestRunRejectsEveryViolationBeforeBoot pins.
 	_, err = ParseArgs([]string{
 		"-rollout", "14s", "-rollout-rings", "ten,100",
 		"-no-snapshot", "-failover", "15s",
-		"-profiles", "a:1;b:1:fw=jsvm",
 	})
 	if err == nil {
 		t.Fatal("contradictory rollout invocation accepted")
 	}
-	for _, want := range []string{"contradictory flags", "-no-snapshot", "-failover", "jsvm", "-rollout-rings"} {
+	for _, want := range []string{"-rollout-rings", "NoSnapshot", "failover"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("aggregated error %q missing %q", err, want)
 		}

@@ -78,8 +78,7 @@ func TestNilTracerMethodsAreNoOps(t *testing.T) {
 	tr.MQTTForward(1, 0, 1, 5)
 	tr.MQTTDeliver(1, 0, 0, 6)
 	tr.LinkDropped(7)
-	tr.InboxPumped(8)
-	if tr.Spans() != nil || tr.Dropped() != 0 || tr.LinkDrops() != nil || tr.MaxInboxDepth() != 0 {
+	if tr.Spans() != nil || tr.Dropped() != 0 || tr.LinkDrops() != nil {
 		t.Error("nil tracer leaked state")
 	}
 }
@@ -101,11 +100,6 @@ func TestTracerPerSecondBuckets(t *testing.T) {
 	tr.LinkDropped(260)
 	if got := tr.LinkDrops(); !reflect.DeepEqual(got, []uint32{1, 0, 2}) {
 		t.Errorf("link drops = %v", got)
-	}
-	tr.InboxPumped(3)
-	tr.InboxPumped(1)
-	if tr.MaxInboxDepth() != 3 {
-		t.Errorf("max inbox = %d", tr.MaxInboxDepth())
 	}
 }
 

@@ -150,9 +150,6 @@ type Tracer struct {
 	// linkDrops[t] counts link-level frame drops during simulated second
 	// t on this device's World (both directions).
 	linkDrops []uint32
-	// pumpMax is the deepest inbox observed at pump time. It depends on
-	// host scheduling, so it is surfaced through Result, never Summary.
-	pumpMax int
 }
 
 // NewTracer builds a tracer per cfg.
@@ -269,18 +266,6 @@ func (t *Tracer) LinkDropped(now uint64) {
 	t.linkDrops[sec]++
 }
 
-// InboxPumped implements netsim's observer hook: the device pumped n
-// queued frames. Host-scheduling dependent; kept out of the
-// deterministic surface.
-func (t *Tracer) InboxPumped(n int) {
-	if t == nil {
-		return
-	}
-	if n > t.pumpMax {
-		t.pumpMax = n
-	}
-}
-
 // Spans returns the recorded spans (the tracer's own buffer; read only
 // after the device stopped).
 func (t *Tracer) Spans() []Span {
@@ -306,15 +291,6 @@ func (t *Tracer) LinkDrops() []uint32 {
 		return nil
 	}
 	return t.linkDrops
-}
-
-// MaxInboxDepth returns the deepest inbox pump observed
-// (host-scheduling dependent).
-func (t *Tracer) MaxInboxDepth() int {
-	if t == nil {
-		return 0
-	}
-	return t.pumpMax
 }
 
 // SortSpans orders spans deterministically: by trace, then hop order,

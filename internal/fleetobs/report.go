@@ -50,8 +50,7 @@ type HealthPoint struct {
 	Delivered uint64 `json:"delivered"`
 	// InFlight is the deterministic queue-depth proxy: traced messages
 	// published by the end of this second whose broker ingress had not
-	// happened yet (host-side inbox depths are scheduling-dependent and
-	// live in Result, not here).
+	// happened yet.
 	InFlight uint64 `json:"in_flight"`
 	// Delivery latency percentiles for publishes started this second.
 	DeliveryP50Ms float64 `json:"delivery_p50_ms"`

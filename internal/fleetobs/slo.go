@@ -2,6 +2,7 @@ package fleetobs
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -112,6 +113,18 @@ type RuleResult struct {
 type Verdict struct {
 	Pass  bool         `json:"pass"`
 	Rules []RuleResult `json:"rules"`
+}
+
+// WriteRules writes one line per evaluated rule, each after prefix:
+// "ok  " or "FAIL", the rule, and the value the run measured.
+func (v *Verdict) WriteRules(w io.Writer, prefix string) {
+	for _, rr := range v.Rules {
+		mark := "ok  "
+		if !rr.OK {
+			mark = "FAIL"
+		}
+		fmt.Fprintf(w, "%s%s %-28s actual %g\n", prefix, mark, rr.Rule, rr.Actual)
+	}
 }
 
 // Evaluate checks every rule against the report. With no rules the

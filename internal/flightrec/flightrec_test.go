@@ -84,7 +84,7 @@ func TestOpStrings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kind %s: %v", s, err)
 		}
-		if n := back.Histogram()["c"][s]; n != 1 {
+		if n := histogram(back)["c"][s]; n != 1 {
 			t.Errorf("kind %s: dump histogram counts %d, want 1", s, n)
 		}
 	}
@@ -320,12 +320,15 @@ func TestDumpRoundTrip(t *testing.T) {
 	if len(back.Events) != len(d.Events) || back.Events[len(d.Events)-1] != d.Events[len(d.Events)-1] {
 		t.Errorf("round trip lost events: %v != %v", back.Events, d.Events)
 	}
-	hist := back.Histogram()
+	hist := histogram(back)
 	if hist["alloc"]["call"] != 1 && hist["app"]["call"] != 1 {
 		t.Errorf("histogram missing call event: %v", hist)
 	}
+	if two := histogram(back, &d); two["alloc"]["call"] != 2*hist["alloc"]["call"] {
+		t.Errorf("two dumps' histogram %v does not sum %v twice", two, hist)
+	}
 	var hb bytes.Buffer
-	back.WriteHistogram(&hb)
+	WriteHistogram(&hb, back)
 	if !strings.Contains(hb.String(), "events") {
 		t.Error("WriteHistogram produced nothing")
 	}

@@ -187,28 +187,32 @@ func ReadDump(rd io.Reader) (*Dump, error) {
 	return &d, nil
 }
 
-// Histogram counts events per (compartment, kind). Compartment "" groups
-// under "(kernel)".
-func (d *Dump) Histogram() map[string]map[string]int {
+// histogram counts the dumps' events per (compartment, kind), summed
+// over every dump. Compartment "" groups under "(kernel)".
+func histogram(dumps ...*Dump) map[string]map[string]int {
 	out := make(map[string]map[string]int)
-	for _, ev := range d.Events {
-		comp := ev.To
-		if comp == "" {
-			comp = "(kernel)"
+	for _, d := range dumps {
+		for _, ev := range d.Events {
+			comp := ev.To
+			if comp == "" {
+				comp = "(kernel)"
+			}
+			m := out[comp]
+			if m == nil {
+				m = make(map[string]int)
+				out[comp] = m
+			}
+			m[ev.Kind.String()]++
 		}
-		m := out[comp]
-		if m == nil {
-			m = make(map[string]int)
-			out[comp] = m
-		}
-		m[ev.Kind.String()]++
 	}
 	return out
 }
 
-// WriteHistogram renders the per-compartment event histogram.
-func (d *Dump) WriteHistogram(w io.Writer) {
-	hist := d.Histogram()
+// WriteHistogram renders the per-compartment event histogram of the
+// dumps, aggregated over all of them: the fleet-wide view of where
+// events concentrate.
+func WriteHistogram(w io.Writer, dumps ...*Dump) {
+	hist := histogram(dumps...)
 	comps := make([]string, 0, len(hist))
 	for c := range hist {
 		comps = append(comps, c)

@@ -93,9 +93,9 @@ type World struct {
 	ntpSkewMillis int64
 
 	// obs, when set, receives observability callbacks. Like faults it is
-	// only invoked from the owning goroutine: drops and pumps happen
-	// there by construction, and broker hooks fire during dispatch of
-	// this device's own frames (see Broker).
+	// only invoked from the owning goroutine: drops happen there by
+	// construction, and broker hooks fire during dispatch of this
+	// device's own frames (see Broker).
 	obs Observer
 }
 
@@ -115,8 +115,6 @@ type Observer interface {
 	MQTTDeliver(trace uint64, shard int, targetIP uint32, now uint64)
 	// LinkDropped fires when the link drops a frame in either direction.
 	LinkDropped(now uint64)
-	// InboxPumped fires after PumpInbox moved n > 0 queued frames.
-	InboxPumped(n int)
 }
 
 // Host is a remote endpoint; it receives frames addressed to its IP and
@@ -380,9 +378,6 @@ func (w *World) PumpInbox() int {
 		frames[i] = nil
 	}
 	w.pumped = frames
-	if w.obs != nil && len(frames) > 0 {
-		w.obs.InboxPumped(len(frames))
-	}
 	return len(frames)
 }
 

@@ -212,13 +212,7 @@ func (r *SuiteReport) WriteText(w io.Writer) {
 			}
 			fmt.Fprintln(w)
 			if sv.SLO != nil {
-				for _, rr := range sv.SLO.Rules {
-					m := "ok  "
-					if !rr.OK {
-						m = "FAIL"
-					}
-					fmt.Fprintf(w, "        slo %s %-28s actual %g\n", m, rr.Rule, rr.Actual)
-				}
+				sv.SLO.WriteRules(w, "        slo ")
 			}
 			for _, fr := range sv.Fixtures {
 				m := "ok  "

@@ -65,6 +65,13 @@ echo "== fuzz: wire codecs (10 s) =="
 go test -run '^$' -fuzz '^FuzzWireCodecs$' -fuzztime 10s -fuzzminimizetime 0 ./internal/netproto/
 echo "ok"
 
+echo "== fuzz: frame storms against the IoT deployment (10 s) =="
+# Each input is a storm of frames injected into a booted case-study
+# device: no panic, and no crash report may name the application
+# compartment, whatever the frames.
+go test -run '^$' -fuzz '^FuzzFrameStorm$' -fuzztime 10s -fuzzminimizetime 0 ./internal/iotapp/
+echo "ok"
+
 echo "== kernel loop on thread coroutines (race, 10 runs) =="
 # A yielding thread runs the kernel loop on its own coroutine and hands
 # the core back to Run's loop, which resumes the next thread; repeat the
@@ -149,12 +156,15 @@ echo "== traced fleet + SLO gate (race) =="
 obsdir=$(mktemp -d)
 # The SLO gate makes this a real check: any delivery loss, crash, or
 # latency regression in the traced pipeline fails the run (exit 3).
-go run -race ./cmd/cheriot-fleet -devices 8 -shards 2 -duration 14s \
-	-fanout 2s -publish-rate 2 -seed 7 -obs -obs-trace "$obsdir/trace.json" \
-	-obs-health "$obsdir/health.json" -json \
-	-slo 'delivery>=0.99;crashes<=0;p99<=50ms;availability>=0.9@12s' \
-	>"$obsdir/summary.json"
-go run ./cmd/cheriot-inspect fleet "$obsdir/summary.json" >/dev/null
+set -- -devices 8 -shards 2 -duration 14s -fanout 2s -publish-rate 2 -seed 7 -obs \
+	-slo 'delivery>=0.99;crashes<=0;p99<=50ms;availability>=0.9@12s'
+go run -race ./cmd/cheriot-fleet "$@" -obs-trace "$obsdir/trace.json" \
+	-obs-health "$obsdir/health.json" -json >"$obsdir/summary.json"
+# A recorded run reads exactly like the live one: cheriot-inspect renders
+# the run's JSON Summary byte for byte as cheriot-fleet printed it.
+go run ./cmd/cheriot-fleet "$@" >"$obsdir/live.txt" 2>/dev/null
+go run ./cmd/cheriot-inspect fleet "$obsdir/summary.json" >"$obsdir/recorded.txt"
+cmp "$obsdir/live.txt" "$obsdir/recorded.txt"
 rm -rf "$obsdir"
 echo "ok"
 
