@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 
@@ -69,11 +68,11 @@ func main() {
 		errs = append(errs, errors.New("-prof-out needs -prof"))
 	}
 	if err := errors.Join(errs...); err != nil {
-		log.Fatalf("fleet: %v", err)
+		fail(err)
 	}
 	res, err := fleet.Run(cfg)
 	if err != nil {
-		log.Fatalf("fleet: %v", err)
+		fail(err)
 	}
 	s := res.Summary
 
@@ -87,7 +86,7 @@ func main() {
 	if hp := res.HostProf; hp != nil {
 		fmt.Fprintf(os.Stderr, "host phases (%d workers):\n", hp.Workers)
 		if err := hp.WriteTable(os.Stderr); err != nil {
-			log.Fatalf("fleet: %v", err)
+			fail(err)
 		}
 	}
 
@@ -98,7 +97,7 @@ func main() {
 	}
 	if *dumpDir != "" {
 		if err := os.MkdirAll(*dumpDir, 0o755); err != nil {
-			log.Fatalf("fleet: %v", err)
+			fail(err)
 		}
 		written := 0
 		for _, d := range res.Devices {
@@ -131,13 +130,20 @@ func main() {
 		}
 	}
 	if err != nil {
-		log.Fatalf("fleet: %v", err)
+		fail(err)
 	}
 	// The SLO gate runs regardless of output format; the exit code is the
 	// machine-readable verdict.
 	if s.Obs != nil && s.Obs.SLO != nil && !s.Obs.SLO.Pass {
 		os.Exit(3)
 	}
+}
+
+// fail prints err as it is, each joined error on its own line, and
+// exits 1. Config and run errors already say where they come from.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }
 
 // writeFile creates path and fills it with write, exiting on failure.
@@ -150,7 +156,7 @@ func writeFile(path string, write func(io.Writer) error) {
 		}
 	}
 	if err != nil {
-		log.Fatalf("fleet: %v", err)
+		fail(err)
 	}
 }
 

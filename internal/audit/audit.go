@@ -64,20 +64,10 @@ func (r *Result) String() string {
 // import, an MMIO grant, or a quota shows up in the report and trips the
 // corresponding rule.
 func (p *Policy) Check(report *firmware.Report) *Result {
-	e := &evaluator{r: report}
-	res := &Result{}
+	res := &Result{Rules: make([]RuleResult, 0, len(p.Rules))}
 	for _, rule := range p.Rules {
-		v, err := e.eval(rule.body)
-		rr := RuleResult{Rule: rule.Name}
-		switch {
-		case err != nil:
-			rr.Err = err
-		case v.Kind != KindBool:
-			rr.Err = fmt.Errorf("rule evaluates to %s, not a boolean", v)
-		default:
-			rr.Passed = v.Bool
-		}
-		res.Rules = append(res.Rules, rr)
+		v, err := rule.body.eval(report)
+		res.Rules = append(res.Rules, RuleResult{Rule: rule.Name, Passed: err == nil && v.(bool), Err: err})
 	}
 	return res
 }

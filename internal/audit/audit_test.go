@@ -1,6 +1,7 @@
 package audit_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -156,19 +157,37 @@ func TestPostureAudit(t *testing.T) {
 	}
 }
 
+// TestPolicyParseErrors: a malformed or ill-typed policy must be
+// refused, either when it is parsed or by a rule that fails with an
+// error; it never passes.
 func TestPolicyParseErrors(t *testing.T) {
 	cases := []string{
-		``,                                // no rules
-		`rule x { `,                       // unterminated
-		`rule x { true } rule x { true }`, // duplicate rule name
-		`rule x { foo }`,                  // bare identifier
-		`rule x { unknown_fn() }`,         // parses, fails at eval
-		`rule x { 1 + }`,                  // bad expression
-		`rule x { "unterminated }`,        // bad string
-		`rule x { count(1) == 1 }`,        // type error at eval
-		`rule x { 5 }`,                    // non-boolean rule
-		`rule x { 1 == "one" }`,           // cross-type comparison
-		`rule x { true && 3 == (} }`,      // garbage
+		``,                                       // no rules
+		`rule x { `,                              // unterminated
+		`rule x { true } rule x { true }`,        // duplicate rule name
+		`rule x { foo }`,                         // bare identifier
+		`rule x { unknown_fn() }`,                // unknown function
+		`rule x { 1 + }`,                         // bad expression
+		`rule x { "unterminated }`,               // bad string
+		`rule x { count(1) == 1 }`,               // argument of the wrong kind
+		`rule x { 5 }`,                           // non-boolean rule
+		`rule x { 1 == "one" }`,                  // cross-type comparison
+		`rule x { true && 3 == (} }`,             // garbage
+		`rule x { 1 < 2 < 3 }`,                   // comparisons do not chain
+		`rule x { 1 == 1 == true }`,              // ...not even when the kinds fit
+		`rule x { count(compartments(),) == 0 }`, // trailing comma
+		// Unknown names are refused even where evaluation would not
+		// reach them.
+		`rule r { true || bogus_builtin() }`,
+		// Extra arguments are not dropped.
+		`rule r { compartments_calling("a", 7) == compartments_calling("a") }`,
+		`rule r { heap_size(1, 2, 3) > 0 }`,
+		// Arguments need a comma between them.
+		`rule r { count(compartments_calling_entry("NetAPI" "network_socket_connect_tcp")) == 1 }`,
+		// Integer arithmetic does not wrap.
+		`rule r { 9223372036854775807 + 1 < 0 }`,
+		`rule r { 0 - 9223372036854775807 - 2 < 0 }`,
+		`rule r { 4611686018427387904 * 2 < 0 }`,
 	}
 	rep := report(t, httpClientImage())
 	for _, src := range cases {
@@ -177,10 +196,45 @@ func TestPolicyParseErrors(t *testing.T) {
 			continue // parse-time rejection is fine
 		}
 		res := pol.Check(rep)
-		if res.Passed() {
-			t.Errorf("policy %q passed; want parse error or failed rule", src)
+		if res.Passed() || res.Rules[0].Err == nil {
+			t.Errorf("policy %q: %v; want a parse error or a rule failing with an error", src, res.Rules[0])
 		}
 	}
+}
+
+// FuzzPolicy checks arbitrary policies against arbitrary reports:
+// ParsePolicy, ParseReport and Check never panic, checking a policy
+// twice gives the same Result, and no rule both passes and carries an
+// error. A report that does not parse is replaced by the Fig. 4
+// firmware's, so every policy that parses is checked. The seed corpus,
+// testdata/fuzz/FuzzPolicy, pairs the cheriot-audit -demo report with
+// both shipped policies, the Fig. 4 and supply-chain policies, and five
+// malformed policies: an unknown name behind ||, extra arguments, a
+// missing comma, int64 overflow and a nullary builtin given arguments.
+func FuzzPolicy(f *testing.F) {
+	fallback, err := firmware.BuildReport(httpClientImage())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src string, reportJSON []byte) {
+		rep, err := firmware.ParseReport(reportJSON)
+		if err != nil {
+			rep = fallback
+		}
+		pol, err := audit.ParsePolicy(src)
+		if err != nil {
+			return
+		}
+		res := pol.Check(rep)
+		if again := pol.Check(rep); !reflect.DeepEqual(res, again) {
+			t.Fatalf("two checks of %q differ:\n%s\n%s", src, res, again)
+		}
+		for _, rr := range res.Rules {
+			if rr.Passed && rr.Err != nil {
+				t.Fatalf("rule %s passed with error %v", rr.Rule, rr.Err)
+			}
+		}
+	})
 }
 
 func TestOperatorPrecedenceAndArity(t *testing.T) {
@@ -194,6 +248,8 @@ func TestOperatorPrecedenceAndArity(t *testing.T) {
 		rule parens           { (2 + 3) * 4 == 20 }
 		rule negation         { !(1 == 2) }
 		rule subtraction      { 10 - 3 - 2 == 5 }
+		rule min_int          { 0 - 9223372036854775807 - 1 < 0 }
+		rule negative_product { (0 - 1) * (0 - 9223372036854775807) == 9223372036854775807 }
 	`, rep)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +258,8 @@ func TestOperatorPrecedenceAndArity(t *testing.T) {
 		t.Fatalf("precedence rules failed:\n%s", res)
 	}
 
-	// Wrong arity or types fail at evaluation, not silently.
+	// Wrong arity or kinds fail to parse; a compartment the report
+	// lacks fails the rule with an error.
 	for _, src := range []string{
 		`rule x { count() == 0 }`,
 		`rule x { count("not-a-set") == 0 }`,

@@ -1,295 +1,152 @@
 package audit
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"github.com/cheriot-go/cheriot/internal/firmware"
 )
 
-// Value is a policy-expression value: int64, bool, string, or a set of
-// strings (compartment/entry names).
-type Value struct {
-	Int  int64
-	Bool bool
-	Str  string
-	Set  []string
-	Kind ValueKind
-}
+// kind is the static type of a policy expression. When evaluated, an
+// int is an int64, a bool a bool, a string a string, and a set a
+// sorted, duplicate-free []string of names.
+type kind int8
 
-// ValueKind discriminates Value.
-type ValueKind int8
-
-// Value kinds.
 const (
-	KindInt ValueKind = iota
-	KindBool
-	KindString
-	KindSet
+	kindInt kind = iota
+	kindBool
+	kindString
+	kindSet
+	// kindAny appears only in signatures: the argument may have any
+	// kind, but it must have the first argument's.
+	kindAny
 )
 
-func vInt(i int64) Value  { return Value{Kind: KindInt, Int: i} }
-func vBool(b bool) Value  { return Value{Kind: KindBool, Bool: b} }
-func vStr(s string) Value { return Value{Kind: KindString, Str: s} }
-func vSet(s []string) Value {
-	sort.Strings(s)
-	dedup := s[:0]
-	for i, x := range s {
-		if i == 0 || s[i-1] != x {
-			dedup = append(dedup, x)
-		}
-	}
-	return Value{Kind: KindSet, Set: dedup}
+func (k kind) String() string { return [...]string{"int", "bool", "string", "set", "T"}[k] }
+
+// fn is one entry of the signature table: the argument kinds and the
+// result kind of a builtin or operator, and what it computes.
+// ParsePolicy checks every application against args and res, so do
+// always gets len(args) values of the declared kinds.
+type fn struct {
+	args []kind
+	res  kind
+	// stop, for && and ||, is the left operand's value that decides
+	// the result; the right operand is then not evaluated.
+	stop any
+	do   func(r *firmware.Report, a []any) (any, error)
 }
 
-func (v Value) String() string {
-	switch v.Kind {
-	case KindInt:
-		return fmt.Sprintf("%d", v.Int)
-	case KindBool:
-		return fmt.Sprintf("%t", v.Bool)
-	case KindString:
-		return fmt.Sprintf("%q", v.Str)
-	default:
-		return "{" + strings.Join(v.Set, ", ") + "}"
+func kinds(ks []kind) string {
+	s := make([]string, len(ks))
+	for i, k := range ks {
+		s[i] = k.String()
 	}
+	return strings.Join(s, ", ")
 }
 
-// evaluator binds the builtins to one firmware report.
-type evaluator struct {
-	r *firmware.Report
+// accepts reports whether the arguments' kinds match the signature.
+func (f *fn) accepts(args []expr) bool {
+	if len(args) != len(f.args) {
+		return false
+	}
+	for i, want := range f.args {
+		if want == kindAny {
+			want = args[0].kind
+		}
+		if args[i].kind != want {
+			return false
+		}
+	}
+	return true
 }
 
-func (e *evaluator) eval(x expr) (Value, error) {
-	switch n := x.(type) {
-	case intLit:
-		return vInt(n.v), nil
-	case strLit:
-		return vStr(n.v), nil
-	case boolLit:
-		return vBool(n.v), nil
-	case unaryExpr:
-		v, err := e.eval(n.x)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.Kind != KindBool {
-			return Value{}, fmt.Errorf("! applied to non-bool %s", v)
-		}
-		return vBool(!v.Bool), nil
-	case binExpr:
-		return e.evalBin(n)
-	case callExpr:
-		return e.call(n)
-	}
-	return Value{}, fmt.Errorf("audit: unknown expression")
-}
+var (
+	bools = []kind{kindBool, kindBool}
+	ints  = []kind{kindInt, kindInt}
+	str1  = []kind{kindString}
+	str2  = []kind{kindString, kindString}
+)
 
-func (e *evaluator) evalBin(n binExpr) (Value, error) {
-	l, err := e.eval(n.l)
-	if err != nil {
-		return Value{}, err
-	}
-	// Short-circuit boolean operators.
-	if n.op == "&&" || n.op == "||" {
-		if l.Kind != KindBool {
-			return Value{}, fmt.Errorf("line %d: %s on non-bool", n.line, n.op)
-		}
-		if n.op == "&&" && !l.Bool {
-			return vBool(false), nil
-		}
-		if n.op == "||" && l.Bool {
-			return vBool(true), nil
-		}
-		r, err := e.eval(n.r)
-		if err != nil {
-			return Value{}, err
-		}
-		if r.Kind != KindBool {
-			return Value{}, fmt.Errorf("line %d: %s on non-bool", n.line, n.op)
-		}
-		return vBool(r.Bool), nil
-	}
-	r, err := e.eval(n.r)
-	if err != nil {
-		return Value{}, err
-	}
-	switch n.op {
-	case "==", "!=":
-		eq, err := equalValues(l, r)
-		if err != nil {
-			return Value{}, fmt.Errorf("line %d: %v", n.line, err)
-		}
-		if n.op == "!=" {
-			eq = !eq
-		}
-		return vBool(eq), nil
-	case "<", "<=", ">", ">=":
-		if l.Kind != KindInt || r.Kind != KindInt {
-			return Value{}, fmt.Errorf("line %d: %s needs integers, got %s and %s", n.line, n.op, l, r)
-		}
-		switch n.op {
-		case "<":
-			return vBool(l.Int < r.Int), nil
-		case "<=":
-			return vBool(l.Int <= r.Int), nil
-		case ">":
-			return vBool(l.Int > r.Int), nil
-		default:
-			return vBool(l.Int >= r.Int), nil
-		}
-	case "+", "-", "*":
-		if l.Kind != KindInt || r.Kind != KindInt {
-			return Value{}, fmt.Errorf("line %d: %s needs integers", n.line, n.op)
-		}
-		switch n.op {
-		case "+":
-			return vInt(l.Int + r.Int), nil
-		case "-":
-			return vInt(l.Int - r.Int), nil
-		default:
-			return vInt(l.Int * r.Int), nil
-		}
-	}
-	return Value{}, fmt.Errorf("line %d: unknown operator %q", n.line, n.op)
-}
+// funcs is the signature table of the policy language: every operator
+// (named by its token) and every builtin query over the report.
+var funcs = map[string]*fn{
+	"!": {args: []kind{kindBool}, res: kindBool, do: func(_ *firmware.Report, a []any) (any, error) {
+		return !a[0].(bool), nil
+	}},
+	"&&": {args: bools, res: kindBool, stop: false, do: second},
+	"||": {args: bools, res: kindBool, stop: true, do: second},
+	"==": {args: []kind{kindAny, kindAny}, res: kindBool, do: func(_ *firmware.Report, a []any) (any, error) {
+		return equal(a[0], a[1]), nil
+	}},
+	"!=": {args: []kind{kindAny, kindAny}, res: kindBool, do: func(_ *firmware.Report, a []any) (any, error) {
+		return !equal(a[0], a[1]), nil
+	}},
+	"<":  {args: ints, res: kindBool, do: compare(func(x, y int64) bool { return x < y })},
+	"<=": {args: ints, res: kindBool, do: compare(func(x, y int64) bool { return x <= y })},
+	">":  {args: ints, res: kindBool, do: compare(func(x, y int64) bool { return x > y })},
+	">=": {args: ints, res: kindBool, do: compare(func(x, y int64) bool { return x >= y })},
+	"+": {args: ints, res: kindInt, do: arith(func(x, y int64) (int64, bool) {
+		s := x + y
+		return s, (s > x) == (y > 0)
+	})},
+	"-": {args: ints, res: kindInt, do: arith(func(x, y int64) (int64, bool) {
+		d := x - y
+		return d, (d < x) == (y > 0)
+	})},
+	"*": {args: ints, res: kindInt, do: arith(func(x, y int64) (int64, bool) {
+		p := x * y
+		return p, x == 0 || p/x == y && !(x == -1 && y == math.MinInt64)
+	})},
 
-func equalValues(l, r Value) (bool, error) {
-	if l.Kind != r.Kind {
-		return false, fmt.Errorf("comparing %s with %s", l, r)
-	}
-	switch l.Kind {
-	case KindInt:
-		return l.Int == r.Int, nil
-	case KindBool:
-		return l.Bool == r.Bool, nil
-	case KindString:
-		return l.Str == r.Str, nil
-	default:
-		if len(l.Set) != len(r.Set) {
-			return false, nil
+	"count": {args: []kind{kindSet}, res: kindInt, do: func(_ *firmware.Report, a []any) (any, error) {
+		return int64(len(a[0].([]string))), nil
+	}},
+	"contains": {args: []kind{kindSet, kindString}, res: kindBool, do: func(_ *firmware.Report, a []any) (any, error) {
+		return slices.Contains(a[0].([]string), a[1].(string)), nil
+	}},
+	"compartments": {res: kindSet, do: func(r *firmware.Report, _ []any) (any, error) {
+		return where(r, func(firmware.CompReport) bool { return true }), nil
+	}},
+	"compartment_exists": {args: str1, res: kindBool, do: func(r *firmware.Report, a []any) (any, error) {
+		_, ok := r.Compartments[a[0].(string)]
+		return ok, nil
+	}},
+	// Fig. 4: every compartment importing any entry of the target.
+	"compartments_calling": {args: str1, res: kindSet, do: func(r *firmware.Report, a []any) (any, error) {
+		return importers(r, firmware.ImportReport{Kind: "call", Target: a[0].(string)}, true), nil
+	}},
+	"compartments_calling_entry": {args: str2, res: kindSet, do: func(r *firmware.Report, a []any) (any, error) {
+		return importers(r, firmware.ImportReport{Kind: "call", Target: a[0].(string), Entry: a[1].(string)}, false), nil
+	}},
+	"compartments_with_mmio": {args: str1, res: kindSet, do: func(r *firmware.Report, a []any) (any, error) {
+		return importers(r, firmware.ImportReport{Kind: "mmio", Target: a[0].(string)}, true), nil
+	}},
+	// Who can present a given static sealed object, such as a delegated
+	// allocation capability? The owner always holds its own allocation
+	// capabilities and static sealed objects.
+	"compartments_importing_sealed": {args: str2, res: kindSet, do: func(r *firmware.Report, a []any) (any, error) {
+		owner, obj := a[0].(string), a[1].(string)
+		out := importers(r, firmware.ImportReport{Kind: "sealed-object", Target: owner, Entry: obj}, false)
+		oc, ok := r.Compartments[owner]
+		if ok && (slices.Contains(oc.StaticSealed, obj) ||
+			slices.ContainsFunc(oc.AllocCaps, func(ac firmware.AllocCapReport) bool { return ac.Name == obj })) {
+			out = set(append(out, owner))
 		}
-		for i := range l.Set {
-			if l.Set[i] != r.Set[i] {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-}
-
-// call dispatches the report-query builtins.
-func (e *evaluator) call(n callExpr) (Value, error) {
-	argVals := make([]Value, len(n.args))
-	for i, a := range n.args {
-		v, err := e.eval(a)
-		if err != nil {
-			return Value{}, err
-		}
-		argVals[i] = v
-	}
-	str := func(i int) (string, error) {
-		if i >= len(argVals) || argVals[i].Kind != KindString {
-			return "", fmt.Errorf("line %d: %s: argument %d must be a string", n.line, n.fn, i+1)
-		}
-		return argVals[i].Str, nil
-	}
-	switch n.fn {
-	case "count":
-		if len(argVals) != 1 || argVals[0].Kind != KindSet {
-			return Value{}, fmt.Errorf("line %d: count() takes one set", n.line)
-		}
-		return vInt(int64(len(argVals[0].Set))), nil
-
-	case "contains":
-		if len(argVals) != 2 || argVals[0].Kind != KindSet || argVals[1].Kind != KindString {
-			return Value{}, fmt.Errorf("line %d: contains(set, string)", n.line)
-		}
-		for _, s := range argVals[0].Set {
-			if s == argVals[1].Str {
-				return vBool(true), nil
-			}
-		}
-		return vBool(false), nil
-
-	case "compartments":
-		var out []string
-		for name := range e.r.Compartments {
-			out = append(out, name)
-		}
-		return vSet(out), nil
-
-	case "compartment_exists":
-		name, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		_, ok := e.r.Compartments[name]
-		return vBool(ok), nil
-
-	case "compartments_calling":
-		// All compartments importing any entry of the target (Fig. 4).
-		target, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		var out []string
-		for name, c := range e.r.Compartments {
-			for _, im := range c.Imports {
-				if im.Kind == "call" && im.Target == target {
-					out = append(out, name)
-					break
-				}
-			}
-		}
-		return vSet(out), nil
-
-	case "compartments_calling_entry":
-		target, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		entry, err := str(1)
-		if err != nil {
-			return Value{}, err
-		}
-		var out []string
-		for name, c := range e.r.Compartments {
-			for _, im := range c.Imports {
-				if im.Kind == "call" && im.Target == target && im.Entry == entry {
-					out = append(out, name)
-					break
-				}
-			}
-		}
-		return vSet(out), nil
-
-	case "compartments_with_mmio":
-		dev, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		var out []string
-		for name, c := range e.r.Compartments {
-			for _, im := range c.Imports {
-				if im.Kind == "mmio" && im.Target == dev {
-					out = append(out, name)
-					break
-				}
-			}
-		}
-		return vSet(out), nil
-
-	case "imports_of":
-		comp, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		c, ok := e.r.Compartments[comp]
-		if !ok {
-			return Value{}, fmt.Errorf("line %d: no compartment %q", n.line, comp)
-		}
+		return out, nil
+	}},
+	// Statically visible sharing (§3.2.5): every compartment with any
+	// grant on a shared global, or with a read-write one.
+	"compartments_sharing": {args: str1, res: kindSet, do: func(r *firmware.Report, a []any) (any, error) {
+		return sharers(r, a[0].(string), ""), nil
+	}},
+	"writers_of": {args: str1, res: kindSet, do: func(r *firmware.Report, a []any) (any, error) {
+		return sharers(r, a[0].(string), "rw"), nil
+	}},
+	"imports_of": {args: str1, res: kindSet, do: ofComp(func(c firmware.CompReport) any {
 		var out []string
 		for _, im := range c.Imports {
 			entry := im.Target
@@ -298,181 +155,168 @@ func (e *evaluator) call(n callExpr) (Value, error) {
 			}
 			out = append(out, im.Kind+":"+entry)
 		}
-		return vSet(out), nil
-
-	case "exports_of":
-		comp, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		c, ok := e.r.Compartments[comp]
-		if !ok {
-			return Value{}, fmt.Errorf("line %d: no compartment %q", n.line, comp)
-		}
+		return set(out)
+	})},
+	"exports_of": {args: str1, res: kindSet, do: ofComp(func(c firmware.CompReport) any {
 		var out []string
 		for _, ex := range c.Exports {
 			out = append(out, ex.Function)
 		}
-		return vSet(out), nil
-
-	case "compartments_importing_sealed":
-		// Who can present a given static sealed object (e.g. a delegated
-		// allocation capability)?
-		owner, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		obj, err := str(1)
-		if err != nil {
-			return Value{}, err
-		}
-		var out []string
-		for name, c := range e.r.Compartments {
-			for _, im := range c.Imports {
-				if im.Kind == "sealed-object" && im.Target == owner && im.Entry == obj {
-					out = append(out, name)
-					break
-				}
-			}
-		}
-		// The owner itself always holds its own allocation capabilities
-		// and static sealed objects.
-		if oc, ok := e.r.Compartments[owner]; ok {
-			for _, ac := range oc.AllocCaps {
-				if ac.Name == obj {
-					out = append(out, owner)
-				}
-			}
-			for _, so := range oc.StaticSealed {
-				if so == obj {
-					out = append(out, owner)
-				}
-			}
-		}
-		return vSet(out), nil
-
-	case "compartments_sharing":
-		// Every compartment with any grant on a shared global; audits
-		// statically-visible sharing (§3.2.5).
-		global, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		var out []string
-		for name, c := range e.r.Compartments {
-			for _, sg := range c.SharedAccess {
-				if sg.Name == global {
-					out = append(out, name)
-					break
-				}
-			}
-		}
-		return vSet(out), nil
-
-	case "writers_of":
-		global, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		var out []string
-		for name, c := range e.r.Compartments {
-			for _, sg := range c.SharedAccess {
-				if sg.Name == global && sg.Access == "rw" {
-					out = append(out, name)
-					break
-				}
-			}
-		}
-		return vSet(out), nil
-
-	case "quota_of":
-		comp, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		c, ok := e.r.Compartments[comp]
-		if !ok {
-			return Value{}, fmt.Errorf("line %d: no compartment %q", n.line, comp)
-		}
+		return set(out)
+	})},
+	"quota_of": {args: str1, res: kindInt, do: ofComp(func(c firmware.CompReport) any { return quota(c) })},
+	"sum_quotas": {res: kindInt, do: func(r *firmware.Report, _ []any) (any, error) {
 		var total int64
-		for _, ac := range c.AllocCaps {
-			total += int64(ac.Quota)
+		for _, c := range r.Compartments {
+			total += quota(c)
 		}
-		return vInt(total), nil
-
-	case "sum_quotas":
-		var total int64
-		for _, c := range e.r.Compartments {
-			for _, ac := range c.AllocCaps {
-				total += int64(ac.Quota)
-			}
-		}
-		return vInt(total), nil
-
-	case "heap_size":
-		return vInt(int64(e.r.HeapSize)), nil
-
-	case "has_error_handler":
-		comp, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		c, ok := e.r.Compartments[comp]
-		if !ok {
-			return Value{}, fmt.Errorf("line %d: no compartment %q", n.line, comp)
-		}
-		return vBool(c.HasErrorHandler), nil
-
-	case "threads_in":
-		comp, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
+		return total, nil
+	}},
+	"heap_size": {res: kindInt, do: func(r *firmware.Report, _ []any) (any, error) {
+		return int64(r.HeapSize), nil
+	}},
+	"has_error_handler": {args: str1, res: kindBool, do: ofComp(func(c firmware.CompReport) any { return c.HasErrorHandler })},
+	"code_size_of":      {args: str1, res: kindInt, do: ofComp(func(c firmware.CompReport) any { return int64(c.CodeSize) })},
+	"threads_in": {args: str1, res: kindSet, do: func(r *firmware.Report, a []any) (any, error) {
 		var out []string
-		for _, th := range e.r.Threads {
-			if th.Compartment == comp {
+		for _, th := range r.Threads {
+			if th.Compartment == a[0].(string) {
 				out = append(out, th.Name)
 			}
 		}
-		return vSet(out), nil
-
-	case "thread_count":
-		return vInt(int64(len(e.r.Threads))), nil
-
-	case "code_size_of":
-		comp, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
-		c, ok := e.r.Compartments[comp]
-		if !ok {
-			return Value{}, fmt.Errorf("line %d: no compartment %q", n.line, comp)
-		}
-		return vInt(int64(c.CodeSize)), nil
-
-	case "exports_with_posture":
-		// Every "compartment.entry" whose interrupt posture matches;
-		// auditing code that disables interrupts (§2.1).
-		posture, err := str(0)
-		if err != nil {
-			return Value{}, err
-		}
+		return set(out), nil
+	}},
+	"thread_count": {res: kindInt, do: func(r *firmware.Report, _ []any) (any, error) {
+		return int64(len(r.Threads)), nil
+	}},
+	// Every "compartment.entry" and "library.entry" with the interrupt
+	// posture, for auditing code that disables interrupts (§2.1).
+	"exports_with_posture": {args: str1, res: kindSet, do: func(r *firmware.Report, a []any) (any, error) {
 		var out []string
-		for name, c := range e.r.Compartments {
-			for _, ex := range c.Exports {
-				if ex.Posture == posture {
-					out = append(out, name+"."+ex.Function)
+		add := func(owner string, exports []firmware.ExportReport) {
+			for _, ex := range exports {
+				if ex.Posture == a[0].(string) {
+					out = append(out, owner+"."+ex.Function)
 				}
 			}
 		}
-		for name, l := range e.r.Libraries {
-			for _, ex := range l.Exports {
-				if ex.Posture == posture {
-					out = append(out, name+"."+ex.Function)
-				}
-			}
+		for name, c := range r.Compartments {
+			add(name, c.Exports)
 		}
-		return vSet(out), nil
+		for name, l := range r.Libraries {
+			add(name, l.Exports)
+		}
+		return set(out), nil
+	}},
+}
+
+// eval evaluates a checked expression against a report. The only
+// errors are those the report can cause: a queried compartment it
+// lacks, and arithmetic on its numbers that overflows int64.
+func (e expr) eval(r *firmware.Report) (any, error) {
+	if e.name == "" {
+		return e.lit, nil
 	}
-	return Value{}, fmt.Errorf("line %d: unknown function %q", n.line, n.fn)
+	a := make([]any, len(e.args))
+	for i, x := range e.args {
+		v, err := x.eval(r)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 && e.f.stop != nil && v == e.f.stop {
+			return v, nil
+		}
+		a[i] = v
+	}
+	v, err := e.f.do(r, a)
+	if err != nil {
+		return nil, fmt.Errorf("line %d: %s: %w", e.line, e.name, err)
+	}
+	return v, nil
+}
+
+// second is && and || once the left operand has not decided them.
+func second(_ *firmware.Report, a []any) (any, error) { return a[1], nil }
+
+// compare adapts an integer comparison.
+func compare(f func(x, y int64) bool) func(*firmware.Report, []any) (any, error) {
+	return func(_ *firmware.Report, a []any) (any, error) { return f(a[0].(int64), a[1].(int64)), nil }
+}
+
+// arith adapts an integer operator that reports whether its result
+// fits in an int64.
+func arith(f func(x, y int64) (int64, bool)) func(*firmware.Report, []any) (any, error) {
+	return func(_ *firmware.Report, a []any) (any, error) {
+		v, ok := f(a[0].(int64), a[1].(int64))
+		if !ok {
+			return nil, errors.New("overflows int64")
+		}
+		return v, nil
+	}
+}
+
+// equal compares two values of one kind; sets compare name by name.
+func equal(l, r any) bool {
+	if s, ok := l.([]string); ok {
+		return slices.Equal(s, r.([]string))
+	}
+	return l == r
+}
+
+// set sorts and deduplicates names into a set value.
+func set(names []string) []string {
+	slices.Sort(names)
+	return slices.Compact(names)
+}
+
+// where is the set of compartments for which keep holds.
+func where(r *firmware.Report, keep func(c firmware.CompReport) bool) []string {
+	var out []string
+	for name, c := range r.Compartments {
+		if keep(c) {
+			out = append(out, name)
+		}
+	}
+	return set(out)
+}
+
+// importers is the set of compartments with an import of want's kind
+// and target, and also of its entry unless anyEntry.
+func importers(r *firmware.Report, want firmware.ImportReport, anyEntry bool) []string {
+	return where(r, func(c firmware.CompReport) bool {
+		return slices.ContainsFunc(c.Imports, func(im firmware.ImportReport) bool {
+			return im.Kind == want.Kind && im.Target == want.Target && (anyEntry || im.Entry == want.Entry)
+		})
+	})
+}
+
+// sharers is the set of compartments granted a shared global, with the
+// given access unless it is "".
+func sharers(r *firmware.Report, global, access string) []string {
+	return where(r, func(c firmware.CompReport) bool {
+		return slices.ContainsFunc(c.SharedAccess, func(sg firmware.SharedReport) bool {
+			return sg.Name == global && (access == "" || sg.Access == access)
+		})
+	})
+}
+
+// ofComp builds a builtin over the compartment its one argument names;
+// a report without that compartment is an error.
+func ofComp(get func(c firmware.CompReport) any) func(*firmware.Report, []any) (any, error) {
+	return func(r *firmware.Report, a []any) (any, error) {
+		c, ok := r.Compartments[a[0].(string)]
+		if !ok {
+			return nil, fmt.Errorf("no compartment %q", a[0])
+		}
+		return get(c), nil
+	}
+}
+
+// quota is the sum of a compartment's allocation-capability quotas.
+func quota(c firmware.CompReport) int64 {
+	var total int64
+	for _, ac := range c.AllocCaps {
+		total += int64(ac.Quota)
+	}
+	return total
 }

@@ -6,7 +6,9 @@
 // ("rego-lite", standing in for the Rego policies the paper uses): a
 // policy is a set of named rules, each an expression over the report that
 // must evaluate to true. The builtins mirror the queries the paper shows,
-// e.g. count(compartments_calling("NetAPI")) == 1.
+// e.g. count(compartments_calling("NetAPI")) == 1. ParsePolicy checks
+// every rule against one signature table (funcs), so evaluation can fail
+// only on what a report holds.
 package audit
 
 import (
@@ -14,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int8
@@ -35,23 +38,31 @@ type token struct {
 }
 
 type lexer struct {
-	src  []rune
-	pos  int
+	src  string
+	pos  int // byte offset into src
 	line int
 }
 
-func newLexer(src string) *lexer { return &lexer{src: []rune(src), line: 1} }
+func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
+// peek returns the rune at pos, or 0 at the end of the source.
 func (l *lexer) peek() rune {
 	if l.pos >= len(l.src) {
 		return 0
 	}
-	return l.src[l.pos]
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
 }
 
 func (l *lexer) advance() rune {
-	r := l.peek()
-	l.pos++
+	if l.pos >= len(l.src) {
+		return 0
+	}
+	r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+	l.pos += size
 	if r == '\n' {
 		l.line++
 	}
@@ -88,21 +99,20 @@ func (l *lexer) next() (token, error) {
 	case r == 0:
 		return token{kind: tokEOF, line: line}, nil
 	case unicode.IsLetter(r) || r == '_':
-		var sb strings.Builder
+		start := l.pos
 		for unicode.IsLetter(l.peek()) || unicode.IsDigit(l.peek()) || l.peek() == '_' {
-			sb.WriteRune(l.advance())
+			l.advance()
 		}
-		return token{kind: tokIdent, text: sb.String(), line: line}, nil
+		return token{kind: tokIdent, text: l.src[start:l.pos], line: line}, nil
 	case unicode.IsDigit(r):
-		var sb strings.Builder
+		start := l.pos
 		for unicode.IsDigit(l.peek()) || l.peek() == '_' {
-			if c := l.advance(); c != '_' {
-				sb.WriteRune(c)
-			}
+			l.advance()
 		}
-		n, err := strconv.ParseInt(sb.String(), 10, 64)
+		digits := strings.ReplaceAll(l.src[start:l.pos], "_", "")
+		n, err := strconv.ParseInt(digits, 10, 64)
 		if err != nil {
-			return token{}, fmt.Errorf("line %d: bad integer %q", line, sb.String())
+			return token{}, fmt.Errorf("line %d: bad integer %q", line, digits)
 		}
 		return token{kind: tokInt, num: n, line: line}, nil
 	case r == '"':
@@ -129,7 +139,7 @@ func (l *lexer) next() (token, error) {
 		// Operators, longest match first.
 		two := ""
 		if l.pos+1 < len(l.src) {
-			two = string(l.src[l.pos : l.pos+2])
+			two = l.src[l.pos : l.pos+2]
 		}
 		switch two {
 		case "==", "!=", "<=", ">=", "&&", "||":

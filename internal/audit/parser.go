@@ -1,38 +1,22 @@
 package audit
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// AST node kinds. Expressions evaluate to Value (int, bool, string, or
-// set of strings).
-type expr interface{ node() }
-
-type intLit struct{ v int64 }
-type strLit struct{ v string }
-type boolLit struct{ v bool }
-
-type callExpr struct {
-	fn   string
+// expr is a type-checked policy expression: a literal, or a builtin or
+// operator applied to its arguments. ParsePolicy checks every
+// application against the signature table, funcs, so evaluation never
+// meets an unknown name or a wrong number or kind of arguments.
+type expr struct {
+	lit  any    // the literal's value, when name is ""
+	name string // the builtin or operator applied
+	f    *fn    // its entry in funcs
 	args []expr
+	kind kind
 	line int
 }
-
-type unaryExpr struct {
-	op string
-	x  expr
-}
-
-type binExpr struct {
-	op   string
-	l, r expr
-	line int
-}
-
-func (intLit) node()    {}
-func (strLit) node()    {}
-func (boolLit) node()   {}
-func (callExpr) node()  {}
-func (unaryExpr) node() {}
-func (binExpr) node()   {}
 
 // Rule is one named policy requirement.
 type Rule struct {
@@ -41,8 +25,8 @@ type Rule struct {
 	body expr
 }
 
-// Policy is a parsed rego-lite policy: every rule must hold for the
-// firmware to pass.
+// Policy is a parsed, type-checked rego-lite policy: every rule must
+// hold for the firmware to pass.
 type Policy struct {
 	Rules []Rule
 }
@@ -52,18 +36,33 @@ type parser struct {
 	pos  int
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token { return p.toks[p.pos] }
 
-func (p *parser) expect(kind tokenKind, text string) (token, error) {
-	t := p.cur()
-	if t.kind != kind || (text != "" && t.text != text) {
-		return t, fmt.Errorf("line %d: expected %q, found %q", t.line, text, t.text)
+// next consumes the current token; it never moves past the end.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tokEOF {
+		p.pos++
 	}
-	return p.next(), nil
+	return t
 }
 
-// ParsePolicy parses rego-lite source into a Policy.
+func (p *parser) at(kind tokenKind, text string) bool {
+	return p.cur().kind == kind && p.cur().text == text
+}
+
+func (p *parser) expect(kind tokenKind, text string) error {
+	if t := p.cur(); !p.at(kind, text) {
+		return fmt.Errorf("line %d: expected %q, found %q", t.line, text, t.text)
+	}
+	p.next()
+	return nil
+}
+
+// ParsePolicy parses rego-lite source into a Policy and type-checks it:
+// every name must be a builtin, every call and operator must get the
+// number and kinds of arguments its signature declares, and every rule
+// must be a bool.
 //
 //	rule quota_bounded { sum_quotas() <= heap_size() }
 func ParsePolicy(src string) (*Policy, error) {
@@ -75,29 +74,31 @@ func ParsePolicy(src string) (*Policy, error) {
 	var pol Policy
 	seen := map[string]bool{}
 	for p.cur().kind != tokEOF {
-		if _, err := p.expect(tokIdent, "rule"); err != nil {
+		if err := p.expect(tokIdent, "rule"); err != nil {
 			return nil, err
 		}
-		nameTok := p.cur()
-		if nameTok.kind != tokIdent {
-			return nil, fmt.Errorf("line %d: expected rule name", nameTok.line)
+		name := p.next()
+		if name.kind != tokIdent {
+			return nil, fmt.Errorf("line %d: expected rule name", name.line)
 		}
-		if seen[nameTok.text] {
-			return nil, fmt.Errorf("line %d: duplicate rule %q", nameTok.line, nameTok.text)
+		if seen[name.text] {
+			return nil, fmt.Errorf("line %d: duplicate rule %q", name.line, name.text)
 		}
-		seen[nameTok.text] = true
-		p.next()
-		if _, err := p.expect(tokPunct, "{"); err != nil {
+		seen[name.text] = true
+		if err := p.expect(tokPunct, "{"); err != nil {
 			return nil, err
 		}
-		body, err := p.parseExpr()
+		body, err := p.parseLevel(0)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokPunct, "}"); err != nil {
+		if err := p.expect(tokPunct, "}"); err != nil {
 			return nil, err
 		}
-		pol.Rules = append(pol.Rules, Rule{Name: nameTok.text, Line: nameTok.line, body: body})
+		if body.kind != kindBool {
+			return nil, fmt.Errorf("line %d: rule %q is %s, not bool", name.line, name.text, body.kind)
+		}
+		pol.Rules = append(pol.Rules, Rule{Name: name.text, Line: name.line, body: body})
 	}
 	if len(pol.Rules) == 0 {
 		return nil, fmt.Errorf("audit: policy has no rules")
@@ -105,152 +106,103 @@ func ParsePolicy(src string) (*Policy, error) {
 	return &pol, nil
 }
 
-// parseExpr := or
-func (p *parser) parseExpr() (expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokOp && p.cur().text == "||" {
-		line := p.next().line
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = binExpr{op: "||", l: l, r: r, line: line}
-	}
-	return l, nil
+// levels lists the binary operators by precedence, loosest first. Every
+// level is left-associative, except that comparisons do not chain.
+var levels = []struct {
+	ops   []string
+	chain bool
+}{
+	{[]string{"||"}, true},
+	{[]string{"&&"}, true},
+	{[]string{"==", "!=", "<", "<=", ">", ">="}, false},
+	{[]string{"+", "-"}, true},
+	{[]string{"*"}, true},
 }
 
-func (p *parser) parseAnd() (expr, error) {
-	l, err := p.parseCmp()
-	if err != nil {
-		return nil, err
+// parseLevel parses an expression of level i's operators over operands
+// of the next tighter level; below the last level come unary
+// expressions.
+func (p *parser) parseLevel(i int) (expr, error) {
+	if i == len(levels) {
+		return p.parseUnary()
 	}
-	for p.cur().kind == tokOp && p.cur().text == "&&" {
-		line := p.next().line
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		l = binExpr{op: "&&", l: l, r: r, line: line}
-	}
-	return l, nil
-}
-
-func (p *parser) parseCmp() (expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().kind == tokOp {
-		switch p.cur().text {
-		case "==", "!=", "<", "<=", ">", ">=":
-			op := p.next()
-			r, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return binExpr{op: op.text, l: l, r: r, line: op.line}, nil
-		}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAdd() (expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokOp && (p.cur().text == "+" || p.cur().text == "-") {
+	l, err := p.parseLevel(i + 1)
+	for err == nil && p.cur().kind == tokOp && slices.Contains(levels[i].ops, p.cur().text) {
 		op := p.next()
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
+		var r expr
+		if r, err = p.parseLevel(i + 1); err == nil {
+			l, err = apply(op, l, r)
 		}
-		l = binExpr{op: op.text, l: l, r: r, line: op.line}
-	}
-	return l, nil
-}
-
-func (p *parser) parseMul() (expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokOp && p.cur().text == "*" {
-		op := p.next()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if !levels[i].chain {
+			break
 		}
-		l = binExpr{op: op.text, l: l, r: r, line: op.line}
 	}
-	return l, nil
+	return l, err
 }
 
 func (p *parser) parseUnary() (expr, error) {
-	if p.cur().kind == tokOp && p.cur().text == "!" {
+	if t := p.cur(); p.at(tokOp, "!") {
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
-			return nil, err
+			return expr{}, err
 		}
-		return unaryExpr{op: "!", x: x}, nil
+		return apply(t, x)
 	}
 	return p.parsePrimary()
 }
 
 func (p *parser) parsePrimary() (expr, error) {
-	t := p.cur()
-	switch t.kind {
-	case tokInt:
+	t := p.next()
+	switch {
+	case t.kind == tokInt:
+		return expr{lit: t.num, kind: kindInt}, nil
+	case t.kind == tokString:
+		return expr{lit: t.text, kind: kindString}, nil
+	case t.kind == tokIdent && (t.text == "true" || t.text == "false"):
+		return expr{lit: t.text == "true", kind: kindBool}, nil
+	case t.kind == tokIdent && p.at(tokPunct, "("):
 		p.next()
-		return intLit{v: t.num}, nil
-	case tokString:
-		p.next()
-		return strLit{v: t.text}, nil
-	case tokIdent:
-		switch t.text {
-		case "true":
-			p.next()
-			return boolLit{v: true}, nil
-		case "false":
-			p.next()
-			return boolLit{v: false}, nil
-		}
-		p.next()
-		if p.cur().kind == tokPunct && p.cur().text == "(" {
-			p.next()
-			var args []expr
-			for !(p.cur().kind == tokPunct && p.cur().text == ")") {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if p.cur().kind == tokPunct && p.cur().text == "," {
-					p.next()
+		var args []expr
+		for !p.at(tokPunct, ")") {
+			if len(args) > 0 {
+				if err := p.expect(tokPunct, ","); err != nil {
+					return expr{}, err
 				}
 			}
-			p.next() // ')'
-			return callExpr{fn: t.text, args: args, line: t.line}, nil
-		}
-		return nil, fmt.Errorf("line %d: bare identifier %q (did you mean %s(...)?)", t.line, t.text, t.text)
-	case tokPunct:
-		if t.text == "(" {
-			p.next()
-			e, err := p.parseExpr()
+			a, err := p.parseLevel(0)
 			if err != nil {
-				return nil, err
+				return expr{}, err
 			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			args = append(args, a)
 		}
+		p.next()
+		return apply(t, args...)
+	case t.kind == tokIdent:
+		return expr{}, fmt.Errorf("line %d: bare identifier %q (did you mean %s(...)?)", t.line, t.text, t.text)
+	case t.kind == tokPunct && t.text == "(":
+		e, err := p.parseLevel(0)
+		if err != nil {
+			return expr{}, err
+		}
+		return e, p.expect(tokPunct, ")")
 	}
-	return nil, fmt.Errorf("line %d: unexpected token %q", t.line, t.text)
+	return expr{}, fmt.Errorf("line %d: unexpected token %q", t.line, t.text)
+}
+
+// apply type-checks the builtin or operator t names against its
+// signature in funcs, applied to args.
+func apply(t token, args ...expr) (expr, error) {
+	f, ok := funcs[t.text]
+	if !ok {
+		return expr{}, fmt.Errorf("line %d: unknown function %q", t.line, t.text)
+	}
+	if !f.accepts(args) {
+		got := make([]kind, len(args))
+		for i, a := range args {
+			got[i] = a.kind
+		}
+		return expr{}, fmt.Errorf("line %d: %s takes (%s), not (%s)", t.line, t.text, kinds(f.args), kinds(got))
+	}
+	return expr{name: t.text, f: f, args: args, kind: f.res, line: t.line}, nil
 }

@@ -216,3 +216,41 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatalf("threads = %+v", back.Threads)
 	}
 }
+
+// TestParseReportRefusesWhatNoLinkerEmits: a report whose facts are
+// missing or misplaced must not parse, or a policy checked against it
+// could pass for want of them. With the "compartments" key misspelled,
+// alpha's import of beta would vanish from every query.
+func TestParseReportRefusesWhatNoLinkerEmits(t *testing.T) {
+	rep, err := BuildReport(testImage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(edit func(r *Report)) string {
+		r := *rep
+		edit(&r)
+		b, err := r.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	good := encode(func(*Report) {})
+	if _, err := ParseReport([]byte(good)); err != nil {
+		t.Fatalf("the linker's own report: %v", err)
+	}
+	for name, src := range map[string]string{
+		"misspelled compartments": strings.Replace(good, `"compartments"`, `"compartmens"`, 1),
+		"unknown nested field":    strings.Replace(good, `"code_size"`, `"code_sizes"`, 1),
+		"trailing data":           good + "{}",
+		"no compartments":         encode(func(r *Report) { r.Compartments = nil }),
+		"no threads":              encode(func(r *Report) { r.Threads = nil }),
+		"thread in no compartment": encode(func(r *Report) {
+			r.Threads = []ThreadReport{{Name: "main", Compartment: "ghost", Entry: "run"}}
+		}),
+	} {
+		if _, err := ParseReport([]byte(src)); err == nil {
+			t.Errorf("%s: parsed", name)
+		}
+	}
+}

@@ -1,6 +1,12 @@
 package firmware
 
-import "encoding/json"
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+)
 
 // Report is the linker-emitted, machine-readable description of a firmware
 // image (§4, Fig. 4). It contains every fact the audit policy language can
@@ -145,11 +151,27 @@ func BuildReport(img *Image) (*Report, error) {
 // and for humans.
 func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
-// ParseReport loads a report from JSON.
+// ParseReport loads a report from JSON and refuses one no linker
+// emits: an unknown or misspelled field, trailing data, no compartments
+// or no threads, or a thread in a compartment the report lacks. A
+// policy checked against such a report could pass for want of facts.
 func ParseReport(b []byte) (*Report, error) {
 	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
 		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("report: trailing data after the JSON object")
+	}
+	if len(r.Compartments) == 0 || len(r.Threads) == 0 {
+		return nil, errors.New("report: no compartments or no threads")
+	}
+	for _, t := range r.Threads {
+		if _, ok := r.Compartments[t.Compartment]; !ok {
+			return nil, fmt.Errorf("report: thread %q runs in compartment %q, which the report lacks", t.Name, t.Compartment)
+		}
 	}
 	return &r, nil
 }

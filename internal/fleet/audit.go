@@ -7,56 +7,13 @@ import (
 	"github.com/cheriot-go/cheriot/internal/audit"
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/policies"
 )
 
 // FleetPolicy is the integrator policy every fleet device must satisfy
-// before launch. The canonical copy lives at policies/fleet-device.rego
-// (a sync test keeps the two identical); it is compiled in here so the
-// pre-launch gate needs no filesystem access.
-const FleetPolicy = `# Integrator policy for the fleet device firmware.
-#
-# fleet.Run checks the representative image of every firmware shape a
-# fleet deploys against this policy before any device boots, and refuses
-# the launch on a violation (cheriot-fleet -no-audit skips the check).
-
-# Exactly one compartment may reconfigure the firewall: the network API.
-rule single_firewall_configurer {
-	count(compartments_calling_entry("firewall", "fw_allow")) == 1
-}
-rule netapi_is_the_configurer {
-	contains(compartments_calling_entry("firewall", "fw_allow"), "netapi")
-}
-
-# Only the firewall compartment touches the NIC registers.
-rule nic_exclusive {
-	count(compartments_with_mmio("net")) == 1 &&
-	contains(compartments_with_mmio("net"), "firewall")
-}
-
-# The fleet application must not bypass the stack: DNS, SNTP, MQTT, and
-# the scheduler only — never the firewall or TCP/IP directly.
-rule fleetapp_cannot_touch_firewall {
-	!contains(compartments_calling("firewall"), "fleetapp")
-}
-rule fleetapp_cannot_touch_tcpip {
-	!contains(compartments_calling("tcpip"), "fleetapp")
-}
-
-# Availability: quotas must fit the heap, and the fault-prone TCP/IP
-# compartment must be micro-rebootable (it has an error handler).
-rule quotas_fit_heap {
-	sum_quotas() <= heap_size()
-}
-rule tcpip_is_fault_tolerant {
-	has_error_handler("tcpip")
-}
-
-# Interrupt posture stays auditable: a bounded set of IRQ-disabling
-# entry points.
-rule bounded_irq_disable {
-	count(exports_with_posture("disabled")) <= 16
-}
-`
+// before launch: policies/fleet-device.rego, embedded so the pre-launch
+// gate needs no filesystem access.
+var FleetPolicy = policies.FleetDevice
 
 // RepresentativeImage builds the firmware image of the fleet's default
 // (Go fleetapp) shape, without booting it — the subject of the

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"os"
 	"testing"
 
 	"github.com/cheriot-go/cheriot/internal/audit"
@@ -50,17 +49,5 @@ func TestFleetAuditGateRefuses(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("expected tcpip_is_fault_tolerant to fail, got %v", res.Failures())
-	}
-}
-
-// TestFleetPolicyFileInSync keeps the compiled-in policy identical to
-// the canonical copy integrators read at policies/fleet-device.rego.
-func TestFleetPolicyFileInSync(t *testing.T) {
-	b, err := os.ReadFile("../../policies/fleet-device.rego")
-	if err != nil {
-		t.Fatalf("read canonical policy: %v", err)
-	}
-	if string(b) != FleetPolicy {
-		t.Fatal("policies/fleet-device.rego has drifted from fleet.FleetPolicy; keep them identical")
 	}
 }

@@ -168,7 +168,7 @@ func Build() (*App, error) {
 	a.World.AddHost(DNSIP, netsim.NewDNSServer(DNSIP, map[string]uint32{
 		"broker.example": BrokerIP,
 	}))
-	a.World.AddHost(NTPIP, netsim.NewNTPServer(NTPIP, sys.Board.Core.Clock, 1_750_000_000_000))
+	a.World.AddHost(NTPIP, netsim.NewSharedNTPServer(NTPIP, 1_750_000_000_000))
 	host, broker := netsim.NewBroker(BrokerIP, RootSecret, []byte("fleet-ca"))
 	a.Broker = broker
 	a.World.AddHost(BrokerIP, host)

@@ -1,12 +1,11 @@
 package iotapp
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/cheriot-go/cheriot/internal/audit"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/policies"
 )
 
 // TestShippedPolicyPasses checks the repository's integrator policy
@@ -19,11 +18,7 @@ func TestShippedPolicyPasses(t *testing.T) {
 	}
 	defer app.Shutdown()
 
-	src, err := os.ReadFile(filepath.Join("..", "..", "policies", "iot-device.rego"))
-	if err != nil {
-		t.Fatalf("read policy: %v", err)
-	}
-	res, err := audit.CheckSource(string(src), app.Sys.Report)
+	res, err := audit.CheckSource(policies.IoTDevice, app.Sys.Report)
 	if err != nil {
 		t.Fatalf("CheckSource: %v", err)
 	}
@@ -51,11 +46,7 @@ func TestShippedPolicyCatchesBackdoor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("relink: %v", err)
 	}
-	src, err := os.ReadFile(filepath.Join("..", "..", "policies", "iot-device.rego"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := audit.CheckSource(string(src), rep)
+	res, err := audit.CheckSource(policies.IoTDevice, rep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestDNSAndNTPServers(t *testing.T) {
 	core, _, w, _ := rig()
 	dns := netsim.NewDNSServer(netproto.IPv4(10, 0, 0, 53), map[string]uint32{"a.example": 42})
 	w.AddHost(netproto.IPv4(10, 0, 0, 53), dns)
-	ntp := netsim.NewNTPServer(netproto.IPv4(10, 0, 0, 123), core.Clock, 1000)
+	ntp := netsim.NewSharedNTPServer(netproto.IPv4(10, 0, 0, 123), 1000)
 	w.AddHost(netproto.IPv4(10, 0, 0, 123), ntp)
 
 	// DNS hit.

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"github.com/cheriot-go/cheriot/internal/hw"
-	"github.com/cheriot-go/cheriot/internal/netproto"
-)
+import "github.com/cheriot-go/cheriot/internal/netproto"
 
 // NewDNSServer builds a host answering DNS queries on port 53 from a
 // static name table (ip 0 = NXDOMAIN).
@@ -19,27 +16,11 @@ func NewDNSServer(ip uint32, names map[string]uint32) *ServerHost {
 	return s
 }
 
-// NewNTPServer builds a host answering SNTP on port 123. Its notion of
-// wall-clock time is baseUnixMillis plus elapsed simulated time.
-func NewNTPServer(ip uint32, clock *hw.Clock, baseUnixMillis uint64) *ServerHost {
-	s := NewServerHost(ip)
-	s.HandleUDP(netproto.PortNTP, func(w *World, from netproto.Header, seg netproto.UDP) []byte {
-		stamp, err := netproto.DecodeNTPRequest(seg.Data)
-		if err != nil {
-			return nil
-		}
-		now := baseUnixMillis + clock.Cycles()*1000/clock.Hz()
-		return netproto.EncodeNTPReply(stamp, now)
-	})
-	return s
-}
-
-// NewSharedNTPServer builds an NTP host that can serve many Worlds at
-// once: instead of capturing one device's clock it reads the clock of
-// whichever World the request arrived on, so every device gets time
-// consistent with its own simulation. A world's armed NTP skew (the
-// clock-skew fault) offsets the answer. Used by the fleet's shared
-// cloud.
+// NewSharedNTPServer builds a host answering SNTP on port 123. Its
+// wall-clock time is baseUnixMillis plus the simulated time of
+// whichever World the request arrived on, so one host can serve many
+// Worlds, each device getting time consistent with its own simulation.
+// A world's armed NTP skew (the clock-skew fault) offsets the answer.
 func NewSharedNTPServer(ip uint32, baseUnixMillis uint64) *ServerHost {
 	s := NewServerHost(ip)
 	s.HandleUDP(netproto.PortNTP, func(w *World, from netproto.Header, seg netproto.UDP) []byte {

@@ -71,7 +71,7 @@ func buildRig(t *testing.T, appMain api.Entry, extra ...firmware.Import) *rig {
 	w.AddHost(dnsIP, netsim.NewDNSServer(dnsIP, map[string]uint32{
 		"broker.example": brokerIP,
 	}))
-	w.AddHost(ntpIP, netsim.NewNTPServer(ntpIP, s.Board.Core.Clock, 1_750_000_000_000))
+	w.AddHost(ntpIP, netsim.NewSharedNTPServer(ntpIP, 1_750_000_000_000))
 	host, broker := netsim.NewBroker(brokerIP, rootKey, []byte("fleet-ca"))
 	w.AddHost(brokerIP, host)
 

@@ -72,6 +72,13 @@ echo "== fuzz: frame storms against the IoT deployment (10 s) =="
 go test -run '^$' -fuzz '^FuzzFrameStorm$' -fuzztime 10s -fuzzminimizetime 0 ./internal/iotapp/
 echo "ok"
 
+echo "== fuzz: audit policies against linker reports (10 s) =="
+# Each input is a policy source and a report's JSON: ParsePolicy,
+# ParseReport and Check never panic, two checks give the same result,
+# and no rule both passes and carries an error.
+go test -run '^$' -fuzz '^FuzzPolicy$' -fuzztime 10s -fuzzminimizetime 0 ./internal/audit/
+echo "ok"
+
 echo "== kernel loop on thread coroutines (race, 10 runs) =="
 # A yielding thread runs the kernel loop on its own coroutine and hands
 # the core back to Run's loop, which resumes the next thread; repeat the
