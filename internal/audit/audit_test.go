@@ -176,6 +176,7 @@ func TestPolicyParseErrors(t *testing.T) {
 		`rule x { 1 < 2 < 3 }`,                   // comparisons do not chain
 		`rule x { 1 == 1 == true }`,              // ...not even when the kinds fit
 		`rule x { count(compartments(),) == 0 }`, // trailing comma
+		"rule a { true }\x00rule b { false }",    // a NUL byte does not end the policy
 		// Unknown names are refused even where evaluation would not
 		// reach them.
 		`rule r { true || bogus_builtin() }`,
@@ -208,9 +209,10 @@ func TestPolicyParseErrors(t *testing.T) {
 // error. A report that does not parse is replaced by the Fig. 4
 // firmware's, so every policy that parses is checked. The seed corpus,
 // testdata/fuzz/FuzzPolicy, pairs the cheriot-audit -demo report with
-// both shipped policies, the Fig. 4 and supply-chain policies, and five
+// both shipped policies, the Fig. 4 and supply-chain policies, and six
 // malformed policies: an unknown name behind ||, extra arguments, a
-// missing comma, int64 overflow and a nullary builtin given arguments.
+// missing comma, int64 overflow, a nullary builtin given arguments and
+// a NUL byte between two rules.
 func FuzzPolicy(f *testing.F) {
 	fallback, err := firmware.BuildReport(httpClientImage())
 	if err != nil {

@@ -96,7 +96,7 @@ func (l *lexer) next() (token, error) {
 	line := l.line
 	r := l.peek()
 	switch {
-	case r == 0:
+	case l.pos >= len(l.src): // not r == 0: a NUL byte is an unexpected character
 		return token{kind: tokEOF, line: line}, nil
 	case unicode.IsLetter(r) || r == '_':
 		start := l.pos

@@ -218,9 +218,10 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 // TestParseReportRefusesWhatNoLinkerEmits: a report whose facts are
-// missing or misplaced must not parse, or a policy checked against it
-// could pass for want of them. With the "compartments" key misspelled,
-// alpha's import of beta would vanish from every query.
+// missing, misplaced or ambiguous must not parse, or a policy checked
+// against it could pass for want of them. With the "compartments" key
+// misspelled, alpha's import of beta would vanish from every query; with
+// a key repeated, the last value would hide the first.
 func TestParseReportRefusesWhatNoLinkerEmits(t *testing.T) {
 	rep, err := BuildReport(testImage())
 	if err != nil {
@@ -243,6 +244,8 @@ func TestParseReportRefusesWhatNoLinkerEmits(t *testing.T) {
 		"misspelled compartments": strings.Replace(good, `"compartments"`, `"compartmens"`, 1),
 		"unknown nested field":    strings.Replace(good, `"code_size"`, `"code_sizes"`, 1),
 		"trailing data":           good + "{}",
+		"repeated compartment":    strings.Replace(good, `"compartments": {`, `"compartments": {"alpha": {},`, 1),
+		"field in another case":   strings.Replace(good, `"threads"`, `"Threads"`, 1),
 		"no compartments":         encode(func(r *Report) { r.Compartments = nil }),
 		"no threads":              encode(func(r *Report) { r.Threads = nil }),
 		"thread in no compartment": encode(func(r *Report) {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Report is the linker-emitted, machine-readable description of a firmware
@@ -152,9 +151,12 @@ func BuildReport(img *Image) (*Report, error) {
 func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // ParseReport loads a report from JSON and refuses one no linker
-// emits: an unknown or misspelled field, trailing data, no compartments
-// or no threads, or a thread in a compartment the report lacks. A
-// policy checked against such a report could pass for want of facts.
+// emits: an unknown or misspelled field; JSON that is not, up to white
+// space, the linker's encoding of what it decodes to (a repeated key, a
+// key in another case or order, trailing data); no compartments or no
+// threads; or a thread in a compartment the report lacks. A policy
+// checked against such a report could pass for want of facts: where a
+// key repeats, the last value silently wins.
 func ParseReport(b []byte) (*Report, error) {
 	var r Report
 	dec := json.NewDecoder(bytes.NewReader(b))
@@ -162,15 +164,20 @@ func ParseReport(b []byte) (*Report, error) {
 	if err := dec.Decode(&r); err != nil {
 		return nil, err
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, errors.New("report: trailing data after the JSON object")
+	canon, err := json.Marshal(&r)
+	if err != nil {
+		return nil, err
+	}
+	var in bytes.Buffer
+	if err := json.Compact(&in, b); err != nil || !bytes.Equal(in.Bytes(), canon) {
+		return nil, errors.New("not as the linker writes it (a repeated key, a key in another case or order, or trailing data)")
 	}
 	if len(r.Compartments) == 0 || len(r.Threads) == 0 {
-		return nil, errors.New("report: no compartments or no threads")
+		return nil, errors.New("no compartments or no threads")
 	}
 	for _, t := range r.Threads {
 		if _, ok := r.Compartments[t.Compartment]; !ok {
-			return nil, fmt.Errorf("report: thread %q runs in compartment %q, which the report lacks", t.Name, t.Compartment)
+			return nil, fmt.Errorf("thread %q runs in compartment %q, which the report lacks", t.Name, t.Compartment)
 		}
 	}
 	return &r, nil
