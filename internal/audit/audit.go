@@ -65,7 +65,8 @@ func (r *Result) String() string {
 // corresponding rule.
 func (p *Policy) Check(report *firmware.Report) *Result {
 	res := &Result{Rules: make([]RuleResult, 0, len(p.Rules))}
-	for _, rule := range p.Rules {
+	for i := range p.Rules {
+		rule := &p.Rules[i]
 		v, err := rule.body.eval(report)
 		res.Rules = append(res.Rules, RuleResult{Rule: rule.Name, Passed: err == nil && v.(bool), Err: err})
 	}

@@ -177,6 +177,7 @@ func TestPolicyParseErrors(t *testing.T) {
 		`rule x { 1 == 1 == true }`,              // ...not even when the kinds fit
 		`rule x { count(compartments(),) == 0 }`, // trailing comma
 		"rule a { true }\x00rule b { false }",    // a NUL byte does not end the policy
+		"rule x { \"a\x00b\" == \"ab\" }",        // ...nor a string
 		// Unknown names are refused even where evaluation would not
 		// reach them.
 		`rule r { true || bogus_builtin() }`,
@@ -200,6 +201,15 @@ func TestPolicyParseErrors(t *testing.T) {
 		if res.Passed() || res.Rules[0].Err == nil {
 			t.Errorf("policy %q: %v; want a parse error or a rule failing with an error", src, res.Rules[0])
 		}
+	}
+}
+
+// TestNULByteInStringIsUnexpected: a NUL byte inside a string literal
+// is an unexpected character, not the end of the source.
+func TestNULByteInStringIsUnexpected(t *testing.T) {
+	_, err := audit.ParsePolicy("rule x { \"a\x00b\" == \"ab\" }")
+	if err == nil || !strings.Contains(err.Error(), "unexpected character") {
+		t.Fatalf("got %v, want an unexpected character", err)
 	}
 }
 

@@ -57,11 +57,16 @@ func (l *lexer) peek() rune {
 	return r
 }
 
+// advance consumes the rune at pos and returns it, or returns 0 at the
+// end of the source.
 func (l *lexer) advance() rune {
 	if l.pos >= len(l.src) {
 		return 0
 	}
-	r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+	r, size := rune(l.src[l.pos]), 1
+	if r >= utf8.RuneSelf {
+		r, size = utf8.DecodeRuneInString(l.src[l.pos:])
+	}
 	l.pos += size
 	if r == '\n' {
 		l.line++
@@ -74,20 +79,17 @@ func (l *lexer) skipSpaceAndComments() {
 		for unicode.IsSpace(l.peek()) {
 			l.advance()
 		}
-		if l.peek() == '#' {
-			for l.peek() != '\n' && l.peek() != 0 {
-				l.advance()
-			}
-			continue
+		// A comment, # or C++-style //, runs to the end of the line. A
+		// NUL byte ends it too, and is then an unexpected character.
+		rest := l.src[l.pos:]
+		if !strings.HasPrefix(rest, "#") && !strings.HasPrefix(rest, "//") {
+			return
 		}
-		// C++-style comments are tolerated too.
-		if l.peek() == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/' {
-			for l.peek() != '\n' && l.peek() != 0 {
-				l.advance()
-			}
-			continue
+		if n := strings.IndexAny(rest, "\n\x00"); n >= 0 {
+			l.pos += n
+		} else {
+			l.pos = len(l.src)
 		}
-		return
 	}
 }
 
@@ -119,22 +121,25 @@ func (l *lexer) next() (token, error) {
 		l.advance()
 		var sb strings.Builder
 		for {
-			c := l.advance()
-			if c == 0 {
+			if l.pos >= len(l.src) {
 				return token{}, fmt.Errorf("line %d: unterminated string", line)
 			}
+			c := l.advance()
 			if c == '"' {
 				break
 			}
-			if c == '\\' {
+			if c == '\\' && l.pos < len(l.src) {
 				c = l.advance()
+			}
+			if c == 0 {
+				return token{}, fmt.Errorf("line %d: unexpected character %q", l.line, "\x00")
 			}
 			sb.WriteRune(c)
 		}
 		return token{kind: tokString, text: sb.String(), line: line}, nil
 	case strings.ContainsRune("(){},", r):
-		l.advance()
-		return token{kind: tokPunct, text: string(r), line: line}, nil
+		l.pos++
+		return token{kind: tokPunct, text: l.src[l.pos-1 : l.pos], line: line}, nil
 	default:
 		// Operators, longest match first.
 		two := ""
@@ -148,8 +153,8 @@ func (l *lexer) next() (token, error) {
 			return token{kind: tokOp, text: two, line: line}, nil
 		}
 		if strings.ContainsRune("<>!+-*", r) {
-			l.advance()
-			return token{kind: tokOp, text: string(r), line: line}, nil
+			l.pos++
+			return token{kind: tokOp, text: l.src[l.pos-1 : l.pos], line: line}, nil
 		}
 		return token{}, fmt.Errorf("line %d: unexpected character %q", line, string(r))
 	}

@@ -1,9 +1,6 @@
 package audit
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // expr is a type-checked policy expression: a literal, or a builtin or
 // operator applied to its arguments. ParsePolicy checks every
@@ -88,7 +85,7 @@ func ParsePolicy(src string) (*Policy, error) {
 		if err := p.expect(tokPunct, "{"); err != nil {
 			return nil, err
 		}
-		body, err := p.parseLevel(0)
+		body, err := p.parseBinary(1)
 		if err != nil {
 			return nil, err
 		}
@@ -106,35 +103,38 @@ func ParsePolicy(src string) (*Policy, error) {
 	return &pol, nil
 }
 
-// levels lists the binary operators by precedence, loosest first. Every
-// level is left-associative, except that comparisons do not chain.
-var levels = []struct {
-	ops   []string
-	chain bool
-}{
-	{[]string{"||"}, true},
-	{[]string{"&&"}, true},
-	{[]string{"==", "!=", "<", "<=", ">", ">="}, false},
-	{[]string{"+", "-"}, true},
-	{[]string{"*"}, true},
+// prec ranks the binary operators, tighter-binding higher. Every one is
+// left-associative, except that comparisons do not chain.
+var prec = map[string]int{
+	"||": 1, "&&": 2,
+	"==": cmp, "!=": cmp, "<": cmp, "<=": cmp, ">": cmp, ">=": cmp,
+	"+": 4, "-": 4, "*": 5,
 }
 
-// parseLevel parses an expression of level i's operators over operands
-// of the next tighter level; below the last level come unary
-// expressions.
-func (p *parser) parseLevel(i int) (expr, error) {
-	if i == len(levels) {
-		return p.parseUnary()
+const cmp = 3
+
+// opPrec is the precedence of the current token, or 0 if it is not a
+// binary operator.
+func (p *parser) opPrec() int {
+	if p.cur().kind != tokOp {
+		return 0
 	}
-	l, err := p.parseLevel(i + 1)
-	for err == nil && p.cur().kind == tokOp && slices.Contains(levels[i].ops, p.cur().text) {
+	return prec[p.cur().text]
+}
+
+// parseBinary parses unary expressions joined by binary operators of
+// precedence atLeast or tighter, by precedence climbing.
+func (p *parser) parseBinary(atLeast int) (expr, error) {
+	l, err := p.parseUnary()
+	for err == nil && p.opPrec() >= atLeast {
+		lv := p.opPrec()
 		op := p.next()
 		var r expr
-		if r, err = p.parseLevel(i + 1); err == nil {
+		if r, err = p.parseBinary(lv + 1); err == nil {
 			l, err = apply(op, l, r)
 		}
-		if !levels[i].chain {
-			break
+		if err == nil && lv == cmp && p.opPrec() == cmp {
+			err = fmt.Errorf("line %d: comparisons do not chain", p.cur().line)
 		}
 	}
 	return l, err
@@ -170,7 +170,7 @@ func (p *parser) parsePrimary() (expr, error) {
 					return expr{}, err
 				}
 			}
-			a, err := p.parseLevel(0)
+			a, err := p.parseBinary(1)
 			if err != nil {
 				return expr{}, err
 			}
@@ -181,7 +181,7 @@ func (p *parser) parsePrimary() (expr, error) {
 	case t.kind == tokIdent:
 		return expr{}, fmt.Errorf("line %d: bare identifier %q (did you mean %s(...)?)", t.line, t.text, t.text)
 	case t.kind == tokPunct && t.text == "(":
-		e, err := p.parseLevel(0)
+		e, err := p.parseBinary(1)
 		if err != nil {
 			return expr{}, err
 		}

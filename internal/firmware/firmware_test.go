@@ -246,6 +246,7 @@ func TestParseReportRefusesWhatNoLinkerEmits(t *testing.T) {
 		"trailing data":           good + "{}",
 		"repeated compartment":    strings.Replace(good, `"compartments": {`, `"compartments": {"alpha": {},`, 1),
 		"field in another case":   strings.Replace(good, `"threads"`, `"Threads"`, 1),
+		"zero optional field":     strings.Replace(good, `"data_size"`, `"wrapper_size": 0, "data_size"`, 1),
 		"no compartments":         encode(func(r *Report) { r.Compartments = nil }),
 		"no threads":              encode(func(r *Report) { r.Threads = nil }),
 		"thread in no compartment": encode(func(r *Report) {

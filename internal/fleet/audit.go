@@ -10,10 +10,10 @@ import (
 	"github.com/cheriot-go/cheriot/policies"
 )
 
-// FleetPolicy is the integrator policy every fleet device must satisfy
+// fleetPolicy is the integrator policy every fleet device must satisfy
 // before launch: policies/fleet-device.rego, embedded so the pre-launch
-// gate needs no filesystem access.
-var FleetPolicy = policies.FleetDevice
+// gate needs no filesystem access, and parsed once for every gate.
+var fleetPolicy, errFleetPolicy = audit.ParsePolicy(policies.FleetDevice)
 
 // RepresentativeImage builds the firmware image of the fleet's default
 // (Go fleetapp) shape, without booting it — the subject of the
@@ -76,20 +76,20 @@ func report(cfg Config, fw string) (*firmware.Report, error) {
 }
 
 // Audit checks every deployed firmware shape's representative image
-// against FleetPolicy, returning the first failing result (or the last
-// passing one). Both shapes name the application compartment "fleetapp",
-// so one policy pins down both.
+// against the fleet policy, returning the first failing result (or the
+// last passing one). Both shapes name the application compartment
+// "fleetapp", so one policy pins down both.
 func Audit(cfg Config) (*audit.Result, error) {
+	if errFleetPolicy != nil {
+		return nil, fmt.Errorf("fleet audit: %w", errFleetPolicy)
+	}
 	var last *audit.Result
 	for _, fw := range firmwareShapes(cfg) {
 		rep, err := report(cfg, fw)
 		if err != nil {
 			return nil, err
 		}
-		res, err := audit.CheckSource(FleetPolicy, rep)
-		if err != nil {
-			return nil, fmt.Errorf("fleet audit (%s): %w", fw, err)
-		}
+		res := fleetPolicy.Check(rep)
 		if !res.Passed() {
 			return res, nil
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/cheriot-go/cheriot/internal/audit"
+	"github.com/cheriot-go/cheriot/policies"
 )
 
 // TestFleetAuditPasses: the shipped fleet firmware satisfies its own
@@ -34,7 +35,7 @@ func TestFleetAuditGateRefuses(t *testing.T) {
 	tcpip.HasErrorHandler = false
 	report.Compartments["tcpip"] = tcpip
 
-	res, err := audit.CheckSource(FleetPolicy, report)
+	res, err := audit.CheckSource(policies.FleetDevice, report)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}

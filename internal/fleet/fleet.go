@@ -189,7 +189,7 @@ type Config struct {
 	// Rollout, when non-nil, arms the staged OTA firmware rollout
 	// (internal/ota): at Plan.StartAt the cloud offers a new firmware
 	// image — the fleet app plus an update-agent compartment, audited
-	// against FleetPolicy like every other shape — to a seeded canary
+	// against the fleet policy like every other shape — to a seeded canary
 	// ring; offered devices micro-reboot into it by forking the new
 	// shape's snapshot template. The rollout widens ring-by-ring while
 	// the updated cohort's health holds over the plan's bake window and
