@@ -153,11 +153,11 @@ func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ")
 // ParseReport loads a report from JSON and refuses one no linker
 // emits: JSON that is not, up to white space, json.Marshal of what it
 // decodes to (an unknown or misspelled field, a repeated key, a key in
-// another case or order, an optional field written with its zero value,
-// an escaped character, trailing data); no compartments or no threads;
-// or a thread in a compartment the report lacks. A policy checked
-// against such a report could pass for want of facts: where a key
-// repeats, the last value silently wins. The re-encoding comparison
+// another case or order, an optional field written with its zero
+// value, a string escaped otherwise, trailing data); no compartments or
+// no threads; or a thread in a compartment the report lacks. A policy
+// checked against such a report could pass for want of facts: where a
+// key repeats, the last value silently wins. The re-encoding comparison
 // alone refuses an unknown field too; DisallowUnknownFields is there
 // only so that the error names the field.
 func ParseReport(b []byte) (*Report, error) {
@@ -173,8 +173,8 @@ func ParseReport(b []byte) (*Report, error) {
 	}
 	var in bytes.Buffer
 	if err := json.Compact(&in, b); err != nil || !bytes.Equal(in.Bytes(), canon) {
-		return nil, errors.New("not in the linker's canonical encoding (json.Marshal of the decoded report, up to white space): " +
-			"a repeated key, a key in another case or order, an optional field written with its zero value, an escaped character or trailing data")
+		return nil, errors.New("not in the linker's canonical encoding (json.Marshal of the decoded report, up to white space), such as " +
+			"a repeated key, a key in another case or order, an optional field written with its zero value, a string escaped otherwise, or trailing data")
 	}
 	if len(r.Compartments) == 0 || len(r.Threads) == 0 {
 		return nil, errors.New("no compartments or no threads")
