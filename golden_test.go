@@ -24,7 +24,8 @@ const paperGolden = "testdata/paper_cycles.golden"
 // TestPaperCyclesGolden pins the simulated numbers behind the paper's
 // figures and tables in EXPERIMENTS.md — the Fig. 6a call and interrupt
 // latencies, every Table 3 row, and the Fig. 7 case study's length,
-// TCP/IP micro-reboot time and average load — against a committed golden
+// TCP/IP micro-reboot time, average load, compartment count, code and
+// data footprint and heap high water — against a committed golden
 // file. A calibration change must show up as an explicit diff of that
 // file (rewrite it with -update), never as a silent drift.
 func TestPaperCyclesGolden(t *testing.T) {
@@ -55,6 +56,10 @@ func TestPaperCyclesGolden(t *testing.T) {
 	row("fig7 total_cycles %d", app.Sys.Cycles())
 	row("fig7 tcpip_reboot_ms %.1f", res.RebootMs)
 	row("fig7 avg_load_pct %.1f", res.AvgLoadPct)
+	row("fig7 compartments %d", res.Compartments)
+	row("fig7 code_bytes %d", res.Footprint.CodeBytes)
+	row("fig7 data_bytes %d", res.Footprint.DataBytes)
+	row("fig7 heap_high_water %d", res.HeapHighWater)
 
 	got := b.String()
 	if *update {
