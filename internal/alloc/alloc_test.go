@@ -30,6 +30,16 @@ func runApp(t *testing.T, quota uint32, extraImports []firmware.Import,
 func bootApp(t *testing.T, quota uint32, extraImports []firmware.Import,
 	fn func(ctx api.Context)) *core.System {
 	t.Helper()
+	s, err := core.Boot(appImage(quota, extraImports, fn))
+	if err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	t.Cleanup(s.Shutdown)
+	return s
+}
+
+// appImage is runApp's image.
+func appImage(quota uint32, extraImports []firmware.Import, fn func(ctx api.Context)) *firmware.Image {
 	img := core.NewImage("alloc-test")
 	img.AddCompartment(&firmware.Compartment{
 		Name: "app", CodeSize: 256, DataSize: 64,
@@ -43,12 +53,7 @@ func bootApp(t *testing.T, quota uint32, extraImports []firmware.Import,
 	})
 	img.AddThread(&firmware.Thread{Name: "t", Compartment: "app", Entry: "main",
 		Priority: 1, StackSize: 4096, TrustedStackFrames: 12})
-	s, err := core.Boot(img)
-	if err != nil {
-		t.Fatalf("Boot: %v", err)
-	}
-	t.Cleanup(s.Shutdown)
-	return s
+	return img
 }
 
 func TestAllocZeroed(t *testing.T) {

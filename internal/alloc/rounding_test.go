@@ -2,10 +2,12 @@ package alloc_test
 
 import (
 	"testing"
+	"time"
 
 	"github.com/cheriot-go/cheriot/internal/alloc"
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
+	"github.com/cheriot-go/cheriot/internal/core"
 )
 
 // TestAllocationsAreRepresentable: every capability the allocator hands
@@ -60,4 +62,35 @@ func TestQuotaChargesRoundedSize(t *testing.T) {
 			t.Errorf("quota after free = %d, want %d", restored, before)
 		}
 	})
+}
+
+// TestMallocAboveTwoGiBIsInvalid: heap_allocate rounds the caller's size
+// before comparing it with the heap, and rounding a size above 2^31 once
+// spun the bounds encoder forever, so one call from any compartment
+// holding an allocation capability hung its device. The device runs on a
+// goroutine with a deadline: a hang fails the test instead of the suite.
+func TestMallocAboveTwoGiBIsInvalid(t *testing.T) {
+	errno := api.OK
+	s, err := core.Boot(appImage(8192, nil, func(ctx api.Context) {
+		_, errno = alloc.Client{}.Malloc(ctx, 0x80000001)
+	}))
+	if err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Run(nil) }()
+	select {
+	case err := <-done:
+		s.Shutdown()
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		// The device is still spinning on the other goroutine; shutting
+		// it down from here would race its thread.
+		t.Fatal("heap_allocate(quota, 0x80000001) did not return within 3 s")
+	}
+	if errno != api.ErrInvalid {
+		t.Fatalf("heap_allocate(quota, 0x80000001) = %v, want %v", errno, api.ErrInvalid)
+	}
 }

@@ -1,5 +1,7 @@
 package cap
 
+import "math"
+
 // Compressed-bounds model.
 //
 // CHERIoT capabilities are 64 bits plus a tag: there is no room for full
@@ -21,10 +23,12 @@ const mantissaBits = 9
 
 // boundsExponent returns the encoding exponent E for a region of the
 // given length: lengths below 2^mantissaBits are exact (E = 0); beyond
-// that, each doubling costs one exponent step.
+// that, each doubling costs one exponent step. The bound is computed in
+// 64 bits: in 32 it wraps to 0 at E = 23, and a length above 2^31 would
+// never stop the loop.
 func boundsExponent(length uint32) uint32 {
 	e := uint32(0)
-	for length > 1<<mantissaBits<<e {
+	for uint64(length) > uint64(1)<<mantissaBits<<e {
 		e++
 	}
 	return e
@@ -45,15 +49,19 @@ func RepresentableAlignment(length uint32) uint32 {
 
 // RepresentableLength rounds a length up to the next representable value
 // at its own alignment (the fixed point of rounding: the result is a
-// multiple of RepresentableAlignment(result)).
+// multiple of RepresentableAlignment(result)). It returns 0 when no
+// representable length at least as large fits in 32 bits.
 func RepresentableLength(length uint32) uint32 {
 	for {
-		a := RepresentableAlignment(length)
-		rounded := (length + a - 1) &^ (a - 1)
-		if rounded == length {
+		a := uint64(RepresentableAlignment(length))
+		rounded := (uint64(length) + a - 1) &^ (a - 1)
+		if rounded > math.MaxUint32 {
+			return 0
+		}
+		if rounded == uint64(length) {
 			return length
 		}
-		length = rounded
+		length = uint32(rounded)
 	}
 }
 

@@ -3,6 +3,7 @@ package cap
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRepresentableAlignment(t *testing.T) {
@@ -32,6 +33,32 @@ func TestRepresentableLength(t *testing.T) {
 	} {
 		if got := RepresentableLength(tc.in); got != tc.want {
 			t.Errorf("RepresentableLength(%d) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestRepresentableAboveTwoGiB: lengths above 2^31 round in bounded
+// time, to a representable length, or to 0 when none fits in 32 bits.
+// The exponent's bound once wrapped to 0 in 32 bits at E = 23, so these
+// lengths never returned; each runs on a goroutine with a deadline, and
+// a hang fails the test instead of the suite.
+func TestRepresentableAboveTwoGiB(t *testing.T) {
+	for _, tc := range []struct{ n, align, length uint32 }{
+		{1 << 31, 1 << 22, 1 << 31},
+		{1<<31 + 1, 1 << 23, 1<<31 + 1<<23},
+		{0xfffffff9, 1 << 23, 0},
+		{0xffffffff, 1 << 23, 0},
+	} {
+		done := make(chan [2]uint32, 1)
+		go func() { done <- [2]uint32{RepresentableAlignment(tc.n), RepresentableLength(tc.n)} }()
+		select {
+		case got := <-done:
+			if got != [2]uint32{tc.align, tc.length} {
+				t.Errorf("RepresentableAlignment, RepresentableLength(%#x) = %#x, %#x, want %#x, %#x",
+					tc.n, got[0], got[1], tc.align, tc.length)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("RepresentableAlignment or RepresentableLength(%#x) did not return within 2 s", tc.n)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/cheriot-go/cheriot/internal/alloc"
 	"github.com/cheriot-go/cheriot/internal/cap"
@@ -69,30 +70,26 @@ type BootOptions struct {
 	Snapshot *loader.Snapshot
 }
 
-// Boot injects the TCB compartments into the image (unless the image
-// already carries them), links it, runs the loader, and attaches the TCB
-// to the booted kernel. On return the loader has erased itself and the
-// machine is ready to Run.
+// Boot adds the TCB compartments to a copy of the image, links it, runs
+// the loader, and attaches the TCB to the booted kernel. The caller's
+// image is left as it was, so one image boots any number of independent
+// Systems; System.Image is the booted copy. On return the loader has
+// erased itself and the machine is ready to Run.
 func Boot(img *firmware.Image) (*System, error) {
 	return BootWith(img, BootOptions{})
 }
 
 // BootWith is Boot with explicit BootOptions.
 func BootWith(img *firmware.Image, opts BootOptions) (*System, error) {
-	s := &System{Image: img}
-
-	s.Sched = sched.New()
-	if img.Compartment(sched.Name) == nil {
-		s.Sched.AddTo(img)
-	}
-	s.Alloc = alloc.New()
-	if img.Compartment(alloc.Name) == nil {
-		s.Alloc.AddTo(img)
-	}
-	s.Token = token.New()
-	if img.Compartment(token.Name) == nil {
-		s.Token.AddTo(img)
-	}
+	// Clip makes the TCB's appends copy the compartment list, so the
+	// caller's image keeps its own.
+	booted := *img
+	booted.Compartments = slices.Clip(img.Compartments)
+	img = &booted
+	s := &System{Image: img, Sched: sched.New(), Alloc: alloc.New(), Token: token.New()}
+	s.Sched.AddTo(img)
+	s.Alloc.AddTo(img)
+	s.Token.AddTo(img)
 
 	lopts := loader.Options{SkipReport: opts.SkipReport, CaptureSnapshot: opts.CaptureSnapshot}
 	var boot *loader.Boot

@@ -7,6 +7,7 @@ import (
 
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/sched"
 	"github.com/cheriot-go/cheriot/internal/switcher"
 )
 
@@ -131,6 +132,52 @@ func TestSystemsRunConcurrently(t *testing.T) {
 		}
 		if i%2 == 1 && r != results[i-1] {
 			t.Errorf("system %d (sliced) = %+v, system %d (whole) = %+v", i, r, i-1, results[i-1])
+		}
+	}
+}
+
+// TestBootOneImageTwice: Boot adds the TCB to a copy of the caller's
+// image, so two Systems booted from one image are independent, and each
+// runs the image's sleep to the cycle a single boot reaches, whichever
+// runs first. Boot once added the TCB to the caller's image itself,
+// bound to the first System's scheduler, allocator and token objects, so
+// the second System's sleep went to the first System's scheduler.
+func TestBootOneImageTwice(t *testing.T) {
+	sleeper := func() *firmware.Image {
+		img := NewImage("sleeper")
+		img.AddCompartment(&firmware.Compartment{
+			Name: "app", CodeSize: 256, DataSize: 16,
+			Imports: sched.Imports(),
+			Exports: []*firmware.Export{{Name: "main", MinStack: 256,
+				Entry: func(ctx api.Context, args []api.Value) []api.Value {
+					if _, err := ctx.Call(sched.Name, sched.EntrySleep, api.W(100_000)); err != nil {
+						t.Errorf("sleep: %v", err)
+					}
+					return nil
+				}}},
+		})
+		img.AddThread(&firmware.Thread{Name: "t", Compartment: "app", Entry: "main",
+			Priority: 1, StackSize: 1024, TrustedStackFrames: 4})
+		return img
+	}
+	run := func(s *System) uint64 {
+		t.Helper()
+		if err := s.Run(nil); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return s.Cycles()
+	}
+	want := run(boot(t, sleeper()))
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		img := sleeper()
+		systems := [2]*System{boot(t, img), boot(t, img)}
+		if n := len(img.Compartments); n != 1 {
+			t.Errorf("Boot left %d compartments in the caller's image, want 1", n)
+		}
+		for _, i := range order {
+			if got := run(systems[i]); got != want {
+				t.Errorf("order %v: System %d ran %d cycles, a single boot %d", order, i, got, want)
+			}
 		}
 	}
 }

@@ -25,11 +25,12 @@ import (
 
 const secondCycles = hw.DefaultHz
 
-// Histogram bucket bounds for the fleet's latency distributions. Connect
-// latency is dominated by the modeled TLS handshake (~330 M cycles, ~10 s
-// at 33 MHz) plus retries under fault injection; publish latency is the
-// device-side send path (TLS record crypto + socket send), orders of
-// magnitude smaller.
+// Histogram bucket bounds for the fleet's latency distributions, which
+// summarize fills from DeviceStats' exact samples. Connect latency is
+// dominated by the modeled TLS handshake (~330 M cycles, ~10 s at 33 MHz)
+// plus retries under fault injection; publish latency is the device-side
+// send path (TLS record crypto + socket send), orders of magnitude
+// smaller.
 var (
 	FleetConnectBuckets = []uint64{
 		330_000_000, 335_000_000, 340_000_000, 350_000_000, 375_000_000,
@@ -71,8 +72,8 @@ type DeviceStats struct {
 	// second t — the raw material of the fleet availability curve.
 	PublishSeconds []uint32
 
-	// Latency samples in cycles; kept exact (not just histogrammed) so
-	// the fleet can report true percentiles.
+	// Latency samples in cycles, kept exact: the fleet reports their
+	// true percentiles and buckets them once for its telemetry.
 	ConnectLatency []uint64
 	PublishLatency []uint64
 }
@@ -584,9 +585,6 @@ type appDriver struct {
 	bcastView   cap.Capability
 	cmdView     cap.Capability
 	drainView   cap.Capability
-
-	connHist *telemetry.Histogram
-	pubHist  *telemetry.Histogram
 }
 
 func newAppDriver(d *Device, ctx api.Context) *appDriver {
@@ -675,9 +673,6 @@ func (a *appDriver) setup() bool {
 		return false
 	}
 
-	a.connHist = d.Tel.Histogram("fleet", "connect_cycles", FleetConnectBuckets)
-	a.pubHist = d.Tel.Histogram("fleet", "publish_cycles", FleetPublishBuckets)
-
 	a.topicView = a.stage([]byte(d.Topic))
 	payload := make([]byte, d.Profile.PublishBytes)
 	for i := range payload {
@@ -709,7 +704,6 @@ func (a *appDriver) connect() bool {
 				lat := ctx.Now() - t0
 				st.Connects++
 				st.ConnectLatency = append(st.ConnectLatency, lat)
-				a.connHist.Observe(lat)
 				return true
 			}
 			_, _ = ctx.Call(netstack.MQTT, netstack.FnMQTTClose, api.C(a.quota()), h)
@@ -769,7 +763,6 @@ func (a *appDriver) tick() bool {
 		st.Publishes++
 		a.published++
 		st.PublishLatency = append(st.PublishLatency, lat)
-		a.pubHist.Observe(lat)
 		a.markPublishSecond()
 		if d.updReb != nil {
 			// The updated image's update-agent self-check; a poisoned

@@ -902,7 +902,7 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 	}
 
 	var connectLat, publishLat []uint64
-	snaps := make([]telemetry.Snapshot, 0, len(devices)+1)
+	snaps := make([]telemetry.Snapshot, 0, len(devices)+3)
 	var profilers []*prof.Profiler
 	exact := true
 	seconds := int(s.SimSeconds + 0.5)
@@ -1063,11 +1063,21 @@ func summarize(cfg Config, pl *cloud.Plane, devices []*Device,
 		snaps = append(snaps, latencyHists)
 	}
 
-	// Per-shard counters enter the merged telemetry as a synthesized
-	// cycle-less snapshot (merged last, so Hz comes from the devices);
-	// the cycle-sum invariant is untouched because the cloud contributes
-	// no cycle accounts.
-	snaps = append(snaps, cloudSnapshot(s.BrokerShards))
+	// The app's latencies, bucketed once from the exact samples, and the
+	// per-shard counters enter the merged telemetry as synthesized
+	// cycle-less snapshots (merged last, so Hz comes from the devices);
+	// the cycle-sum invariant is untouched because neither contributes
+	// cycle accounts.
+	conn := telemetry.NewHistogram("fleet", "connect_cycles", FleetConnectBuckets)
+	for _, v := range connectLat {
+		conn.Observe(v)
+	}
+	pub := telemetry.NewHistogram("fleet", "publish_cycles", FleetPublishBuckets)
+	for _, v := range publishLat {
+		pub.Observe(v)
+	}
+	snaps = append(snaps, telemetry.Snapshot{Histograms: []telemetry.Histogram{*conn, *pub}},
+		cloudSnapshot(s.BrokerShards))
 	s.Telemetry = telemetry.Merge(snaps...)
 	var compSum uint64
 	for _, a := range s.Telemetry.Compartments {

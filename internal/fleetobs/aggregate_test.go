@@ -192,12 +192,12 @@ func referenceAggregate(in Input) (*Report, telemetry.Snapshot) {
 	perShard, perProfile, perSecond := map[int][]uint64{}, map[string][]uint64{}, map[int][]uint64{}
 	published, delivered := map[int]uint64{}, map[int]uint64{}
 	var flights [][2]int
-	hists := map[string]*telemetry.HistogramSnapshot{}
+	hists := map[string]*telemetry.Histogram{}
 	hist := func(comp string, lat uint64) {
 		if hists[comp] == nil {
-			hists[comp] = newE2EHistogram(comp)
+			hists[comp] = telemetry.NewHistogram(comp, "publish_deliver_cycles", E2EBuckets)
 		}
-		observe(hists[comp], lat)
+		hists[comp].Observe(lat)
 	}
 	for _, tr := range order {
 		p := pairs[tr]

@@ -17,6 +17,9 @@ var E2EBuckets = []uint64{
 	100_000, 250_000, 1_000_000, 10_000_000,
 }
 
+// e2eMetric names every publish→deliver latency histogram.
+const e2eMetric = "publish_deliver_cycles"
+
 // ShardObs is one shard's slice of the observability report.
 type ShardObs struct {
 	Shard    int    `json:"shard"`
@@ -184,13 +187,13 @@ func (l *latencies) add(lat uint64) {
 type shardGroup struct {
 	ShardObs
 	lat  latencies
-	hist *telemetry.HistogramSnapshot
+	hist *telemetry.Histogram
 }
 
 type profileGroup struct {
 	name string
 	lat  latencies
-	hist *telemetry.HistogramSnapshot
+	hist *telemetry.Histogram
 }
 
 // second is one simulated second's traced publishes, the latencies of
@@ -307,19 +310,19 @@ func Aggregate(in Input) (*Report, telemetry.Snapshot) {
 		sg := shardOf(int(p.shard))
 		sg.lat.add(lat)
 		if sg.hist == nil {
-			sg.hist = newE2EHistogram("fleetobs/shard" + strconv.Itoa(int(p.shard)))
+			sg.hist = telemetry.NewHistogram("fleetobs/shard"+strconv.Itoa(int(p.shard)), e2eMetric, E2EBuckets)
 		}
-		observe(sg.hist, lat)
+		sg.hist.Observe(lat)
 		if g := profileOf(p.device); g != nil {
 			g.lat.add(lat)
 			if g.hist == nil {
-				g.hist = newE2EHistogram("fleetobs/profile/" + g.name)
+				g.hist = telemetry.NewHistogram("fleetobs/profile/"+g.name, e2eMetric, E2EBuckets)
 			}
-			observe(g.hist, lat)
+			g.hist.Observe(lat)
 		}
 	}
 
-	var hists []telemetry.HistogramSnapshot
+	var hists []telemetry.Histogram
 	r.E2EP50Ms, r.E2EP99Ms = Quantiles(all.lats, in.Hz)
 	for _, g := range shards {
 		g.Samples = len(g.lat.lats)
@@ -400,31 +403,6 @@ func buildHealth(in Input, secs []second) []HealthPoint {
 		}
 	}
 	return health
-}
-
-// newE2EHistogram returns an empty publish→deliver latency histogram
-// over E2EBuckets for comp.
-func newE2EHistogram(comp string) *telemetry.HistogramSnapshot {
-	return &telemetry.HistogramSnapshot{
-		Compartment: comp, Metric: "publish_deliver_cycles",
-		Bounds: append([]uint64(nil), E2EBuckets...),
-		Counts: make([]uint64, len(E2EBuckets)+1),
-		Min:    ^uint64(0),
-	}
-}
-
-// observe adds one latency sample to a histogram snapshot.
-func observe(h *telemetry.HistogramSnapshot, lat uint64) {
-	h.Count++
-	h.Sum += lat
-	if lat < h.Min {
-		h.Min = lat
-	}
-	if lat > h.Max {
-		h.Max = lat
-	}
-	i := sort.Search(len(h.Bounds), func(k int) bool { return lat <= h.Bounds[k] })
-	h.Counts[i]++
 }
 
 // Quantiles sorts samples in place and returns their p50 and p99

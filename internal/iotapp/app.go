@@ -127,8 +127,6 @@ type App struct {
 	Broker *netsim.Broker
 	Stack  *netstack.Stack
 
-	Image *firmware.Image
-
 	phases    []PhaseMark
 	samples   []Sample
 	appDone   bool
@@ -140,7 +138,6 @@ type App struct {
 func Build() (*App, error) {
 	a := &App{}
 	img := core.NewImage("iot-device")
-	a.Image = img
 	a.Stack = netstack.AddTo(img, netstack.Config{
 		DeviceIP:   DeviceIP,
 		UseDHCP:    true,
@@ -434,8 +431,8 @@ func (a *App) Run() (*Result, error) {
 		RebootMs:      float64(a.Stack.TCPIPRebooter.LastDuration) / float64(hw.DefaultHz) * 1000,
 		Notifications: a.appResult,
 		LEDChanges:    len(a.Sys.Board.LEDs.Trace),
-		Compartments:  len(a.Image.Compartments),
-		Footprint:     a.Image.Measure(),
+		Compartments:  len(a.Sys.Image.Compartments),
+		Footprint:     a.Sys.Image.Measure(),
 		TotalSeconds:  float64(a.Sys.Cycles()) / float64(hw.DefaultHz),
 	}
 	heap := a.Sys.Kernel.HeapRegion().Size

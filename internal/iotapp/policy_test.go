@@ -40,7 +40,7 @@ func TestShippedPolicyCatchesBackdoor(t *testing.T) {
 	app.Shutdown()
 
 	// Backdoor the image at the build level and re-link.
-	img := app.Image
+	img := app.Sys.Image
 	img.Compartment("jsapp").AddImport(firmware.ImportCall, "tcpip", "sock_tcp_connect")
 	rep, err := firmware.BuildReport(img)
 	if err != nil {

@@ -2,11 +2,13 @@ package netproto
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 )
 
-// fuzzKey keys the sessions FuzzWireCodecs opens records with; the seed
-// corpus holds records sealed under it.
+// fuzzKey keys the sessions FuzzWireCodecs opens records with, and is
+// the root secret it verifies ServerHellos against; the seed corpus holds
+// records sealed and a ServerHello signed under it.
 var fuzzKey = SessionKey([]byte("fuzz-root"), make([]byte, RandomBytes), make([]byte, RandomBytes))
 
 // appendEncoders lists each append encoder applied to a sample value.
@@ -106,13 +108,22 @@ func TestOpenOwnedKeepsPlaintextOnError(t *testing.T) {
 // re-encodes, through the append encoders, to exactly the bytes the
 // decoder consumed; and appending onto a non-empty dst leaves the prefix
 // untouched and adds the same bytes as a nil dst. A record that opens is
-// re-sealed by a sender session at the same record counter.
+// re-sealed by a sender session at the same record counter. The DHCP,
+// DNS, SNTP and ServerHello codecs have no append encoder: what they
+// decode must re-encode through their Encode functions, and a ServerHello
+// is verified against fuzzKey as its root secret.
 func FuzzWireCodecs(f *testing.F) {
 	f.Add(EncodeHeader(Header{Dst: 1, Src: 2, Proto: ProtoTCP, Flags: 3},
 		EncodeTCP(TCP{SrcPort: 1, DstPort: PortMQTT, Seq: 9, Flags: TCPPsh | TCPAck, Data: []byte("data")})))
 	f.Add(EncodeMQTT(MQTTPacket{Type: MQTTPublish, Topic: "fleet/7", Payload: []byte("21.5C"), TraceID: 0xfeed}))
 	f.Add(EncodeClientHello(bytes.Repeat([]byte{7}, RandomBytes)))
 	f.Add(NewSession(fuzzKey).Seal(EncodeMQTT(MQTTPacket{Type: MQTTPingReq})))
+	f.Add(EncodeDHCP(DHCP{Op: DHCPOffer, XID: 0x1234, YourIP: 0x0a000002, ServerIP: 0x0a000001}))
+	f.Add(EncodeDNSQuery(7, "broker.example"))
+	f.Add(EncodeDNSReply(7, 0x0a000063))
+	f.Add(EncodeNTPRequest(0x1_0000_0001))
+	f.Add(EncodeNTPReply(0x1_0000_0001, 1_750_000_000_000))
+	f.Add(EncodeServerHello(fuzzKey, bytes.Repeat([]byte{9}, RandomBytes), []byte("fleet-ca")))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		check := func(what string, consumed []byte, enc func(dst []byte) []byte) {
 			t.Helper()
@@ -155,6 +166,28 @@ func FuzzWireCodecs(f *testing.F) {
 			check("tls record", b[:5+len(pt)+recordMACLen], func(dst []byte) []byte {
 				return NewSession(fuzzKey).AppendSeal(dst, pt)
 			})
+		}
+		encoded := func(enc []byte) func([]byte) []byte {
+			return func(dst []byte) []byte { return append(dst, enc...) }
+		}
+		if m, err := DecodeDHCP(b); err == nil {
+			check("dhcp", b[:13], encoded(EncodeDHCP(m)))
+		}
+		if id, name, err := DecodeDNSQuery(b); err == nil {
+			check("dns query", b[:3+len(name)], encoded(EncodeDNSQuery(id, name)))
+		}
+		if id, ip, err := DecodeDNSReply(b); err == nil {
+			check("dns reply", b[:6], encoded(EncodeDNSReply(id, ip)))
+		}
+		if stamp, err := DecodeNTPRequest(b); err == nil {
+			check("ntp request", b[:8], encoded(EncodeNTPRequest(stamp)))
+		}
+		if stamp, millis, err := DecodeNTPReply(b); err == nil {
+			check("ntp reply", b[:16], encoded(EncodeNTPReply(stamp, millis)))
+		}
+		if random, cert, err := DecodeServerHello(fuzzKey, b); err == nil {
+			check("server hello", b[:2+RandomBytes+len(cert)+sha256.Size],
+				encoded(EncodeServerHello(fuzzKey, random, cert)))
 		}
 	})
 }

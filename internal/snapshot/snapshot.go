@@ -34,10 +34,6 @@ const keyVersion = "cheriot-snapshot-key-v1"
 // Key returns the canonical shape identity of an image: a hash over every
 // field the loader reads, excluding the image Name and all Go closures.
 // Two images with equal Keys boot to identical machine state.
-//
-// Compute the Key on the image as the caller built it (before Boot, which
-// may inject the TCB compartments): Capture and Fork both key at that
-// point, so the comparison is like for like.
 func Key(img *firmware.Image) string {
 	h := sha256.New()
 	ks := keyScribe{h: h}
@@ -144,7 +140,7 @@ func (t *Template) Key() string { return t.key }
 // both the booted System (fully usable — it IS the first device) and the
 // Template for forking the rest.
 func Capture(img *firmware.Image, opts core.BootOptions) (*core.System, *Template, error) {
-	key := Key(img) // before Boot injects the TCB compartments
+	key := Key(img)
 	opts.CaptureSnapshot = true
 	opts.Snapshot = nil
 	sys, err := core.BootWith(img, opts)

@@ -20,69 +20,18 @@ type MetricSnapshot struct {
 	Value       int64  `json:"value"`
 }
 
-// HistogramSnapshot is one exported histogram.
-type HistogramSnapshot struct {
-	Compartment string   `json:"compartment"`
-	Metric      string   `json:"metric"`
-	Count       uint64   `json:"count"`
-	Sum         uint64   `json:"sum"`
-	Min         uint64   `json:"min"`
-	Max         uint64   `json:"max"`
-	Bounds      []uint64 `json:"bounds"`
-	Counts      []uint64 `json:"counts"`
-}
-
-// Percentile returns the q-th percentile (0 < q <= 100) of the recorded
-// distribution, resolved to a bucket upper bound (nearest-rank over the
-// bucket counts; no interpolation, so a sparse histogram never reports a
-// value between buckets that was never observed). Edge cases are exact:
-// an empty histogram returns 0, q <= 0 returns Min, samples landing in
-// the overflow bucket (or a bound above the true maximum) clamp to Max.
-func (h HistogramSnapshot) Percentile(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Min
-	}
-	if q > 100 {
-		q = 100
-	}
-	rank := uint64(q/100*float64(h.Count) + 0.5)
-	if rank == 0 {
-		rank = 1
-	}
-	if rank > h.Count {
-		rank = h.Count
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.Bounds) && h.Bounds[i] < h.Max {
-				return h.Bounds[i]
-			}
-			// Overflow bucket, or a bound past the recorded maximum:
-			// report the true observed Max instead of a bucket edge that
-			// no sample reached.
-			return h.Max
-		}
-	}
-	return h.Max
-}
-
 // Snapshot is the full JSON-exportable state of a registry.
 type Snapshot struct {
-	Hz               uint64              `json:"hz"`
-	BaseCycles       uint64              `json:"base_cycles"`
-	AttributedCycles uint64              `json:"attributed_cycles"`
-	Compartments     []AccountSnapshot   `json:"compartments"`
-	Threads          []AccountSnapshot   `json:"threads"`
-	Counters         []MetricSnapshot    `json:"counters"`
-	Gauges           []MetricSnapshot    `json:"gauges"`
-	Histograms       []HistogramSnapshot `json:"histograms"`
-	TraceEvents      int                 `json:"trace_events"`
-	TraceDropped     uint64              `json:"trace_dropped"`
+	Hz               uint64            `json:"hz"`
+	BaseCycles       uint64            `json:"base_cycles"`
+	AttributedCycles uint64            `json:"attributed_cycles"`
+	Compartments     []AccountSnapshot `json:"compartments"`
+	Threads          []AccountSnapshot `json:"threads"`
+	Counters         []MetricSnapshot  `json:"counters"`
+	Gauges           []MetricSnapshot  `json:"gauges"`
+	Histograms       []Histogram       `json:"histograms"`
+	TraceEvents      int               `json:"trace_events"`
+	TraceDropped     uint64            `json:"trace_dropped"`
 }
 
 // Snapshot captures the registry's state in a deterministic, serializable
@@ -113,14 +62,12 @@ func (r *Registry) Snapshot() Snapshot {
 	if r.quarantined {
 		s.Gauges = []MetricSnapshot{{Compartment: "alloc", Metric: "quarantine_bytes", Value: r.quarantine}}
 	}
-	for _, k := range sortedKeys(r.hists) {
-		h := r.hists[k]
-		s.Histograms = append(s.Histograms, HistogramSnapshot{
-			Compartment: k.Compartment, Metric: k.Metric,
-			Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
-			Bounds: h.bounds, Counts: h.counts,
-		})
+	for _, h := range r.sizes {
+		if h != nil {
+			s.Histograms = append(s.Histograms, *h)
+		}
 	}
+	sortHistograms(s.Histograms)
 	return s
 }
 

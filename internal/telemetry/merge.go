@@ -27,7 +27,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 	threads := make(map[string]uint64)
 	counters := make(map[Key]int64)
 	gauges := make(map[Key]int64)
-	hists := make(map[Key]*HistogramSnapshot)
+	hists := make(map[Key]*Histogram)
 
 	for _, s := range snaps {
 		if out.Hz == 0 {
@@ -82,7 +82,7 @@ func satAddInt(a, b int) int {
 	return a + b
 }
 
-func mergeHistogram(into map[Key]*HistogramSnapshot, h HistogramSnapshot) {
+func mergeHistogram(into map[Key]*Histogram, h Histogram) {
 	if h.Count == 0 {
 		return
 	}
@@ -164,19 +164,24 @@ func sortMetrics(ms []MetricSnapshot) {
 	})
 }
 
-func mergedHistograms(m map[Key]*HistogramSnapshot) []HistogramSnapshot {
+func mergedHistograms(m map[Key]*Histogram) []Histogram {
 	if len(m) == 0 {
 		return nil
 	}
-	out := make([]HistogramSnapshot, 0, len(m))
+	out := make([]Histogram, 0, len(m))
 	for _, h := range m {
 		out = append(out, *h)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Compartment != out[j].Compartment {
-			return out[i].Compartment < out[j].Compartment
-		}
-		return out[i].Metric < out[j].Metric
-	})
+	sortHistograms(out)
 	return out
+}
+
+// sortHistograms orders histograms by (compartment, metric).
+func sortHistograms(hs []Histogram) {
+	sort.Slice(hs, func(i, j int) bool {
+		if hs[i].Compartment != hs[j].Compartment {
+			return hs[i].Compartment < hs[j].Compartment
+		}
+		return hs[i].Metric < hs[j].Metric
+	})
 }

@@ -13,7 +13,7 @@ func TestMergeSnapshots(t *testing.T) {
 		Compartments: []AccountSnapshot{{Name: "alloc", Cycles: 400}, {Name: "sched", Cycles: 200}},
 		Threads:      []AccountSnapshot{{Name: "t0", Cycles: 600}},
 		Counters:     []MetricSnapshot{{Compartment: "mqtt", Metric: "publishes", Value: 3}},
-		Histograms: []HistogramSnapshot{{
+		Histograms: []Histogram{{
 			Compartment: "fleet", Metric: "connect_cycles",
 			Count: 2, Sum: 30, Min: 10, Max: 20,
 			Bounds: []uint64{16, 64}, Counts: []uint64{1, 1, 0},
@@ -26,7 +26,7 @@ func TestMergeSnapshots(t *testing.T) {
 			{Compartment: "mqtt", Metric: "publishes", Value: 5},
 			{Compartment: "<switcher>", Metric: "traps", Value: 1},
 		},
-		Histograms: []HistogramSnapshot{{
+		Histograms: []Histogram{{
 			Compartment: "fleet", Metric: "connect_cycles",
 			Count: 1, Sum: 100, Min: 100, Max: 100,
 			Bounds: []uint64{16, 64}, Counts: []uint64{0, 0, 1},
@@ -91,7 +91,7 @@ func TestMergeEmptySnapshots(t *testing.T) {
 	}
 	// A histogram that never observed anything does not materialize a
 	// merged section either.
-	empty := Snapshot{Histograms: []HistogramSnapshot{{
+	empty := Snapshot{Histograms: []Histogram{{
 		Compartment: "c", Metric: "m", Bounds: []uint64{10}, Counts: []uint64{0, 0},
 	}}}
 	if m := Merge(empty); m.Histograms != nil {
@@ -129,7 +129,7 @@ func TestWriteTableEdgeCases(t *testing.T) {
 	}
 
 	sb.Reset()
-	degraded := Snapshot{Histograms: []HistogramSnapshot{{
+	degraded := Snapshot{Histograms: []Histogram{{
 		Compartment: "c", Metric: "m", Count: 2, Sum: 55, Min: 5, Max: 50,
 	}}}
 	degraded.WriteTable(&sb)
@@ -143,11 +143,11 @@ func TestWriteTableEdgeCases(t *testing.T) {
 }
 
 func TestMergeHistogramBoundsMismatch(t *testing.T) {
-	a := Snapshot{Histograms: []HistogramSnapshot{{
+	a := Snapshot{Histograms: []Histogram{{
 		Compartment: "c", Metric: "m", Count: 1, Sum: 5, Min: 5, Max: 5,
 		Bounds: []uint64{10}, Counts: []uint64{1, 0},
 	}}}
-	b := Snapshot{Histograms: []HistogramSnapshot{{
+	b := Snapshot{Histograms: []Histogram{{
 		Compartment: "c", Metric: "m", Count: 1, Sum: 50, Min: 50, Max: 50,
 		Bounds: []uint64{100}, Counts: []uint64{1, 0},
 	}}}

@@ -2,21 +2,25 @@
 // platform: the platform's one event vocabulary (Kind, Event); a registry
 // that counts the events the kernel hands it, keeps the traced ones in a
 // bounded ring and keeps per-compartment and per-thread cycle accounts;
-// fixed-bucket histograms keyed by (compartment, metric); and the one
-// Chrome trace_event encoder the trace, profile and span exporters share.
+// the one fixed-bucket histogram type, keyed by (compartment, metric);
+// and the one Chrome trace_event encoder the trace, profile and span
+// exporters share.
 //
-// Every counter is a count of events: the kinds table names the counter
-// each kind increments, the size histogram its Arg feeds and the gauge it
-// moves (see Registry.Record), so compartments report a fact once, by
-// emitting its event.
+// A registry has two inputs: the events Record counts and the cycle
+// accounts the clock charges. Every counter is a count of events: the
+// kinds table names the counter each kind increments, the size histogram
+// its Arg feeds and the gauge it moves (see Registry.Record), so
+// compartments report a fact once, by emitting its event. Latencies are
+// kept as exact samples by whoever measures them and bucketed once, into
+// a Histogram that Merge combines with the registries' snapshots.
 //
 // Design constraints, in order:
 //
 //  1. Zero cost when disabled. Every instrumented site holds a possibly-nil
-//     handle (a *Histogram, *CycleAccount, or the *Registry itself) and
-//     all methods are nil-safe, so the disabled path is a single pointer
-//     comparison. Telemetry never advances simulated time: enabling it
-//     cannot change a benchmark's cycle counts.
+//     handle (a *CycleAccount, or the *Registry itself) and all methods
+//     are nil-safe, so the disabled path is a single pointer comparison.
+//     Telemetry never advances simulated time: enabling it cannot change
+//     a benchmark's cycle counts.
 //
 //  2. O(1) on the hot path. Recording an event indexes the kinds table
 //     and the registry's per-kind counts; no string is looked up.
@@ -67,65 +71,45 @@ type Key struct {
 	Metric      string
 }
 
-// Histogram is a fixed-bucket histogram: bounds are upper edges in
-// ascending order, with an implicit +Inf bucket at the end. Observations
-// also track count, sum, min, and max.
+// Histogram is a fixed-bucket histogram of one (compartment, metric):
+// Bounds are upper edges in ascending order, with an implicit +Inf bucket
+// at the end of Counts. Observations also track count, sum, min, and max.
+// It is its own exported form: Snapshot lists the registry's, and Merge
+// combines histograms that share bounds bucket-wise.
 type Histogram struct {
-	bounds []uint64
-	counts []uint64
-	count  uint64
-	sum    uint64
-	min    uint64
-	max    uint64
+	Compartment string   `json:"compartment"`
+	Metric      string   `json:"metric"`
+	Count       uint64   `json:"count"`
+	Sum         uint64   `json:"sum"`
+	Min         uint64   `json:"min"`
+	Max         uint64   `json:"max"`
+	Bounds      []uint64 `json:"bounds"`
+	Counts      []uint64 `json:"counts"`
 }
 
 // DefaultSizeBuckets suits byte-size distributions (allocation sizes,
 // frame lengths) on a platform with a 256 KiB SRAM.
 var DefaultSizeBuckets = []uint64{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384}
 
-// DefaultCycleBuckets suits latency distributions in simulated cycles.
-var DefaultCycleBuckets = []uint64{100, 250, 500, 1000, 2500, 5000, 10000, 50000, 250000}
+// NewHistogram returns an empty histogram over bounds, which it keeps
+// (not a copy) and never modifies.
+func NewHistogram(compartment, metric string, bounds []uint64) *Histogram {
+	return &Histogram{Compartment: compartment, Metric: metric,
+		Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
+}
 
-// Observe records one sample. Nil-safe.
+// Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
+	i := sort.Search(len(h.Bounds), func(i int) bool { return v <= h.Bounds[i] })
+	h.Counts[i]++
+	if h.Count == 0 || v < h.Min {
+		h.Min = v
 	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.counts[i]++
-	if h.count == 0 || v < h.min {
-		h.min = v
+	if v > h.Max {
+		h.Max = v
 	}
-	if v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-}
-
-// Count returns the number of samples (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of all samples (0 for nil).
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Buckets returns the bucket upper bounds and per-bucket counts; the last
-// count is the +Inf bucket. Nil-safe (returns nils).
-func (h *Histogram) Buckets() (bounds []uint64, counts []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	return h.bounds, h.counts
+	h.Count++
+	h.Sum += v
 }
 
 // CycleAccount accumulates simulated cycles attributed to one compartment,
@@ -170,7 +154,6 @@ type Registry struct {
 	sizes       [KindCount]*Histogram // each sized kind's histogram, once recorded
 	quarantine  int64                 // the alloc/quarantine_bytes gauge
 	quarantined bool                  // whether an event has moved it
-	hists       map[Key]*Histogram
 
 	accounts       map[string]*CycleAccount
 	threadAccounts map[string]*CycleAccount
@@ -185,7 +168,6 @@ type Registry struct {
 // frequency (used by the exporters to convert cycles to time).
 func NewRegistry(hz uint64) *Registry {
 	return &Registry{
-		hists:          make(map[Key]*Histogram),
 		accounts:       make(map[string]*CycleAccount),
 		threadAccounts: make(map[string]*CycleAccount),
 		hz:             hz,
@@ -229,7 +211,7 @@ func (r *Registry) Record(ev *Event) {
 	if info.sizes.Metric != "" {
 		h := r.sizes[ev.Kind]
 		if h == nil {
-			h = r.Histogram(info.sizes.Compartment, info.sizes.Metric, DefaultSizeBuckets)
+			h = NewHistogram(info.sizes.Compartment, info.sizes.Metric, DefaultSizeBuckets)
 			r.sizes[ev.Kind] = h
 		}
 		h.Observe(ev.Arg)
@@ -241,22 +223,6 @@ func (r *Registry) Record(ev *Event) {
 	if info.traced && r.ring != nil { // the ring takes a copy
 		r.ring.Record(*ev)
 	}
-}
-
-// Histogram returns the histogram for (compartment, metric), creating it
-// with the given bucket bounds on first use (later calls keep the original
-// bounds). Returns nil on a nil registry. O(1).
-func (r *Registry) Histogram(compartment, metric string, bounds []uint64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	k := Key{compartment, metric}
-	h := r.hists[k]
-	if h == nil {
-		h = &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-		r.hists[k] = h
-	}
-	return h
 }
 
 // Account returns the cycle account for a compartment or pseudo-domain,
@@ -354,20 +320,4 @@ func (r *Registry) Ring() *Ring {
 		return nil
 	}
 	return r.ring
-}
-
-// sortedKeys returns map keys ordered by (compartment, metric) so exports
-// are deterministic.
-func sortedKeys[V any](m map[Key]V) []Key {
-	keys := make([]Key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Compartment != keys[j].Compartment {
-			return keys[i].Compartment < keys[j].Compartment
-		}
-		return keys[i].Metric < keys[j].Metric
-	})
-	return keys
 }

@@ -12,7 +12,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	// Every disabled-path operation must be a no-op, not a panic.
 	r.Record(&Event{Kind: KindAlloc, Arg: 7})
-	r.Histogram("a", "b", DefaultSizeBuckets).Observe(7)
 	r.Account("a").Slot()
 	r.ThreadAccount("t")
 	r.Ring().Record(Event{Kind: KindSwitch})
@@ -62,26 +61,22 @@ func TestCountersGaugesHistograms(t *testing.T) {
 		t.Fatalf("histograms = %+v, want alloc/size_bytes over the five allocations", h)
 	}
 
-	h := r.Histogram("app", "lat", []uint64{16, 64, 256})
-	if h2 := r.Histogram("app", "lat", nil); h2 != h {
-		t.Fatal("Histogram must return a stable handle per key")
-	}
+	h := NewHistogram("app", "lat", []uint64{16, 64, 256})
 	for _, v := range []uint64{8, 16, 17, 100, 1000} {
 		h.Observe(v)
 	}
-	bounds, counts := h.Buckets()
-	if len(bounds) != 3 || len(counts) != 4 {
-		t.Fatalf("bucket shapes: %d bounds, %d counts", len(bounds), len(counts))
+	if len(h.Bounds) != 3 || len(h.Counts) != 4 {
+		t.Fatalf("bucket shapes: %d bounds, %d counts", len(h.Bounds), len(h.Counts))
 	}
 	// 8,16 <= 16; 17,100 <= 256 split as 17<=64 and 100<=256; 1000 -> +Inf.
 	wantCounts := []uint64{2, 1, 1, 1}
 	for i := range wantCounts {
-		if counts[i] != wantCounts[i] {
-			t.Fatalf("counts = %v, want %v", counts, wantCounts)
+		if h.Counts[i] != wantCounts[i] {
+			t.Fatalf("counts = %v, want %v", h.Counts, wantCounts)
 		}
 	}
-	if h.Count() != 5 || h.Sum() != 8+16+17+100+1000 {
-		t.Fatalf("count/sum = %d/%d", h.Count(), h.Sum())
+	if h.Count != 5 || h.Sum != 8+16+17+100+1000 {
+		t.Fatalf("count/sum = %d/%d", h.Count, h.Sum)
 	}
 }
 

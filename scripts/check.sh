@@ -47,6 +47,14 @@ echo "== fuzz: tagged memory against its oracle (10 s) =="
 go test -run '^$' -fuzz '^FuzzMemoryOracle$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mem/
 echo "ok"
 
+echo "== fuzz: capability bounds and derivations (10 s) =="
+# Every uint32 length rounds to a representable fixed point (or to 0 when
+# none fits in 32 bits) in bounded time, SetBoundsExact untags exactly the
+# unrepresentable bounds, and no derive, attenuate, seal or unseal
+# sequence gains a permission or widens bounds.
+go test -run '^$' -fuzz '^FuzzCapBounds$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cap/
+echo "ok"
+
 echo "== fuzz: fleet profile specs (10 s) =="
 # The -profiles grammar, then Run's validation of what it accepts.
 go test -run '^$' -fuzz '^FuzzParseProfiles$' -fuzztime 10s -fuzzminimizetime 0 ./internal/fleet/
