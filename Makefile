@@ -50,9 +50,9 @@ campaign:
 	$(GO) run ./cmd/cheriot-campaign run all -seeds 3 -par 4
 
 # Snapshot/fork boot side by side: the same 1000-device fleet spun up
-# cold (full loader per device) and forked (one cold boot per firmware
-# shape, snapshot forks for the rest). Compare the boot phase in the
-# host-profile tables and the "snapshot boot:" stats line.
+# cold (full loader per device) and forked (one launch capture per
+# firmware shape, every device forked from it). Compare the boot phase
+# in the host-profile tables and the "snapshot boot:" stats line.
 snapshot:
 	$(GO) run ./cmd/cheriot-fleet -devices 1000 -duration 2s -hostprof -no-snapshot
 	$(GO) run ./cmd/cheriot-fleet -devices 1000 -duration 2s -hostprof
@@ -60,8 +60,8 @@ snapshot:
 # Staged OTA rollout demo: 48 devices, 2%→10%→50%→100% canary rings
 # offered over MQTT from 14s, each widening health-gated on the updated
 # cohort's trailing bake window; swaps fork from the new shape's
-# snapshot template (watch the "snapshot boot:" line stay at 2 cold
-# boots). Run the poisoned variant with
+# snapshot template (watch the "snapshot boot:" line stay at 2 shapes
+# captured once each). Run the poisoned variant with
 #   go run ./cmd/cheriot-fleet ... -rollout-poison
 # to watch the crash threshold trip and the fleet auto-roll-back.
 ota:

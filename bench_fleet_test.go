@@ -112,8 +112,7 @@ func perDeviceSec(tb testing.TB, res *fleet.Result, phase string) float64 {
 }
 
 // TestBenchFleetJSON checks that the simulated outcome is identical
-// across shard counts and that a forked spin-up forks every device but
-// the template's. Under -update it also measures serial vs parallel fleet
+// across shard counts and that a forked spin-up forks every device. Under -update it also measures serial vs parallel fleet
 // throughput plus cold vs snapshot-forked spin-up, and emits
 // BENCH_fleet.json: on multi-core hosts the parallel mode must also win
 // on wall-clock publishes/sec, and at 10k devices the snapshot fork must
@@ -132,7 +131,7 @@ func TestBenchFleetJSON(t *testing.T) {
 			t.Errorf("simulated publishes differ across shard counts: %d (1 shard) vs %d (%d shards)",
 				serial.Summary.Publishes, parallel.Summary.Publishes, runtime.NumCPU())
 		}
-		if res := spinUp(t, devices, false); res.Snapshot == nil || res.Snapshot.Forks != devices-1 {
+		if res := spinUp(t, devices, false); res.Snapshot == nil || res.Snapshot.Forks != devices {
 			t.Errorf("forked spin-up at %d devices did not fork the fleet: %+v", devices, res.Snapshot)
 		}
 		return
@@ -166,8 +165,8 @@ func TestBenchFleetJSON(t *testing.T) {
 			runtime.NumCPU(), parallelPub, serialPub)
 	}
 
-	// Spin-up scaling: cold (full loader per device) vs forked (one cold
-	// boot per firmware shape, snapshot forks for the rest). The gated
+	// Spin-up scaling: cold (full loader per device) vs forked (one
+	// launch capture per firmware shape, every device forked from it). The gated
 	// figure is System construction per device — the sub-phase the fork
 	// replaces — at the 10k fleet; whole-boot wall includes the parts of
 	// buildDevice that are identical either way. Each measurement starts
@@ -190,7 +189,7 @@ func TestBenchFleetJSON(t *testing.T) {
 		phase := "boot/fork"
 		if cold {
 			phase = "boot/cold"
-		} else if res.Snapshot == nil || res.Snapshot.Forks != n-1 {
+		} else if res.Snapshot == nil || res.Snapshot.Forks != n {
 			t.Fatalf("forked spin-up at %d devices did not fork the fleet: %+v", n, res.Snapshot)
 		}
 		// Return scalars only: retaining the Result would keep the whole
@@ -233,7 +232,7 @@ func TestBenchFleetJSON(t *testing.T) {
 	// and shares the template's SRAM chunks copy-on-write, so it pays
 	// only for the chunks it writes; what remains is building each
 	// device's kernel, compartment, thread and allocator objects (about
-	// 960 host allocations per fork), which the loader path builds too
+	// 160 host allocations per fork), which the loader path builds too
 	// (see spinup_note).
 	if gate.ConstructSpeedup < 1.25 {
 		t.Errorf("snapshot fork construct speedup at 10k devices is %.2fx, want >= 1.25x (%.1fµs cold vs %.1fµs fork)",
@@ -268,7 +267,7 @@ func TestBenchFleetJSON(t *testing.T) {
 			"vs boot/fork) the fork replaces. The 10x design target is not met on this workload: the " +
 			"fork eliminates the linker/loader CPU work and shares the template's SRAM chunks " +
 			"copy-on-write, but still builds each device's kernel, compartment, thread and allocator " +
-			"objects (about 960 host allocations per fork), which the cold path builds too — " +
+			"objects (about 160 host allocations per fork), which the cold path builds too — " +
 			"measured speedup is ~3-4x depending on heap state, not 10x. Regression gate: " +
 			"construct_speedup >= 1.25 and forked boot wall < cold at 10k devices.",
 		"note": "wall-clock figures are machine-dependent; simulated results (publishes, cycle " +

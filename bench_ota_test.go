@@ -107,7 +107,7 @@ func TestBenchOTAJSON(t *testing.T) {
 	if hro.Terminal != ota.StateComplete || hro.OnNew != hs.Devices {
 		t.Fatalf("healthy rollout did not complete: %+v", hro)
 	}
-	if st := healthy.Snapshot; st == nil || st.ColdBoots != 2 {
+	if st := healthy.Snapshot; st == nil || len(st.Shapes) != 2 {
 		t.Fatalf("healthy rollout cold boots = %+v, want exactly 2 (boot shape + update shape)", healthy.Snapshot)
 	}
 	// Poisoned: rolled back without intervention, everyone back on the
@@ -148,7 +148,7 @@ func TestBenchOTAJSON(t *testing.T) {
 			"rollout_completion_sec":  completion,
 			"ring_timeline":           rings,
 			"offers_delivered":        hro.OffersDelivered,
-			"cold_boots":              healthy.Snapshot.ColdBoots,
+			"cold_boots":              len(healthy.Snapshot.Shapes),
 			"forks":                   healthy.Snapshot.Forks,
 			"availability_per_second": hs.AvailabilityPerSecond,
 			"cohort_crashes":          hro.CohortCrashes,

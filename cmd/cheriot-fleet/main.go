@@ -80,8 +80,8 @@ func main() {
 		res.BootWall.Seconds(), res.RunWall.Seconds(), s.Devices, s.Shards, s.CloudShards,
 		s.SimSeconds*float64(s.Devices)/res.RunWall.Seconds())
 	if st := res.Snapshot; st != nil {
-		fmt.Fprintf(os.Stderr, "snapshot boot: %d template(s), %d cold boot(s), %d fork(s)\n",
-			st.Templates, st.ColdBoots, st.Forks)
+		fmt.Fprintf(os.Stderr, "snapshot boot: %d shape(s) captured once each, %d fork(s)\n",
+			len(st.Shapes), st.Forks)
 	}
 	if hp := res.HostProf; hp != nil {
 		fmt.Fprintf(os.Stderr, "host phases (%d workers):\n", hp.Workers)

@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"fmt"
-	"strings"
+	"sync/atomic"
+	"time"
 
 	"github.com/cheriot-go/cheriot/internal/audit"
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/prof"
+	"github.com/cheriot-go/cheriot/internal/snapshot"
 	"github.com/cheriot-go/cheriot/policies"
 )
 
@@ -16,25 +19,49 @@ import (
 var fleetPolicy, errFleetPolicy = audit.ParsePolicy(policies.FleetDevice)
 
 // RepresentativeImage builds the firmware image of the fleet's default
-// (Go fleetapp) shape, without booting it — the subject of the
-// pre-launch audit. Devices of one shape are stamped from one image
-// (only the IP and topic differ), so auditing one image per shape
-// covers the whole fleet.
+// (Go fleetapp) shape, without booting it. Devices of one shape are
+// stamped from one image (only the IP and topic differ), so the launch
+// boots one such image per shape for the whole fleet.
 func RepresentativeImage(cfg Config) *firmware.Image {
-	return representativeImage(cfg, FirmwareGo)
+	return representativeImage(cfg, FirmwareGo, false)
 }
 
-func representativeImage(cfg Config, fw string) *firmware.Image {
-	base, withOTA := strings.CutSuffix(fw, otaAliasSuffix)
-	d := &Device{IP: deviceIP(0), cfg: &cfg, Profile: Profile{Firmware: base}}
+func representativeImage(cfg Config, fw string, withOTA bool) *firmware.Image {
+	d := &Device{IP: deviceIP(0), cfg: &cfg, Profile: Profile{Firmware: fw}}
 	img, _ := d.buildImage(withOTA)
 	return img
 }
 
+// shape is one firmware shape the fleet deploys, booted once per Run.
+type shape struct {
+	firmware string // the Profile.Firmware of the devices that run it
+	ota      bool   // the rollout's updated image: the app plus the update agent
+	// report is the launch capture's audit report (nil under SkipAudit).
+	report *firmware.Report
+	// tmpl is the launch capture, which every device incarnation of the
+	// shape forks (nil under NoSnapshot, where each one cold-boots).
+	tmpl *snapshot.Template
+	// checker is the index of the one device whose fork checks the shape
+	// key, -1 until chosen; every other fork skips the key. The launch
+	// picks each boot shape's lowest-index device, the rollout the first
+	// device it swaps onto its shape. Both choose single-threaded, before
+	// any fork of the shape.
+	checker int
+	forks   atomic.Int64
+}
+
+// name is the shape's name in errors and stats: its firmware, with
+// otaShapeSuffix on the rollout's updated image.
+func (sh *shape) name() string {
+	if sh.ota {
+		return sh.firmware + otaShapeSuffix
+	}
+	return sh.firmware
+}
+
 // firmwareShapes lists the distinct firmware shapes the config deploys,
 // in deterministic order (Go first).
-func firmwareShapes(cfg Config) []string {
-	cfg = cfg.withDefaults()
+func firmwareShapes(cfg Config) []*shape {
 	hasGo, hasJS := len(cfg.Profiles) == 0, false
 	for _, p := range cfg.Profiles {
 		if p.Firmware == FirmwareJS {
@@ -43,70 +70,77 @@ func firmwareShapes(cfg Config) []string {
 			hasGo = true
 		}
 	}
-	var out []string
+	var out []*shape
 	if hasGo {
-		out = append(out, FirmwareGo)
+		out = append(out, &shape{firmware: FirmwareGo, checker: -1})
 	}
 	if hasJS {
-		out = append(out, FirmwareJS)
+		out = append(out, &shape{firmware: FirmwareJS, checker: -1})
 	}
 	if cfg.Rollout != nil {
 		// A staged rollout deploys a second shape — the fleet app plus
 		// the update-agent compartment — which must pass the same
 		// pre-launch audit before any device is offered it.
-		out = append(out, FirmwareGo+otaAliasSuffix)
+		out = append(out, &shape{firmware: FirmwareGo, ota: true, checker: -1})
 	}
 	return out
 }
 
-// Report boots the default shape's representative image once (the loader
-// adds the TCB compartments the raw image lacks) and returns its linker
-// audit report.
-func Report(cfg Config) (*firmware.Report, error) {
-	return report(cfg, FirmwareGo)
-}
-
-func report(cfg Config, fw string) (*firmware.Report, error) {
-	sys, err := core.Boot(representativeImage(cfg, fw))
-	if err != nil {
-		return nil, fmt.Errorf("fleet audit: boot representative %s image: %w", fw, err)
-	}
-	defer sys.Shutdown()
-	return sys.Report, nil
-}
-
-// Audit checks every deployed firmware shape's representative image
-// against the fleet policy, returning the first failing result (or the
-// last passing one). Both shapes name the application compartment
-// "fleetapp", so one policy pins down both.
-func Audit(cfg Config) (*audit.Result, error) {
-	if errFleetPolicy != nil {
-		return nil, fmt.Errorf("fleet audit: %w", errFleetPolicy)
-	}
-	var last *audit.Result
-	for _, fw := range firmwareShapes(cfg) {
-		rep, err := report(cfg, fw)
-		if err != nil {
-			return nil, err
+// shapeFor returns the shape of a firmware image among the launched ones.
+func shapeFor(shapes []*shape, fw string, ota bool) *shape {
+	for _, sh := range shapes {
+		if sh.firmware == fw && sh.ota == ota {
+			return sh
 		}
-		res := fleetPolicy.Check(rep)
-		if !res.Passed() {
-			return res, nil
-		}
-		last = res
-	}
-	return last, nil
-}
-
-// auditGate is the pre-launch check Run performs unless Config.SkipAudit
-// is set: a policy failure refuses the launch.
-func auditGate(cfg Config) error {
-	res, err := Audit(cfg)
-	if err != nil {
-		return err
-	}
-	if !res.Passed() {
-		return fmt.Errorf("fleet audit: launch refused, policy violations: %v", res.Failures())
 	}
 	return nil
+}
+
+// launch boots each firmware shape the fleet deploys exactly once, before
+// any device is built, from the shape's representative image. Unless
+// SkipAudit, the fleet policy checks that boot's audit report, and a
+// violation refuses the launch; both shapes name the application
+// compartment "fleetapp", so one policy pins down both. Unless
+// NoSnapshot, the boot is a capture, and the shape's template. The boots
+// themselves, like a device's System construction, count as HostProf's
+// boot/cold inside boot, whose calls still count the devices built.
+func launch(cfg Config, hp *prof.HostProfile) ([]*shape, error) {
+	if !cfg.SkipAudit && errFleetPolicy != nil {
+		return nil, fmt.Errorf("fleet audit: %w", errFleetPolicy)
+	}
+	shapes := firmwareShapes(cfg)
+	if cfg.SkipAudit && cfg.NoSnapshot {
+		return shapes, nil // nothing to audit, nothing forks
+	}
+	var wall time.Duration
+	for _, sh := range shapes {
+		img := representativeImage(cfg, sh.firmware, sh.ota)
+		opts := core.BootOptions{SkipReport: cfg.SkipAudit}
+		var sys *core.System
+		var err error
+		t0 := time.Now()
+		if cfg.NoSnapshot {
+			sys, err = core.BootWith(img, opts)
+		} else {
+			sys, sh.tmpl, err = snapshot.Capture(img, opts)
+		}
+		wall += time.Since(t0)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: boot the %s firmware: %w", sh.name(), err)
+		}
+		sys.Shutdown()
+		if sh.report = sys.Report; sh.report != nil {
+			if res := fleetPolicy.Check(sh.report); !res.Passed() {
+				return nil, fmt.Errorf("fleet audit: launch refused, policy violations: %v", res.Failures())
+			}
+		}
+	}
+	hp.Add("boot", wall, 0)
+	hp.Add("boot/cold", wall, uint64(len(shapes)))
+	for i := 0; i < cfg.Devices; i++ {
+		if sh := shapeFor(shapes, cfg.profileFor(i).Firmware, false); sh.checker < 0 {
+			sh.checker = i
+		}
+	}
+	return shapes, nil
 }

@@ -2,20 +2,33 @@ package fleet
 
 import (
 	"testing"
+	"time"
 
 	"github.com/cheriot-go/cheriot/internal/audit"
 	"github.com/cheriot-go/cheriot/policies"
 )
 
 // TestFleetAuditPasses: the shipped fleet firmware satisfies its own
-// launch policy (this is the gate every Run() crosses).
+// launch policy (this is the gate every Run() crosses) on the report of
+// the launch boot of every shape it can deploy.
 func TestFleetAuditPasses(t *testing.T) {
-	res, err := Audit(Config{})
-	if err != nil {
-		t.Fatalf("audit: %v", err)
-	}
-	if !res.Passed() {
-		t.Fatalf("fleet policy violations: %v", res.Failures())
+	mixed := Config{Profiles: []Profile{{Name: "go", Weight: 1}, {Name: "js", Weight: 1, Firmware: FirmwareJS}}}
+	for _, cfg := range []Config{mixed, rolloutConfig(false, 20*time.Second)} {
+		shapes, err := launch(cfg.withDefaults(), nil)
+		if err != nil {
+			t.Fatalf("launch: %v", err)
+		}
+		if len(shapes) != 2 {
+			t.Fatalf("launched %d shapes, want 2", len(shapes))
+		}
+		for _, sh := range shapes {
+			if sh.report == nil {
+				t.Fatalf("%s: launch kept no report", sh.name())
+			}
+			if res := fleetPolicy.Check(sh.report); !res.Passed() {
+				t.Fatalf("%s: fleet policy violations: %v", sh.name(), res.Failures())
+			}
+		}
 	}
 }
 
@@ -24,10 +37,11 @@ func TestFleetAuditPasses(t *testing.T) {
 // attack would look (TCP/IP loses its error handler, so micro-reboot
 // recovery is gone).
 func TestFleetAuditGateRefuses(t *testing.T) {
-	report, err := Report(Config{})
+	shapes, err := launch(Config{}.withDefaults(), nil)
 	if err != nil {
-		t.Fatalf("report: %v", err)
+		t.Fatalf("launch: %v", err)
 	}
+	report := shapes[0].report
 	tcpip, ok := report.Compartments["tcpip"]
 	if !ok {
 		t.Fatal("report has no tcpip compartment")

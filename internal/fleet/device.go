@@ -112,13 +112,6 @@ type Device struct {
 	Partitioned bool
 	SkewMillis  int64
 
-	// Forked reports whether the device's running System was forked from
-	// a snapshot template rather than cold-booted through the loader.
-	// Which device of a shape cold-boots depends on shard scheduling, so
-	// this is host-path detail (like the wall timings), never Summary
-	// material.
-	Forked bool
-
 	// OTA rollout state (see internal/ota and rollout.go). OnNewFirmware
 	// marks a device currently running the updated image; UpdatedAtCycle
 	// is when it micro-rebooted into it; RolledBack marks devices the
@@ -150,9 +143,10 @@ type Device struct {
 	pumpSampled uint64
 	pumpWall    time.Duration
 
-	// bootWall is the wall-clock cost of System construction alone (cold
-	// loader boot or snapshot fork); the runner splits it into the
-	// boot/cold and boot/fork host-profile sub-phases.
+	// bootWall is the wall-clock cost of System construction alone
+	// (snapshot fork, or cold loader boot under NoSnapshot); the runner
+	// reports the build phase's as the boot/fork or boot/cold
+	// host-profile sub-phase.
 	bootWall time.Duration
 }
 
@@ -165,8 +159,8 @@ func deviceIP(i int) uint32 {
 
 // buildDevice makes the device's seeded per-device draws (arrival,
 // partition victim, clock skew, tracer stream) and brings up its boot
-// image.
-func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, i int) (*Device, error) {
+// image, the launched shape of its profile's firmware.
+func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, shapes []*shape, i int) (*Device, error) {
 	d := &Device{
 		Index:   i,
 		IP:      deviceIP(i),
@@ -193,7 +187,8 @@ func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, i int) (*
 			DeviceOf:   deviceIndexOf,
 		})
 	}
-	if err := d.bringUp(pl, schedule, 0, false); err != nil {
+	sh := shapeFor(shapes, d.Profile.Firmware, false)
+	if err := d.bringUp(pl, schedule, 0, sh, sh.checker == i); err != nil {
 		return nil, fmt.Errorf("device %d: %w", i, err)
 	}
 	return d, nil
@@ -201,35 +196,35 @@ func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, i int) (*
 
 // bringUp starts one incarnation of the device at cycle start: 0 for the
 // boot image, the retirement cycle for a firmware swap. Every incarnation
-// is wired the same way: build the image and boot it (or fork it from the
-// shape's snapshot template), jump a swapped-in core to start so the
-// device keeps one absolute cycle timeline, attach the netstack, World
-// and cloud, arm the instruments and faults, and install the cloud
-// schedule's events after start.
-func (d *Device) bringUp(pl *cloud.Plane, schedule []cloud.Event, start uint64, withOTA bool) error {
+// is wired the same way: build the image of shape sh and fork it from the
+// shape's template (checking the shape key if check), or cold-boot it
+// under NoSnapshot; jump a swapped-in core to start so the device keeps
+// one absolute cycle timeline, attach the netstack, World and cloud, arm
+// the instruments and faults, and install the cloud schedule's events
+// after start.
+func (d *Device) bringUp(pl *cloud.Plane, schedule []cloud.Event, start uint64, sh *shape, check bool) error {
 	cfg := d.cfg
 	d.updReb = nil
-	img, stack := d.buildImage(withOTA)
-	alias := d.Profile.Firmware
-	if withOTA {
-		alias += otaAliasSuffix
-	}
-	// Skip the per-device audit report: devices share a handful of
-	// firmware shapes, and Run audits one representative per shape. With
-	// the snapshot cache armed, the first device of each shape cold-boots
-	// and becomes the template; every other one forks from it.
-	bootOpts := core.BootOptions{SkipReport: true}
+	img, stack := d.buildImage(sh.ota)
+	// Skip the per-device audit report: the launch audited the shape.
+	opts := core.BootOptions{SkipReport: true}
 	var sys *core.System
 	var err error
 	t0 := time.Now()
-	if cfg.snapCache != nil {
-		sys, d.Forked, err = cfg.snapCache.Boot(alias, img, bootOpts)
-	} else {
-		sys, err = core.BootWith(img, bootOpts)
+	switch {
+	case sh.tmpl == nil:
+		sys, err = core.BootWith(img, opts)
+	case check:
+		sys, err = sh.tmpl.Fork(img, opts)
+	default:
+		sys, err = sh.tmpl.ForkUnchecked(img, opts)
 	}
 	d.bootWall += time.Since(t0)
 	if err != nil {
-		return fmt.Errorf("boot %s: %w", alias, err)
+		return fmt.Errorf("boot %s: %w", sh.name(), err)
+	}
+	if sh.tmpl != nil {
+		sh.forks.Add(1)
 	}
 	if start > 0 {
 		// A fresh System's clock starts at zero with no pending events,

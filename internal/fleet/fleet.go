@@ -51,7 +51,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/ota"
 	"github.com/cheriot-go/cheriot/internal/prng"
 	"github.com/cheriot-go/cheriot/internal/prof"
-	"github.com/cheriot-go/cheriot/internal/snapshot"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
@@ -201,16 +200,13 @@ type Config struct {
 	Rollout *ota.Plan
 
 	// NoSnapshot disables snapshot/fork boot (the -no-snapshot escape
-	// hatch): every device cold-boots through the full linker + loader
-	// path. By default the fleet boots one template device per firmware
-	// shape, captures its post-boot state, and forks the rest from the
-	// template — byte-identical to a cold boot (internal/snapshot proves
-	// it), at a fraction of the per-device cost.
+	// hatch): every device incarnation cold-boots through the full linker
+	// + loader path, the reference the forks are checked against. By
+	// default the launch captures each firmware shape's post-boot state
+	// once, and every device incarnation forks from its shape's template
+	// — byte-identical to a cold boot (internal/snapshot proves it), at a
+	// fraction of the per-device cost.
 	NoSnapshot bool
-
-	// snapCache is the per-run template cache behind snapshot/fork boot;
-	// set by Run, keyed by firmware shape alias (Profile.Firmware).
-	snapCache *snapshot.Cache
 }
 
 // obsSampleRate resolves the ObsSample convention.
@@ -337,7 +333,7 @@ func (c Config) withDefaults() Config {
 // Check returns every reason no fleet can run c, joined with
 // errors.Join, or nil. It rejects a drop rate outside [0,1); a publish
 // rate, profile rate or trace sampling probability that is NaN or
-// infinite; a negative arrival spread, which would start no device's app;
+// infinite; a profile firmware that is neither shape the fleet builds; a negative arrival spread, which would start no device's app;
 // more devices than the address pool; a failover with fewer than two
 // broker shards; SLO rules that do not parse or run without Obs; and a
 // rollout that cannot run: with NoSnapshot, over jsvm profiles, or with a
@@ -366,6 +362,9 @@ func (c Config) Check() error {
 	for _, p := range c.Profiles {
 		if math.IsNaN(p.PublishRate) || math.IsInf(p.PublishRate, 0) {
 			bad("profile %q rate %v is not finite", p.Name, p.PublishRate)
+		}
+		if p.Firmware != "" && p.Firmware != FirmwareGo && p.Firmware != FirmwareJS {
+			bad("profile %q firmware %q is neither %s nor %s", p.Name, p.Firmware, FirmwareGo, FirmwareJS)
 		}
 	}
 	// Judged as withDefaults clamps the shard count to the fleet size:
@@ -648,14 +647,17 @@ type Result struct {
 	// Config is the fully-defaulted configuration the run used; scenario
 	// fixtures re-run variations of it (e.g. the same fleet with
 	// NoSnapshot) without re-deriving the defaults.
-	Config   Config
-	Devices  []*Device
+	Config  Config
+	Devices []*Device
+	// BootWall is the wall time of the launch and the build phase, and
+	// RunWall of the run phase.
 	BootWall time.Duration
 	RunWall  time.Duration
-	// Snapshot counts the snapshot/fork boot cache's work (nil when
-	// NoSnapshot or a single device): templates captured, cold boots,
-	// forks. Host-path bookkeeping, not part of the deterministic Summary.
-	Snapshot *snapshot.CacheStats
+	// Snapshot counts snapshot/fork boot's work (nil under NoSnapshot):
+	// one launch capture per firmware shape, and the device incarnations
+	// forked from each. Host-path bookkeeping, not part of the
+	// deterministic Summary.
+	Snapshot *SnapshotStats
 	// Spans is the merged, deterministically sorted span list (empty
 	// unless Config.Obs); export it with fleetobs.WriteChromeTrace.
 	Spans []fleetobs.Span
@@ -664,6 +666,27 @@ type Result struct {
 	// wall timings above it is host-dependent, so it stays out of the
 	// Summary.
 	HostProf *prof.HostProfile
+}
+
+// SnapshotStats counts one run's snapshot/fork boot: the launch captured
+// each firmware shape once, and every device incarnation, firmware swaps
+// included, forked from its shape's template.
+type SnapshotStats struct {
+	// Shapes has one entry per captured shape, in launch order (Go
+	// first, the rollout's updated image last).
+	Shapes []ShapeStats
+	// Forks is the number of device incarnations forked, over all shapes.
+	Forks int
+}
+
+// ShapeStats is one firmware shape's share of the snapshot/fork work.
+type ShapeStats struct {
+	// Firmware is the shape's Profile.Firmware, with a "+ota" suffix for
+	// the rollout's updated image.
+	Firmware string
+	// Forks counts the device incarnations forked from the shape's
+	// template.
+	Forks int
 }
 
 // Run builds and runs a fleet per cfg.
@@ -676,28 +699,24 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Pre-launch audit gate: every device is stamped from one firmware
-	// shape, so one policy check covers the fleet. A violation refuses
-	// the launch before any device boots.
-	if !cfg.SkipAudit {
-		if err := auditGate(cfg); err != nil {
-			return nil, err
-		}
+	// hp stays nil unless HostProf; every Add on it is nil-safe.
+	var hp *prof.HostProfile
+	if cfg.HostProf {
+		hp = prof.NewHostProfile(cfg.Shards)
 	}
-	// Snapshot/fork boot: one template per firmware shape, forked into
-	// every further device. Pointless for a single device — unless a
-	// rollout is armed, whose swaps fork from templates; -no-snapshot
-	// forces the full loader path per device.
-	cfg.snapCache = nil
-	if (cfg.Devices > 1 || cfg.Rollout != nil) && !cfg.NoSnapshot {
-		cfg.snapCache = snapshot.NewCache()
+	// Launch: boot each firmware shape once. A policy violation refuses
+	// the launch before any device is built.
+	bootStart := time.Now()
+	shapes, err := launch(cfg, hp)
+	if err != nil {
+		return nil, err
 	}
 	pl := newCloud(&cfg)
 	schedule := cfg.cloudSchedule()
 	horizon := cfg.horizonCycles()
 	var rollout *rolloutRuntime
 	if cfg.Rollout != nil {
-		rollout, err = newRolloutRuntime(&cfg, pl, schedule)
+		rollout, err = newRolloutRuntime(&cfg, pl, schedule, shapes)
 		if err != nil {
 			return nil, err
 		}
@@ -712,47 +731,33 @@ func Run(cfg Config) (*Result, error) {
 		s := i % cfg.Shards
 		shardIndices[s] = append(shardIndices[s], i)
 	}
-	// hp stays nil unless HostProf; every Add on it is nil-safe.
-	var hp *prof.HostProfile
-	if cfg.HostProf {
-		hp = prof.NewHostProfile(cfg.Shards)
+	// Every device forks from its shape's template, or cold-boots under
+	// NoSnapshot; the sub-phase isolates that System construction from
+	// the rest of buildDevice (image defs, netsim world, telemetry
+	// arming), which is identical either way.
+	construct := "boot/fork"
+	if cfg.NoSnapshot {
+		construct = "boot/cold"
 	}
-	bootStart := time.Now()
 	var wg sync.WaitGroup
 	for s := 0; s < cfg.Shards; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			t0 := time.Now()
-			built := 0
-			var coldWall, forkWall time.Duration
-			var colds, forks uint64
+			var constructWall time.Duration
 			for _, i := range shardIndices[s] {
-				d, err := buildDevice(&cfg, pl, schedule, i)
+				d, err := buildDevice(&cfg, pl, schedule, shapes, i)
 				if err != nil {
 					buildErrs[s] = err
 					return
 				}
 				devices[i] = d
-				built++
-				if d.Forked {
-					forkWall += d.bootWall
-					forks++
-				} else {
-					coldWall += d.bootWall
-					colds++
-				}
+				constructWall += d.bootWall
 			}
-			hp.Add("boot", time.Since(t0), uint64(built))
-			// Sub-phases isolate System construction (linker + loader vs
-			// snapshot fork) from the rest of buildDevice (image defs,
-			// netsim world, telemetry arming), which is identical either way.
-			if colds > 0 {
-				hp.Add("boot/cold", coldWall, colds)
-			}
-			if forks > 0 {
-				hp.Add("boot/fork", forkWall, forks)
-			}
+			built := uint64(len(shardIndices[s]))
+			hp.Add("boot", time.Since(t0), built)
+			hp.Add(construct, constructWall, built)
 		}(s)
 	}
 	wg.Wait()
@@ -831,14 +836,15 @@ func Run(cfg Config) (*Result, error) {
 		RunWall:  runWall,
 		Spans:    spans,
 	}
-	if cfg.snapCache != nil {
-		stats := cfg.snapCache.Stats()
-		res.Snapshot = &stats
+	if !cfg.NoSnapshot {
+		res.Snapshot = &SnapshotStats{}
+		for _, sh := range shapes {
+			n := int(sh.forks.Load())
+			res.Snapshot.Shapes = append(res.Snapshot.Shapes, ShapeStats{Firmware: sh.name(), Forks: n})
+			res.Snapshot.Forks += n
+		}
 	}
-	// The published Config must not retain the template cache (it can pin
-	// a full SRAM snapshot per shape).
 	res.Config = cfg
-	res.Config.snapCache = nil
 	hp.Add("merge", time.Since(mergeStart), 1)
 	hp.Finish()
 	res.HostProf = hp

@@ -213,22 +213,23 @@ func TestRunRejectsBadFloats(t *testing.T) {
 // TestRunRejectsEveryViolationBeforeBoot: Run checks the whole Config
 // before anything boots, and one error names every violation, so a
 // config breaking several rules is fixed in one edit. A rejected rollout
-// costs tens of allocations, not the audit gate's cold boot of every
-// firmware shape.
+// costs tens of allocations, not the launch's boot of every firmware
+// shape.
 func TestRunRejectsEveryViolationBeforeBoot(t *testing.T) {
 	cfg := testConfig()
 	cfg.ArrivalSpread = -time.Millisecond
 	cfg.FailoverAt = 15 * time.Second
 	cfg.SLO = "delivery>=0.9"
 	cfg.NoSnapshot = true
-	cfg.Profiles = []Profile{{Name: "a"}, {Name: "b", Firmware: FirmwareJS}}
+	cfg.Profiles = []Profile{{Name: "a"}, {Name: "b", Firmware: FirmwareJS}, {Name: "c", Firmware: "wasm"}}
 	cfg.Rollout = &ota.Plan{StartAt: 14 * time.Second, Rings: []float64{50, 10}}
 	_, err := Run(cfg)
 	if err == nil {
 		t.Fatal("Run accepted a config breaking every rule")
 	}
 	for _, want := range []string{"arrival spread", "failover", "require Obs",
-		"NoSnapshot", `profile "b" runs jsvm`, "rings must be strictly ascending"} {
+		"NoSnapshot", `profile "b" runs jsvm`, `profile "c" firmware "wasm"`,
+		"rings must be strictly ascending"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Run error %q does not name %q", err, want)
 		}

@@ -10,11 +10,10 @@ import (
 	"github.com/cheriot-go/cheriot/internal/prng"
 )
 
-// otaAliasSuffix distinguishes the updated firmware's snapshot-template
-// alias from the boot image's: "fleetapp" boots cold once for the whole
-// fleet, "fleetapp+ota" boots cold once more when the first canary
-// updates, and every further swap — update or rollback — forks.
-const otaAliasSuffix = "+ota"
+// otaShapeSuffix names the updated firmware's shape apart from the boot
+// image's: the launch captures "fleetapp" and "fleetapp+ota" once each,
+// and every swap — update or rollback — forks from one of the two.
+const otaShapeSuffix = "+ota"
 
 // rolloutRuntime binds the pure ota.Controller to a running fleet: it
 // owns the seeded device order, the checkpoint schedule, and the
@@ -25,6 +24,9 @@ type rolloutRuntime struct {
 	pl       *cloud.Plane
 	schedule []cloud.Event
 	ctrl     *ota.Controller
+	// boot and updated are the launched shapes a swap brings a device
+	// up on: the fleet's one (Go) boot image, and the updated image.
+	boot, updated *shape
 	// order is the seeded permutation of device indices; ring k offers
 	// the update to order[ringTo[k-1]:ringTo[k]].
 	order []int
@@ -38,12 +40,13 @@ type rolloutRuntime struct {
 
 // newRolloutRuntime derives the deterministic rollout schedule of a
 // fleet whose Config passed Check.
-func newRolloutRuntime(cfg *Config, pl *cloud.Plane, schedule []cloud.Event) (*rolloutRuntime, error) {
+func newRolloutRuntime(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, shapes []*shape) (*rolloutRuntime, error) {
 	ctrl, err := ota.NewController(*cfg.Rollout, cfg.Devices, hw.DefaultHz)
 	if err != nil {
 		return nil, err
 	}
-	rt := &rolloutRuntime{pl: pl, schedule: schedule, ctrl: ctrl}
+	rt := &rolloutRuntime{pl: pl, schedule: schedule, ctrl: ctrl,
+		boot: shapeFor(shapes, FirmwareGo, false), updated: shapeFor(shapes, FirmwareGo, true)}
 
 	// Canary membership is a seeded Fisher–Yates permutation on its own
 	// rng stream: which devices update first is a property of the seed,
@@ -159,13 +162,23 @@ func (rt *rolloutRuntime) notify(d *Device, kind string) {
 
 // swapDevice micro-reboots a device into the other firmware image: it
 // closes the running incarnation and brings up the replacement at the
-// retirement cycle, through the same path that booted the device.
+// retirement cycle, through the same path that booted the device. The
+// first device swapped onto the updated shape checks its key; the boot
+// shape's was checked when the fleet was built.
 func (rt *rolloutRuntime) swapDevice(d *Device, toNew bool) error {
+	sh := rt.boot
+	if toNew {
+		sh = rt.updated
+	}
+	check := sh.checker < 0
+	if check {
+		sh.checker = d.Index
+	}
 	retire := d.Sys.Cycles()
 	d.closeIncarnation()
 	d.incarnation++
 	d.arrival = 0 // the replacement brings the network up immediately
-	if err := d.bringUp(rt.pl, rt.schedule, retire, toNew); err != nil {
+	if err := d.bringUp(rt.pl, rt.schedule, retire, sh, check); err != nil {
 		return fmt.Errorf("fleet: device %d: swap: %w", d.Index, err)
 	}
 	return nil
@@ -175,7 +188,7 @@ func (rt *rolloutRuntime) swapDevice(d *Device, toNew bool) error {
 // state machine plus the fleet-side facts it cannot know.
 func (rt *rolloutRuntime) rolloutStatus(devices []*Device) *ota.Status {
 	st := rt.ctrl.Status()
-	st.NewFirmware = FirmwareGo + otaAliasSuffix
+	st.NewFirmware = rt.updated.name()
 	st.OffersDelivered = rt.offersDelivered
 	st.OffersMissed = rt.offersMissed
 	for _, d := range devices {

@@ -81,26 +81,28 @@ func TestRolloutHealthyCompletes(t *testing.T) {
 		t.Fatal("cycle-sum invariant broken across firmware swaps")
 	}
 
-	// Exactly one cold boot per shape, however many devices swap: the
-	// boot image template plus the updated image template.
-	st := res.Snapshot
+	// Exactly one capture per shape, however many devices swap: the
+	// boot image and the updated image, each forked by every
+	// incarnation that runs it.
+	checkRolloutForks(t, res)
+}
+
+// checkRolloutForks requires a rollout fleet's snapshot stats to show the
+// launch's two captures, the boot image's and the updated image's, and
+// one fork per device incarnation of each: every device's boot and
+// rollback, and every update.
+func checkRolloutForks(t *testing.T, res *Result) {
+	t.Helper()
+	st, ro := res.Snapshot, res.Summary.Rollout
 	if st == nil {
 		t.Fatal("no snapshot stats")
 	}
-	if st.ColdBoots != 2 || st.Templates != 2 {
-		t.Fatalf("cold boots %d templates %d, want 2/2; stats %+v", st.ColdBoots, st.Templates, st)
+	want := []ShapeStats{
+		{Firmware: FirmwareGo, Forks: res.Summary.Devices + ro.RolledBack},
+		{Firmware: FirmwareGo + otaShapeSuffix, Forks: ro.Updated},
 	}
-	var otaAlias, bootAlias int
-	for _, a := range st.Aliases {
-		switch a.Alias {
-		case FirmwareGo:
-			bootAlias = a.Misses
-		case FirmwareGo + otaAliasSuffix:
-			otaAlias = a.Misses
-		}
-	}
-	if bootAlias != 1 || otaAlias != 1 {
-		t.Fatalf("per-alias cold boots: boot %d ota %d, want 1/1; %+v", bootAlias, otaAlias, st.Aliases)
+	if !reflect.DeepEqual(st.Shapes, want) || st.Forks != want[0].Forks+want[1].Forks {
+		t.Fatalf("snapshot stats %+v, want shapes %+v", st, want)
 	}
 }
 
@@ -189,10 +191,8 @@ func TestRolloutPoisonedRollsBack(t *testing.T) {
 		t.Fatalf("%d devices failed", s.DeviceErrors)
 	}
 	// Rollback forks come from the boot template too: still exactly one
-	// cold boot per shape.
-	if st := res.Snapshot; st.ColdBoots != 2 {
-		t.Fatalf("cold boots %d, want 2; %+v", st.ColdBoots, st)
-	}
+	// capture per shape.
+	checkRolloutForks(t, res)
 }
 
 // TestRolloutRejectsNoSnapshot pins the contract: swaps fork from

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -26,23 +27,14 @@ func TestForkedFleetMatchesColdFleet(t *testing.T) {
 	}
 
 	if forked.Snapshot == nil {
-		t.Fatal("default run did not use the snapshot cache")
+		t.Fatal("default run did not fork")
 	}
 	if coldRes.Snapshot != nil {
-		t.Fatal("NoSnapshot run reports snapshot cache stats")
+		t.Fatal("NoSnapshot run reports snapshot stats")
 	}
-	if st := *forked.Snapshot; st.Templates != 1 || st.ColdBoots != 1 ||
-		st.Forks != cfg.Devices-1 {
-		t.Fatalf("snapshot stats = %+v, want 1 template, 1 cold boot, %d forks", st, cfg.Devices-1)
-	}
-	forks := 0
-	for _, d := range forked.Devices {
-		if d.Forked {
-			forks++
-		}
-	}
-	if forks != cfg.Devices-1 {
-		t.Fatalf("%d devices report Forked, want %d", forks, cfg.Devices-1)
+	want := []ShapeStats{{Firmware: FirmwareGo, Forks: cfg.Devices}}
+	if st := *forked.Snapshot; !reflect.DeepEqual(st.Shapes, want) || st.Forks != cfg.Devices {
+		t.Fatalf("snapshot stats = %+v, want one capture and %d forks", st, cfg.Devices)
 	}
 
 	j1, j2 := summaryJSON(t, forked.Summary), summaryJSON(t, coldRes.Summary)
@@ -58,13 +50,10 @@ func TestForkedFleetMatchesColdFleet(t *testing.T) {
 	}
 }
 
-// TestHeterogeneousFleetTemplatesPerShape proves a mixed Go+jsvm fleet
-// never shares a template across firmware shapes: one template (and one
-// cold boot) per distinct Profile.Firmware, and the jsvm devices really
-// fork from the jsvm template (their firmware has an extra library, so a
-// shared template would fail loudly at fork validation).
-func TestHeterogeneousFleetTemplatesPerShape(t *testing.T) {
-	cfg := Config{
+// mixedConfig is a Go+jsvm fleet whose seeded profile assignment deploys
+// both shapes.
+func mixedConfig() Config {
+	return Config{
 		Devices:       6,
 		Lockstep:      true,
 		Duration:      12 * time.Second,
@@ -76,12 +65,21 @@ func TestHeterogeneousFleetTemplatesPerShape(t *testing.T) {
 			{Name: "js", Weight: 1, Firmware: FirmwareJS},
 		},
 	}
+}
+
+// TestHeterogeneousFleetTemplatesPerShape proves a mixed Go+jsvm fleet
+// never shares a template across firmware shapes: one template per
+// distinct Profile.Firmware, and the jsvm devices really fork from the
+// jsvm template (their firmware has an extra library, so a shared
+// template would fail loudly at fork validation).
+func TestHeterogeneousFleetTemplatesPerShape(t *testing.T) {
+	cfg := mixedConfig()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if res.Snapshot == nil {
-		t.Fatal("snapshot cache not armed")
+		t.Fatal("snapshot boot not armed")
 	}
 	shapes := map[string]int{}
 	for _, d := range res.Devices {
@@ -90,32 +88,88 @@ func TestHeterogeneousFleetTemplatesPerShape(t *testing.T) {
 	if len(shapes) != 2 {
 		t.Fatalf("seeded profile assignment produced %d shapes (%v); want both", len(shapes), shapes)
 	}
-	st := *res.Snapshot
-	if st.Templates != 2 || st.ColdBoots != 2 {
-		t.Fatalf("snapshot stats = %+v, want exactly one template and cold boot per shape", st)
+	want := []ShapeStats{
+		{Firmware: FirmwareGo, Forks: shapes[FirmwareGo]},
+		{Firmware: FirmwareJS, Forks: shapes[FirmwareJS]},
 	}
-	if st.Forks != cfg.Devices-2 {
-		t.Fatalf("forks = %d, want %d", st.Forks, cfg.Devices-2)
+	if st := *res.Snapshot; !reflect.DeepEqual(st.Shapes, want) || st.Forks != cfg.Devices {
+		t.Fatalf("snapshot stats = %+v, want one template per shape forked by its devices %+v", st, want)
 	}
 	if res.Summary.DeviceErrors != 0 {
 		t.Fatalf("%d device errors", res.Summary.DeviceErrors)
 	}
 }
 
-// TestSingleDeviceSkipsSnapshotCache pins the Devices==1 special case: a
-// lone device gains nothing from capturing a template it will never fork.
-func TestSingleDeviceSkipsSnapshotCache(t *testing.T) {
-	cfg := testConfig()
-	cfg.Devices = 1
-	cfg.Lockstep = true
-	res, err := Run(cfg)
+// TestOneBootPerShape: a Run boots each firmware shape it deploys exactly
+// once, at launch, and forks every device incarnation, firmware swaps
+// included, from the shape's template. HostProf's boot/cold counts every
+// cold boot the run made, and boot/fork the build phase's forks; a single
+// device forks like any other.
+func TestOneBootPerShape(t *testing.T) {
+	single := testConfig()
+	single.Devices = 1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"go", testConfig()},
+		{"single", single},
+		{"go+jsvm", mixedConfig()},
+		{"rollout", rolloutConfig(false, 45*time.Second)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.HostProf = true
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shapes := firmwareShapes(res.Config)
+			incarnations := 0
+			for _, d := range res.Devices {
+				incarnations += d.incarnation + 1
+			}
+			st, hp := res.Snapshot, res.HostProf
+			if st == nil || len(st.Shapes) != len(shapes) || st.Forks != incarnations {
+				t.Fatalf("snapshot stats %+v, want %d shapes and a fork per each of %d incarnations",
+					st, len(shapes), incarnations)
+			}
+			if cold := hp.Phase("boot/cold").Calls; cold != uint64(len(shapes)) {
+				t.Errorf("%d cold boots, want one per shape (%d)", cold, len(shapes))
+			}
+			if forks := hp.Phase("boot/fork").Calls; forks != uint64(cfg.Devices) {
+				t.Errorf("build phase forked %d devices, want %d", forks, cfg.Devices)
+			}
+			if tc.cfg.Rollout != nil && incarnations == cfg.Devices {
+				t.Error("the rollout swapped no device")
+			}
+		})
+	}
+}
+
+// TestConcurrentForksMatchLockstep forks the Go and the jsvm template
+// from three shard goroutines at once: the summary must equal the
+// lockstep run's byte for byte. scripts/check.sh repeats it under the
+// race detector, with TestRolloutLockstepMatchesParallel (whose swaps
+// fork a second template while the other shards run), to catch a fork
+// writing into the storage it shares with its template.
+func TestConcurrentForksMatchLockstep(t *testing.T) {
+	cfg := mixedConfig()
+	lock, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("run: %v", err)
+		t.Fatal(err)
 	}
-	if res.Snapshot != nil {
-		t.Fatal("single-device run armed the snapshot cache")
+	par := cfg
+	par.Lockstep = false
+	par.Shards = 3
+	parRes, err := Run(par)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Devices[0].Forked {
-		t.Fatal("single device reported Forked")
+	a, b := lock.Summary, parRes.Summary
+	a.Shards, a.Lockstep = 0, false
+	b.Shards, b.Lockstep = 0, false
+	if j1, j2 := summaryJSON(t, a), summaryJSON(t, b); !bytes.Equal(j1, j2) {
+		t.Fatalf("parallel forks diverge from lockstep:\n--- lockstep ---\n%s\n--- parallel ---\n%s", j1, j2)
 	}
 }

@@ -28,8 +28,8 @@ type Board struct {
 	Net     *hw.NetAdaptor
 }
 
-// newBoard instantiates the SoC's devices around a core. Cold boot and
-// Fork both use it: device state is reconstructed per machine, never
+// newBoard instantiates the SoC's devices around a core, for cold boot
+// and Fork alike: device state is reconstructed per machine, never
 // snapshotted (the snapshot captures only pre-run state, where every
 // device is at reset).
 func newBoard(core *hw.Core) *Board {
@@ -126,17 +126,14 @@ func LoadWith(img *firmware.Image, opts Options) (*Boot, error) {
 	if err != nil {
 		return nil, err
 	}
-	var report *firmware.Report
+	boot := &Boot{Image: img, Layout: layout}
 	if !opts.SkipReport {
-		report, err = firmware.BuildReport(img)
-		if err != nil {
+		if boot.Report, err = firmware.BuildReport(img); err != nil {
 			return nil, err
 		}
 	}
 
 	core := hw.NewCore(img.SRAM, img.Hz)
-	board := newBoard(core)
-	k := switcher.NewKernel(core)
 
 	// The loader's working authority: the omnipotent root over SRAM. It
 	// exists only inside this function.
@@ -144,33 +141,33 @@ func LoadWith(img *firmware.Image, opts Options) (*Boot, error) {
 	sealSwitcher := sealAuthority(cap.TypeSwitcherExport)
 	sealAlloc := sealAuthority(cap.TypeAllocator)
 
-	// Pass 1: create runtime compartments with code/globals capabilities
-	// and initialize globals.
-	comps := make(map[string]*compBuild, len(img.Compartments))
-	for _, cdef := range img.Compartments {
-		cl := layout.Comps[cdef.Name]
-		b := &compBuild{def: cdef, layout: cl}
-		b.code = derive(root, cl.Code, cap.PermCode)
-		b.globals = derive(root, cl.Data, cap.PermData)
+	// Pass 1: one record per compartment, with its code/globals
+	// capabilities; initialize globals.
+	comps := make([]switcher.CompConfig, len(img.Compartments))
+	byName := make(map[string]*switcher.CompConfig, len(img.Compartments))
+	for i, cdef := range img.Compartments {
+		c := &comps[i]
+		c.Def, c.Layout = cdef, layout.Comps[cdef.Name]
+		c.Code = derive(root, c.Layout.Code, cap.PermCode)
+		c.Globals = derive(root, c.Layout.Data, cap.PermData)
 		if len(cdef.GlobalsInit) > 0 {
-			if err := core.Mem.StoreBytes(b.globals, cdef.GlobalsInit); err != nil {
+			if err := core.Mem.StoreBytes(c.Globals, cdef.GlobalsInit); err != nil {
 				return nil, fmt.Errorf("loader: init globals of %s: %w", cdef.Name, err)
 			}
 		}
-		comps[cdef.Name] = b
+		byName[cdef.Name] = c
 	}
 
 	// Pass 2: quota records for every static allocation capability. The
 	// records are allocator-protected metadata: the sealed capability's
 	// address is an identifier in a reserved, non-addressable range, so a
 	// holder can neither dereference nor forge it (§3.2.2).
-	var quotas []QuotaRecord
 	sealedAllocCaps := make(map[string]cap.Capability) // "comp.name" -> sealed cap
 	next := uint32(QuotaRecordBase)
 	for _, cdef := range img.Compartments {
 		for _, ac := range cdef.AllocCaps {
 			rec := QuotaRecord{Addr: next, Limit: ac.Quota, Owner: cdef.Name, Name: ac.Name}
-			quotas = append(quotas, rec)
+			boot.Quotas = append(boot.Quotas, rec)
 			raw := cap.New(next, next+quotaRecordBytes, next, cap.PermLoad)
 			sealed, err := raw.Seal(sealAlloc)
 			if err != nil {
@@ -187,18 +184,18 @@ func LoadWith(img *firmware.Image, opts Options) (*Boot, error) {
 	// payload and sealed under the token API's hardware type, so
 	// token_unseal works on static and dynamic objects alike.
 	sealTok := sealAuthority(cap.TypeToken)
+	staticKeys := make(map[string]cap.Capability) // "comp.type" -> key
 	nextStaticType := uint32(StaticSealTypeBase)
-	for _, cdef := range img.Compartments {
-		b := comps[cdef.Name]
-		b.staticKeys = make(map[string]cap.Capability, len(cdef.SealTypes))
+	for _, c := range comps {
+		cdef := c.Def
 		for _, st := range cdef.SealTypes {
 			vt := nextStaticType
 			nextStaticType++
-			b.staticKeys[st] = cap.New(vt, vt+1, vt, cap.PermSeal|cap.PermUnseal)
+			staticKeys[importName(cdef.Name, st)] = cap.New(vt, vt+1, vt, cap.PermSeal|cap.PermUnseal)
 		}
-		addr := b.layout.StaticSealed.Base
+		addr := c.Layout.StaticSealed.Base
 		for _, so := range cdef.StaticSealed {
-			key := b.staticKeys[so.SealType]
+			key := staticKeys[importName(cdef.Name, so.SealType)]
 			total := 8 + align8(so.Size)
 			objRegion := firmware.Region{Base: addr, Size: total}
 			obj := derive(root, objRegion, cap.PermData)
@@ -226,93 +223,76 @@ func LoadWith(img *firmware.Image, opts Options) (*Boot, error) {
 		rw := derive(root, region, cap.PermData)
 		ro := rw.WithoutPermsMust(cap.PermStore | cap.PermLoadMutable)
 		for _, w := range sg.Writers {
-			comps[w].shared(sg.Name, rw)
+			shared(byName[w], sg.Name, rw)
 		}
 		for _, rd := range sg.Readers {
-			comps[rd].shared(sg.Name, ro)
+			shared(byName[rd], sg.Name, ro)
 		}
 	}
 
 	// Pass 3: export tables, then import tables referencing them. Image
 	// order, so boot is bit-for-bit reproducible run to run.
-	for _, cdef := range img.Compartments {
-		if err := writeExportTable(core, root, comps[cdef.Name]); err != nil {
+	for i := range comps {
+		if err := writeExportTable(core, root, &comps[i]); err != nil {
 			return nil, err
 		}
 	}
-	for _, cdef := range img.Compartments {
-		b := comps[cdef.Name]
-		if err := buildImports(core, root, sealSwitcher, img, layout, comps, sealedAllocCaps, b); err != nil {
+	for i := range comps {
+		if err := buildImports(core, root, sealSwitcher, img, layout, byName, sealedAllocCaps, staticKeys, &comps[i]); err != nil {
 			return nil, err
 		}
-		k.AddComp(b.finish())
-	}
-	for _, ldef := range img.Libraries {
-		k.AddLib(switcher.NewLib(ldef, derive(root, layout.Libs[ldef.Name], cap.PermCode)))
 	}
 
-	// Pass 4: threads.
-	for _, tdef := range img.Threads {
-		k.AddThread(tdef, layout.Threads[tdef.Name])
-	}
-
-	// Pass 5: the shared heap. Zero it (no secrets from previous boots,
+	// Pass 4: the shared heap. Zero it (no secrets from previous boots,
 	// §3.1.3) — this also erases the loader itself, which ran out of the
-	// heap region. Hand the allocator its privileged root.
+	// heap region.
 	heapCap := derive(root, layout.Heap, cap.PermData)
 	if err := core.Mem.Zero(heapCap, layout.Heap.Size); err != nil {
 		return nil, fmt.Errorf("loader: zeroing heap: %w", err)
 	}
-	k.SetHeap(layout.Heap, AllocatorCompartment)
 
-	boot := &Boot{
-		Kernel: k, Board: board, Image: img, Layout: layout,
-		Report: report, Quotas: quotas,
-	}
 	if opts.CaptureSnapshot {
-		boot.Snapshot = capture(img, core, layout, report, quotas, comps)
+		boot.Snapshot = &Snapshot{img: img, mem: core.Mem.Snapshot(), layout: layout,
+			quotas: boot.Quotas, comps: comps, report: boot.Report}
 	}
+	boot.build(core, comps)
 	return boot, nil
 }
 
-// compBuild accumulates a compartment's runtime pieces during boot.
-type compBuild struct {
-	def     *firmware.Compartment
-	layout  firmware.CompLayout
-	code    cap.Capability
-	globals cap.Capability
-
-	importCalls   map[switcher.EntryKey]cap.Capability
-	importLibs    map[switcher.EntryKey]bool
-	mmio          map[string]cap.Capability
-	sealedImports map[string]cap.Capability
-	staticKeys    map[string]cap.Capability
-	sharedCaps    map[string]cap.Capability
+// build hands the booted memory over as a running machine: the board
+// around core, the kernel with one runtime compartment per record (bound
+// to the image's own definition of it), the image's libraries and threads
+// at their linked places, and the allocator's privileged heap root.
+// LoadWith calls it after its passes, and Fork on a restored snapshot
+// with the records the capture kept, so a fork is built exactly as a
+// cold boot is.
+func (b *Boot) build(core *hw.Core, comps []switcher.CompConfig) {
+	b.Board = newBoard(core)
+	k := switcher.NewKernel(core)
+	for i, c := range comps {
+		c.Def = b.Image.Compartments[i]
+		k.AddComp(switcher.NewComp(c))
+	}
+	root := cap.Root(0, b.Image.SRAM)
+	for _, ldef := range b.Image.Libraries {
+		k.AddLib(switcher.NewLib(ldef, derive(root, b.Layout.Libs[ldef.Name], cap.PermCode)))
+	}
+	for _, tdef := range b.Image.Threads {
+		k.AddThread(tdef, b.Layout.Threads[tdef.Name])
+	}
+	k.SetHeap(b.Layout.Heap, AllocatorCompartment)
+	b.Kernel = k
 }
 
 // shared records one shared-global grant.
-func (b *compBuild) shared(name string, c cap.Capability) {
-	if b.sharedCaps == nil {
-		b.sharedCaps = make(map[string]cap.Capability)
+func shared(c *switcher.CompConfig, name string, g cap.Capability) {
+	if c.Shared == nil {
+		c.Shared = make(map[string]cap.Capability)
 	}
-	b.sharedCaps[name] = c
+	c.Shared[name] = g
 }
 
 func align8(n uint32) uint32 { return (n + 7) &^ 7 }
-
-func (b *compBuild) finish() *switcher.Comp {
-	return switcher.NewComp(switcher.CompConfig{
-		Def:           b.def,
-		Layout:        b.layout,
-		Code:          b.code,
-		Globals:       b.globals,
-		ImportCalls:   b.importCalls,
-		ImportLibs:    b.importLibs,
-		MMIO:          b.mmio,
-		SealedImports: b.sealedImports,
-		Shared:        b.sharedCaps,
-	})
-}
 
 func importName(comp, name string) string { return comp + "." + name }
 
@@ -337,13 +317,13 @@ func sealAuthority(t cap.OType) cap.Capability {
 // writeExportTable stores one entry per export into the compartment's
 // export-table region: the code capability with its cursor at the entry
 // point. Only the switcher ever reads this region (§3.1.2).
-func writeExportTable(core *hw.Core, root cap.Capability, b *compBuild) error {
-	tbl := derive(root, b.layout.ExportTable, cap.PermData|cap.PermStoreLocal)
-	for i := range b.def.Exports {
-		slot := tbl.WithAddress(b.layout.ExportTable.Base + uint32(i)*firmware.ExportEntryBytes)
-		entryCap := b.code.WithAddress(b.layout.Code.Base + uint32(i))
+func writeExportTable(core *hw.Core, root cap.Capability, c *switcher.CompConfig) error {
+	tbl := derive(root, c.Layout.ExportTable, cap.PermData|cap.PermStoreLocal)
+	for i := range c.Def.Exports {
+		slot := tbl.WithAddress(c.Layout.ExportTable.Base + uint32(i)*firmware.ExportEntryBytes)
+		entryCap := c.Code.WithAddress(c.Layout.Code.Base + uint32(i))
 		if err := core.Mem.StoreCap(slot, entryCap); err != nil {
-			return fmt.Errorf("loader: export table of %s: %w", b.def.Name, err)
+			return fmt.Errorf("loader: export table of %s: %w", c.Def.Name, err)
 		}
 	}
 	return nil
@@ -353,45 +333,45 @@ func writeExportTable(core *hw.Core, root cap.Capability, b *compBuild) error {
 // capabilities that, after boot, may point outside the compartment (§4).
 func buildImports(core *hw.Core, root, sealSwitcher cap.Capability,
 	img *firmware.Image, layout *firmware.Layout,
-	comps map[string]*compBuild, sealedAllocCaps map[string]cap.Capability,
-	b *compBuild) error {
+	comps map[string]*switcher.CompConfig, sealedAllocCaps, staticKeys map[string]cap.Capability,
+	c *switcher.CompConfig) error {
 
-	b.importCalls = make(map[switcher.EntryKey]cap.Capability)
-	b.importLibs = make(map[switcher.EntryKey]bool)
-	b.mmio = make(map[string]cap.Capability)
-	b.sealedImports = make(map[string]cap.Capability)
+	c.ImportCalls = make(map[switcher.EntryKey]cap.Capability)
+	c.ImportLibs = make(map[switcher.EntryKey]bool)
+	c.MMIO = make(map[string]cap.Capability)
+	c.SealedImports = make(map[string]cap.Capability)
 
-	tblRegion := b.layout.ImportTable
+	tblRegion := c.Layout.ImportTable
 	tbl := derive(root, tblRegion, cap.PermData|cap.PermStoreLocal)
 	slotIdx := uint32(0)
-	store := func(c cap.Capability) error {
+	store := func(v cap.Capability) error {
 		if tblRegion.Size == 0 {
 			return nil
 		}
 		slot := tbl.WithAddress(tblRegion.Base + slotIdx*firmware.ImportEntryBytes)
 		slotIdx++
-		return core.Mem.StoreCap(slot, c)
+		return core.Mem.StoreCap(slot, v)
 	}
 
-	for _, im := range b.def.Imports {
+	for _, im := range c.Def.Imports {
 		switch im.Kind {
 		case firmware.ImportCall:
 			target := comps[im.Target]
-			idx := exportIndex(target.def, im.Entry)
-			raw := cap.New(target.layout.ExportTable.Base,
-				target.layout.ExportTable.Top(),
-				target.layout.ExportTable.Base+uint32(idx)*firmware.ExportEntryBytes,
+			idx := exportIndex(target.Def, im.Entry)
+			raw := cap.New(target.Layout.ExportTable.Base,
+				target.Layout.ExportTable.Top(),
+				target.Layout.ExportTable.Base+uint32(idx)*firmware.ExportEntryBytes,
 				cap.PermLoad|cap.PermLoadStoreCap)
 			sealed, err := raw.Seal(sealSwitcher)
 			if err != nil {
-				return fmt.Errorf("loader: sealing import %s->%s.%s: %w", b.def.Name, im.Target, im.Entry, err)
+				return fmt.Errorf("loader: sealing import %s->%s.%s: %w", c.Def.Name, im.Target, im.Entry, err)
 			}
-			b.importCalls[switcher.EntryKey{Target: im.Target, Entry: im.Entry}] = sealed
+			c.ImportCalls[switcher.EntryKey{Target: im.Target, Entry: im.Entry}] = sealed
 			if err := store(sealed); err != nil {
 				return err
 			}
 		case firmware.ImportLib:
-			b.importLibs[switcher.EntryKey{Target: im.Target, Entry: im.Entry}] = true
+			c.ImportLibs[switcher.EntryKey{Target: im.Target, Entry: im.Entry}] = true
 			lib := img.Library(im.Target)
 			code := derive(root, layout.Libs[im.Target], cap.PermCode)
 			sentry, err := code.WithAddress(layout.Libs[im.Target].Base +
@@ -408,7 +388,7 @@ func buildImports(core *hw.Core, root, sealSwitcher cap.Capability,
 				return err
 			}
 			w := cap.New(base, base+size, base, cap.PermGlobal|cap.PermLoad|cap.PermStore)
-			b.mmio[im.Target] = w
+			c.MMIO[im.Target] = w
 			// Device windows are above SRAM; the import table stores only
 			// SRAM-backed capabilities in this model, so the window
 			// capability lives in the runtime table alone.
@@ -418,7 +398,7 @@ func buildImports(core *hw.Core, root, sealSwitcher cap.Capability,
 			if !ok {
 				return fmt.Errorf("loader: no sealed object %s.%s", im.Target, im.Entry)
 			}
-			b.sealedImports[importName(im.Target, im.Entry)] = sealed
+			c.SealedImports[importName(im.Target, im.Entry)] = sealed
 			if err := store(sealed); err != nil {
 				return err
 			}
@@ -426,20 +406,20 @@ func buildImports(core *hw.Core, root, sealSwitcher cap.Capability,
 	}
 	// A compartment's own allocation capabilities are also sealed imports,
 	// named without the owner prefix for convenience.
-	for _, ac := range b.def.AllocCaps {
-		sealed := sealedAllocCaps[importName(b.def.Name, ac.Name)]
-		b.sealedImports[ac.Name] = sealed
+	for _, ac := range c.Def.AllocCaps {
+		sealed := sealedAllocCaps[importName(c.Def.Name, ac.Name)]
+		c.SealedImports[ac.Name] = sealed
 		if err := store(sealed); err != nil {
 			return err
 		}
 	}
 	// Likewise its own static sealed objects, and the keys for the seal
 	// types it declared ("key:<type>").
-	for _, so := range b.def.StaticSealed {
-		b.sealedImports[so.Name] = sealedAllocCaps[importName(b.def.Name, so.Name)]
+	for _, so := range c.Def.StaticSealed {
+		c.SealedImports[so.Name] = sealedAllocCaps[importName(c.Def.Name, so.Name)]
 	}
-	for st, key := range b.staticKeys {
-		b.sealedImports["key:"+st] = key
+	for _, st := range c.Def.SealTypes {
+		c.SealedImports["key:"+st] = staticKeys[importName(c.Def.Name, st)]
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package loader
 import (
 	"fmt"
 
-	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/mem"
@@ -15,32 +14,11 @@ import (
 // closures (Entry, State, ErrorHandler) that give each device its
 // behavior. So the loader can run once per shape, capture the complete
 // post-boot machine state, and Fork can stamp out further machines by
-// restoring that state and re-binding each compartment to its own image's
-// definitions. Forking skips linking, report building, and all five
-// loader passes; the only per-fork work is a copy-on-write SRAM restore
-// and kernel object construction.
-
-// compSnap is one compartment's captured boot product: its layout, its
-// code/globals capabilities, and its import-table contents. The maps are
-// read-only after boot, so forks share them; the capabilities are value
-// types, so sharing leaks no mutable state between devices.
-type compSnap struct {
-	name          string
-	layout        firmware.CompLayout
-	code          cap.Capability
-	globals       cap.Capability
-	importCalls   map[switcher.EntryKey]cap.Capability
-	importLibs    map[switcher.EntryKey]bool
-	mmio          map[string]cap.Capability
-	sealedImports map[string]cap.Capability
-	shared        map[string]cap.Capability
-}
-
-// libSnap is one shared library's captured code capability.
-type libSnap struct {
-	name string
-	code cap.Capability
-}
+// restoring that state and building the machine from it the way LoadWith
+// does, each compartment bound to its own image's definition. Forking
+// skips linking, report building, and the loader's passes; the only
+// per-fork work is a copy-on-write SRAM restore and kernel object
+// construction.
 
 // Snapshot is the complete post-boot state of a machine, sufficient to
 // Fork identical machines without re-running the loader. It is immutable
@@ -48,57 +26,39 @@ type libSnap struct {
 // capabilities and shares its data chunks read-only, and everything
 // else is either a value or a read-only map shared across forks.
 type Snapshot struct {
-	sram    uint32
-	hz      uint64
-	mem     *mem.Snapshot
-	layout  *firmware.Layout
-	quotas  []QuotaRecord
-	comps   []compSnap
-	libs    []libSnap
-	threads []string
-	report  *firmware.Report
-}
-
-// capture records the post-boot state. Compartments and libraries are
-// captured in image order so Fork re-adds them deterministically.
-func capture(img *firmware.Image, core *hw.Core, layout *firmware.Layout,
-	report *firmware.Report, quotas []QuotaRecord, comps map[string]*compBuild) *Snapshot {
-
-	s := &Snapshot{
-		sram:   img.SRAM,
-		hz:     img.Hz,
-		mem:    core.Mem.Snapshot(),
-		layout: layout,
-		quotas: quotas,
-		report: report,
-	}
-	for _, cdef := range img.Compartments {
-		b := comps[cdef.Name]
-		s.comps = append(s.comps, compSnap{
-			name:          b.def.Name,
-			layout:        b.layout,
-			code:          b.code,
-			globals:       b.globals,
-			importCalls:   b.importCalls,
-			importLibs:    b.importLibs,
-			mmio:          b.mmio,
-			sealedImports: b.sealedImports,
-			shared:        b.sharedCaps,
-		})
-	}
-	for _, ldef := range img.Libraries {
-		s.libs = append(s.libs, libSnap{name: ldef.Name, code: derive(cap.Root(0, img.SRAM), layout.Libs[ldef.Name], cap.PermCode)})
-	}
-	for _, tdef := range img.Threads {
-		s.threads = append(s.threads, tdef.Name)
-	}
-	return s
+	// img is the image the snapshot was booted from; Fork checks a fork
+	// image's structure against it.
+	img    *firmware.Image
+	mem    *mem.Snapshot
+	layout *firmware.Layout
+	quotas []QuotaRecord
+	// comps are the loader's compartment records in image order. Their
+	// maps are read-only after boot, so forks share them; the
+	// capabilities are value types, so sharing leaks no mutable state
+	// between devices. build rebinds each record's Def to the fork's
+	// image.
+	comps  []switcher.CompConfig
+	report *firmware.Report
 }
 
 // shapeMismatch builds the error for an image that does not match the
 // snapshot's shape.
 func shapeMismatch(format string, args ...interface{}) error {
 	return fmt.Errorf("loader: fork shape mismatch: "+format, args...)
+}
+
+// sameNames checks that a fork image lists the snapshot image's
+// components of one kind under the same names, in the same order.
+func sameNames[T any](kind string, got, want []*T, name func(*T) string) error {
+	if len(got) != len(want) {
+		return shapeMismatch("%d %ss != %d", len(got), kind, len(want))
+	}
+	for i := range got {
+		if name(got[i]) != name(want[i]) {
+			return shapeMismatch("%s %d is %q, snapshot has %q", kind, i, name(got[i]), name(want[i]))
+		}
+	}
+	return nil
 }
 
 // Fork builds a booted machine from a snapshot and a fresh image of the
@@ -116,80 +76,40 @@ func shapeMismatch(format string, args ...interface{}) error {
 // not exhaustive — callers pair snapshots with images of the same shape
 // (see internal/snapshot.Key for the canonical shape identity).
 func Fork(snap *Snapshot, img *firmware.Image, opts Options) (*Boot, error) {
-	if img.SRAM != snap.sram {
-		return nil, shapeMismatch("SRAM %d != %d", img.SRAM, snap.sram)
+	if img.SRAM != snap.img.SRAM {
+		return nil, shapeMismatch("SRAM %d != %d", img.SRAM, snap.img.SRAM)
 	}
-	if img.Hz != snap.hz {
-		return nil, shapeMismatch("Hz %d != %d", img.Hz, snap.hz)
+	if img.Hz != snap.img.Hz {
+		return nil, shapeMismatch("Hz %d != %d", img.Hz, snap.img.Hz)
 	}
-	if len(img.Compartments) != len(snap.comps) {
-		return nil, shapeMismatch("%d compartments != %d", len(img.Compartments), len(snap.comps))
+	if err := sameNames("compartment", img.Compartments, snap.img.Compartments,
+		func(c *firmware.Compartment) string { return c.Name }); err != nil {
+		return nil, err
 	}
-	for i, cdef := range img.Compartments {
-		if cdef.Name != snap.comps[i].name {
-			return nil, shapeMismatch("compartment %d is %q, snapshot has %q", i, cdef.Name, snap.comps[i].name)
-		}
+	if err := sameNames("library", img.Libraries, snap.img.Libraries,
+		func(l *firmware.Library) string { return l.Name }); err != nil {
+		return nil, err
 	}
-	if len(img.Libraries) != len(snap.libs) {
-		return nil, shapeMismatch("%d libraries != %d", len(img.Libraries), len(snap.libs))
-	}
-	for i, ldef := range img.Libraries {
-		if ldef.Name != snap.libs[i].name {
-			return nil, shapeMismatch("library %d is %q, snapshot has %q", i, ldef.Name, snap.libs[i].name)
-		}
-	}
-	if len(img.Threads) != len(snap.threads) {
-		return nil, shapeMismatch("%d threads != %d", len(img.Threads), len(snap.threads))
-	}
-	for i, tdef := range img.Threads {
-		if tdef.Name != snap.threads[i] {
-			return nil, shapeMismatch("thread %d is %q, snapshot has %q", i, tdef.Name, snap.threads[i])
-		}
+	if err := sameNames("thread", img.Threads, snap.img.Threads,
+		func(t *firmware.Thread) string { return t.Name }); err != nil {
+		return nil, err
 	}
 
-	core := hw.NewCoreWith(snap.mem.Restore(), snap.hz)
-	board := newBoard(core)
-	k := switcher.NewKernel(core)
-	for i, cs := range snap.comps {
-		k.AddComp(switcher.NewComp(switcher.CompConfig{
-			Def:           img.Compartments[i],
-			Layout:        cs.layout,
-			Code:          cs.code,
-			Globals:       cs.globals,
-			ImportCalls:   cs.importCalls,
-			ImportLibs:    cs.importLibs,
-			MMIO:          cs.mmio,
-			SealedImports: cs.sealedImports,
-			Shared:        cs.shared,
-		}))
-	}
-	for i, ls := range snap.libs {
-		k.AddLib(switcher.NewLib(img.Libraries[i], ls.code))
-	}
-	for _, tdef := range img.Threads {
-		k.AddThread(tdef, snap.layout.Threads[tdef.Name])
-	}
-	// The snapshot was taken after pass 5: the heap bytes are already
-	// zeroed in the restored image, so only the allocator's privileged
-	// root needs handing over again.
-	k.SetHeap(snap.layout.Heap, AllocatorCompartment)
-
-	var report *firmware.Report
+	boot := &Boot{Image: img, Layout: snap.layout, Quotas: snap.quotas}
 	if snap.report != nil && !opts.SkipReport {
 		// The report is pure shape-derived data; only the image name is
 		// per-device. Shallow-copy and rebind it — the maps inside are
 		// read-only after build and safely shared across forks.
 		r := *snap.report
 		r.Image = img.Name
-		report = &r
-	}
-	boot := &Boot{
-		Kernel: k, Board: board, Image: img, Layout: snap.layout,
-		Report: report, Quotas: snap.quotas,
+		boot.Report = &r
 	}
 	if opts.CaptureSnapshot {
 		// A fork's post-boot state is the snapshot's state; reuse it.
 		boot.Snapshot = snap
 	}
+	// The snapshot was taken after the heap was zeroed, so the restored
+	// image needs no loader pass: only the machine around it is built.
+	boot.build(hw.NewCoreWith(snap.mem.Restore(), snap.img.Hz), snap.comps)
 	return boot, nil
 }

@@ -175,7 +175,7 @@ func (ProfileCaptured) Check(res *fleet.Result) error {
 // the full loader) must produce a byte-identical JSON summary. The
 // finished run's Result.Config carries the fully-defaulted
 // configuration, so the cold re-run is exactly the same fleet minus the
-// template cache.
+// templates.
 type ForkedEqualsCold struct{}
 
 func (ForkedEqualsCold) Name() string { return "forked-equals-cold" }
@@ -183,11 +183,10 @@ func (ForkedEqualsCold) Name() string { return "forked-equals-cold" }
 func (ForkedEqualsCold) Check(res *fleet.Result) error {
 	st := res.Snapshot
 	if st == nil {
-		return fmt.Errorf("snapshot cache never armed — nothing forked")
+		return fmt.Errorf("snapshot boot disabled — nothing forked")
 	}
 	if st.Forks == 0 {
-		return fmt.Errorf("snapshot cache armed but no device forked (%d templates, %d cold boots)",
-			st.Templates, st.ColdBoots)
+		return fmt.Errorf("no device forked from the %d captured shapes", len(st.Shapes))
 	}
 	cold := res.Config
 	cold.NoSnapshot = true
@@ -212,7 +211,7 @@ func (ForkedEqualsCold) Check(res *fleet.Result) error {
 // RolloutComplete asserts the staged OTA rollout ran to full fleet
 // coverage: terminal state complete, every device on the new firmware,
 // every ring advanced by a passing health verdict — and the whole
-// updated cohort forked from exactly one cold boot of the new shape.
+// updated cohort forked from the new shape's one launch capture.
 type RolloutComplete struct{}
 
 func (RolloutComplete) Name() string { return "rollout-complete" }
@@ -239,14 +238,18 @@ func (RolloutComplete) Check(res *fleet.Result) error {
 	}
 	st := res.Snapshot
 	if st == nil {
-		return fmt.Errorf("no snapshot cache stats — swaps did not fork from templates")
+		return fmt.Errorf("no snapshot stats — swaps did not fork from templates")
 	}
-	for _, a := range st.Aliases {
-		if a.Alias == ro.NewFirmware && a.Misses != 1 {
-			return fmt.Errorf("new firmware shape %q cold-booted %d times, want exactly 1", a.Alias, a.Misses)
+	for _, sh := range st.Shapes {
+		if sh.Firmware == ro.NewFirmware {
+			if sh.Forks != ro.OnNew {
+				return fmt.Errorf("new firmware shape %q forked %d incarnations for %d updated devices",
+					sh.Firmware, sh.Forks, ro.OnNew)
+			}
+			return nil
 		}
 	}
-	return nil
+	return fmt.Errorf("new firmware shape %q was never captured", ro.NewFirmware)
 }
 
 // RolledBack asserts the crash-triggered auto-rollback fired and fully

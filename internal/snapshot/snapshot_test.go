@@ -3,13 +3,13 @@ package snapshot
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/cheriot-go/cheriot/internal/alloc"
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/hw"
 )
 
 // appImage builds a representative firmware image exercising every
@@ -105,12 +105,40 @@ func TestKeyIgnoresNameAndClosures(t *testing.T) {
 		{"lib-size", func(i *firmware.Image) { i.Libraries[0].CodeSize++ }},
 		{"shared-size", func(i *firmware.Image) { i.SharedGlobals[0].Size += 8 }},
 		{"shared-reader", func(i *firmware.Image) { i.SharedGlobals[0].Readers = nil }},
+		// The audit report records handler presence, and a fork hands
+		// out its template's report.
+		{"error-handler", func(i *firmware.Image) { i.Compartments[0].ErrorHandler = unwindHandler }},
 	}
 	for _, m := range mutations {
 		img := appImage("x")
 		m.mut(img)
 		if Key(img) == Key(a) {
 			t.Errorf("mutation %q did not change the key", m.name)
+		}
+	}
+}
+
+func unwindHandler(api.Context, *hw.Trap) api.HandlerDecision { return api.HandlerUnwind }
+
+// TestKeyAllocatesPerKeyNotPerField pins Key's host cost: a fixed handful
+// of allocations (the hash, its scratch buffer, the hex string), however
+// many fields the image has. Writing each field through the hash.Hash
+// interface from a fresh array used to allocate per field: 818 times for
+// the fleet's default image.
+func TestKeyAllocatesPerKeyNotPerField(t *testing.T) {
+	small, large := appImage("small"), appImage("large")
+	for i := 0; i < 50; i++ {
+		large.AddCompartment(&firmware.Compartment{
+			Name: fmt.Sprintf("extra%d", i), CodeSize: 64, DataSize: 16,
+			GlobalsInit: []byte("init"),
+			Imports:     []firmware.Import{{Kind: firmware.ImportCall, Target: "server", Entry: "work"}},
+			Exports:     []*firmware.Export{{Name: "main", MinStack: 64}},
+		})
+	}
+	for _, img := range []*firmware.Image{small, large} {
+		if n := testing.AllocsPerRun(20, func() { Key(img) }); n > 8 {
+			t.Errorf("Key of a %d-compartment image allocates %.0f times, want at most 8",
+				len(img.Compartments), n)
 		}
 	}
 }
@@ -152,6 +180,48 @@ func TestForkEqualsColdBoot(t *testing.T) {
 	fr, _ := json.Marshal(forked.Report)
 	if string(cr) != string(fr) {
 		t.Fatal("forked audit report differs from cold boot")
+	}
+}
+
+// TestForkReportMatchesColdReport: a fork's audit report is its
+// template's, so the key must separate every shape whose reports differ.
+// An image without error handlers forks from a handler-less template,
+// reports has_error_handler false as its cold boot does, and cannot fork
+// from a template whose compartment has a handler.
+func TestForkReportMatchesColdReport(t *testing.T) {
+	withHandler := appImage("tmpl-handler")
+	withHandler.Compartments[0].ErrorHandler = unwindHandler
+	handlerSys, handlerTmpl, err := Capture(withHandler, core.BootOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlerSys.Shutdown()
+	if _, err := handlerTmpl.Fork(appImage("dev"), core.BootOptions{}); err == nil {
+		t.Fatal("a handler-less image forked from a template with a handler")
+	}
+
+	tmplSys, tmpl, err := Capture(appImage("tmpl"), core.BootOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmplSys.Shutdown()
+	cold, err := core.BootWith(appImage("dev"), core.BootOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Shutdown()
+	forked, err := tmpl.Fork(appImage("dev"), core.BootOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer forked.Shutdown()
+	if forked.Report.Compartments["server"].HasErrorHandler {
+		t.Fatal("a handler-less fork reports has_error_handler")
+	}
+	cr, _ := json.Marshal(cold.Report)
+	fr, _ := json.Marshal(forked.Report)
+	if string(cr) != string(fr) {
+		t.Fatalf("fork report differs from cold boot:\nfork: %s\ncold: %s", fr, cr)
 	}
 }
 
@@ -218,147 +288,5 @@ func TestForkRefusesShapeMismatch(t *testing.T) {
 	bad.Compartments[0].GlobalsInit[0] ^= 0xFF
 	if _, err := tmpl.Fork(bad, core.BootOptions{}); err == nil {
 		t.Fatal("fork of a different shape succeeded")
-	}
-}
-
-func TestCacheColdBootsOncePerAlias(t *testing.T) {
-	c := NewCache()
-	const devices = 16
-	var wg sync.WaitGroup
-	sysCh := make(chan *core.System, devices)
-	errCh := make(chan error, devices)
-	for i := 0; i < devices; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sys, _, err := c.Boot("app", appImage(fmt.Sprintf("dev-%d", i)), core.BootOptions{SkipReport: true})
-			if err != nil {
-				errCh <- err
-				return
-			}
-			sysCh <- sys
-		}(i)
-	}
-	wg.Wait()
-	close(sysCh)
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	var ref *core.System
-	for sys := range sysCh {
-		if ref == nil {
-			ref = sys
-		} else if !ref.Board.Core.Mem.Equal(sys.Board.Core.Mem) {
-			t.Fatal("cache-booted systems have diverging memory")
-		}
-		sys.Shutdown()
-	}
-	st := c.Stats()
-	if st.Templates != 1 || st.ColdBoots != 1 || st.Forks != devices-1 {
-		t.Fatalf("stats = %+v, want 1 template, 1 cold boot, %d forks", st, devices-1)
-	}
-}
-
-func TestCacheRejectsUnstableAlias(t *testing.T) {
-	c := NewCache()
-	sys, _, err := c.Boot("app", appImage("a"), core.BootOptions{SkipReport: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Shutdown()
-	other := appImage("b")
-	other.Compartments[0].AllocCaps[0].Quota *= 2 // same structure, different shape
-	if _, _, err := c.Boot("app", other, core.BootOptions{SkipReport: true}); err == nil {
-		t.Fatal("shape-unstable alias accepted")
-	}
-	// The alias stays poisoned even for images that would match.
-	if _, _, err := c.Boot("app", appImage("c"), core.BootOptions{SkipReport: true}); err == nil {
-		t.Fatal("poisoned alias accepted a later boot")
-	}
-	// A distinct alias still works.
-	sys2, forked, err := c.Boot("app2", appImage("d"), core.BootOptions{SkipReport: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forked {
-		t.Fatal("fresh alias reported forked")
-	}
-	sys2.Shutdown()
-}
-
-// TestCacheConcurrentMixedShapes boots two firmware shapes through one
-// cache from 8 goroutines at once: exactly two cold boots, no alias
-// poisoning, and a correct per-alias breakdown.
-func TestCacheConcurrentMixedShapes(t *testing.T) {
-	// Shape B differs from shape A in a boot-relevant field.
-	shapeB := func(name string) *firmware.Image {
-		img := appImage(name)
-		img.Compartments[0].AllocCaps[0].Quota *= 2
-		return img
-	}
-	c := NewCache()
-	const workers = 8
-	const perWorker = 4
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers*perWorker)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < perWorker; k++ {
-				name := fmt.Sprintf("dev-%d-%d", w, k)
-				var sys *core.System
-				var err error
-				// Workers alternate shapes, so both aliases see
-				// concurrent first callers and concurrent forkers.
-				if (w+k)%2 == 0 {
-					sys, _, err = c.Boot("shape-a", appImage(name), core.BootOptions{SkipReport: true})
-				} else {
-					sys, _, err = c.Boot("shape-b", shapeB(name), core.BootOptions{SkipReport: true})
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
-				sys.Shutdown()
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Templates != 2 || st.ColdBoots != 2 {
-		t.Fatalf("stats = %+v, want exactly 2 templates and 2 cold boots", st)
-	}
-	if st.Forks != workers*perWorker-2 {
-		t.Fatalf("forks = %d, want %d", st.Forks, workers*perWorker-2)
-	}
-	if len(st.Aliases) != 2 {
-		t.Fatalf("aliases = %+v, want 2 entries", st.Aliases)
-	}
-	for _, a := range st.Aliases {
-		if a.Alias != "shape-a" && a.Alias != "shape-b" {
-			t.Fatalf("unexpected alias %q", a.Alias)
-		}
-		if a.Poisoned {
-			t.Fatalf("alias %q poisoned under concurrent same-shape boots", a.Alias)
-		}
-		if a.Misses != 1 {
-			t.Fatalf("alias %q cold-booted %d times, want 1", a.Alias, a.Misses)
-		}
-		if a.Hits != workers*perWorker/2-1 {
-			t.Fatalf("alias %q hits = %d, want %d", a.Alias, a.Hits, workers*perWorker/2-1)
-		}
-		if a.Verifies != 1 {
-			t.Fatalf("alias %q verified %d times, want exactly once", a.Alias, a.Verifies)
-		}
-	}
-	// The sorted order is part of the contract (deterministic output).
-	if st.Aliases[0].Alias != "shape-a" || st.Aliases[1].Alias != "shape-b" {
-		t.Fatalf("aliases not sorted: %+v", st.Aliases)
 	}
 }

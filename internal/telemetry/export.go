@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // AccountSnapshot is one row of the cycle-attribution table.
@@ -64,7 +65,10 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for _, h := range r.sizes {
 		if h != nil {
-			s.Histograms = append(s.Histograms, *h)
+			// The bounds are never written; the counts go on counting.
+			c := *h
+			c.Counts = slices.Clone(h.Counts)
+			s.Histograms = append(s.Histograms, c)
 		}
 	}
 	sortHistograms(s.Histograms)

@@ -170,6 +170,27 @@ func TestPostureString(t *testing.T) {
 	}
 }
 
+// TestSnapshotOutlivesLaterEvents: a snapshot is a copy, so events the
+// registry counts after it leave it as it was, each histogram's count
+// still its bucket sum.
+func TestSnapshotOutlivesLaterEvents(t *testing.T) {
+	r := NewRegistry(33_000_000)
+	r.Record(&Event{Kind: KindAlloc, To: "app", Arg: 64})
+	snap := r.Snapshot()
+	r.Record(&Event{Kind: KindAlloc, To: "app", Arg: 64})
+	if len(snap.Histograms) != 1 {
+		t.Fatalf("histograms = %+v, want alloc/size_bytes", snap.Histograms)
+	}
+	h := snap.Histograms[0]
+	var sum uint64
+	for _, c := range h.Counts {
+		sum += c
+	}
+	if h.Count != 1 || sum != 1 {
+		t.Fatalf("snapshot histogram count %d, bucket sum %d; want 1 and 1", h.Count, sum)
+	}
+}
+
 func TestSnapshotAndJSON(t *testing.T) {
 	r := NewRegistry(33_000_000)
 	r.SetBase(500)

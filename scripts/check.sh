@@ -185,15 +185,17 @@ echo "ok"
 
 echo "== snapshot fork = cold boot (race) =="
 # The fork ≡ cold-boot identity under the race detector: template
-# capture/fork byte-identity, the concurrent template cache, and the
+# capture/fork byte-identity, one launch capture per fleet shape, and the
 # forked-fleet ≡ cold-fleet summary comparison.
-go test -race -count=1 -run 'Snapshot|Fork|Template|Heterogeneous' \
+go test -race -count=1 -run 'Snapshot|Fork|Template|Heterogeneous|BootPerShape' \
 	./internal/mem/ ./internal/snapshot/ ./internal/fleet/
 # Concurrent forks each copy the per-word capability store out of one
-# shared template snapshot and share its SRAM chunks until they write
-# them; repeat the mixed-shape cache test and the concurrent-fork memory
-# test to catch a write into shared storage.
-go test -race -count=10 -run '^TestCacheConcurrentMixedShapes$' ./internal/snapshot/
+# shared template snapshot and share their SRAM chunks until they write
+# them; repeat the parallel Go+jsvm and rollout fleets (forks of several
+# templates on three shards, byte-equal to lockstep) and the
+# concurrent-fork memory test to catch a write into shared storage.
+go test -race -count=10 -run '^(TestConcurrentForksMatchLockstep|TestRolloutLockstepMatchesParallel)$' \
+	./internal/fleet/
 go test -race -count=10 -run '^TestSnapshotConcurrentForksWriteApart$' ./internal/mem/
 echo "ok"
 
