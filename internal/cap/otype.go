@@ -56,16 +56,6 @@ func (t OType) IsSentry() bool {
 	return t >= TypeSentryInherit && t <= TypeSentryReturnDisable
 }
 
-// IsForwardSentry reports whether t is a call (forward) sentry type.
-func (t OType) IsForwardSentry() bool {
-	return t == TypeSentryInherit || t == TypeSentryEnable || t == TypeSentryDisable
-}
-
-// IsBackwardSentry reports whether t is a return (backward) sentry type.
-func (t OType) IsBackwardSentry() bool {
-	return t == TypeSentryReturnEnable || t == TypeSentryReturnDisable
-}
-
 // IsDataSeal reports whether t is a data sealing type usable by software.
 func (t OType) IsDataSeal() bool { return t >= firstSealType && t < typeLimit }
 

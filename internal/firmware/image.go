@@ -296,23 +296,6 @@ func (l *Library) Func(name string) *Export {
 	return nil
 }
 
-// ImportsEntry reports whether the compartment imports the given entry of
-// the given target (any kind).
-func (c *Compartment) ImportsEntry(target, entry string) bool {
-	for _, im := range c.Imports {
-		if im.Target == target && im.Entry == entry {
-			return true
-		}
-	}
-	return false
-}
-
-// AddExport is a convenience builder.
-func (c *Compartment) AddExport(name string, minStack uint32, entry api.Entry) *Compartment {
-	c.Exports = append(c.Exports, &Export{Name: name, MinStack: minStack, Entry: entry})
-	return c
-}
-
 // AddImport is a convenience builder.
 func (c *Compartment) AddImport(kind ImportKind, target, entry string) *Compartment {
 	c.Imports = append(c.Imports, Import{Kind: kind, Target: target, Entry: entry})

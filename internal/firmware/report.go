@@ -83,6 +83,12 @@ func BuildReport(img *Image) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewReport(img, layout), nil
+}
+
+// NewReport emits the audit report of an image that Link laid out as
+// layout; the loader hands it the layout it boots from.
+func NewReport(img *Image, layout *Layout) *Report {
 	r := &Report{
 		Image:        img.Name,
 		SRAMSize:     img.SRAM,
@@ -143,7 +149,7 @@ func BuildReport(img *Image) (*Report, error) {
 			Priority: t.Priority, StackSize: t.StackSize,
 		})
 	}
-	return r, nil
+	return r
 }
 
 // JSON serialises the report with stable indentation, for cheriot-audit

@@ -20,6 +20,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/prng"
 	"github.com/cheriot-go/cheriot/internal/prof"
 	"github.com/cheriot-go/cheriot/internal/sched"
+	"github.com/cheriot-go/cheriot/internal/switcher"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
@@ -123,6 +124,9 @@ type Device struct {
 	cfg     *Config
 	rng     *prng.SplitMix
 	arrival uint64 // cycles to wait before starting setup
+	// pool lends every incarnation's threads their runners: its shard's
+	// pool, shared by all the shard's devices.
+	pool *switcher.Pool
 
 	// incarnation counts firmware swaps (0 = the boot image); updReb is
 	// the update-agent compartment's micro-reboot driver while the device
@@ -159,8 +163,8 @@ func deviceIP(i int) uint32 {
 
 // buildDevice makes the device's seeded per-device draws (arrival,
 // partition victim, clock skew, tracer stream) and brings up its boot
-// image, the launched shape of its profile's firmware.
-func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, shapes []*shape, i int) (*Device, error) {
+// image, the launched shape of its profile's firmware, on pool's runners.
+func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, shapes []*shape, i int, pool *switcher.Pool) (*Device, error) {
 	d := &Device{
 		Index:   i,
 		IP:      deviceIP(i),
@@ -172,6 +176,7 @@ func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, shapes []
 		SkewMillis:  cfg.skewMillisFor(i),
 		cfg:         cfg,
 		rng:         prng.NewSplitMix(cfg.Seed, uint64(i)),
+		pool:        pool,
 	}
 	if spread := cfg.arrivalSpreadCycles(); spread > 0 {
 		d.arrival = d.rng.Below(spread)
@@ -231,6 +236,7 @@ func (d *Device) bringUp(pl *cloud.Plane, schedule []cloud.Event, start uint64, 
 		// so SkipTo is a pure jump.
 		sys.Board.Core.SkipTo(start)
 	}
+	sys.Kernel.SetPool(d.pool)
 	d.Sys = sys
 	d.Stack = stack
 	stack.Attach(sys.Kernel)
@@ -308,9 +314,10 @@ type incarnationRecord struct {
 }
 
 // closeIncarnation records the running incarnation and shuts its System
-// down: at a firmware swap, and for every device's last incarnation at
-// the end of Run. The fields naming the running incarnation (Sys, World,
-// Tel, Rec, ...) keep pointing at it.
+// down, which gives its threads' runners back to the device's pool: at a
+// firmware swap, and for every device's last incarnation right after its
+// shard ran it to the horizon. The fields naming the running incarnation
+// (Sys, World, Tel, Rec, ...) keep pointing at it.
 func (d *Device) closeIncarnation() {
 	now := d.Sys.Cycles()
 	r := incarnationRecord{

@@ -51,6 +51,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/ota"
 	"github.com/cheriot-go/cheriot/internal/prng"
 	"github.com/cheriot-go/cheriot/internal/prof"
+	"github.com/cheriot-go/cheriot/internal/switcher"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
@@ -180,9 +181,10 @@ type Config struct {
 	// runs are byte-identical). Off, the hot path pays one nil check.
 	Prof bool
 	// HostProf times the runner's real wall-clock cost centers — device
-	// boot, the step loop, netsim inbox pumping, the merge/report phase —
-	// into Result.HostProf. Host-dependent by nature, it never touches
-	// the deterministic Summary.
+	// boot, the step loop (with each device's close at the horizon),
+	// netsim inbox pumping, the merge/report phase — into
+	// Result.HostProf. Host-dependent by nature, it never touches the
+	// deterministic Summary.
 	HostProf bool
 
 	// Rollout, when non-nil, arms the staged OTA firmware rollout
@@ -650,7 +652,9 @@ type Result struct {
 	Config  Config
 	Devices []*Device
 	// BootWall is the wall time of the launch and the build phase, and
-	// RunWall of the run phase.
+	// RunWall of the run phase, which includes closing each device's last
+	// incarnation right after its shard ran it to the horizon (HostProf's
+	// step phase holds those closes too).
 	BootWall time.Duration
 	RunWall  time.Duration
 	// Snapshot counts snapshot/fork boot's work (nil under NoSnapshot):
@@ -723,6 +727,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 	devices := make([]*Device, cfg.Devices)
 	buildErrs := make([]error, cfg.Shards)
+	// Each shard's devices run their threads on the shard's pool of
+	// runners, one device after another, so a shard holds goroutines for
+	// one device's threads at a time, not for every device it runs.
+	pools := make([]switcher.Pool, cfg.Shards)
+	defer func() {
+		for s := range pools {
+			pools[s].Close()
+		}
+	}()
 
 	// Build phase: each shard boots its own devices so firmware loading
 	// parallelizes too.
@@ -747,7 +760,7 @@ func Run(cfg Config) (*Result, error) {
 			t0 := time.Now()
 			var constructWall time.Duration
 			for _, i := range shardIndices[s] {
-				d, err := buildDevice(&cfg, pl, schedule, shapes, i)
+				d, err := buildDevice(&cfg, pl, schedule, shapes, i, &pools[s])
 				if err != nil {
 					buildErrs[s] = err
 					return
@@ -774,7 +787,8 @@ func Run(cfg Config) (*Result, error) {
 	// swapping firmware on some devices) single-threaded, and the shards
 	// resume — the same device-cycle points in every run mode, which is
 	// what keeps reaping and rollout decisions inside the lockstep ≡
-	// parallel guarantee.
+	// parallel guarantee. At the horizon each shard closes a device as
+	// soon as it has run it, so the shard's next device reuses its runners.
 	runStart := time.Now()
 	var boundaries []uint64
 	if rollout != nil {
@@ -789,7 +803,7 @@ func Run(cfg Config) (*Result, error) {
 			go func(s int) {
 				defer wg.Done()
 				t0 := time.Now()
-				runShard(devices, shardIndices[s], bound)
+				runShard(devices, shardIndices[s], bound, bound == horizon)
 				hp.Add("step", time.Since(t0), 1)
 			}(s)
 		}
@@ -817,12 +831,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	runWall := time.Since(runStart)
 	if rolloutErr != nil {
+		// The run stopped short of the horizon: give every device's
+		// runners back before the pools close.
+		for _, d := range devices {
+			d.Sys.Shutdown()
+		}
 		return nil, rolloutErr
 	}
 
-	for _, d := range devices {
-		d.closeIncarnation()
-	}
 	// The horizon barrier's reap: with every device stopped, dropping
 	// idle-beyond-TTL state is a pure function of the run.
 	pl.ReapDead(horizon)
@@ -871,18 +887,22 @@ func collectSpans(devices []*Device) []fleetobs.Span {
 }
 
 // runShard runs each of its devices to bound with one runSlice, in
-// fixed index order (which is what makes single-shard mode lockstep).
-// No device observes another's progress, so how far one runs before the
-// next starts is a host-only choice: running each straight to the
-// barrier keeps its SRAM, kernel and thread stacks hot in the host's
-// caches for the whole visit.
-func runShard(devices []*Device, indices []int, bound uint64) {
+// fixed index order (which is what makes single-shard mode lockstep),
+// and at the last barrier closes each right after its run. No device
+// observes another's progress, so how far one runs before the next
+// starts is a host-only choice: running each straight to the barrier
+// keeps its SRAM, kernel and thread stacks hot in the host's caches for
+// the whole visit, and closing it there hands its runners to the next.
+func runShard(devices []*Device, indices []int, bound uint64, last bool) {
 	for _, i := range indices {
 		d := devices[i]
 		// A rollout-segmented run re-enters here once per segment; a
 		// device that already failed stays down.
 		if d.Err == nil {
 			d.Err = d.runSlice(bound)
+		}
+		if last {
+			d.closeIncarnation()
 		}
 	}
 }

@@ -128,9 +128,7 @@ func LoadWith(img *firmware.Image, opts Options) (*Boot, error) {
 	}
 	boot := &Boot{Image: img, Layout: layout}
 	if !opts.SkipReport {
-		if boot.Report, err = firmware.BuildReport(img); err != nil {
-			return nil, err
-		}
+		boot.Report = firmware.NewReport(img, layout)
 	}
 
 	core := hw.NewCore(img.SRAM, img.Hz)

@@ -1,6 +1,7 @@
 package loader_test
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/cheriot-go/cheriot/internal/api"
@@ -217,5 +218,24 @@ func TestMMIOGrantsOnlyDeclaredDevices(t *testing.T) {
 	}
 	if len(rep.Compartments["b"].Imports) != 0 {
 		t.Fatalf("b has unexpected imports: %+v", rep.Compartments["b"].Imports)
+	}
+}
+
+// TestBootReportMatchesBuildReport: the report the loader builds from the
+// layout it boots encodes to the same bytes as BuildReport's, which links
+// the image again.
+func TestBootReportMatchesBuildReport(t *testing.T) {
+	img := testImage()
+	boot, err := loader.Load(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := firmware.BuildReport(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := boot.Report.JSON()
+	if exp, _ := want.JSON(); !bytes.Equal(got, exp) {
+		t.Fatalf("boot report differs from BuildReport:\n%s\nwant\n%s", got, exp)
 	}
 }

@@ -188,6 +188,9 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 		t.argTop = argTop
 		func() {
 			defer func() {
+				if k.killed {
+					return // a Shutdown kill unwinds as one panic
+				}
 				if r := recover(); r != nil {
 					if tr, ok := r.(*hw.Trap); ok {
 						fault = tr
@@ -244,6 +247,9 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 func (k *Kernel) runHandler(t *Thread, callee *Comp, handler api.ErrorHandler, cause *hw.Trap) (decision api.HandlerDecision) {
 	decision = api.HandlerUnwind
 	defer func() {
+		if k.killed {
+			return // a Shutdown kill unwinds as one panic
+		}
 		if r := recover(); r != nil {
 			if _, ok := r.(*hw.Trap); ok {
 				decision = api.HandlerUnwind

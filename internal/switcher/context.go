@@ -255,6 +255,9 @@ func (c *ctx) During(body func(), handler func(t *hw.Trap)) {
 	c.k.Core.Tick(hw.ScopedEnterCycles)
 	argTop := c.t.argTop
 	defer func() {
+		if c.k.killed {
+			return // a Shutdown kill unwinds as one panic
+		}
 		if r := recover(); r != nil {
 			tr, ok := r.(*hw.Trap)
 			if !ok || tr.Code == hw.TrapForcedUnwind {

@@ -68,9 +68,16 @@ type Kernel struct {
 
 	// killed is set by Shutdown before it kills the threads. A killed
 	// kernel makes yield and compartmentCall re-raise the kill instead of
-	// advancing the clock or running the kernel loop, so deferred cleanup
-	// in compartment code unwinds promptly and silently.
+	// advancing the clock or running the kernel loop, and the switcher's
+	// recovers let it pass, so the kill unwinds as one panic through
+	// deferred cleanup in compartment code, at once and silently.
 	killed bool
+
+	// pool lends the threads their runners; ownPool marks a private pool,
+	// made at the first dispatch when SetPool was not called, which the
+	// kernel closes once no thread can need a runner again.
+	pool    *Pool
+	ownPool bool
 
 	// stackZeroing can be disabled for ablation studies only: without it,
 	// compartment calls leak stack contents across trust boundaries (the
@@ -209,8 +216,13 @@ func (k *Kernel) AllocatorRoot(compartment string) (cap.Capability, bool) {
 	return k.heapRoot, true
 }
 
-// AddThread creates a runtime thread from its definition and layout and
-// makes its coroutine, which first runs at the thread's first dispatch.
+// SetPool makes the kernel's threads run on p's runners, which other
+// kernels driven from the same goroutine may share. Call it before the
+// first Run; without it the kernel uses a private pool.
+func (k *Kernel) SetPool(p *Pool) { k.pool = p }
+
+// AddThread creates a runtime thread from its definition and layout. It
+// starts no coroutine: the thread binds a runner at its first dispatch.
 func (k *Kernel) AddThread(def *firmware.Thread, layout firmware.ThreadLayout) *Thread {
 	t := &Thread{
 		ID:           len(k.threads) + 1,
@@ -228,7 +240,6 @@ func (k *Kernel) AddThread(def *firmware.Thread, layout firmware.ThreadLayout) *
 	t.acct = k.tel.ThreadAccount(t.Name)
 	t.profRoot = k.prof.Root(t.Name)
 	k.threads = append(k.threads, t)
-	t.start(def.Compartment, def.Entry)
 	return t
 }
 
@@ -397,9 +408,10 @@ type runEnd struct {
 // to completion.
 //
 // Run performs the first dispatch itself. From then on the kernel loop
-// runs on the coroutine of whichever thread yields (see Thread.yield),
-// and that thread hands the core back here only when the loop picked
-// another thread, which Run resumes, or ended the run.
+// runs on the runner of whichever thread yields (see Thread.yield), and
+// that thread hands the core back here only when the loop picked another
+// thread, which Run resumes, binding it a runner at its first dispatch,
+// or ended the run.
 func (k *Kernel) Run(stop func() bool) error {
 	if k.sched == nil {
 		return errors.New("switcher: no scheduler installed")
@@ -415,7 +427,17 @@ func (k *Kernel) Run(stop func() bool) error {
 	t, err := k.dispatch()
 	k.pick, k.end = t, runEnd{err: err}
 	for k.pick != nil {
-		k.pick.resume()
+		t = k.pick
+		if t.runner == nil {
+			if k.pool == nil {
+				k.pool, k.ownPool = new(Pool), true
+			}
+			t.runner = k.pool.get(t)
+		}
+		t.runner.resume()
+	}
+	if k.ownPool && k.liveThreads() == 0 {
+		k.pool.Close() // every runner is parked, and none is needed again
 	}
 	if k.end.panicked != nil {
 		panic(k.end.panicked)
@@ -500,7 +522,7 @@ func (k *Kernel) yielded(t *Thread, kind yieldKind) {
 	}
 }
 
-// switchFrom runs one turn of the kernel loop on t's coroutine after t
+// switchFrom runs one turn of the kernel loop on t's runner after t
 // yielded and records the pick for Run's loop. It reports whether t
 // itself was picked again, in which case t carries on with no switch;
 // otherwise t must hand the core back to Run.
@@ -545,12 +567,14 @@ func (k *Kernel) blockedList() string {
 }
 
 // Shutdown kills every thread that has not exited. Call it after Run
-// returns if threads may still be blocked. Each kill runs the thread's
-// unwind through deferred compartment cleanup to its end before it
-// returns, so nothing touches the clock or telemetry once Shutdown has
-// returned. Once Run has returned, every thread that has not exited is
-// suspended or has never run — including one a panic in the kernel loop
-// caught mid-yield, still marked running — so each gets the kill.
+// returns if threads may still be blocked. Once Run has returned, every
+// thread that has not exited is suspended on its runner — including one
+// a panic in the kernel loop caught mid-yield, still marked running — or
+// has never been dispatched and holds none. Shutdown resumes each runner
+// with the kernel marked killed: the thread unwinds through its deferred
+// compartment cleanup as one panic, and the runner goes back to its
+// pool, all before Shutdown returns, so nothing touches the clock or
+// telemetry once it has. A private pool is closed.
 func (k *Kernel) Shutdown() {
 	k.killed = true
 	for _, t := range k.threads {
@@ -558,7 +582,12 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		t.state = StateExited
-		t.kill()
+		if t.runner != nil {
+			t.runner.resume()
+		}
+	}
+	if k.ownPool {
+		k.pool.Close()
 	}
 }
 

@@ -162,7 +162,11 @@ func TestRunSlicedMatchesWhole(t *testing.T) {
 
 // TestShutdownAfterMidRunStop: a stop that fires mid-run leaves threads
 // parked in every state — blocked, preempted, and never dispatched — and
-// Shutdown must kill and join all of them.
+// Shutdown must kill and join all of them. One of them is blocked in two
+// compartments with error handlers, inside two nested During scopes in
+// each: the kill unwinds all of it as one panic, so it runs each level's
+// deferred cleanup once, takes no handler, emits no event and ticks no
+// cycle.
 func TestShutdownAfterMidRunStop(t *testing.T) {
 	img := loopImage()
 	lateRan := false
@@ -176,10 +180,47 @@ func TestShutdownAfterMidRunStop(t *testing.T) {
 	})
 	img.AddThread(&firmware.Thread{Name: "late", Compartment: "late", Entry: "main",
 		Priority: 0, StackSize: 1024, TrustedStackFrames: 4})
+	cleanups, handled := map[string]int{}, 0
+	nested := func(comp string, body func(ctx api.Context)) api.Entry {
+		return func(ctx api.Context, args []api.Value) []api.Value {
+			defer func() { cleanups[comp]++ }()
+			ctx.During(func() {
+				defer func() { cleanups[comp+"/during"]++ }()
+				ctx.During(func() {
+					defer func() { cleanups[comp+"/during/during"]++ }()
+					body(ctx)
+				}, func(*hw.Trap) { handled++ })
+			}, func(*hw.Trap) { handled++ })
+			return nil
+		}
+	}
+	handler := func(ctx api.Context, tr *hw.Trap) api.HandlerDecision {
+		handled++
+		return api.HandlerRetry
+	}
+	img.AddCompartment(&firmware.Compartment{
+		Name: "inner", CodeSize: 128, DataSize: 16, ErrorHandler: handler,
+		Imports: sched.Imports(),
+		Exports: []*firmware.Export{{Name: "wait", MinStack: 256,
+			Entry: nested("inner", func(ctx api.Context) {
+				// Nothing wakes inner's futex word: the thread blocks
+				// here until the kill.
+				_, _ = ctx.Call(sched.Name, sched.EntryFutexWait, word0(ctx), api.W(0), api.W(0))
+			})}},
+	})
+	img.AddCompartment(&firmware.Compartment{
+		Name: "outer", CodeSize: 128, ErrorHandler: handler,
+		Imports: []firmware.Import{{Kind: firmware.ImportCall, Target: "inner", Entry: "wait"}},
+		Exports: []*firmware.Export{{Name: "main", MinStack: 512,
+			Entry: nested("outer", func(ctx api.Context) { _, _ = ctx.Call("inner", "wait") })}},
+	})
+	img.AddThread(&firmware.Thread{Name: "nested", Compartment: "outer", Entry: "main",
+		Priority: 3, StackSize: 2048, TrustedStackFrames: 8})
 	s, err := core.Boot(img)
 	if err != nil {
 		t.Fatalf("Boot: %v", err)
 	}
+	tel := s.EnableTelemetry(4096)
 	for _, at := range []uint64{50_000, 90_000} {
 		if err := s.Run(func() bool { return s.Cycles() >= at }); err != nil {
 			t.Fatalf("Run to %d: %v", at, err)
@@ -188,6 +229,7 @@ func TestShutdownAfterMidRunStop(t *testing.T) {
 	want := map[string]switcher.ThreadState{
 		"ping": switcher.StateBlocked, "pong": switcher.StateReady,
 		"bg": switcher.StateReady, "late": switcher.StateReady,
+		"nested": switcher.StateBlocked,
 	}
 	for name, st := range want {
 		if got := s.Kernel.Thread(name).State(); got != st {
@@ -197,7 +239,27 @@ func TestShutdownAfterMidRunStop(t *testing.T) {
 	if lateRan {
 		t.Error("the lowest-priority thread was dispatched before the stop")
 	}
+	if len(cleanups) != 0 {
+		t.Fatalf("cleanups ran before the kill: %v", cleanups)
+	}
+	cycles, before, traced := s.Cycles(), tel.Snapshot(), len(tel.Ring().Events())
 	shutdownWithin(t, s)
+	for _, comp := range []string{"outer", "inner"} {
+		for _, level := range []string{comp, comp + "/during", comp + "/during/during"} {
+			if n := cleanups[level]; n != 1 {
+				t.Errorf("the kill ran %s's cleanup %d times, want once", level, n)
+			}
+		}
+	}
+	if handled != 0 {
+		t.Errorf("the kill took an error handler or During handler %d times", handled)
+	}
+	if got := s.Cycles(); got != cycles {
+		t.Errorf("the kill ticked %d cycles", got-cycles)
+	}
+	if after := tel.Snapshot(); !reflect.DeepEqual(after, before) || len(tel.Ring().Events()) != traced {
+		t.Error("the kill emitted events: the telemetry snapshot or trace ring changed")
+	}
 }
 
 // TestRunReportsDeadlock: threads that wait forever with no device event
@@ -360,5 +422,47 @@ func TestLoopPanicSurfacesOnCaller(t *testing.T) {
 			}
 			shutdownWithin(t, s)
 		})
+	}
+}
+
+// TestKernelsShareOnePool: two machines driven in turn through one pool.
+// The first is stopped mid-run with every thread bound to a runner, and
+// its Shutdown gives them back; the second runs to completion on them
+// and starts no runner of its own. Each machine's clock, Stats and trace
+// ring equal those of the same run on a private pool.
+func TestKernelsShareOnePool(t *testing.T) {
+	drive := []func(s *core.System) error{
+		func(s *core.System) error { return s.RunFor(300_000) },
+		func(s *core.System) error { return s.Run(nil) },
+	}
+	var pool switcher.Pool
+	defer pool.Close()
+	for i, run := range drive {
+		alone, shared := boot(t, loopImage()), boot(t, loopImage())
+		shared.Kernel.SetPool(&pool)
+		for _, s := range []*core.System{alone, shared} {
+			s.EnableTelemetry(4096)
+			if err := run(s); err != nil {
+				t.Fatalf("machine %d: Run: %v", i, err)
+			}
+			for _, th := range s.Kernel.Threads() {
+				if i == 0 && th.State() == switcher.StateExited {
+					t.Fatalf("thread %s exited before the first machine's stop", th.Name)
+				}
+			}
+			shutdownWithin(t, s)
+		}
+		if got, want := pool.Runners(), len(shared.Kernel.Threads()); got != want {
+			t.Errorf("after machine %d the pool has started %d runners, want one per thread of the first (%d)", i, got, want)
+		}
+		if got, want := shared.Cycles(), alone.Cycles(); got != want {
+			t.Errorf("machine %d: clock = %d on the shared pool, want %d", i, got, want)
+		}
+		if got, want := shared.Kernel.Stats(), alone.Kernel.Stats(); got != want {
+			t.Errorf("machine %d: stats = %+v on the shared pool, want %+v", i, got, want)
+		}
+		if got, want := shared.Telemetry().Ring().Events(), alone.Telemetry().Ring().Events(); !reflect.DeepEqual(got, want) {
+			t.Errorf("machine %d: trace ring differs on the shared pool: %d events, want %d", i, len(got), len(want))
+		}
 	}
 }

@@ -9,15 +9,23 @@
 // compartments (calls and returns over trusted stacks), and first-level
 // trap handling (§3.1.2).
 //
-// Threads are coroutines (iter.Pull): exactly one runs at any moment,
+// Threads run on coroutines (iter.Pull): exactly one runs at any moment,
 // every switch point is explicit, and all time is the hw.Core cycle
 // clock, so the whole platform is deterministic. As in the paper's
 // switcher, which swaps threads in the trap path of the thread giving up
-// the core, a yielding thread runs the kernel loop on its own coroutine
-// and carries on if it is picked again. Only when another thread is
+// the core, a yielding thread runs the kernel loop on the coroutine it
+// runs on and carries on if it is picked again. Only when another thread is
 // picked, or the run ends, does it hand the core back to the loop in
 // Kernel.Run, which resumes the pick directly on the same OS thread,
 // without going through the Go scheduler.
+//
+// A thread's coroutine is a runner lent by a Pool, not one of its own.
+// The loader creates every thread at boot, but a coroutine's Go stack is
+// host cost only, so a thread binds a runner at its first dispatch and
+// gives it back when its body ends or Shutdown kills it; booting or
+// forking a machine starts no goroutine. A fleet gives each worker one
+// pool, so its devices, run one after another, reuse the same few
+// runners and their already-grown stacks.
 //
 // The package holds no process-global mutable state: the only
 // package-level variables are immutable (the ErrDeadlock sentinel and an
@@ -26,7 +34,8 @@
 // Kernel must be driven from one goroutine at a time, but independent
 // Kernels (one per simulated device) run concurrently without locking,
 // which is what the fleet simulator relies on (see internal/core's
-// TestSystemsRunConcurrently, run under -race).
+// TestSystemsRunConcurrently, run under -race); Kernels that share a
+// Pool are driven one at a time.
 package switcher
 
 import (
@@ -79,12 +88,14 @@ const (
 	yieldExited                     // entry returned or thread died
 )
 
-// killSentinel unwinds a thread coroutine during Kernel.Shutdown.
+// killSentinel unwinds a thread during Kernel.Shutdown.
 type killSentinel struct{}
 
 // Thread is a statically-created schedulable entity: a stack, a (virtual)
 // register state, and a trusted stack of compartment-call frames
-// accessible only to the switcher (§3.1.2).
+// accessible only to the switcher (§3.1.2). On the host it runs on a
+// runner borrowed from its kernel's Pool, from its first dispatch until
+// its body ends or Shutdown kills it.
 type Thread struct {
 	ID       int
 	Name     string
@@ -94,13 +105,10 @@ type Thread struct {
 	def    *firmware.Thread
 
 	state ThreadState
-	// resume runs the thread's coroutine until it hands the core back;
-	// Run's loop is its only caller. suspend, called on the coroutine,
-	// hands the core back and reports false once kill has ended the
-	// coroutine, which unwinds a suspended thread.
-	resume  func() (struct{}, bool)
-	suspend func(struct{}) bool
-	kill    func()
+	// runner is the coroutine the thread runs on, bound at its first
+	// dispatch and given back to its pool when the body ends (nil before
+	// and after).
+	runner *runner
 
 	// Stack: grows down from stackTop; sp is the current top of the free
 	// region. stackCap is the full-stack capability (local, PermStack).
@@ -204,16 +212,17 @@ func (t *Thread) StackWatermark() uint32 { return t.peakUsed }
 func (t *Thread) irqEnabled() bool { return t.irqDisable == 0 }
 
 // yield traps the thread into the switcher. The kernel loop runs right
-// here, on the thread's own coroutine: if it picks this thread again,
-// yield returns at once; otherwise the thread suspends until Run's loop
-// resumes it.
+// here, on the thread's runner: if it picks this thread again, yield
+// returns at once; otherwise the runner suspends until Run's loop
+// resumes it, or Shutdown does to kill the thread.
 func (t *Thread) yield(kind yieldKind) {
-	if t.kernel.killed {
+	k := t.kernel
+	if k.killed {
 		// Deferred cleanup running during a Shutdown kill: the run is
 		// over, so there is no loop to run and nothing to resume.
 		panic(killSentinel{})
 	}
-	if !t.kernel.switchFrom(t, kind) && !t.suspend(struct{}{}) {
+	if !k.switchFrom(t, kind) && (!t.runner.suspend(struct{}{}) || k.killed) {
 		panic(killSentinel{})
 	}
 }
@@ -232,33 +241,93 @@ func (t *Thread) maybePreempt() {
 	}
 }
 
-// start makes the thread's coroutine, which first runs at the thread's
-// first dispatch. When the entry returns, the coroutine runs the kernel
-// loop one last time to pass the core on, then ends.
-func (t *Thread) start(comp string, entry string) {
+// run is the thread's body, which its runner executes from the thread's
+// first dispatch: the top-level compartment call, then one last turn of
+// the kernel loop to pass the core on. It returns however the body ends.
+// A Shutdown kill ends it silently. A non-trap panic is a simulator bug:
+// it ends the run, and Run re-raises it on its caller, where tests can
+// see it.
+func (t *Thread) run() {
 	k := t.kernel
-	t.resume, t.kill = iter.Pull(func(suspend func(struct{}) bool) {
-		t.suspend = suspend
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if _, ok := r.(killSentinel); ok || k.killed {
-				// Killed by Shutdown, or panicking during its kill
-				// unwind: the run is over.
-				return
-			}
-			// A non-trap panic is a simulator bug: the coroutine
-			// re-raises it on Run's caller, where tests can see it.
-			t.state = StateExited
-			panic(fmt.Errorf("thread %q panicked: %v", t.Name, r))
-		}()
-		_, err := k.compartmentCall(t, nil, comp, entry, 0)
-		if f, ok := err.(*Fault); ok {
-			t.exitFault = f.Trap
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if _, ok := r.(killSentinel); ok || k.killed {
+			// Killed by Shutdown, or panicking during its kill unwind:
+			// the run is over.
+			return
 		}
 		t.state = StateExited
-		k.switchFrom(t, yieldExited)
-	})
+		k.pick, k.end = nil, runEnd{panicked: fmt.Errorf("thread %q panicked: %v", t.Name, r)}
+	}()
+	_, err := k.compartmentCall(t, nil, t.def.Compartment, t.def.Entry, 0)
+	if f, ok := err.(*Fault); ok {
+		t.exitFault = f.Trap
+	}
+	t.state = StateExited
+	k.switchFrom(t, yieldExited)
+}
+
+// Pool lends runners to threads. A runner is a reusable coroutine: it
+// runs one thread's body at a time, from the thread's first dispatch
+// until the body returns or Shutdown kills it, then parks in its pool
+// until the next thread needs it, keeping the Go stack the bodies grew.
+// Kernels that share a pool (Kernel.SetPool) must be driven from one
+// goroutine at a time, as the fleet's worker drives its devices one
+// after another. The zero Pool is empty and ready to use.
+type Pool struct {
+	free []*runner
+	// made counts the runners the pool has started, parked or not.
+	made int
+}
+
+// runner is one pooled coroutine; t is the thread it runs, nil while it
+// is parked.
+type runner struct {
+	pool    *Pool
+	t       *Thread
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
+	stop    func()
+}
+
+// get lends t a parked runner, or starts one when none is parked.
+func (p *Pool) get(t *Thread) *runner {
+	var r *runner
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		p.made++
+		r = &runner{pool: p}
+		r.resume, r.stop = iter.Pull(r.loop)
+	}
+	r.t = t
+	return r
+}
+
+// loop is the runner's coroutine: it runs the bound thread's body, gives
+// the runner back to its pool and parks, until Close ends it.
+func (r *runner) loop(suspend func(struct{}) bool) {
+	r.suspend = suspend
+	for {
+		r.t.run()
+		r.t.runner, r.t = nil, nil
+		r.pool.free = append(r.pool.free, r)
+		if !suspend(struct{}{}) {
+			return
+		}
+	}
+}
+
+// Close ends every parked runner. Close a pool once every kernel that
+// uses it has shut down: a runner still bound to a thread is not parked,
+// and its goroutine outlives the close.
+func (p *Pool) Close() {
+	for _, r := range p.free {
+		r.stop()
+	}
+	p.free = nil
 }
