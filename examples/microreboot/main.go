@@ -64,13 +64,13 @@ func main() {
 		log.Fatalf("boot: %v", err)
 	}
 	defer sys.Shutdown()
-	reb.Kernel = sys.Kernel
 
 	if err := sys.Run(nil); err != nil {
 		log.Fatalf("run: %v", err)
 	}
+	kv := sys.Kernel.Comp("kvstore")
 	fmt.Printf("\nmicro-reboots: %d, last took %.3f ms of simulated time\n",
-		reb.Reboots, float64(reb.LastDuration)/float64(hw.DefaultHz)*1000)
+		kv.Reboots(), float64(kv.HandlerCycles())/float64(hw.DefaultHz)*1000)
 }
 
 func kvPut(ctx api.Context, args []api.Value) []api.Value {

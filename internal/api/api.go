@@ -248,6 +248,10 @@ type Frame interface {
 	// compiled-in globals too complex to model as bytes. Micro-reboot
 	// replaces it with a fresh instance.
 	State() interface{}
+	// Env returns the environment the embedder bound to this machine:
+	// the machines one image boots share its closures, so per-machine
+	// values (a fleet device, its tracer) are read here.
+	Env() any
 
 	// EphemeralClaim records the capability in one of the thread's two
 	// hazard slots, preventing the allocator from reusing the object until

@@ -15,7 +15,10 @@ import (
 
 // Rebooter drives micro-reboots of one compartment. It is typically
 // embedded in the compartment's global error handler: on a fault the
-// handler calls Reboot and returns HandlerUnwind.
+// handler calls Reboot and returns HandlerUnwind. Each reboot runs on
+// the kernel of the context driving it, which counts the reboot and
+// times the handler (switcher.Comp), so an image boots any number of
+// machines.
 //
 // The five steps (§3.2.6):
 //  1. prevent new threads from entering (the switcher's resetting guard);
@@ -26,25 +29,19 @@ import (
 //  5. persistent state, if any, lives in a separate state-store
 //     compartment and survives.
 type Rebooter struct {
-	// Kernel is the switcher interface available to error handlers.
-	Kernel *switcher.Kernel
 	// Compartment is the compartment to reboot.
 	Compartment string
 	// QuotaImport names the compartment's allocation capability whose
 	// memory is released in step 3 ("" skips the heap release).
 	QuotaImport string
-	// Reboots counts completed micro-reboots.
-	Reboots int
-	// LastDuration is the cycle cost of the most recent reboot.
-	LastDuration uint64
 }
 
 // Reboot performs the micro-reboot. ctx must execute inside the target
 // compartment (normally the error handler's context).
 func (r *Rebooter) Reboot(ctx api.Context) error {
-	start := r.Kernel.Core.Clock.Cycles()
+	k := switcher.KernelOf(ctx)
 	// Steps 1 + 2: guard the entry points, evict every other thread.
-	if err := r.Kernel.BeginReset(r.Compartment, ctx.ThreadID()); err != nil {
+	if err := k.BeginReset(r.Compartment, ctx.ThreadID()); err != nil {
 		return err
 	}
 	// Step 3: release all heap memory held by the compartment's quota.
@@ -54,13 +51,12 @@ func (r *Rebooter) Reboot(ctx api.Context) error {
 		}
 	}
 	// Step 4: restore globals and state, reopen the gates.
-	if err := r.Kernel.FinishReset(r.Compartment); err != nil {
+	if err := k.FinishReset(r.Compartment); err != nil {
 		return err
 	}
-	r.Reboots++
-	r.LastDuration = r.Kernel.Core.Clock.Cycles() - start
-	ev := telemetry.Event{Kind: telemetry.KindReboot, To: r.Compartment, Arg: uint64(r.Reboots)}
-	if t := r.Kernel.ThreadByID(ctx.ThreadID()); t != nil {
+	ev := telemetry.Event{Kind: telemetry.KindReboot, To: r.Compartment,
+		Arg: uint64(k.Comp(r.Compartment).Reboots())}
+	if t := k.ThreadByID(ctx.ThreadID()); t != nil {
 		ev.Thread = t.Name
 	}
 	ctx.Emit(ev)
@@ -73,17 +69,12 @@ func (r *Rebooter) Reboot(ctx api.Context) error {
 // the state store).
 func (r *Rebooter) Handler(prepare func(ctx api.Context, t *hw.Trap)) api.ErrorHandler {
 	return func(ctx api.Context, t *hw.Trap) api.HandlerDecision {
-		start := ctx.Now()
 		if prepare != nil {
 			prepare(ctx, t)
 		}
-		if err := r.Reboot(ctx); err != nil {
-			// A failed reboot leaves the guard up; unwinding is still the
-			// safest option.
-			return api.HandlerUnwind
-		}
-		// The reboot duration includes the handler's preparatory work.
-		r.LastDuration = ctx.Now() - start
+		// A failed reboot leaves the guard up; unwinding is still the
+		// safest option.
+		_ = r.Reboot(ctx)
 		return api.HandlerUnwind
 	}
 }

@@ -20,7 +20,7 @@ type svcState struct {
 // buildRebootImage constructs a service compartment with heap state, a
 // micro-rebooting error handler, and two client threads: one that parks
 // inside the service, one that triggers a crash.
-func buildRebootImage(t *testing.T) (*firmware.Image, *compartment.Rebooter, *struct {
+func buildRebootImage(t *testing.T) (*firmware.Image, *struct {
 	parkedErr   error
 	afterReboot api.Errno
 	stateAfter  int
@@ -121,23 +121,22 @@ func buildRebootImage(t *testing.T) (*firmware.Image, *compartment.Rebooter, *st
 		Priority: 2, StackSize: 2048, TrustedStackFrames: 8})
 	img.AddThread(&firmware.Thread{Name: "crasher", Compartment: "clients", Entry: "crasher",
 		Priority: 1, StackSize: 2048, TrustedStackFrames: 8})
-	return img, reb, res
+	return img, res
 }
 
 func TestMicroReboot(t *testing.T) {
-	img, reb, res := buildRebootImage(t)
+	img, res := buildRebootImage(t)
 	s, err := core.Boot(img)
 	if err != nil {
 		t.Fatalf("Boot: %v", err)
 	}
 	defer s.Shutdown()
-	reb.Kernel = s.Kernel
 	if err := s.Run(nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 
-	if reb.Reboots != 1 {
-		t.Fatalf("reboots = %d, want 1", reb.Reboots)
+	if n := s.Kernel.Comp("svc").Reboots(); n != 1 {
+		t.Fatalf("reboots = %d, want 1", n)
 	}
 	// Step 2: the parked thread was torn out of the compartment.
 	if !errors.Is(res.parkedErr, api.ErrUnwound) {
@@ -168,20 +167,50 @@ func TestMicroReboot(t *testing.T) {
 	}
 }
 
+// TestRebooterServesEveryMachine boots one image, and so one Rebooter,
+// as two machines and runs each in turn: each reboot runs on the kernel
+// of the machine whose compartment faulted, so each run unwinds its own
+// parked thread, and each kernel counts its own one reboot.
+func TestRebooterServesEveryMachine(t *testing.T) {
+	img, res := buildRebootImage(t)
+	var systems []*core.System
+	for i := 0; i < 2; i++ {
+		s, err := core.Boot(img)
+		if err != nil {
+			t.Fatalf("Boot %d: %v", i, err)
+		}
+		defer s.Shutdown()
+		systems = append(systems, s)
+	}
+	for i, s := range systems {
+		res.parkedErr = nil
+		if err := s.Run(nil); err != nil {
+			t.Fatalf("machine %d: Run: %v", i, err)
+		}
+		if !errors.Is(res.parkedErr, api.ErrUnwound) {
+			t.Fatalf("machine %d: parked thread saw %v, want forced unwind", i, res.parkedErr)
+		}
+	}
+	for i, s := range systems {
+		if n := s.Kernel.Comp("svc").Reboots(); n != 1 {
+			t.Errorf("machine %d: kernel counted %d reboots of svc, want 1", i, n)
+		}
+	}
+}
+
 func TestRebootDuration(t *testing.T) {
-	img, reb, _ := buildRebootImage(t)
+	img, _ := buildRebootImage(t)
 	s, err := core.Boot(img)
 	if err != nil {
 		t.Fatalf("Boot: %v", err)
 	}
 	defer s.Shutdown()
-	reb.Kernel = s.Kernel
 	if err := s.Run(nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	// §5.3.3 reports a TCP/IP micro-reboot completing in 0.27 s; this tiny
 	// service must reboot in well under that.
-	ms := float64(reb.LastDuration) / float64(hw.DefaultHz) * 1000
+	ms := float64(s.Kernel.Comp("svc").HandlerCycles()) / float64(hw.DefaultHz) * 1000
 	if ms <= 0 || ms > 270 {
 		t.Fatalf("micro-reboot took %.3f ms", ms)
 	}
@@ -306,12 +335,11 @@ func TestPersistentStateAcrossReboot(t *testing.T) {
 		t.Fatalf("Boot: %v", err)
 	}
 	defer s.Shutdown()
-	reb.Kernel = s.Kernel
 	if err := s.Run(nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if reb.Reboots != 1 {
-		t.Fatalf("reboots = %d", reb.Reboots)
+	if n := s.Kernel.Comp("svc").Reboots(); n != 1 {
+		t.Fatalf("reboots = %d", n)
 	}
 	if volatileAfter != 0 {
 		t.Fatalf("volatile state survived the reboot: %d", volatileAfter)

@@ -8,13 +8,14 @@ import (
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/fleet"
+	"github.com/cheriot-go/cheriot/internal/sched"
 )
 
 // TestBootStartsNoGoroutine: booting the fleet's firmware image, cold or
 // as a snapshot capture, and forking it start no goroutine; a thread
-// binds a runner only at its first dispatch. After Shutdown the machine
-// holds no goroutine either, and nor does one whose threads all exited,
-// without a Shutdown.
+// binds a runner only at its first dispatch. After Shutdown a machine
+// whose thread blocked holds no goroutine either, and nor does one whose
+// threads all exited, without a Shutdown.
 func TestBootStartsNoGoroutine(t *testing.T) {
 	// Goroutines an earlier test left exiting can only lower the count,
 	// so any rise is the machine's.
@@ -37,7 +38,30 @@ func TestBootStartsNoGoroutine(t *testing.T) {
 	}
 	check("after a fork")
 	tmpl.Shutdown()
-	check("after shutting down a machine that never ran")
+	s.Shutdown()
+	check("after shutting down machines that never ran")
+
+	// The fleet app runs only on a machine bound to a fleet device (its
+	// kernel's Env), so the run is a fork of an image whose thread sleeps
+	// forever.
+	img = core.NewImage("sleeps")
+	img.AddCompartment(&firmware.Compartment{Name: "app", CodeSize: 64,
+		Imports: sched.Imports(),
+		Exports: []*firmware.Export{{Name: "main", MinStack: 256,
+			Entry: func(ctx api.Context, args []api.Value) []api.Value {
+				for {
+					_, _ = ctx.Call(sched.Name, sched.EntrySleep, api.W(10_000))
+				}
+			}}}})
+	img.AddThread(&firmware.Thread{Name: "app", Compartment: "app", Entry: "main",
+		Priority: 1, StackSize: 1024, TrustedStackFrames: 4})
+	if tmpl, err = core.BootWith(img, core.BootOptions{CaptureSnapshot: true}); err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	tmpl.Shutdown()
+	if s, err = core.BootWith(img, core.BootOptions{Snapshot: tmpl.Snapshot}); err != nil {
+		t.Fatalf("fork: %v", err)
+	}
 	if err := s.RunFor(1_000_000); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

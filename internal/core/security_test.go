@@ -247,12 +247,11 @@ func TestRepeatAttack(t *testing.T) {
 	img.AddThread(&firmware.Thread{Name: "t", Compartment: "attacker", Entry: "main",
 		Priority: 1, StackSize: 2048, TrustedStackFrames: 8})
 	s := boot(t, img)
-	reb.Kernel = s.Kernel
 	if err := s.Run(nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if reb.Reboots != 10 {
-		t.Fatalf("reboots = %d, want 10", reb.Reboots)
+	if n := s.Kernel.Comp("victim").Reboots(); n != 10 {
+		t.Fatalf("reboots = %d, want 10", n)
 	}
 	if healthy != 10 {
 		t.Fatalf("victim healthy after %d/10 attacks", healthy)

@@ -8,8 +8,8 @@ import (
 	"github.com/cheriot-go/cheriot/internal/audit"
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/loader"
 	"github.com/cheriot-go/cheriot/internal/prof"
-	"github.com/cheriot-go/cheriot/internal/snapshot"
 	"github.com/cheriot-go/cheriot/policies"
 )
 
@@ -19,35 +19,25 @@ import (
 var fleetPolicy, errFleetPolicy = audit.ParsePolicy(policies.FleetDevice)
 
 // RepresentativeImage builds the firmware image of the fleet's default
-// (Go fleetapp) shape, without booting it. Devices of one shape are
-// stamped from one image (only the IP and topic differ), so the launch
-// boots one such image per shape for the whole fleet.
+// (Go fleetapp) shape, without booting it: a copy of the image a Run
+// builds once for every such device. Its app runs only with a fleet
+// Device as the kernel's Env.
 func RepresentativeImage(cfg Config) *firmware.Image {
-	return representativeImage(cfg, FirmwareGo, false)
-}
-
-func representativeImage(cfg Config, fw string, withOTA bool) *firmware.Image {
-	d := &Device{IP: deviceIP(0), cfg: &cfg, Profile: Profile{Firmware: fw}}
-	img, _ := d.buildImage(withOTA)
-	return img
+	return buildImage(&cfg, &shape{firmware: FirmwareGo})
 }
 
 // shape is one firmware shape the fleet deploys, booted once per Run.
 type shape struct {
 	firmware string // the Profile.Firmware of the devices that run it
 	ota      bool   // the rollout's updated image: the app plus the update agent
-	// report is the launch capture's audit report (nil under SkipAudit).
+	// img is the image the launch audits and every incarnation boots.
+	img *firmware.Image
+	// report is the launch boot's audit report (nil under SkipAudit).
 	report *firmware.Report
-	// tmpl is the launch capture, which every device incarnation of the
-	// shape forks (nil under NoSnapshot, where each one cold-boots).
-	tmpl *snapshot.Template
-	// checker is the index of the one device whose fork checks the shape
-	// key, -1 until chosen; every other fork skips the key. The launch
-	// picks each boot shape's lowest-index device, the rollout the first
-	// device it swaps onto its shape. Both choose single-threaded, before
-	// any fork of the shape.
-	checker int
-	forks   atomic.Int64
+	// snap is the launch capture, which every device incarnation of the
+	// shape forks (nil under NoSnapshot, where each one cold-boots img).
+	snap  *loader.Snapshot
+	forks atomic.Int64
 }
 
 // name is the shape's name in errors and stats: its firmware, with
@@ -72,16 +62,16 @@ func firmwareShapes(cfg Config) []*shape {
 	}
 	var out []*shape
 	if hasGo {
-		out = append(out, &shape{firmware: FirmwareGo, checker: -1})
+		out = append(out, &shape{firmware: FirmwareGo})
 	}
 	if hasJS {
-		out = append(out, &shape{firmware: FirmwareJS, checker: -1})
+		out = append(out, &shape{firmware: FirmwareJS})
 	}
 	if cfg.Rollout != nil {
 		// A staged rollout deploys a second shape — the fleet app plus
 		// the update-agent compartment — which must pass the same
 		// pre-launch audit before any device is offered it.
-		out = append(out, &shape{firmware: FirmwareGo, ota: true, checker: -1})
+		out = append(out, &shape{firmware: FirmwareGo, ota: true})
 	}
 	return out
 }
@@ -96,39 +86,38 @@ func shapeFor(shapes []*shape, fw string, ota bool) *shape {
 	return nil
 }
 
-// launch boots each firmware shape the fleet deploys exactly once, before
-// any device is built, from the shape's representative image. Unless
-// SkipAudit, the fleet policy checks that boot's audit report, and a
-// violation refuses the launch; both shapes name the application
-// compartment "fleetapp", so one policy pins down both. Unless
-// NoSnapshot, the boot is a capture, and the shape's template. The boots
-// themselves, like a device's System construction, count as HostProf's
-// boot/cold inside boot, whose calls still count the devices built.
+// launch builds each firmware shape's image and boots it exactly once,
+// before any device is built. Unless SkipAudit, the fleet policy checks
+// that boot's audit report, and a violation refuses the launch; both
+// shapes name the application compartment "fleetapp", so one policy pins
+// down both. Unless NoSnapshot, the boot is a capture, which every
+// device incarnation forks. The boots themselves, like a device's System
+// construction, count as HostProf's boot/cold inside boot, whose calls
+// still count the devices built.
 func launch(cfg Config, hp *prof.HostProfile) ([]*shape, error) {
 	if !cfg.SkipAudit && errFleetPolicy != nil {
 		return nil, fmt.Errorf("fleet audit: %w", errFleetPolicy)
 	}
 	shapes := firmwareShapes(cfg)
+	for _, sh := range shapes {
+		if sh.firmware == FirmwareJS && errFleetProgram != nil {
+			return nil, fmt.Errorf("fleet: compile the jsvm app: %w", errFleetProgram)
+		}
+		sh.img = buildImage(&cfg, sh)
+	}
 	if cfg.SkipAudit && cfg.NoSnapshot {
 		return shapes, nil // nothing to audit, nothing forks
 	}
 	var wall time.Duration
 	for _, sh := range shapes {
-		img := representativeImage(cfg, sh.firmware, sh.ota)
-		opts := core.BootOptions{SkipReport: cfg.SkipAudit}
-		var sys *core.System
-		var err error
 		t0 := time.Now()
-		if cfg.NoSnapshot {
-			sys, err = core.BootWith(img, opts)
-		} else {
-			sys, sh.tmpl, err = snapshot.Capture(img, opts)
-		}
+		sys, err := core.BootWith(sh.img, core.BootOptions{SkipReport: cfg.SkipAudit, CaptureSnapshot: !cfg.NoSnapshot})
 		wall += time.Since(t0)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: boot the %s firmware: %w", sh.name(), err)
 		}
 		sys.Shutdown()
+		sh.snap = sys.Snapshot
 		if sh.report = sys.Report; sh.report != nil {
 			if res := fleetPolicy.Check(sh.report); !res.Passed() {
 				return nil, fmt.Errorf("fleet audit: launch refused, policy violations: %v", res.Failures())
@@ -137,10 +126,5 @@ func launch(cfg Config, hp *prof.HostProfile) ([]*shape, error) {
 	}
 	hp.Add("boot", wall, 0)
 	hp.Add("boot/cold", wall, uint64(len(shapes)))
-	for i := 0; i < cfg.Devices; i++ {
-		if sh := shapeFor(shapes, cfg.profileFor(i).Firmware, false); sh.checker < 0 {
-			sh.checker = i
-		}
-	}
 	return shapes, nil
 }

@@ -80,8 +80,8 @@ type DeviceStats struct {
 }
 
 // Device is one simulated CHERIoT board: its own SRAM, capability core,
-// loader-booted firmware (full netstack + the fleet app compartment), and
-// World wired to the shared cloud.
+// firmware (its shape's image: full netstack + the fleet app), and World
+// wired to the shared cloud. Its kernel's Env is the Device.
 type Device struct {
 	Index int
 	IP    uint32
@@ -95,10 +95,8 @@ type Device struct {
 	Tel   *telemetry.Registry
 	// Prof is the device's cycle-exact profiler (nil unless Config.Prof).
 	Prof *prof.Profiler
-	// Rec is the device's flight recorder (nil when disabled); Stack
-	// exposes the netstack's micro-reboot driver.
-	Rec   *flightrec.Recorder
-	Stack *netstack.Stack
+	// Rec is the device's flight recorder (nil when disabled).
+	Rec *flightrec.Recorder
 	// Obs is the device's message tracer (nil unless Config.Obs). Every
 	// span it records is written on this device's goroutine.
 	Obs   *fleetobs.Tracer
@@ -128,12 +126,11 @@ type Device struct {
 	// pool, shared by all the shard's devices.
 	pool *switcher.Pool
 
-	// incarnation counts firmware swaps (0 = the boot image); updReb is
-	// the update-agent compartment's micro-reboot driver while the device
-	// runs the updated image. closed holds one record per incarnation
-	// that has ended, recs every incarnation's flight recorder.
+	// incarnation counts firmware swaps (0 = the boot image), sh is the
+	// running one's shape, closed holds one record per ended incarnation,
+	// recs every incarnation's flight recorder.
 	incarnation int
-	updReb      *compartment.Rebooter
+	sh          *shape
 	closed      []incarnationRecord
 	recs        []*flightrec.Recorder
 	// stormDone marks a device whose quota storm has run; like Stats it
@@ -192,8 +189,7 @@ func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, shapes []
 			DeviceOf:   deviceIndexOf,
 		})
 	}
-	sh := shapeFor(shapes, d.Profile.Firmware, false)
-	if err := d.bringUp(pl, schedule, 0, sh, sh.checker == i); err != nil {
+	if err := d.bringUp(pl, schedule, 0, shapeFor(shapes, d.Profile.Firmware, false)); err != nil {
 		return nil, fmt.Errorf("device %d: %w", i, err)
 	}
 	return d, nil
@@ -201,34 +197,21 @@ func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, shapes []
 
 // bringUp starts one incarnation of the device at cycle start: 0 for the
 // boot image, the retirement cycle for a firmware swap. Every incarnation
-// is wired the same way: build the image of shape sh and fork it from the
-// shape's template (checking the shape key if check), or cold-boot it
-// under NoSnapshot; jump a swapped-in core to start so the device keeps
-// one absolute cycle timeline, attach the netstack, World and cloud, arm
-// the instruments and faults, and install the cloud schedule's events
-// after start.
-func (d *Device) bringUp(pl *cloud.Plane, schedule []cloud.Event, start uint64, sh *shape, check bool) error {
+// is wired the same way: boot shape sh's audited image, forking the
+// launch capture (a cold boot under NoSnapshot); bind the device as Env;
+// jump a swapped-in core to start so the device keeps one absolute cycle
+// timeline; attach the World and cloud, arm the instruments and faults,
+// and install the cloud schedule's events after start.
+func (d *Device) bringUp(pl *cloud.Plane, schedule []cloud.Event, start uint64, sh *shape) error {
 	cfg := d.cfg
-	d.updReb = nil
-	img, stack := d.buildImage(sh.ota)
-	// Skip the per-device audit report: the launch audited the shape.
-	opts := core.BootOptions{SkipReport: true}
-	var sys *core.System
-	var err error
 	t0 := time.Now()
-	switch {
-	case sh.tmpl == nil:
-		sys, err = core.BootWith(img, opts)
-	case check:
-		sys, err = sh.tmpl.Fork(img, opts)
-	default:
-		sys, err = sh.tmpl.ForkUnchecked(img, opts)
-	}
+	// Skip the per-device audit report: the launch audited the image.
+	sys, err := core.BootWith(sh.img, core.BootOptions{SkipReport: true, Snapshot: sh.snap})
 	d.bootWall += time.Since(t0)
 	if err != nil {
 		return fmt.Errorf("boot %s: %w", sh.name(), err)
 	}
-	if sh.tmpl != nil {
+	if sh.snap != nil {
 		sh.forks.Add(1)
 	}
 	if start > 0 {
@@ -237,12 +220,8 @@ func (d *Device) bringUp(pl *cloud.Plane, schedule []cloud.Event, start uint64, 
 		sys.Board.Core.SkipTo(start)
 	}
 	sys.Kernel.SetPool(d.pool)
-	d.Sys = sys
-	d.Stack = stack
-	stack.Attach(sys.Kernel)
-	if d.updReb != nil {
-		d.updReb.Kernel = sys.Kernel
-	}
+	sys.Kernel.Env = d
+	d.Sys, d.sh = sys, sh
 	d.World = netsim.NewWorld(sys.Board.Core, sys.Board.Net, d.IP)
 	d.World.SetConcurrent(true)
 	if d.Obs != nil {
@@ -260,6 +239,7 @@ func (d *Device) bringUp(pl *cloud.Plane, schedule []cloud.Event, start uint64, 
 	}
 	if cfg.FlightRecorder > 0 {
 		d.Rec = sys.EnableFlightRecorder(cfg.FlightRecorder)
+		d.Rec.SetDevice(fmt.Sprintf("fleet-%05d", d.Index))
 		d.recs = append(d.recs, d.Rec)
 	}
 	d.armFaults(pl, start)
@@ -319,21 +299,21 @@ type incarnationRecord struct {
 // shard ran it to the horizon. The fields naming the running incarnation
 // (Sys, World, Tel, Rec, ...) keep pointing at it.
 func (d *Device) closeIncarnation() {
-	now := d.Sys.Cycles()
+	now, k := d.Sys.Cycles(), d.Sys.Kernel
 	r := incarnationRecord{
 		tel:        d.Tel.Snapshot(),
 		framesFrom: d.World.FramesFromDevice,
 		framesTo:   d.World.FramesToDevice,
 		drops:      d.World.Dropped,
-		reboots:    d.Stack.TCPIPRebooter.Reboots,
+		reboots:    k.Comp(netstack.TCPIP).Reboots(),
 	}
 	r.exact = r.tel.BaseCycles+r.tel.AttributedCycles == now
 	if d.cfg.Prof {
 		r.prof = d.Prof
 		r.exact = r.exact && d.Prof.Close()
 	}
-	if d.updReb != nil {
-		r.reboots += d.updReb.Reboots
+	if d.sh.ota {
+		r.reboots += k.Comp(otaCompartment).Reboots()
 	}
 	d.closed = append(d.closed, r)
 	d.Sys.Shutdown()
@@ -385,28 +365,29 @@ func (d *Device) installCloudSchedule(pl *cloud.Plane, schedule []cloud.Event, a
 		})
 }
 
-// buildImage assembles the device's firmware image: the full netstack
-// plus the application compartment, and — for the OTA-updated shape —
-// the update-agent compartment. Every incarnation of a device calls
-// this through bringUp, and the pre-launch audit calls it for one
-// representative device per shape.
-func (d *Device) buildImage(withOTA bool) (*firmware.Image, *netstack.Stack) {
-	img := core.NewImage(fmt.Sprintf("fleet-%05d", d.Index))
-	stack := netstack.AddTo(img, netstack.Config{
-		DeviceIP:   d.IP,
+// Tracer implements netstack.Tracing.
+func (d *Device) Tracer() *fleetobs.Tracer { return d.Obs }
+
+// buildImage assembles a firmware shape's image: the full netstack plus
+// the application compartment, and, for the OTA-updated shape, the
+// update-agent compartment. It holds no per-device value (entries read
+// the Device from Env, the address comes from DHCP), so every device
+// incarnation of the shape boots the one image the launch builds.
+func buildImage(cfg *Config, sh *shape) *firmware.Image {
+	img := core.NewImage(sh.name())
+	netstack.AddTo(img, netstack.Config{
 		UseDHCP:    true,
 		GatewayIP:  GatewayIP,
 		DNSServer:  DNSIP,
 		NTPServer:  NTPIP,
 		RootSecret: RootSecret,
-		Obs:        d.Obs,
 	})
-	if d.Profile.Firmware == FirmwareJS {
-		d.addJSApp(img)
+	if sh.firmware == FirmwareJS {
+		addJSApp(img, cfg)
 	} else {
-		d.addApp(img, withOTA)
+		addApp(img, cfg, sh.ota)
 	}
-	return img, stack
+	return img
 }
 
 // runSlice advances the device to toCycle (or a little past it: the
@@ -451,10 +432,10 @@ func (d *Device) pumpEstimate() time.Duration {
 // on error and — with ReconnectEvery — churning deliberately. The OTA
 // rollout's updated image adds the update-agent compartment, which the
 // app pokes after every publish.
-func (d *Device) addApp(img *firmware.Image, withOTA bool) {
-	imports := fleetAppImports(d.cfg.quotaStormCycles() > 0)
+func addApp(img *firmware.Image, cfg *Config, withOTA bool) {
+	imports := fleetAppImports(cfg.quotaStormCycles() > 0)
 	if withOTA {
-		d.addUpdateAgent(img)
+		addUpdateAgent(img, cfg)
 		imports = append(imports,
 			firmware.Import{Kind: firmware.ImportCall, Target: otaCompartment, Entry: otaEntryPoke})
 	}
@@ -462,7 +443,7 @@ func (d *Device) addApp(img *firmware.Image, withOTA bool) {
 		Name: "fleetapp", CodeSize: 3000, DataSize: 256,
 		AllocCaps: []firmware.AllocCap{{Name: "default", Quota: 16384}},
 		Imports:   imports,
-		Exports:   []*firmware.Export{{Name: "main", MinStack: 8192, Entry: d.appMain}},
+		Exports:   []*firmware.Export{{Name: "main", MinStack: 8192, Entry: appMain}},
 	})
 	img.AddThread(&firmware.Thread{Name: "app", Compartment: "fleetapp", Entry: "main",
 		Priority: 3, StackSize: 32 * 1024, TrustedStackFrames: 24})
@@ -485,10 +466,9 @@ const (
 // crash report, the handler micro-reboots the agent, and the calling
 // publish loop sees an unwound call — compartment isolation keeps the
 // bad update from taking the device down.
-func (d *Device) addUpdateAgent(img *firmware.Image) {
-	poisoned := d.cfg.Rollout != nil && d.cfg.Rollout.Poisoned
+func addUpdateAgent(img *firmware.Image, cfg *Config) {
+	poisoned := cfg.Rollout != nil && cfg.Rollout.Poisoned
 	reb := &compartment.Rebooter{Compartment: otaCompartment}
-	d.updReb = reb
 	img.AddCompartment(&firmware.Compartment{
 		Name: otaCompartment, CodeSize: 900, DataSize: 64,
 		Exports: []*firmware.Export{{Name: otaEntryPoke, MinStack: 512,
@@ -553,8 +533,10 @@ func fleetAppImports(withAlloc bool) []firmware.Import {
 		Kind: firmware.ImportCall, Target: netstack.NetAPI, Entry: netstack.FnNetworkUp})
 }
 
-func (d *Device) appMain(ctx api.Context, args []api.Value) []api.Value {
-	a := newAppDriver(d, ctx)
+// appMain is the Go fleet app's thread entry, for the device bound to the
+// machine.
+func appMain(ctx api.Context, args []api.Value) []api.Value {
+	a := newAppDriver(ctx)
 	if !a.setup() {
 		return a.park()
 	}
@@ -589,7 +571,9 @@ type appDriver struct {
 	drainView   cap.Capability
 }
 
-func newAppDriver(d *Device, ctx api.Context) *appDriver {
+// newAppDriver drives the app for the device the machine's Env holds.
+func newAppDriver(ctx api.Context) *appDriver {
+	d := ctx.Env().(*Device)
 	return &appDriver{d: d, ctx: ctx, st: &d.Stats}
 }
 
@@ -766,7 +750,7 @@ func (a *appDriver) tick() bool {
 		a.published++
 		st.PublishLatency = append(st.PublishLatency, lat)
 		a.markPublishSecond()
-		if d.updReb != nil {
+		if d.sh.ota {
 			// The updated image's update-agent self-check; a poisoned
 			// agent traps, is micro-rebooted by its own handler, and the
 			// call unwinds — the publish loop tolerates the error and

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -78,6 +79,19 @@ func TestFleetPingOfDeathForensics(t *testing.T) {
 		if dump.Device == "" || len(dump.Events) == 0 || len(dump.Reports) == 0 {
 			t.Errorf("device %d dump incomplete: device=%q events=%d reports=%d",
 				d.Index, dump.Device, len(dump.Events), len(dump.Reports))
+		}
+		// Every device boots its shape's one image, so the recorder must
+		// name the device, not the image.
+		name := fmt.Sprintf("fleet-%05d", d.Index)
+		for _, dump := range d.CrashDumps() {
+			if dump.Device != name {
+				t.Errorf("device %d dump names device %q, want %q", d.Index, dump.Device, name)
+			}
+			for _, rep := range dump.Reports {
+				if rep.Device != name {
+					t.Errorf("device %d crash report names device %q, want %q", d.Index, rep.Device, name)
+				}
+			}
 		}
 	}
 }

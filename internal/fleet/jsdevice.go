@@ -27,35 +27,34 @@ park();
 // time; order must match appDriver.jsBindings.
 var fleetHostFunctions = []string{"setup", "connect", "tick", "park"}
 
+// fleetProgram is FleetScript compiled once per process for every jsvm
+// device (a jsvm.VM only reads its Program); launch checks the error.
+var fleetProgram, errFleetProgram = jsvm.Compile(FleetScript, fleetHostFunctions)
+
 // addJSApp registers the jsvm flavor of the fleet application: the same
 // compartment name and import set as the Go flavor (so the fleet audit
 // policy applies unchanged), plus the microvium engine as a shared
 // library and a deeper stack for the interpreter.
-func (d *Device) addJSApp(img *firmware.Image) {
+func addJSApp(img *firmware.Image, cfg *Config) {
 	img.AddLibrary(&firmware.Library{Name: "microvium", CodeSize: 6000})
 	img.AddCompartment(&firmware.Compartment{
 		Name: "fleetapp", CodeSize: 4000, DataSize: 512,
 		AllocCaps: []firmware.AllocCap{{Name: "default", Quota: 16384}},
-		Imports:   fleetAppImports(d.cfg.quotaStormCycles() > 0),
-		Exports:   []*firmware.Export{{Name: "main", MinStack: 8192, Entry: d.jsMain}},
+		Imports:   fleetAppImports(cfg.quotaStormCycles() > 0),
+		Exports:   []*firmware.Export{{Name: "main", MinStack: 8192, Entry: jsMain}},
 	})
 	img.AddThread(&firmware.Thread{Name: "app", Compartment: "fleetapp", Entry: "main",
 		Priority: 3, StackSize: 48 * 1024, TrustedStackFrames: 24})
 }
 
-// jsMain compiles and runs the fleet script. Every exit path parks: a
-// returned app thread would leave the kernel eventless (a reported
-// deadlock) instead of an idle device.
-func (d *Device) jsMain(ctx api.Context, args []api.Value) []api.Value {
-	a := newAppDriver(d, ctx)
-	prog, err := jsvm.Compile(FleetScript, fleetHostFunctions)
+// jsMain runs the fleet script for the device bound to the machine.
+// Every exit path parks: a returned app thread would leave the kernel
+// eventless (a reported deadlock) instead of an idle device.
+func jsMain(ctx api.Context, args []api.Value) []api.Value {
+	a := newAppDriver(ctx)
+	vm, err := jsvm.NewVM(fleetProgram, a.jsBindings())
 	if err != nil {
-		d.Stats.SetupFailures++
-		return a.park()
-	}
-	vm, err := jsvm.NewVM(prog, a.jsBindings())
-	if err != nil {
-		d.Stats.SetupFailures++
+		a.st.SetupFailures++
 		return a.park()
 	}
 	// Every bytecode step costs interpreter cycles (§5.2).

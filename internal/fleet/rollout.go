@@ -162,23 +162,17 @@ func (rt *rolloutRuntime) notify(d *Device, kind string) {
 
 // swapDevice micro-reboots a device into the other firmware image: it
 // closes the running incarnation and brings up the replacement at the
-// retirement cycle, through the same path that booted the device. The
-// first device swapped onto the updated shape checks its key; the boot
-// shape's was checked when the fleet was built.
+// retirement cycle, through the same path that booted the device.
 func (rt *rolloutRuntime) swapDevice(d *Device, toNew bool) error {
 	sh := rt.boot
 	if toNew {
 		sh = rt.updated
 	}
-	check := sh.checker < 0
-	if check {
-		sh.checker = d.Index
-	}
 	retire := d.Sys.Cycles()
 	d.closeIncarnation()
 	d.incarnation++
 	d.arrival = 0 // the replacement brings the network up immediately
-	if err := d.bringUp(rt.pl, rt.schedule, retire, sh, check); err != nil {
+	if err := d.bringUp(rt.pl, rt.schedule, retire, sh); err != nil {
 		return fmt.Errorf("fleet: device %d: swap: %w", d.Index, err)
 	}
 	return nil

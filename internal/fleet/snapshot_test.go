@@ -5,6 +5,11 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/cheriot-go/cheriot/internal/alloc"
+	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/sched"
+	"github.com/cheriot-go/cheriot/internal/token"
 )
 
 // TestForkedFleetMatchesColdFleet runs the same config with snapshot/fork
@@ -142,6 +147,73 @@ func TestOneBootPerShape(t *testing.T) {
 			}
 			if tc.cfg.Rollout != nil && incarnations == cfg.Devices {
 				t.Error("the rollout swapped no device")
+			}
+		})
+	}
+}
+
+// TestDevicesBootTheAuditedImage: every device incarnation, forked or
+// cold-booted, on its boot shape, updated or rolled back, boots its
+// shape's one launch image, the image whose boot report the launch
+// audited. Its compartments, bar the TCB each boot adds, are that
+// image's *firmware.Compartment values, so the audited report describes
+// every device.
+func TestDevicesBootTheAuditedImage(t *testing.T) {
+	cold := mixedConfig()
+	cold.NoSnapshot = true
+	tcb := map[string]bool{sched.Name: true, alloc.Name: true, token.Name: true}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"go+jsvm", mixedConfig()},
+		{"go+jsvm cold", cold},
+		{"updated", rolloutConfig(false, 45*time.Second)},
+		{"rolled back", rolloutConfig(true, 40*time.Second)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			launched := map[*shape]bool{}
+			swapped := 0
+			for _, d := range res.Devices {
+				sh := d.sh
+				launched[sh] = true
+				if d.incarnation > 0 {
+					swapped++
+				}
+				if sh.firmware != d.Profile.Firmware || sh.ota != d.OnNewFirmware {
+					t.Fatalf("device %d runs shape %s", d.Index, sh.name())
+				}
+				if sh.report == nil {
+					t.Fatalf("shape %s: the launch audited no report", sh.name())
+				}
+				own := map[*firmware.Compartment]bool{}
+				for _, c := range sh.img.Compartments {
+					own[c] = true
+				}
+				booted := 0
+				for _, c := range d.Sys.Image.Compartments {
+					switch {
+					case own[c]:
+						booted++
+					case !tcb[c.Name]:
+						t.Fatalf("device %d booted compartment %s of its own", d.Index, c.Name)
+					}
+				}
+				if booted != len(own) {
+					t.Fatalf("device %d booted %d of the launch image's %d compartments",
+						d.Index, booted, len(own))
+				}
+			}
+			if tc.cfg.Rollout == nil && len(launched) != len(firmwareShapes(res.Config)) {
+				t.Errorf("devices run %d distinct shapes, want the %d launched",
+					len(launched), len(firmwareShapes(res.Config)))
+			}
+			if tc.cfg.Rollout != nil && (swapped == 0 || len(launched) != 1) {
+				t.Errorf("%d devices swapped onto %d shapes, want some onto one", swapped, len(launched))
 			}
 		})
 	}

@@ -125,7 +125,6 @@ type App struct {
 	Sys    *core.System
 	World  *netsim.World
 	Broker *netsim.Broker
-	Stack  *netstack.Stack
 
 	phases    []PhaseMark
 	samples   []Sample
@@ -138,7 +137,7 @@ type App struct {
 func Build() (*App, error) {
 	a := &App{}
 	img := core.NewImage("iot-device")
-	a.Stack = netstack.AddTo(img, netstack.Config{
+	netstack.AddTo(img, netstack.Config{
 		DeviceIP:   DeviceIP,
 		UseDHCP:    true,
 		GatewayIP:  GatewayIP,
@@ -158,7 +157,6 @@ func Build() (*App, error) {
 		return nil, err
 	}
 	a.Sys = sys
-	a.Stack.Attach(sys.Kernel)
 
 	a.World = netsim.NewWorld(sys.Board.Core, sys.Board.Net, DeviceIP)
 	a.World.AddHost(GatewayIP, netsim.NewGateway(GatewayIP, DeviceIP))
@@ -424,11 +422,12 @@ func (a *App) Run() (*Result, error) {
 		return nil, fmt.Errorf("iotapp: scenario did not complete within %d cycles", uint64(budget))
 	}
 
+	tcpip := a.Sys.Kernel.Comp(netstack.TCPIP)
 	res := &Result{
 		Phases:        a.phases,
 		Samples:       a.samples,
-		Reboots:       a.Stack.TCPIPRebooter.Reboots,
-		RebootMs:      float64(a.Stack.TCPIPRebooter.LastDuration) / float64(hw.DefaultHz) * 1000,
+		Reboots:       tcpip.Reboots(),
+		RebootMs:      float64(tcpip.HandlerCycles()) / float64(hw.DefaultHz) * 1000,
 		Notifications: a.appResult,
 		LEDChanges:    len(a.Sys.Board.LEDs.Trace),
 		Compartments:  len(a.Sys.Image.Compartments),

@@ -17,7 +17,7 @@ var gatewayIP = netproto.IPv4(10, 0, 0, 1)
 func buildDHCPRig(t *testing.T, appMain api.Entry) *rig {
 	t.Helper()
 	img := core.NewImage("dhcp-test")
-	stack := netstack.AddTo(img, netstack.Config{
+	netstack.AddTo(img, netstack.Config{
 		DeviceIP:   deviceIP,
 		UseDHCP:    true,
 		GatewayIP:  gatewayIP,
@@ -44,12 +44,11 @@ func buildDHCPRig(t *testing.T, appMain api.Entry) *rig {
 		t.Fatalf("Boot: %v", err)
 	}
 	t.Cleanup(s.Shutdown)
-	stack.Attach(s.Kernel)
 
 	w := netsim.NewWorld(s.Board.Core, s.Board.Net, deviceIP)
 	w.AddHost(gatewayIP, netsim.NewGateway(gatewayIP, deviceIP))
 	w.AddHost(dnsIP, netsim.NewDNSServer(dnsIP, map[string]uint32{"broker.example": brokerIP}))
-	return &rig{sys: s, world: w, stack: stack, done: done}
+	return &rig{sys: s, world: w, done: done}
 }
 
 // TestDHCPBringUp: the stack starts with no address, obtains its lease

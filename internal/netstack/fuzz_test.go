@@ -67,7 +67,7 @@ func TestFrameFuzzInjection(t *testing.T) {
 	}
 	if after != brokerIP {
 		t.Fatalf("stack dead after fuzz storm: resolve = %#x (reboots: %d)",
-			after, r.stack.TCPIPRebooter.Reboots)
+			after, r.sys.Kernel.Comp(netstack.TCPIP).Reboots())
 	}
 }
 

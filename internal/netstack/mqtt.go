@@ -24,11 +24,17 @@ const (
 )
 
 type mqttState struct {
-	key cap.Capability
-	// obs is the device's tracer; nil disables tracing at zero simulated
-	// cost (every tracer method is a nil-safe no-op).
-	obs  *fleetobs.Tracer
+	key  cap.Capability
 	bufs []*mqttBufs
+}
+
+// tracer returns the machine's message tracer, or nil (every tracer
+// method is a nil-safe no-op at zero simulated cost).
+func tracer(ctx api.Context) *fleetobs.Tracer {
+	if e, ok := ctx.Env().(Tracing); ok {
+		return e.Tracer()
+	}
+	return nil
 }
 
 // mqttBufs is one thread's buffers in the MQTT compartment: the topic and
@@ -40,10 +46,10 @@ type mqttBufs struct {
 }
 
 // addMQTT registers the MQTT compartment.
-func addMQTT(img *firmware.Image, obs *fleetobs.Tracer) {
+func addMQTT(img *firmware.Image) {
 	img.AddCompartment(&firmware.Compartment{
 		Name: MQTT, CodeSize: 11_000, WrapperCodeSize: 3_080, DataSize: 24,
-		State:   func() interface{} { return &mqttState{obs: obs} },
+		State:   func() interface{} { return &mqttState{} },
 		Imports: append(append(TLSImports(), token.Imports()...), alloc.Imports()...),
 		Exports: []*firmware.Export{
 			{Name: FnMQTTConnect, MinStack: 6144, Entry: mqttConnect},
@@ -222,7 +228,7 @@ func mqttPublish(ctx api.Context, args []api.Value) []api.Value {
 	// (8 extra wire bytes, charged through the TLS per-byte cost model —
 	// the honest simulated price of trace context on the wire). Untraced
 	// publishes encode to the exact legacy bytes.
-	obs := ctx.State().(*mqttState).obs
+	obs := tracer(ctx)
 	trace := obs.SamplePublish()
 	t0 := uint64(0)
 	if trace != 0 {
@@ -298,7 +304,7 @@ func mqttWait(ctx api.Context, args []api.Value) []api.Value {
 			continue // e.g. a stray ping response
 		}
 		if pkt.TraceID != 0 {
-			ctx.State().(*mqttState).obs.RecvSpan(pkt.TraceID, ctx.Now())
+			tracer(ctx).RecvSpan(pkt.TraceID, ctx.Now())
 		}
 		n := uint32(len(pkt.Payload))
 		if n > out.Length() {

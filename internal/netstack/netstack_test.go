@@ -26,7 +26,6 @@ type rig struct {
 	sys    *core.System
 	world  *netsim.World
 	broker *netsim.Broker
-	stack  *netstack.Stack
 	done   *bool
 }
 
@@ -35,7 +34,7 @@ type rig struct {
 func buildRig(t *testing.T, appMain api.Entry, extra ...firmware.Import) *rig {
 	t.Helper()
 	img := core.NewImage("netstack-test")
-	stack := netstack.AddTo(img, netstack.Config{
+	netstack.AddTo(img, netstack.Config{
 		DeviceIP:   deviceIP,
 		DNSServer:  dnsIP,
 		NTPServer:  ntpIP,
@@ -65,7 +64,6 @@ func buildRig(t *testing.T, appMain api.Entry, extra ...firmware.Import) *rig {
 		t.Fatalf("Boot: %v", err)
 	}
 	t.Cleanup(s.Shutdown)
-	stack.Attach(s.Kernel)
 
 	w := netsim.NewWorld(s.Board.Core, s.Board.Net, deviceIP)
 	w.AddHost(dnsIP, netsim.NewDNSServer(dnsIP, map[string]uint32{
@@ -75,7 +73,7 @@ func buildRig(t *testing.T, appMain api.Entry, extra ...firmware.Import) *rig {
 	host, broker := netsim.NewBroker(brokerIP, rootKey, []byte("fleet-ca"))
 	w.AddHost(brokerIP, host)
 
-	return &rig{sys: s, world: w, broker: broker, stack: stack, done: done}
+	return &rig{sys: s, world: w, broker: broker, done: done}
 }
 
 // run drives the rig until the app signals done or the cycle budget runs
@@ -284,11 +282,11 @@ func TestPingOfDeathMicroReboot(t *testing.T) {
 	if string(notification) != "recovered" {
 		t.Fatalf("notification = %q", notification)
 	}
-	if r.stack.TCPIPRebooter.Reboots != 1 {
-		t.Fatalf("reboots = %d, want 1", r.stack.TCPIPRebooter.Reboots)
+	if r.sys.Kernel.Comp(netstack.TCPIP).Reboots() != 1 {
+		t.Fatalf("reboots = %d, want 1", r.sys.Kernel.Comp(netstack.TCPIP).Reboots())
 	}
 	// §5.3.3: the TCP/IP micro-reboot completes in 0.27 s.
-	ms := float64(r.stack.TCPIPRebooter.LastDuration) / 33_000_000 * 1000
+	ms := float64(r.sys.Kernel.Comp(netstack.TCPIP).HandlerCycles()) / 33_000_000 * 1000
 	if ms > 270 {
 		t.Fatalf("micro-reboot took %.1f ms, paper reports 270 ms", ms)
 	}

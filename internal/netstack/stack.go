@@ -6,7 +6,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/fleetobs"
 	"github.com/cheriot-go/cheriot/internal/hw"
-	"github.com/cheriot-go/cheriot/internal/switcher"
 )
 
 // Config parameterizes the network stack.
@@ -29,31 +28,25 @@ type Config struct {
 	RootSecret []byte
 	// DriverPriority is the network driver thread's priority (default 7).
 	DriverPriority int
-	// Obs, when set, enables distributed message tracing in the MQTT
-	// compartment: sampled publishes get a trace ID carried in-band, and
-	// the publish/recv hops are recorded as spans. A nil tracer costs
-	// zero simulated cycles.
-	Obs *fleetobs.Tracer
 }
 
-// Stack is the handle over the installed network stack.
-type Stack struct {
-	Cfg Config
-	// TCPIPRebooter drives (and counts) micro-reboots of the TCP/IP
-	// compartment; its error handler is installed on the compartment.
-	TCPIPRebooter *compartment.Rebooter
+// Tracing is a machine environment (api.Frame.Env) that traces MQTT
+// messages: sampled publishes carry a trace ID in-band, and the MQTT
+// compartment records their hops on Tracer (nil: tracing off).
+type Tracing interface {
+	Tracer() *fleetobs.Tracer
 }
 
 // AddTo registers the whole compartmentalized stack (Fig. 5's networked
 // setting) in a firmware image: firewall+driver, TCP/IP (micro-rebootable,
 // with its deliberate ping-of-death bug), network API, DNS, SNTP, TLS,
-// MQTT, plus the driver thread. Call Attach after boot.
-func AddTo(img *firmware.Image, cfg Config) *Stack {
+// MQTT, plus the driver thread. The kernel's switcher.Comp counts and
+// times the TCP/IP micro-reboots.
+func AddTo(img *firmware.Image, cfg Config) {
 	if cfg.DriverPriority == 0 {
 		cfg.DriverPriority = 7
 	}
 	reb := &compartment.Rebooter{Compartment: TCPIP, QuotaImport: "default"}
-	s := &Stack{Cfg: cfg, TCPIPRebooter: reb}
 
 	addFirewall(img)
 	// The TCP/IP micro-reboot's dominant cost is draining connection
@@ -71,14 +64,10 @@ func AddTo(img *firmware.Image, cfg Config) *Stack {
 	addDNS(img, cfg.DNSServer)
 	addSNTP(img, cfg.NTPServer, img.Hz)
 	addTLS(img, cfg.RootSecret)
-	addMQTT(img, cfg.Obs)
+	addMQTT(img)
 
 	img.AddThread(&firmware.Thread{
 		Name: "netdriver", Compartment: Firewall, Entry: FnFwDriver,
 		Priority: cfg.DriverPriority, StackSize: 4096, TrustedStackFrames: 16,
 	})
-	return s
 }
-
-// Attach wires the stack's rebooter to the booted kernel.
-func (s *Stack) Attach(k *switcher.Kernel) { s.TCPIPRebooter.Kernel = k }

@@ -1,7 +1,7 @@
-// Package snapshot implements snapshot/fork boot: boot a firmware shape
-// once, capture its complete post-boot state as an immutable Template,
-// and fork further identical devices from the template instead of
-// re-running the linker and loader per device.
+// Package snapshot implements checked snapshot/fork boot: boot a firmware
+// shape once, capture its complete post-boot state as an immutable
+// Template, and fork further identical devices from the template instead
+// of re-running the linker and loader per device.
 //
 // Booting is deterministic in the image's *shape* — the sizes, names,
 // exports, imports, quotas, and init bytes the loader reads, and which
@@ -11,6 +11,9 @@
 // that shape into a hash; images with equal keys boot to bit-identical
 // SRAM, capability graphs and audit reports, so a fork from one's
 // template is indistinguishable from a cold boot of the other.
+//
+// The check is for forks of images built separately; the fleet boots
+// one image per shape and forks it with core.BootOptions.Snapshot alone.
 package snapshot
 
 import (
@@ -139,9 +142,6 @@ type Template struct {
 	snap *loader.Snapshot
 }
 
-// Key returns the shape key of the image the template was captured from.
-func (t *Template) Key() string { return t.key }
-
 // Capture cold-boots the image with snapshot capture enabled and returns
 // both the booted System (fully usable) and the Template for forking
 // further Systems. The template keeps the System's audit report unless
@@ -167,17 +167,6 @@ func (t *Template) Fork(img *firmware.Image, opts core.BootOptions) (*core.Syste
 		return nil, fmt.Errorf("snapshot: fork refused: image %q has shape key %s.., template was captured from %s..",
 			img.Name, k[:12], t.key[:12])
 	}
-	return t.ForkUnchecked(img, opts)
-}
-
-// ForkUnchecked is Fork without the shape-key check, for a caller that
-// builds its images with one deterministic function and has checked one
-// of them with Fork: the fleet checks one device per shape and forks the
-// rest unchecked. A fork of an image of another shape fails only where
-// the loader's structural check notices (compartment, library or thread
-// names, SRAM size, clock), and otherwise yields a machine whose memory
-// disagrees with its definitions.
-func (t *Template) ForkUnchecked(img *firmware.Image, opts core.BootOptions) (*core.System, error) {
 	opts.CaptureSnapshot = false
 	opts.Snapshot = t.snap
 	return core.BootWith(img, opts)

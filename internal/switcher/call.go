@@ -259,7 +259,9 @@ func (k *Kernel) runHandler(t *Thread, callee *Comp, handler api.ErrorHandler, c
 		}
 	}()
 	c := &ctx{k: k, t: t, comp: callee, frameIdx: len(t.frames) - 1, inHandler: true}
+	start := k.Core.Clock.Cycles()
 	decision = handler(api.Context{Frame: c}, cause)
+	callee.handlerCycles = k.Core.Clock.Cycles() - start
 	return decision
 }
 

@@ -36,6 +36,10 @@ type Comp struct {
 	// resetting marks an in-progress micro-reboot: calls are refused and
 	// threads inside the compartment fault at their next operation.
 	resetting bool
+	// reboots counts completed micro-reboots; handlerCycles is the cost
+	// of the error handler's last run.
+	reboots       int
+	handlerCycles uint64
 
 	// globalsSnapshot is the boot-time content of the data region, for
 	// micro-reboot step 4.
@@ -114,6 +118,13 @@ func (c *Comp) Globals() cap.Capability { return c.globals }
 
 // Resetting reports whether the compartment is mid micro-reboot.
 func (c *Comp) Resetting() bool { return c.resetting }
+
+// Reboots returns how many micro-reboots of the compartment completed.
+func (c *Comp) Reboots() int { return c.reboots }
+
+// HandlerCycles returns the cycles from entry to return of the last run
+// of the compartment's error handler: a micro-reboot's cost.
+func (c *Comp) HandlerCycles() uint64 { return c.handlerCycles }
 
 // importsCall reports whether the compartment's import table authorizes a
 // call to target.entry.

@@ -190,6 +190,13 @@ func (c *ctx) Globals() cap.Capability { return c.comp.globals }
 // State implements api.Frame.
 func (c *ctx) State() interface{} { return c.comp.state }
 
+// Env implements api.Frame.
+func (c *ctx) Env() any { return c.k.Env }
+
+// KernelOf returns the kernel running c's frame: a TCB driver built into
+// an image (the micro-reboot) reaches the machine it runs on through it.
+func KernelOf(c api.Context) *Kernel { return c.Frame.(*ctx).k }
+
 // MMIO implements api.Frame.
 func (c *ctx) MMIO(name string) cap.Capability {
 	if w, ok := c.comp.mmio[name]; ok {

@@ -48,6 +48,8 @@ var ErrDeadlock = errors.New("switcher: all threads blocked and no pending event
 // responsibilities and delegates policy to the Scheduler.
 type Kernel struct {
 	Core *hw.Core
+	// Env is the embedder's per-machine environment (api.Frame.Env).
+	Env any
 
 	sched   Scheduler
 	comps   map[string]*Comp
@@ -654,8 +656,9 @@ func (k *Kernel) BeginReset(name string, exceptThreadID int) error {
 }
 
 // FinishReset completes a micro-reboot: globals are restored from the
-// boot-time snapshot, the Go-level state object is rebuilt, and calls are
-// accepted again (§3.2.6 steps 4-5).
+// boot-time snapshot, the Go-level state object is rebuilt, calls are
+// accepted again (§3.2.6 steps 4-5), and the reboot counts in
+// Comp.Reboots.
 func (k *Kernel) FinishReset(name string) error {
 	c := k.comps[name]
 	if c == nil {
@@ -676,5 +679,6 @@ func (k *Kernel) FinishReset(name string) error {
 		c.state = c.def.State()
 	}
 	c.resetting = false
+	c.reboots++
 	return nil
 }
