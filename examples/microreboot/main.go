@@ -29,7 +29,6 @@ type kvState struct {
 
 func main() {
 	img := core.NewImage("microreboot-demo")
-	reb := &compartment.Rebooter{Compartment: "kvstore", QuotaImport: "default"}
 
 	img.AddCompartment(&firmware.Compartment{
 		Name:     "kvstore",
@@ -37,7 +36,7 @@ func main() {
 		AllocCaps:    []firmware.AllocCap{{Name: "default", Quota: 8192}},
 		Imports:      append(alloc.Imports(), sched.Imports()...),
 		State:        func() interface{} { return &kvState{entries: map[uint32]uint32{}} },
-		ErrorHandler: reb.Handler(nil),
+		ErrorHandler: compartment.RebootHandler("default", nil),
 		Exports: []*firmware.Export{
 			{Name: "put", MinStack: 512, Entry: kvPut},
 			{Name: "get", MinStack: 512, Entry: kvGet},

@@ -1,5 +1,6 @@
 // Package compartment provides the fault-tolerance driver built on the
-// switcher and allocator: the five-step micro-reboot of §3.2.6, and a
+// switcher and allocator: the five-step micro-reboot of §3.2.6, driven
+// from a compartment's error handler or from a watchdog, and a
 // persistent state-store compartment for state that must survive reboots.
 package compartment
 
@@ -13,12 +14,13 @@ import (
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
-// Rebooter drives micro-reboots of one compartment. It is typically
-// embedded in the compartment's global error handler: on a fault the
-// handler calls Reboot and returns HandlerUnwind. Each reboot runs on
-// the kernel of the context driving it, which counts the reboot and
-// times the handler (switcher.Comp), so an image boots any number of
-// machines.
+// Reboot micro-reboots compartment target on the kernel of the machine
+// ctx runs on (switcher.KernelOf), which counts the reboot in
+// switcher.Comp.Reboots, so an image boots any number of machines. ctx
+// drives the reboot: the target's own error handler, or a watchdog's
+// thread outside it. quota names the allocation capability in ctx's
+// import table whose heap step 3 releases ("" skips the release). A
+// failed release leaves the guard up.
 //
 // The five steps (§3.2.6):
 //  1. prevent new threads from entering (the switcher's resetting guard);
@@ -28,53 +30,43 @@ import (
 //     state object;
 //  5. persistent state, if any, lives in a separate state-store
 //     compartment and survives.
-type Rebooter struct {
-	// Compartment is the compartment to reboot.
-	Compartment string
-	// QuotaImport names the compartment's allocation capability whose
-	// memory is released in step 3 ("" skips the heap release).
-	QuotaImport string
-}
-
-// Reboot performs the micro-reboot. ctx must execute inside the target
-// compartment (normally the error handler's context).
-func (r *Rebooter) Reboot(ctx api.Context) error {
+func Reboot(ctx api.Context, target, quota string) error {
 	k := switcher.KernelOf(ctx)
-	// Steps 1 + 2: guard the entry points, evict every other thread.
-	if err := k.BeginReset(r.Compartment, ctx.ThreadID()); err != nil {
+	// Steps 1 + 2: guard the entry points, evict every thread inside but
+	// the one rebooting (a hung one faults at its next operation).
+	if err := k.BeginReset(target, ctx.ThreadID()); err != nil {
 		return err
 	}
-	// Step 3: release all heap memory held by the compartment's quota.
-	if r.QuotaImport != "" {
-		if _, errno := (alloc.Client{AllocCap: r.QuotaImport}).FreeAll(ctx); errno != api.OK {
-			return fmt.Errorf("compartment: free-all failed: %v", errno)
+	// Step 3: release all heap memory held by the quota.
+	if quota != "" {
+		if _, errno := (alloc.Client{AllocCap: quota}).FreeAll(ctx); errno != api.OK {
+			return fmt.Errorf("compartment: free-all of %s failed: %v", target, errno)
 		}
 	}
 	// Step 4: restore globals and state, reopen the gates.
-	if err := k.FinishReset(r.Compartment); err != nil {
-		return err
-	}
-	ev := telemetry.Event{Kind: telemetry.KindReboot, To: r.Compartment,
-		Arg: uint64(k.Comp(r.Compartment).Reboots())}
-	if t := k.ThreadByID(ctx.ThreadID()); t != nil {
-		ev.Thread = t.Name
-	}
-	ctx.Emit(ev)
-	return nil
+	return k.FinishReset(target)
 }
 
-// Handler returns a global error handler that micro-reboots the
-// compartment on any fault and then unwinds the faulting thread. prepare,
+// RebootHandler returns a global error handler that micro-reboots the
+// compartment it runs in on any fault, releasing the heap of its
+// allocation capability quota ("" skips the release), and then unwinds
+// the faulting thread. Each completed reboot emits one KindReboot event
+// on the faulting thread, Arg the compartment's reboot count. prepare,
 // if non-nil, runs before the reboot (e.g. to stash persistent state in
 // the state store).
-func (r *Rebooter) Handler(prepare func(ctx api.Context, t *hw.Trap)) api.ErrorHandler {
+func RebootHandler(quota string, prepare func(api.Context, *hw.Trap)) api.ErrorHandler {
 	return func(ctx api.Context, t *hw.Trap) api.HandlerDecision {
 		if prepare != nil {
 			prepare(ctx, t)
 		}
 		// A failed reboot leaves the guard up; unwinding is still the
 		// safest option.
-		_ = r.Reboot(ctx)
+		name := ctx.Compartment()
+		if Reboot(ctx, name, quota) == nil {
+			k := switcher.KernelOf(ctx)
+			ctx.Emit(telemetry.Event{Kind: telemetry.KindReboot, To: name,
+				Thread: k.ThreadByID(ctx.ThreadID()).Name, Arg: uint64(k.Comp(name).Reboots())})
+		}
 		return api.HandlerUnwind
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/sched"
+	"github.com/cheriot-go/cheriot/internal/switcher"
 )
 
 type svcState struct {
@@ -27,7 +28,6 @@ func buildRebootImage(t *testing.T) (*firmware.Image, *struct {
 	quotaFree   uint32
 }) {
 	img := core.NewImage("microreboot")
-	reb := &compartment.Rebooter{Compartment: "svc", QuotaImport: "default"}
 	res := &struct {
 		parkedErr   error
 		afterReboot api.Errno
@@ -41,7 +41,7 @@ func buildRebootImage(t *testing.T) (*firmware.Image, *struct {
 		AllocCaps:    []firmware.AllocCap{{Name: "default", Quota: 8192}},
 		Imports:      append(alloc.Imports(), sched.Imports()...),
 		State:        func() interface{} { return &svcState{} },
-		ErrorHandler: reb.Handler(nil),
+		ErrorHandler: compartment.RebootHandler("default", nil),
 		Exports: []*firmware.Export{
 			{Name: "connect", MinStack: 512,
 				Entry: func(ctx api.Context, args []api.Value) []api.Value {
@@ -167,33 +167,157 @@ func TestMicroReboot(t *testing.T) {
 	}
 }
 
-// TestRebooterServesEveryMachine boots one image, and so one Rebooter,
-// as two machines and runs each in turn: each reboot runs on the kernel
-// of the machine whose compartment faulted, so each run unwinds its own
-// parked thread, and each kernel counts its own one reboot.
+// TestRebooterServesEveryMachine boots one image as two machines and
+// runs each in turn, for both callers of the micro-reboot: each reboot
+// runs on the kernel of the machine it reboots, and each kernel counts
+// its own one reboot. Through the error handler, each run unwinds its
+// own parked thread. Through the watchdog, each run evicts its own hung
+// worker, and the other machine's clock does not move.
 func TestRebooterServesEveryMachine(t *testing.T) {
-	img, res := buildRebootImage(t)
+	t.Run("handler", func(t *testing.T) {
+		img, res := buildRebootImage(t)
+		systems := bootMachines(t, img, 2)
+		for i, s := range systems {
+			res.parkedErr = nil
+			if err := s.Run(nil); err != nil {
+				t.Fatalf("machine %d: Run: %v", i, err)
+			}
+			if !errors.Is(res.parkedErr, api.ErrUnwound) {
+				t.Fatalf("machine %d: parked thread saw %v, want forced unwind", i, res.parkedErr)
+			}
+		}
+		checkOneRebootEach(t, systems, "svc")
+	})
+	t.Run("watchdog", func(t *testing.T) {
+		systems := bootMachines(t, buildHungImage("default"), 2)
+		for i, s := range systems {
+			other := systems[1-i]
+			otherCycles := other.Cycles()
+			worker := runUntilExited(t, s, "victim-worker")
+			if f := worker.ExitFault(); f == nil || f.Code != hw.TrapForcedUnwind {
+				t.Errorf("machine %d: hung worker %v, fault %v, want evicted by a forced unwind",
+					i, worker.State(), f)
+			}
+			if c := other.Cycles(); c != otherCycles {
+				t.Errorf("running machine %d moved machine %d's clock from %d to %d cycles",
+					i, 1-i, otherCycles, c)
+			}
+		}
+		checkOneRebootEach(t, systems, "victim")
+	})
+}
+
+// runUntilExited runs s until its thread name exits, or for at most
+// 20 M cycles.
+func runUntilExited(t *testing.T, s *core.System, name string) *switcher.Thread {
+	t.Helper()
+	th := s.Kernel.Thread(name)
+	deadline := s.Cycles() + 20_000_000
+	if err := s.Run(func() bool {
+		return th.State() == switcher.StateExited || s.Cycles() >= deadline
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return th
+}
+
+// TestFailedReleaseKeepsGuardUp: when step 3 cannot release the heap,
+// here because the named capability is a static sealed object the
+// allocator refuses, the reboot stops with the compartment's gates still
+// closed, from an error handler and from a watchdog alike. Nothing
+// counts as a reboot, and the handler emits no KindReboot, so the
+// fault's crash report is not marked as escalated to one.
+func TestFailedReleaseKeepsGuardUp(t *testing.T) {
+	t.Run("handler", func(t *testing.T) {
+		img := core.NewImage("decoy")
+		img.AddCompartment(&firmware.Compartment{
+			Name: "svc", CodeSize: 256, DataSize: 16,
+			SealTypes:    []string{"kind"},
+			StaticSealed: []firmware.StaticSealedObject{{Name: "decoy", SealType: "kind", Size: 8}},
+			Imports:      alloc.Imports(),
+			ErrorHandler: compartment.RebootHandler("decoy", nil),
+			Exports: []*firmware.Export{
+				{Name: "crash", MinStack: 256,
+					Entry: func(ctx api.Context, args []api.Value) []api.Value {
+						ctx.Fault(hw.TrapIllegalInstruction, "boom")
+						return nil
+					}},
+				{Name: "ping", MinStack: 64,
+					Entry: func(ctx api.Context, args []api.Value) []api.Value {
+						return api.EV(api.OK)
+					}},
+			},
+		})
+		var after error
+		img.AddCompartment(&firmware.Compartment{
+			Name: "client", CodeSize: 128,
+			Imports: []firmware.Import{
+				{Kind: firmware.ImportCall, Target: "svc", Entry: "crash"},
+				{Kind: firmware.ImportCall, Target: "svc", Entry: "ping"},
+			},
+			Exports: []*firmware.Export{{Name: "main", MinStack: 256,
+				Entry: func(ctx api.Context, args []api.Value) []api.Value {
+					_, _ = ctx.Call("svc", "crash")
+					_, after = ctx.Call("svc", "ping")
+					return nil
+				}}},
+		})
+		img.AddThread(&firmware.Thread{Name: "t", Compartment: "client", Entry: "main",
+			Priority: 1, StackSize: 2048, TrustedStackFrames: 8})
+		s := bootMachines(t, img, 1)[0]
+		rec := s.EnableFlightRecorder(1 << 10)
+		runUntilExited(t, s, "t")
+		if !errors.Is(after, api.ErrCompartmentBusy) {
+			t.Errorf("call after the failed reboot: %v, want busy", after)
+		}
+		checkGuardUp(t, s, "svc")
+		if reps := rec.Reports(); len(reps) != 1 || reps[0].Reboot {
+			t.Errorf("crash reports %+v, want one, not escalated to a reboot", reps)
+		}
+	})
+	t.Run("watchdog", func(t *testing.T) {
+		s := bootMachines(t, buildHungImage("decoy"), 1)[0]
+		worker := runUntilExited(t, s, "victim-worker")
+		if f := worker.ExitFault(); f == nil || f.Code != hw.TrapForcedUnwind {
+			t.Errorf("hung worker %v, fault %v, want evicted by a forced unwind", worker.State(), f)
+		}
+		checkGuardUp(t, s, "victim")
+	})
+}
+
+// checkGuardUp requires comp's reset guard to be up with no completed
+// reboot counted.
+func checkGuardUp(t *testing.T, s *core.System, comp string) {
+	t.Helper()
+	c := s.Kernel.Comp(comp)
+	if !c.Resetting() || c.Reboots() != 0 {
+		t.Errorf("%s: resetting %v after %d reboots, want the guard up and none counted",
+			comp, c.Resetting(), c.Reboots())
+	}
+}
+
+// bootMachines boots img n times, each System shut down at the test's end.
+func bootMachines(t *testing.T, img *firmware.Image, n int) []*core.System {
+	t.Helper()
 	var systems []*core.System
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		s, err := core.Boot(img)
 		if err != nil {
 			t.Fatalf("Boot %d: %v", i, err)
 		}
-		defer s.Shutdown()
+		t.Cleanup(s.Shutdown)
 		systems = append(systems, s)
 	}
+	return systems
+}
+
+// checkOneRebootEach requires every machine's kernel to count exactly one
+// micro-reboot of comp.
+func checkOneRebootEach(t *testing.T, systems []*core.System, comp string) {
+	t.Helper()
 	for i, s := range systems {
-		res.parkedErr = nil
-		if err := s.Run(nil); err != nil {
-			t.Fatalf("machine %d: Run: %v", i, err)
-		}
-		if !errors.Is(res.parkedErr, api.ErrUnwound) {
-			t.Fatalf("machine %d: parked thread saw %v, want forced unwind", i, res.parkedErr)
-		}
-	}
-	for i, s := range systems {
-		if n := s.Kernel.Comp("svc").Reboots(); n != 1 {
-			t.Errorf("machine %d: kernel counted %d reboots of svc, want 1", i, n)
+		if n := s.Kernel.Comp(comp).Reboots(); n != 1 {
+			t.Errorf("machine %d: kernel counted %d reboots of %s, want 1", i, n, comp)
 		}
 	}
 }
@@ -277,13 +401,12 @@ func TestStateStoreSurvives(t *testing.T) {
 func TestPersistentStateAcrossReboot(t *testing.T) {
 	img := core.NewImage("persist")
 	compartment.AddStateStoreTo(img)
-	reb := &compartment.Rebooter{Compartment: "svc"}
 	var volatileAfter, durableAfter uint32
 	img.AddCompartment(&firmware.Compartment{
 		Name: "svc", CodeSize: 512, DataSize: 16,
 		Imports: compartment.StateStoreImports(),
 		State:   func() interface{} { return &svcState{} },
-		ErrorHandler: reb.Handler(func(ctx api.Context, _ *hw.Trap) {
+		ErrorHandler: compartment.RebootHandler("", func(ctx api.Context, _ *hw.Trap) {
 			// Before rebooting, persist what must survive.
 			st := ctx.State().(*svcState)
 			_, _ = ctx.Call(compartment.StateStore, compartment.FnStatePut,

@@ -5,7 +5,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/sched"
-	"github.com/cheriot-go/cheriot/internal/switcher"
 )
 
 // Watchdog is an external-recovery compartment: monitored compartments
@@ -31,7 +30,9 @@ type WatchdogTarget struct {
 	Heartbeat string
 }
 
-// Watchdog configures and drives the watchdog compartment.
+// Watchdog is the watchdog compartment's build-time configuration. Its
+// thread keeps the heartbeat bookkeeping and reboots on the machine it
+// runs on (see Reboot), so the image boots any number of machines.
 type Watchdog struct {
 	// Targets are the monitored compartments.
 	Targets []WatchdogTarget
@@ -39,11 +40,6 @@ type Watchdog struct {
 	PeriodCycles uint32
 	// StallChecks is how many unchanged periods count as a hang.
 	StallChecks int
-	// Reboots counts recoveries, per target index.
-	Reboots []int
-
-	kernel *switcher.Kernel
-	stop   bool
 }
 
 // HeartbeatName returns the conventional shared-global name for a
@@ -61,7 +57,6 @@ func (w *Watchdog) AddTo(img *firmware.Image) {
 	if w.StallChecks == 0 {
 		w.StallChecks = 3
 	}
-	w.Reboots = make([]int, len(w.Targets))
 
 	imports := append([]firmware.Import{}, sched.Imports()...)
 	for i := range w.Targets {
@@ -95,26 +90,23 @@ func (w *Watchdog) AddTo(img *firmware.Image) {
 	})
 }
 
-// Attach wires the booted kernel; call it before Run.
-func (w *Watchdog) Attach(k *switcher.Kernel) { w.kernel = k }
-
-// Stop makes the watchdog thread exit at its next period.
-func (w *Watchdog) Stop() { w.stop = true }
-
 // Beat is the victim-side helper: bump my heartbeat.
 func Beat(ctx api.Context, name string) {
 	word := ctx.SharedGlobal(name)
 	ctx.Store32(word, ctx.Load32(word)+1)
 }
 
-// run is the watchdog thread body.
+// run is the watchdog thread body: every period it compares each
+// target's heartbeat with the last, and micro-reboots a target whose
+// heartbeat stalled for StallChecks periods, releasing its heap through
+// the delegated capability. It exits only when unwound.
 func (w *Watchdog) run(ctx api.Context, args []api.Value) []api.Value {
 	last := make([]uint32, len(w.Targets))
 	stalled := make([]int, len(w.Targets))
 	for i, t := range w.Targets {
 		last[i] = ctx.Load32(ctx.SharedGlobal(t.Heartbeat))
 	}
-	for !w.stop {
+	for {
 		if _, err := ctx.Call(sched.Name, sched.EntrySleep, api.W(w.PeriodCycles)); err != nil {
 			return api.EV(api.ErrUnwound)
 		}
@@ -129,31 +121,11 @@ func (w *Watchdog) run(ctx api.Context, args []api.Value) []api.Value {
 			if stalled[i] < w.StallChecks {
 				continue
 			}
-			w.reboot(ctx, i)
+			// A failed reboot leaves the victim's guard up, closed rather
+			// than reopened over a heap it still holds; keep watching.
+			_ = Reboot(ctx, t.Compartment, t.Compartment+"."+t.Quota)
 			stalled[i] = 0
 			last[i] = ctx.Load32(ctx.SharedGlobal(t.Heartbeat))
 		}
 	}
-	return api.EV(api.OK)
-}
-
-// reboot performs the external micro-reboot of target i.
-func (w *Watchdog) reboot(ctx api.Context, i int) {
-	t := w.Targets[i]
-	if w.kernel == nil {
-		return
-	}
-	// Steps 1+2: guard the gates, evict every thread inside (including
-	// the hung one: it faults at its next operation).
-	if err := w.kernel.BeginReset(t.Compartment, ctx.ThreadID()); err != nil {
-		return
-	}
-	// Step 3: release the victim's heap through the delegated capability.
-	quota := ctx.SealedImport(t.Compartment + "." + t.Quota)
-	_, _ = ctx.Call(alloc.Name, alloc.EntryFreeAll, api.C(quota))
-	// Step 4: restore globals and state.
-	if err := w.kernel.FinishReset(t.Compartment); err != nil {
-		return
-	}
-	w.Reboots[i]++
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/sched"
+	"github.com/cheriot-go/cheriot/internal/switcher"
 )
 
 // TestWatchdogRecoversHungCompartment: a compartment livelocks — no trap,
@@ -59,6 +60,7 @@ func TestWatchdogRecoversHungCompartment(t *testing.T) {
 
 	var pingAfter api.Errno = 99
 	var quotaAfter uint32
+	probed := false
 	img.AddCompartment(&firmware.Compartment{
 		Name: "prober", CodeSize: 256, DataSize: 0,
 		Imports: append([]firmware.Import{
@@ -69,9 +71,10 @@ func TestWatchdogRecoversHungCompartment(t *testing.T) {
 		Exports: []*firmware.Export{{Name: "main", MinStack: 512,
 			Entry: func(ctx api.Context, args []api.Value) []api.Value {
 				// Wait long enough for the hang and the recovery.
+				victim := switcher.KernelOf(ctx).Comp("victim")
 				for i := 0; i < 20; i++ {
 					_, _ = ctx.Call(sched.Name, sched.EntrySleep, api.W(1_000_000))
-					if len(wd.Reboots) > 0 && wd.Reboots[0] > 0 {
+					if victim.Reboots() > 0 {
 						break
 					}
 				}
@@ -88,7 +91,7 @@ func TestWatchdogRecoversHungCompartment(t *testing.T) {
 				if err == nil && api.ErrnoOf(rets) == api.OK {
 					quotaAfter = rets[1].AsWord()
 				}
-				wd.Stop()
+				probed = true
 				return nil
 			}}},
 	})
@@ -103,12 +106,14 @@ func TestWatchdogRecoversHungCompartment(t *testing.T) {
 		t.Fatalf("Boot: %v", err)
 	}
 	defer s.Shutdown()
-	wd.Attach(s.Kernel)
-	if err := s.Run(nil); err != nil {
+	// The watchdog never exits: run until the prober is done and the
+	// evicted worker has left.
+	worker := s.Kernel.Thread("victim-worker")
+	if err := s.Run(func() bool { return probed && worker.State() == switcher.StateExited }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 
-	if wd.Reboots[0] < 1 {
+	if s.Kernel.Comp("victim").Reboots() < 1 {
 		t.Fatal("watchdog never fired")
 	}
 	if pingAfter != api.OK {
@@ -118,11 +123,43 @@ func TestWatchdogRecoversHungCompartment(t *testing.T) {
 		t.Fatalf("victim quota = %d after recovery, want fully released 8192", quotaAfter)
 	}
 	// The hung thread was evicted, not left spinning.
-	worker := s.Kernel.Thread("victim-worker")
 	if worker.State().String() != "exited" {
 		t.Fatalf("hung thread state = %v", worker.State())
 	}
 	if worker.ExitFault() == nil || worker.ExitFault().Code != hw.TrapForcedUnwind {
 		t.Fatalf("hung thread fault = %v, want forced unwind", worker.ExitFault())
 	}
+}
+
+// buildHungImage builds a victim whose one worker beats its heartbeat
+// once and then spins with no trap, watched by a watchdog that
+// micro-reboots it once the heartbeat has stalled for three periods,
+// releasing the heap of the victim's sealed object quota: "default", its
+// allocation capability, or "decoy", a static sealed object the
+// allocator refuses.
+func buildHungImage(quota string) *firmware.Image {
+	img := core.NewImage("hung")
+	heartbeat := compartment.HeartbeatName("victim")
+	img.AddCompartment(&firmware.Compartment{
+		Name: "victim", CodeSize: 512, DataSize: 16,
+		AllocCaps:    []firmware.AllocCap{{Name: "default", Quota: 4096}},
+		SealTypes:    []string{"kind"},
+		StaticSealed: []firmware.StaticSealedObject{{Name: "decoy", SealType: "kind", Size: 8}},
+		Imports:      alloc.Imports(),
+		Exports: []*firmware.Export{{Name: "work", MinStack: 512,
+			Entry: func(ctx api.Context, args []api.Value) []api.Value {
+				compartment.Beat(ctx, heartbeat)
+				for { // hang: no beats, no traps
+					ctx.Work(50_000)
+				}
+			}}},
+	})
+	(&compartment.Watchdog{
+		Targets:      []compartment.WatchdogTarget{{Compartment: "victim", Quota: quota}},
+		PeriodCycles: 500_000,
+		StallChecks:  3,
+	}).AddTo(img)
+	img.AddThread(&firmware.Thread{Name: "victim-worker", Compartment: "victim", Entry: "work",
+		Priority: 1, StackSize: 4096, TrustedStackFrames: 12})
+	return img
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/flightrec"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/sched"
+	"github.com/cheriot-go/cheriot/internal/switcher"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
@@ -224,6 +225,7 @@ func TestFlightRecorderForcedUnwind(t *testing.T) {
 		PeriodCycles: 500_000,
 		StallChecks:  3,
 	}
+	probed := false
 	heartbeat := compartment.HeartbeatName("victim")
 	img.AddCompartment(&firmware.Compartment{
 		Name: "victim", CodeSize: 512, DataSize: 16,
@@ -243,10 +245,11 @@ func TestFlightRecorderForcedUnwind(t *testing.T) {
 		Imports: sched.Imports(),
 		Exports: []*firmware.Export{{Name: "main", MinStack: 512,
 			Entry: func(ctx api.Context, args []api.Value) []api.Value {
-				for i := 0; i < 20 && wd.Reboots[0] == 0; i++ {
+				victim := switcher.KernelOf(ctx).Comp("victim")
+				for i := 0; i < 20 && victim.Reboots() == 0; i++ {
 					_, _ = ctx.Call(sched.Name, sched.EntrySleep, api.W(1_000_000))
 				}
-				wd.Stop()
+				probed = true
 				return nil
 			}}},
 	})
@@ -256,14 +259,16 @@ func TestFlightRecorderForcedUnwind(t *testing.T) {
 		Priority: 2, StackSize: 4096, TrustedStackFrames: 12})
 
 	s := boot(t, img)
-	wd.Attach(s.Kernel)
 	reg := s.EnableTelemetry(1 << 12)
 	rec := s.EnableFlightRecorder(1 << 12)
-	if err := s.Run(nil); err != nil {
+	// The watchdog never exits: run until the prober is done and the
+	// evicted worker has left.
+	worker := s.Kernel.Thread("victim-worker")
+	if err := s.Run(func() bool { return probed && worker.State() == switcher.StateExited }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if wd.Reboots[0] != 1 {
-		t.Fatalf("watchdog reboots = %d, want 1", wd.Reboots[0])
+	if n := s.Kernel.Comp("victim").Reboots(); n != 1 {
+		t.Fatalf("watchdog reboots = %d, want 1", n)
 	}
 
 	forced := hw.TrapForcedUnwind.String()
@@ -289,6 +294,10 @@ func TestFlightRecorderForcedUnwind(t *testing.T) {
 	}
 	if counts["unwind"] != 1 {
 		t.Errorf("recorder unwind events = %d, want 1", counts["unwind"])
+	}
+	// Only an error handler's reboot escalates a crash report.
+	if counts["reboot"] != 0 {
+		t.Errorf("recorder reboot events = %d for a watchdog reboot, want 0", counts["reboot"])
 	}
 	if n := rec.ReportsTotal(); n != 0 {
 		t.Errorf("forced unwind produced %d crash reports, want 0", n)

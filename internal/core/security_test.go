@@ -205,11 +205,10 @@ func TestStackPointersDoNotEscape(t *testing.T) {
 // reboot restores integrity and the system as a whole keeps running.
 func TestRepeatAttack(t *testing.T) {
 	img := NewImage("repeat")
-	reb := &compartment.Rebooter{Compartment: "victim"}
 	healthy := 0
 	img.AddCompartment(&firmware.Compartment{
 		Name: "victim", CodeSize: 256, DataSize: 16,
-		ErrorHandler: reb.Handler(nil),
+		ErrorHandler: compartment.RebootHandler("", nil),
 		Exports: []*firmware.Export{
 			{Name: "crash", MinStack: 64,
 				Entry: func(ctx api.Context, args []api.Value) []api.Value {

@@ -468,7 +468,6 @@ const (
 // bad update from taking the device down.
 func addUpdateAgent(img *firmware.Image, cfg *Config) {
 	poisoned := cfg.Rollout != nil && cfg.Rollout.Poisoned
-	reb := &compartment.Rebooter{Compartment: otaCompartment}
 	img.AddCompartment(&firmware.Compartment{
 		Name: otaCompartment, CodeSize: 900, DataSize: 64,
 		Exports: []*firmware.Export{{Name: otaEntryPoke, MinStack: 512,
@@ -480,7 +479,7 @@ func addUpdateAgent(img *firmware.Image, cfg *Config) {
 				ctx.Work(500)
 				return api.EV(api.OK)
 			}}},
-		ErrorHandler: reb.Handler(nil),
+		ErrorHandler: compartment.RebootHandler("", nil),
 	})
 }
 

@@ -191,14 +191,15 @@ type Config struct {
 	// (internal/ota): at Plan.StartAt the cloud offers a new firmware
 	// image — the fleet app plus an update-agent compartment, audited
 	// against the fleet policy like every other shape — to a seeded canary
-	// ring; offered devices micro-reboot into it by forking the new
-	// shape's snapshot template. The rollout widens ring-by-ring while
-	// the updated cohort's health holds over the plan's bake window and
-	// auto-rolls-back when cohort crash reports exceed the plan's
-	// threshold. All decisions run on the simulated clock at checkpoint
-	// barriers, so lockstep ≡ parallel still holds byte-identically.
-	// Requires snapshot/fork boot and the sharded cloud control plane;
-	// JS-firmware profiles cannot take a rollout.
+	// ring; offered devices reboot into it whole, booting the new
+	// shape's launch image as every incarnation does (a fork of its
+	// capture, or a cold boot under NoSnapshot, byte for byte the same).
+	// The rollout widens ring-by-ring while the updated cohort's health
+	// holds over the plan's bake window and auto-rolls-back when cohort
+	// crash reports exceed the plan's threshold. All decisions run on the
+	// simulated clock at checkpoint barriers, so lockstep ≡ parallel
+	// still holds byte-identically. Requires the sharded cloud control
+	// plane; JS-firmware profiles cannot take a rollout.
 	Rollout *ota.Plan
 
 	// NoSnapshot disables snapshot/fork boot (the -no-snapshot escape
@@ -338,8 +339,8 @@ func (c Config) withDefaults() Config {
 // infinite; a profile firmware that is neither shape the fleet builds; a negative arrival spread, which would start no device's app;
 // more devices than the address pool; a failover with fewer than two
 // broker shards; SLO rules that do not parse or run without Obs; and a
-// rollout that cannot run: with NoSnapshot, over jsvm profiles, or with a
-// plan ota rejects. Run calls it before anything boots, and before
+// rollout that cannot run: over jsvm profiles, or with a plan ota
+// rejects. Run calls it before anything boots, and before
 // withDefaults, which would turn a -Inf rate into the default.
 func (c Config) Check() error {
 	var errs []error
@@ -380,9 +381,6 @@ func (c Config) Check() error {
 		bad("SLO rules require Obs (tracing feeds the health series)")
 	}
 	if c.Rollout != nil {
-		if c.NoSnapshot {
-			bad("the OTA rollout micro-reboots devices into forked snapshot templates; it cannot run with NoSnapshot")
-		}
 		for _, p := range c.Profiles {
 			if p.Firmware == FirmwareJS {
 				bad("the OTA rollout updates the %s firmware only; profile %q runs %s", FirmwareGo, p.Name, FirmwareJS)

@@ -220,7 +220,6 @@ func TestRunRejectsEveryViolationBeforeBoot(t *testing.T) {
 	cfg.ArrivalSpread = -time.Millisecond
 	cfg.FailoverAt = 15 * time.Second
 	cfg.SLO = "delivery>=0.9"
-	cfg.NoSnapshot = true
 	cfg.Profiles = []Profile{{Name: "a"}, {Name: "b", Firmware: FirmwareJS}, {Name: "c", Firmware: "wasm"}}
 	cfg.Rollout = &ota.Plan{StartAt: 14 * time.Second, Rings: []float64{50, 10}}
 	_, err := Run(cfg)
@@ -228,7 +227,7 @@ func TestRunRejectsEveryViolationBeforeBoot(t *testing.T) {
 		t.Fatal("Run accepted a config breaking every rule")
 	}
 	for _, want := range []string{"arrival spread", "failover", "require Obs",
-		"NoSnapshot", `profile "b" runs jsvm`, `profile "c" firmware "wasm"`,
+		`profile "b" runs jsvm`, `profile "c" firmware "wasm"`,
 		"rings must be strictly ascending"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Run error %q does not name %q", err, want)
@@ -236,13 +235,13 @@ func TestRunRejectsEveryViolationBeforeBoot(t *testing.T) {
 	}
 
 	rejected := rolloutConfig(false, 20*time.Second)
-	rejected.NoSnapshot = true
+	rejected.Profiles = []Profile{{Name: "js", Firmware: FirmwareJS}}
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := Run(rejected); err == nil {
-			t.Fatal("rollout with NoSnapshot accepted")
+			t.Fatal("rollout over a jsvm profile accepted")
 		}
 	})
 	if allocs >= 100 {
-		t.Errorf("rejecting a rollout with NoSnapshot took %.0f allocations, want tens", allocs)
+		t.Errorf("rejecting a rollout over a jsvm profile took %.0f allocations, want tens", allocs)
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // otaShapeSuffix names the updated firmware's shape apart from the boot
-// image's: the launch captures "fleetapp" and "fleetapp+ota" once each,
-// and every swap — update or rollback — forks from one of the two.
+// image's: the launch boots "fleetapp" and "fleetapp+ota" once each,
+// and every swap — update or rollback — boots one of the two images.
 const otaShapeSuffix = "+ota"
 
 // rolloutRuntime binds the pure ota.Controller to a running fleet: it

@@ -195,15 +195,10 @@ func TestRolloutPoisonedRollsBack(t *testing.T) {
 	checkRolloutForks(t, res)
 }
 
-// TestRolloutRejectsNoSnapshot pins the contract: swaps fork from
-// templates, so a rollout cannot run with snapshot boot disabled.
-func TestRolloutRejectsNoSnapshot(t *testing.T) {
+// TestRolloutRejectsJSVMProfiles pins the contract: the rollout updates
+// the Go firmware only, so it cannot run over a jsvm profile.
+func TestRolloutRejectsJSVMProfiles(t *testing.T) {
 	cfg := rolloutConfig(false, 20*time.Second)
-	cfg.NoSnapshot = true
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("rollout with NoSnapshot did not error")
-	}
-	cfg = rolloutConfig(false, 20*time.Second)
 	cfg.Profiles = []Profile{{Name: "js", Firmware: FirmwareJS}}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("rollout over a jsvm profile did not error")

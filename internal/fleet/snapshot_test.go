@@ -14,44 +14,64 @@ import (
 
 // TestForkedFleetMatchesColdFleet runs the same config with snapshot/fork
 // boot (the default) and with NoSnapshot (every device through the full
-// loader) and requires byte-identical JSON summaries: forking must be
-// invisible to everything deterministic.
+// loader) and requires byte-identical JSON summaries and final memories:
+// forking must be invisible to everything deterministic. The rollouts
+// hold it across firmware swaps, each a whole-image reboot that forks
+// or cold-boots its shape's launch image like the first incarnation: a
+// healthy one, a poisoned one that rolls back, and the swap pin, which
+// every fault crosses.
 func TestForkedFleetMatchesColdFleet(t *testing.T) {
-	cfg := testConfig()
-	cfg.Lockstep = true
+	steady := testConfig()
+	steady.Lockstep = true
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		rollout bool
+	}{
+		{"steady", steady, false},
+		{"rollout", rolloutConfig(false, 45*time.Second), true},
+		{"poisoned rollout", rolloutConfig(true, 45*time.Second), true},
+		{"swap pin", swapPinConfig(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forked, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatalf("forked run: %v", err)
+			}
+			cold := tc.cfg
+			cold.NoSnapshot = true
+			coldRes, err := Run(cold)
+			if err != nil {
+				t.Fatalf("cold run: %v", err)
+			}
 
-	forked, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("forked run: %v", err)
-	}
-	cold := cfg
-	cold.NoSnapshot = true
-	coldRes, err := Run(cold)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
+			if forked.Snapshot == nil {
+				t.Fatal("default run did not fork")
+			}
+			if coldRes.Snapshot != nil {
+				t.Fatal("NoSnapshot run reports snapshot stats")
+			}
+			if tc.rollout {
+				checkRolloutForks(t, forked)
+			} else {
+				want := []ShapeStats{{Firmware: FirmwareGo, Forks: tc.cfg.Devices}}
+				if st := *forked.Snapshot; !reflect.DeepEqual(st.Shapes, want) || st.Forks != tc.cfg.Devices {
+					t.Fatalf("snapshot stats = %+v, want one capture and %d forks", st, tc.cfg.Devices)
+				}
+			}
 
-	if forked.Snapshot == nil {
-		t.Fatal("default run did not fork")
-	}
-	if coldRes.Snapshot != nil {
-		t.Fatal("NoSnapshot run reports snapshot stats")
-	}
-	want := []ShapeStats{{Firmware: FirmwareGo, Forks: cfg.Devices}}
-	if st := *forked.Snapshot; !reflect.DeepEqual(st.Shapes, want) || st.Forks != cfg.Devices {
-		t.Fatalf("snapshot stats = %+v, want one capture and %d forks", st, cfg.Devices)
-	}
+			j1, j2 := summaryJSON(t, forked.Summary), summaryJSON(t, coldRes.Summary)
+			if !bytes.Equal(j1, j2) {
+				t.Errorf("forked fleet summary diverges from cold boot:\n--- forked ---\n%s\n--- cold ---\n%s", j1, j2)
+			}
 
-	j1, j2 := summaryJSON(t, forked.Summary), summaryJSON(t, coldRes.Summary)
-	if !bytes.Equal(j1, j2) {
-		t.Errorf("forked fleet summary diverges from cold boot:\n--- forked ---\n%s\n--- cold ---\n%s", j1, j2)
-	}
-
-	// Final machine state must match too, device by device.
-	for i := range forked.Devices {
-		if !forked.Devices[i].Sys.Board.Core.Mem.Equal(coldRes.Devices[i].Sys.Board.Core.Mem) {
-			t.Errorf("device %d final memory diverges between forked and cold boot", i)
-		}
+			// Final machine state must match too, device by device.
+			for i := range forked.Devices {
+				if !forked.Devices[i].Sys.Board.Core.Mem.Equal(coldRes.Devices[i].Sys.Board.Core.Mem) {
+					t.Errorf("device %d final memory diverges between forked and cold boot", i)
+				}
+			}
+		})
 	}
 }
 

@@ -88,12 +88,12 @@ func TestRolloutFlags(t *testing.T) {
 	// TestRunRejectsEveryViolationBeforeBoot pins.
 	_, err = ParseArgs([]string{
 		"-rollout", "14s", "-rollout-rings", "ten,100",
-		"-no-snapshot", "-failover", "15s",
+		"-profiles", "js:1:fw=jsvm", "-failover", "15s",
 	})
 	if err == nil {
 		t.Fatal("contradictory rollout invocation accepted")
 	}
-	for _, want := range []string{"-rollout-rings", "NoSnapshot", "failover"} {
+	for _, want := range []string{"-rollout-rings", `profile "js" runs jsvm`, "failover"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("aggregated error %q missing %q", err, want)
 		}

@@ -17,16 +17,16 @@ func TestTraceIDLayout(t *testing.T) {
 		if IsCloudTrace(id) {
 			t.Errorf("device trace %x claims cloud origin", id)
 		}
-		if got := TraceDevice(id); got != dev {
-			t.Errorf("TraceDevice(%x) = %d, want %d", id, got, dev)
+		if got := id >> 40; got != uint64(dev+1) {
+			t.Errorf("trace %x carries device bits %d, want %d", id, got, dev+1)
 		}
 	}
 	c := CloudTrace(0)
 	if c == 0 || !IsCloudTrace(c) {
 		t.Errorf("cloud trace %x not marked", c)
 	}
-	if TraceDevice(c) != -1 || TraceDevice(0) != -1 {
-		t.Error("cloud/zero traces must map to device -1")
+	if IsCloudTrace(0) {
+		t.Error("the untraced zero claims cloud origin")
 	}
 	// Distinct publishes get distinct IDs.
 	if DeviceTrace(3, 0) == DeviceTrace(3, 1) || DeviceTrace(3, 0) == DeviceTrace(4, 0) {

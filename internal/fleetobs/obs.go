@@ -105,15 +105,6 @@ func CloudTrace(seq uint64) uint64 { return cloudTraceBit | (seq + 1) }
 // schedule rather than a device publish.
 func IsCloudTrace(trace uint64) bool { return trace&cloudTraceBit != 0 }
 
-// TraceDevice returns the originating device index of a device trace,
-// -1 for cloud traces.
-func TraceDevice(trace uint64) int {
-	if trace == 0 || IsCloudTrace(trace) {
-		return -1
-	}
-	return int(trace>>40) - 1
-}
-
 // sampleDenom is the resolution of the sampling draw (same 2^53 lattice
 // the link fault injector uses).
 const sampleDenom = 1 << 53

@@ -25,7 +25,7 @@ import (
 const oracleSize = 0x1000
 
 // oracleMaxCopies bounds the memories alive at once (the original plus
-// clones and restored snapshots).
+// restored snapshots).
 const oracleMaxCopies = 3
 
 // refModel is the oracle for one Memory.
@@ -293,8 +293,8 @@ func (o *oracle) exec() {
 		if got, want := c.m.SweepGranules(start, count), c.ref.sweep(start, count); got != want {
 			o.t.Fatalf("step %d: SweepGranules(%d, %d) = %d, want %d", o.step, start, count, got, want)
 		}
-	case 9: // Clone
-		i = o.place(oracleCopy{m: c.m.Clone(), ref: c.ref.clone()})
+	case 9: // Copy through a snapshot restored at once
+		i = o.place(oracleCopy{m: c.m.Snapshot().Restore(), ref: c.ref.clone()})
 	case 10: // Snapshot, restored by a later operation
 		o.snaps = append(o.snaps, oracleSnap{s: c.m.Snapshot(), ref: c.ref.clone()})
 		if len(o.snaps) > oracleMaxCopies {

@@ -7,7 +7,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 )
 
-// Copy, equality, and snapshot/restore support for snapshot/fork boot: a
+// Equality and snapshot/restore support for snapshot/fork boot: a
 // booted template device's SRAM (data bytes, stored capabilities, tag and
 // revocation bitmaps) is captured once and stamped out per forked device
 // without re-running the loader. Forks share the template's data chunks
@@ -17,22 +17,6 @@ import (
 // copy: windows hold live device pointers (each forked core re-maps its
 // own devices at the same addresses), and the hook is per-device
 // observability state installed after boot.
-
-// Clone returns an independent copy of the SRAM state: data bytes,
-// stored capabilities, and the tag and revocation bitmaps. The clone
-// copies the chunk table and the written chunks, and shares the
-// read-only ones. It has no MMIO windows and no load-filter hook.
-func (m *Memory) Clone() *Memory {
-	return &Memory{
-		size:    m.size,
-		chunks:  slices.Clone(m.chunks),
-		shared:  m.shared,
-		priv:    bytes.Clone(m.priv),
-		tags:    m.tags.Clone(),
-		caps:    cloneCaps(m.caps),
-		revoked: m.revoked.Clone(),
-	}
-}
 
 // cloneCaps copies a capability store's non-empty words into one fresh
 // backing array. Each word's slice is capped at its length, so growing

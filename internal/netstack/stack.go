@@ -46,13 +46,11 @@ func AddTo(img *firmware.Image, cfg Config) {
 	if cfg.DriverPriority == 0 {
 		cfg.DriverPriority = 7
 	}
-	reb := &compartment.Rebooter{Compartment: TCPIP, QuotaImport: "default"}
-
 	addFirewall(img)
 	// The TCP/IP micro-reboot's dominant cost is draining connection
 	// buffers and re-initializing the ported stack; §5.3.3 reports 0.27 s
 	// end to end at 33 MHz, which calibrates the charge below.
-	handler := reb.Handler(func(ctx api.Context, _ *hw.Trap) {
+	handler := compartment.RebootHandler("default", func(ctx api.Context, _ *hw.Trap) {
 		ctx.Work(8_500_000)
 	})
 	staticIP := cfg.DeviceIP

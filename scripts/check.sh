@@ -92,10 +92,11 @@ echo "== kernel loop on thread coroutines (race, 10 runs) =="
 # the core back to Run's loop, which resumes the next thread; repeat the
 # switcher, scheduler and multi-System tests, the libs' ticket-lock,
 # queue and multiwait tests (which wake several waiters through each
-# thread's one reused waiter), the micro-reboot tests (one image's
-# Rebooter rebooting on two machines' kernels), and the case-study
-# stream pins that run with both event sinks on, to shake out hand-off
-# races.
+# thread's one reused waiter), the micro-reboot tests (one image booted
+# as two machines, each rebooting on its own kernel from an error handler
+# and from a watchdog whose run must not move the other machine's clock),
+# and the case-study stream pins that run with both event sinks on, to
+# shake out hand-off races.
 go test -race -count=10 ./internal/switcher/ ./internal/sched/ ./internal/core/ \
 	./internal/libs/ ./internal/iotapp/ ./internal/compartment/
 echo "ok"
@@ -189,7 +190,9 @@ echo "== snapshot fork = cold boot (race) =="
 # The fork ≡ cold-boot identity under the race detector: template
 # capture/fork byte-identity, one launch capture per fleet shape, every
 # incarnation booting its shape's audited image, and the forked-fleet ≡
-# cold-fleet summary comparison.
+# cold-fleet summary and memory comparison, over a steady fleet and three
+# rollouts (healthy, poisoned, and the swap pin) whose swaps cold-boot
+# under NoSnapshot.
 go test -race -count=1 -run 'Snapshot|Fork|Template|Heterogeneous|BootPerShape|DevicesBootTheAuditedImage' \
 	./internal/mem/ ./internal/snapshot/ ./internal/fleet/
 # Concurrent forks each copy the per-word capability store out of one
