@@ -232,7 +232,7 @@ func TestBenchFleetJSON(t *testing.T) {
 	// and shares the template's SRAM chunks copy-on-write, so it pays
 	// only for the chunks it writes; what remains is building each
 	// device's kernel, compartment, thread and allocator objects (about
-	// 140 host allocations per fork), which the loader path builds too
+	// 70 host allocations per fork), which the loader path builds too
 	// (see spinup_note).
 	if gate.ConstructSpeedup < 1.25 {
 		t.Errorf("snapshot fork construct speedup at 10k devices is %.2fx, want >= 1.25x (%.1fµs cold vs %.1fµs fork)",
@@ -267,7 +267,7 @@ func TestBenchFleetJSON(t *testing.T) {
 			"vs boot/fork) the fork replaces. The 10x design target is not met on this workload: the " +
 			"fork eliminates the linker/loader CPU work and shares the template's SRAM chunks " +
 			"copy-on-write, but still builds each device's kernel, compartment, thread and allocator " +
-			"objects (about 140 host allocations per fork), which the cold path builds too — " +
+			"objects (about 70 host allocations per fork), which the cold path builds too — " +
 			"measured speedup is ~3-4x depending on heap state, not 10x. Regression gate: " +
 			"construct_speedup >= 1.25 and forked boot wall < cold at 10k devices.",
 		"note": "wall-clock figures are machine-dependent; simulated results (publishes, cycle " +

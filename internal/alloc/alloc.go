@@ -145,7 +145,8 @@ type Alloc struct {
 	heapNode uint32
 }
 
-// New returns an unattached allocator.
+// New returns an unattached allocator. After boot, core installs it as
+// the allocator compartment's state and attaches it.
 func New() *Alloc {
 	return &Alloc{
 		quotas: make(map[uint32]*quota),

@@ -31,29 +31,32 @@ const (
 	dataSize = 56
 )
 
-// AddTo registers the allocator compartment in a firmware image.
-func (a *Alloc) AddTo(img *firmware.Image) {
-	img.AddCompartment(&firmware.Compartment{
-		Name:     Name,
-		CodeSize: codeSize,
-		DataSize: dataSize,
-		Exports: []*firmware.Export{
-			{Name: EntryAllocate, MinStack: 256, Entry: a.heapAllocate},
-			{Name: EntryFree, MinStack: 256, Entry: a.heapFree},
-			{Name: EntryClaim, MinStack: 160, Entry: a.heapClaim},
-			{Name: EntryAllocateSealed, MinStack: 256, Entry: a.heapAllocateSealed},
-			{Name: EntryFreeSealed, MinStack: 256, Entry: a.heapFreeSealed},
-			{Name: EntryQuotaRemaining, MinStack: 96, Entry: a.heapQuotaRemaining},
-			{Name: EntryFreeAll, MinStack: 256, Entry: a.heapFreeAll},
-			{Name: EntryCanFree, MinStack: 96, Entry: a.heapCanFree},
-		},
-		// Allocations may be delayed until the end of a revocation pass;
-		// the allocator defers to the scheduler to sleep (§3.1.3).
-		Imports: []firmware.Import{
-			{Kind: firmware.ImportCall, Target: sched.Name, Entry: sched.EntrySleep},
-		},
-	})
+// definition is the allocator's compartment, the same in every image:
+// its entries reach the machine's Alloc through the compartment's state.
+var definition = &firmware.Compartment{
+	Name:     Name,
+	CodeSize: codeSize,
+	DataSize: dataSize,
+	Exports: []*firmware.Export{
+		{Name: EntryAllocate, MinStack: 256, Entry: api.On((*Alloc).heapAllocate)},
+		{Name: EntryFree, MinStack: 256, Entry: api.On((*Alloc).heapFree)},
+		{Name: EntryClaim, MinStack: 160, Entry: api.On((*Alloc).heapClaim)},
+		{Name: EntryAllocateSealed, MinStack: 256, Entry: api.On((*Alloc).heapAllocateSealed)},
+		{Name: EntryFreeSealed, MinStack: 256, Entry: api.On((*Alloc).heapFreeSealed)},
+		{Name: EntryQuotaRemaining, MinStack: 96, Entry: api.On((*Alloc).heapQuotaRemaining)},
+		{Name: EntryFreeAll, MinStack: 256, Entry: api.On((*Alloc).heapFreeAll)},
+		{Name: EntryCanFree, MinStack: 96, Entry: api.On((*Alloc).heapCanFree)},
+	},
+	// Allocations may be delayed until the end of a revocation pass;
+	// the allocator defers to the scheduler to sleep (§3.1.3).
+	Imports: []firmware.Import{
+		{Kind: firmware.ImportCall, Target: sched.Name, Entry: sched.EntrySleep},
+	},
 }
+
+// AddTo registers the allocator compartment, whose one definition every
+// image shares, in a firmware image.
+func AddTo(img *firmware.Image) { img.AddCompartment(definition) }
 
 // Imports returns the import entries a compartment needs for the full
 // allocator API.

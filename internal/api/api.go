@@ -142,6 +142,14 @@ func ErrnoOf(rets []Value) Errno {
 // caller that needs a value longer copies it out first.
 type Entry func(ctx Context, args []Value) []Value
 
+// On adapts a method expression of a compartment's state type, such as
+// (*Sched).sleep, into an Entry that runs the method on the state of the
+// machine it is called on (Context.State). The entry holds no machine's
+// value, so one compartment definition serves every machine.
+func On[S any](method func(S, Context, []Value) []Value) Entry {
+	return func(ctx Context, args []Value) []Value { return method(ctx.State().(S), ctx, args) }
+}
+
 // HandlerDecision is returned by a compartment's global error handler.
 type HandlerDecision int
 

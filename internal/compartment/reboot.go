@@ -26,8 +26,8 @@ import (
 //  1. prevent new threads from entering (the switcher's resetting guard);
 //  2. rewind all threads in the compartment (forced unwind + force-wake);
 //  3. release all heap data owned by the compartment's quota;
-//  4. reset globals from the boot-time snapshot and rebuild the Go-level
-//     state object;
+//  4. reset globals to their boot-time content and rebuild the Go-level
+//     state object from the compartment's State factory;
 //  5. persistent state, if any, lives in a separate state-store
 //     compartment and survives.
 func Reboot(ctx api.Context, target, quota string) error {

@@ -99,9 +99,14 @@ func Beat(ctx api.Context, name string) {
 // run is the watchdog thread body: every period it compares each
 // target's heartbeat with the last, and micro-reboots a target whose
 // heartbeat stalled for StallChecks periods, releasing its heap through
-// the delegated capability. It exits only when unwound.
+// the delegated capability. The reboot evicted the target's threads, so
+// it is watched again only once a beat shows one runs there: a reboot is
+// neither repeated nor, failed, retried every StallChecks periods. It
+// exits only when unwound.
 func (w *Watchdog) run(ctx api.Context, args []api.Value) []api.Value {
 	last := make([]uint32, len(w.Targets))
+	// stalled counts a target's periods without a beat; -1 disarms a
+	// rebooted target until its next beat.
 	stalled := make([]int, len(w.Targets))
 	for i, t := range w.Targets {
 		last[i] = ctx.Load32(ctx.SharedGlobal(t.Heartbeat))
@@ -117,14 +122,17 @@ func (w *Watchdog) run(ctx api.Context, args []api.Value) []api.Value {
 				stalled[i] = 0
 				continue
 			}
+			if stalled[i] < 0 {
+				continue
+			}
 			stalled[i]++
 			if stalled[i] < w.StallChecks {
 				continue
 			}
 			// A failed reboot leaves the victim's guard up, closed rather
-			// than reopened over a heap it still holds; keep watching.
+			// than reopened over a heap it still holds.
 			_ = Reboot(ctx, t.Compartment, t.Compartment+"."+t.Quota)
-			stalled[i] = 0
+			stalled[i] = -1
 			last[i] = ctx.Load32(ctx.SharedGlobal(t.Heartbeat))
 		}
 	}

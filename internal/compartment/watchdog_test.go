@@ -163,3 +163,67 @@ func buildHungImage(quota string) *firmware.Image {
 		Priority: 1, StackSize: 4096, TrustedStackFrames: 12})
 	return img
 }
+
+// TestWatchdogRebootsOncePerHang: the watchdog reboots a hung target
+// once per hang. The reboot evicts the hung worker, so the victim never
+// beats again and is not rebooted again, however long the machine runs.
+// A victim a caller enters again beats, hangs again, and is rebooted
+// again, once per hang.
+func TestWatchdogRebootsOncePerHang(t *testing.T) {
+	t.Run("hung once", func(t *testing.T) {
+		s := bootMachines(t, buildHungImage("default"), 1)[0]
+		if err := s.RunFor(20_000_000); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if n := s.Kernel.Comp("victim").Reboots(); n != 1 {
+			t.Errorf("watchdog rebooted the victim %d times in 20 M cycles, want 1", n)
+		}
+	})
+	t.Run("hangs again", func(t *testing.T) {
+		const hangs = 2
+		img := core.NewImage("rehung")
+		heartbeat := compartment.HeartbeatName("victim")
+		img.AddCompartment(&firmware.Compartment{
+			Name: "victim", CodeSize: 512, DataSize: 16,
+			AllocCaps: []firmware.AllocCap{{Name: "default", Quota: 4096}},
+			Exports: []*firmware.Export{{Name: "work", MinStack: 512,
+				Entry: func(ctx api.Context, args []api.Value) []api.Value {
+					compartment.Beat(ctx, heartbeat)
+					for { // hang: no beats, no traps
+						ctx.Work(50_000)
+					}
+				}}},
+		})
+		(&compartment.Watchdog{
+			Targets:      []compartment.WatchdogTarget{{Compartment: "victim", Quota: "default"}},
+			PeriodCycles: 500_000,
+			StallChecks:  3,
+		}).AddTo(img)
+		unwound := 0
+		img.AddCompartment(&firmware.Compartment{
+			Name: "caller", CodeSize: 128,
+			Imports: []firmware.Import{{Kind: firmware.ImportCall, Target: "victim", Entry: "work"}},
+			Exports: []*firmware.Export{{Name: "main", MinStack: 1024,
+				Entry: func(ctx api.Context, args []api.Value) []api.Value {
+					for i := 0; i < hangs; i++ {
+						if _, err := ctx.Call("victim", "work"); err != nil {
+							unwound++
+						}
+					}
+					return nil
+				}}},
+		})
+		img.AddThread(&firmware.Thread{Name: "caller", Compartment: "caller", Entry: "main",
+			Priority: 1, StackSize: 4096, TrustedStackFrames: 12})
+		s := bootMachines(t, img, 1)[0]
+		if err := s.RunFor(20_000_000); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if unwound != hangs {
+			t.Fatalf("%d of the %d hung calls were unwound", unwound, hangs)
+		}
+		if n := s.Kernel.Comp("victim").Reboots(); n != hangs {
+			t.Errorf("watchdog rebooted the victim %d times, want one per hang (%d)", n, hangs)
+		}
+	})
+}

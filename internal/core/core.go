@@ -37,8 +37,8 @@ type System struct {
 	Token *token.Token
 
 	// Snapshot is the captured post-boot machine state, non-nil only when
-	// the System was booted with BootOptions.CaptureSnapshot. Pass it as
-	// BootOptions.Snapshot to fork further identical Systems.
+	// the System was booted with BootOptions.CaptureSnapshot. Fork boots
+	// further identical Systems from it.
 	Snapshot *loader.Snapshot
 }
 
@@ -61,13 +61,6 @@ type BootOptions struct {
 	// compartment's capability sets. The booted machine itself is
 	// unchanged; capturing costs one sparse SRAM scan.
 	CaptureSnapshot bool
-	// Snapshot, when non-nil, forks the System from previously captured
-	// post-boot state instead of running the linker and loader. The image
-	// must have the same shape (compartment/library/thread structure,
-	// SRAM, clock) as the one the snapshot was captured from; its Go
-	// closures (Entry, State, ErrorHandler) and name are the fork's own.
-	// The result is indistinguishable from a cold boot of the same image.
-	Snapshot *loader.Snapshot
 }
 
 // Boot adds the TCB compartments to a copy of the image, links it, runs
@@ -85,31 +78,43 @@ func BootWith(img *firmware.Image, opts BootOptions) (*System, error) {
 	// caller's image keeps its own.
 	booted := *img
 	booted.Compartments = slices.Clip(img.Compartments)
-	img = &booted
-	s := &System{Image: img, Sched: sched.New(), Alloc: alloc.New(), Token: token.New()}
-	s.Sched.AddTo(img)
-	s.Alloc.AddTo(img)
-	s.Token.AddTo(img)
-
-	lopts := loader.Options{SkipReport: opts.SkipReport, CaptureSnapshot: opts.CaptureSnapshot}
-	var boot *loader.Boot
-	var err error
-	if opts.Snapshot != nil {
-		boot, err = loader.Fork(opts.Snapshot, img, lopts)
-	} else {
-		boot, err = loader.LoadWith(img, lopts)
-	}
+	sched.AddTo(&booted)
+	alloc.AddTo(&booted)
+	token.AddTo(&booted)
+	boot, err := loader.LoadWith(&booted, loader.Options{SkipReport: opts.SkipReport, CaptureSnapshot: opts.CaptureSnapshot})
 	if err != nil {
 		return nil, fmt.Errorf("core: boot failed: %w", err)
 	}
-	s.Kernel = boot.Kernel
-	s.Board = boot.Board
-	s.Report = boot.Report
-	s.Snapshot = boot.Snapshot
+	return attach(boot), nil
+}
 
+// Fork boots a System from a snapshot a capture took (System.Snapshot
+// of a BootWith with CaptureSnapshot) without running the linker or the
+// loader: it boots the captured image as is, TCB included, so
+// System.Image, its compartment definitions and the report are the
+// capture's, shared by every fork. Only the machine is the fork's own:
+// its memory, kernel and TCB services. It is indistinguishable from a
+// cold boot of the image. With CaptureSnapshot its System.Snapshot is
+// snap.
+func Fork(snap *loader.Snapshot, opts BootOptions) *System {
+	return attach(loader.Fork(snap, loader.Options{SkipReport: opts.SkipReport, CaptureSnapshot: opts.CaptureSnapshot}))
+}
+
+// attach makes the System around a booted machine: it makes the TCB's
+// services for the machine, installs each as its compartment's state,
+// and wires them to the kernel. The TCB compartments declare no State
+// factory, and FinishReset rebuilds a compartment's state only from its
+// factory, so no micro-reboot replaces a service under the kernel.
+func attach(boot *loader.Boot) *System {
+	s := &System{Image: boot.Image, Kernel: boot.Kernel, Board: boot.Board,
+		Report: boot.Report, Snapshot: boot.Snapshot,
+		Sched: sched.New(), Alloc: alloc.New(), Token: token.New()}
+	s.Kernel.Comp(sched.Name).SetState(s.Sched)
+	s.Kernel.Comp(alloc.Name).SetState(s.Alloc)
+	s.Kernel.Comp(token.Name).SetState(s.Token)
 	s.Sched.Attach(s.Kernel)
 	s.Alloc.Attach(s.Kernel, boot.Quotas)
-	return s, nil
+	return s
 }
 
 // EnableTelemetry turns on the unified telemetry layer: per-compartment

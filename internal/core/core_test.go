@@ -714,3 +714,51 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("no cycles elapsed")
 	}
 }
+
+// TestRebootKeepsTCBServices: the TCB's services are machine state that
+// attach installs, not state a factory makes, so a micro-reboot of a TCB
+// compartment keeps the service the kernel runs: after a reboot of each,
+// an allocation, a new key and a sleep all reach this System's services.
+func TestRebootKeepsTCBServices(t *testing.T) {
+	img := NewImage("tcb-reboot")
+	var errnos []api.Errno
+	img.AddCompartment(&firmware.Compartment{
+		Name: "app", CodeSize: 128,
+		AllocCaps: []firmware.AllocCap{{Name: "default", Quota: 1024}},
+		Imports:   append(append(alloc.Imports(), sched.Imports()...), token.Imports()...),
+		Exports: []*firmware.Export{{Name: "main", MinStack: 512,
+			Entry: func(ctx api.Context, args []api.Value) []api.Value {
+				_, errno := (alloc.Client{}).Malloc(ctx, 64)
+				errnos = append(errnos, errno)
+				_, errno = token.KeyNew(ctx)
+				errnos = append(errnos, errno)
+				rets, err := ctx.Call(sched.Name, sched.EntrySleep, api.W(1_000))
+				if err != nil {
+					errnos = append(errnos, api.ErrUnwound)
+				} else {
+					errnos = append(errnos, api.ErrnoOf(rets))
+				}
+				return nil
+			}}},
+	})
+	img.AddThread(&firmware.Thread{Name: "t", Compartment: "app", Entry: "main",
+		Priority: 1, StackSize: 1024, TrustedStackFrames: 6})
+	s := boot(t, img)
+	for _, name := range []string{sched.Name, alloc.Name, token.Name} {
+		if err := s.Kernel.BeginReset(name, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Kernel.FinishReset(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(nil); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(errnos) != 3 || errnos[0] != api.OK || errnos[1] != api.OK || errnos[2] != api.OK {
+		t.Fatalf("malloc, key_new, sleep after the reboots: %v, want all OK", errnos)
+	}
+	if n := s.Alloc.Stats().Allocs; n != 1 {
+		t.Fatalf("System.Alloc counts %d allocations, want the app's 1", n)
+	}
+}

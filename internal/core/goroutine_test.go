@@ -4,18 +4,20 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/cheriot-go/cheriot/internal/alloc"
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/fleet"
 	"github.com/cheriot-go/cheriot/internal/sched"
+	"github.com/cheriot-go/cheriot/internal/token"
 )
 
 // TestBootStartsNoGoroutine: booting the fleet's firmware image, cold or
-// as a snapshot capture, and forking it start no goroutine; a thread
-// binds a runner only at its first dispatch. After Shutdown a machine
-// whose thread blocked holds no goroutine either, and nor does one whose
-// threads all exited, without a Shutdown.
+// as a snapshot capture, and forking the capture (core.Fork) start no
+// goroutine; a thread binds a runner only at its first dispatch. After
+// Shutdown a machine whose thread blocked holds no goroutine either, and
+// nor does one whose threads all exited, without a Shutdown.
 func TestBootStartsNoGoroutine(t *testing.T) {
 	// Goroutines an earlier test left exiting can only lower the count,
 	// so any rise is the machine's.
@@ -32,10 +34,7 @@ func TestBootStartsNoGoroutine(t *testing.T) {
 		t.Fatalf("capture: %v", err)
 	}
 	check("after a capture")
-	s, err := core.BootWith(img, core.BootOptions{Snapshot: tmpl.Snapshot})
-	if err != nil {
-		t.Fatalf("fork: %v", err)
-	}
+	s := core.Fork(tmpl.Snapshot, core.BootOptions{})
 	check("after a fork")
 	tmpl.Shutdown()
 	s.Shutdown()
@@ -59,9 +58,7 @@ func TestBootStartsNoGoroutine(t *testing.T) {
 		t.Fatalf("capture: %v", err)
 	}
 	tmpl.Shutdown()
-	if s, err = core.BootWith(img, core.BootOptions{Snapshot: tmpl.Snapshot}); err != nil {
-		t.Fatalf("fork: %v", err)
-	}
+	s = core.Fork(tmpl.Snapshot, core.BootOptions{})
 	if err := s.RunFor(1_000_000); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -87,4 +84,61 @@ func TestBootStartsNoGoroutine(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	check("after a run in which every thread exited")
+}
+
+// TestForksShareTheCapturedImage: two forks of one capture of the fleet's
+// firmware boot the captured image as is, TCB included: they share the
+// image, every compartment definition and the report, and copy none.
+// Only the machine is each fork's own, its TCB services with it: an
+// allocation on one leaves the other's allocator as it was. A fork costs
+// a bounded number of host allocations.
+func TestForksShareTheCapturedImage(t *testing.T) {
+	tmpl, err := core.BootWith(fleet.RepresentativeImage(fleet.Config{}), core.BootOptions{CaptureSnapshot: true})
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	tmpl.Shutdown()
+	a, b := core.Fork(tmpl.Snapshot, core.BootOptions{}), core.Fork(tmpl.Snapshot, core.BootOptions{})
+	defer a.Shutdown()
+	defer b.Shutdown()
+	if a.Image != tmpl.Image || b.Image != tmpl.Image {
+		t.Fatal("a fork boots an image other than the captured one")
+	}
+	if a.Report != tmpl.Report || b.Report != tmpl.Report {
+		t.Fatal("a fork holds a report other than the capture's")
+	}
+	for _, def := range tmpl.Image.Compartments {
+		if a.Kernel.Comp(def.Name).Def() != def || b.Kernel.Comp(def.Name).Def() != def {
+			t.Fatalf("compartment %s: a fork runs a definition other than the capture's", def.Name)
+		}
+	}
+	for _, name := range []string{sched.Name, alloc.Name, token.Name} {
+		if tmpl.Image.Compartment(name) == nil {
+			t.Fatalf("the captured image lacks TCB compartment %s", name)
+		}
+	}
+	if a.Sched == b.Sched || a.Alloc == b.Alloc || a.Token == b.Token {
+		t.Fatal("two forks share a TCB service")
+	}
+
+	// The network driver, the highest-priority thread, allocates its DMA
+	// staging buffer and then blocks on its interrupt; the run stops at
+	// that dispatch, before the fleet app, which runs only on a fleet
+	// device, is picked.
+	before := b.Alloc.Stats()
+	if err := a.Run(func() bool { return a.Alloc.Stats().Allocs > 0 }); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n := a.Alloc.Stats().Allocs; n != 1 {
+		t.Fatalf("the fork's allocator counts %d allocations, want 1", n)
+	}
+	if after := b.Alloc.Stats(); after != before {
+		t.Fatalf("an allocation on one fork moved the other's allocator from %+v to %+v", before, after)
+	}
+
+	if n := testing.AllocsPerRun(20, func() {
+		core.Fork(tmpl.Snapshot, core.BootOptions{SkipReport: true}).Shutdown()
+	}); n > 100 {
+		t.Errorf("a fork of the fleet image allocates %.0f times, want at most 100", n)
+	}
 }

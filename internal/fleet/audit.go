@@ -30,7 +30,8 @@ func RepresentativeImage(cfg Config) *firmware.Image {
 type shape struct {
 	firmware string // the Profile.Firmware of the devices that run it
 	ota      bool   // the rollout's updated image: the app plus the update agent
-	// img is the image the launch audits and every incarnation boots.
+	// img is the image the launch builds and audits; a boot adds the TCB
+	// to it, and a fork boots the capture's booted image as is.
 	img *firmware.Image
 	// report is the launch boot's audit report (nil under SkipAudit).
 	report *firmware.Report
@@ -38,6 +39,19 @@ type shape struct {
 	// shape forks (nil under NoSnapshot, where each one cold-boots img).
 	snap  *loader.Snapshot
 	forks atomic.Int64
+}
+
+// boot boots one device incarnation of the shape: a fork of the launch
+// capture, which boots the captured image as is, or under NoSnapshot a
+// cold boot of img. It skips the audit report: the launch audited the
+// image.
+func (sh *shape) boot() (*core.System, error) {
+	opts := core.BootOptions{SkipReport: true}
+	if sh.snap == nil {
+		return core.BootWith(sh.img, opts)
+	}
+	sh.forks.Add(1)
+	return core.Fork(sh.snap, opts), nil
 }
 
 // name is the shape's name in errors and stats: its firmware, with

@@ -197,22 +197,18 @@ func buildDevice(cfg *Config, pl *cloud.Plane, schedule []cloud.Event, shapes []
 
 // bringUp starts one incarnation of the device at cycle start: 0 for the
 // boot image, the retirement cycle for a firmware swap. Every incarnation
-// is wired the same way: boot shape sh's audited image, forking the
-// launch capture (a cold boot under NoSnapshot); bind the device as Env;
-// jump a swapped-in core to start so the device keeps one absolute cycle
-// timeline; attach the World and cloud, arm the instruments and faults,
-// and install the cloud schedule's events after start.
+// is wired the same way: boot shape sh's audited image (sh.boot); bind
+// the device as Env; jump a swapped-in core to start so the device keeps
+// one absolute cycle timeline; attach the World and cloud, arm the
+// instruments and faults, and install the cloud schedule's events after
+// start.
 func (d *Device) bringUp(pl *cloud.Plane, schedule []cloud.Event, start uint64, sh *shape) error {
 	cfg := d.cfg
 	t0 := time.Now()
-	// Skip the per-device audit report: the launch audited the image.
-	sys, err := core.BootWith(sh.img, core.BootOptions{SkipReport: true, Snapshot: sh.snap})
+	sys, err := sh.boot()
 	d.bootWall += time.Since(t0)
 	if err != nil {
 		return fmt.Errorf("boot %s: %w", sh.name(), err)
-	}
-	if sh.snap != nil {
-		sh.forks.Add(1)
 	}
 	if start > 0 {
 		// A fresh System's clock starts at zero with no pending events,

@@ -6,10 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/cheriot-go/cheriot/internal/alloc"
+	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
-	"github.com/cheriot-go/cheriot/internal/sched"
-	"github.com/cheriot-go/cheriot/internal/token"
 )
 
 // TestForkedFleetMatchesColdFleet runs the same config with snapshot/fork
@@ -94,9 +92,10 @@ func mixedConfig() Config {
 
 // TestHeterogeneousFleetTemplatesPerShape proves a mixed Go+jsvm fleet
 // never shares a template across firmware shapes: one template per
-// distinct Profile.Firmware, and the jsvm devices really fork from the
-// jsvm template (their firmware has an extra library, so a shared
-// template would fail loudly at fork validation).
+// distinct Profile.Firmware, forked by that firmware's devices (a fork
+// boots its template's image, so a shared template would run the Go
+// image on jsvm devices; TestDevicesBootTheAuditedImage checks each
+// device's image).
 func TestHeterogeneousFleetTemplatesPerShape(t *testing.T) {
 	cfg := mixedConfig()
 	res, err := Run(cfg)
@@ -175,13 +174,13 @@ func TestOneBootPerShape(t *testing.T) {
 // TestDevicesBootTheAuditedImage: every device incarnation, forked or
 // cold-booted, on its boot shape, updated or rolled back, boots its
 // shape's one launch image, the image whose boot report the launch
-// audited. Its compartments, bar the TCB each boot adds, are that
-// image's *firmware.Compartment values, so the audited report describes
-// every device.
+// audited. Its compartments, the TCB's included, are that boot's
+// *firmware.Compartment values, so the audited report describes every
+// device, and a forked incarnation boots the launch capture's image
+// itself.
 func TestDevicesBootTheAuditedImage(t *testing.T) {
 	cold := mixedConfig()
 	cold.NoSnapshot = true
-	tcb := map[string]bool{sched.Name: true, alloc.Name: true, token.Name: true}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -196,11 +195,14 @@ func TestDevicesBootTheAuditedImage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			launched := map[*shape]bool{}
+			// launchImage is, per shape, the image of a boot made as the
+			// launch made its boot: a fork of the launch capture boots the
+			// captured image as is, and a cold boot adds the TCB
+			// definitions every image shares to img, as the launch did.
+			launchImage := map[*shape]*firmware.Image{}
 			swapped := 0
 			for _, d := range res.Devices {
 				sh := d.sh
-				launched[sh] = true
 				if d.incarnation > 0 {
 					swapped++
 				}
@@ -210,30 +212,47 @@ func TestDevicesBootTheAuditedImage(t *testing.T) {
 				if sh.report == nil {
 					t.Fatalf("shape %s: the launch audited no report", sh.name())
 				}
+				launched := launchImage[sh]
+				if launched == nil {
+					var ref *core.System
+					if sh.snap != nil {
+						ref = core.Fork(sh.snap, core.BootOptions{})
+					} else if ref, err = core.BootWith(sh.img, core.BootOptions{}); err != nil {
+						t.Fatal(err)
+					}
+					ref.Shutdown()
+					launched = ref.Image
+					launchImage[sh] = launched
+				}
+				if sh.snap != nil && d.Sys.Image != launched {
+					t.Fatalf("forked device %d boots an image other than its shape's capture", d.Index)
+				}
 				own := map[*firmware.Compartment]bool{}
-				for _, c := range sh.img.Compartments {
+				for _, c := range launched.Compartments {
 					own[c] = true
 				}
-				booted := 0
+				for _, c := range sh.img.Compartments {
+					if !own[c] {
+						t.Fatalf("shape %s: the launch booted no compartment %s of its image", sh.name(), c.Name)
+					}
+				}
 				for _, c := range d.Sys.Image.Compartments {
-					switch {
-					case own[c]:
-						booted++
-					case !tcb[c.Name]:
+					if !own[c] {
 						t.Fatalf("device %d booted compartment %s of its own", d.Index, c.Name)
 					}
 				}
-				if booted != len(own) {
-					t.Fatalf("device %d booted %d of the launch image's %d compartments",
-						d.Index, booted, len(own))
+				if n := len(d.Sys.Image.Compartments); n != len(own) {
+					t.Fatalf("device %d booted %d compartments, the launch image has %d",
+						d.Index, n, len(own))
 				}
 			}
-			if tc.cfg.Rollout == nil && len(launched) != len(firmwareShapes(res.Config)) {
+			launched := len(launchImage)
+			if tc.cfg.Rollout == nil && launched != len(firmwareShapes(res.Config)) {
 				t.Errorf("devices run %d distinct shapes, want the %d launched",
-					len(launched), len(firmwareShapes(res.Config)))
+					launched, len(firmwareShapes(res.Config)))
 			}
-			if tc.cfg.Rollout != nil && (swapped == 0 || len(launched) != 1) {
-				t.Errorf("%d devices swapped onto %d shapes, want some onto one", swapped, len(launched))
+			if tc.cfg.Rollout != nil && (swapped == 0 || launched != 1) {
+				t.Errorf("%d devices swapped onto %d shapes, want some onto one", swapped, launched)
 			}
 		})
 	}

@@ -139,13 +139,17 @@ func LoadWith(img *firmware.Image, opts Options) (*Boot, error) {
 	sealSwitcher := sealAuthority(cap.TypeSwitcherExport)
 	sealAlloc := sealAuthority(cap.TypeAllocator)
 
-	// Pass 1: one record per compartment, with its code/globals
-	// capabilities; initialize globals.
+	// Pass 1: one record per compartment, with its entry table and
+	// code/globals capabilities; initialize globals.
 	comps := make([]switcher.CompConfig, len(img.Compartments))
 	byName := make(map[string]*switcher.CompConfig, len(img.Compartments))
 	for i, cdef := range img.Compartments {
 		c := &comps[i]
 		c.Def, c.Layout = cdef, layout.Comps[cdef.Name]
+		c.Entries = make(map[string]switcher.Entry, len(cdef.Exports))
+		for _, e := range cdef.Exports {
+			c.Entries[e.Name] = switcher.Entry{Export: e, Label: cdef.Name + "." + e.Name}
+		}
 		c.Code = derive(root, c.Layout.Code, cap.PermCode)
 		c.Globals = derive(root, c.Layout.Data, cap.PermData)
 		if len(cdef.GlobalsInit) > 0 {
@@ -258,17 +262,15 @@ func LoadWith(img *firmware.Image, opts Options) (*Boot, error) {
 }
 
 // build hands the booted memory over as a running machine: the board
-// around core, the kernel with one runtime compartment per record (bound
-// to the image's own definition of it), the image's libraries and threads
-// at their linked places, and the allocator's privileged heap root.
-// LoadWith calls it after its passes, and Fork on a restored snapshot
-// with the records the capture kept, so a fork is built exactly as a
-// cold boot is.
+// around core, the kernel with one runtime compartment per record, the
+// image's libraries and threads at their linked places, and the
+// allocator's privileged heap root. LoadWith calls it after its passes,
+// and Fork on a restored snapshot with the records the capture kept, so
+// a fork is built exactly as a cold boot is.
 func (b *Boot) build(core *hw.Core, comps []switcher.CompConfig) {
 	b.Board = newBoard(core)
 	k := switcher.NewKernel(core)
-	for i, c := range comps {
-		c.Def = b.Image.Compartments[i]
+	for _, c := range comps {
 		k.AddComp(switcher.NewComp(c))
 	}
 	root := cap.Root(0, b.Image.SRAM)

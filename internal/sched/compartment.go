@@ -26,23 +26,25 @@ const (
 	dataSize = 472
 )
 
-// AddTo registers the scheduler compartment in a firmware image. Call it
-// once per image before loading; Attach wires the instance after boot.
-func (s *Sched) AddTo(img *firmware.Image) {
-	img.AddCompartment(&firmware.Compartment{
-		Name:     Name,
-		CodeSize: codeSize,
-		DataSize: dataSize,
-		Exports: []*firmware.Export{
-			{Name: EntryFutexWait, MinStack: 160, Posture: firmware.PostureDisabled, Entry: s.futexWait},
-			{Name: EntryFutexWake, MinStack: 160, Posture: firmware.PostureDisabled, Entry: s.futexWake},
-			{Name: EntryMultiwait, MinStack: 240, Posture: firmware.PostureDisabled, Entry: s.multiwait},
-			{Name: EntrySleep, MinStack: 96, Posture: firmware.PostureDisabled, Entry: s.sleep},
-			{Name: EntryIRQFutex, MinStack: 96, Posture: firmware.PostureDisabled, Entry: s.irqFutex},
-			{Name: EntryTimeIdle, MinStack: 96, Posture: firmware.PostureDisabled, Entry: s.timeIdle},
-		},
-	})
+// definition is the scheduler's compartment, the same in every image:
+// its entries reach the machine's Sched through the compartment's state.
+var definition = &firmware.Compartment{
+	Name:     Name,
+	CodeSize: codeSize,
+	DataSize: dataSize,
+	Exports: []*firmware.Export{
+		{Name: EntryFutexWait, MinStack: 160, Posture: firmware.PostureDisabled, Entry: api.On((*Sched).futexWait)},
+		{Name: EntryFutexWake, MinStack: 160, Posture: firmware.PostureDisabled, Entry: api.On((*Sched).futexWake)},
+		{Name: EntryMultiwait, MinStack: 240, Posture: firmware.PostureDisabled, Entry: api.On((*Sched).multiwait)},
+		{Name: EntrySleep, MinStack: 96, Posture: firmware.PostureDisabled, Entry: api.On((*Sched).sleep)},
+		{Name: EntryIRQFutex, MinStack: 96, Posture: firmware.PostureDisabled, Entry: api.On((*Sched).irqFutex)},
+		{Name: EntryTimeIdle, MinStack: 96, Posture: firmware.PostureDisabled, Entry: api.On((*Sched).timeIdle)},
+	},
 }
+
+// AddTo registers the scheduler compartment, whose one definition every
+// image shares, in a firmware image.
+func AddTo(img *firmware.Image) { img.AddCompartment(definition) }
 
 // Imports returns the import-table entries a compartment needs to use the
 // scheduler's services; pass them to the compartment's Imports list.

@@ -71,8 +71,8 @@ type waiter struct {
 	timeout func(gen uint64)
 }
 
-// New returns a scheduler with the default quantum. Attach must be called
-// after boot, and AddTo must have registered the compartment in the image.
+// New returns a scheduler with the default quantum. After boot, core
+// installs it as the scheduler compartment's state and attaches it.
 func New() *Sched {
 	return &Sched{
 		quantum: DefaultQuantum,

@@ -9,11 +9,13 @@
 // and independent of the Go closures (Entry, State, ErrorHandler) that
 // give a device its behavior, and of the image's Name. Key canonicalizes
 // that shape into a hash; images with equal keys boot to bit-identical
-// SRAM, capability graphs and audit reports, so a fork from one's
-// template is indistinguishable from a cold boot of the other.
+// SRAM, capability graphs and audit reports. A fork boots its template's
+// own image, so Template.Fork checks the image it is handed against the
+// template's key: a fork stands in for a cold boot of any image of the
+// template's shape whose closures behave as the template's do.
 //
-// The check is for forks of images built separately; the fleet boots
-// one image per shape and forks it with core.BootOptions.Snapshot alone.
+// The check is for callers holding images built separately; the fleet
+// boots one image per shape and forks its capture with core.Fork.
 package snapshot
 
 import (
@@ -145,11 +147,10 @@ type Template struct {
 // Capture cold-boots the image with snapshot capture enabled and returns
 // both the booted System (fully usable) and the Template for forking
 // further Systems. The template keeps the System's audit report unless
-// opts.SkipReport; forks that build a report get a copy of it.
+// opts.SkipReport; forks that build a report share it.
 func Capture(img *firmware.Image, opts core.BootOptions) (*core.System, *Template, error) {
 	key := Key(img)
 	opts.CaptureSnapshot = true
-	opts.Snapshot = nil
 	sys, err := core.BootWith(img, opts)
 	if err != nil {
 		return nil, nil, err
@@ -157,17 +158,16 @@ func Capture(img *firmware.Image, opts core.BootOptions) (*core.System, *Templat
 	return sys, &Template{key: key, snap: sys.Snapshot}, nil
 }
 
-// Fork boots a System from the template. The image must have the same
-// shape key as the image the template was captured from; Fork verifies
+// Fork boots a System from the template: a core.Fork of the template's
+// own image, which must have the same shape key as img; Fork verifies
 // this and refuses a mismatch. The result is indistinguishable from
-// core.BootWith(img, opts) — same SRAM bytes, same capability graph,
-// same report — at a small fraction of the cost.
+// core.BootWith of the template's image — same SRAM bytes, same
+// capability graph, same report — at a small fraction of the cost.
 func (t *Template) Fork(img *firmware.Image, opts core.BootOptions) (*core.System, error) {
 	if k := Key(img); k != t.key {
 		return nil, fmt.Errorf("snapshot: fork refused: image %q has shape key %s.., template was captured from %s..",
 			img.Name, k[:12], t.key[:12])
 	}
 	opts.CaptureSnapshot = false
-	opts.Snapshot = t.snap
-	return core.BootWith(img, opts)
+	return core.Fork(t.snap, opts), nil
 }

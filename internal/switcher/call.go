@@ -55,8 +55,8 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 		t.argTop = argBase
 		return nil, api.ErrCompartmentBusy
 	}
-	exp := callee.exports[entry]
-	if exp == nil {
+	exp, ok := callee.entries[entry]
+	if !ok {
 		panic(&hw.Trap{Code: hw.TrapSealViolation,
 			Detail: fmt.Sprintf("%s does not export %q", target, entry)})
 	}
@@ -121,7 +121,7 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 
 	var node *prof.Node
 	if parent != nil {
-		node = parent.Enter(k.profLabel(callee, exp))
+		node = parent.Enter(exp.Label)
 	}
 	fr := frame{comp: callee, node: node, base: base, size: frameSize, prevSP: prevSP}
 	prevDisable := t.irqDisable
@@ -134,7 +134,7 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	t.frames = append(t.frames, fr)
 
 	k.installFrame(t)
-	rets, fault := k.runEntry(t, callee, exp, t.args[argBase:t.argTop:t.argTop])
+	rets, fault := k.runEntry(t, callee, exp.Export, t.args[argBase:t.argTop:t.argTop])
 	t.argTop = argBase
 	// Back to the overlay for the return-path zeroing.
 	clk.SetCompAccount(k.telSwitcher.Slot())

@@ -28,7 +28,9 @@ type Comp struct {
 	sealedImports map[string]cap.Capability
 	shared        map[string]cap.Capability
 
-	exports map[string]*firmware.Export
+	// entries is the image's entry table of the compartment, which
+	// every machine booted from the image shares.
+	entries map[string]Entry
 
 	// state is the compartment's private Go-level state object.
 	state interface{}
@@ -41,10 +43,6 @@ type Comp struct {
 	reboots       int
 	handlerCycles uint64
 
-	// globalsSnapshot is the boot-time content of the data region, for
-	// micro-reboot step 4.
-	globalsSnapshot []byte
-
 	// acct is the compartment's telemetry cycle account (nil when telemetry
 	// is disabled); the switcher installs it in the clock whenever this
 	// compartment is on top of the running thread's trusted stack.
@@ -56,9 +54,20 @@ type Comp struct {
 // string.
 type EntryKey struct{ Target, Entry string }
 
-// CompConfig is everything the loader derived for a compartment.
+// Entry is an export as the switcher calls it: its definition and the
+// label of the profile frame a call of it enters, "compartment.entry".
+type Entry struct {
+	*firmware.Export
+	Label string
+}
+
+// CompConfig is everything the loader derived for a compartment. A
+// snapshot's forks share its records, maps included, so no field holds
+// a machine's value.
 type CompConfig struct {
-	Def           *firmware.Compartment
+	Def *firmware.Compartment
+	// Entries is the entry table, keyed by export name.
+	Entries       map[string]Entry
 	Layout        firmware.CompLayout
 	Code          cap.Capability
 	Globals       cap.Capability
@@ -69,10 +78,12 @@ type CompConfig struct {
 	Shared        map[string]cap.Capability
 }
 
-// NewComp builds a runtime compartment from the loader's output.
+// NewComp builds a runtime compartment from the loader's output, with
+// the state its definition's State factory makes, if it declares one.
 func NewComp(cfg CompConfig) *Comp {
 	c := &Comp{
 		def:           cfg.Def,
+		entries:       cfg.Entries,
 		layout:        cfg.Layout,
 		code:          cfg.Code,
 		globals:       cfg.Globals,
@@ -81,16 +92,9 @@ func NewComp(cfg CompConfig) *Comp {
 		mmio:          cfg.MMIO,
 		sealedImports: cfg.SealedImports,
 		shared:        cfg.Shared,
-		exports:       make(map[string]*firmware.Export, len(cfg.Def.Exports)),
-	}
-	for _, e := range cfg.Def.Exports {
-		c.exports[e.Name] = e
 	}
 	if cfg.Def.State != nil {
 		c.state = cfg.Def.State()
-	}
-	if len(cfg.Def.GlobalsInit) > 0 {
-		c.globalsSnapshot = append([]byte(nil), cfg.Def.GlobalsInit...)
 	}
 	return c
 }
@@ -115,6 +119,12 @@ func (c *Comp) Layout() firmware.CompLayout { return c.layout }
 
 // Globals returns the compartment's data-region capability.
 func (c *Comp) Globals() cap.Capability { return c.globals }
+
+// SetState installs v as the state of a compartment that declares no
+// State factory, for an embedder that makes the state per machine (core
+// installs the TCB's services so). FinishReset rebuilds state only from
+// a factory, so a micro-reboot keeps v.
+func (c *Comp) SetState(v any) { c.state = v }
 
 // Resetting reports whether the compartment is mid micro-reboot.
 func (c *Comp) Resetting() bool { return c.resetting }

@@ -118,9 +118,6 @@ type Kernel struct {
 	// "<switcher>"/"<sched>"/"<idle>" pseudo-domain frames, installed in
 	// the clock beside the matching accounts (nil when profiling is off).
 	profSw, profSched, profIdle *uint64
-	// profLabels caches "compartment.entry" frame labels per export so
-	// the profiled call path allocates no strings after warm-up.
-	profLabels map[*firmware.Export]string
 
 	// Accounting for the evaluation harness.
 	idleCycles    uint64
@@ -294,19 +291,6 @@ func (k *Kernel) EnableProfiler(p *prof.Profiler) {
 
 // Profiler returns the attached profiler, or nil when disabled.
 func (k *Kernel) Profiler() *prof.Profiler { return k.prof }
-
-// profLabel resolves (and caches) a callee frame's profile label.
-func (k *Kernel) profLabel(c *Comp, exp *firmware.Export) string {
-	if s, ok := k.profLabels[exp]; ok {
-		return s
-	}
-	if k.profLabels == nil {
-		k.profLabels = make(map[*firmware.Export]string)
-	}
-	s := c.Name() + "." + exp.Name
-	k.profLabels[exp] = s
-	return s
-}
 
 // EnableFlightRecorder attaches a flight recorder as Emit's second sink.
 // Pass nil to detach.
@@ -655,10 +639,11 @@ func (k *Kernel) BeginReset(name string, exceptThreadID int) error {
 	return nil
 }
 
-// FinishReset completes a micro-reboot: globals are restored from the
-// boot-time snapshot, the Go-level state object is rebuilt, calls are
-// accepted again (§3.2.6 steps 4-5), and the reboot counts in
-// Comp.Reboots.
+// FinishReset completes a micro-reboot: globals are restored to the
+// definition's GlobalsInit, the Go-level state object is rebuilt from
+// the definition's State factory (a state installed by Comp.SetState
+// stays), calls are accepted again (§3.2.6 steps 4-5), and the reboot
+// counts in Comp.Reboots.
 func (k *Kernel) FinishReset(name string) error {
 	c := k.comps[name]
 	if c == nil {
@@ -668,8 +653,8 @@ func (k *Kernel) FinishReset(name string) error {
 		if err := k.Core.Mem.Zero(c.globals, c.layout.Data.Size); err != nil {
 			return err
 		}
-		if len(c.globalsSnapshot) > 0 {
-			if err := k.Core.Mem.StoreBytes(c.globals, c.globalsSnapshot); err != nil {
+		if len(c.def.GlobalsInit) > 0 {
+			if err := k.Core.Mem.StoreBytes(c.globals, c.def.GlobalsInit); err != nil {
 				return err
 			}
 		}

@@ -37,21 +37,25 @@ type Token struct {
 	nextType uint32
 }
 
-// New returns a token API instance.
+// New returns a token API instance. After boot, core installs it as the
+// token compartment's state.
 func New() *Token { return &Token{nextType: FirstVirtualType} }
 
-// AddTo registers the token compartment in a firmware image.
-func (t *Token) AddTo(img *firmware.Image) {
-	img.AddCompartment(&firmware.Compartment{
-		Name:     Name,
-		CodeSize: 900,
-		DataSize: 16,
-		Exports: []*firmware.Export{
-			{Name: EntryUnseal, MinStack: 96, Entry: t.unseal},
-			{Name: EntryKeyNew, MinStack: 96, Entry: t.keyNew},
-		},
-	})
+// definition is the token API's compartment, the same in every image:
+// its entries reach the machine's Token through the compartment's state.
+var definition = &firmware.Compartment{
+	Name:     Name,
+	CodeSize: 900,
+	DataSize: 16,
+	Exports: []*firmware.Export{
+		{Name: EntryUnseal, MinStack: 96, Entry: api.On((*Token).unseal)},
+		{Name: EntryKeyNew, MinStack: 96, Entry: api.On((*Token).keyNew)},
+	},
 }
+
+// AddTo registers the token compartment, whose one definition every
+// image shares, in a firmware image.
+func AddTo(img *firmware.Image) { img.AddCompartment(definition) }
 
 // Imports returns the import entries for the token API.
 func Imports() []firmware.Import {

@@ -188,13 +188,15 @@ echo "ok"
 
 echo "== snapshot fork = cold boot (race) =="
 # The fork ≡ cold-boot identity under the race detector: template
-# capture/fork byte-identity, one launch capture per fleet shape, every
-# incarnation booting its shape's audited image, and the forked-fleet ≡
-# cold-fleet summary and memory comparison, over a steady fleet and three
-# rollouts (healthy, poisoned, and the swap pin) whose swaps cold-boot
-# under NoSnapshot.
+# capture/fork byte-identity, forks of one capture sharing its image,
+# compartment definitions and entry tables, one launch capture per fleet
+# shape, every incarnation booting its shape's audited image (every fork
+# of a shape, on any shard's goroutine, the capture's one image), and the
+# forked-fleet ≡ cold-fleet summary and memory comparison, over a steady
+# fleet and three rollouts (healthy, poisoned, and the swap pin) whose
+# swaps cold-boot under NoSnapshot.
 go test -race -count=1 -run 'Snapshot|Fork|Template|Heterogeneous|BootPerShape|DevicesBootTheAuditedImage' \
-	./internal/mem/ ./internal/snapshot/ ./internal/fleet/
+	./internal/mem/ ./internal/snapshot/ ./internal/core/ ./internal/fleet/
 # Concurrent forks each copy the per-word capability store out of one
 # shared template snapshot and share their SRAM chunks until they write
 # them; repeat the parallel Go+jsvm and rollout fleets (forks of several
