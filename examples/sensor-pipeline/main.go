@@ -115,7 +115,7 @@ func main() {
 
 	fmt.Print(sys.Board.UART.Output())
 	fmt.Printf("\npipeline finished in %.2f simulated ms; %d alert jobs ran\n",
-		float64(sys.Cycles())/float64(hw.DefaultHz)*1000, pool.Completed())
+		float64(sys.Cycles())/float64(hw.DefaultHz)*1000, libs.PoolCompleted(sys.Kernel))
 }
 
 func samplerMain(ctx api.Context, args []api.Value) []api.Value {

@@ -460,18 +460,50 @@ func TestCanFree(t *testing.T) {
 	})
 }
 
+// TestForgedAllocCapRejected: an allocation capability a service is
+// handed (alloc.Delegated) is presented exactly as given, so a forged,
+// null or untagged one is refused by every allocator entry, even from a
+// compartment whose default quota an import would have found, and
+// charges nothing.
 func TestForgedAllocCapRejected(t *testing.T) {
-	runApp(t, 8192, nil, func(ctx api.Context) {
-		// An unsealed capability presented as an allocation capability
-		// must be rejected: only the loader's sealed records work.
-		forged := cap.New(0xA000_0000, 0xA000_0010, 0xA000_0000, cap.PermLoad)
-		rets, err := ctx.Call(alloc.Name, alloc.EntryAllocate, api.C(forged), api.W(64))
-		if err != nil {
-			t.Errorf("call: %v", err)
+	runApp(t, 8192, token.Imports(), func(ctx api.Context) {
+		own := alloc.Client{}
+		key, errno := token.KeyNew(ctx)
+		if errno != api.OK {
+			t.Errorf("key: %v", errno)
 			return
 		}
-		if api.ErrnoOf(rets) != api.ErrNotPermitted {
-			t.Errorf("forged alloc cap accepted: %v", api.ErrnoOf(rets))
+		live, errno := own.Malloc(ctx, 64)
+		if errno != api.OK {
+			t.Errorf("malloc: %v", errno)
+			return
+		}
+		before, _ := own.QuotaRemaining(ctx)
+		for _, bad := range []struct {
+			name string
+			c    cap.Capability
+		}{
+			// Only the loader's sealed records are allocation capabilities.
+			{"unsealed", cap.New(0xA000_0000, 0xA000_0010, 0xA000_0000, cap.PermLoad)},
+			{"null", cap.Null()},
+			{"untagged", ctx.SealedImport(alloc.DefaultQuota).ClearTag()},
+		} {
+			cl := alloc.Delegated(bad.c)
+			if _, errno := cl.Malloc(ctx, 64); errno != api.ErrNotPermitted {
+				t.Errorf("%s: malloc = %v, want not permitted", bad.name, errno)
+			}
+			if _, errno := cl.MallocSealed(ctx, key, 64); errno != api.ErrNotPermitted {
+				t.Errorf("%s: malloc sealed = %v, want not permitted", bad.name, errno)
+			}
+			if errno := cl.Free(ctx, live); errno != api.ErrNotPermitted {
+				t.Errorf("%s: free of the import's object = %v, want not permitted", bad.name, errno)
+			}
+			if _, errno := cl.QuotaRemaining(ctx); errno != api.ErrNotPermitted {
+				t.Errorf("%s: quota remaining = %v, want not permitted", bad.name, errno)
+			}
+		}
+		if after, _ := own.QuotaRemaining(ctx); after != before {
+			t.Errorf("refused capabilities moved the quota: %d -> %d bytes free", before, after)
 		}
 	})
 }

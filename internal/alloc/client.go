@@ -5,22 +5,36 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 )
 
-// Client wraps the allocator's compartment-call API for a compartment
-// holding an allocation capability. AllocCap is the sealed-import name of
-// the allocation capability (for a compartment's own capability, the bare
-// name it declared; "default" by convention for malloc/free compatibility,
-// §3.2.2).
+// Client wraps the allocator's compartment-call API for one allocation
+// capability. By default it presents one the compartment imports, by its
+// sealed-import name AllocCap (for a compartment's own capability, the
+// bare name it declared; "" means "default", the convention for
+// malloc/free compatibility, §3.2.2). A Client from Delegated presents
+// one a caller passed in instead.
 type Client struct {
 	AllocCap string
+
+	delegated   cap.Capability
+	isDelegated bool
 }
 
 // DefaultQuota is the conventional name of a compartment's default
 // allocation capability, used by the malloc/free compatibility layer.
 const DefaultQuota = "default"
 
-// capability resolves the sealed allocation capability from the caller's
-// import table.
+// Delegated returns a Client that presents c, an allocation capability a
+// caller delegated, so that what a service allocates on the caller's
+// behalf is charged to the caller (the quota-delegation pattern of
+// §3.2.3). c is presented exactly as given: the allocator refuses a null
+// or forged one, and no import ever stands in for it.
+func Delegated(c cap.Capability) Client { return Client{delegated: c, isDelegated: true} }
+
+// capability returns the allocation capability the client presents: the
+// delegated one, or the sealed import it names.
 func (cl Client) capability(ctx api.Context) cap.Capability {
+	if cl.isDelegated {
+		return cl.delegated
+	}
 	name := cl.AllocCap
 	if name == "" {
 		name = DefaultQuota
@@ -110,46 +124,6 @@ func (cl Client) FreeAll(ctx api.Context) (int, api.Errno) {
 // CanFree reports whether Free(obj) would succeed (§3.2.5 input checking).
 func (cl Client) CanFree(ctx api.Context, obj cap.Capability) api.Errno {
 	rets, err := ctx.Call(Name, EntryCanFree, api.C(cl.capability(ctx)), api.C(obj))
-	if err != nil {
-		return api.ErrUnwound
-	}
-	return api.ErrnoOf(rets)
-}
-
-// WithCap is a Client that presents an explicitly-provided (e.g.
-// caller-delegated) allocation capability instead of an imported one —
-// the quota-delegation pattern of §3.2.3.
-type WithCap struct {
-	Cap cap.Capability
-}
-
-// Malloc allocates against the delegated capability.
-func (d WithCap) Malloc(ctx api.Context, size uint32) (cap.Capability, api.Errno) {
-	rets, err := ctx.Call(Name, EntryAllocate, api.C(d.Cap), api.W(size))
-	if err != nil {
-		return cap.Null(), api.ErrUnwound
-	}
-	if e := api.ErrnoOf(rets); e != api.OK {
-		return cap.Null(), e
-	}
-	return rets[1].Cap, api.OK
-}
-
-// MallocSealed allocates a sealed object against the delegated capability.
-func (d WithCap) MallocSealed(ctx api.Context, key cap.Capability, size uint32) (cap.Capability, api.Errno) {
-	rets, err := ctx.Call(Name, EntryAllocateSealed, api.C(d.Cap), api.C(key), api.W(size))
-	if err != nil {
-		return cap.Null(), api.ErrUnwound
-	}
-	if e := api.ErrnoOf(rets); e != api.OK {
-		return cap.Null(), e
-	}
-	return rets[1].Cap, api.OK
-}
-
-// Free releases an object against the delegated capability.
-func (d WithCap) Free(ctx api.Context, obj cap.Capability) api.Errno {
-	rets, err := ctx.Call(Name, EntryFree, api.C(d.Cap), api.C(obj))
 	if err != nil {
 		return api.ErrUnwound
 	}

@@ -120,8 +120,8 @@ func TestThreadPoolRunsJobs(t *testing.T) {
 	if done["taskA"] != 3 || done["taskB"] != 3 {
 		t.Fatalf("jobs done = %v", done)
 	}
-	if pool.Completed() != 6 {
-		t.Fatalf("pool completed = %d", pool.Completed())
+	if n := libs.PoolCompleted(s.Kernel); n != 6 {
+		t.Fatalf("pool completed = %d", n)
 	}
 	// The pool's import table lists exactly its dispatch targets — the
 	// audit story for "what can the pool run?".
@@ -179,7 +179,40 @@ func TestThreadPoolSurvivesFaultingJob(t *testing.T) {
 	if good != 1 {
 		t.Fatalf("good job ran %d times; the faulting job killed the worker", good)
 	}
-	if pool.Completed() != 2 {
-		t.Fatalf("completed = %d, want 2 (fault contained, both jobs processed)", pool.Completed())
+	if n := libs.PoolCompleted(s.Kernel); n != 2 {
+		t.Fatalf("completed = %d, want 2 (fault contained, both jobs processed)", n)
+	}
+}
+
+// TestPoolCompletedReadsItsMachine: one pool image booted as two
+// machines counts each machine's jobs on that machine, so running only
+// the first through three jobs leaves the second at zero.
+func TestPoolCompletedReadsItsMachine(t *testing.T) {
+	img := core.NewImage("pool-two-machines")
+	img.AddCompartment(&firmware.Compartment{
+		Name: "work", CodeSize: 128,
+		Exports: []*firmware.Export{{Name: "run", MinStack: 128,
+			Entry: func(ctx api.Context, args []api.Value) []api.Value { return api.EV(api.OK) }}},
+	})
+	(&libs.Pool{Jobs: []libs.Job{{Target: "work", Entry: "run"}}, Workers: 1}).AddTo(img)
+	img.AddCompartment(&firmware.Compartment{
+		Name: "app", CodeSize: 128,
+		Imports: libs.PoolImports(),
+		Exports: []*firmware.Export{{Name: "main", MinStack: 512,
+			Entry: func(ctx api.Context, args []api.Value) []api.Value {
+				for i := 0; i < 3; i++ {
+					if rets, err := ctx.Call(libs.ThreadPool, libs.FnPoolDispatch, api.W(0)); err != nil || api.ErrnoOf(rets) != api.OK {
+						t.Errorf("dispatch: %v %v", err, rets)
+					}
+				}
+				return nil
+			}}},
+	})
+	img.AddThread(&firmware.Thread{Name: "app", Compartment: "app", Entry: "main",
+		Priority: 5, StackSize: 2048, TrustedStackFrames: 8})
+	first, second := boot(t, img), boot(t, img)
+	run(t, first)
+	if got := [2]int{libs.PoolCompleted(first.Kernel), libs.PoolCompleted(second.Kernel)}; got != [2]int{3, 0} {
+		t.Fatalf("completed on the run and the idle machine = %v, want [3 0]", got)
 	}
 }

@@ -23,12 +23,9 @@ const (
 	FnQReceive = "q_receive"
 )
 
-type queueCompState struct {
-	key cap.Capability
-}
-
 // AddQueueCompTo registers the hardened queue compartment (and the queue
-// library it builds on, if absent) in an image.
+// library it builds on, if absent) in an image. Its state is the sealer
+// of its queue handles.
 func AddQueueCompTo(img *firmware.Image) {
 	if img.Library(QueueLib) == nil {
 		AddQueueTo(img)
@@ -37,7 +34,7 @@ func AddQueueCompTo(img *firmware.Image) {
 		Name:     QueueComp,
 		CodeSize: 1100,
 		DataSize: 32,
-		State:    func() interface{} { return &queueCompState{} },
+		State:    func() interface{} { return new(token.Sealer) },
 		Imports: append(append(QueueImports(), token.Imports()...),
 			alloc.Imports()...),
 		Exports: []*firmware.Export{
@@ -58,18 +55,6 @@ func QueueCompImports() []firmware.Import {
 	}
 }
 
-func queueKey(ctx api.Context) (cap.Capability, api.Errno) {
-	st := ctx.State().(*queueCompState)
-	if !st.key.Valid() {
-		k, errno := token.KeyNew(ctx)
-		if errno != api.OK {
-			return cap.Null(), errno
-		}
-		st.key = k
-	}
-	return st.key, api.OK
-}
-
 // qCreate(delegatedAllocCap, capacity, elemSize) -> (errno, handle)
 func qCreate(ctx api.Context, args []api.Value) []api.Value {
 	if len(args) < 3 || !args[0].IsCap {
@@ -79,18 +64,10 @@ func qCreate(ctx api.Context, args []api.Value) []api.Value {
 	if capacity == 0 || capacity > 1024 || elemSize == 0 || elemSize > 4096 {
 		return api.EV(api.ErrInvalid)
 	}
-	key, errno := queueKey(ctx)
-	if errno != api.OK {
-		return api.EV(errno)
-	}
 	// Allocate on the caller's quota, sealed under our key: the caller
 	// pays for the memory but cannot free it to trigger faults in the
 	// other endpoint (§3.2.3).
-	sobj, errno := alloc.WithCap{Cap: args[0].Cap}.MallocSealed(ctx, key, QueueBytes(capacity, elemSize))
-	if errno != api.OK {
-		return api.EV(errno)
-	}
-	buf, errno := token.Unseal(ctx, key, sobj)
+	sobj, buf, errno := ctx.State().(*token.Sealer).New(ctx, args[0].Cap, QueueBytes(capacity, elemSize))
 	if errno != api.OK {
 		return api.EV(errno)
 	}
@@ -106,11 +83,7 @@ func qSend(ctx api.Context, args []api.Value) []api.Value {
 	if len(args) < 3 || !args[0].IsCap || !args[1].IsCap {
 		return api.EV(api.ErrInvalid)
 	}
-	key, errno := queueKey(ctx)
-	if errno != api.OK {
-		return api.EV(errno)
-	}
-	buf, errno := token.Unseal(ctx, key, args[0].Cap)
+	buf, errno := ctx.State().(*token.Sealer).Open(ctx, args[0].Cap)
 	if errno != api.OK {
 		return api.EV(errno)
 	}
@@ -127,11 +100,7 @@ func qReceive(ctx api.Context, args []api.Value) []api.Value {
 	if len(args) < 3 || !args[0].IsCap || !args[1].IsCap {
 		return api.EV(api.ErrInvalid)
 	}
-	key, errno := queueKey(ctx)
-	if errno != api.OK {
-		return api.EV(errno)
-	}
-	buf, errno := token.Unseal(ctx, key, args[0].Cap)
+	buf, errno := ctx.State().(*token.Sealer).Open(ctx, args[0].Cap)
 	if errno != api.OK {
 		return api.EV(errno)
 	}

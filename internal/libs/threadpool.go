@@ -4,6 +4,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/sched"
+	"github.com/cheriot-go/cheriot/internal/switcher"
 )
 
 // ThreadPool is the thread-pool compartment of Fig. 5: callers enqueue
@@ -39,7 +40,6 @@ type Pool struct {
 	Jobs []Job
 	// Workers is the number of worker threads (default 2).
 	Workers int
-	state   *poolState
 }
 
 // AddTo registers the pool compartment and its worker threads.
@@ -47,18 +47,16 @@ func (p *Pool) AddTo(img *firmware.Image) {
 	if p.Workers == 0 {
 		p.Workers = 2
 	}
+	jobs := append([]Job(nil), p.Jobs...)
 	imports := append([]firmware.Import{}, sched.Imports()...)
-	for _, j := range p.Jobs {
+	for _, j := range jobs {
 		imports = append(imports, firmware.Import{
 			Kind: firmware.ImportCall, Target: j.Target, Entry: j.Entry,
 		})
 	}
 	img.AddCompartment(&firmware.Compartment{
 		Name: ThreadPool, CodeSize: 1000, DataSize: 32,
-		State: func() interface{} {
-			p.state = &poolState{jobs: append([]Job(nil), p.Jobs...)}
-			return p.state
-		},
+		State:   func() interface{} { return &poolState{jobs: jobs} },
 		Imports: imports,
 		Exports: []*firmware.Export{
 			{Name: FnPoolDispatch, MinStack: 256, Entry: poolDispatch},
@@ -75,12 +73,10 @@ func (p *Pool) AddTo(img *firmware.Image) {
 	}
 }
 
-// Completed reports how many jobs have finished.
-func (p *Pool) Completed() int {
-	if p.state == nil {
-		return 0
-	}
-	return p.state.completed
+// PoolCompleted reports how many jobs the thread pool on machine k has
+// finished.
+func PoolCompleted(k *switcher.Kernel) int {
+	return k.Comp(ThreadPool).State().(*poolState).completed
 }
 
 // PoolImports returns the imports a dispatching compartment needs.

@@ -7,54 +7,118 @@ import (
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/libs"
 	"github.com/cheriot-go/cheriot/internal/netproto"
 	"github.com/cheriot-go/cheriot/internal/netstack"
 	"github.com/cheriot-go/cheriot/internal/sched"
 	"github.com/cheriot-go/cheriot/internal/token"
 )
 
-// TestNetAPIRejectsForgedHandles: the network API only accepts its own
-// sealed socket handles; garbage, plain capabilities, and objects sealed
-// under someone else's virtual type are all rejected without faulting.
+// TestNetAPIRejectsForgedHandles: each compartment that hands out sealed
+// handles (the network API's sockets, TLS connections, MQTT sessions and
+// the hardened queue's queues) accepts only its own. Each is presented a
+// plain capability, a word, an object sealed under the caller's own key
+// and a live handle another issuer handed out, and refuses all four with
+// its compartment's errno (ErrInvalid in the netstack, the unseal's in
+// the queue), without unwinding and without charging the caller's quota.
+// Each then accepts its own live handle.
 func TestNetAPIRejectsForgedHandles(t *testing.T) {
-	var results []api.Errno
+	type issuer struct {
+		comp, entry string
+		// args are the entry's arguments, handle first.
+		args func(handle, buf api.Value) []api.Value
+		// foreign names the issuer whose live handle is presented.
+		foreign string
+		// want is the errno for a plain capability, a word, an object
+		// sealed under the caller's key and the foreign handle.
+		want [4]api.Errno
+	}
+	invalid := [4]api.Errno{api.ErrInvalid, api.ErrInvalid, api.ErrInvalid, api.ErrInvalid}
+	send := func(h, buf api.Value) []api.Value { return []api.Value{h, buf} }
+	issuers := []issuer{
+		{netstack.NetAPI, netstack.FnNetSend, send, netstack.TLS, invalid},
+		{netstack.TLS, netstack.FnTLSSend, send, netstack.NetAPI, invalid},
+		{netstack.MQTT, netstack.FnMQTTPublish,
+			func(h, buf api.Value) []api.Value { return []api.Value{h, buf, buf} }, libs.QueueComp, invalid},
+		{libs.QueueComp, libs.FnQSend,
+			func(h, buf api.Value) []api.Value { return []api.Value{h, buf, api.W(0)} }, netstack.MQTT,
+			[4]api.Errno{api.ErrInvalid, api.ErrInvalid, api.ErrNotPermitted, api.ErrNotPermitted}},
+	}
+	type result struct {
+		entry, forgery string
+		got, want      api.Errno
+	}
+	var results []result
+	genuine := map[string]api.Errno{}
+	var quotaBefore, quotaAfter uint32
 	r := buildRig(t, func(ctx api.Context, args []api.Value) []api.Value {
-		buf := ctx.StackAlloc(16)
-		record := func(rets []api.Value, err error) {
-			if err != nil {
-				results = append(results, api.ErrUnwound)
-				return
+		quota := api.C(ctx.SealedImport("default"))
+		live := map[string]api.Value{}
+		for _, c := range []struct {
+			comp, entry string
+			args        []api.Value
+		}{
+			{netstack.NetAPI, netstack.FnNetConnectUDP, []api.Value{quota, api.W(dnsIP), api.W(netproto.PortDNS)}},
+			{netstack.TLS, netstack.FnTLSConnect, []api.Value{quota, api.W(brokerIP), api.W(netproto.PortMQTT), api.W(10_000_000)}},
+			{netstack.MQTT, netstack.FnMQTTConnect, []api.Value{quota, api.W(brokerIP), api.W(netproto.PortMQTT), api.W(10_000_000)}},
+			{libs.QueueComp, libs.FnQCreate, []api.Value{quota, api.W(4), api.W(4)}},
+		} {
+			rets, err := ctx.Call(c.comp, c.entry, c.args...)
+			if err != nil || api.ErrnoOf(rets) != api.OK {
+				t.Errorf("%s: %v %v", c.entry, err, rets)
+				return nil
 			}
-			results = append(results, api.ErrnoOf(rets))
+			live[c.comp] = rets[1]
 		}
-		// A plain data capability.
-		record(ctx.Call(netstack.NetAPI, netstack.FnNetSend, api.C(buf), api.C(buf)))
-		// A word pretending to be a handle.
-		record(ctx.Call(netstack.NetAPI, netstack.FnNetSend, api.W(42), api.C(buf)))
-		// An object sealed under *our own* token key — right hardware
+		// An object sealed under *our own* token key: right hardware
 		// type, wrong virtual type.
 		key, errno := token.KeyNew(ctx)
 		if errno != api.OK {
 			t.Errorf("key: %v", errno)
 			return nil
 		}
-		quota := ctx.SealedImport("default")
-		rets, err := ctx.Call("alloc", "heap_allocate_sealed",
-			api.C(quota), api.C(key), api.W(8))
+		rets, err := ctx.Call(alloc.Name, alloc.EntryAllocateSealed, quota, api.C(key), api.W(8))
 		if err != nil || api.ErrnoOf(rets) != api.OK {
-			t.Errorf("sealed alloc: %v", err)
+			t.Errorf("sealed alloc: %v %v", err, rets)
 			return nil
 		}
-		record(ctx.Call(netstack.NetAPI, netstack.FnNetSend, rets[1], api.C(buf)))
+		ownSealed := rets[1]
+		buf := api.C(stageBytes(ctx, []byte("forged handle 16")))
+		quotaBefore, _ = alloc.Client{}.QuotaRemaining(ctx)
+		for _, is := range issuers {
+			forgeries := [4]api.Value{buf, api.W(42), ownSealed, live[is.foreign]}
+			for i, name := range [4]string{"plain capability", "word", "own-key object", is.foreign + " handle"} {
+				got := api.ErrUnwound
+				if rets, err := ctx.Call(is.comp, is.entry, is.args(forgeries[i], buf)...); err == nil {
+					got = api.ErrnoOf(rets)
+				}
+				results = append(results, result{is.entry, name, got, is.want[i]})
+			}
+		}
+		quotaAfter, _ = alloc.Client{}.QuotaRemaining(ctx)
+		for _, is := range issuers {
+			genuine[is.entry] = api.ErrUnwound
+			if rets, err := ctx.Call(is.comp, is.entry, is.args(live[is.comp], buf)...); err == nil {
+				genuine[is.entry] = api.ErrnoOf(rets)
+			}
+		}
 		return nil
-	}, append(token.Imports(), alloc.Imports()...)...)
-	r.run(t, 100_000_000)
-	if len(results) != 3 {
+	}, append(append(token.Imports(), alloc.Imports()...), libs.QueueCompImports()...)...)
+	r.run(t, 2_000_000_000)
+	if len(results) != 4*len(issuers) {
 		t.Fatalf("results = %v", results)
 	}
-	for i, e := range results {
-		if e != api.ErrInvalid {
-			t.Errorf("forged handle %d accepted or faulted: %v", i, e)
+	for _, res := range results {
+		if res.got != res.want {
+			t.Errorf("%s given a %s: %v, want %v", res.entry, res.forgery, res.got, res.want)
+		}
+	}
+	if quotaAfter != quotaBefore {
+		t.Errorf("forged handles moved the caller's quota: %d -> %d bytes free", quotaBefore, quotaAfter)
+	}
+	for _, is := range issuers {
+		if e := genuine[is.entry]; e != api.OK {
+			t.Errorf("%s refused its own live handle: %v", is.entry, e)
 		}
 	}
 }

@@ -24,8 +24,8 @@ const (
 )
 
 type mqttState struct {
-	key  cap.Capability
-	bufs []*mqttBufs
+	handles token.Sealer
+	bufs    []*mqttBufs
 }
 
 // tracer returns the machine's message tracer, or nil (every tracer
@@ -71,26 +71,10 @@ func MQTTImports() []firmware.Import {
 	return out
 }
 
-func mqttKey(ctx api.Context) (cap.Capability, api.Errno) {
-	st := ctx.State().(*mqttState)
-	if !st.key.Valid() {
-		k, errno := token.KeyNew(ctx)
-		if errno != api.OK {
-			return cap.Null(), errno
-		}
-		st.key = k
-	}
-	return st.key, api.OK
-}
-
 // mqttTLS unpacks an MQTT handle: the payload's second granule stores the
 // inner TLS handle.
 func mqttTLS(ctx api.Context, handle cap.Capability) (cap.Capability, api.Errno) {
-	key, errno := mqttKey(ctx)
-	if errno != api.OK {
-		return cap.Null(), errno
-	}
-	payload, errno := token.Unseal(ctx, key, handle)
+	payload, errno := ctx.State().(*mqttState).handles.Open(ctx, handle)
 	if errno != api.OK {
 		return cap.Null(), api.ErrInvalid
 	}
@@ -170,15 +154,7 @@ func mqttConnect(ctx api.Context, args []api.Value) []api.Value {
 		netproto.MQTTConnAck, args[3].AsWord()); errno != api.OK {
 		return fail(errno)
 	}
-	key, errno := mqttKey(ctx)
-	if errno != api.OK {
-		return fail(errno)
-	}
-	sobj, errno := alloc.WithCap{Cap: quota}.MallocSealed(ctx, key, 16)
-	if errno != api.OK {
-		return fail(errno)
-	}
-	payload, errno := token.Unseal(ctx, key, sobj)
+	sobj, payload, errno := ctx.State().(*mqttState).handles.New(ctx, quota, 16)
 	if errno != api.OK {
 		return fail(errno)
 	}
@@ -261,15 +237,7 @@ func mqttClose(ctx api.Context, args []api.Value) []api.Value {
 	if tls, errno := mqttTLS(ctx, args[1].Cap); errno == api.OK {
 		_, _ = ctx.Call(TLS, FnTLSClose, args[0], api.C(tls))
 	}
-	key, errno := mqttKey(ctx)
-	if errno != api.OK {
-		return api.EV(errno)
-	}
-	rets, err := ctx.Call(alloc.Name, alloc.EntryFreeSealed, args[0], api.C(key), args[1])
-	if err != nil {
-		return api.EV(api.ErrUnwound)
-	}
-	return api.EV(api.ErrnoOf(rets))
+	return api.EV(ctx.State().(*mqttState).handles.Free(ctx, args[0].Cap, args[1].Cap))
 }
 
 // mqttWait(handle, payloadOutBuf, timeout) -> (errno, n) blocks until a

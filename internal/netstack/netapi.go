@@ -21,27 +21,12 @@ const (
 	FnNetFutex      = "network_socket_futex"
 )
 
-type netAPIState struct {
-	key cap.Capability
-}
-
-func netKey(ctx api.Context) (cap.Capability, api.Errno) {
-	st := ctx.State().(*netAPIState)
-	if !st.key.Valid() {
-		k, errno := token.KeyNew(ctx)
-		if errno != api.OK {
-			return cap.Null(), errno
-		}
-		st.key = k
-	}
-	return st.key, api.OK
-}
-
-// addNetAPI registers the network API compartment.
+// addNetAPI registers the network API compartment. Its state is the
+// sealer of its socket handles.
 func addNetAPI(img *firmware.Image) {
 	img.AddCompartment(&firmware.Compartment{
 		Name: NetAPI, CodeSize: 3200, DataSize: 64,
-		State: func() interface{} { return &netAPIState{} },
+		State: func() interface{} { return new(token.Sealer) },
 		Imports: append(append([]firmware.Import{
 			{Kind: firmware.ImportCall, Target: Firewall, Entry: FnFwAllow},
 			{Kind: firmware.ImportCall, Target: TCPIP, Entry: FnNetUp},
@@ -85,23 +70,21 @@ const socketBufferBytes = 512
 
 // wrapSocket allocates the opaque connection handle: a sealed object on
 // the caller's delegated quota holding the TCP/IP socket id and the
-// connection buffer, both charged to the caller.
+// connection buffer, both charged to the caller. The key is minted
+// before the buffer is allocated.
 func wrapSocket(ctx api.Context, callerQuota cap.Capability, id uint32) ([]api.Value, api.Errno) {
-	key, errno := netKey(ctx)
+	handles := ctx.State().(*token.Sealer)
+	if _, errno := handles.Key(ctx); errno != api.OK {
+		return nil, errno
+	}
+	quota := alloc.Delegated(callerQuota)
+	buffer, errno := quota.Malloc(ctx, socketBufferBytes)
 	if errno != api.OK {
 		return nil, errno
 	}
-	buffer, errno := alloc.WithCap{Cap: callerQuota}.Malloc(ctx, socketBufferBytes)
+	sobj, payload, errno := handles.New(ctx, callerQuota, 16)
 	if errno != api.OK {
-		return nil, errno
-	}
-	sobj, errno := alloc.WithCap{Cap: callerQuota}.MallocSealed(ctx, key, 16)
-	if errno != api.OK {
-		_ = alloc.WithCap{Cap: callerQuota}.Free(ctx, buffer)
-		return nil, errno
-	}
-	payload, errno := token.Unseal(ctx, key, sobj)
-	if errno != api.OK {
+		_ = quota.Free(ctx, buffer)
 		return nil, errno
 	}
 	ctx.Store32(payload, id)
@@ -113,11 +96,7 @@ func wrapSocket(ctx api.Context, callerQuota cap.Capability, id uint32) ([]api.V
 // exported-and-reimported object needs only the unseal check (§3.2.5):
 // nothing else about it can have been tampered with.
 func unwrapSocket(ctx api.Context, handle cap.Capability) (uint32, api.Errno) {
-	key, errno := netKey(ctx)
-	if errno != api.OK {
-		return 0, errno
-	}
-	payload, errno := token.Unseal(ctx, key, handle)
+	payload, errno := ctx.State().(*token.Sealer).Open(ctx, handle)
 	if errno != api.OK {
 		return 0, api.ErrInvalid
 	}
@@ -263,19 +242,13 @@ func netClose(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(errno)
 	}
 	_, _ = ctx.Call(TCPIP, FnSockClose, api.W(id))
-	key, _ := netKey(ctx)
-	payload, errno := token.Unseal(ctx, key, args[1].Cap)
-	if errno == api.OK {
+	handles := ctx.State().(*token.Sealer)
+	if payload, errno := handles.Open(ctx, args[1].Cap); errno == api.OK {
 		if buffer := ctx.LoadCap(payload.WithAddress(payload.Base() + 8)); buffer.Valid() {
-			_ = alloc.WithCap{Cap: args[0].Cap}.Free(ctx, buffer)
+			_ = alloc.Delegated(args[0].Cap).Free(ctx, buffer)
 		}
 	}
-	rets, err := ctx.Call(alloc.Name, alloc.EntryFreeSealed,
-		args[0], api.C(key), args[1])
-	if err != nil {
-		return api.EV(api.ErrUnwound)
-	}
-	return api.EV(api.ErrnoOf(rets))
+	return api.EV(handles.Free(ctx, args[0].Cap, args[1].Cap))
 }
 
 // netFutex(handle) -> (errno, roCap)

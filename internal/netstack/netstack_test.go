@@ -7,6 +7,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
+	"github.com/cheriot-go/cheriot/internal/libs"
 	"github.com/cheriot-go/cheriot/internal/netproto"
 	"github.com/cheriot-go/cheriot/internal/netsim"
 	"github.com/cheriot-go/cheriot/internal/netstack"
@@ -40,6 +41,9 @@ func buildRig(t *testing.T, appMain api.Entry, extra ...firmware.Import) *rig {
 		NTPServer:  ntpIP,
 		RootSecret: rootKey,
 	})
+	// The hardened queue is the fourth handle issuer the forged-handle
+	// table presents.
+	libs.AddQueueCompTo(img)
 	imports := append(netstack.NetImports(), netstack.DNSImports()...)
 	imports = append(imports, netstack.SNTPImports()...)
 	imports = append(imports, netstack.TLSImports()...)

@@ -53,7 +53,7 @@ type tlsConn struct {
 }
 
 type tlsState struct {
-	key        cap.Capability
+	handles    token.Sealer
 	rootSecret []byte
 	nextConn   uint32
 	conns      map[uint32]*tlsConn
@@ -100,39 +100,24 @@ func TLSImports() []firmware.Import {
 	return out
 }
 
-func tlsKey(ctx api.Context) (cap.Capability, api.Errno) {
-	st := tlsSt(ctx)
-	if !st.key.Valid() {
-		k, errno := token.KeyNew(ctx)
-		if errno != api.OK {
-			return cap.Null(), errno
-		}
-		st.key = k
-	}
-	return st.key, api.OK
-}
-
 // tlsHandle unpacks a TLS connection handle: word 0 is the connection id,
 // granule 1 stores the inner TCP handle capability.
-func tlsHandle(ctx api.Context, handle cap.Capability) (*tlsConn, cap.Capability, api.Errno) {
-	key, errno := tlsKey(ctx)
+func tlsHandle(ctx api.Context, handle cap.Capability) (uint32, *tlsConn, cap.Capability, api.Errno) {
+	st := tlsSt(ctx)
+	payload, errno := st.handles.Open(ctx, handle)
 	if errno != api.OK {
-		return nil, cap.Null(), errno
-	}
-	payload, errno := token.Unseal(ctx, key, handle)
-	if errno != api.OK {
-		return nil, cap.Null(), api.ErrInvalid
+		return 0, nil, cap.Null(), api.ErrInvalid
 	}
 	id := ctx.Load32(payload)
-	conn := tlsSt(ctx).conns[id]
+	conn := st.conns[id]
 	if conn == nil {
-		return nil, cap.Null(), api.ErrConnReset
+		return 0, nil, cap.Null(), api.ErrConnReset
 	}
 	tcp := ctx.LoadCap(payload.WithAddress(payload.Base() + 8))
 	if !tcp.Valid() {
-		return nil, cap.Null(), api.ErrConnReset
+		return 0, nil, cap.Null(), api.ErrConnReset
 	}
-	return conn, tcp, api.OK
+	return id, conn, tcp, api.OK
 }
 
 // clientRandomFor derives a deterministic per-connection client random;
@@ -194,16 +179,7 @@ func tlsConnect(ctx api.Context, args []api.Value) []api.Value {
 	st.conns[id] = &tlsConn{session: netproto.NewSession(sessionKey)}
 
 	// Build the opaque handle on the caller's quota: id word + TCP handle.
-	key, errno := tlsKey(ctx)
-	if errno != api.OK {
-		return fail(errno)
-	}
-	sobj, errno := alloc.WithCap{Cap: quota}.MallocSealed(ctx, key, 16)
-	if errno != api.OK {
-		delete(st.conns, id)
-		return fail(errno)
-	}
-	payload, errno := token.Unseal(ctx, key, sobj)
+	sobj, payload, errno := st.handles.New(ctx, quota, 16)
 	if errno != api.OK {
 		delete(st.conns, id)
 		return fail(errno)
@@ -223,7 +199,7 @@ func tlsSend(ctx api.Context, args []api.Value) []api.Value {
 	if !libs.CheckPointer(ctx, buf, cap.PermLoad, n) || n == 0 || n > 1024 {
 		return api.EV(api.ErrInvalid)
 	}
-	conn, tcp, errno := tlsHandle(ctx, args[0].Cap)
+	_, conn, tcp, errno := tlsHandle(ctx, args[0].Cap)
 	if errno != api.OK {
 		return api.EV(errno)
 	}
@@ -247,7 +223,7 @@ func tlsRecv(ctx api.Context, args []api.Value) []api.Value {
 	if !libs.CheckPointer(ctx, out, cap.PermStore, out.Length()) || out.Length() == 0 {
 		return api.EV(api.ErrInvalid)
 	}
-	conn, tcp, errno := tlsHandle(ctx, args[0].Cap)
+	_, conn, tcp, errno := tlsHandle(ctx, args[0].Cap)
 	if errno != api.OK {
 		return api.EV(errno)
 	}
@@ -280,20 +256,10 @@ func tlsClose(ctx api.Context, args []api.Value) []api.Value {
 	if len(args) < 2 || !args[0].IsCap || !args[1].IsCap {
 		return api.EV(api.ErrInvalid)
 	}
-	conn, tcp, errno := tlsHandle(ctx, args[1].Cap)
-	if errno == api.OK && conn != nil {
-		st := tlsSt(ctx)
-		for id, c := range st.conns {
-			if c == conn {
-				delete(st.conns, id)
-			}
-		}
+	st := tlsSt(ctx)
+	if id, _, tcp, errno := tlsHandle(ctx, args[1].Cap); errno == api.OK {
+		delete(st.conns, id)
 		_, _ = ctx.Call(NetAPI, FnNetClose, args[0], api.C(tcp))
 	}
-	key, _ := tlsKey(ctx)
-	rets, err := ctx.Call(alloc.Name, alloc.EntryFreeSealed, args[0], api.C(key), args[1])
-	if err != nil {
-		return api.EV(api.ErrUnwound)
-	}
-	return api.EV(api.ErrnoOf(rets))
+	return api.EV(st.handles.Free(ctx, args[0].Cap, args[1].Cap))
 }

@@ -120,6 +120,10 @@ func (c *Comp) Layout() firmware.CompLayout { return c.layout }
 // Globals returns the compartment's data-region capability.
 func (c *Comp) Globals() cap.Capability { return c.globals }
 
+// State returns the compartment's state on this machine: what its State
+// factory made, or what SetState installed.
+func (c *Comp) State() any { return c.state }
+
 // SetState installs v as the state of a compartment that declares no
 // State factory, for an embedder that makes the state per machine (core
 // installs the TCB's services so). FinishReset rebuilds state only from

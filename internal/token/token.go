@@ -48,7 +48,7 @@ var definition = &firmware.Compartment{
 	CodeSize: 900,
 	DataSize: 16,
 	Exports: []*firmware.Export{
-		{Name: EntryUnseal, MinStack: 96, Entry: api.On((*Token).unseal)},
+		{Name: EntryUnseal, MinStack: 96, Entry: unseal},
 		{Name: EntryKeyNew, MinStack: 96, Entry: api.On((*Token).keyNew)},
 	},
 }
@@ -68,31 +68,45 @@ func Imports() []firmware.Import {
 // unseal(key, sobj) -> (errno, payloadCap) checks that the key authorizes
 // the sealed object's virtual type and returns a capability to the
 // payload, exclusive of the protected header (§3.2.1).
-func (t *Token) unseal(ctx api.Context, args []api.Value) []api.Value {
+func unseal(ctx api.Context, args []api.Value) []api.Value {
+	return check(ctx, args, hw.UnsealObjectCycles, true)
+}
+
+// check is the one unseal check of token_unseal and of the library's
+// token_obj_unseal, which differ only in the work they charge and in
+// the unseal events, which the compartment emits and the library does
+// not.
+func check(ctx api.Context, args []api.Value, work uint64, emit bool) []api.Value {
 	if len(args) < 2 || !args[0].IsCap || !args[1].IsCap {
 		return api.EV(api.ErrInvalid)
 	}
 	key, sobj := args[0].Cap, args[1].Cap
-	ctx.Work(hw.UnsealObjectCycles)
+	ctx.Work(work)
 	// The key must be a tagged capability with permit-unseal whose cursor
 	// is the virtual sealing type.
 	if !key.Valid() || key.Sealed() || !key.Perms().Has(cap.PermUnseal) {
 		return api.EV(api.ErrNotPermitted)
 	}
-	// The object must be sealed with the token API's hardware type.
+	// The object must be sealed with the token API's hardware type, and
+	// its header, which stores the virtual type, must match the key.
+	errno := api.ErrInvalid
 	obj, err := sobj.Unseal(hwAuthority)
-	if err != nil {
-		emitUnseal(ctx, false)
-		return api.EV(api.ErrInvalid)
+	if err == nil {
+		errno = api.ErrNotPermitted
+		if ctx.Load32(obj.WithAddress(obj.Base())) == key.Address() {
+			errno = api.OK
+		}
 	}
-	// The header stores the virtual type; it must match the key.
-	header := obj.WithAddress(obj.Base())
-	vt := ctx.Load32(header)
-	if vt != key.Address() {
-		emitUnseal(ctx, false)
-		return api.EV(api.ErrNotPermitted)
+	if emit {
+		ev := telemetry.Event{Kind: telemetry.KindUnseal, From: ctx.Caller(), To: Name}
+		if errno == api.OK {
+			ev.Arg = 1
+		}
+		ctx.Emit(ev)
 	}
-	emitUnseal(ctx, true)
+	if errno != api.OK {
+		return api.EV(errno)
+	}
 	payload, err := obj.WithAddress(obj.Base() + 8).SetBounds(obj.Length() - 8)
 	if err != nil {
 		return api.EV(api.ErrInvalid)
@@ -110,16 +124,6 @@ func (t *Token) keyNew(ctx api.Context, args []api.Value) []api.Value {
 	key := cap.New(vt, vt+1, vt, cap.PermSeal|cap.PermUnseal)
 	ctx.Emit(telemetry.Event{Kind: telemetry.KindSeal, To: Name, Detail: "token_key_new", Arg: uint64(key.Base())})
 	return ctx.Ret(api.W(uint32(api.OK)), api.C(key))
-}
-
-// emitUnseal records an unsealing attempt by the caller; ok reports
-// whether the key matched.
-func emitUnseal(ctx api.Context, ok bool) {
-	ev := telemetry.Event{Kind: telemetry.KindUnseal, From: ctx.Caller(), To: Name}
-	if ok {
-		ev.Arg = 1
-	}
-	ctx.Emit(ev)
 }
 
 // LibName is the token fast-path shared library. Unsealing is frequent
@@ -147,30 +151,10 @@ func LibImports() []firmware.Import {
 	return []firmware.Import{{Kind: firmware.ImportLib, Target: LibName, Entry: FnUnsealFast}}
 }
 
-// unsealFast is the library body: identical checks to the compartment
-// entry, minus the domain transition.
+// unsealFast is the library body: token_unseal's check, without the
+// domain transition.
 func unsealFast(ctx api.Context, args []api.Value) []api.Value {
-	if len(args) < 2 || !args[0].IsCap || !args[1].IsCap {
-		return api.EV(api.ErrInvalid)
-	}
-	key, sobj := args[0].Cap, args[1].Cap
-	ctx.Work(hw.UnsealObjectCycles - hw.LibCallCycles)
-	if !key.Valid() || key.Sealed() || !key.Perms().Has(cap.PermUnseal) {
-		return api.EV(api.ErrNotPermitted)
-	}
-	obj, err := sobj.Unseal(hwAuthority)
-	if err != nil {
-		return api.EV(api.ErrInvalid)
-	}
-	header := obj.WithAddress(obj.Base())
-	if ctx.Load32(header) != key.Address() {
-		return api.EV(api.ErrNotPermitted)
-	}
-	payload, err := obj.WithAddress(obj.Base() + 8).SetBounds(obj.Length() - 8)
-	if err != nil {
-		return api.EV(api.ErrInvalid)
-	}
-	return ctx.Ret(api.W(uint32(api.OK)), api.C(payload))
+	return check(ctx, args, hw.UnsealObjectCycles-hw.LibCallCycles, false)
 }
 
 // Unseal is the client helper for token_unseal.

@@ -87,6 +87,14 @@ echo "== fuzz: audit policies against linker reports (10 s) =="
 go test -run '^$' -fuzz '^FuzzPolicy$' -fuzztime 10s -fuzzminimizetime 0 ./internal/audit/
 echo "ok"
 
+echo "== fuzz: sealed handles against a model (10 s) =="
+# Each input is a program of New, Open, Free, forged-handle and plain
+# heap_free steps over two token.Sealer issuers and two quotas: a handle
+# opens only under its issuer while live, Free succeeds once with its
+# issuer and quota, and each quota's free bytes match the live handles.
+go test -run '^$' -fuzz '^FuzzSealedHandles$' -fuzztime 10s -fuzzminimizetime 0 ./internal/token/
+echo "ok"
+
 echo "== kernel loop on thread coroutines (race, 10 runs) =="
 # A yielding thread runs the kernel loop on its own coroutine and hands
 # the core back to Run's loop, which resumes the next thread; repeat the
@@ -101,11 +109,14 @@ go test -race -count=10 ./internal/switcher/ ./internal/sched/ ./internal/core/ 
 	./internal/libs/ ./internal/iotapp/ ./internal/compartment/
 echo "ok"
 
-echo "== dispatch sequence pin (race, 10 runs) =="
+echo "== dispatch sequence and event stream pins (race, 10 runs) =="
 # Every context switch of the case study, a 4-device lockstep fleet and
 # three equal-priority round-robin threads against
 # testdata/dispatch_switches.golden: a change to how the core is handed
-# from thread to thread must not reorder a single one.
+# from thread to thread must not reorder a single one. The same runs, with
+# the flight recorder armed, pin the SHA-256 of each device's whole trace
+# ring and recorder ring against testdata/dispatch_streams.golden, so a
+# change that reorders two compartment calls fails here too.
 go test -race -count=10 -run '^TestDispatchSequencePinned$' .
 echo "ok"
 
