@@ -55,63 +55,98 @@ func networkImage() *firmware.Image {
 	return img
 }
 
+// table2Row is one Table 2 measurement: a size in bytes, or with pct
+// set a compartment's wrapper share of its code in percent. paper is
+// the paper's figure ("" where it gives none).
+type table2Row struct {
+	name  string
+	paper string
+	value float64
+	pct   bool
+}
+
+// table2Rows boots the base and networked systems and measures Table 2:
+// the whole-image code and data footprints, the loader and switcher,
+// each base and network-stack compartment, the networked system's
+// stacks, trusted stacks and metadata, and the per-compartment
+// overhead.
+func table2Rows(tb testing.TB) []table2Row {
+	var rows []table2Row
+	size := func(name, paper string, bytes uint32) {
+		rows = append(rows, table2Row{name: name, paper: paper, value: float64(bytes)})
+	}
+	boot := func(img *firmware.Image) (*firmware.Image, firmware.Footprint) {
+		s, err := core.Boot(img)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s.Shutdown()
+		return s.Image, s.Image.Measure()
+	}
+
+	base, baseF := boot(baseImage())
+	size("base_code", "25.9 KB", baseF.CodeBytes+loader.CodeBytes+switcher.CodeBytes)
+	size("base_data", "3.7 KB", baseF.DataBytes)
+	size("loader_code", "7.5 KB, erased after boot", loader.CodeBytes)
+	size("switcher_code", "1.4 KB", switcher.CodeBytes)
+	for _, name := range []string{"alloc", "sched", "token"} {
+		c := base.Compartment(name)
+		size(name+"_code", "", c.CodeSize)
+		size(name+"_data", "", c.DataSize)
+	}
+
+	net, netF := boot(networkImage())
+	size("net_code", "151.8 KB", netF.CodeBytes+loader.CodeBytes+switcher.CodeBytes)
+	size("net_data", "20.4 KB", netF.DataBytes)
+	for _, name := range []string{
+		netstack.Firewall, netstack.TCPIP, netstack.NetAPI, netstack.DNS,
+		netstack.SNTP, netstack.TLS, netstack.MQTT,
+	} {
+		c := net.Compartment(name)
+		size(name+"_code", "", c.CodeSize)
+		wrapper := 0.0
+		if c.CodeSize > 0 {
+			wrapper = 100 * float64(c.WrapperCodeSize) / float64(c.CodeSize)
+		}
+		rows = append(rows, table2Row{name: name + "_wrapper", value: wrapper, pct: true})
+		size(name+"_data", "", c.DataSize)
+	}
+	size("net_stacks", "", netF.StackBytes)
+	size("net_trusted_stacks", "", netF.TrustedStackBytes)
+	size("net_metadata", "", netF.MetadataBytes)
+	size("per_compartment_overhead", "83 B", firmware.CompartmentOverheadBytes)
+	return rows
+}
+
 // BenchmarkTable2_CodeDataSize regenerates Table 2: per-component and
 // whole-image code/data footprints of the base and networked systems.
 func BenchmarkTable2_CodeDataSize(b *testing.B) {
+	var rows []table2Row
 	for i := 0; i < b.N; i++ {
-		base, err := core.Boot(baseImage())
-		if err != nil {
-			b.Fatal(err)
-		}
-		base.Shutdown()
-		net, err := core.Boot(networkImage())
-		if err != nil {
-			b.Fatal(err)
-		}
-		net.Shutdown()
-
-		baseF := base.Image.Measure()
-		netF := net.Image.Measure()
-		baseCode := baseF.CodeBytes + loader.CodeBytes + switcher.CodeBytes
-		netCode := netF.CodeBytes + loader.CodeBytes + switcher.CodeBytes
-		b.ReportMetric(float64(baseCode)/1024, "base-code-KB")
-		b.ReportMetric(float64(netCode)/1024, "net-code-KB")
-
-		if i > 0 {
-			continue
-		}
-		out := "\nTable 2 — code and data size (paper values in parens):\n"
-		out += fmt.Sprintf("  Base system       code %6.1f KB (25.9)  data %6.1f KB (3.7)\n",
-			float64(baseCode)/1024, float64(baseF.DataBytes)/1024)
-		out += fmt.Sprintf("    Loader          code %6.1f KB (7.5, erased after boot)\n",
-			float64(loader.CodeBytes)/1024)
-		out += fmt.Sprintf("    Switcher        code %6.1f KB (1.4)\n", float64(switcher.CodeBytes)/1024)
-		for _, name := range []string{"alloc", "sched", "token"} {
-			c := base.Image.Compartment(name)
-			out += fmt.Sprintf("    %-15s code %6.1f KB          data %5d B\n",
-				c.Name, float64(c.CodeSize)/1024, c.DataSize)
-		}
-		out += fmt.Sprintf("  Base + net stack  code %6.1f KB (151.8) data %6.1f KB (20.4)\n",
-			float64(netCode)/1024, float64(netF.DataBytes)/1024)
-		for _, name := range []string{
-			netstack.Firewall, netstack.TCPIP, netstack.NetAPI, netstack.DNS,
-			netstack.SNTP, netstack.TLS, netstack.MQTT,
-		} {
-			c := net.Image.Compartment(name)
-			wrapper := 0.0
-			if c.CodeSize > 0 {
-				wrapper = 100 * float64(c.WrapperCodeSize) / float64(c.CodeSize)
-			}
-			out += fmt.Sprintf("    %-15s code %6.1f KB  wrapper %4.0f%%  data %5d B\n",
-				c.Name, float64(c.CodeSize)/1024, wrapper, c.DataSize)
-		}
-		out += fmt.Sprintf("    stacks %.1f KB, trusted stacks %.2f KB, metadata %.1f KB\n",
-			float64(netF.StackBytes)/1024, float64(netF.TrustedStackBytes)/1024,
-			float64(netF.MetadataBytes)/1024)
-		out += fmt.Sprintf("  Per-compartment overhead: %d B (paper: 83 B)\n",
-			firmware.CompartmentOverheadBytes)
-		printOnce("table2", out)
+		rows = table2Rows(b)
 	}
+	out := "\nTable 2 — code and data size (paper values in parens):\n"
+	for _, r := range rows {
+		switch {
+		case r.pct:
+			out += fmt.Sprintf("  %-26s %7.0f %%", r.name, r.value)
+		case r.value < 1024:
+			out += fmt.Sprintf("  %-26s %7.0f B", r.name, r.value)
+		default:
+			out += fmt.Sprintf("  %-26s %7.1f KB", r.name, r.value/1024)
+		}
+		if r.paper != "" {
+			out += " (" + r.paper + ")"
+		}
+		out += "\n"
+		switch r.name {
+		case "base_code":
+			b.ReportMetric(r.value/1024, "base-code-KB")
+		case "net_code":
+			b.ReportMetric(r.value/1024, "net-code-KB")
+		}
+	}
+	printOnce("table2", out)
 }
 
 // table3Row is one Table 3 API: the paper's cycles and the measured

@@ -14,6 +14,10 @@
 // worker-pool runs emit byte-identical reports; wall-clock progress
 // goes to stderr. The process exits 3 when any cell fails — the same
 // machine-readable verdict convention as cheriot-fleet -slo.
+//
+// `list` prints each scenario's fleet as its cheriot-fleet command line,
+// quoted for a POSIX shell, so `cheriot-fleet <line> -seed N` reruns
+// the scenario's cell at seed N.
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"github.com/cheriot-go/cheriot/internal/scenario"
 )
@@ -59,16 +64,30 @@ func list(stdout io.Writer) {
 	fmt.Fprintln(stdout, "scenarios:")
 	for _, name := range scenario.Names() {
 		s, _ := scenario.Get(name)
-		ported := ""
-		if s.Equivalent != "" {
-			ported = "  [ported]"
-		}
-		fmt.Fprintf(stdout, "  %-18s %s%s\n", name, s.Summary, ported)
+		fmt.Fprintf(stdout, "  %-18s %s\n      %s\n", name, s.Summary, shellQuote(s.Fleet))
 	}
 	fmt.Fprintln(stdout, "suites:")
 	for _, name := range scenario.SuiteNames() {
 		fmt.Fprintf(stdout, "  %-18s %v\n", name, scenario.SuiteMembers(name))
 	}
+}
+
+// shellQuote renders a scenario line for a POSIX shell: a token holding
+// any character but letters, digits and -_./:=,@%+ (an SLO's ';' and
+// '>', say) goes in single quotes.
+func shellQuote(line string) string {
+	args := strings.Fields(line)
+	for i, a := range args {
+		if strings.IndexFunc(a, unsafeInShell) >= 0 {
+			args[i] = "'" + strings.ReplaceAll(a, "'", `'\''`) + "'"
+		}
+	}
+	return strings.Join(args, " ")
+}
+
+func unsafeInShell(r rune) bool {
+	return !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' ||
+		strings.ContainsRune("-_./:=,@%+", r))
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -98,6 +117,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *nseeds < 1 {
 		fmt.Fprintln(stderr, "campaign: -seeds must be >= 1")
+		return 2
+	}
+	if *seedBase == 0 {
+		// A fleet runs seed 0 as seed 1, so the cell would repeat seed 1's.
+		fmt.Fprintln(stderr, "campaign: -seed must be >= 1")
 		return 2
 	}
 

@@ -5,26 +5,17 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/cheriot-go/cheriot/internal/fleetcli"
 	"github.com/cheriot-go/cheriot/internal/scenario"
 )
 
 func init() {
 	// A guaranteed-failing scenario for the exit-code contract: two
 	// devices, nothing crashes, rule demands a crash.
-	c := fleetcli.Default()
-	c.Seed = 0
-	c.Devices = 2
-	c.Lockstep = true
-	c.Duration = 13 * time.Second
-	c.ArrivalSpread = 500 * time.Millisecond
 	scenario.Register(scenario.Scenario{
 		Name:    "test-always-fails",
 		Summary: "test-only: impossible SLO",
-		Fleet:   c,
-		SLO:     "crashes>=1",
+		Fleet:   "-devices 2 -lockstep -duration 13s -spread 500ms -slo crashes>=1",
 	})
 }
 
@@ -35,8 +26,12 @@ func TestCLIExitCodes(t *testing.T) {
 	if code := cli([]string{"list"}, &out, &errw); code != 0 {
 		t.Errorf("list exited %d", code)
 	}
-	if !strings.Contains(out.String(), "pod-storm") || !strings.Contains(out.String(), "smoke") {
-		t.Errorf("list output missing registered names:\n%s", out.String())
+	for _, want := range []string{"pod-storm", "smoke",
+		"-devices 8 -lockstep -duration 30s -spread 500ms -publish-rate 2 -flightrec 512 -pod 13s " +
+			"-slo 'availability>=0.9@28s;crashes>=8'\n"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("list output missing %q:\n%s", want, out.String())
+		}
 	}
 
 	for _, args := range [][]string{
@@ -46,6 +41,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"run", "no-such-scenario"},
 		{"run", "smoke", "extra-arg"},
 		{"run", "smoke", "-seeds", "0"},
+		{"run", "smoke", "-seed", "0"}, // a fleet would run seed 0 as seed 1
 	} {
 		if code := cli(args, &out, &errw); code != 2 {
 			t.Errorf("cli(%v) exited %d, want 2", args, code)
@@ -100,5 +96,21 @@ func TestCLIFlagOrder(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("flag order changed the report")
+	}
+}
+
+// A listed line pastes into a POSIX shell as the scenario declares it:
+// a token the shell would act on is single-quoted, a quote in it
+// escaped, and a plain token left bare.
+func TestShellQuote(t *testing.T) {
+	for line, want := range map[string]string{
+		"-devices 8 -lockstep -rollout-rings 25,100 -spread 500ms": "-devices 8 -lockstep -rollout-rings 25,100 -spread 500ms",
+		"-slo delivery>=0.99;p99<=5ms":                             "-slo 'delivery>=0.99;p99<=5ms'",
+		"-profiles a:2;b::fw=jsvm -slo crashes<=0":                 "-profiles 'a:2;b::fw=jsvm' -slo 'crashes<=0'",
+		"-x a&b -y a|b -z a*? -w $HOME -v it's":                    `-x 'a&b' -y 'a|b' -z 'a*?' -w '$HOME' -v 'it'\''s'`,
+	} {
+		if got := shellQuote(line); got != want {
+			t.Errorf("shellQuote(%q) = %s, want %s", line, got, want)
+		}
 	}
 }

@@ -26,9 +26,9 @@
 // deterministic for a given config+seed; wall-clock timings go to
 // stderr. With -slo the process exits 3 when any rule is violated.
 //
-// The fleet-shaping flags set a fleet.Config through internal/fleetcli,
-// the struct registered scenarios declare (see cheriot-campaign), so a
-// flag invocation and its ported scenario are provably equivalent.
+// The fleet-shaping flags set a fleet.Config through internal/fleetcli.
+// A registered scenario declares its fleet as a line of these flags, so
+// `cheriot-campaign list` prints lines this command reruns with -seed.
 package main
 
 import (

@@ -23,11 +23,12 @@ const paperGolden = "testdata/paper_cycles.golden"
 
 // TestPaperCyclesGolden pins the simulated numbers behind the paper's
 // figures and tables in EXPERIMENTS.md — the Fig. 6a call and interrupt
-// latencies, every Table 3 row, and the Fig. 7 case study's length,
-// TCP/IP micro-reboot time, average load, compartment count, code and
-// data footprint and heap high water — against a committed golden
-// file. A calibration change must show up as an explicit diff of that
-// file (rewrite it with -update), never as a silent drift.
+// latencies, every Table 2 size and wrapper share, every Table 3 row,
+// and the Fig. 7 case study's length, TCP/IP micro-reboot time, average
+// load, compartment count, code and data footprint and heap high water
+// — against a committed golden file. A calibration change must show up
+// as an explicit diff of that file (rewrite it with -update), never as
+// a silent drift.
 func TestPaperCyclesGolden(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# Simulated numbers of the paper's figures and tables (EXPERIMENTS.md).\n")
@@ -40,6 +41,13 @@ func TestPaperCyclesGolden(t *testing.T) {
 	}
 	row("fig6a %-32s %9.1f cycles/call", "library_call", float64(libCallCycles(t, n))/n)
 	row("fig6a %-32s %9.1f cycles/irq", "interrupt_latency", float64(irqLatencyCycles(t, n))/n)
+	for _, r := range table2Rows(t) {
+		if r.pct {
+			row("table2 %-31s %9.1f %%", r.name, r.value)
+		} else {
+			row("table2 %-31s %9.0f bytes", r.name, r.value)
+		}
+	}
 	for _, r := range table3Rows(t, n) {
 		row("table3 %-31s %9.1f cycles", strings.ReplaceAll(r.name, " ", "_"), r.cycles)
 	}

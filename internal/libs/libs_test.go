@@ -217,6 +217,82 @@ func TestHardenedQueueCompartment(t *testing.T) {
 	}
 }
 
+// TestHardenedQueueDestroy: q_destroy gives a queue's buffer back to the
+// quota that paid for it, so 200 create/destroy pairs fit a 4096-byte
+// quota that holds about 100 live queues, and the quota ends where it
+// began. A destroy presenting another quota is refused and the queue
+// stays usable; a destroyed handle is dead to q_send and to a second
+// q_destroy.
+func TestHardenedQueueDestroy(t *testing.T) {
+	img := core.NewImage("queue-destroy")
+	libs.AddQueueCompTo(img)
+	img.AddCompartment(&firmware.Compartment{
+		Name: "client", CodeSize: 512, DataSize: 0,
+		AllocCaps: []firmware.AllocCap{{Name: "default", Quota: 4096}, {Name: "other", Quota: 4096}},
+		Imports:   append(libs.QueueCompImports(), alloc.Imports()...),
+		Exports: []*firmware.Export{{Name: "main", MinStack: 1024,
+			Entry: func(ctx api.Context, args []api.Value) []api.Value {
+				mine, other := ctx.SealedImport("default"), ctx.SealedImport("other")
+				call := func(fn string, args ...api.Value) []api.Value {
+					rets, err := ctx.Call(libs.QueueComp, fn, args...)
+					if err != nil {
+						t.Errorf("%s: %v", fn, err)
+						return api.EV(api.ErrInvalid)
+					}
+					return rets
+				}
+				create := func() (cap.Capability, api.Errno) {
+					rets := call(libs.FnQCreate, api.C(mine), api.W(4), api.W(4))
+					if e := api.ErrnoOf(rets); e != api.OK {
+						return cap.Null(), e
+					}
+					return rets[1].Cap, api.OK
+				}
+				before, _ := alloc.Delegated(mine).QuotaRemaining(ctx)
+				for i := 0; i < 200; i++ {
+					h, e := create()
+					if e != api.OK {
+						t.Errorf("pair %d: q_create: %v", i, e)
+						return nil
+					}
+					if e := api.ErrnoOf(call(libs.FnQDestroy, api.C(mine), api.C(h))); e != api.OK {
+						t.Errorf("pair %d: q_destroy: %v", i, e)
+						return nil
+					}
+				}
+				if after, _ := alloc.Delegated(mine).QuotaRemaining(ctx); after != before {
+					t.Errorf("quota after 200 create/destroy pairs: %d bytes left, began with %d", after, before)
+				}
+
+				h, e := create()
+				if e != api.OK {
+					t.Errorf("q_create: %v", e)
+					return nil
+				}
+				elem := ctx.StackAlloc(4)
+				if e := api.ErrnoOf(call(libs.FnQDestroy, api.C(other), api.C(h))); e == api.OK {
+					t.Error("q_destroy freed a queue on a quota that did not pay for it")
+				}
+				if e := api.ErrnoOf(call(libs.FnQSend, api.C(h), api.C(elem), api.W(0))); e != api.OK {
+					t.Errorf("q_send after a refused destroy: %v", e)
+				}
+				if e := api.ErrnoOf(call(libs.FnQDestroy, api.C(mine), api.C(h))); e != api.OK {
+					t.Errorf("q_destroy: %v", e)
+				}
+				if e := api.ErrnoOf(call(libs.FnQSend, api.C(h), api.C(elem), api.W(0))); e == api.OK {
+					t.Error("q_send accepted a destroyed handle")
+				}
+				if e := api.ErrnoOf(call(libs.FnQDestroy, api.C(mine), api.C(h))); e == api.OK {
+					t.Error("a second q_destroy succeeded")
+				}
+				return nil
+			}}},
+	})
+	img.AddThread(&firmware.Thread{Name: "t", Compartment: "client", Entry: "main",
+		Priority: 1, StackSize: 4096, TrustedStackFrames: 10})
+	run(t, boot(t, img))
+}
+
 // TestTicketLockFairness checks FIFO ordering of the ticket lock.
 func TestTicketLockFairness(t *testing.T) {
 	img := core.NewImage("ticket")

@@ -13,7 +13,8 @@ import (
 // sealed handles; buffers are allocated with the *caller's* delegated
 // allocation capability (quota delegation, §3.2.3) but sealed under the
 // compartment's own key, so the caller cannot free a queue out from under
-// the other endpoint (§3.2.1).
+// the other endpoint (§3.2.1); q_destroy frees it for a caller presenting
+// the quota it was created on.
 const QueueComp = "queuecomp"
 
 // Queue-compartment entry names.
@@ -21,6 +22,7 @@ const (
 	FnQCreate  = "q_create"
 	FnQSend    = "q_send"
 	FnQReceive = "q_receive"
+	FnQDestroy = "q_destroy"
 )
 
 // AddQueueCompTo registers the hardened queue compartment (and the queue
@@ -41,6 +43,7 @@ func AddQueueCompTo(img *firmware.Image) {
 			{Name: FnQCreate, MinStack: 512, Entry: qCreate},
 			{Name: FnQSend, MinStack: 512, Entry: qSend},
 			{Name: FnQReceive, MinStack: 512, Entry: qReceive},
+			{Name: FnQDestroy, MinStack: 512, Entry: qDestroy},
 		},
 	})
 }
@@ -52,6 +55,7 @@ func QueueCompImports() []firmware.Import {
 		{Kind: firmware.ImportCall, Target: QueueComp, Entry: FnQCreate},
 		{Kind: firmware.ImportCall, Target: QueueComp, Entry: FnQSend},
 		{Kind: firmware.ImportCall, Target: QueueComp, Entry: FnQReceive},
+		{Kind: firmware.ImportCall, Target: QueueComp, Entry: FnQDestroy},
 	}
 }
 
@@ -109,4 +113,16 @@ func qReceive(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(api.ErrInvalid)
 	}
 	return ctx.LibCall(QueueLib, FnQueueReceive, api.C(buf), args[1], args[2])
+}
+
+// qDestroy(delegatedAllocCap, handle) -> errno frees a queue's buffer back
+// to the quota it was created on, after the RTOS's queue_destroy: only a
+// caller presenting that quota can destroy the queue, and the handle is
+// dead afterwards. Like mqtt_close, it neither wakes nor fences a thread
+// blocked on the queue; the other endpoint must not be waiting on it.
+func qDestroy(ctx api.Context, args []api.Value) []api.Value {
+	if len(args) < 2 || !args[0].IsCap || !args[1].IsCap {
+		return api.EV(api.ErrInvalid)
+	}
+	return api.EV(ctx.State().(*token.Sealer).Free(ctx, args[0].Cap, args[1].Cap))
 }

@@ -182,6 +182,12 @@ func NewController(plan Plan, devices int, hz uint64) (*Controller, error) {
 	if hz == 0 {
 		return nil, fmt.Errorf("ota: rollout needs a clock rate")
 	}
+	// The controller reads plan durations at millisecond resolution
+	// (cycles). A shorter period is finer than it can judge, and below a
+	// microsecond it steps the fleet's checkpoint loop by 0 cycles.
+	if plan.CheckEvery < time.Millisecond {
+		return nil, fmt.Errorf("ota: checkpoint period %v is under the controller's 1ms resolution", plan.CheckEvery)
+	}
 	prev := 0.0
 	for i, pct := range plan.Rings {
 		if pct <= prev || pct > 100 {

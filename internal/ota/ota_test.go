@@ -57,6 +57,8 @@ func TestControllerValidation(t *testing.T) {
 		{"bad slo", func(p *ota.Plan) { p.HealthSLO = "availability %% 3" }, 8, "health SLO"},
 		{"non-availability metric", func(p *ota.Plan) { p.HealthSLO = "crashes<=0" }, 8, "only the availability metric"},
 		{"scoped rule", func(p *ota.Plan) { p.HealthSLO = "availability>=0.9@12s" }, 8, "drop the @Ns scope"},
+		{"sub-microsecond check", func(p *ota.Plan) { p.CheckEvery = 500 * time.Nanosecond }, 8, "1ms resolution"},
+		{"sub-millisecond check", func(p *ota.Plan) { p.CheckEvery = 999 * time.Microsecond }, 8, "1ms resolution"},
 	}
 	for _, tc := range cases {
 		p := plan(10, 100)

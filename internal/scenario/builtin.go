@@ -1,33 +1,13 @@
 package scenario
 
-import (
-	"time"
-
-	"github.com/cheriot-go/cheriot/internal/fleet"
-	"github.com/cheriot-go/cheriot/internal/fleetcli"
-	"github.com/cheriot-go/cheriot/internal/ota"
-)
-
-// base is the shared small-fleet shape: lockstep (single-goroutine
-// deterministic; the campaign runner parallelizes across cells
-// instead), tight arrival spread, 2 Hz publishes. Scenario literals
-// read as deltas from this.
-func base() fleet.Config {
-	c := fleetcli.Default()
-	c.Seed = 0 // harness-owned: the seed matrix fills it per cell
-	c.Devices = 8
-	c.Lockstep = true
-	c.ArrivalSpread = 500 * time.Millisecond
-	c.PublishRate = 2
-	return c
-}
-
 // The four ported ad-hoc campaigns (pod storm, shard failover,
-// reconnect churn, heterogeneous profiles) and the three new fault
-// campaigns (broker partition, clock skew, quota storm). Every
-// Equivalent string is a cheriot-fleet flag line; the equivalence test
-// parses it through fleetcli.ParseArgs and proves the configs — and
-// the run summaries — are identical.
+// reconnect churn, heterogeneous profiles), the fault campaigns (broker
+// partition, clock skew, quota storm), the snapshot and profiling
+// campaigns and the staged-OTA ones. Every fleet is a small lockstep
+// one (single-goroutine deterministic; the campaign runner parallelizes
+// across cells instead) with a tight arrival spread and 2 Hz publishes.
+// Each line is written out whole: a shared prefix would invite a later
+// flag that overrides it unseen.
 func init() {
 	// --- Ported campaigns ---
 
@@ -37,20 +17,12 @@ func init() {
 	Register(Scenario{
 		Name:    "pod-storm",
 		Summary: "ping-of-death storm: crash every device at 13s, recover by micro-reboot",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.Duration = 30 * time.Second
-			c.FlightRecorder = 512
-			c.PingOfDeathAt = 13 * time.Second
-			return c
-		}(),
-		SLO: "availability>=0.9@28s;crashes>=8",
+		Fleet: "-devices 8 -lockstep -duration 30s -spread 500ms -publish-rate 2 " +
+			"-flightrec 512 -pod 13s -slo availability>=0.9@28s;crashes>=8",
 		Fixtures: []Fixture{
 			FaultObserved{Fault: "pod"},
 			CycleSumExact{},
 		},
-		Equivalent: "-devices 8 -lockstep -duration 30s -spread 500ms -publish-rate 2 " +
-			"-flightrec 512 -pod 13s -slo availability>=0.9@28s;crashes>=8",
 	})
 
 	// The sharded-cloud failover campaign (README `-shards 2 -failover
@@ -59,21 +31,13 @@ func init() {
 	Register(Scenario{
 		Name:    "shard-failover",
 		Summary: "kill one broker shard at 13s; kicked devices re-home to the survivor",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.CloudShards = 2
-			c.Duration = 30 * time.Second
-			c.FailoverAt = 13 * time.Second
-			return c
-		}(),
-		SLO: "availability>=0.9@28s;crashes<=0",
+		Fleet: "-devices 8 -shards 2 -lockstep -duration 30s -spread 500ms -publish-rate 2 " +
+			"-failover 13s -slo availability>=0.9@28s;crashes<=0",
 		Fixtures: []Fixture{
 			FaultObserved{Fault: "failover"},
 			NoDeviceErrors{},
 			CycleSumExact{},
 		},
-		Equivalent: "-devices 8 -shards 2 -lockstep -duration 30s -spread 500ms -publish-rate 2 " +
-			"-failover 13s -slo availability>=0.9@28s;crashes<=0",
 	})
 
 	// The reconnect-churn campaign (README `-churn`): every device tears
@@ -81,20 +45,13 @@ func init() {
 	Register(Scenario{
 		Name:    "reconnect-churn",
 		Summary: "tear down and re-handshake every 8 publishes; no leaks, no losses",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.Duration = 30 * time.Second
-			c.ReconnectEvery = 8
-			return c
-		}(),
-		SLO: "crashes<=0;lost<=0",
+		Fleet: "-devices 8 -lockstep -duration 30s -spread 500ms -publish-rate 2 " +
+			"-churn 8 -slo crashes<=0;lost<=0",
 		Fixtures: []Fixture{
 			Churned{},
 			NoDeviceErrors{},
 			CycleSumExact{},
 		},
-		Equivalent: "-devices 8 -lockstep -duration 30s -spread 500ms -publish-rate 2 " +
-			"-churn 8 -slo crashes<=0;lost<=0",
 	})
 
 	// The heterogeneous-fleet campaign (README `-profiles`): weighted
@@ -103,26 +60,13 @@ func init() {
 	Register(Scenario{
 		Name:    "mixed-profiles",
 		Summary: "heterogeneous fleet: weighted sensor/gateway profiles plus jsvm firmware",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.Devices = 6
-			c.Duration = 16 * time.Second
-			c.ArrivalSpread = 1 * time.Second
-			c.Profiles = []fleet.Profile{
-				{Name: "sensor", Weight: 3, PublishRate: 2, PublishBytes: 24},
-				{Name: "gateway", Weight: 2, ReconnectEvery: 6},
-				{Name: "jsdev", Weight: 1, Firmware: fleet.FirmwareJS},
-			}
-			return c
-		}(),
-		SLO: "crashes<=0;lost<=0;delivery>=0.9",
+		Fleet: "-devices 6 -lockstep -duration 16s -spread 1s -publish-rate 2 " +
+			"-profiles sensor:3:rate=2,bytes=24;gateway:2:churn=6;jsdev:1:fw=jsvm " +
+			"-slo crashes<=0;lost<=0;delivery>=0.9",
 		Fixtures: []Fixture{
 			NoDeviceErrors{},
 			CycleSumExact{},
 		},
-		Equivalent: "-devices 6 -lockstep -duration 16s -spread 1s -publish-rate 2 " +
-			"-profiles sensor:3:rate=2,bytes=24;gateway:2:churn=6;jsdev:1:fw=jsvm " +
-			"-slo crashes<=0;lost<=0;delivery>=0.9",
 	})
 
 	// --- New fault campaigns ---
@@ -132,14 +76,8 @@ func init() {
 	Register(Scenario{
 		Name:    "broker-partition",
 		Summary: "blackhole one broker shard's traffic 13s..16s; devices reconnect through it",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.CloudShards = 2
-			c.Duration = 30 * time.Second
-			c.PartitionAt = 13 * time.Second
-			return c
-		}(),
-		SLO: "availability>=0.9@28s;crashes<=0",
+		Fleet: "-devices 8 -shards 2 -lockstep -duration 30s -spread 500ms -publish-rate 2 " +
+			"-partition 13s -slo availability>=0.9@28s;crashes<=0",
 		Fixtures: []Fixture{
 			FaultObserved{Fault: "partition"},
 			NoDeviceErrors{},
@@ -153,13 +91,8 @@ func init() {
 	Register(Scenario{
 		Name:    "clock-skew",
 		Summary: "seeded per-device NTP skew in ±500ms; delivery must not care",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.Duration = 16 * time.Second
-			c.ClockSkewMax = 500 * time.Millisecond
-			return c
-		}(),
-		SLO: "delivery>=0.99;crashes<=0;lost<=0",
+		Fleet: "-devices 8 -lockstep -duration 16s -spread 500ms -publish-rate 2 " +
+			"-clock-skew 500ms -slo delivery>=0.99;crashes<=0;lost<=0",
 		Fixtures: []Fixture{
 			FaultObserved{Fault: "skew"},
 			NoDeviceErrors{},
@@ -175,13 +108,8 @@ func init() {
 	Register(Scenario{
 		Name:    "quota-storm",
 		Summary: "exhaust every app's alloc quota at 14s; publish under pressure, leak nothing",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.Duration = 18 * time.Second
-			c.QuotaStormAt = 14 * time.Second
-			return c
-		}(),
-		SLO: "crashes<=0;lost<=0",
+		Fleet: "-devices 8 -lockstep -duration 18s -spread 500ms -publish-rate 2 " +
+			"-flightrec 256 -quota-storm 14s -slo crashes<=0;lost<=0",
 		Fixtures: []Fixture{
 			FaultObserved{Fault: "quota-storm"},
 			LeakFree{Owner: "fleetapp", MaxLive: 8},
@@ -200,12 +128,8 @@ func init() {
 	Register(Scenario{
 		Name:    "snapshot-fork",
 		Summary: "fork the fleet from a booted template; a cold-booted re-run must be byte-identical",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.Duration = 16 * time.Second
-			return c
-		}(),
-		SLO: "crashes<=0;lost<=0",
+		Fleet: "-devices 8 -lockstep -duration 16s -spread 500ms -publish-rate 2 " +
+			"-slo crashes<=0;lost<=0",
 		Fixtures: []Fixture{
 			ForkedEqualsCold{},
 			NoDeviceErrors{},
@@ -222,12 +146,8 @@ func init() {
 	Register(Scenario{
 		Name:    "profiled-baseline",
 		Summary: "steady-state fleet with the compartment profiler on; attribution must be exact",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.Duration = 16 * time.Second
-			return c
-		}(),
-		SLO: "crashes<=0;lost<=0",
+		Fleet: "-devices 8 -lockstep -duration 16s -spread 500ms -publish-rate 2 " +
+			"-prof -slo crashes<=0;lost<=0",
 		Fixtures: []Fixture{
 			ProfileCaptured{},
 			NoDeviceErrors{},
@@ -246,21 +166,14 @@ func init() {
 	Register(Scenario{
 		Name:    "rollout-healthy",
 		Summary: "staged OTA rollout: 25% canary at 13s, health-gated widening to 100%",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.Duration = 46 * time.Second
-			c.Rollout = &ota.Plan{StartAt: 13 * time.Second, Rings: []float64{25, 100}, BringUp: 12 * time.Second, Bake: 2 * time.Second}
-			return c
-		}(),
-		SLO: "crashes<=0",
+		Fleet: "-devices 8 -lockstep -duration 46s -spread 500ms -publish-rate 2 " +
+			"-rollout 13s -rollout-rings 25,100 -rollout-bringup 12s -rollout-bake 2s " +
+			"-slo crashes<=0",
 		Fixtures: []Fixture{
 			RolloutComplete{},
 			NoDeviceErrors{},
 			CycleSumExact{},
 		},
-		Equivalent: "-devices 8 -lockstep -duration 46s -spread 500ms -publish-rate 2 " +
-			"-rollout 13s -rollout-rings 25,100 -rollout-bringup 12s -rollout-bake 2s " +
-			"-slo crashes<=0",
 	})
 
 	// Poisoned rollout: the same staging, but the update image ships a
@@ -270,21 +183,14 @@ func init() {
 	Register(Scenario{
 		Name:    "rollout-poisoned",
 		Summary: "poisoned OTA image: canary crashes trip the threshold, auto-rollback recovers the fleet",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.Duration = 40 * time.Second
-			c.Rollout = &ota.Plan{StartAt: 13 * time.Second, Rings: []float64{25, 100}, BringUp: 12 * time.Second, Bake: 2 * time.Second, Poisoned: true}
-			return c
-		}(),
-		SLO: "crashes>=3",
+		Fleet: "-devices 8 -lockstep -duration 40s -spread 500ms -publish-rate 2 " +
+			"-rollout 13s -rollout-rings 25,100 -rollout-bringup 12s -rollout-bake 2s " +
+			"-rollout-poison -slo crashes>=3",
 		Fixtures: []Fixture{
 			RolledBack{},
 			NoDeviceErrors{},
 			CycleSumExact{},
 		},
-		Equivalent: "-devices 8 -lockstep -duration 40s -spread 500ms -publish-rate 2 " +
-			"-rollout 13s -rollout-rings 25,100 -rollout-bringup 12s -rollout-bake 2s " +
-			"-rollout-poison -slo crashes>=3",
 	})
 
 	// Rollout under partition: compose the staged rollout with the
@@ -294,15 +200,9 @@ func init() {
 	Register(Scenario{
 		Name:    "rollout-under-partition",
 		Summary: "staged rollout through a 16s..19s broker partition; the health gate rides it out",
-		Fleet: func() fleet.Config {
-			c := base()
-			c.CloudShards = 2
-			c.Duration = 50 * time.Second
-			c.PartitionAt = 16 * time.Second
-			c.Rollout = &ota.Plan{StartAt: 13 * time.Second, Rings: []float64{25, 100}, BringUp: 12 * time.Second, Bake: 2 * time.Second}
-			return c
-		}(),
-		SLO: "crashes<=0",
+		Fleet: "-devices 8 -shards 2 -lockstep -duration 50s -spread 500ms -publish-rate 2 " +
+			"-partition 16s -rollout 13s -rollout-rings 25,100 -rollout-bringup 12s -rollout-bake 2s " +
+			"-slo crashes<=0",
 		Fixtures: []Fixture{
 			FaultObserved{Fault: "partition"},
 			RolloutComplete{},

@@ -11,9 +11,8 @@ import (
 
 // Fixture is a pre/post state check attached to a scenario. Check runs
 // on the finished fleet and returns nil when the invariant holds. A
-// fixture that also implements Prepare(*fleet.Config) error gets to
-// adjust the run's config first (e.g. arming the flight recorder it
-// needs to observe allocations).
+// fixture that needs an instrument fails when the scenario's line does
+// not arm it.
 type Fixture interface {
 	Name() string
 	Check(*fleet.Result) error
@@ -59,8 +58,8 @@ func (NoDeviceErrors) Check(res *fleet.Result) error {
 // LeakFree is the flight-recorder leak check: after the run, no device
 // may hold more than MaxLive live heap allocations owned by the Owner
 // compartment. A quota storm that forgot a Free, or an app accreting
-// state per reconnect, trips it. Prepare arms the flight recorder when
-// the scenario didn't.
+// state per reconnect, trips it. The scenario's line must arm the
+// flight recorder (-flightrec).
 type LeakFree struct {
 	Owner   string // allocating compartment, e.g. "fleetapp"
 	MaxLive int    // steady-state live allocations allowed per device
@@ -68,17 +67,10 @@ type LeakFree struct {
 
 func (LeakFree) Name() string { return "leak-free" }
 
-func (f LeakFree) Prepare(c *fleet.Config) error {
-	if f.Owner == "" {
-		return fmt.Errorf("leak-free: empty owner compartment")
-	}
-	if c.FlightRecorder == 0 {
-		c.FlightRecorder = 256
-	}
-	return nil
-}
-
 func (f LeakFree) Check(res *fleet.Result) error {
+	if f.Owner == "" {
+		return fmt.Errorf("empty owner compartment")
+	}
 	for _, d := range res.Devices {
 		if d.Rec == nil {
 			return fmt.Errorf("device %d has no flight recorder", d.Index)
@@ -140,20 +132,14 @@ func (f FaultObserved) Check(res *fleet.Result) error {
 	return nil
 }
 
-// ProfileCaptured arms the cycle-exact compartment profiler and
-// asserts the captured profile is well-formed: present, non-empty, and
-// internally exact (per-frame self cycles sum to the attributed
-// total). Attach it to a scenario to get a folded-stack profile in
-// every cell's summary, with the sum-to-clock invariant judged per
-// seed.
+// ProfileCaptured asserts the cycle-exact compartment profile, which
+// the scenario's line arms with -prof, is well-formed: present,
+// non-empty, and internally exact (per-frame self cycles sum to the
+// attributed total). With it, every cell's summary carries a
+// folded-stack profile whose sum-to-clock invariant is judged per seed.
 type ProfileCaptured struct{}
 
 func (ProfileCaptured) Name() string { return "profile-captured" }
-
-func (ProfileCaptured) Prepare(c *fleet.Config) error {
-	c.Prof = true
-	return nil
-}
 
 func (ProfileCaptured) Check(res *fleet.Result) error {
 	p := res.Summary.Profile

@@ -8,65 +8,55 @@
 // — sequentially or with a worker pool, both producing byte-identical
 // aggregated verdicts — and judges every scenario×seed cell.
 //
-// A scenario declares its fleet as a fleet.Config, the struct the
-// cheriot-fleet flags set, written as a delta from the flag defaults
-// (fleetcli.Default). So "this scenario is the old -pod campaign" is a
-// provable statement: parse the documented flag line with
-// fleetcli.ParseArgs, compare configs, compare summaries (see the
-// equivalence tests).
+// A scenario declares its fleet as its cheriot-fleet command line
+// without -seed, and every cell's fleet.Config is that line and the
+// cell's -seed parsed by fleetcli.ParseArgs, the flags the CLI itself
+// registers. So `cheriot-fleet <line> -seed N` reruns a cell, and
+// `cheriot-campaign list` prints each line ready to paste into a shell.
 package scenario
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"github.com/cheriot-go/cheriot/internal/fleet"
+	"github.com/cheriot-go/cheriot/internal/fleetcli"
 )
 
-// Scenario is one declarative campaign: a fleet shape plus fault
-// schedule (Fleet), SLO pass criteria, and state-check fixtures.
+// Scenario is one declarative campaign: a fleet shape, fault schedule
+// and SLO pass criteria (Fleet), and state-check fixtures.
 type Scenario struct {
 	// Name is the registry key ("pod-storm", "broker-partition", ...).
 	Name string
 	// Summary is the one-line human description shown by `list`.
 	Summary string
-	// Fleet declares the fleet shape and fault schedule: the
-	// fleet.Config cheriot-fleet's flags set, as a delta from
-	// fleetcli.Default. The Seed and SLO fields are owned by the
-	// harness and must stay zero.
-	Fleet fleet.Config
-	// SLO is the pass criteria over the run's health series, in
-	// fleetobs rule syntax ("availability>=0.9@28s;crashes<=0"). It
-	// implies observability, exactly like the -slo flag.
-	SLO string
+	// Fleet is the scenario's cheriot-fleet command line without -seed,
+	// which the seed matrix owns: fleet-shaping flags only, split on
+	// whitespace with no quoting, so no value may hold a space. Its -slo
+	// rules are the cell's pass criteria. Set no flag twice: the later
+	// value would win unseen.
+	Fleet string
 	// Fixtures are extra pre/post state checks judged alongside the
 	// SLO verdict.
 	Fixtures []Fixture
-	// Equivalent documents the cheriot-fleet invocation this scenario
-	// ports, as a flag string (without -seed). The equivalence tests
-	// parse it and prove config and summary identity; empty for
-	// scenarios that never existed as ad-hoc flag campaigns.
-	Equivalent string
 }
 
-// Config builds the scenario's fleet configuration for one seed: the
-// declared Fleet with the seed and the SLO set, and observability on
-// when there is an SLO, as -slo turns on -obs. Fixtures then get their
-// chance to adjust it (e.g. LeakFree arming the flight recorder).
+// Config builds the scenario's fleet configuration for one seed: its
+// line and -seed parsed by fleetcli.ParseArgs. A line that sets -seed
+// itself is refused.
 func (s Scenario) Config(seed uint64) (fleet.Config, error) {
-	c := s.Fleet
-	if c.Seed != 0 || c.SLO != "" {
-		return fleet.Config{}, fmt.Errorf("scenario %s: Fleet.Seed/Fleet.SLO are harness-owned; use the seed matrix and the SLO field", s.Name)
-	}
-	c.Seed = seed
-	c.SLO = s.SLO
-	c.Obs = c.Obs || c.SLO != ""
-	for _, f := range s.Fixtures {
-		if p, ok := f.(interface{ Prepare(*fleet.Config) error }); ok {
-			if err := p.Prepare(&c); err != nil {
-				return fleet.Config{}, fmt.Errorf("scenario %s: fixture %s: %w", s.Name, f.Name(), err)
-			}
+	args := strings.Fields(s.Fleet)
+	for _, a := range args {
+		name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		if strings.HasPrefix(a, "-") && name == "seed" {
+			return fleet.Config{}, fmt.Errorf("scenario %s: the line sets -seed, which the seed matrix owns", s.Name)
 		}
+	}
+	c, err := fleetcli.ParseArgs(append(args, "-seed", strconv.FormatUint(seed, 10)))
+	if err != nil {
+		return fleet.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return c, nil
 }
@@ -76,14 +66,17 @@ var (
 	suites   = map[string][]string{}
 )
 
-// Register adds a scenario to the registry; duplicate names are a
-// programming error.
+// Register adds a scenario to the registry; a duplicate name, or a line
+// that does not parse or sets -seed, is a programming error.
 func Register(s Scenario) {
 	if s.Name == "" {
 		panic("scenario: Register with empty name")
 	}
 	if _, dup := registry[s.Name]; dup {
 		panic("scenario: duplicate scenario " + s.Name)
+	}
+	if _, err := s.Config(1); err != nil {
+		panic(err.Error())
 	}
 	registry[s.Name] = s
 }

@@ -6,14 +6,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/cheriot-go/cheriot/internal/fleet"
-	"github.com/cheriot-go/cheriot/internal/fleetcli"
-	"github.com/cheriot-go/cheriot/internal/fleetobs"
 )
 
 // update rewrites testdata/scenario_configs.golden instead of comparing
@@ -76,8 +72,8 @@ func TestScenarioConfigsPinned(t *testing.T) {
 }
 
 // Every registered scenario must declare a coherent shape: members
-// resolve, SLO rules parse, and the config builds for an arbitrary
-// seed.
+// resolve, the config builds for an arbitrary seed, and no line sets a
+// flag twice, where the later value would win unseen.
 func TestRegistrySanity(t *testing.T) {
 	if len(Names()) == 0 || len(SuiteNames()) == 0 {
 		t.Fatal("empty registry")
@@ -90,9 +86,6 @@ func TestRegistrySanity(t *testing.T) {
 		if sc.Summary == "" {
 			t.Errorf("scenario %s has no summary line", name)
 		}
-		if _, err := fleetobs.ParseRules(sc.SLO); err != nil {
-			t.Errorf("scenario %s: SLO rules do not parse: %v", name, err)
-		}
 		cfg, err := sc.Config(3)
 		if err != nil {
 			t.Errorf("scenario %s: config: %v", name, err)
@@ -101,8 +94,16 @@ func TestRegistrySanity(t *testing.T) {
 		if cfg.Seed != 3 {
 			t.Errorf("scenario %s: seed %d, want 3", name, cfg.Seed)
 		}
-		if sc.SLO != "" && !cfg.Obs {
-			t.Errorf("scenario %s: SLO set but observability off", name)
+		set := map[string]bool{}
+		for _, a := range strings.Fields(sc.Fleet) {
+			if !strings.HasPrefix(a, "-") {
+				continue
+			}
+			f, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+			if set[f] {
+				t.Errorf("scenario %s: the line sets -%s twice", name, f)
+			}
+			set[f] = true
 		}
 	}
 	for _, suite := range SuiteNames() {
@@ -116,116 +117,47 @@ func TestRegistrySanity(t *testing.T) {
 	}
 }
 
-// The LeakFree fixture arms the flight recorder it needs when the
-// scenario didn't ask for one.
-func TestLeakFreePreparesRecorder(t *testing.T) {
-	sc, ok := Get("quota-storm")
-	if !ok {
-		t.Fatal("quota-storm not registered")
-	}
-	if sc.Fleet.FlightRecorder != 0 {
-		t.Fatal("quota-storm declares its own recorder; the Prepare path is untested")
-	}
-	cfg, err := sc.Config(1)
-	if err != nil {
-		t.Fatalf("config: %v", err)
-	}
-	if cfg.FlightRecorder == 0 {
-		t.Error("LeakFree.Prepare did not arm the flight recorder")
-	}
-}
-
-// A scenario that sets the harness-owned fields is rejected, loudly.
+// The seed matrix owns the seed: a line that sets -seed, in any of the
+// spellings the flag package takes, is refused by Config, and Register
+// panics on it as on a line that does not parse.
 func TestHarnessOwnedFields(t *testing.T) {
-	sc := Scenario{Name: "bad", Fleet: fleetcli.Default()} // Default() has Seed 1
-	if _, err := sc.Config(2); err == nil {
-		t.Error("Config accepted a scenario-declared seed")
-	}
-	c := fleetcli.Default()
-	c.Seed = 0
-	c.SLO = "crashes<=0"
-	sc = Scenario{Name: "bad2", Fleet: c}
-	if _, err := sc.Config(2); err == nil {
-		t.Error("Config accepted a scenario-declared Fleet.SLO")
-	}
-}
-
-// Every ported scenario is provably the old flag campaign: parsing its
-// documented cheriot-fleet invocation through fleetcli yields the
-// identical fleet.Config, and running both produces byte-identical
-// summaries.
-func TestPortedScenarioEquivalence(t *testing.T) {
-	const seed = 9
-	ported := 0
-	for _, name := range Names() {
-		sc, _ := Get(name)
-		if sc.Equivalent == "" {
-			continue
+	for _, line := range []string{"-devices 2 -seed 5", "-seed=5", "--seed 5", "--seed=5"} {
+		sc := Scenario{Name: "bad", Fleet: line}
+		if _, err := sc.Config(2); err == nil || !strings.Contains(err.Error(), "-seed") {
+			t.Errorf("Config accepted line %q: %v", line, err)
 		}
-		ported++
-		t.Run(name, func(t *testing.T) {
-			args := append(strings.Fields(sc.Equivalent), "-seed", fmt.Sprint(seed))
-			legacy, err := fleetcli.ParseArgs(args)
-			if err != nil {
-				t.Fatalf("parse documented invocation %q: %v", sc.Equivalent, err)
-			}
-			cfg, err := sc.Config(seed)
-			if err != nil {
-				t.Fatalf("scenario config: %v", err)
-			}
-			if !reflect.DeepEqual(legacy, cfg) {
-				t.Fatalf("configs differ:\nflags:    %+v\nscenario: %+v", legacy, cfg)
-			}
-			rFlags, err := fleet.Run(legacy)
-			if err != nil {
-				t.Fatalf("flag run: %v", err)
-			}
-			rScen, err := fleet.Run(cfg)
-			if err != nil {
-				t.Fatalf("scenario run: %v", err)
-			}
-			j1, err := json.Marshal(rFlags.Summary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j2, err := json.Marshal(rScen.Summary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(j1, j2) {
-				t.Errorf("summaries differ:\n--- flags ---\n%s\n--- scenario ---\n%s", j1, j2)
-			}
-		})
 	}
-	if ported < 4 {
-		t.Errorf("%d ported scenarios, want the 4 legacy campaigns", ported)
+	for _, line := range []string{"-devices 2 -seed 5", "-no-such-flag", "-devices 2 stray", "-slo crashes<=x"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register accepted line %q", line)
+				}
+			}()
+			Register(Scenario{Name: "t-register-" + line, Fleet: line})
+		}()
+		if _, ok := Get("t-register-" + line); ok {
+			t.Errorf("line %q was registered", line)
+		}
 	}
 }
 
 // tinyScenario is a fast ad-hoc scenario for runner tests: 2 devices,
-// just past the TLS handshake.
-func tinyScenario(name, slo string, fixtures ...Fixture) Scenario {
-	c := fleetcli.Default()
-	c.Seed = 0
-	c.Devices = 2
-	c.Lockstep = true
-	c.Duration = 13 * time.Second
-	c.ArrivalSpread = 500 * time.Millisecond
-	c.PublishRate = 2
-	return Scenario{Name: name, Summary: "test scenario", Fleet: c, SLO: slo, Fixtures: fixtures}
+// just past the TLS handshake, then the extra flags.
+func tinyScenario(name, flags string, fixtures ...Fixture) Scenario {
+	return Scenario{Name: name, Summary: "test scenario",
+		Fleet:    "-devices 2 -lockstep -duration 13s -spread 500ms -publish-rate 2 " + flags,
+		Fixtures: fixtures}
 }
 
 // The aggregated suite report is a pure function of (scenarios,
 // seeds): the sequential and worker-pool runners must emit
-// byte-identical JSON. t-c's cells share its declared Profiles slice,
-// so under -race the worker pool also checks that a run leaves it be.
+// byte-identical JSON.
 func TestSeedMatrixDeterminism(t *testing.T) {
-	profiled := tinyScenario("t-c", "crashes<=0", NoDeviceErrors{})
-	profiled.Fleet.Profiles = []fleet.Profile{{Name: "a", Weight: 2}, {Name: "b", PublishRate: 3}}
 	scs := []Scenario{
-		tinyScenario("t-a", "crashes<=0", CycleSumExact{}),
-		tinyScenario("t-b", "lost<=0", NoDeviceErrors{}),
-		profiled,
+		tinyScenario("t-a", "-slo crashes<=0", CycleSumExact{}),
+		tinyScenario("t-b", "-slo lost<=0", NoDeviceErrors{}),
+		tinyScenario("t-c", "-profiles a:2;b::rate=3 -slo crashes<=0", NoDeviceErrors{}),
 	}
 	seeds := []uint64{1, 2, 3}
 	seq := Run("matrix", scs, Options{Seeds: seeds, Workers: 1})
@@ -249,27 +181,36 @@ func TestSeedMatrixDeterminism(t *testing.T) {
 	}
 }
 
-// The ProfileCaptured fixture arms the profiler through Prepare and
-// the captured profile lands in the cell's summary, judged exact; the
-// HostProf option records the host phase split in the verdict without
-// touching the deterministic fields.
-func TestProfiledCell(t *testing.T) {
-	sc, ok := Get("profiled-baseline")
-	if !ok {
-		t.Fatal("profiled-baseline not registered")
+// The LeakFree fixture passes a cell whose line arms the flight
+// recorder and fails one whose line does not, and it refuses an empty
+// owner, which would count no allocation at all.
+func TestLeakFreeNeedsRecorder(t *testing.T) {
+	leak := LeakFree{Owner: "fleetapp", MaxLive: 8}
+	rep := Run("leak", []Scenario{
+		tinyScenario("t-rec", "-flightrec 64", leak),
+		tinyScenario("t-norec", "", leak),
+		tinyScenario("t-noowner", "-flightrec 64", LeakFree{MaxLive: 8}),
+	}, Options{Seeds: []uint64{1}})
+	want := map[string]string{"t-rec": "", "t-norec": "has no flight recorder", "t-noowner": "empty owner"}
+	for _, sr := range rep.Scenarios {
+		sv := sr.Seeds[0]
+		if len(sv.Fixtures) != 1 {
+			t.Fatalf("%s: fixtures %+v (error %q)", sr.Scenario, sv.Fixtures, sv.Err)
+		}
+		w, fr := want[sr.Scenario], sv.Fixtures[0]
+		if fr.OK != (w == "") || !strings.Contains(fr.Detail, w) {
+			t.Errorf("%s: leak-free ok=%v %q, want the failure %q", sr.Scenario, fr.OK, fr.Detail, w)
+		}
 	}
-	if sc.Fleet.Prof {
-		t.Fatal("profiled-baseline sets Fleet.Prof itself; the Prepare path is untested")
-	}
-	cfg, err := sc.Config(1)
-	if err != nil {
-		t.Fatalf("config: %v", err)
-	}
-	if !cfg.Prof {
-		t.Error("ProfileCaptured.Prepare did not arm the profiler")
-	}
+}
 
-	prof := tinyScenario("t-prof", "crashes<=0", ProfileCaptured{})
+// The ProfileCaptured fixture passes a cell whose line arms the
+// profiler, with the captured profile in the cell's summary, judged
+// exact, and fails one whose line does not; the HostProf option
+// records the host phase split in the verdict without touching the
+// deterministic fields.
+func TestProfiledCell(t *testing.T) {
+	prof := tinyScenario("t-prof", "-prof -slo crashes<=0", ProfileCaptured{})
 	rep := Run("prof", []Scenario{prof}, Options{Seeds: []uint64{1}, HostProf: true})
 	if !rep.Pass {
 		t.Fatalf("profiled cell failed: %+v", rep.Scenarios[0].Seeds[0])
@@ -287,6 +228,12 @@ func TestProfiledCell(t *testing.T) {
 		}
 	}
 
+	unarmed := tinyScenario("t-unprof", "-slo crashes<=0", ProfileCaptured{})
+	if sv := Run("unprof", []Scenario{unarmed}, Options{Seeds: []uint64{1}}).Scenarios[0].Seeds[0]; sv.Pass ||
+		len(sv.Fixtures) != 1 || !strings.Contains(sv.Fixtures[0].Detail, "profiler never armed") {
+		t.Errorf("ProfileCaptured passed a cell without -prof: %+v", sv.Fixtures)
+	}
+
 	// Without the option the verdict stays host-free.
 	rep = Run("prof", []Scenario{prof}, Options{Seeds: []uint64{1}})
 	if rep.Scenarios[0].Seeds[0].Host != nil {
@@ -302,13 +249,12 @@ func TestForkedEqualsColdCell(t *testing.T) {
 	if _, ok := Get("snapshot-fork"); !ok {
 		t.Fatal("snapshot-fork not registered")
 	}
-	fork := tinyScenario("t-fork", "crashes<=0", ForkedEqualsCold{})
+	fork := tinyScenario("t-fork", "-slo crashes<=0", ForkedEqualsCold{})
 	rep := Run("fork", []Scenario{fork}, Options{Seeds: []uint64{1}})
 	if !rep.Pass {
 		t.Fatalf("forked cell failed: %+v", rep.Scenarios[0].Seeds[0])
 	}
-	cold := tinyScenario("t-cold", "crashes<=0", ForkedEqualsCold{})
-	cold.Fleet.NoSnapshot = true
+	cold := tinyScenario("t-cold", "-no-snapshot -slo crashes<=0", ForkedEqualsCold{})
 	rep = Run("cold", []Scenario{cold}, Options{Seeds: []uint64{1}})
 	if rep.Pass {
 		t.Fatal("fixture passed on a NoSnapshot cell — fork evidence was never demanded")
@@ -322,12 +268,12 @@ func TestForkedEqualsColdCell(t *testing.T) {
 // A failing SLO rule or fixture fails its cell, its scenario, and the
 // suite — and the evidence is recorded in the verdict.
 func TestFailingVerdictPropagates(t *testing.T) {
-	failSLO := tinyScenario("t-badslo", "crashes>=1") // nothing crashes here
+	failSLO := tinyScenario("t-badslo", "-slo crashes>=1") // nothing crashes here
 	failFix := tinyScenario("t-badfix", "", CheckFunc{
 		Label: "always-fails",
 		Fn:    func(*fleet.Result) error { return fmt.Errorf("synthetic failure") },
 	})
-	good := tinyScenario("t-good", "crashes<=0")
+	good := tinyScenario("t-good", "-slo crashes<=0")
 	rep := Run("mixed", []Scenario{failSLO, failFix, good}, Options{Seeds: []uint64{1}})
 	if rep.Pass {
 		t.Fatal("suite passed with failing cells")
@@ -350,11 +296,15 @@ func TestFailingVerdictPropagates(t *testing.T) {
 		t.Errorf("good cell failed: %+v", sv)
 	}
 
-	// A config error is a failed cell too, not a panic.
-	broken := tinyScenario("t-broken", "")
-	broken.Fleet.Seed = 5
-	rep = Run("broken", []Scenario{broken}, Options{Seeds: []uint64{1}})
-	if rep.Pass || rep.Scenarios[0].Seeds[0].Err == "" {
-		t.Errorf("config error not surfaced: %+v", rep.Scenarios[0].Seeds[0])
+	// A config error is a failed cell too, not a panic: an unregistered
+	// scenario whose line sets -seed, or does not parse.
+	rep = Run("broken", []Scenario{
+		tinyScenario("t-seeded", "-seed 5"),
+		tinyScenario("t-unparsed", "-no-such-flag"),
+	}, Options{Seeds: []uint64{1}})
+	for _, sr := range rep.Scenarios {
+		if sv := sr.Seeds[0]; sv.Pass || sv.Err == "" {
+			t.Errorf("%s: config error not surfaced: %+v", sr.Scenario, sv)
+		}
 	}
 }

@@ -226,6 +226,29 @@ echo "== scenario campaign smoke suite (race) =="
 go run -race ./cmd/cheriot-campaign run smoke -seeds 2 -par 4 >/dev/null
 echo "ok"
 
+echo "== listed scenario lines rerun their cells through cheriot-fleet =="
+# cheriot-campaign list prints each scenario's fleet as its cheriot-fleet
+# command line, quoted for the shell. Each smoke-suite line goes through
+# sh as `cheriot-fleet <line> -seed 1`; its -slo makes a failed verdict
+# exit 3, so a misquoted line, or a flag wired differently from the
+# campaign's, fails the step.
+bindir=$(mktemp -d)
+go build -o "$bindir/" ./cmd/cheriot-fleet ./cmd/cheriot-campaign
+"$bindir/cheriot-campaign" list >"$bindir/list.txt"
+smoke=$(awk '$1 == "smoke" { gsub(/[][]/, ""); $1 = ""; print }' "$bindir/list.txt")
+[ -n "$smoke" ] || { echo "cheriot-campaign list shows no smoke suite" >&2; exit 1; }
+for name in $smoke; do
+	line=$(awk -v n="$name" '$1 == n { getline; sub(/^ +/, ""); print; exit }' "$bindir/list.txt")
+	[ -n "$line" ] || { echo "cheriot-campaign list shows no line for $name" >&2; exit 1; }
+	echo "$name: cheriot-fleet $line -seed 1"
+	if ! sh -c "\"$bindir/cheriot-fleet\" $line -seed 1" >"$bindir/out.txt" 2>&1; then
+		cat "$bindir/out.txt" >&2
+		exit 1
+	fi
+done
+rm -rf "$bindir"
+echo "ok"
+
 echo "== OTA rollout suite (race) =="
 # The whole rollout suite, 2 seeds. rollout-poisoned must PASS *because*
 # the rollback fired: its RolledBack fixture demands terminal state
